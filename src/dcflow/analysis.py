@@ -16,9 +16,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Box, DcError, DcProblem, NewtonConfig, invert_grad_g
+from .core import (
+    Box,
+    DcError,
+    DcProblem,
+    NewtonConfig,
+    central_diff_jacobian,
+    flow_velocity,
+    invert_grad_g,
+)
 from .flow import FlowTrace
-from .schemes import IterateTrace
+from .schemes import IterateTrace, damped_target
 
 __all__ = [
     "BoxTooLargeError",
@@ -66,13 +74,20 @@ class BoxTooLargeError(DcError):
 # sampling helpers
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def _halton(n: int, dim: int) -> np.ndarray:
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if dim > len(primes):
-        raise ValueError(f"low-discrepancy sampling supports dim <= {len(primes)}")
     out = np.empty((n, dim))
-    for j in range(dim):
-        base = primes[j]
+    for j, base in enumerate(_primes(dim)):
         for i in range(n):
             f, r, k = 1.0, 0.0, i + 1
             while k > 0:
@@ -212,9 +227,7 @@ def energy_residual(p: DcProblem, trace: FlowTrace, i: int) -> float:
     dfdt = (
         h1 * h1 * f_next - h2 * h2 * f_prev + (h2 * h2 - h1 * h1) * f_mid
     ) / (h1 * h2 * (h1 + h2))
-    x = trace.x_states[i]
-    grad = p.f_grad(x)
-    quad = float(grad @ np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad))
+    _, _, quad = flow_velocity(p, trace.x_states[i])
     return abs(dfdt + quad)
 
 
@@ -398,18 +411,9 @@ def linearize_at(p: DcProblem, x_star, fd_step: float = 1e-4) -> LinearizationRe
     slow = isqrt @ vecs[:, 0]
     slow /= float(np.linalg.norm(slow))
 
-    def flow_field(x: np.ndarray) -> np.ndarray:
-        grad = np.asarray(p.g_grad(x), dtype=float) - np.asarray(
-            p.h_grad(x), dtype=float
-        )
-        return -np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad)
-
-    cols = []
-    for j in range(p.dim):
-        e = np.zeros(p.dim)
-        e[j] = fd_step
-        cols.append((flow_field(x_star + e) - flow_field(x_star - e)) / (2.0 * fd_step))
-    fd_jacobian = np.column_stack(cols)
+    fd_jacobian = central_diff_jacobian(
+        lambda x: flow_velocity(p, x)[1], x_star, fd_step
+    )
 
     analytic = np.linalg.solve(metric, hess_f)
     fd_error = float(np.linalg.norm(fd_jacobian + analytic, "fro"))
@@ -463,10 +467,7 @@ def measure_local_contraction(
     dists = [radius]
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
     for _ in range(n_steps):
-        target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * np.asarray(
-            p.h_grad(x), dtype=float
-        )
-        x = invert_grad_g(p, target, x, newton)
+        x = invert_grad_g(p, damped_target(p, x, eta), x, newton)
         d = float(np.linalg.norm(x - x_star))
         if d > 10.0 * radius:
             raise LocalityError(
@@ -492,21 +493,32 @@ def measure_local_contraction(
 # metric bounds and constant conversions
 
 
-def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
-    """Sampled eigenvalue range of the metric over the box, with a 1% margin.
+def _hess_extremes(
+    p: DcProblem, box: Box, n_samples: int, objective: bool = False
+) -> list[tuple[float, float]]:
+    """Sampled eigenvalue range of the metric over the box's probe points.
 
-    The margin is one percent of the sampled spread, so constant metrics
-    come out exact.
+    With ``objective`` the range of the symmetrized objective Hessian
+    follows; it reuses each point's metric, so every point costs one
+    ``g_hess`` call either way.
     """
     if box.dim != p.dim:
         raise ValueError("box dimension does not match the problem")
     pts = _probe_points(box, n_samples)
-    lows = np.empty(pts.shape[0])
-    highs = np.empty(pts.shape[0])
+    lows = np.empty((pts.shape[0], 2 if objective else 1))
+    highs = np.empty_like(lows)
     for i, x in enumerate(pts):
-        w = np.linalg.eigvalsh(np.asarray(p.g_hess(x), dtype=float))
-        lows[i], highs[i] = w[0], w[-1]
-    lo, hi = float(lows.min()), float(highs.max())
+        metric = np.asarray(p.g_hess(x), dtype=float)
+        w = np.linalg.eigvalsh(metric)
+        lows[i, 0], highs[i, 0] = w[0], w[-1]
+        if objective:
+            hf = metric - np.asarray(p.h_hess(x), dtype=float)
+            w = np.linalg.eigvalsh(0.5 * (hf + hf.T))
+            lows[i, 1], highs[i, 1] = w[0], w[-1]
+    return [(float(lo.min()), float(hi.max())) for lo, hi in zip(lows.T, highs.T)]
+
+
+def _metric_bounds(box: Box, lo: float, hi: float) -> MetricBounds:
     margin = 0.01 * (hi - lo)
     lower = lo - margin
     upper = hi + margin
@@ -516,6 +528,16 @@ def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> Metric
             "constant of g looks violated on this box"
         )
     return MetricBounds(lower=lower, upper=upper, box=box)
+
+
+def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
+    """Sampled eigenvalue range of the metric over the box, with a 1% margin.
+
+    The margin is one percent of the sampled spread, so constant metrics
+    come out exact.
+    """
+    [(lo, hi)] = _hess_extremes(p, box, n_samples)
+    return _metric_bounds(box, lo, hi)
 
 
 def pl_constant_conversion(mb: MetricBounds, mu_euclidean: float) -> tuple[float, float]:
@@ -548,8 +570,7 @@ def estimate_metric_pl_constant(
         gap = p.f_value(x) - f_star
         if gap <= floor:
             continue
-        grad = p.f_grad(x)
-        msq = float(grad @ np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad))
+        _, _, msq = flow_velocity(p, x)
         best = min(best, msq / (2.0 * gap))
     if not math.isfinite(best):
         raise InsufficientDataError("no box sample had a positive value gap")
@@ -612,20 +633,12 @@ def local_exp_certificate(
     if gnorm > 1e-8:
         raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
 
-    pts = _probe_points(box, n_samples)
-    lows = np.empty(pts.shape[0])
-    highs = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        hf = p.f_hess(x)
-        w = np.linalg.eigvalsh(0.5 * (hf + hf.T))
-        lows[i], highs[i] = w[0], w[-1]
-    m_f = float(lows.min())
-    l_f = float(highs.max())
+    (lo, hi), (m_f, l_f) = _hess_extremes(p, box, n_samples, objective=True)
     if m_f <= 0.0:
         raise BoxTooLargeError(
             "objective Hessian is indefinite somewhere on the box; shrink it"
         )
-    mb = metric_bounds_on_box(p, box, n_samples)
+    mb = _metric_bounds(box, lo, hi)
     return LocalExpCertificate(
         lam=m_f / mb.upper,
         c1=math.sqrt(l_f / m_f),

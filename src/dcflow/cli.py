@@ -11,7 +11,9 @@ Command shape::
     dcflow run <config.json> [--out DIR] [--certify | --report-only]
                [--seed N] [--invariance {warn,fail}]
 
-The environment variable ``DCFLOW_THREADS`` caps sweep parallelism.
+A ``ValueError`` raised while an experiment runs is an argument check
+failing on config input and exits 2; numpy's ``LinAlgError``, though a
+``ValueError`` too, is a numerical failure and exits 3.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import dataclasses
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -31,7 +31,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import analysis
-from .core import Box, DcError, DcProblem, NewtonConfig
+from .core import Box, DcError, DcProblem, NewtonConfig, NumericError, flow_velocity
 from .flow import FlowConfig, FlowTrace, euler_refinement_study, integrate_flow
 from .problems import make_double_well, make_quadratic, make_shifted_decomposition
 from .schemes import (
@@ -49,17 +49,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK_FAILED = 4
-
-_EXPERIMENTS = (
-    "RunScheme",
-    "RunFlow",
-    "EtaSweep",
-    "RefinementStudy",
-    "Linearize",
-    "RateCertify",
-    "DecompositionCompare",
-)
-
 
 class ConfigError(Exception):
     """The experiment config failed to parse or validate."""
@@ -88,11 +77,7 @@ def load_config(path) -> dict:
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema_version") != 1:
         raise ConfigError("config must declare schema_version 1")
-    if cfg.get("experiment") not in _EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {cfg.get('experiment')!r}; "
-            f"expected one of {', '.join(_EXPERIMENTS)}"
-        )
+    _experiment(cfg.get("experiment"))
     if not isinstance(cfg.get("problem"), dict):
         raise ConfigError("config must carry a problem object")
     return cfg
@@ -274,17 +259,6 @@ def _region_check(p: DcProblem, trace: FlowTrace, invariance: str) -> Check:
     return Check("trajectory_in_region", passed, details)
 
 
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("DCFLOW_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(32, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
     """Analytic metric PL constant when the instance carries one, else a
     sampled estimate near the known minimizer.
@@ -315,7 +289,7 @@ def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
 # experiments
 
 
-def _run_scheme_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _run_scheme_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     scheme_cfg = _scheme_config(cfg)
     mode = Mode.DUAL if cfg.get("mode", "primal") == "dual" else Mode.PRIMAL
     x0 = _start_point(cfg, p, rng)
@@ -335,7 +309,7 @@ def _run_scheme_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     return checks, results
 
 
-def _run_flow_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _run_flow_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     flow_cfg = _flow_config(cfg)
     x0 = _start_point(cfg, p, rng)
     trace = integrate_flow(p, x0, flow_cfg)
@@ -352,7 +326,7 @@ def _run_flow_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     return checks, results
 
 
-def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     etas = [float(e) for e in cfg.get("etas", [0.1 * k for k in range(1, 10)])]
     if not etas:
         raise ConfigError("EtaSweep requires a nonempty etas list")
@@ -372,8 +346,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
             rep = None
         return trace, rep
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(etas))) as pool:
-        runs = list(pool.map(one, etas))
+    runs = [one(eta) for eta in etas]
 
     lin = None
     measured_factors = None
@@ -435,7 +408,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     return checks, results
 
 
-def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _refinement_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     etas = [float(e) for e in cfg.get("etas", [0.2, 0.1, 0.05])]
     flow_cfg = _flow_config(cfg)
     t_end = float(cfg.get("t_end", flow_cfg.t_end))
@@ -463,7 +436,7 @@ def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     return checks, results
 
 
-def _linearize_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _linearize_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     if "x_star" in cfg:
         x_star = np.asarray(cfg["x_star"], dtype=float)
     elif p.minimizer is not None:
@@ -578,7 +551,7 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     return checks, results
 
 
-def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
+def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     alt_spec = cfg.get("alt")
     if not isinstance(alt_spec, dict):
         raise ConfigError("DecompositionCompare requires an alt problem object")
@@ -600,20 +573,14 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
     worst_gap = max(abs(p.f_value(x) - p_alt.f_value(x)) for x in pts)
     scale = max(1.0, max(abs(p.f_value(x)) for x in pts))
 
-    with ThreadPoolExecutor(max_workers=_max_workers(2)) as pool:
-        fut1 = pool.submit(integrate_flow, p, x0, flow_cfg)
-        fut2 = pool.submit(integrate_flow, p_alt, x0, flow_cfg)
-        t1, t2 = fut1.result(), fut2.result()
+    t1 = integrate_flow(p, x0, flow_cfg)
+    t2 = integrate_flow(p_alt, x0, flow_cfg)
     k = min(t1.n_samples, t2.n_samples)
     sup_diff = float(np.max(np.linalg.norm(t1.x_states[:k] - t2.x_states[:k], axis=1)))
     write_flow_csv(out_dir / "flow_trace_base.csv", t1, analysis.energy_residuals(p, t1))
     write_flow_csv(
         out_dir / "flow_trace_alt.csv", t2, analysis.energy_residuals(p_alt, t2)
     )
-
-    def initial_velocity(prob: DcProblem) -> np.ndarray:
-        grad = prob.f_grad(x0)
-        return -np.linalg.solve(np.asarray(prob.g_hess(x0), dtype=float), grad)
 
     min_gap = float(cfg.get("min_dynamics_gap", 1e-2))
     checks = [
@@ -632,8 +599,8 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
         "x0": x0.tolist(),
         "base_label": p.label,
         "alt_label": p_alt.label,
-        "initial_velocity_base": initial_velocity(p).tolist(),
-        "initial_velocity_alt": initial_velocity(p_alt).tolist(),
+        "initial_velocity_base": flow_velocity(p, x0)[1].tolist(),
+        "initial_velocity_alt": flow_velocity(p_alt, x0)[1].tolist(),
         "sup_norm_gap": sup_diff,
     }
     if p.minimizer is not None:
@@ -645,6 +612,25 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
         except DcError:
             pass
     return checks, results
+
+
+_EXPERIMENTS = {
+    "RunScheme": _run_scheme_experiment,
+    "RunFlow": _run_flow_experiment,
+    "EtaSweep": _eta_sweep_experiment,
+    "RefinementStudy": _refinement_experiment,
+    "Linearize": _linearize_experiment,
+    "RateCertify": _rate_certify_experiment,
+    "DecompositionCompare": _decomposition_compare_experiment,
+}
+
+
+def _experiment(name):
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {name!r}; expected one of {', '.join(_EXPERIMENTS)}"
+        )
+    return _EXPERIMENTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -664,23 +650,15 @@ def run_experiment(
     if seed is None:
         seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
-    p = build_problem(cfg["problem"])
     experiment = cfg["experiment"]
-
-    if experiment == "RunScheme":
-        checks, results = _run_scheme_experiment(p, cfg, out_dir, rng)
-    elif experiment == "RunFlow":
-        checks, results = _run_flow_experiment(p, cfg, out_dir, rng)
-    elif experiment == "EtaSweep":
-        checks, results = _eta_sweep_experiment(p, cfg, out_dir, rng)
-    elif experiment == "RefinementStudy":
-        checks, results = _refinement_experiment(p, cfg, out_dir, rng)
-    elif experiment == "Linearize":
-        checks, results = _linearize_experiment(p, cfg, out_dir, rng)
-    elif experiment == "RateCertify":
-        checks, results = _rate_certify_experiment(p, cfg, out_dir, rng, invariance)
-    else:
-        checks, results = _decomposition_compare_experiment(p, cfg, out_dir, rng)
+    run = _experiment(experiment)
+    p = build_problem(cfg["problem"])
+    try:
+        checks, results = run(p, cfg, out_dir, rng, invariance)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"linear algebra failure in {experiment}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     failed = [c.name for c in checks if c.passed is False]
     report = {

@@ -24,8 +24,10 @@ __all__ = [
     "NumericError",
     "central_diff_grad",
     "central_diff_jacobian",
+    "dual_euler",
     "dual_map",
     "fd_default_step",
+    "flow_velocity",
     "invert_grad_g",
 ]
 
@@ -303,15 +305,34 @@ def dual_map(
     y,
     warm_start,
     cfg: Optional[NewtonConfig] = None,
-) -> np.ndarray:
-    """Image of a dual state under one full exact step.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pull a dual state back and take its image under one full exact step.
 
-    Computes ``grad h`` at the primal point whose convex-part gradient
-    equals ``y``.  Fixed points of this map correspond exactly to critical
-    points of ``f``.
+    Returns ``(x, grad h(x))`` with ``x = (grad g)^{-1}(y)``; ``x`` is the
+    natural warm start for the next pullback.  The dual field at ``y`` is
+    ``grad h(x) - y``, so fixed points of the map correspond exactly to
+    critical points of ``f``.
     """
     x = invert_grad_g(p, y, warm_start, cfg)
-    return np.asarray(p.h_grad(x), dtype=float)
+    return x, np.asarray(p.h_grad(x), dtype=float)
+
+
+def dual_euler(y: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
+    """Explicit Euler step of size ``eta`` along the dual field ``grad_h - y``."""
+    return y + eta * (grad_h - y)
+
+
+def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """Objective gradient, flow velocity and squared metric speed at ``x``.
+
+    The metric gradient flow ``Hess g(x) x' = -grad f(x)`` moves with
+    velocity ``v = -(Hess g)^{-1} grad f``, whose squared length in the
+    Hessian metric is ``grad f' (Hess g)^{-1} grad f``.  Both come from one
+    symmetric positive-definite solve.  Returns ``(grad f, v, speed_sq)``.
+    """
+    grad = p.f_grad(x)
+    sol = np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad)
+    return grad, -sol, float(grad @ sol)
 
 
 def fd_default_step(x) -> float:
@@ -322,14 +343,7 @@ def fd_default_step(x) -> float:
 
 def central_diff_grad(fun: Callable[[np.ndarray], float], x, step: Optional[float] = None) -> np.ndarray:
     """Central-difference gradient of a scalar function, O(step^2) accurate."""
-    x = np.asarray(x, dtype=float)
-    h = fd_default_step(x) if step is None else float(step)
-    out = np.empty(x.size)
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h
-        out[j] = (float(fun(x + e)) - float(fun(x - e))) / (2.0 * h)
-    return out
+    return central_diff_jacobian(lambda z: [fun(z)], x, step)[0]
 
 
 def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: Optional[float] = None) -> np.ndarray:

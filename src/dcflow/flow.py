@@ -17,7 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DcError, DcProblem, NewtonConfig, invert_grad_g
+from .core import (
+    DcError,
+    DcProblem,
+    NewtonConfig,
+    dual_euler,
+    dual_map,
+    flow_velocity,
+    invert_grad_g,
+)
+from .problems import check_quadratic_split
 
 __all__ = [
     "EQUILIBRIUM_GRAD_TOL",
@@ -26,7 +35,6 @@ __all__ = [
     "StiffnessError",
     "closed_form_linear_flow",
     "dual_euler_interpolant",
-    "dual_vector_field",
     "euler_refinement_study",
     "integrate_flow",
 ]
@@ -122,19 +130,6 @@ class FlowTrace:
         return float(np.sum(np.linalg.norm(np.diff(self.x_states, axis=0), axis=1)))
 
 
-def dual_vector_field(
-    p: DcProblem, y, warm_start, cfg: Optional[NewtonConfig] = None
-) -> np.ndarray:
-    """Right-hand side of the dual ODE at ``y``.
-
-    Equals minus the objective gradient evaluated at the pullback of ``y``,
-    so it vanishes exactly at dual images of critical points.
-    """
-    y = np.asarray(y, dtype=float)
-    x = invert_grad_g(p, y, warm_start, cfg)
-    return np.asarray(p.h_grad(x), dtype=float) - y
-
-
 def _record_targets(t_end: float, stride: float) -> np.ndarray:
     """Multiples of the stride on (0, t_end], always ending exactly at t_end."""
     n_full = int(math.floor(t_end / stride + 1e-9))
@@ -163,9 +158,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     warm = [np.array(x0)]
 
     def fieldfun(yv: np.ndarray) -> np.ndarray:
-        x = invert_grad_g(p, yv, warm[0], cfg.newton)
-        warm[0] = x
-        return np.asarray(p.h_grad(x), dtype=float) - yv
+        warm[0], grad_h = dual_map(p, yv, warm[0], cfg.newton)
+        return grad_h - yv
 
     times = [0.0]
     y = np.asarray(p.g_grad(x0), dtype=float)
@@ -173,8 +167,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     xs = [x0.copy()]
 
     def sample_stats(x: np.ndarray):
-        grad = p.f_grad(x)
-        msq = float(grad @ np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad))
+        grad, _, msq = flow_velocity(p, x)
         return p.f_value(x), msq, float(np.linalg.norm(grad))
 
     f0, msq0, gnorm = sample_stats(x0)
@@ -258,23 +251,8 @@ def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:
     so the propagator is computed exactly from one eigendecomposition:
     ``x(t) = a^{-1/2} exp(t(a^{-1/2} b a^{-1/2} - I)) a^{1/2} x0``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("a must be a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
-        raise ValueError("a must be symmetric")
-    if b.shape != a.shape or float(np.abs(b - b.T).max()) > 1e-10 * max(
-        1.0, float(np.abs(b).max())
-    ):
-        raise ValueError("b must be symmetric with the same shape as a")
-    wa, va = np.linalg.eigh(0.5 * (a + a.T))
-    if wa[0] <= 0.0:
-        raise ValueError("a must be positive definite")
-    wb = np.linalg.eigvalsh(0.5 * (b + b.T))
-    if wb[0] < -1e-10 * max(1.0, float(wb[-1])):
-        raise ValueError("b must be positive semidefinite")
+    a, b, _ = check_quadratic_split(a, b)
+    wa, va = np.linalg.eigh(a)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size != a.shape[0]:
         raise ValueError("x0 has the wrong length")
@@ -312,11 +290,8 @@ def dual_euler_interpolant(
     y_nodes[0] = np.asarray(p.g_grad(x0), dtype=float)
     warm = np.array(x0)
     for k in range(n_steps):
-        x_k = invert_grad_g(p, y_nodes[k], warm, newton)
-        warm = x_k
-        y_nodes[k + 1] = y_nodes[k] + eta * (
-            np.asarray(p.h_grad(x_k), dtype=float) - y_nodes[k]
-        )
+        warm, grad_h = dual_map(p, y_nodes[k], warm, newton)
+        y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
 
     out = np.empty((times.size, p.dim))
     warm = np.array(x0)

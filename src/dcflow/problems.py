@@ -34,6 +34,30 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _check_psd(m: np.ndarray, name: str) -> None:
+    w = np.linalg.eigvalsh(m)
+    if w[0] < -_PSD_TOL * max(1.0, float(abs(w[-1]))):
+        raise ValueError(f"{name} must be positive semidefinite")
+
+
+def check_quadratic_split(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the split ``g(x) = x'ax/2``, ``h(x) = x'bx/2``.
+
+    Requires ``a`` symmetric positive definite and ``b`` symmetric positive
+    semidefinite of the same shape.  Returns the symmetrized ``a`` and
+    ``b`` and the ascending eigenvalues of ``a``.
+    """
+    a = _check_symmetric(a, "a")
+    b = _check_symmetric(b, "b")
+    if a.shape != b.shape:
+        raise ValueError("a and b must have the same shape")
+    a_eigs = np.linalg.eigvalsh(a)
+    if a_eigs[0] <= 0.0:
+        raise ValueError("a must be positive definite")
+    _check_psd(b, "b")
+    return a, b, a_eigs
+
+
 def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float | None:
     """Smallest positive generalized eigenvalue of the pencil (c, a).
 
@@ -61,22 +85,10 @@ def make_quadratic(a, b, region_half_width: float = 2.0) -> DcProblem:
     extremes of ``a`` and ``sigma`` comes from the generalized
     eigenproblem of ``a - b`` against ``a``.
     """
-    a = _check_symmetric(a, "a")
-    b = _check_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise ValueError("a and b must have the same shape")
+    a, b, a_eigs = check_quadratic_split(a, b)
     n = a.shape[0]
-
-    a_eigs = np.linalg.eigvalsh(a)
-    if a_eigs[0] <= 0.0:
-        raise ValueError("a must be positive definite")
-    b_eigs = np.linalg.eigvalsh(b)
-    if b_eigs[0] < -_PSD_TOL * max(1.0, float(b_eigs[-1])):
-        raise ValueError("b must be positive semidefinite")
     c = a - b
-    c_eigs = np.linalg.eigvalsh(c)
-    if c_eigs[0] < -_PSD_TOL * max(1.0, float(abs(c_eigs[-1]))):
-        raise ValueError("a - b must be positive semidefinite")
+    _check_psd(c, "a - b")
 
     a_loc = a.copy()
     b_loc = b.copy()

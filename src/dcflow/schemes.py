@@ -1,10 +1,11 @@
 """Discrete iterations: classical DCA, its damped relaxation, and the dual Euler step.
 
-All three updates reduce to one gradient inversion per iteration.  The
-primal damped step solves ``grad g(x+) = (1-eta) grad g(x) + eta grad h(x)``;
-the equivalent move in the dual coordinate ``y = grad g(x)`` is the explicit
-Euler step ``y+ = y + eta (grad h(pullback(y)) - y)``.  ``run_scheme``
-executes either form with full per-iterate logging.
+Every update reduces to one gradient inversion per iteration.  The primal
+damped step solves ``grad g(x+) = (1-eta) grad g(x) + eta grad h(x)``, which
+at ``eta = 1`` is the classical step; the equivalent move in the dual
+coordinate ``y = grad g(x)`` is the explicit Euler step
+``y+ = y + eta (grad h(pullback(y)) - y)``.  ``run_scheme`` executes either
+form with full per-iterate logging.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DcProblem, NewtonConfig, invert_grad_g
+from .core import DcProblem, NewtonConfig, dual_euler, invert_grad_g
 
 __all__ = [
     "IterateTrace",
@@ -24,9 +25,8 @@ __all__ = [
     "SchemeConfig",
     "Termination",
     "damped_dca_step",
-    "dca_step",
+    "damped_target",
     "descent_margins",
-    "dual_euler_step",
     "gradient_identity_margin",
     "primal_dual_sup_gap",
     "run_scheme",
@@ -97,29 +97,17 @@ class IterateTrace:
         return float(np.sum(self.step_norms))
 
 
-def dca_step(p: DcProblem, x_k, cfg: Optional[SchemeConfig] = None) -> np.ndarray:
-    """One classical step: solve ``grad g(x+) = grad h(x_k)``."""
-    if cfg is None:
-        cfg = SchemeConfig()
-    x_k = p.check_point(x_k)
-    return invert_grad_g(p, np.asarray(p.h_grad(x_k), dtype=float), x_k, cfg.newton)
+def damped_target(p: DcProblem, x, eta: float) -> np.ndarray:
+    """Right-hand side ``(1-eta) grad g(x) + eta grad h(x)`` of the damped step."""
+    return (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * np.asarray(
+        p.h_grad(x), dtype=float
+    )
 
 
 def damped_dca_step(p: DcProblem, x_k, cfg: SchemeConfig) -> np.ndarray:
-    """One relaxed step; ``eta = 1`` recovers the classical step."""
+    """One relaxed step; ``eta = 1`` (the default) is the classical step."""
     x_k = p.check_point(x_k)
-    eta = cfg.eta
-    target = (1.0 - eta) * np.asarray(p.g_grad(x_k), dtype=float) + eta * np.asarray(
-        p.h_grad(x_k), dtype=float
-    )
-    return invert_grad_g(p, target, x_k, cfg.newton)
-
-
-def dual_euler_step(p: DcProblem, y_k, warm, cfg: SchemeConfig) -> np.ndarray:
-    """Explicit Euler step of size ``eta`` on the dual fixed-point residual."""
-    y_k = np.asarray(y_k, dtype=float)
-    x = invert_grad_g(p, y_k, warm, cfg.newton)
-    return y_k + cfg.eta * (np.asarray(p.h_grad(x), dtype=float) - y_k)
+    return invert_grad_g(p, damped_target(p, x_k, cfg.eta), x_k, cfg.newton)
 
 
 def run_scheme(
@@ -157,7 +145,7 @@ def run_scheme(
         if mode is Mode.PRIMAL:
             x_next = damped_dca_step(p, x, cfg)
         else:
-            y = y + eta * (np.asarray(p.h_grad(x), dtype=float) - y)
+            y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
             x_next = invert_grad_g(p, y, x, cfg.newton)
         f_next = p.f_value(x_next)
         if not np.isfinite(f_next):

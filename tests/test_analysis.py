@@ -347,6 +347,17 @@ def test_metric_bounds_rejects_mismatched_box(dw_unit):
         metric_bounds_on_box(dw_unit, Box.cube(1.0, 3))
 
 
+def test_box_sweeps_past_twelve_dimensions():
+    # 13-D needs a 13th Halton base.
+    p = make_double_well(np.ones(13))
+    mb = metric_bounds_on_box(p, Box.cube(1.0, 13), n_samples=20)
+    assert mb.lower == pytest.approx(1.0, abs=0.05)
+    assert mb.upper == pytest.approx(4.0, abs=0.05)
+    box = Box(p.minimizer - 0.1, p.minimizer + 0.1)
+    est = estimate_metric_pl_constant(p, box, p.f_star, n_samples=20)
+    assert 0.0 < est <= 1.0
+
+
 def test_pl_conversion_round_trip_constant_metric():
     mb = MetricBounds(lower=2.0, upper=2.0, box=Box.cube(1.0, 2))
     metric_mu, back = pl_constant_conversion(mb, 1.0)

@@ -3,8 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from dcflow import cli
 from dcflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -72,6 +74,47 @@ def test_bad_numeric_range_exits_2(tmp_path):
     cfg = base_config(scheme={"eta": 2.0})
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(experiment="Linearize", problem=DW, x_star=[0.5, 0.5]), "not critical"),
+        (dict(experiment="EtaSweep", problem=DW, x0=[0.6, 0.8], etas=[0.5, 1.5]), "eta"),
+        (
+            dict(
+                experiment="RefinementStudy",
+                problem=DW,
+                x0=[0.6, 0.8],
+                etas=[0.05, 0.1],
+                flow={"t_end": 0.2, "record_stride": 0.05},
+            ),
+            "strictly decreasing",
+        ),
+    ],
+    ids=["linearize_noncritical", "eta_sweep_eta_above_one", "refinement_increasing_etas"],
+)
+def test_argument_check_in_experiment_exits_2(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_run_experiment_rejects_unknown_name(tmp_path):
+    with pytest.raises(ConfigError, match="'RunFlw'"):
+        run_experiment(base_config(experiment="RunFlw"), tmp_path / "out")
+
+
+def test_linear_algebra_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError but is a numerical failure.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "RunScheme", singular)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert "Singular matrix" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +228,7 @@ def test_rate_certify_double_well_uses_empirical_sigma(tmp_path):
     assert by_name["local_exp_bound"]["passed"]
 
 
-def test_eta_sweep_double_well(tmp_path, monkeypatch):
-    monkeypatch.setenv("DCFLOW_THREADS", "1")
+def test_eta_sweep_double_well(tmp_path):
     cfg = base_config(
         experiment="EtaSweep",
         problem=DW,
@@ -258,14 +300,23 @@ def test_report_json_readable(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import dcflow
+
+    # The child must import the same package as this process, installed or not.
+    src = str(Path(dcflow.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     path = write_config(tmp_path, base_config(x0=[1.0, 1.0]))
     proc = subprocess.run(
         [sys.executable, "-m", "dcflow", "run", str(path), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == EXIT_OK
     assert "[PASS]" in proc.stdout

@@ -199,17 +199,17 @@ def test_invert_raises_numeric_error_on_nan():
 def test_dual_map_linear_case():
     p = make_quadratic(2.0 * np.eye(2), np.eye(2))
     # T(y) = B A^{-1} y = y/2
-    np.testing.assert_allclose(
-        dual_map(p, np.array([2.0, 2.0]), np.zeros(2)), [1.0, 1.0], atol=1e-10
-    )
+    x, grad_h = dual_map(p, np.array([2.0, 2.0]), np.zeros(2))
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-10)
+    np.testing.assert_allclose(grad_h, [1.0, 1.0], atol=1e-10)
 
 
 def test_dual_map_fixed_point_at_critical_point(dw_unit):
     y_star = np.asarray(dw_unit.g_grad(np.array([1.0, 1.0])))
     np.testing.assert_allclose(y_star, [2.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(
-        dual_map(dw_unit, y_star, np.array([0.9, 0.9])), y_star, atol=1e-9
-    )
+    x, grad_h = dual_map(dw_unit, y_star, np.array([0.9, 0.9]))
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(grad_h, y_star, atol=1e-9)
 
 
 def test_box_validation():

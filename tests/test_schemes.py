@@ -10,14 +10,15 @@ from dcflow import (
     Termination,
     DcProblem,
     damped_dca_step,
-    dca_step,
     descent_margins,
-    dual_euler_step,
+    dual_map,
     gradient_identity_margin,
+    invert_grad_g,
     make_double_well,
     primal_dual_sup_gap,
     run_scheme,
 )
+from dcflow.core import dual_euler
 
 RNG = np.random.default_rng(20240503)
 
@@ -43,20 +44,22 @@ def bisect_root(fun, lo, hi, tol=1e-13):
 
 def test_dca_step_linear_map(quad_canonical):
     # x+ = A^{-1} B x = x/2
-    x1 = dca_step(quad_canonical, np.array([2.0, 2.0]))
+    x1 = damped_dca_step(quad_canonical, np.array([2.0, 2.0]), SchemeConfig())
     np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-10)
 
 
 def test_dca_step_fixed_at_critical_point(dw_unit):
     x_star = np.array([1.0, 1.0])
-    np.testing.assert_allclose(dca_step(dw_unit, x_star), x_star, atol=1e-9)
+    np.testing.assert_allclose(
+        damped_dca_step(dw_unit, x_star, SchemeConfig()), x_star, atol=1e-9
+    )
 
 
 def test_dca_step_scalar_against_bisection():
     # One step from 2 solves x^3 + x = (q+1)*2 = 4.
     p = make_double_well([1.0])
     root = bisect_root(lambda c: c**3 + c - 4.0, 1.0, 2.0)
-    x1 = dca_step(p, np.array([2.0]))
+    x1 = damped_dca_step(p, np.array([2.0]), SchemeConfig())
     assert x1[0] == pytest.approx(root, abs=1e-9)
     assert root == pytest.approx(1.3788, abs=1e-4)
 
@@ -64,9 +67,8 @@ def test_dca_step_scalar_against_bisection():
 def test_damped_step_reduces_to_classical_at_eta_one(dw_unit):
     cfg = SchemeConfig(eta=1.0)
     for x in dw_unit.region.sample(RNG, 10):
-        np.testing.assert_allclose(
-            damped_dca_step(dw_unit, x, cfg), dca_step(dw_unit, x), atol=1e-9
-        )
+        classical = invert_grad_g(dw_unit, dw_unit.h_grad(x), x)
+        np.testing.assert_allclose(damped_dca_step(dw_unit, x, cfg), classical, atol=1e-9)
 
 
 def test_damped_step_linear_case(quad_canonical):
@@ -85,15 +87,16 @@ def test_damped_step_fixed_at_critical_point(dw_unit, eta):
 
 def test_dual_euler_fixed_point_unchanged(dw_unit):
     y_star = np.asarray(dw_unit.g_grad(np.array([1.0, 1.0])))
-    out = dual_euler_step(dw_unit, y_star, np.array([1.0, 1.0]), SchemeConfig(eta=0.5))
+    _, grad_h = dual_map(dw_unit, y_star, np.array([1.0, 1.0]))
+    out = dual_euler(y_star, grad_h, 0.5)
     np.testing.assert_allclose(out, y_star, atol=1e-9)
 
 
 def test_dual_euler_linear_decay(quad_canonical):
     # y+ = (1 - eta/2) y
-    out = dual_euler_step(
-        quad_canonical, np.array([2.0, 2.0]), np.array([1.0, 1.0]), SchemeConfig(eta=1.0)
-    )
+    y = np.array([2.0, 2.0])
+    _, grad_h = dual_map(quad_canonical, y, np.array([1.0, 1.0]))
+    out = dual_euler(y, grad_h, 1.0)
     np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-10)
 
 
@@ -101,7 +104,9 @@ def test_dual_euler_consistent_with_primal_step(dw_unit):
     cfg = SchemeConfig(eta=0.3)
     for x in dw_unit.region.sample(RNG, 10):
         lhs = np.asarray(dw_unit.g_grad(damped_dca_step(dw_unit, x, cfg)))
-        rhs = dual_euler_step(dw_unit, np.asarray(dw_unit.g_grad(x)), x, cfg)
+        y = np.asarray(dw_unit.g_grad(x))
+        _, grad_h = dual_map(dw_unit, y, x, cfg.newton)
+        rhs = dual_euler(y, grad_h, cfg.eta)
         assert np.linalg.norm(lhs - rhs) <= 10.0 * cfg.newton.tol_grad
 
 
