@@ -211,35 +211,45 @@ class KlDiagnostic:
 # energy identity
 
 
-def energy_residual(p: DcProblem, trace: FlowTrace, i: int) -> float:
+def _dissipation_defects(times, f, msq) -> np.ndarray:
+    """``|df/dt + metric speed^2|`` at the interior points of the given samples.
+
+    The time derivative is the second-order central difference on the
+    (possibly nonuniform) sample grid.
+    """
+    h1 = times[1:-1] - times[:-2]
+    h2 = times[2:] - times[1:-1]
+    dfdt = (
+        h1 * h1 * f[2:] - h2 * h2 * f[:-2] + (h2 * h2 - h1 * h1) * f[1:-1]
+    ) / (h1 * h2 * (h1 + h2))
+    return np.abs(dfdt + msq[1:-1])
+
+
+def energy_residual(trace: FlowTrace, i: int) -> float:
     """Defect of the dissipation identity at interior sample ``i``.
 
     Compares the central-difference time derivative of the objective with
-    ``-grad f' (Hess g)^{-1} grad f`` at the sample; the quadratic term is
-    one symmetric positive-definite solve.
+    ``-grad f' (Hess g)^{-1} grad f`` at the sample, read from
+    ``trace.metric_speed_sq``.
     """
     m = trace.times.size
     if not 1 <= i <= m - 2:
         raise IndexError(f"interior index required: 1 <= i <= {m - 2}")
-    h1 = trace.times[i] - trace.times[i - 1]
-    h2 = trace.times[i + 1] - trace.times[i]
-    f_prev, f_mid, f_next = trace.f_values[i - 1 : i + 2]
-    dfdt = (
-        h1 * h1 * f_next - h2 * h2 * f_prev + (h2 * h2 - h1 * h1) * f_mid
-    ) / (h1 * h2 * (h1 + h2))
-    _, _, quad = flow_velocity(p, trace.x_states[i])
-    return abs(dfdt + quad)
+    window = slice(i - 1, i + 2)
+    return float(
+        _dissipation_defects(
+            trace.times[window], trace.f_values[window], trace.metric_speed_sq[window]
+        )[0]
+    )
 
 
-def energy_residuals(p: DcProblem, trace: FlowTrace) -> np.ndarray:
+def energy_residuals(trace: FlowTrace) -> np.ndarray:
     """All interior residuals, NaN at the two boundary samples.
 
     Also stores the result on ``trace.energy_residuals``.
     """
-    m = trace.times.size
-    out = np.full(m, np.nan)
-    for i in range(1, m - 1):
-        out[i] = energy_residual(p, trace, i)
+    out = np.full(trace.times.size, np.nan)
+    out[1:-1] = _dissipation_defects(trace.times, trace.f_values, trace.metric_speed_sq)
     trace.energy_residuals = out
     return out
 
@@ -438,7 +448,7 @@ def linearize_at(p: DcProblem, x_star, fd_step: float = 1e-4) -> LinearizationRe
 
 def measure_local_contraction(
     p: DcProblem,
-    x_star,
+    lin: LinearizationReport,
     eta: float,
     radius: float = 1e-3,
     n_steps: int = 20,
@@ -446,11 +456,11 @@ def measure_local_contraction(
 ) -> float:
     """Empirical per-step distance contraction of the damped scheme near a minimum.
 
-    Starts on the slowest eigendirection of the linearization at distance
-    ``radius``, iterates, and returns the geometric mean of consecutive
-    distance ratios over the tail half.  The Newton tolerance is tightened
-    well below ``radius`` times the final contraction so the measurement
-    is not limited by the inner solver.
+    Starts on the slowest eigendirection of ``lin``, a :func:`linearize_at`
+    report, at distance ``radius`` from ``lin.x_star``, iterates, and
+    returns the geometric mean of consecutive distance ratios over the tail
+    half.  The Newton tolerance is tightened well below ``radius`` times the
+    final contraction so the measurement is not limited by the inner solver.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -458,12 +468,11 @@ def measure_local_contraction(
         raise ValueError("radius must be positive")
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
-    rep = linearize_at(p, x_star)
-    x_star = rep.x_star
+    x_star = lin.x_star
     if newton is None:
         newton = NewtonConfig(tol_grad=1e-13, max_iter=200)
 
-    x = x_star + radius * rep.slow_direction
+    x = x_star + radius * lin.slow_direction
     dists = [radius]
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
     for _ in range(n_steps):

@@ -230,7 +230,7 @@ def _flow_checks(p: DcProblem, trace: FlowTrace, flow_cfg: FlowConfig) -> list[C
     mono_margin = (
         float(np.min(f[:-1] + slack - f[1:])) if f.size > 1 else math.inf
     )
-    residuals = analysis.energy_residuals(p, trace)
+    residuals = analysis.energy_residuals(trace)
     interior = residuals[1:-1]
     if interior.size:
         stride = float(np.median(np.diff(trace.times)))
@@ -353,7 +353,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
     if p.minimizer is not None:
         lin = analysis.linearize_at(p, p.minimizer)
         measured_factors = [
-            analysis.measure_local_contraction(p, p.minimizer, eta) for eta in etas
+            analysis.measure_local_contraction(p, lin, eta) for eta in etas
         ]
 
     rows = []
@@ -501,7 +501,7 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
 
     ftrace = integrate_flow(p, x0, flow_cfg)
     write_flow_csv(
-        out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(p, ftrace)
+        out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
     )
     rate = analysis.flow_rate_check(
         p,
@@ -577,9 +577,9 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple
     t2 = integrate_flow(p_alt, x0, flow_cfg)
     k = min(t1.n_samples, t2.n_samples)
     sup_diff = float(np.max(np.linalg.norm(t1.x_states[:k] - t2.x_states[:k], axis=1)))
-    write_flow_csv(out_dir / "flow_trace_base.csv", t1, analysis.energy_residuals(p, t1))
+    write_flow_csv(out_dir / "flow_trace_base.csv", t1, analysis.energy_residuals(t1))
     write_flow_csv(
-        out_dir / "flow_trace_alt.csv", t2, analysis.energy_residuals(p_alt, t2)
+        out_dir / "flow_trace_alt.csv", t2, analysis.energy_residuals(t2)
     )
 
     min_gap = float(cfg.get("min_dynamics_gap", 1e-2))

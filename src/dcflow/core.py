@@ -93,11 +93,13 @@ class Box:
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
 
     def corners(self) -> np.ndarray:
+        """All ``2**dim`` vertices; bit ``j`` of row ``i`` selects ``upper[j]``."""
         n = self.dim
-        out = np.empty((2**n, n))
-        for i in range(2**n):
-            for j in range(n):
-                out[i, j] = self.upper[j] if (i >> j) & 1 else self.lower[j]
+        rows = np.arange(2**n)
+        out = np.empty((rows.size, n))
+        # Column by column: no (2**n, n) integer temporary beside the output.
+        for j in range(n):
+            out[:, j] = np.where((rows >> j) & 1, self.upper[j], self.lower[j])
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

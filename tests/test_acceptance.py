@@ -144,7 +144,7 @@ def test_criterion_04_flow_accuracy():
 def test_criterion_05_energy_identity():
     cfg = FlowConfig(t_end=2.0, record_stride=1e-3, rel_tol=1e-8, abs_tol=1e-10)
     trace = integrate_flow(DW_UNIT, np.array([0.5, 0.7]), cfg)
-    res = energy_residuals(DW_UNIT, trace)
+    res = energy_residuals(trace)
     worst = float(np.nanmax(res[1:-1]))
     report(
         5,
@@ -181,8 +181,9 @@ def test_criterion_06_damped_pl_rate():
 
 def test_criterion_07_local_rate_tradeoff():
     etas = [0.25, 0.5, 1.0]
+    lin = linearize_at(DW_UNIT, np.ones(2))
     measured = [
-        measure_local_contraction(DW_UNIT, np.ones(2), eta, radius=1e-3, n_steps=18)
+        measure_local_contraction(DW_UNIT, lin, eta, radius=1e-3, n_steps=18)
         for eta in etas
     ]
     expected = [1.0 - eta * 0.5 for eta in etas]

@@ -34,7 +34,7 @@ from dcflow.analysis import (
     metric_bounds_on_box,
     pl_constant_conversion,
 )
-from dcflow.core import DcProblem
+from dcflow.core import DcProblem, flow_velocity
 
 RNG = np.random.default_rng(20240505)
 
@@ -56,7 +56,7 @@ def test_energy_residual_zero_on_constant_trace(dw_unit):
         f_values=np.full(3, dw_unit.f_value(x_star)),
         metric_speed_sq=np.zeros(3),
     )
-    assert energy_residual(dw_unit, trace, 1) <= 1e-14
+    assert energy_residual(trace, 1) <= 1e-14
 
 
 def test_energy_residual_quadratic(quad_canonical):
@@ -66,7 +66,7 @@ def test_energy_residual_quadratic(quad_canonical):
     trace = integrate_flow(
         quad_canonical, np.array([1.0, 0.0]), flow_cfg(2.0, h, rel=1e-10, abs_=1e-12)
     )
-    res = energy_residuals(quad_canonical, trace)
+    res = energy_residuals(trace)
     assert trace.energy_residuals is res
     truncation = 0.5 * np.exp(-trace.times) * (np.sinh(h) / h - 1.0)
     np.testing.assert_allclose(res[1:-1], truncation[1:-1], rtol=1e-2)
@@ -77,7 +77,7 @@ def test_energy_residual_quadratic_fine_stride(quad_canonical):
     trace = integrate_flow(
         quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 1e-3, rel=1e-9, abs_=1e-12)
     )
-    res = energy_residuals(quad_canonical, trace)
+    res = energy_residuals(trace)
     assert np.nanmax(res[1:-1]) <= 1e-6
 
 
@@ -85,16 +85,33 @@ def test_energy_residual_double_well_fine_stride(dw_unit):
     trace = integrate_flow(
         dw_unit, np.array([0.5, 0.7]), flow_cfg(2.0, 1e-3, rel=1e-8, abs_=1e-10)
     )
-    res = energy_residuals(dw_unit, trace)
+    res = energy_residuals(trace)
     assert np.nanmax(res[1:-1]) <= 1e-5
+
+
+def test_energy_residuals_match_per_sample_reference(dw_aniso):
+    # Reference: the defect at each interior sample from its own three-point
+    # stencil and a fresh metric-speed solve; the vectorized residuals read
+    # the stored speeds and must agree bit for bit.
+    trace = integrate_flow(dw_aniso, np.array([0.5, 0.5]), flow_cfg(1.0, 1e-2))
+    t, f = trace.times, trace.f_values
+    expected = np.full(t.size, np.nan)
+    for i in range(1, t.size - 1):
+        h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
+        dfdt = (
+            h1 * h1 * f[i + 1] - h2 * h2 * f[i - 1] + (h2 * h2 - h1 * h1) * f[i]
+        ) / (h1 * h2 * (h1 + h2))
+        expected[i] = abs(dfdt + flow_velocity(dw_aniso, trace.x_states[i])[2])
+    np.testing.assert_array_equal(energy_residuals(trace), expected)
+    assert energy_residual(trace, 7) == expected[7]
 
 
 def test_energy_residual_index_bounds(quad_canonical):
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.5))
     with pytest.raises(IndexError):
-        energy_residual(quad_canonical, trace, 0)
+        energy_residual(trace, 0)
     with pytest.raises(IndexError):
-        energy_residual(quad_canonical, trace, trace.n_samples - 1)
+        energy_residual(trace, trace.n_samples - 1)
 
 
 def test_dissipation_sandwich_along_flow(dw_unit):
@@ -289,21 +306,24 @@ def test_spectrum_contained_in_unit_interval(quad_canonical, dw_unit, dw_aniso):
 
 @pytest.mark.parametrize("eta", [0.25, 0.5, 1.0])
 def test_contraction_exact_on_linear_map(quad_canonical, eta):
-    factor = measure_local_contraction(quad_canonical, np.zeros(2), eta)
+    factor = measure_local_contraction(
+        quad_canonical, linearize_at(quad_canonical, np.zeros(2)), eta
+    )
     assert factor == pytest.approx(1.0 - eta / 2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("eta", [0.25, 0.5, 1.0])
 def test_contraction_matches_linearization(dw_unit, eta):
-    factor = measure_local_contraction(dw_unit, np.ones(2), eta)
+    factor = measure_local_contraction(dw_unit, linearize_at(dw_unit, np.ones(2)), eta)
     assert factor == pytest.approx(1.0 - eta * 0.5, rel=0.05)
 
 
 def test_contraction_radius_refinement(dw_unit):
     # Shrinking the radius moves the measurement toward the linearized value.
+    lin = linearize_at(dw_unit, np.ones(2))
     errs = []
     for radius in (1e-2, 1e-4):
-        factor = measure_local_contraction(dw_unit, np.ones(2), 1.0, radius=radius)
+        factor = measure_local_contraction(dw_unit, lin, 1.0, radius=radius)
         errs.append(abs(factor - 0.5))
     assert errs[1] < errs[0]
 
@@ -322,7 +342,7 @@ def test_contraction_locality_error_on_expanding_map():
         mu=1.0,
     )
     with pytest.raises(LocalityError):
-        measure_local_contraction(p, np.zeros(1), 1.0)
+        measure_local_contraction(p, linearize_at(p, np.zeros(1)), 1.0)
 
 
 # ---------------------------------------------------------------------------

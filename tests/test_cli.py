@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dcflow import cli
+from dcflow import analysis, cli
 from dcflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -163,6 +163,28 @@ def test_eta_sweep_report(tmp_path):
     assert len(table) == 5
     factors = [row["measured_local_factor"] for row in table]
     assert all(a > b for a, b in zip(factors, factors[1:]))
+
+
+def test_eta_sweep_linearizes_once(tmp_path, monkeypatch):
+    calls = []
+    original = analysis.linearize_at
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "linearize_at", counting)
+    cfg = base_config(
+        experiment="EtaSweep",
+        problem=DW,
+        x0=[0.6, 0.8],
+        etas=[0.25, 0.5, 0.75, 1.0],
+        scheme={"max_iter": 300, "stop_grad_tol": 1e-9},
+    )
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    assert len(report["results"]["table"]) == 4
+    assert len(calls) == 1
 
 
 def test_run_flow_double_well_leaves_diagonal(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dcflow import core, flow
 from dcflow import (
     DcProblem,
     FlowConfig,
@@ -13,8 +14,10 @@ from dcflow import (
     euler_refinement_study,
     integrate_flow,
     invert_grad_g,
+    make_double_well,
     make_quadratic,
 )
+from dcflow.flow import _B5, _P
 
 RNG = np.random.default_rng(20240504)
 
@@ -149,6 +152,66 @@ def test_flow_records_requested_grid(quad_canonical):
     cfg = FlowConfig(t_end=1.0, record_stride=0.25)
     trace = integrate_flow(quad_canonical, np.array([1.0, 1.0]), cfg)
     np.testing.assert_allclose(trace.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# dense output
+
+
+def test_continuous_extension_ends_at_accepted_state():
+    # At theta = 1 the interpolant y + h k' P [1, 1, 1, 1] is the step's
+    # fifth-order update y + h B5' k.
+    np.testing.assert_allclose(_P.sum(axis=1), _B5, rtol=0.0, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def dw_fine_run():
+    """Double well q = [1, 4] from (0.5, 0.5) to t = 10 at stride 1e-3, with
+    every gradient inversion and every field evaluation counted."""
+    counts = {"invert": 0, "field": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    invert = counted("invert", core.invert_grad_g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "invert_grad_g", invert)
+        mp.setattr(flow, "invert_grad_g", invert)
+        mp.setattr(flow, "dual_map", counted("field", flow.dual_map))
+        trace = integrate_flow(
+            make_double_well([1.0, 4.0]),
+            np.array([0.5, 0.5]),
+            FlowConfig(t_end=10.0, record_stride=1e-3),
+        )
+    return trace, counts
+
+
+def test_dense_output_inversion_count(dw_fine_run):
+    trace, counts = dw_fine_run
+    assert trace.n_samples == 10001
+    # One field evaluation starts the integration; each step, accepted or
+    # rejected, adds six (the seventh stage is reused by the next step).
+    assert (counts["field"] - 1) % 6 == 0
+    n_steps = (counts["field"] - 1) // 6
+    assert counts["invert"] <= trace.n_samples + 7 * n_steps
+    assert counts["invert"] < 15000
+
+
+def test_dense_output_independent_of_stride(dw_fine_run):
+    fine, _ = dw_fine_run
+    coarse = integrate_flow(
+        make_double_well([1.0, 4.0]),
+        np.array([0.5, 0.5]),
+        FlowConfig(t_end=10.0, record_stride=1e-2),
+    )
+    assert coarse.n_samples == 1001
+    np.testing.assert_allclose(fine.times[::10], coarse.times, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(fine.y_states[::10], coarse.y_states, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(fine.x_states[::10], coarse.x_states, rtol=0.0, atol=1e-8)
 
 
 def test_stiffness_error_on_blowup_field():

@@ -92,7 +92,7 @@ def test_double_well_five_dimensional():
     np.testing.assert_allclose(np.sort(2.0 / (3.0 + q)), rep.spectrum, atol=1e-12)
     trace = run_scheme(p, np.full(5, 0.6), SchemeConfig(eta=0.5))
     np.testing.assert_allclose(trace.points[-1], x_star, atol=1e-6)
-    factor = measure_local_contraction(p, x_star, 0.5)
+    factor = measure_local_contraction(p, rep, 0.5)
     assert factor == pytest.approx(1.0 - 0.5 * rep.lambda_min, rel=0.05)
 
 
