@@ -6,122 +6,31 @@ schemes in primal or dual coordinates, integrates the continuous dynamics
 in the dual coordinate, and checks every certified descent inequality,
 rate constant and linearization against measured behavior on built-in
 instances.
+
+Only the names below are exported here; everything else is imported from
+its submodule (``dcflow.core``, ``dcflow.schemes``, ``dcflow.flow``,
+``dcflow.analysis``, ``dcflow.problems``, ``dcflow.cli``).
 """
 
-from .analysis import (
-    BoxTooLargeError,
-    DegenerateMinimumError,
-    FlowRateCheck,
-    InsufficientDataError,
-    KlDiagnostic,
-    LinearizationReport,
-    LocalExpCertificate,
-    LocalityError,
-    MetricBounds,
-    RateReport,
-    damped_pl_report,
-    energy_residual,
-    energy_residuals,
-    estimate_metric_pl_constant,
-    flow_rate_check,
-    kl_exponent_diagnostic,
-    linearize_at,
-    local_exp_bound_margin,
-    local_exp_certificate,
-    measure_local_contraction,
-    metric_bounds_on_box,
-    pl_constant_conversion,
-)
-from .core import (
-    Box,
-    ConvergenceError,
-    DcError,
-    DcProblem,
-    NewtonConfig,
-    NumericError,
-    central_diff_grad,
-    central_diff_jacobian,
-    dual_map,
-    fd_default_step,
-    invert_grad_g,
-)
-from .flow import (
-    EQUILIBRIUM_GRAD_TOL,
-    FlowConfig,
-    FlowTrace,
-    StiffnessError,
-    closed_form_linear_flow,
-    dual_euler_interpolant,
-    euler_refinement_study,
-    integrate_flow,
-)
+from .core import Box, DcError
+from .flow import FlowConfig, closed_form_linear_flow, dual_euler_interpolant, integrate_flow
 from .problems import make_double_well, make_quadratic, make_shifted_decomposition
-from .schemes import (
-    IterateTrace,
-    Mode,
-    SchemeConfig,
-    Termination,
-    damped_dca_step,
-    descent_margins,
-    gradient_identity_margin,
-    primal_dual_sup_gap,
-    run_scheme,
-)
+from .schemes import Mode, SchemeConfig, descent_margins, run_scheme
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BoxTooLargeError",
-    "ConvergenceError",
     "DcError",
-    "DcProblem",
-    "DegenerateMinimumError",
-    "EQUILIBRIUM_GRAD_TOL",
     "FlowConfig",
-    "FlowRateCheck",
-    "FlowTrace",
-    "InsufficientDataError",
-    "IterateTrace",
-    "KlDiagnostic",
-    "LinearizationReport",
-    "LocalExpCertificate",
-    "LocalityError",
-    "MetricBounds",
     "Mode",
-    "NewtonConfig",
-    "NumericError",
-    "RateReport",
     "SchemeConfig",
-    "StiffnessError",
-    "Termination",
-    "central_diff_grad",
-    "central_diff_jacobian",
     "closed_form_linear_flow",
-    "damped_dca_step",
-    "damped_pl_report",
     "descent_margins",
     "dual_euler_interpolant",
-    "dual_map",
-    "energy_residual",
-    "energy_residuals",
-    "estimate_metric_pl_constant",
-    "euler_refinement_study",
-    "fd_default_step",
-    "flow_rate_check",
-    "gradient_identity_margin",
     "integrate_flow",
-    "invert_grad_g",
-    "kl_exponent_diagnostic",
-    "linearize_at",
-    "local_exp_bound_margin",
-    "local_exp_certificate",
     "make_double_well",
     "make_quadratic",
     "make_shifted_decomposition",
-    "measure_local_contraction",
-    "metric_bounds_on_box",
-    "pl_constant_conversion",
-    "primal_dual_sup_gap",
     "run_scheme",
 ]

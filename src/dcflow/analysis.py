@@ -40,7 +40,6 @@ __all__ = [
     "MetricBounds",
     "RateReport",
     "damped_pl_report",
-    "energy_residual",
     "energy_residuals",
     "estimate_metric_pl_constant",
     "flow_rate_check",
@@ -68,6 +67,13 @@ class DegenerateMinimumError(DcError):
 
 class BoxTooLargeError(DcError):
     """The objective Hessian fails to stay positive definite over the box."""
+
+
+# Inner solves of the local contraction measurement: tight enough that the
+# inversion residual stays far below the distances it measures.
+_CONTRACTION_NEWTON = NewtonConfig(tol_grad=1e-13, max_iter=200)
+# Relative slack of the local exponential envelope, for integrator error.
+_LOCAL_EXP_SLACK = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +231,15 @@ def _dissipation_defects(times, f, msq) -> np.ndarray:
     return np.abs(dfdt + msq[1:-1])
 
 
-def energy_residual(trace: FlowTrace, i: int) -> float:
-    """Defect of the dissipation identity at interior sample ``i``.
+def energy_residuals(trace: FlowTrace) -> np.ndarray:
+    """Defect of the dissipation identity at every sample, NaN at the two ends.
 
     Compares the central-difference time derivative of the objective with
-    ``-grad f' (Hess g)^{-1} grad f`` at the sample, read from
+    ``-grad f' (Hess g)^{-1} grad f`` at each interior sample, read from
     ``trace.metric_speed_sq``.
-    """
-    m = trace.times.size
-    if not 1 <= i <= m - 2:
-        raise IndexError(f"interior index required: 1 <= i <= {m - 2}")
-    window = slice(i - 1, i + 2)
-    return float(
-        _dissipation_defects(
-            trace.times[window], trace.f_values[window], trace.metric_speed_sq[window]
-        )[0]
-    )
-
-
-def energy_residuals(trace: FlowTrace) -> np.ndarray:
-    """All interior residuals, NaN at the two boundary samples.
-
-    Also stores the result on ``trace.energy_residuals``.
     """
     out = np.full(trace.times.size, np.nan)
     out[1:-1] = _dissipation_defects(trace.times, trace.f_values, trace.metric_speed_sq)
-    trace.energy_residuals = out
     return out
 
 
@@ -316,13 +305,11 @@ def damped_pl_report(
 
 
 def flow_rate_check(
-    p: DcProblem,
     trace: FlowTrace,
     c: float,
     theta: float,
     f_star: float,
     certified: bool = True,
-    report_only: bool = False,
 ) -> FlowRateCheck:
     """Check the value gap against its certified decay envelope.
 
@@ -330,17 +317,13 @@ def flow_rate_check(
     ``V(0) exp(-c^2 t)``; for larger exponents it is the polynomial curve
     ``(V(0)^{1-2 theta} + c^2 (2 theta - 1) t)^{-1/(2 theta - 1)}``.  A
     multiplicative slack of ``1e-6`` absorbs integrator error.  With
-    ``certified=False`` the call refuses unless ``report_only`` is set, in
-    which case margins are reported without a verdict.
+    ``certified=False`` the margins are reported without a verdict
+    (``passed`` is ``None``).
     """
     if not 0.5 <= theta < 1.0:
         raise ValueError("theta must lie in [1/2, 1)")
     if c <= 0.0:
         raise ValueError("c must be positive")
-    if not certified and not report_only:
-        raise ValueError(
-            "constants are not certified on this instance; pass report_only=True"
-        )
 
     t = trace.times
     v = trace.f_values - f_star
@@ -349,7 +332,7 @@ def flow_rate_check(
     if v0 <= floor:
         # Started at the optimum: every envelope contains the zero curve.
         return FlowRateCheck(
-            passed=None if (report_only and not certified) else True,
+            passed=True if certified else None,
             worst_margin=0.0,
             measured_decay_rate=None,
             c=c,
@@ -365,9 +348,7 @@ def flow_rate_check(
 
     margins = envelope * (1.0 + 1e-6) - v
     worst = float(np.min(margins))
-    passed: Optional[bool] = worst >= 0.0
-    if report_only and not certified:
-        passed = None
+    passed = (worst >= 0.0) if certified else None
 
     fit_mask = v > max(floor, 1e-14 * v0)
     measured = None
@@ -452,7 +433,6 @@ def measure_local_contraction(
     eta: float,
     radius: float = 1e-3,
     n_steps: int = 20,
-    newton: Optional[NewtonConfig] = None,
 ) -> float:
     """Empirical per-step distance contraction of the damped scheme near a minimum.
 
@@ -469,14 +449,12 @@ def measure_local_contraction(
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
     x_star = lin.x_star
-    if newton is None:
-        newton = NewtonConfig(tol_grad=1e-13, max_iter=200)
 
     x = x_star + radius * lin.slow_direction
     dists = [radius]
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
     for _ in range(n_steps):
-        x = invert_grad_g(p, damped_target(p, x, eta), x, newton)
+        x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_NEWTON)
         d = float(np.linalg.norm(x - x_star))
         if d > 10.0 * radius:
             raise LocalityError(
@@ -661,15 +639,14 @@ def local_exp_bound_margin(
     trace: FlowTrace,
     x_star,
     cert: LocalExpCertificate,
-    slack: float = 1e-3,
 ) -> float:
     """Worst margin of the certified envelope along a flow trace.
 
     Nonnegative return means
-    ``|x(t) - x_star| <= c1 exp(-lam t) |x(0) - x_star| (1 + slack)``
+    ``|x(t) - x_star| <= c1 exp(-lam t) |x(0) - x_star| (1 + 1e-3)``
     held at every sample.
     """
     x_star = np.asarray(x_star, dtype=float)
     dists = np.linalg.norm(trace.x_states - x_star, axis=1)
-    envelope = cert.c1 * np.exp(-cert.lam * trace.times) * dists[0] * (1.0 + slack)
+    envelope = cert.c1 * np.exp(-cert.lam * trace.times) * dists[0] * (1.0 + _LOCAL_EXP_SLACK)
     return float(np.min(envelope - dists))

@@ -11,9 +11,14 @@ Command shape::
     dcflow run <config.json> [--out DIR] [--certify | --report-only]
                [--seed N] [--invariance {warn,fail}]
 
-A ``ValueError`` raised while an experiment runs is an argument check
-failing on config input and exits 2; numpy's ``LinAlgError``, though a
-``ValueError`` too, is a numerical failure and exits 3.
+The ``scheme``, ``flow`` and ``newton`` objects map one to one onto the
+fields of :class:`~dcflow.schemes.SchemeConfig`,
+:class:`~dcflow.flow.FlowConfig` and :class:`~dcflow.core.NewtonConfig`, so
+a key that is not a field there, or a value out of its range, exits 2.
+Top-level keys an experiment does not read are ignored.  A ``ValueError``
+raised while an experiment runs is an argument check failing on config
+input and exits 2; numpy's ``LinAlgError``, though a ``ValueError`` too, is
+a numerical failure and exits 3.
 """
 
 from __future__ import annotations
@@ -224,13 +229,14 @@ def _scheme_checks(p: DcProblem, trace: IterateTrace, newton_tol: float) -> list
     ]
 
 
-def _flow_checks(p: DcProblem, trace: FlowTrace, flow_cfg: FlowConfig) -> list[Check]:
+def _flow_checks(
+    trace: FlowTrace, residuals: np.ndarray, flow_cfg: FlowConfig
+) -> list[Check]:
     f = trace.f_values
     slack = 10.0 * flow_cfg.rel_tol * (1.0 + np.abs(f[:-1]))
     mono_margin = (
         float(np.min(f[:-1] + slack - f[1:])) if f.size > 1 else math.inf
     )
-    residuals = analysis.energy_residuals(trace)
     interior = residuals[1:-1]
     if interior.size:
         stride = float(np.median(np.diff(trace.times)))
@@ -313,8 +319,9 @@ def _run_flow_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check],
     flow_cfg = _flow_config(cfg)
     x0 = _start_point(cfg, p, rng)
     trace = integrate_flow(p, x0, flow_cfg)
-    checks = _flow_checks(p, trace, flow_cfg)
-    write_flow_csv(out_dir / "flow_trace.csv", trace, trace.energy_residuals)
+    residuals = analysis.energy_residuals(trace)
+    checks = _flow_checks(trace, residuals, flow_cfg)
+    write_flow_csv(out_dir / "flow_trace.csv", trace, residuals)
     results = {
         "x0": x0.tolist(),
         "samples": trace.n_samples,
@@ -411,9 +418,8 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
 def _refinement_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     etas = [float(e) for e in cfg.get("etas", [0.2, 0.1, 0.05])]
     flow_cfg = _flow_config(cfg)
-    t_end = float(cfg.get("t_end", flow_cfg.t_end))
     x0 = _start_point(cfg, p, rng)
-    rows = euler_refinement_study(p, x0, etas, t_end, flow_cfg)
+    rows = euler_refinement_study(p, x0, etas, flow_cfg)
     _write_csv(
         out_dir / "refinement.csv",
         ["eta", "sup_deviation"],
@@ -504,13 +510,11 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
         out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
     )
     rate = analysis.flow_rate_check(
-        p,
         ftrace,
         c=math.sqrt(2.0 * sigma),
         theta=0.5,
         f_star=p.f_star,
         certified=certified,
-        report_only=not certified,
     )
     checks.append(
         Check(
@@ -570,8 +574,9 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple
     n_pts = int(cfg.get("n_invariance_points", 100))
     region = p.region or Box.cube(1.0, p.dim)
     pts = region.sample(rng, n_pts)
-    worst_gap = max(abs(p.f_value(x) - p_alt.f_value(x)) for x in pts)
-    scale = max(1.0, max(abs(p.f_value(x)) for x in pts))
+    f_base = [p.f_value(x) for x in pts]
+    worst_gap = max(abs(f - p_alt.f_value(x)) for f, x in zip(f_base, pts))
+    scale = max(1.0, max(abs(f) for f in f_base))
 
     t1 = integrate_flow(p, x0, flow_cfg)
     t2 = integrate_flow(p_alt, x0, flow_cfg)

@@ -57,6 +57,12 @@ class NumericError(DcError):
     """A non-finite value appeared where the math guarantees finite ones."""
 
 
+# Armijo sufficient-decrease coefficient and backtracking factor of the
+# gradient inversion.
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by per-coordinate lower/upper bounds."""
@@ -117,18 +123,12 @@ class NewtonConfig:
 
     tol_grad: float = 1e-10
     max_iter: int = 100
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
 
     def __post_init__(self):
         if self.tol_grad <= 0.0:
             raise ValueError("tol_grad must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -280,9 +280,9 @@ def invert_grad_g(
             phi_new = float(p.g_value(x_new)) - float(y @ x_new)
             if np.isnan(phi_new):
                 raise NumericError("NaN in line search during inversion")
-            if phi_new <= phi0 + cfg.armijo_c * t * slope + noise:
+            if phi_new <= phi0 + _ARMIJO_C * t * slope + noise:
                 break
-            t *= cfg.armijo_shrink
+            t *= _ARMIJO_SHRINK
             if t < 1e-18:
                 raise NumericError("line search step underflow during inversion")
         x = x_new

@@ -47,6 +47,8 @@ __all__ = [
 EQUILIBRIUM_GRAD_TOL = 1e-10
 
 _MIN_STEP = 1e-14
+# First trial step; error control resizes it from the first step on.
+_STEP_INIT = 1e-2
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
 # accepted point and reused as the first stage of the next step.
@@ -97,7 +99,6 @@ class FlowConfig:
 
     t_end: float
     record_stride: Optional[float] = None
-    step_init: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     newton: NewtonConfig = field(default_factory=NewtonConfig)
@@ -105,8 +106,6 @@ class FlowConfig:
     def __post_init__(self):
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.step_init <= 0.0:
-            raise ValueError("step_init must be positive")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         stride = self.record_stride
@@ -123,7 +122,6 @@ class FlowTrace:
 
     ``metric_speed_sq[i]`` is the squared trajectory speed in the Hessian
     metric, evaluated as ``grad f' (Hess g)^{-1} grad f`` at the sample.
-    ``energy_residuals`` stays ``None`` until the analysis module fills it.
     """
 
     times: np.ndarray  # (m,)
@@ -131,7 +129,6 @@ class FlowTrace:
     x_states: np.ndarray  # (m, n)
     f_values: np.ndarray  # (m,)
     metric_speed_sq: np.ndarray  # (m,)
-    energy_residuals: Optional[np.ndarray] = None
 
     @property
     def n_samples(self) -> int:
@@ -213,7 +210,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     target_idx = 0
     t_end = cfg.t_end
     t = 0.0
-    h = cfg.step_init
+    h = _STEP_INIT
     k1 = fieldfun(y)
     err_prev = 1e-4
     n = y.size
@@ -339,13 +336,12 @@ def euler_refinement_study(
     p: DcProblem,
     x0,
     etas,
-    t_end: float,
     cfg: FlowConfig,
 ) -> list[tuple[float, float]]:
     """Deviation of each Euler interpolant from the integrated flow.
 
-    Returns rows ``(eta, sup-norm deviation)`` measured at the reference
-    trace's sample times on ``[0, t_end]``.  For a first-order scheme the
+    Returns rows ``(eta, sup-norm deviation)`` measured at the sample
+    times of the flow integrated under ``cfg``, on ``[0, cfg.t_end]``.  For a first-order scheme the
     deviations shrink linearly with ``eta``.
     """
     etas = [float(e) for e in etas]
@@ -357,15 +353,7 @@ def euler_refinement_study(
         if b >= a:
             raise ValueError("etas must be strictly decreasing")
 
-    ref_cfg = cfg if cfg.t_end == t_end else FlowConfig(
-        t_end=t_end,
-        record_stride=min(cfg.record_stride, t_end),
-        step_init=cfg.step_init,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        newton=cfg.newton,
-    )
-    ref = integrate_flow(p, x0, ref_cfg)
+    ref = integrate_flow(p, x0, cfg)
     rows = []
     for eta in etas:
         x_interp = dual_euler_interpolant(p, x0, eta, ref.times, cfg.newton)

@@ -10,7 +10,6 @@ form with full per-iterate logging.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -28,13 +27,14 @@ __all__ = [
     "damped_target",
     "descent_margins",
     "gradient_identity_margin",
-    "primal_dual_sup_gap",
     "run_scheme",
 ]
 
 # Objective increases beyond this slack signal a broken oracle or a failed
 # inversion, never a property of the method.
 _DIVERGENCE_SLACK = 1e-6
+# Relative slack of the per-step descent inequalities, for roundoff in f.
+_DESCENT_SLACK = 1e-9
 
 
 class Termination(Enum):
@@ -175,7 +175,7 @@ def run_scheme(
     )
 
 
-def descent_margins(p: DcProblem, trace: IterateTrace, slack_coeff: float = 1e-9):
+def descent_margins(p: DcProblem, trace: IterateTrace):
     """Worst signed slack of the two per-step descent inequalities.
 
     Returns ``(relaxed, strong)`` where each entry is the minimum over
@@ -191,7 +191,7 @@ def descent_margins(p: DcProblem, trace: IterateTrace, slack_coeff: float = 1e-9
     for k in range(trace.bregman_steps.size):
         fk = trace.f_values[k]
         fk1 = trace.f_values[k + 1]
-        slack = slack_coeff * (1.0 + abs(fk))
+        slack = _DESCENT_SLACK * (1.0 + abs(fk))
         relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps[k] - fk
         strong_violation = coef_strong * trace.step_norms[k] ** 2 - (fk - fk1)
         worst_relaxed = min(worst_relaxed, slack - relaxed_violation)
@@ -219,11 +219,3 @@ def gradient_identity_margin(p: DcProblem, trace: IterateTrace) -> float:
         worst = max(worst, abs(lhs - rhs))
     return worst
 
-
-def primal_dual_sup_gap(p: DcProblem, x0, cfg: SchemeConfig, n_iter: int) -> float:
-    """Sup-norm disagreement between primal and dual runs of ``n_iter`` steps."""
-    fixed = dataclasses.replace(cfg, max_iter=n_iter, stop_grad_tol=1e-300)
-    tp = run_scheme(p, x0, fixed, Mode.PRIMAL)
-    td = run_scheme(p, x0, fixed, Mode.DUAL)
-    k = min(tp.points.shape[0], td.points.shape[0])
-    return float(np.max(np.abs(tp.points[:k] - td.points[:k])))

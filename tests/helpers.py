@@ -1,0 +1,16 @@
+"""Shared test helpers built on the library's public entry points."""
+
+import dataclasses
+
+import numpy as np
+
+from dcflow.schemes import Mode, SchemeConfig, run_scheme
+
+
+def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:
+    """Sup-norm disagreement between primal and dual runs of ``n_iter`` steps."""
+    fixed = dataclasses.replace(cfg, max_iter=n_iter, stop_grad_tol=1e-300)
+    tp = run_scheme(p, x0, fixed, Mode.PRIMAL)
+    td = run_scheme(p, x0, fixed, Mode.DUAL)
+    k = min(tp.points.shape[0], td.points.shape[0])
+    return float(np.max(np.abs(tp.points[:k] - td.points[:k])))

@@ -213,7 +213,7 @@ def test_criterion_08_linearization():
 def test_criterion_09_exponential_flow_decay():
     cfg = FlowConfig(t_end=8.0, record_stride=0.05, rel_tol=1e-9, abs_tol=1e-12)
     trace = integrate_flow(QUAD, np.array([1.0, 0.0]), cfg)
-    chk = flow_rate_check(QUAD, trace, c=1.0, theta=0.5, f_star=0.0)
+    chk = flow_rate_check(trace, c=1.0, theta=0.5, f_star=0.0)
     rate_ok = abs(chk.measured_decay_rate - 1.0) <= 0.01
     report(
         9,
@@ -227,7 +227,7 @@ def test_criterion_10_local_exponential_certificate():
     cert_q = local_exp_certificate(QUAD, np.zeros(2), Box.cube(1.0, 2))
     cfg = FlowConfig(t_end=6.0, record_stride=0.05, rel_tol=1e-9, abs_tol=1e-12)
     trace = integrate_flow(QUAD, np.array([0.8, -0.6]), cfg)
-    margin_q = local_exp_bound_margin(trace, np.zeros(2), cert_q, slack=1e-3)
+    margin_q = local_exp_bound_margin(trace, np.zeros(2), cert_q)
     quad_ok = (
         cert_q.lam == pytest.approx(0.5, abs=1e-12)
         and cert_q.c1 == pytest.approx(1.0, abs=1e-12)
@@ -240,7 +240,7 @@ def test_criterion_10_local_exponential_certificate():
     dw_margins = []
     for x0 in box.sample(rng, 10):
         tr = integrate_flow(DW_UNIT, x0, FlowConfig(t_end=4.0, record_stride=0.05))
-        dw_margins.append(local_exp_bound_margin(tr, np.ones(2), cert_dw, slack=1e-3))
+        dw_margins.append(local_exp_bound_margin(tr, np.ones(2), cert_dw))
     dw_ok = min(dw_margins) >= 0.0
     report(
         10,

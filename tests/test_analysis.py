@@ -8,7 +8,6 @@ import pytest
 from dcflow import (
     Box,
     FlowConfig,
-    FlowTrace,
     SchemeConfig,
     integrate_flow,
     make_double_well,
@@ -22,7 +21,6 @@ from dcflow.analysis import (
     LocalityError,
     MetricBounds,
     damped_pl_report,
-    energy_residual,
     energy_residuals,
     estimate_metric_pl_constant,
     flow_rate_check,
@@ -35,6 +33,7 @@ from dcflow.analysis import (
     pl_constant_conversion,
 )
 from dcflow.core import DcProblem, flow_velocity
+from dcflow.flow import FlowTrace
 
 RNG = np.random.default_rng(20240505)
 
@@ -56,7 +55,7 @@ def test_energy_residual_zero_on_constant_trace(dw_unit):
         f_values=np.full(3, dw_unit.f_value(x_star)),
         metric_speed_sq=np.zeros(3),
     )
-    assert energy_residual(trace, 1) <= 1e-14
+    assert energy_residuals(trace)[1] <= 1e-14
 
 
 def test_energy_residual_quadratic(quad_canonical):
@@ -67,7 +66,6 @@ def test_energy_residual_quadratic(quad_canonical):
         quad_canonical, np.array([1.0, 0.0]), flow_cfg(2.0, h, rel=1e-10, abs_=1e-12)
     )
     res = energy_residuals(trace)
-    assert trace.energy_residuals is res
     truncation = 0.5 * np.exp(-trace.times) * (np.sinh(h) / h - 1.0)
     np.testing.assert_allclose(res[1:-1], truncation[1:-1], rtol=1e-2)
     assert np.nanmax(res[1:-1]) <= 1e-5
@@ -103,15 +101,6 @@ def test_energy_residuals_match_per_sample_reference(dw_aniso):
         ) / (h1 * h2 * (h1 + h2))
         expected[i] = abs(dfdt + flow_velocity(dw_aniso, trace.x_states[i])[2])
     np.testing.assert_array_equal(energy_residuals(trace), expected)
-    assert energy_residual(trace, 7) == expected[7]
-
-
-def test_energy_residual_index_bounds(quad_canonical):
-    trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.5))
-    with pytest.raises(IndexError):
-        energy_residual(trace, 0)
-    with pytest.raises(IndexError):
-        energy_residual(trace, trace.n_samples - 1)
 
 
 def test_dissipation_sandwich_along_flow(dw_unit):
@@ -181,7 +170,7 @@ def test_rate_report_rejects_full_step(quad_canonical):
 
 def test_flow_envelope_tight_on_canonical_instance(quad_canonical):
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(8.0, 0.05))
-    chk = flow_rate_check(quad_canonical, trace, c=1.0, theta=0.5, f_star=0.0)
+    chk = flow_rate_check(trace, c=1.0, theta=0.5, f_star=0.0)
     assert chk.passed
     assert chk.worst_margin >= 0.0
     # The envelope is attained: the measured decay matches the constant.
@@ -193,43 +182,37 @@ def test_flow_envelope_weaker_exponent_holds(quad_canonical):
     # An exponent-1/2 bound on a bounded sublevel set implies the 3/4 bound
     # with constant c * V(0)^{-1/4}.
     v0 = trace.f_values[0]
-    chk = flow_rate_check(
-        quad_canonical, trace, c=0.999 * v0**-0.25, theta=0.75, f_star=0.0
-    )
+    chk = flow_rate_check(trace, c=0.999 * v0**-0.25, theta=0.75, f_star=0.0)
     assert chk.passed
     assert chk.worst_margin > 0.0
 
 
 def test_flow_envelope_equilibrium_start(quad_canonical):
     trace = integrate_flow(quad_canonical, np.zeros(2), flow_cfg(1.0, 0.1))
-    chk = flow_rate_check(quad_canonical, trace, c=1.0, theta=0.5, f_star=0.0)
+    chk = flow_rate_check(trace, c=1.0, theta=0.5, f_star=0.0)
     assert chk.passed
 
 
 def test_flow_envelope_detects_violation(quad_canonical):
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(4.0, 0.05))
-    chk = flow_rate_check(quad_canonical, trace, c=1.3, theta=0.5, f_star=0.0)
+    chk = flow_rate_check(trace, c=1.3, theta=0.5, f_star=0.0)
     assert chk.passed is False
     assert chk.worst_margin < 0.0
 
 
 def test_flow_rate_check_refuses_uncertified(quad_canonical):
+    # Uncertified constants get margins but no verdict.
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.1))
-    with pytest.raises(ValueError):
-        flow_rate_check(quad_canonical, trace, c=1.0, theta=0.5, f_star=0.0, certified=False)
-    chk = flow_rate_check(
-        quad_canonical, trace, c=1.0, theta=0.5, f_star=0.0,
-        certified=False, report_only=True,
-    )
+    chk = flow_rate_check(trace, c=1.0, theta=0.5, f_star=0.0, certified=False)
     assert chk.passed is None
 
 
 def test_flow_rate_check_validates_inputs(quad_canonical):
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.1))
     with pytest.raises(ValueError):
-        flow_rate_check(quad_canonical, trace, c=0.0, theta=0.5, f_star=0.0)
+        flow_rate_check(trace, c=0.0, theta=0.5, f_star=0.0)
     with pytest.raises(ValueError):
-        flow_rate_check(quad_canonical, trace, c=1.0, theta=1.0, f_star=0.0)
+        flow_rate_check(trace, c=1.0, theta=1.0, f_star=0.0)
 
 
 def test_distance_bound_under_quadratic_growth(quad_canonical):

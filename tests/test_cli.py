@@ -70,9 +70,24 @@ def test_unknown_problem_exits_2(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_bad_numeric_range_exits_2(tmp_path):
-    cfg = base_config(scheme={"eta": 2.0})
-    path = write_config(tmp_path, cfg)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scheme={"eta": 2.0}),
+        dict(scheme={"newton": {"armijo_c": 1e-4}}),
+        dict(scheme={"newton": {"armijo_shrink": 0.5}}),
+        dict(experiment="RunFlow", flow={"t_end": 0.2, "step_init": 1e-2}),
+    ],
+    ids=[
+        "scheme.eta",
+        "scheme.newton.armijo_c",
+        "scheme.newton.armijo_shrink",
+        "flow.step_init",
+    ],
+)
+def test_bad_numeric_range_exits_2(tmp_path, overrides):
+    # An out-of-range value, or a key that is no config field, is a config error.
+    path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dcflow import (
-    Box,
+import dcflow
+from dcflow import Box, make_double_well, make_quadratic
+from dcflow.core import (
     ConvergenceError,
     DcProblem,
     NewtonConfig,
@@ -13,11 +14,29 @@ from dcflow import (
     central_diff_jacobian,
     dual_map,
     invert_grad_g,
-    make_double_well,
-    make_quadratic,
 )
 
 RNG = np.random.default_rng(20240501)
+
+
+def test_public_api_is_the_contract_surface():
+    assert sorted(dcflow.__all__) == [
+        "Box",
+        "DcError",
+        "FlowConfig",
+        "Mode",
+        "SchemeConfig",
+        "closed_form_linear_flow",
+        "descent_margins",
+        "dual_euler_interpolant",
+        "integrate_flow",
+        "make_double_well",
+        "make_quadratic",
+        "make_shifted_decomposition",
+        "run_scheme",
+    ]
+    for name in dcflow.__all__:
+        assert getattr(dcflow, name) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,15 @@ import pytest
 
 from dcflow import core, flow
 from dcflow import (
-    DcProblem,
     FlowConfig,
-    StiffnessError,
     closed_form_linear_flow,
     dual_euler_interpolant,
-    dual_map,
-    euler_refinement_study,
     integrate_flow,
-    invert_grad_g,
     make_double_well,
     make_quadratic,
 )
-from dcflow.flow import _B5, _P
+from dcflow.core import DcProblem, dual_map, invert_grad_g
+from dcflow.flow import _B5, _P, StiffnessError, euler_refinement_study
 
 RNG = np.random.default_rng(20240504)
 
@@ -245,13 +241,13 @@ def test_flow_config_validation():
 # Euler refinement
 
 
-def _flow_cfg():
-    return FlowConfig(t_end=5.0, record_stride=0.05, rel_tol=1e-9, abs_tol=1e-12)
+def _flow_cfg(t_end=5.0):
+    return FlowConfig(t_end=t_end, record_stride=0.05, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_refinement_ratios_first_order(quad_canonical):
     rows = euler_refinement_study(
-        quad_canonical, np.array([1.0, 0.0]), [0.2, 0.1, 0.05], 5.0, _flow_cfg()
+        quad_canonical, np.array([1.0, 0.0]), [0.2, 0.1, 0.05], _flow_cfg()
     )
     devs = [d for _, d in rows]
     assert devs[0] > devs[1] > devs[2]
@@ -264,14 +260,14 @@ def test_refinement_loglog_slope(family, quad_canonical, dw_unit):
     p = quad_canonical if family == "quad" else dw_unit
     x0 = np.array([1.0, 0.3]) if family == "quad" else np.array([0.5, 0.7])
     etas = [0.2, 0.1, 0.05]
-    rows = euler_refinement_study(p, x0, etas, 5.0, _flow_cfg())
+    rows = euler_refinement_study(p, x0, etas, _flow_cfg())
     slope = np.polyfit(np.log([e for e, _ in rows]), np.log([d for _, d in rows]), 1)[0]
     assert 0.8 <= slope <= 1.2
 
 
 def test_refinement_single_eta(quad_canonical):
     rows = euler_refinement_study(
-        quad_canonical, np.array([0.5, 0.5]), [0.1], 2.0, _flow_cfg()
+        quad_canonical, np.array([0.5, 0.5]), [0.1], _flow_cfg(2.0)
     )
     assert len(rows) == 1
     assert rows[0][0] == 0.1
@@ -279,7 +275,7 @@ def test_refinement_single_eta(quad_canonical):
 
 def test_refinement_from_critical_point(dw_unit):
     rows = euler_refinement_study(
-        dw_unit, np.array([1.0, 1.0]), [0.2, 0.1], 2.0, _flow_cfg()
+        dw_unit, np.array([1.0, 1.0]), [0.2, 0.1], _flow_cfg(2.0)
     )
     for _, dev in rows:
         assert dev <= 100.0 * 1e-10
@@ -287,11 +283,11 @@ def test_refinement_from_critical_point(dw_unit):
 
 def test_refinement_rejects_bad_eta_lists(quad_canonical):
     with pytest.raises(ValueError):
-        euler_refinement_study(quad_canonical, np.zeros(2), [], 1.0, _flow_cfg())
+        euler_refinement_study(quad_canonical, np.zeros(2), [], _flow_cfg(1.0))
     with pytest.raises(ValueError):
-        euler_refinement_study(quad_canonical, np.zeros(2), [0.1, 0.2], 1.0, _flow_cfg())
+        euler_refinement_study(quad_canonical, np.zeros(2), [0.1, 0.2], _flow_cfg(1.0))
     with pytest.raises(ValueError):
-        euler_refinement_study(quad_canonical, np.zeros(2), [0.1, -0.05], 1.0, _flow_cfg())
+        euler_refinement_study(quad_canonical, np.zeros(2), [0.1, -0.05], _flow_cfg(1.0))
 
 
 def test_interpolant_hits_iterates_at_nodes(quad_canonical):

@@ -6,13 +6,13 @@ import pytest
 from dcflow import (
     FlowConfig,
     SchemeConfig,
-    damped_dca_step,
     integrate_flow,
     make_double_well,
     make_quadratic,
     make_shifted_decomposition,
 )
 from dcflow.analysis import linearize_at
+from dcflow.schemes import damped_dca_step
 
 RNG = np.random.default_rng(20240502)
 

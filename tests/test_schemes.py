@@ -4,21 +4,10 @@
 import numpy as np
 import pytest
 
-from dcflow import (
-    Mode,
-    SchemeConfig,
-    Termination,
-    DcProblem,
-    damped_dca_step,
-    descent_margins,
-    dual_map,
-    gradient_identity_margin,
-    invert_grad_g,
-    make_double_well,
-    primal_dual_sup_gap,
-    run_scheme,
-)
-from dcflow.core import dual_euler
+from dcflow import Mode, SchemeConfig, descent_margins, make_double_well, run_scheme
+from dcflow.core import DcProblem, dual_euler, dual_map, invert_grad_g
+from dcflow.schemes import Termination, damped_dca_step, gradient_identity_margin
+from helpers import primal_dual_sup_gap
 
 RNG = np.random.default_rng(20240503)
 
