@@ -20,7 +20,6 @@ from .core import (
     Box,
     DcError,
     DcProblem,
-    NewtonConfig,
     central_diff_jacobian,
     flow_velocity,
     invert_grad_g,
@@ -69,9 +68,9 @@ class BoxTooLargeError(DcError):
     """The objective Hessian fails to stay positive definite over the box."""
 
 
-# Inner solves of the local contraction measurement: tight enough that the
-# inversion residual stays far below the distances it measures.
-_CONTRACTION_NEWTON = NewtonConfig(tol_grad=1e-13, max_iter=200)
+# Inversion tolerance of the local contraction measurement: tight enough that
+# the inversion residual stays far below the distances it measures.
+_CONTRACTION_TOL = 1e-13
 # Relative slack of the local exponential envelope, for integrator error.
 _LOCAL_EXP_SLACK = 1e-3
 
@@ -143,14 +142,8 @@ class RateReport:
     """Per-step contraction bound for the damped scheme next to its measurement."""
 
     eta: float
-    mu: float
-    sigma: float
-    lg: float
     contraction_bound: float  # max{0, 1 - (mu*sigma/lg) * eta * (1-eta)}
     measured_ratio_geomean: float
-    decay_rate: float  # flow decay constant, 2*sigma
-    theta: float
-    hypothesis_certified: bool
     violation: bool
     degenerate: bool = False
 
@@ -162,8 +155,6 @@ class FlowRateCheck:
     passed: Optional[bool]
     worst_margin: float
     measured_decay_rate: Optional[float]
-    c: float
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,6 @@ class MetricBounds:
 
     lower: float
     upper: float
-    box: Box
 
 
 @dataclass(frozen=True)
@@ -201,7 +191,6 @@ class LocalExpCertificate:
     c1: float  # overshoot sqrt(L_f / m_f)
     hess_f_lower: float
     hess_f_upper: float
-    metric_upper: float
 
 
 @dataclass(frozen=True)
@@ -253,14 +242,13 @@ def damped_pl_report(
     sigma: float,
     lg: float,
     f_star: float,
-    certified: bool = True,
 ) -> RateReport:
     """Contraction bound ``1 - (mu*sigma/lg) eta (1-eta)`` versus measured ratios.
 
     The geometric mean is taken over the tail half of the usable steps
     (both gaps above the floating floor).  ``violation`` flags any single
     step whose ratio exceeds the bound beyond slack; it only carries
-    weight when the metric PL hypothesis is certified on the instance.
+    weight when the caller's metric PL constant is certified.
     """
     eta = trace.eta
     if not 0.0 < eta < 1.0:
@@ -275,14 +263,8 @@ def damped_pl_report(
     def report(ratio_geomean: float, violation: bool, degenerate: bool) -> RateReport:
         return RateReport(
             eta=eta,
-            mu=p.mu,
-            sigma=sigma,
-            lg=lg,
             contraction_bound=bound,
             measured_ratio_geomean=ratio_geomean,
-            decay_rate=2.0 * sigma,
-            theta=0.5,
-            hypothesis_certified=certified,
             violation=violation,
             degenerate=degenerate,
         )
@@ -335,8 +317,6 @@ def flow_rate_check(
             passed=True if certified else None,
             worst_margin=0.0,
             measured_decay_rate=None,
-            c=c,
-            theta=theta,
         )
 
     c_sq = c * c
@@ -360,8 +340,6 @@ def flow_rate_check(
         passed=passed,
         worst_margin=worst,
         measured_decay_rate=measured,
-        c=c,
-        theta=theta,
     )
 
 
@@ -439,7 +417,7 @@ def measure_local_contraction(
     Starts on the slowest eigendirection of ``lin``, a :func:`linearize_at`
     report, at distance ``radius`` from ``lin.x_star``, iterates, and
     returns the geometric mean of consecutive distance ratios over the tail
-    half.  The Newton tolerance is tightened well below ``radius`` times the
+    half.  The inversion tolerance is tightened well below ``radius`` times the
     final contraction so the measurement is not limited by the inner solver.
     """
     if not 0.0 < eta <= 1.0:
@@ -454,7 +432,7 @@ def measure_local_contraction(
     dists = [radius]
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
     for _ in range(n_steps):
-        x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_NEWTON)
+        x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_TOL)
         d = float(np.linalg.norm(x - x_star))
         if d > 10.0 * radius:
             raise LocalityError(
@@ -505,7 +483,7 @@ def _hess_extremes(
     return [(float(lo.min()), float(hi.max())) for lo, hi in zip(lows.T, highs.T)]
 
 
-def _metric_bounds(box: Box, lo: float, hi: float) -> MetricBounds:
+def _metric_bounds(lo: float, hi: float) -> MetricBounds:
     margin = 0.01 * (hi - lo)
     lower = lo - margin
     upper = hi + margin
@@ -514,7 +492,7 @@ def _metric_bounds(box: Box, lo: float, hi: float) -> MetricBounds:
             "sampled metric lower bound is not positive; the strong-convexity "
             "constant of g looks violated on this box"
         )
-    return MetricBounds(lower=lower, upper=upper, box=box)
+    return MetricBounds(lower=lower, upper=upper)
 
 
 def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
@@ -524,7 +502,7 @@ def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> Metric
     come out exact.
     """
     [(lo, hi)] = _hess_extremes(p, box, n_samples)
-    return _metric_bounds(box, lo, hi)
+    return _metric_bounds(lo, hi)
 
 
 def pl_constant_conversion(mb: MetricBounds, mu_euclidean: float) -> tuple[float, float]:
@@ -625,13 +603,11 @@ def local_exp_certificate(
         raise BoxTooLargeError(
             "objective Hessian is indefinite somewhere on the box; shrink it"
         )
-    mb = _metric_bounds(box, lo, hi)
     return LocalExpCertificate(
-        lam=m_f / mb.upper,
+        lam=m_f / _metric_bounds(lo, hi).upper,
         c1=math.sqrt(l_f / m_f),
         hess_f_lower=m_f,
         hess_f_upper=l_f,
-        metric_upper=mb.upper,
     )
 
 

@@ -11,14 +11,24 @@ Command shape::
     dcflow run <config.json> [--out DIR] [--certify | --report-only]
                [--seed N] [--invariance {warn,fail}]
 
-The ``scheme``, ``flow`` and ``newton`` objects map one to one onto the
-fields of :class:`~dcflow.schemes.SchemeConfig`,
-:class:`~dcflow.flow.FlowConfig` and :class:`~dcflow.core.NewtonConfig`, so
-a key that is not a field there, or a value out of its range, exits 2.
+The ``scheme`` and ``flow`` objects map one to one onto the fields of
+:class:`~dcflow.schemes.SchemeConfig` (``eta``, ``max_iter``,
+``stop_grad_tol``) and :class:`~dcflow.flow.FlowConfig` (``t_end``,
+``record_stride``, ``rel_tol``, ``abs_tol``), so a key that is not a field
+there, or a value out of its range, exits 2.  The gradient inversion has no
+config keys: its tolerance is :data:`~dcflow.core.INVERSION_TOL`.
 Top-level keys an experiment does not read are ignored.  A ``ValueError``
 raised while an experiment runs is an argument check failing on config
 input and exits 2; numpy's ``LinAlgError``, though a ``ValueError`` too, is
 a numerical failure and exits 3.
+
+Failure policy: an inner-solver failure (a ``DcError`` such as
+``ConvergenceError`` from the gradient inversion) anywhere in an experiment
+ends the whole run with exit 3 and writes no ``report.json``.  In an
+``EtaSweep`` this holds for every member: one failing eta ends the sweep,
+and only the CSV traces of the members that finished before it remain.  A
+scheme run whose objective turns non-finite or rises is not a failure of
+this kind; it stops with termination ``numeric_error`` in its results.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import analysis
-from .core import Box, DcError, DcProblem, NewtonConfig, NumericError, flow_velocity
+from .core import INVERSION_TOL, Box, DcError, DcProblem, NumericError, flow_velocity
 from .flow import FlowConfig, FlowTrace, euler_refinement_study, integrate_flow
 from .problems import make_double_well, make_quadratic, make_shifted_decomposition
 from .schemes import (
@@ -105,32 +115,18 @@ def build_problem(spec: dict) -> DcProblem:
     return p
 
 
-def _newton_config(d: Optional[dict]) -> NewtonConfig:
-    d = d or {}
+_SECTIONS = {"scheme": SchemeConfig, "flow": FlowConfig}
+
+
+def _section_config(cfg: dict, section: str):
+    """The ``scheme`` or ``flow`` object of a config, as its config class."""
+    fields = cfg.get(section, {})
     try:
-        return NewtonConfig(**d)
+        if section == "flow" and "t_end" not in fields:
+            raise ConfigError("flow config requires t_end")
+        return _SECTIONS[section](**fields)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid newton config: {exc}") from exc
-
-
-def _scheme_config(cfg: dict) -> SchemeConfig:
-    d = dict(cfg.get("scheme", {}))
-    newton = _newton_config(d.pop("newton", None))
-    try:
-        return SchemeConfig(newton=newton, **d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scheme config: {exc}") from exc
-
-
-def _flow_config(cfg: dict) -> FlowConfig:
-    d = dict(cfg.get("flow", {}))
-    newton = _newton_config(d.pop("newton", None))
-    if "t_end" not in d:
-        raise ConfigError("flow config requires t_end")
-    try:
-        return FlowConfig(newton=newton, **d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid flow config: {exc}") from exc
+        raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
 def _start_point(cfg: dict, p: DcProblem, rng: np.random.Generator) -> np.ndarray:
@@ -207,9 +203,10 @@ def write_flow_csv(path: Path, trace: FlowTrace, residuals: np.ndarray) -> None:
 # shared check builders
 
 
-def _scheme_checks(p: DcProblem, trace: IterateTrace, newton_tol: float) -> list[Check]:
+def _scheme_checks(p: DcProblem, trace: IterateTrace) -> list[Check]:
     relaxed, strong = descent_margins(p, trace)
     grad_dev = gradient_identity_margin(p, trace)
+    allowed = 10.0 * INVERSION_TOL
     return [
         Check(
             "descent_certificate",
@@ -223,8 +220,8 @@ def _scheme_checks(p: DcProblem, trace: IterateTrace, newton_tol: float) -> list
         ),
         Check(
             "gradient_difference_identity",
-            grad_dev <= 10.0 * newton_tol,
-            {"worst_deviation": grad_dev, "allowed": 10.0 * newton_tol},
+            grad_dev <= allowed,
+            {"worst_deviation": grad_dev, "allowed": allowed},
         ),
     ]
 
@@ -265,6 +262,13 @@ def _region_check(p: DcProblem, trace: FlowTrace, invariance: str) -> Check:
     return Check("trajectory_in_region", passed, details)
 
 
+def _local_box(p: DcProblem, cfg: dict) -> tuple[float, Box]:
+    """Radius ``local_box_radius`` (default 0.1) and the cube it spans
+    around the known minimizer."""
+    radius = float(cfg.get("local_box_radius", 0.1))
+    return radius, Box(p.minimizer - radius, p.minimizer + radius)
+
+
 def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
     """Analytic metric PL constant when the instance carries one, else a
     sampled estimate near the known minimizer.
@@ -278,8 +282,7 @@ def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
     if p.f_star is None:
         raise ConfigError("metric PL estimation needs a problem with f_star")
     if p.minimizer is not None:
-        radius = float(cfg.get("local_box_radius", 0.1))
-        box = Box(p.minimizer - radius, p.minimizer + radius)
+        _, box = _local_box(p, cfg)
     else:
         box = p.region if p.region is not None else Box.cube(1.0, p.dim)
     sigma = analysis.estimate_metric_pl_constant(p, box, p.f_star)
@@ -296,12 +299,12 @@ def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
 
 
 def _run_scheme_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
-    scheme_cfg = _scheme_config(cfg)
+    scheme_cfg = _section_config(cfg, "scheme")
     mode = Mode.DUAL if cfg.get("mode", "primal") == "dual" else Mode.PRIMAL
     x0 = _start_point(cfg, p, rng)
     trace = run_scheme(p, x0, scheme_cfg, mode)
     write_iterate_csv(out_dir / "scheme_trace.csv", trace)
-    checks = _scheme_checks(p, trace, scheme_cfg.newton.tol_grad)
+    checks = _scheme_checks(p, trace)
     results = {
         "x0": x0.tolist(),
         "mode": mode.value,
@@ -316,7 +319,7 @@ def _run_scheme_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check
 
 
 def _run_flow_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
-    flow_cfg = _flow_config(cfg)
+    flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
     trace = integrate_flow(p, x0, flow_cfg)
     residuals = analysis.energy_residuals(trace)
@@ -337,7 +340,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
     etas = [float(e) for e in cfg.get("etas", [0.1 * k for k in range(1, 10)])]
     if not etas:
         raise ConfigError("EtaSweep requires a nonempty etas list")
-    scheme_cfg = _scheme_config(cfg)
+    scheme_cfg = _section_config(cfg, "scheme")
     x0 = _start_point(cfg, p, rng)
     if p.f_star is None or p.lg is None:
         raise ConfigError("EtaSweep needs a problem with certified f_star and lg")
@@ -348,7 +351,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
         trace = run_scheme(p, x0, run_cfg)
         write_iterate_csv(out_dir / f"eta_{eta:.3f}_trace.csv", trace)
         if 0.0 < eta < 1.0:
-            rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star, certified)
+            rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
         else:
             rep = None
         return trace, rep
@@ -417,7 +420,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
 
 def _refinement_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     etas = [float(e) for e in cfg.get("etas", [0.2, 0.1, 0.05])]
-    flow_cfg = _flow_config(cfg)
+    flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
     rows = euler_refinement_study(p, x0, etas, flow_cfg)
     _write_csv(
@@ -476,8 +479,8 @@ def _linearize_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
 def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
     if p.f_star is None or p.lg is None:
         raise ConfigError("RateCertify needs a problem with certified f_star and lg")
-    scheme_cfg = _scheme_config(cfg)
-    flow_cfg = _flow_config(cfg)
+    scheme_cfg = _section_config(cfg, "scheme")
+    flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
     sigma, certified = _resolve_sigma(p, cfg)
 
@@ -491,7 +494,7 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     trace = run_scheme(p, x0, scheme_cfg)
     write_iterate_csv(out_dir / "scheme_trace.csv", trace)
     if 0.0 < scheme_cfg.eta < 1.0:
-        rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star, certified)
+        rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
         checks.append(
             Check(
                 "contraction_bound",
@@ -537,8 +540,7 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
         results["kl_theta_hat"] = None
 
     if p.minimizer is not None:
-        radius = float(cfg.get("local_box_radius", 0.1))
-        box = Box(p.minimizer - radius, p.minimizer + radius)
+        radius, box = _local_box(p, cfg)
         cert = analysis.local_exp_certificate(p, p.minimizer, box)
         ltrace = integrate_flow(
             p, p.minimizer + radius * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
@@ -568,7 +570,7 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple
         alt["params"] = alt_params
         p_alt = build_problem(alt)
 
-    flow_cfg = _flow_config(cfg)
+    flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
 
     n_pts = int(cfg.get("n_invariance_points", 100))

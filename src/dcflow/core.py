@@ -10,7 +10,7 @@ every discrete scheme and by the continuous flow integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,13 +20,11 @@ __all__ = [
     "ConvergenceError",
     "DcError",
     "DcProblem",
-    "NewtonConfig",
+    "INVERSION_TOL",
     "NumericError",
-    "central_diff_grad",
     "central_diff_jacobian",
     "dual_euler",
     "dual_map",
-    "fd_default_step",
     "flow_velocity",
     "invert_grad_g",
 ]
@@ -57,6 +55,11 @@ class NumericError(DcError):
     """A non-finite value appeared where the math guarantees finite ones."""
 
 
+# Stopping rule of the gradient inversion: residual norm at most
+# INVERSION_TOL, orders of magnitude below any tolerance asserted elsewhere
+# in the package, within _MAX_NEWTON_ITER damped-Newton steps.
+INVERSION_TOL = 1e-10
+_MAX_NEWTON_ITER = 100
 # Armijo sufficient-decrease coefficient and backtracking factor of the
 # gradient inversion.
 _ARMIJO_C = 1e-4
@@ -111,24 +114,6 @@ class Box:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random((int(n), self.dim))
         return self.lower + u * (self.upper - self.lower)
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Controls for the damped-Newton gradient inversion.
-
-    The defaults keep the inversion residual orders of magnitude below any
-    tolerance asserted elsewhere in the package.
-    """
-
-    tol_grad: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.tol_grad <= 0.0:
-            raise ValueError("tol_grad must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -227,12 +212,7 @@ class DcProblem:
         return float(self.g_value(z) - self.g_value(x) - gx @ (z - x))
 
 
-def invert_grad_g(
-    p: DcProblem,
-    y,
-    warm_start,
-    cfg: Optional[NewtonConfig] = None,
-) -> np.ndarray:
+def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np.ndarray:
     """Solve ``grad g(x) = y`` for ``x``.
 
     Runs damped Newton with Armijo backtracking on the strongly convex
@@ -243,13 +223,11 @@ def invert_grad_g(
     Raises
     ------
     ConvergenceError
-        If the residual norm is still above ``cfg.tol_grad`` after
-        ``cfg.max_iter`` Newton steps.  Carries the best residual seen.
+        If the residual norm is still above ``tol`` after
+        ``_MAX_NEWTON_ITER`` Newton steps.  Carries the best residual seen.
     NumericError
         If a non-finite value appears.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != p.dim:
         raise ValueError(f"expected a target vector of length {p.dim}")
@@ -261,8 +239,8 @@ def invert_grad_g(
         raise NumericError("non-finite gradient residual at the warm start")
     best = rnorm
 
-    for _ in range(cfg.max_iter):
-        if rnorm <= cfg.tol_grad:
+    for _ in range(_MAX_NEWTON_ITER):
+        if rnorm <= tol:
             return x
         hess = np.asarray(p.g_hess(x), dtype=float)
         try:
@@ -292,22 +270,17 @@ def invert_grad_g(
             raise NumericError("non-finite gradient residual during inversion")
         best = min(best, rnorm)
 
-    if rnorm <= cfg.tol_grad:
+    if rnorm <= tol:
         return x
     raise ConvergenceError(
-        f"gradient inversion did not reach tol {cfg.tol_grad:g} in "
-        f"{cfg.max_iter} iterations (best residual {best:g})",
+        f"gradient inversion did not reach tol {tol:g} in "
+        f"{_MAX_NEWTON_ITER} iterations (best residual {best:g})",
         best_residual=best,
-        iterations=cfg.max_iter,
+        iterations=_MAX_NEWTON_ITER,
     )
 
 
-def dual_map(
-    p: DcProblem,
-    y,
-    warm_start,
-    cfg: Optional[NewtonConfig] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def dual_map(p: DcProblem, y, warm_start) -> tuple[np.ndarray, np.ndarray]:
     """Pull a dual state back and take its image under one full exact step.
 
     Returns ``(x, grad h(x))`` with ``x = (grad g)^{-1}(y)``; ``x`` is the
@@ -315,7 +288,7 @@ def dual_map(
     ``grad h(x) - y``, so fixed points of the map correspond exactly to
     critical points of ``f``.
     """
-    x = invert_grad_g(p, y, warm_start, cfg)
+    x = invert_grad_g(p, y, warm_start)
     return x, np.asarray(p.h_grad(x), dtype=float)
 
 
@@ -337,21 +310,10 @@ def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
     return grad, -sol, float(grad @ sol)
 
 
-def fd_default_step(x) -> float:
-    """Central-difference step balancing truncation and roundoff."""
-    x = np.asarray(x, dtype=float)
-    return 1e-5 * max(1.0, float(np.linalg.norm(x)))
-
-
-def central_diff_grad(fun: Callable[[np.ndarray], float], x, step: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function, O(step^2) accurate."""
-    return central_diff_jacobian(lambda z: [fun(z)], x, step)[0]
-
-
-def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: Optional[float] = None) -> np.ndarray:
+def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:
     """Central-difference Jacobian of a vector field, columns are coordinate sweeps."""
     x = np.asarray(x, dtype=float)
-    h = fd_default_step(x) if step is None else float(step)
+    h = float(step)
     cols = []
     for j in range(x.size):
         e = np.zeros(x.size)

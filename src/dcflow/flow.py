@@ -15,7 +15,7 @@ flow ``Hess g(x) x' = -grad f(x)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     DcError,
     DcProblem,
-    NewtonConfig,
     dual_euler,
     dual_map,
     flow_velocity,
@@ -101,7 +100,6 @@ class FlowConfig:
     record_stride: Optional[float] = None
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.t_end <= 0.0:
@@ -178,7 +176,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     warm = [np.array(x0)]
 
     def fieldfun(yv: np.ndarray) -> np.ndarray:
-        warm[0], grad_h = dual_map(p, yv, warm[0], cfg.newton)
+        warm[0], grad_h = dual_map(p, yv, warm[0])
         return grad_h - yv
 
     times = [0.0]
@@ -246,9 +244,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             t_s = float(targets[target_idx])
             theta = (t_s - t) / h_try
             y_s = y + dense @ (theta ** np.arange(1, 5))
-            x = invert_grad_g(
-                p, y_s, xs[-1] + (t_s - times[-1]) * v_prev, cfg.newton
-            )
+            x = invert_grad_g(p, y_s, xs[-1] + (t_s - times[-1]) * v_prev)
             f_val, msq, gnorm, v_prev = sample_stats(x)
             times.append(t_s)
             ys.append(y_s)
@@ -292,13 +288,7 @@ def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:
     return isqrt_a @ (vg @ (np.exp(float(t) * wg) * (vg.T @ (sqrt_a @ x0))))
 
 
-def dual_euler_interpolant(
-    p: DcProblem,
-    x0,
-    eta: float,
-    times,
-    newton: Optional[NewtonConfig] = None,
-) -> np.ndarray:
+def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     """Primal states of the piecewise-affine dual interpolant at ``times``.
 
     Runs the dual Euler iteration with step ``eta`` far enough to cover the
@@ -317,7 +307,7 @@ def dual_euler_interpolant(
     y_nodes[0] = np.asarray(p.g_grad(x0), dtype=float)
     warm = np.array(x0)
     for k in range(n_steps):
-        warm, grad_h = dual_map(p, y_nodes[k], warm, newton)
+        warm, grad_h = dual_map(p, y_nodes[k], warm)
         y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
 
     out = np.empty((times.size, p.dim))
@@ -326,7 +316,7 @@ def dual_euler_interpolant(
         k = min(int(t / eta), n_steps - 1)
         theta = (t - k * eta) / eta
         y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
-        x_t = invert_grad_g(p, y_t, warm, newton)
+        x_t = invert_grad_g(p, y_t, warm)
         warm = x_t
         out[i] = x_t
     return out
@@ -356,7 +346,7 @@ def euler_refinement_study(
     ref = integrate_flow(p, x0, cfg)
     rows = []
     for eta in etas:
-        x_interp = dual_euler_interpolant(p, x0, eta, ref.times, cfg.newton)
+        x_interp = dual_euler_interpolant(p, x0, eta, ref.times)
         dev = float(np.max(np.linalg.norm(x_interp - ref.x_states, axis=1)))
         rows.append((eta, dev))
     return rows

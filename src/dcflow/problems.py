@@ -22,6 +22,8 @@ __all__ = [
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
+# Half-width of the cube every built-in instance declares as its region.
+_REGION_HALF_WIDTH = 2.0
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -75,7 +77,7 @@ def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float | None:
     return float(np.linalg.eigvalsh(reduced)[0])
 
 
-def make_quadratic(a, b, region_half_width: float = 2.0) -> DcProblem:
+def make_quadratic(a, b) -> DcProblem:
     """Problem with ``g(x) = x'ax/2`` and ``h(x) = x'bx/2``.
 
     Requires ``a`` symmetric positive definite, ``b`` symmetric positive
@@ -102,7 +104,7 @@ def make_quadratic(a, b, region_half_width: float = 2.0) -> DcProblem:
         g_hess=lambda x: a_loc.copy(),
         h_hess=lambda x: b_loc.copy(),
         mu=float(a_eigs[0]),
-        region=Box.cube(region_half_width, n),
+        region=Box.cube(_REGION_HALF_WIDTH, n),
         lg=float(a_eigs[-1]),
         f_star=0.0,
         sigma=_quadratic_sigma(a_loc, c),
@@ -111,7 +113,7 @@ def make_quadratic(a, b, region_half_width: float = 2.0) -> DcProblem:
     )
 
 
-def make_double_well(q, region_half_width: float = 2.0) -> DcProblem:
+def make_double_well(q) -> DcProblem:
     """Separable double-well objective with a tunable convex split.
 
     The objective is ``f(x) = sum_i (x_i^4/4 - x_i^2/2)``, independent of
@@ -127,7 +129,7 @@ def make_double_well(q, region_half_width: float = 2.0) -> DcProblem:
     if np.any(q <= 0.0):
         raise ValueError("all entries of q must be positive")
     n = q.size
-    w = float(region_half_width)
+    w = _REGION_HALF_WIDTH
 
     return DcProblem(
         dim=n,

@@ -10,13 +10,13 @@ form with full per-iterate logging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .core import DcProblem, NewtonConfig, dual_euler, invert_grad_g
+from .core import DcProblem, dual_euler, invert_grad_g
 
 __all__ = [
     "IterateTrace",
@@ -50,12 +50,11 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Relaxation parameter, stopping rule and inner-solver controls."""
+    """Relaxation parameter and stopping rule."""
 
     eta: float = 1.0
     max_iter: int = 10_000
     stop_grad_tol: float = 1e-8
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -107,7 +106,7 @@ def damped_target(p: DcProblem, x, eta: float) -> np.ndarray:
 def damped_dca_step(p: DcProblem, x_k, cfg: SchemeConfig) -> np.ndarray:
     """One relaxed step; ``eta = 1`` (the default) is the classical step."""
     x_k = p.check_point(x_k)
-    return invert_grad_g(p, damped_target(p, x_k, cfg.eta), x_k, cfg.newton)
+    return invert_grad_g(p, damped_target(p, x_k, cfg.eta), x_k)
 
 
 def run_scheme(
@@ -146,7 +145,7 @@ def run_scheme(
             x_next = damped_dca_step(p, x, cfg)
         else:
             y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
-            x_next = invert_grad_g(p, y, x, cfg.newton)
+            x_next = invert_grad_g(p, y, x)
         f_next = p.f_value(x_next)
         if not np.isfinite(f_next):
             termination = Termination.NUMERIC_ERROR
@@ -203,7 +202,8 @@ def gradient_identity_margin(p: DcProblem, trace: IterateTrace) -> float:
     """Largest deviation from ``||grad g(x_{k+1}) - grad g(x_k)|| = eta ||grad f(x_k)||``.
 
     The identity is exact up to the inversion residual, so values above a
-    small multiple of the Newton tolerance indicate a broken run.
+    small multiple of :data:`~dcflow.core.INVERSION_TOL` indicate a broken
+    run.
     """
     worst = 0.0
     for k in range(trace.points.shape[0] - 1):

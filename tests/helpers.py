@@ -4,7 +4,13 @@ import dataclasses
 
 import numpy as np
 
+from dcflow.core import central_diff_jacobian
 from dcflow.schemes import Mode, SchemeConfig, run_scheme
+
+
+def central_diff_grad(fun, x, step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function, O(step^2) accurate."""
+    return central_diff_jacobian(lambda z: [fun(z)], x, step)[0]
 
 
 def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:

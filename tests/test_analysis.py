@@ -127,7 +127,6 @@ def test_rate_report_canonical_bound(quad_canonical):
     assert rep.contraction_bound == pytest.approx(0.875, abs=1e-12)
     assert rep.measured_ratio_geomean == pytest.approx(0.5625, rel=1e-8)
     assert not rep.violation
-    assert rep.decay_rate == pytest.approx(1.0)
 
 
 def test_rate_report_bound_holds_across_etas(quad_canonical):
@@ -362,14 +361,14 @@ def test_box_sweeps_past_twelve_dimensions():
 
 
 def test_pl_conversion_round_trip_constant_metric():
-    mb = MetricBounds(lower=2.0, upper=2.0, box=Box.cube(1.0, 2))
+    mb = MetricBounds(lower=2.0, upper=2.0)
     metric_mu, back = pl_constant_conversion(mb, 1.0)
     assert metric_mu == pytest.approx(0.5)
     assert back == pytest.approx(1.0)
 
 
 def test_pl_conversion_lossy_direction():
-    mb = MetricBounds(lower=1.0, upper=4.0, box=Box.cube(1.0, 2))
+    mb = MetricBounds(lower=1.0, upper=4.0)
     metric_mu, back = pl_constant_conversion(mb, 1.0)
     assert metric_mu == pytest.approx(0.25)
     assert back == pytest.approx(0.25)
@@ -377,7 +376,7 @@ def test_pl_conversion_lossy_direction():
 
 
 def test_pl_conversion_rejects_nonpositive():
-    mb = MetricBounds(lower=1.0, upper=4.0, box=Box.cube(1.0, 2))
+    mb = MetricBounds(lower=1.0, upper=4.0)
     with pytest.raises(ValueError):
         pl_constant_conversion(mb, 0.0)
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dcflow import analysis, cli
+from dcflow import analysis, cli, core
 from dcflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -77,12 +77,16 @@ def test_unknown_problem_exits_2(tmp_path):
         dict(scheme={"newton": {"armijo_c": 1e-4}}),
         dict(scheme={"newton": {"armijo_shrink": 0.5}}),
         dict(experiment="RunFlow", flow={"t_end": 0.2, "step_init": 1e-2}),
+        dict(scheme={"newton": {"tol_grad": 1e-10}}),
+        dict(experiment="RunFlow", flow={"t_end": 0.2, "newton": {"max_iter": 100}}),
     ],
     ids=[
         "scheme.eta",
         "scheme.newton.armijo_c",
         "scheme.newton.armijo_shrink",
         "flow.step_init",
+        "scheme.newton.tol_grad",
+        "flow.newton.max_iter",
     ],
 )
 def test_bad_numeric_range_exits_2(tmp_path, overrides):
@@ -280,15 +284,36 @@ def test_eta_sweep_double_well(tmp_path):
     assert (tmp_path / "out" / "eta_1.000_trace.csv").exists()
 
 
-def test_convergence_failure_exits_3(tmp_path, capsys):
-    cfg = base_config(
-        problem=DW,
-        x0=[1.9, -1.7],
-        scheme={"eta": 0.5, "newton": {"tol_grad": 1e-15, "max_iter": 1}},
-    )
+def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
+    cfg = base_config(problem=DW, x0=[1.9, -1.7], scheme={"eta": 0.5})
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_eta_sweep_member_failure_ends_run_without_report(tmp_path, capsys, monkeypatch):
+    # Failure policy: a ConvergenceError in any sweep member ends the whole
+    # run with exit 3 and no report.json; members that finished keep their CSV.
+    real_run_scheme = cli.run_scheme
+
+    def run_scheme(p, x0, cfg, *args):
+        if cfg.eta != 0.5:
+            return real_run_scheme(p, x0, cfg, *args)
+        with monkeypatch.context() as m:
+            m.setattr(core, "_MAX_NEWTON_ITER", 1)
+            return real_run_scheme(p, x0, cfg, *args)
+
+    monkeypatch.setattr(cli, "run_scheme", run_scheme)
+    cfg = base_config(experiment="EtaSweep", problem=DW, x0=[1.9, -1.7], etas=[0.25, 0.5, 0.75])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    assert "gradient inversion did not reach tol" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert (out / "eta_0.250_trace.csv").exists()
+    assert not (out / "eta_0.500_trace.csv").exists()
+    assert not (out / "eta_0.750_trace.csv").exists()
 
 
 def test_cli_summary_lines(tmp_path, capsys):

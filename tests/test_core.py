@@ -5,16 +5,17 @@ import pytest
 
 import dcflow
 from dcflow import Box, make_double_well, make_quadratic
+from dcflow import core
 from dcflow.core import (
+    INVERSION_TOL,
     ConvergenceError,
     DcProblem,
-    NewtonConfig,
     NumericError,
-    central_diff_grad,
     central_diff_jacobian,
     dual_map,
     invert_grad_g,
 )
+from helpers import central_diff_grad
 
 RNG = np.random.default_rng(20240501)
 
@@ -84,13 +85,13 @@ def test_gradients_match_finite_differences(family, quad_canonical, dw_unit):
     for x in p.region.sample(RNG, 20):
         step = 1e-5 * max(1.0, float(np.linalg.norm(x)))
         scale = 10.0 * step**2 * max(1.0, float(np.linalg.norm(x)) ** 3)
-        assert np.linalg.norm(p.g_grad(x) - central_diff_grad(p.g_value, x)) <= scale
-        assert np.linalg.norm(p.h_grad(x) - central_diff_grad(p.h_value, x)) <= scale
+        assert np.linalg.norm(p.g_grad(x) - central_diff_grad(p.g_value, x, step)) <= scale
+        assert np.linalg.norm(p.h_grad(x) - central_diff_grad(p.h_value, x, step)) <= scale
         assert (
-            np.linalg.norm(p.g_hess(x) - central_diff_jacobian(p.g_grad, x)) <= scale
+            np.linalg.norm(p.g_hess(x) - central_diff_jacobian(p.g_grad, x, step)) <= scale
         )
         assert (
-            np.linalg.norm(p.h_hess(x) - central_diff_jacobian(p.h_grad, x)) <= scale
+            np.linalg.norm(p.h_hess(x) - central_diff_jacobian(p.h_grad, x, step)) <= scale
         )
 
 
@@ -169,11 +170,10 @@ def test_invert_diagonal_solve():
 @pytest.mark.parametrize("family", ["quad", "dw"])
 def test_invert_round_trip(family, quad_canonical, dw_unit):
     p = quad_canonical if family == "quad" else dw_unit
-    cfg = NewtonConfig()
     for x0 in p.region.sample(RNG, 20):
         y = np.asarray(p.g_grad(x0), dtype=float)
-        x = invert_grad_g(p, y, np.zeros(p.dim), cfg)
-        assert np.linalg.norm(x - x0) <= 10.0 * cfg.tol_grad / p.mu
+        x = invert_grad_g(p, y, np.zeros(p.dim))
+        assert np.linalg.norm(x - x0) <= 10.0 * INVERSION_TOL / p.mu
 
 
 def test_invert_scalar_cubic():
@@ -188,10 +188,10 @@ def test_invert_rejects_wrong_length_target(dw_unit):
         invert_grad_g(dw_unit, np.array([1.0, 2.0, 3.0]), np.zeros(2))
 
 
-def test_invert_reports_best_residual_on_failure(dw_unit):
-    cfg = NewtonConfig(tol_grad=1e-15, max_iter=1)
+def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.array([1.9, 1.9]), cfg)
+        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15)
     assert err.value.best_residual > 0.0
     assert err.value.iterations == 1
 
