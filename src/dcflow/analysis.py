@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    ROUNDOFF,
     Box,
     DcError,
     DcProblem,
@@ -48,7 +49,6 @@ __all__ = [
     "local_exp_certificate",
     "measure_local_contraction",
     "metric_bounds_on_box",
-    "pl_constant_conversion",
 ]
 
 
@@ -104,16 +104,14 @@ def _halton(n: int, dim: int) -> np.ndarray:
 
 
 def _probe_points(box: Box, n_samples: int) -> np.ndarray:
-    """Corners, center and a low-discrepancy fill of the box.
+    """The center and ``n_samples`` Halton points of the box.
 
-    Corners are included deliberately: for coordinate-monotone Hessian
-    families the eigenvalue extremes sit on them.
+    Samples cross-check a problem's closed-form box constants, and stand in
+    for them, uncertified, on problems without any: they can show a
+    constant wrong but never certify one.
     """
-    pts = [box.corners(), box.center()[None, :]]
-    if n_samples > 0:
-        u = _halton(int(n_samples), box.dim)
-        pts.append(box.lower + u * (box.upper - box.lower))
-    return np.vstack(pts)
+    u = _halton(int(n_samples), box.dim)
+    return np.vstack([box.center()[None, :], box.lower + u * (box.upper - box.lower)])
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -177,7 +175,7 @@ class LinearizationReport:
 
 @dataclass(frozen=True)
 class MetricBounds:
-    """Certified eigenvalue range of the metric over a box."""
+    """Eigenvalue range of the metric over a box."""
 
     lower: float
     upper: float
@@ -191,6 +189,7 @@ class LocalExpCertificate:
     c1: float  # overshoot sqrt(L_f / m_f)
     hess_f_lower: float
     hess_f_upper: float
+    certified: bool  # False when the Hessian ranges are sampled estimates
 
 
 @dataclass(frozen=True)
@@ -455,66 +454,71 @@ def measure_local_contraction(
 
 
 # ---------------------------------------------------------------------------
-# metric bounds and constant conversions
+# box constants: closed form when the problem has it, sampled otherwise
 
 
-def _hess_extremes(
+def _hess_ranges(
     p: DcProblem, box: Box, n_samples: int, objective: bool = False
-) -> list[tuple[float, float]]:
-    """Sampled eigenvalue range of the metric over the box's probe points.
+) -> tuple[list[tuple[float, float]], bool]:
+    """Eigenvalue ranges of the metric, and with ``objective`` of the
+    symmetrized objective Hessian, over the box; and whether they are certified.
 
-    With ``objective`` the range of the symmetrized objective Hessian
-    follows; it reuses each point's metric, so every point costs one
-    ``g_hess`` call either way.
+    With ``p.box_constants`` the closed-form ranges are returned, certified,
+    once every probe point's eigenvalues lie inside them up to roundoff;
+    a point outside means the oracles and the closed form disagree, and the
+    call raises.  Without, the sampled ranges are returned, uncertified.
+    A sampled metric eigenvalue that is not positive raises either way.
+    Every probe point costs one ``g_hess`` call.
     """
     if box.dim != p.dim:
         raise ValueError("box dimension does not match the problem")
     pts = _probe_points(box, n_samples)
-    lows = np.empty((pts.shape[0], 2 if objective else 1))
+    cols = 2 if objective else 1
+    lows = np.empty((pts.shape[0], cols))
     highs = np.empty_like(lows)
+    scales = np.empty_like(lows)
     for i, x in enumerate(pts):
         metric = np.asarray(p.g_hess(x), dtype=float)
         w = np.linalg.eigvalsh(metric)
         lows[i, 0], highs[i, 0] = w[0], w[-1]
+        scales[i, 0] = max(abs(w[0]), abs(w[-1]))
         if objective:
             hf = metric - np.asarray(p.h_hess(x), dtype=float)
-            w = np.linalg.eigvalsh(0.5 * (hf + hf.T))
-            lows[i, 1], highs[i, 1] = w[0], w[-1]
-    return [(float(lo.min()), float(hi.max())) for lo, hi in zip(lows.T, highs.T)]
-
-
-def _metric_bounds(lo: float, hi: float) -> MetricBounds:
-    margin = 0.01 * (hi - lo)
-    lower = lo - margin
-    upper = hi + margin
-    if lower <= 0.0:
+            v = np.linalg.eigvalsh(0.5 * (hf + hf.T))
+            lows[i, 1], highs[i, 1] = v[0], v[-1]
+            # The difference errs on the scale of both Hessians it subtracts.
+            scales[i, 1] = scales[i, 0] + max(abs(v[0]), abs(v[-1]))
+    sampled = [(float(lo.min()), float(hi.max())) for lo, hi in zip(lows.T, highs.T)]
+    if sampled[0][0] <= 0.0:
         raise DcError(
-            "sampled metric lower bound is not positive; the strong-convexity "
+            "metric lower bound is not positive; the strong-convexity "
             "constant of g looks violated on this box"
         )
-    return MetricBounds(lower=lower, upper=upper)
+    if p.box_constants is None:
+        return sampled, False
+    bc = p.box_constants(box)
+    exact = [bc.metric, bc.objective][:cols]
+    tol = ROUNDOFF * p.dim * scales
+    names = ("metric", "objective Hessian")
+    for j, (lo, hi) in enumerate(exact):
+        if np.any(lows[:, j] < lo - tol[:, j]) or np.any(highs[:, j] > hi + tol[:, j]):
+            raise DcError(
+                f"sampled {names[j]} eigenvalues [{sampled[j][0]:.17g}, "
+                f"{sampled[j][1]:.17g}] leave the closed-form range "
+                f"[{lo:.17g}, {hi:.17g}] on the box; oracles and box constants "
+                "are inconsistent"
+            )
+    return exact, True
 
 
 def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
-    """Sampled eigenvalue range of the metric over the box, with a 1% margin.
+    """Eigenvalue range of the metric over the box.
 
-    The margin is one percent of the sampled spread, so constant metrics
-    come out exact.
+    Closed form, cross-checked on ``n_samples`` probe points, when the
+    problem has box constants; otherwise the sampled range, an estimate.
     """
-    [(lo, hi)] = _hess_extremes(p, box, n_samples)
-    return _metric_bounds(lo, hi)
-
-
-def pl_constant_conversion(mb: MetricBounds, mu_euclidean: float) -> tuple[float, float]:
-    """Convert a Euclidean PL constant into the metric one and back.
-
-    Returns ``(mu_euclidean / upper, lower * mu_euclidean / upper)``; the
-    round trip can only lose, never gain, since ``lower <= upper``.
-    """
-    if mu_euclidean <= 0.0:
-        raise ValueError("mu_euclidean must be positive")
-    metric_mu = mu_euclidean / mb.upper
-    return metric_mu, mb.lower * metric_mu
+    [(lo, hi)], _ = _hess_ranges(p, box, n_samples)
+    return MetricBounds(lower=lo, upper=hi)
 
 
 def estimate_metric_pl_constant(
@@ -523,20 +527,38 @@ def estimate_metric_pl_constant(
     f_star: float,
     n_samples: int = 400,
 ) -> float:
-    """Sampled infimum of ``|grad f|^2_{metric^{-1}} / (2 (f - f_star))`` on the box.
+    """Metric PL constant on the box: a lower bound on
+    ``|grad f|^2_{metric^{-1}} / (2 (f - f_star))`` over it.
 
-    An empirical stand-in for instances without an analytic constant;
-    reports built on it must be labeled accordingly.
+    When the problem has box constants this is their closed-form ``sigma``,
+    returned once the ratio at every probe point is at least ``sigma`` up
+    to the roundoff of that point's ``f - f_star``; a point below means the
+    oracles and the closed form disagree, and the call raises
+    :class:`~dcflow.core.DcError`.  Otherwise it is the sampled infimum, an
+    estimate that can only overestimate the true one; reports built on it
+    must label it empirical.
     """
-    pts = _probe_points(box, n_samples)
+    if box.dim != p.dim:
+        raise ValueError("box dimension does not match the problem")
+    sigma = None if p.box_constants is None else p.box_constants(box).sigma
     best = math.inf
-    floor = 1e-10 * (1.0 + abs(f_star))
-    for x in pts:
-        gap = p.f_value(x) - f_star
-        if gap <= floor:
+    for x in _probe_points(box, n_samples):
+        f, noise = p.f_value_and_roundoff(x)
+        gap = f - f_star
+        noise += ROUNDOFF * abs(f_star)
+        if gap <= noise:
             continue
         _, _, msq = flow_velocity(p, x)
-        best = min(best, msq / (2.0 * gap))
+        ratio = msq / (2.0 * gap)
+        if sigma is not None and ratio < sigma * (1.0 - noise / gap - ROUNDOFF * p.dim):
+            raise DcError(
+                f"sampled metric PL ratio {ratio:.17g} at {x.tolist()} is below "
+                f"the closed-form constant {sigma:.17g}; oracles and box "
+                "constants are inconsistent"
+            )
+        best = min(best, ratio)
+    if sigma is not None:
+        return sigma
     if not math.isfinite(best):
         raise InsufficientDataError("no box sample had a positive value gap")
     return best
@@ -584,12 +606,15 @@ def local_exp_certificate(
     box: Box,
     n_samples: int = 200,
 ) -> LocalExpCertificate:
-    """Decay rate and overshoot certified from sampled Hessian extremes.
+    """Decay rate and overshoot from the Hessian ranges over the box.
 
     Returns ``lam = m_f / M`` and ``c1 = sqrt(L_f / m_f)`` where ``m_f``
     and ``L_f`` bound the objective Hessian over the box and ``M`` bounds
-    the metric (with margin).  Trajectories started in the box then obey
-    ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.
+    the metric.  Trajectories started in the box then obey
+    ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.  The ranges
+    are the problem's closed-form box constants, cross-checked on
+    ``n_samples`` probe points; without them they are sampled and the
+    certificate is marked uncertified.
     """
     x_star = p.check_point(x_star)
     if not box.contains(x_star, atol=1e-12):
@@ -598,16 +623,19 @@ def local_exp_certificate(
     if gnorm > 1e-8:
         raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
 
-    (lo, hi), (m_f, l_f) = _hess_extremes(p, box, n_samples, objective=True)
+    ((_, metric_hi), (m_f, l_f)), certified = _hess_ranges(
+        p, box, n_samples, objective=True
+    )
     if m_f <= 0.0:
         raise BoxTooLargeError(
             "objective Hessian is indefinite somewhere on the box; shrink it"
         )
     return LocalExpCertificate(
-        lam=m_f / _metric_bounds(lo, hi).upper,
+        lam=m_f / metric_hi,
         c1=math.sqrt(l_f / m_f),
         hess_f_lower=m_f,
         hess_f_upper=l_f,
+        certified=certified,
     )
 
 

@@ -264,34 +264,69 @@ def _region_check(p: DcProblem, trace: FlowTrace, invariance: str) -> Check:
 
 def _local_box(p: DcProblem, cfg: dict) -> tuple[float, Box]:
     """Radius ``local_box_radius`` (default 0.1) and the cube it spans
-    around the known minimizer."""
+    around the known minimizer, where the local exponential certificate
+    holds."""
     radius = float(cfg.get("local_box_radius", 0.1))
     return radius, Box(p.minimizer - radius, p.minimizer + radius)
 
 
-def _resolve_sigma(p: DcProblem, cfg: dict) -> tuple[float, bool]:
-    """Analytic metric PL constant when the instance carries one, else a
-    sampled estimate near the known minimizer.
+_SAMPLED_SIGMA = "sigma is a sampled estimate on the box, not a certified bound"
+_SAMPLED_HESSIANS = "Hessian ranges are sampled estimates, not certified bounds"
 
-    Estimating over the full region would see other critical points (where
-    the gap is positive but the gradient vanishes) and collapse to zero, so
-    the empirical fallback stays local.
+
+def _resolve_sigma(
+    p: DcProblem, x0: np.ndarray, ends: list[np.ndarray]
+) -> tuple[float, Optional[str], Optional[Box]]:
+    """Metric PL constant for the rate checks of runs from ``x0`` that end
+    at ``ends``.
+
+    Returns ``(sigma, reason, box)``; ``reason`` is ``None`` when ``sigma``
+    is certified and otherwise says why checks on it get no verdict.  An
+    analytic global ``p.sigma`` holds everywhere, so ``box`` is ``None``.
+    Otherwise ``sigma`` holds on ``box``, spanned per coordinate by ``x0``
+    and the ends, and a trace judged against it must stay inside: it is the
+    closed form of ``p.box_constants`` there, cross-checked on samples, or,
+    for problems without box constants, a sampled estimate.
     """
     if p.sigma is not None:
-        return p.sigma, True
+        return p.sigma, None, None
     if p.f_star is None:
         raise ConfigError("metric PL estimation needs a problem with f_star")
-    if p.minimizer is not None:
-        _, box = _local_box(p, cfg)
-    else:
-        box = p.region if p.region is not None else Box.cube(1.0, p.dim)
+    box = Box(np.minimum.reduce([x0, *ends]), np.maximum.reduce([x0, *ends]))
     sigma = analysis.estimate_metric_pl_constant(p, box, p.f_star)
     if sigma <= 0.0:
         raise ConfigError(
-            "empirical metric PL constant is zero on the probed box; "
+            "metric PL constant is zero on the box the runs span; "
             "the rate hypotheses do not hold there"
         )
-    return sigma, False
+    return sigma, (None if p.box_constants is not None else _SAMPLED_SIGMA), box
+
+
+def _escape_reason(box: Optional[Box], what: str, points: np.ndarray) -> Optional[str]:
+    """Why a constant certified on ``box`` does not cover a trace: its first
+    point outside the box, or ``None`` when every point is inside."""
+    if box is None:
+        return None
+    outside = np.flatnonzero(
+        np.any((points < box.lower) | (points > box.upper), axis=1)
+    )
+    if outside.size == 0:
+        return None
+    return f"{what} {int(outside[0])} leaves the box sigma is certified on"
+
+
+def _box_fields(box: Optional[Box]) -> dict:
+    if box is None:
+        return {}
+    return {"sigma_box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()}}
+
+
+def _judged(name: str, passed: Optional[bool], reason: Optional[str], details: dict) -> Check:
+    """A check whose verdict stands only when ``reason`` is ``None``; otherwise
+    it is reported without one, and ``reason`` says why."""
+    if reason is None:
+        return Check(name, passed, details)
+    return Check(name, None, {**details, "reason": reason})
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +379,20 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
     x0 = _start_point(cfg, p, rng)
     if p.f_star is None or p.lg is None:
         raise ConfigError("EtaSweep needs a problem with certified f_star and lg")
-    sigma, certified = _resolve_sigma(p, cfg)
 
-    def one(eta: float):
-        run_cfg = dataclasses.replace(scheme_cfg, eta=eta)
-        trace = run_scheme(p, x0, run_cfg)
+    traces = []
+    for eta in etas:
+        trace = run_scheme(p, x0, dataclasses.replace(scheme_cfg, eta=eta))
         write_iterate_csv(out_dir / f"eta_{eta:.3f}_trace.csv", trace)
+        traces.append(trace)
+    sigma, reason, box = _resolve_sigma(p, x0, [t.points[-1] for t in traces])
+    reports = []
+    for eta, trace in zip(etas, traces):
         if 0.0 < eta < 1.0:
-            rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
+            reports.append(analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star))
+            reason = reason or _escape_reason(box, f"eta={eta:g} iterate", trace.points)
         else:
-            rep = None
-        return trace, rep
-
-    runs = [one(eta) for eta in etas]
+            reports.append(None)
 
     lin = None
     measured_factors = None
@@ -369,7 +405,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
     rows = []
     bounds = []
     any_violation = False
-    for eta, (trace, rep) in zip(etas, runs):
+    for eta, rep in zip(etas, reports):
         row = {"eta": eta}
         if rep is not None:
             row["contraction_bound"] = rep.contraction_bound
@@ -388,10 +424,11 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
             row["measured_local_factor"] = mf
 
     checks = [
-        Check(
+        _judged(
             "contraction_bound",
-            (not any_violation) if certified else None,
-            {"certified": certified, "sigma": sigma},
+            not any_violation,
+            reason,
+            {"certified": reason is None, "sigma": sigma},
         )
     ]
     if any(abs(e - 0.5) < 1e-12 for e in etas):
@@ -412,7 +449,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
                 {"argmin_eta": etas[argmin_idx]},
             )
         )
-    results = {"x0": x0.tolist(), "table": rows}
+    results = {"x0": x0.tolist(), "table": rows, **_box_fields(box)}
     if lin is not None:
         results["lambda_min"] = lin.lambda_min
     return checks, results
@@ -482,28 +519,32 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     scheme_cfg = _section_config(cfg, "scheme")
     flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
-    sigma, certified = _resolve_sigma(p, cfg)
+
+    trace = run_scheme(p, x0, scheme_cfg)
+    write_iterate_csv(out_dir / "scheme_trace.csv", trace)
+    sigma, reason, box = _resolve_sigma(p, x0, [trace.points[-1]])
 
     checks: list[Check] = []
     results: dict[str, Any] = {
         "x0": x0.tolist(),
         "sigma": sigma,
-        "sigma_source": "analytic" if certified else "empirical",
+        "sigma_source": "analytic" if reason is None else "empirical",
+        **_box_fields(box),
     }
 
-    trace = run_scheme(p, x0, scheme_cfg)
-    write_iterate_csv(out_dir / "scheme_trace.csv", trace)
     if 0.0 < scheme_cfg.eta < 1.0:
         rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
+        scheme_reason = reason or _escape_reason(box, "scheme iterate", trace.points)
         checks.append(
-            Check(
+            _judged(
                 "contraction_bound",
-                (not rep.violation) if certified else None,
+                not rep.violation,
+                scheme_reason,
                 {
                     "eta": rep.eta,
                     "bound": rep.contraction_bound,
                     "measured_ratio_geomean": rep.measured_ratio_geomean,
-                    "certified": certified,
+                    "certified": scheme_reason is None,
                 },
             )
         )
@@ -512,17 +553,19 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     write_flow_csv(
         out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
     )
+    flow_reason = reason or _escape_reason(box, "flow sample", ftrace.x_states)
     rate = analysis.flow_rate_check(
         ftrace,
         c=math.sqrt(2.0 * sigma),
         theta=0.5,
         f_star=p.f_star,
-        certified=certified,
+        certified=flow_reason is None,
     )
     checks.append(
-        Check(
+        _judged(
             "metric_pl_envelope",
             rate.passed,
+            flow_reason,
             {
                 "worst_margin": rate.worst_margin,
                 "measured_decay_rate": rate.measured_decay_rate,
@@ -540,16 +583,17 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
         results["kl_theta_hat"] = None
 
     if p.minimizer is not None:
-        radius, box = _local_box(p, cfg)
-        cert = analysis.local_exp_certificate(p, p.minimizer, box)
+        radius, local_box = _local_box(p, cfg)
+        cert = analysis.local_exp_certificate(p, p.minimizer, local_box)
         ltrace = integrate_flow(
             p, p.minimizer + radius * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
         )
         margin = analysis.local_exp_bound_margin(ltrace, p.minimizer, cert)
         checks.append(
-            Check(
+            _judged(
                 "local_exp_bound",
                 margin >= 0.0,
+                None if cert.certified else _SAMPLED_HESSIANS,
                 {"lambda": cert.lam, "c1": cert.c1, "worst_margin": margin},
             )
         )

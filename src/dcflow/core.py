@@ -17,11 +17,13 @@ import numpy as np
 
 __all__ = [
     "Box",
+    "BoxConstants",
     "ConvergenceError",
     "DcError",
     "DcProblem",
     "INVERSION_TOL",
     "NumericError",
+    "ROUNDOFF",
     "central_diff_jacobian",
     "dual_euler",
     "dual_map",
@@ -64,6 +66,9 @@ _MAX_NEWTON_ITER = 100
 # gradient inversion.
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+# Relative roundoff allowed per dimension when a computed value is compared
+# with an exact bound: summing n terms errs by about n eps times their size.
+ROUNDOFF = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -101,19 +106,25 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
 
-    def corners(self) -> np.ndarray:
-        """All ``2**dim`` vertices; bit ``j`` of row ``i`` selects ``upper[j]``."""
-        n = self.dim
-        rows = np.arange(2**n)
-        out = np.empty((rows.size, n))
-        # Column by column: no (2**n, n) integer temporary beside the output.
-        for j in range(n):
-            out[:, j] = np.where((rows >> j) & 1, self.upper[j], self.lower[j])
-        return out
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random((int(n), self.dim))
         return self.lower + u * (self.upper - self.lower)
+
+
+@dataclass(frozen=True)
+class BoxConstants:
+    """Certified constants of a decomposition on one box.
+
+    ``metric`` and ``objective`` are ``(lower, upper)`` bounds on the
+    eigenvalues of ``Hess g`` and of ``Hess f`` at every point of the box.
+    ``sigma`` is a metric PL constant there:
+    ``|grad f|^2_{(Hess g)^{-1}} >= 2 sigma (f - f_star)`` on the whole box,
+    zero when no positive constant holds.
+    """
+
+    metric: tuple[float, float]
+    objective: tuple[float, float]
+    sigma: float
 
 
 @dataclass(frozen=True)
@@ -141,11 +152,17 @@ class DcProblem:
         Certified infimum of ``f`` on ``region`` (analytic for the built-in
         families).
     sigma : float, optional
-        Certified metric PL constant, when available analytically.
+        Certified metric PL constant that holds everywhere, when available
+        analytically; constants that hold on a box come from
+        ``box_constants``.
     minimizer : ndarray, optional
         A known minimizer, used by linearization experiments.
     label : str
         Human-readable identifier for reports.
+    box_constants : callable, optional
+        Maps a :class:`Box` to the :class:`BoxConstants` that hold on it, in
+        closed form.  Without it, box constants can only be sampled, and
+        checks resting on them are reported without a verdict.
     """
 
     dim: int
@@ -162,6 +179,7 @@ class DcProblem:
     sigma: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
     label: str = ""
+    box_constants: Optional[Callable[[Box], BoxConstants]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -187,6 +205,17 @@ class DcProblem:
     def f_value(self, x) -> float:
         x = self.check_point(x)
         return float(self.g_value(x) - self.h_value(x))
+
+    def f_value_and_roundoff(self, x) -> tuple[float, float]:
+        """:meth:`f_value` and a bound on the roundoff of computing it as ``g - h``.
+
+        The bound scales with ``|g| + |h|``, not with ``|f|``: constants
+        that cancel in the difference still cost their digits.
+        """
+        x = self.check_point(x)
+        g = self.g_value(x)
+        h = self.h_value(x)
+        return float(g - h), ROUNDOFF * self.dim * (abs(float(g)) + abs(float(h)))
 
     def f_grad(self, x) -> np.ndarray:
         x = self.check_point(x)

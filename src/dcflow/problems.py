@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Box, DcProblem
+from .core import Box, BoxConstants, DcProblem
 
 __all__ = [
     "make_double_well",
@@ -36,10 +36,12 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _check_psd(m: np.ndarray, name: str) -> None:
+def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """Raise unless ``m`` is positive semidefinite; return its ascending eigenvalues."""
     w = np.linalg.eigvalsh(m)
     if w[0] < -_PSD_TOL * max(1.0, float(abs(w[-1]))):
         raise ValueError(f"{name} must be positive semidefinite")
+    return w
 
 
 def check_quadratic_split(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,6 +79,70 @@ def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float | None:
     return float(np.linalg.eigvalsh(reduced)[0])
 
 
+class _QuadraticConstants:
+    """Box constants of ``g(x) = x'ax/2`` and ``f(x) = x'cx/2``.
+
+    Both Hessians are constant, so every box gets the eigenvalue ranges of
+    ``a`` and ``c`` and the global metric PL constant ``sigma`` (``None``
+    when ``c`` vanishes).
+    """
+
+    def __init__(self, a: np.ndarray, c: np.ndarray, a_eigs: np.ndarray, c_eigs: np.ndarray):
+        self.a = a
+        self.c = c
+        self.c_eigs = c_eigs
+        self.sigma = _quadratic_sigma(a, c)
+        self._constants = BoxConstants(
+            metric=(float(a_eigs[0]), float(a_eigs[-1])),
+            objective=(float(c_eigs[0]), float(c_eigs[-1])),
+            sigma=0.0 if self.sigma is None else self.sigma,
+        )
+
+    def __call__(self, box: Box) -> BoxConstants:
+        return self._constants
+
+    def shifted(self, d: np.ndarray) -> "_QuadraticConstants":
+        """The same split with ``diag(d)`` added to the metric."""
+        a = self.a + np.diag(d)
+        return _QuadraticConstants(a, self.c, np.linalg.eigvalsh(a), self.c_eigs)
+
+
+class _DoubleWellConstants:
+    """Box constants of the double well whose metric is ``diag(3x^2 + q)``.
+
+    Both Hessians, ``diag(3x^2 + q)`` and ``diag(3x^2 - 1)``, are diagonal
+    and grow with each ``|x_i|``, so their eigenvalue extremes on a box sit
+    at each coordinate's smallest (``m_i``) or largest ``|x_i|``.  The
+    metric PL ratio is the mediant of the per-coordinate ratios
+    ``2 x_i^2 / (3 x_i^2 + q_i)`` with weights ``(x_i^2 - 1)^2``, so it is at
+    least their smallest value at ``m_i``; the bound is tight when the box
+    holds a minimizer.
+    """
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+
+    def __call__(self, box: Box) -> BoxConstants:
+        lo, up = box.lower, box.upper
+        small = np.where(
+            (lo <= 0.0) & (up >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(up))
+        )
+        large = np.maximum(np.abs(lo), np.abs(up))
+        metric_lo = 3.0 * small**2 + self.q
+        metric_hi = 3.0 * large**2 + self.q
+        # The objective Hessian as the oracles form it: metric minus diag(q+1).
+        h = self.q + 1.0
+        return BoxConstants(
+            metric=(float(metric_lo.min()), float(metric_hi.max())),
+            objective=(float((metric_lo - h).min()), float((metric_hi - h).max())),
+            sigma=float(np.min(2.0 * small**2 / metric_lo)),
+        )
+
+    def shifted(self, d: np.ndarray) -> "_DoubleWellConstants":
+        """The same objective with ``diag(d)`` added to the metric."""
+        return _DoubleWellConstants(self.q + d)
+
+
 def make_quadratic(a, b) -> DcProblem:
     """Problem with ``g(x) = x'ax/2`` and ``h(x) = x'bx/2``.
 
@@ -90,7 +156,7 @@ def make_quadratic(a, b) -> DcProblem:
     a, b, a_eigs = check_quadratic_split(a, b)
     n = a.shape[0]
     c = a - b
-    _check_psd(c, "a - b")
+    constants = _QuadraticConstants(a, c, a_eigs, _check_psd(c, "a - b"))
 
     a_loc = a.copy()
     b_loc = b.copy()
@@ -107,9 +173,10 @@ def make_quadratic(a, b) -> DcProblem:
         region=Box.cube(_REGION_HALF_WIDTH, n),
         lg=float(a_eigs[-1]),
         f_star=0.0,
-        sigma=_quadratic_sigma(a_loc, c),
+        sigma=constants.sigma,
         minimizer=np.zeros(n),
         label=f"quadratic(n={n})",
+        box_constants=constants,
     )
 
 
@@ -145,6 +212,7 @@ def make_double_well(q) -> DcProblem:
         f_star=-0.25 * n,
         minimizer=np.ones(n),
         label=f"double_well(q={q.tolist()})",
+        box_constants=_DoubleWellConstants(q),
     )
 
 
@@ -153,8 +221,11 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
 
     The objective is unchanged pointwise (the added terms cancel), but the
     metric gains ``diag(d)``, so the dynamics and every rate constant tied
-    to the metric change.  Certified ``sigma`` is dropped because it
-    belongs to the original metric.
+    to the metric change.  A built-in family's closed-form constants carry
+    over with the shift absorbed into its parameters (metric weights
+    ``q + d`` for the double well, ``a + diag(d)`` for the quadratic, whose
+    ``sigma`` stays global); other problems lose ``sigma`` and their box
+    constants, which belong to the original metric.
     """
     d = np.atleast_1d(np.asarray(phi_hess_diag, dtype=float))
     if d.ndim != 1 or d.size != p.dim:
@@ -166,6 +237,11 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
     g_grad, h_grad = p.g_grad, p.h_grad
     g_hess, h_hess = p.g_hess, p.h_hess
     d_mat = np.diag(d)
+    family = p.box_constants
+    if isinstance(family, (_QuadraticConstants, _DoubleWellConstants)):
+        constants = family.shifted(d)
+    else:
+        constants = None
 
     return DcProblem(
         dim=p.dim,
@@ -179,7 +255,8 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         region=p.region,
         lg=None if p.lg is None else float(p.lg + d.max()),
         f_star=p.f_star,
-        sigma=None,
+        sigma=constants.sigma if isinstance(constants, _QuadraticConstants) else None,
         minimizer=p.minimizer,
         label=p.label + f"+shift(d={d.tolist()})",
+        box_constants=constants,
     )

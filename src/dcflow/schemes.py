@@ -30,7 +30,8 @@ __all__ = [
     "run_scheme",
 ]
 
-# Objective increases beyond this slack signal a broken oracle or a failed
+# Objective increases beyond this slack, relative to 1 + |f| and on top of
+# the roundoff of both values, signal a broken oracle or a failed
 # inversion, never a property of the method.
 _DIVERGENCE_SLACK = 1e-6
 # Relative slack of the per-step descent inequalities, for roundoff in f.
@@ -128,8 +129,9 @@ def run_scheme(
     x = p.check_point(x0)
     eta = cfg.eta
 
+    f, f_err = p.f_value_and_roundoff(x)
     points = [x]
-    f_values = [p.f_value(x)]
+    f_values = [f]
     grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
     bregman_steps: list[float] = []
     step_norms: list[float] = []
@@ -146,13 +148,15 @@ def run_scheme(
         else:
             y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
             x_next = invert_grad_g(p, y, x)
-        f_next = p.f_value(x_next)
+        f_next, err_next = p.f_value_and_roundoff(x_next)
         if not np.isfinite(f_next):
             termination = Termination.NUMERIC_ERROR
             break
-        if f_next > f_values[-1] + _DIVERGENCE_SLACK:
+        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
+        if f_next > f_values[-1] + slack:
             termination = Termination.NUMERIC_ERROR
             break
+        f_err = err_next
         bregman_steps.append(p.bregman_g(x_next, x))
         step_norms.append(float(np.linalg.norm(x_next - x)))
         x = x_next

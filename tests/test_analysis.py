@@ -1,5 +1,6 @@
 """Theoretical constants against measured behavior: the full analysis surface."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from dcflow.analysis import (
     DegenerateMinimumError,
     InsufficientDataError,
     LocalityError,
-    MetricBounds,
     damped_pl_report,
     energy_residuals,
     estimate_metric_pl_constant,
@@ -30,9 +30,8 @@ from dcflow.analysis import (
     local_exp_certificate,
     measure_local_contraction,
     metric_bounds_on_box,
-    pl_constant_conversion,
 )
-from dcflow.core import DcProblem, flow_velocity
+from dcflow.core import DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
 
 RNG = np.random.default_rng(20240505)
@@ -328,7 +327,7 @@ def test_contraction_locality_error_on_expanding_map():
 
 
 # ---------------------------------------------------------------------------
-# metric bounds and conversions
+# metric bounds
 
 
 def test_metric_bounds_constant_hessian(quad_canonical):
@@ -360,25 +359,24 @@ def test_box_sweeps_past_twelve_dimensions():
     assert 0.0 < est <= 1.0
 
 
-def test_pl_conversion_round_trip_constant_metric():
-    mb = MetricBounds(lower=2.0, upper=2.0)
-    metric_mu, back = pl_constant_conversion(mb, 1.0)
-    assert metric_mu == pytest.approx(0.5)
-    assert back == pytest.approx(1.0)
+def test_box_constants_cross_check_catches_inconsistent_oracles(dw_unit):
+    # Closed forms that claim 5% more than the oracles deliver are caught on
+    # Halton samples alone, and the run stops rather than certify them.
+    box = Box(np.full(2, 0.9), np.full(2, 1.1))
+    honest = dw_unit.box_constants(box)
+    assert estimate_metric_pl_constant(dw_unit, box, dw_unit.f_star) == honest.sigma
 
+    def claiming(**fields):
+        wrong = dataclasses.replace(honest, **fields)
+        return dataclasses.replace(dw_unit, box_constants=lambda b: wrong)
 
-def test_pl_conversion_lossy_direction():
-    mb = MetricBounds(lower=1.0, upper=4.0)
-    metric_mu, back = pl_constant_conversion(mb, 1.0)
-    assert metric_mu == pytest.approx(0.25)
-    assert back == pytest.approx(0.25)
-    assert back <= 1.0
-
-
-def test_pl_conversion_rejects_nonpositive():
-    mb = MetricBounds(lower=1.0, upper=4.0)
-    with pytest.raises(ValueError):
-        pl_constant_conversion(mb, 0.0)
+    with pytest.raises(DcError, match="PL ratio"):
+        estimate_metric_pl_constant(claiming(sigma=1.05 * honest.sigma), box, dw_unit.f_star)
+    with pytest.raises(DcError, match="metric eigenvalues"):
+        metric_bounds_on_box(claiming(metric=(honest.metric[0], 0.95 * honest.metric[1])), box)
+    lo, hi = honest.objective
+    with pytest.raises(DcError, match="objective Hessian eigenvalues"):
+        local_exp_certificate(claiming(objective=(1.05 * lo, hi)), np.ones(2), box)
 
 
 def test_metric_pl_identity_on_canonical_instance(quad_canonical):

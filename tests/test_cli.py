@@ -1,6 +1,7 @@
 """Config handling, artifact files, exit codes, and byte-level determinism."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -250,23 +251,92 @@ def test_decomposition_compare_fails_certify_when_dynamics_agree(tmp_path):
     assert code == EXIT_OK
 
 
-def test_rate_certify_double_well_uses_empirical_sigma(tmp_path):
-    # No analytic metric PL constant here: the envelope check must run in
-    # report-only mode on a locally estimated constant.
-    cfg = base_config(
-        experiment="RateCertify",
-        problem=DW,
-        x0=[0.6, 0.8],
-        scheme={"eta": 0.5, "max_iter": 300, "stop_grad_tol": 1e-9},
-        flow={"t_end": 4.0, "record_stride": 0.05},
+def dw_rate_certify(**overrides):
+    settings = {
+        "experiment": "RateCertify",
+        "problem": DW,
+        "x0": [0.6, 0.8],
+        "scheme": {"eta": 0.5, "max_iter": 300, "stop_grad_tol": 1e-9},
+        "flow": {"t_end": 4.0, "record_stride": 0.05},
+    }
+    return base_config(**{**settings, **overrides})
+
+
+def test_rate_certify_double_well_certifies_sigma_on_trajectory_box(tmp_path):
+    # The double well has no global metric PL constant, but a closed form on
+    # the box spanned by x0 and the scheme's limit, which both traces stay in.
+    code, report = run_experiment(dw_rate_certify(), tmp_path / "out")
+    assert code == EXIT_OK
+    results = report["results"]
+    assert results["sigma_source"] == "analytic"
+    # Smallest |x_i| on the box is 0.6: sigma = 2 * 0.36 / (3 * 0.36 + 1).
+    assert results["sigma"] == pytest.approx(0.72 / 2.08, rel=1e-12)
+    assert results["sigma_box"]["lower"] == [0.6, 0.8]
+    assert results["sigma_box"]["upper"] == pytest.approx([1.0, 1.0], abs=1e-8)
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("contraction_bound", "metric_pl_envelope", "local_exp_bound"):
+        assert by_name[name]["passed"] is True, name
+        assert "reason" not in by_name[name]
+
+
+def test_rate_certify_hand_built_problem_falls_back_to_sampling(tmp_path, monkeypatch):
+    # Without closed-form box constants the built problem looks hand-built.
+    build = cli.build_problem
+    monkeypatch.setattr(
+        cli, "build_problem",
+        lambda spec: dataclasses.replace(build(spec), box_constants=None),
     )
-    code, report = run_experiment(cfg, tmp_path / "out")
+    code, report = run_experiment(dw_rate_certify(), tmp_path / "out")
     assert code == EXIT_OK
     assert report["results"]["sigma_source"] == "empirical"
     by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["metric_pl_envelope"]["passed"] is None
-    assert by_name["contraction_bound"]["passed"] is None
-    assert by_name["local_exp_bound"]["passed"]
+    for name in ("contraction_bound", "metric_pl_envelope", "local_exp_bound"):
+        assert by_name[name]["passed"] is None, name
+        assert by_name[name]["reason"]
+
+
+def test_rate_certify_flow_past_the_box_is_not_judged(tmp_path):
+    # Three scheme steps leave the box far from the minimizer; the flow runs
+    # on past its upper face, where sigma was never certified.
+    cfg = dw_rate_certify(
+        scheme={"eta": 0.5, "max_iter": 3},
+        flow={"t_end": 8.0, "record_stride": 0.5},
+    )
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["contraction_bound"]["passed"] is True
+    envelope = by_name["metric_pl_envelope"]
+    assert envelope["passed"] is None
+    assert "flow sample" in envelope["reason"]
+    assert report["results"]["sigma_box"]["upper"][0] < 1.0
+
+
+def test_rate_certify_twenty_dimensions_has_no_corner_sweep(tmp_path, monkeypatch):
+    # A corner sweep would evaluate 2**20 Hessians per box.
+    calls = []
+    build = cli.build_problem
+
+    def counted(spec):
+        p = build(spec)
+        return dataclasses.replace(
+            p, g_hess=lambda x: calls.append(None) or p.g_hess(x)
+        )
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    n = 20
+    cfg = base_config(
+        experiment="RateCertify",
+        problem={"name": "double_well", "params": {"q": np.linspace(1.0, 4.0, n).tolist()}},
+        x0=(1.5 * np.where(np.arange(n) % 2, -1.0, 1.0)).tolist(),
+        scheme={"eta": 0.5},
+        flow={"t_end": 1.0, "record_stride": 0.1},
+    )
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    assert report["results"]["sigma_source"] == "analytic"
+    assert all(c["passed"] is True for c in report["checks"])
+    assert len(calls) < 10_000
 
 
 def test_eta_sweep_double_well(tmp_path):
@@ -282,6 +352,24 @@ def test_eta_sweep_double_well(tmp_path):
     factors = [r["measured_local_factor"] for r in report["results"]["table"]]
     assert factors == sorted(factors, reverse=True)
     assert (tmp_path / "out" / "eta_1.000_trace.csv").exists()
+
+
+def test_eta_sweep_double_well_certifies_contraction_bound(tmp_path):
+    cfg = base_config(
+        experiment="EtaSweep",
+        problem=DW,
+        x0=[0.6, -0.8],
+        etas=[0.25, 0.5, 1.0],
+        scheme={"max_iter": 300, "stop_grad_tol": 1e-9},
+    )
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["contraction_bound"]["passed"] is True
+    # One box spans x0 and every member's limit: (1, -1) for all three.
+    box = report["results"]["sigma_box"]
+    assert box["lower"] == pytest.approx([0.6, -1.0], abs=1e-8)
+    assert box["upper"] == pytest.approx([1.0, -0.8], abs=1e-8)
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):

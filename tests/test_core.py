@@ -237,13 +237,3 @@ def test_box_validation():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     assert box.contains([0.0, 1.0])
     assert not box.contains([0.0, 3.0])
-    assert box.corners().shape == (4, 2)
-
-
-def test_box_corners_bit_order():
-    box = Box(np.array([-1.0, 0.0, 3.0]), np.array([1.0, 2.0, 4.0]))
-    corners = box.corners()
-    assert corners.shape == (8, 3)
-    for i, row in enumerate(corners):
-        expected = [box.upper[j] if (i >> j) & 1 else box.lower[j] for j in range(3)]
-        np.testing.assert_array_equal(row, expected)

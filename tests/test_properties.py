@@ -1,9 +1,10 @@
-"""Property tests over random instances: primal/dual equivalence and descent.
+"""Property tests over random instances: primal/dual equivalence, descent,
+and the closed-form box constants.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
-parameter in (0, 1].  Every run is derandomized, so the suite stays
-deterministic.
+parameter in (0, 1], or with a shift and a box for the box constants.  Every
+run is derandomized, so the suite stays deterministic.
 
 Double-well starts keep every coordinate at least 1e-3 away from 0, the
 coordinate of the objective's local maximum.  Near it the damped map expands
@@ -13,12 +14,25 @@ example below is such a start (a known defect, see CHANGES.md).  Over
 ``|x_i| >= 1e-3`` the measured gap stays below 2.1e-9.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcflow import SchemeConfig, descent_margins, make_double_well, make_quadratic, run_scheme
+from dcflow import (
+    Box,
+    SchemeConfig,
+    descent_margins,
+    make_double_well,
+    make_quadratic,
+    make_shifted_decomposition,
+    run_scheme,
+)
+from dcflow.analysis import estimate_metric_pl_constant, local_exp_certificate, metric_bounds_on_box
+from dcflow.core import flow_velocity
 from helpers import primal_dual_sup_gap
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -33,10 +47,9 @@ def _rotation(m: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def quadratic_instances(draw):
+def quadratic_splits(draw, n):
     """``a`` SPD with eigenvalues in [0.5, 4] and ``b = a^(1/2) C a^(1/2)``,
     ``C`` with eigenvalues in [0, 0.9], so ``b`` and ``a - b`` are PSD."""
-    n = draw(dims)
     unit = st.floats(min_value=-1.0, max_value=1.0)
     u = _rotation(draw(arrays(float, (n, n), elements=unit)))
     v = _rotation(draw(arrays(float, (n, n), elements=unit)))
@@ -45,7 +58,13 @@ def quadratic_instances(draw):
     a = (u * lam) @ u.T
     sqrt_a = (u * np.sqrt(lam)) @ u.T
     b = sqrt_a @ ((v * c) @ v.T) @ sqrt_a
-    p = make_quadratic(0.5 * (a + a.T), 0.5 * (b + b.T))
+    return make_quadratic(0.5 * (a + a.T), 0.5 * (b + b.T))
+
+
+@st.composite
+def quadratic_instances(draw):
+    n = draw(dims)
+    p = draw(quadratic_splits(n))
     x0 = draw(arrays(float, n, elements=st.floats(min_value=-2.0, max_value=2.0)))
     return p, x0
 
@@ -82,3 +101,69 @@ def test_quadratic_split_primal_dual_and_descent(instance, eta):
 def test_double_well_primal_dual_and_descent(instance, eta):
     p, x0 = instance
     _check_equivalence_and_descent(p, x0, eta)
+
+
+@st.composite
+def problems_on_boxes(draw):
+    """A double well or an SPD quadratic split, maybe shifted by ``d >= 0``,
+    and a box of width up to 1.5 per coordinate, which may straddle 0."""
+    n = draw(dims)
+    if draw(st.booleans()):
+        p = make_double_well(draw(arrays(float, n, elements=st.floats(0.25, 4.0))))
+    else:
+        p = draw(quadratic_splits(n))
+    if draw(st.booleans()):
+        p = make_shifted_decomposition(p, draw(arrays(float, n, elements=st.floats(0.0, 3.0))))
+    lower = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    width = draw(arrays(float, n, elements=st.floats(0.0, 1.5)))
+    return p, Box(lower, lower + width), None
+
+
+def _box_samples(box: Box) -> np.ndarray:
+    """Corners, center, the center moved to each face, and a seeded fill."""
+    n = box.dim
+    center = box.center()
+    faces = []
+    for i, end in itertools.product(range(n), (box.lower, box.upper)):
+        x = center.copy()
+        x[i] = end[i]
+        faces.append(x)
+    corners = [np.where(bits, box.upper, box.lower) for bits in itertools.product((0, 1), repeat=n)]
+    fill = box.sample(np.random.default_rng(n), 30)
+    return np.vstack([center[None, :], faces, corners, fill])
+
+
+@PROPERTY_SETTINGS
+@given(problems_on_boxes())
+# Corners and Halton points read 0.2677 here; the infimum, attained where
+# one coordinate sits at 0.9 and the others at 1, is 1.62 / 6.33.
+@example((make_double_well([1.3, 2.2, 3.9]), Box(np.full(3, 0.9), np.full(3, 1.1)), 0.2559))
+def test_box_constants_bound_every_sample(instance):
+    p, box, expected_sigma = instance
+    bc = p.box_constants(box)
+    assert bc.metric[0] <= bc.metric[1] and bc.objective[0] <= bc.objective[1]
+    assert bc.sigma >= 0.0
+    eps = np.finfo(float).eps
+    ratios = []
+    for x in _box_samples(box):
+        metric = p.g_hess(x)
+        w = np.linalg.eigvalsh(metric)
+        tol = 1e3 * eps * max(1.0, abs(w[-1]))
+        assert bc.metric[0] - tol <= w[0] and w[-1] <= bc.metric[1] + tol
+        v = np.linalg.eigvalsh(p.f_hess(x))
+        assert bc.objective[0] - tol <= v[0] and v[-1] <= bc.objective[1] + tol
+        g, h = p.g_value(x), p.h_value(x)
+        gap = (g - h) - p.f_star
+        noise = 1e3 * eps * (abs(g) + abs(h) + abs(p.f_star))
+        if gap > noise:
+            ratio = flow_velocity(p, x)[2] / (2.0 * gap)
+            assert ratio >= bc.sigma * (1.0 - noise / gap - 1e-12)
+            ratios.append(ratio)
+    # The library's own cross-checks agree on the same instances.
+    assert metric_bounds_on_box(p, box, n_samples=20).upper == bc.metric[1]
+    assert estimate_metric_pl_constant(p, box, p.f_star, n_samples=20) == bc.sigma
+    if expected_sigma is not None:
+        assert bc.sigma == pytest.approx(expected_sigma, abs=5e-5)
+        assert min(ratios) == pytest.approx(bc.sigma, rel=1e-12)
+        cert = local_exp_certificate(p, p.minimizer, box)
+        assert cert.certified and cert.hess_f_lower == bc.objective[0]

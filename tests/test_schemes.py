@@ -1,5 +1,6 @@
 """Discrete iteration steps, full runs, and the per-step descent certificates."""
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_divergence_guard_flags_broken_oracle():
     trace = run_scheme(p, np.array([1.0]), SchemeConfig(eta=1.0, max_iter=50))
     assert trace.termination is Termination.NUMERIC_ERROR
     assert np.all(np.diff(trace.f_values) <= 1e-6)
+
+
+def test_divergence_guard_ignores_roundoff_of_large_parts(dw_unit):
+    # The same objective from parts near 1e11: f keeps its value, but each
+    # evaluation of g - h now rounds at about 1e-5, above any absolute slack.
+    offset = 1e11
+    big = dataclasses.replace(
+        dw_unit,
+        g_value=lambda x: dw_unit.g_value(x) + offset,
+        h_value=lambda x: dw_unit.h_value(x) + offset,
+    )
+    for eta in (0.5, 1.0):
+        cfg = SchemeConfig(eta=eta)
+        x0 = np.array([1.6, -0.4])
+        assert run_scheme(big, x0, cfg).termination is run_scheme(dw_unit, x0, cfg).termination
 
 
 def test_scheme_config_validation():
