@@ -37,7 +37,7 @@ class DcError(Exception):
 
 
 class ConvergenceError(DcError):
-    """Gradient inversion ran out of iterations.
+    """Gradient inversion stopped short of its stopping rule.
 
     Attributes
     ----------
@@ -52,18 +52,23 @@ class ConvergenceError(DcError):
         self.best_residual = best_residual
         self.iterations = iterations
 
+    def with_phase(self, phase: str) -> "ConvergenceError":
+        """The same failure, its message extended by where it happened."""
+        return ConvergenceError(f"{self} {phase}", self.best_residual, self.iterations)
+
 
 class NumericError(DcError):
     """A non-finite value appeared where the math guarantees finite ones."""
 
 
 # Stopping rule of the gradient inversion: residual norm at most
-# INVERSION_TOL, orders of magnitude below any tolerance asserted elsewhere
-# in the package, within _MAX_NEWTON_ITER damped-Newton steps.
+# INVERSION_TOL relative to the target (absolute once the target is larger
+# than 1), orders of magnitude below any tolerance asserted elsewhere in the
+# package, within _MAX_NEWTON_ITER Newton steps.
 INVERSION_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
-# Armijo sufficient-decrease coefficient and backtracking factor of the
-# gradient inversion.
+# Sufficient-decrease coefficient and backtracking factor of the gradient
+# inversion's line search on the residual norm.
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 # Relative roundoff allowed per dimension when a computed value is compared
@@ -244,68 +249,74 @@ class DcProblem:
 def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np.ndarray:
     """Solve ``grad g(x) = y`` for ``x``.
 
-    Runs damped Newton with Armijo backtracking on the strongly convex
-    potential ``x -> g(x) - <y, x>``, whose unique minimizer is the wanted
-    preimage.  Strong convexity makes the iteration globally convergent;
+    Runs Newton's method on the residual ``r(x) = grad g(x) - y`` and
+    backtracks on its norm, the merit of Newton on equations: a step
+    ``t d`` is taken once ``||r(x + t d)|| <= (1 - c t) ||r(x)||``, and the
+    trial residual becomes the next iterate's.  The Jacobian ``Hess g`` is
+    positive definite, so the Newton direction always decreases the merit;
     warm starts near the solution finish in one or two steps.
+
+    The iteration stops once ``||r|| <= min(tol, max(tol ||y||, floor))``,
+    where ``floor`` is the roundoff of evaluating ``r`` at ``x``, scaled
+    from ``Hess g(x)`` and ``x``.  The rule is relative to the target, never
+    looser than ``tol``, and still met at ``y = 0`` with a nonzero preimage.
 
     Raises
     ------
     ConvergenceError
-        If the residual norm is still above ``tol`` after
-        ``_MAX_NEWTON_ITER`` Newton steps.  Carries the best residual seen.
+        If the residual is still above the stopping rule after
+        ``_MAX_NEWTON_ITER`` Newton steps, or earlier once the line search
+        can no longer decrease it (a ``tol`` below roundoff).  Carries the
+        final residual, the smallest one reached.
     NumericError
-        If a non-finite value appears.
+        If the residual at the warm start is not finite, a trial residual
+        is NaN, or the Hessian is singular.  An infinite trial residual
+        only shortens the step.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != p.dim:
         raise ValueError(f"expected a target vector of length {p.dim}")
     x = np.array(p.check_point(warm_start), dtype=float)
+    goal = tol * min(1.0, float(np.linalg.norm(y)))
 
     residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm = float(np.linalg.norm(residual))
     if not np.isfinite(rnorm):
         raise NumericError("non-finite gradient residual at the warm start")
-    best = rnorm
 
-    for _ in range(_MAX_NEWTON_ITER):
-        if rnorm <= tol:
+    for iterations in range(_MAX_NEWTON_ITER + 1):
+        if rnorm <= goal:
             return x
         hess = np.asarray(p.g_hess(x), dtype=float)
+        floor = ROUNDOFF * p.dim * float(np.max(np.abs(hess)) * np.max(np.abs(x)))
+        if rnorm <= min(tol, floor):
+            return x
+        if iterations == _MAX_NEWTON_ITER:
+            break
         try:
             step = np.linalg.solve(hess, -residual)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular Hessian during inversion: {exc}") from exc
-        slope = float(residual @ step)  # negative for a descent direction
-        phi0 = float(p.g_value(x)) - float(y @ x)
-        # Near the solution the true decrease drops below the resolution of
-        # phi0; without this slack the backtracking stalls on roundoff.
-        noise = 10.0 * np.finfo(float).eps * (1.0 + abs(phi0))
         t = 1.0
-        while True:
+        while t >= 1e-18:
             x_new = x + t * step
-            phi_new = float(p.g_value(x_new)) - float(y @ x_new)
-            if np.isnan(phi_new):
+            r_new = np.asarray(p.g_grad(x_new), dtype=float) - y
+            rnorm_new = float(np.linalg.norm(r_new))
+            if np.isnan(rnorm_new):
                 raise NumericError("NaN in line search during inversion")
-            if phi_new <= phi0 + _ARMIJO_C * t * slope + noise:
+            # Written as a difference so that a trial equal to x is rejected.
+            if rnorm - rnorm_new >= _ARMIJO_C * t * rnorm:
                 break
             t *= _ARMIJO_SHRINK
-            if t < 1e-18:
-                raise NumericError("line search step underflow during inversion")
-        x = x_new
-        residual = np.asarray(p.g_grad(x), dtype=float) - y
-        rnorm = float(np.linalg.norm(residual))
-        if not np.isfinite(rnorm):
-            raise NumericError("non-finite gradient residual during inversion")
-        best = min(best, rnorm)
+        else:
+            break  # no step decreases the residual: it sits at its roundoff
+        x, residual, rnorm = x_new, r_new, rnorm_new
 
-    if rnorm <= tol:
-        return x
     raise ConvergenceError(
-        f"gradient inversion did not reach tol {tol:g} in "
-        f"{_MAX_NEWTON_ITER} iterations (best residual {best:g})",
-        best_residual=best,
-        iterations=_MAX_NEWTON_ITER,
+        f"gradient inversion did not reach tol {tol:g} in {iterations} "
+        f"iterations (residual {rnorm:g})",
+        best_residual=rnorm,
+        iterations=iterations,
     )
 
 

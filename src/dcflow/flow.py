@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ConvergenceError,
     DcError,
     DcProblem,
     dual_euler,
@@ -171,6 +172,9 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     ------
     StiffnessError
         If error control pushes the step below ``1e-14``.
+    ConvergenceError
+        If a gradient inversion fails; the message names the step's start
+        time and size.
     """
     x0 = p.check_point(x0)
     warm = [np.array(x0)]
@@ -208,60 +212,62 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     target_idx = 0
     t_end = cfg.t_end
     t = 0.0
-    h = _STEP_INIT
-    k1 = fieldfun(y)
+    h = h_try = _STEP_INIT
     err_prev = 1e-4
     n = y.size
-
-    while target_idx < targets.size:
-        last = h >= t_end - t - 1e-14 * max(1.0, t_end)
-        h_try = t_end - t if last else h
-        if h_try < _MIN_STEP:
-            raise StiffnessError(
-                f"step size underflow at t={t:g} (needed step {h_try:g})"
-            )
-
-        k = np.empty((7, n))
-        k[0] = k1
-        for i, row in enumerate(_A):
-            k[i + 1] = fieldfun(y + h_try * (row @ k[: i + 1]))
-        y_new = y + h_try * (_B5 @ k)
-        err_vec = h_try * (_ERR @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        if err > 1.0:
-            h = h_try * max(0.2, 0.9 * err**-0.2)
-            if h < _MIN_STEP:
+    try:
+        k1 = fieldfun(y)
+        while target_idx < targets.size:
+            last = h >= t_end - t - 1e-14 * max(1.0, t_end)
+            h_try = t_end - t if last else h
+            if h_try < _MIN_STEP:
                 raise StiffnessError(
-                    f"step size underflow at t={t:g} after rejection"
+                    f"step size underflow at t={t:g} (needed step {h_try:g})"
                 )
-            continue
 
-        t_new = t_end if last else t + h_try
-        dense = h_try * (k.T @ _P)
-        while target_idx < targets.size and targets[target_idx] <= t_new:
-            t_s = float(targets[target_idx])
-            theta = (t_s - t) / h_try
-            y_s = y + dense @ (theta ** np.arange(1, 5))
-            x = invert_grad_g(p, y_s, xs[-1] + (t_s - times[-1]) * v_prev)
-            f_val, msq, gnorm, v_prev = sample_stats(x)
-            times.append(t_s)
-            ys.append(y_s)
-            xs.append(x)
-            fs.append(f_val)
-            msqs.append(msq)
-            target_idx += 1
-            if gnorm <= EQUILIBRIUM_GRAD_TOL:
-                return build()
+            k = np.empty((7, n))
+            k[0] = k1
+            for i, row in enumerate(_A):
+                k[i + 1] = fieldfun(y + h_try * (row @ k[: i + 1]))
+            y_new = y + h_try * (_B5 @ k)
+            err_vec = h_try * (_ERR @ k)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
-        t = t_new
-        y = y_new
-        k1 = k[6]
-        err = max(err, 1e-10)
-        factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
-        err_prev = err
-        h = max(h_try * factor, _MIN_STEP)
+            if err > 1.0:
+                h = h_try * max(0.2, 0.9 * err**-0.2)
+                if h < _MIN_STEP:
+                    raise StiffnessError(
+                        f"step size underflow at t={t:g} after rejection"
+                    )
+                continue
+
+            t_new = t_end if last else t + h_try
+            dense = h_try * (k.T @ _P)
+            while target_idx < targets.size and targets[target_idx] <= t_new:
+                t_s = float(targets[target_idx])
+                theta = (t_s - t) / h_try
+                y_s = y + dense @ (theta ** np.arange(1, 5))
+                x = invert_grad_g(p, y_s, xs[-1] + (t_s - times[-1]) * v_prev)
+                f_val, msq, gnorm, v_prev = sample_stats(x)
+                times.append(t_s)
+                ys.append(y_s)
+                xs.append(x)
+                fs.append(f_val)
+                msqs.append(msq)
+                target_idx += 1
+                if gnorm <= EQUILIBRIUM_GRAD_TOL:
+                    return build()
+
+            t = t_new
+            y = y_new
+            k1 = k[6]
+            err = max(err, 1e-10)
+            factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
+            err_prev = err
+            h = max(h_try * factor, _MIN_STEP)
+    except ConvergenceError as exc:
+        raise exc.with_phase(f"in the flow step from t={t:g} of size {h_try:g}") from exc
 
     return build()
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DcProblem, dual_euler, invert_grad_g
+from .core import ConvergenceError, DcProblem, dual_euler, invert_grad_g
 
 __all__ = [
     "IterateTrace",
@@ -34,7 +34,8 @@ __all__ = [
 # the roundoff of both values, signal a broken oracle or a failed
 # inversion, never a property of the method.
 _DIVERGENCE_SLACK = 1e-6
-# Relative slack of the per-step descent inequalities, for roundoff in f.
+# Slack of the per-step descent inequalities, relative to 1 + |f| and on top
+# of the roundoff of the values they compare.
 _DESCENT_SLACK = 1e-9
 
 
@@ -122,7 +123,9 @@ def run_scheme(
     ``x_k = (grad g)^{-1}(y_k)`` once and reuses that point both for
     logging and for the dual update, so the cost per iteration matches the
     primal form.  A NaN objective or an objective increase beyond the
-    divergence guard stops the run with ``Termination.NUMERIC_ERROR``.
+    divergence guard stops the run with ``Termination.NUMERIC_ERROR``.  A
+    ``ConvergenceError`` of the inversion propagates, its message naming the
+    iteration and ``eta``.
     """
     if cfg is None:
         cfg = SchemeConfig()
@@ -139,15 +142,18 @@ def run_scheme(
     y = np.asarray(p.g_grad(x), dtype=float) if mode is Mode.DUAL else None
     termination = Termination.MAX_ITER
 
-    for _ in range(cfg.max_iter):
+    for k in range(cfg.max_iter):
         if grad_norms[-1] <= cfg.stop_grad_tol:
             termination = Termination.GRAD_TOL
             break
-        if mode is Mode.PRIMAL:
-            x_next = damped_dca_step(p, x, cfg)
-        else:
-            y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
-            x_next = invert_grad_g(p, y, x)
+        try:
+            if mode is Mode.PRIMAL:
+                x_next = damped_dca_step(p, x, cfg)
+            else:
+                y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
+                x_next = invert_grad_g(p, y, x)
+        except ConvergenceError as exc:
+            raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
         f_next, err_next = p.f_value_and_roundoff(x_next)
         if not np.isfinite(f_next):
             termination = Termination.NUMERIC_ERROR
@@ -184,20 +190,25 @@ def descent_margins(p: DcProblem, trace: IterateTrace):
     Returns ``(relaxed, strong)`` where each entry is the minimum over
     steps of ``allowed_slack - violation``; nonnegative values mean the
     inequality held everywhere.  At ``eta = 1`` both inequalities reduce
-    to plain monotonicity of the objective.
+    to plain monotonicity of the objective.  The slack adds to the relative
+    one the roundoff of both objective values, and for the relaxed
+    inequality that of the Bregman step, a difference of the same ``g``
+    values.
     """
     eta = trace.eta
     coef_relaxed = (1.0 - eta) / eta
     coef_strong = (1.0 - eta) * p.mu / (2.0 * eta)
+    f_errs = [p.f_value_and_roundoff(x)[1] for x in trace.points]
     worst_relaxed = np.inf
     worst_strong = np.inf
     for k in range(trace.bregman_steps.size):
         fk = trace.f_values[k]
         fk1 = trace.f_values[k + 1]
-        slack = _DESCENT_SLACK * (1.0 + abs(fk))
+        f_err = f_errs[k] + f_errs[k + 1]
+        slack = _DESCENT_SLACK * (1.0 + abs(fk)) + f_err
         relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps[k] - fk
         strong_violation = coef_strong * trace.step_norms[k] ** 2 - (fk - fk1)
-        worst_relaxed = min(worst_relaxed, slack - relaxed_violation)
+        worst_relaxed = min(worst_relaxed, slack + coef_relaxed * f_err - relaxed_violation)
         worst_strong = min(worst_strong, slack - strong_violation)
     return float(worst_relaxed), float(worst_strong)
 

@@ -373,11 +373,24 @@ def test_eta_sweep_double_well_certifies_contraction_bound(tmp_path):
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # The message names where the inversion failed, beside its residual.
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
-    cfg = base_config(problem=DW, x0=[1.9, -1.7], scheme={"eta": 0.5})
-    path = write_config(tmp_path, cfg)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
-    assert "runtime error" in capsys.readouterr().err
+    for experiment, phase in [
+        ("RunScheme", "in scheme iteration 0 (eta=0.5)"),
+        ("RunFlow", "in the flow step from t=0 of size 0.01"),
+    ]:
+        cfg = base_config(
+            experiment=experiment,
+            problem=DW,
+            x0=[1.9, -1.7],
+            scheme={"eta": 0.5},
+            flow={"t_end": 1.0},
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["run", str(path), "--out", str(tmp_path / experiment)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error: gradient inversion did not reach tol" in err
+        assert "(residual " in err and phase in err
 
 
 def test_eta_sweep_member_failure_ends_run_without_report(tmp_path, capsys, monkeypatch):

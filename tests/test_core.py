@@ -1,5 +1,7 @@
 """Oracle values, derivative consistency and the gradient inversion kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,64 @@ def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
         invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15)
     assert err.value.best_residual > 0.0
     assert err.value.iterations == 1
+
+
+def _tilted_quartic(c: float) -> DcProblem:
+    """g = x^4/4 + x^2/2 - c x in one dimension, h = 0: grad g(0) = -c, so
+    the preimage of y = 0 is the real root of x^3 + x = c."""
+    return DcProblem(
+        dim=1,
+        g_value=lambda x: float(x[0] ** 4 / 4 + x[0] ** 2 / 2 - c * x[0]),
+        h_value=lambda x: 0.0,
+        g_grad=lambda x: np.array([x[0] ** 3 + x[0] - c]),
+        h_grad=lambda x: np.zeros(1),
+        g_hess=lambda x: np.array([[3.0 * x[0] ** 2 + 1.0]]),
+        h_hess=lambda x: np.zeros((1, 1)),
+        mu=1.0,
+    )
+
+
+def test_invert_zero_target_with_nonzero_preimage():
+    # At y = 0 the relative rule asks for a zero residual; the roundoff floor
+    # of evaluating x^3 + x - c at |x| ~ 1.3 is what the iteration can meet.
+    p = _tilted_quartic(3.7)
+    x = invert_grad_g(p, np.zeros(1), np.zeros(1))
+    assert x[0] > 1.3
+    assert abs(p.g_grad(x)[0]) <= 1e-13
+
+
+def test_invert_unattainable_tol_is_a_convergence_error(dw_unit):
+    # 1e-17 lies below the roundoff of grad g near |y| = 5: the residual
+    # stops decreasing, which is a convergence failure, not a numeric one.
+    with pytest.raises(ConvergenceError) as err:
+        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.zeros(2), tol=1e-17)
+    assert 0.0 < err.value.best_residual <= 1e-14
+
+
+def test_invert_stops_relative_to_small_targets(dw_unit):
+    # An absolute 1e-10 stops one step early here, at 8.5e-5 relative.
+    y = np.array([3e-7, -2e-7])
+    x = invert_grad_g(dw_unit, y, np.array([0.05, 0.03]))
+    assert np.linalg.norm(dw_unit.g_grad(x) - y) <= INVERSION_TOL * np.linalg.norm(y)
+
+
+def test_invert_makes_no_value_calls(dw_aniso):
+    calls = {"g_value": 0, "g_grad": 0, "g_hess": 0}
+
+    def counted(name):
+        fn = getattr(dw_aniso, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    p = dataclasses.replace(dw_aniso, **{name: counted(name) for name in calls})
+    invert_grad_g(p, np.array([4.0, -7.5]), np.array([0.3, 0.2]))
+    assert calls["g_value"] == 0
+    # One gradient per trial point plus the warm start, one Hessian per step.
+    assert calls["g_grad"] >= calls["g_hess"] + 1 >= 2
 
 
 def test_invert_raises_numeric_error_on_nan():

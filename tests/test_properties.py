@@ -1,17 +1,18 @@
 """Property tests over random instances: primal/dual equivalence, descent,
-and the closed-form box constants.
+the gradient and energy identities, the closed-form quadratic flow, and the
+closed-form box constants.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
 parameter in (0, 1], or with a shift and a box for the box constants.  Every
 run is derandomized, so the suite stays deterministic.
 
-Double-well starts keep every coordinate at least 1e-3 away from 0, the
-coordinate of the objective's local maximum.  Near it the damped map expands
-by ``1 + eta/q`` per step and amplifies the absolute inversion tolerance, so
-primal and dual runs drift apart by more than 1e-8; the pinned ``xfail``
-example below is such a start (a known defect, see CHANGES.md).  Over
-``|x_i| >= 1e-3`` the measured gap stays below 2.1e-9.
+Double-well starts may sit arbitrarily close to 0, the coordinate of the
+objective's local maximum.  Near it the damped map expands by ``1 + eta/q``
+per step and amplifies whatever residual the gradient inversion leaves, so
+primal and dual runs agree to 1e-8 only because that residual is relative
+to the target; the pinned example below broke criterion 01 (a gap of
+1.7e-8) while the inversion stopped on an absolute residual.
 """
 
 import itertools
@@ -24,15 +25,24 @@ from hypothesis.extra.numpy import arrays
 
 from dcflow import (
     Box,
+    FlowConfig,
     SchemeConfig,
+    closed_form_linear_flow,
     descent_margins,
+    integrate_flow,
     make_double_well,
     make_quadratic,
     make_shifted_decomposition,
     run_scheme,
 )
-from dcflow.analysis import estimate_metric_pl_constant, local_exp_certificate, metric_bounds_on_box
-from dcflow.core import flow_velocity
+from dcflow.analysis import (
+    energy_residuals,
+    estimate_metric_pl_constant,
+    local_exp_certificate,
+    metric_bounds_on_box,
+)
+from dcflow.core import INVERSION_TOL, flow_velocity
+from dcflow.schemes import gradient_identity_margin
 from helpers import primal_dual_sup_gap
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -73,7 +83,7 @@ def quadratic_instances(draw):
 def double_well_instances(draw):
     n = draw(dims)
     q = draw(arrays(float, n, elements=st.floats(min_value=0.25, max_value=4.0)))
-    magnitude = st.floats(min_value=1e-3, max_value=2.0)
+    magnitude = st.floats(min_value=0.0, max_value=2.0)
     x0 = draw(arrays(float, n, elements=st.one_of(magnitude, magnitude.map(lambda v: -v))))
     return make_double_well(q), x0
 
@@ -84,6 +94,7 @@ def _check_equivalence_and_descent(p, x0, eta):
     relaxed, strong = descent_margins(p, trace)
     assert relaxed >= 0.0
     assert strong >= 0.0
+    assert gradient_identity_margin(p, trace) <= 10.0 * INVERSION_TOL
 
 
 @PROPERTY_SETTINGS
@@ -95,12 +106,40 @@ def test_quadratic_split_primal_dual_and_descent(instance, eta):
 
 @PROPERTY_SETTINGS
 @given(double_well_instances(), etas)
-@example((make_double_well([0.5]), np.array([2.0**-14])), 0.5).xfail(
-    reason="start next to the local maximum: gap 1.7e-8", raises=AssertionError
-)
+@example((make_double_well([0.5]), np.array([2.0**-14])), 0.5)
+@example((make_double_well([0.25]), np.array([7e-5])), 0.25)
 def test_double_well_primal_dual_and_descent(instance, eta):
     p, x0 = instance
     _check_equivalence_and_descent(p, x0, eta)
+
+
+def _flow_with_energy_check(p, x0):
+    """Integrate to t = 1 at stride 1e-2 and bound the energy-identity
+    defect as the CLI's ``energy_identity`` check does: by 1e-5, or by ten
+    times the largest second difference of the sampled objective, the scale
+    of the central difference's truncation error."""
+    trace = integrate_flow(p, x0, FlowConfig(t_end=1.0, record_stride=1e-2))
+    if trace.n_samples > 2:
+        allowed = max(1e-5, 10.0 * float(np.max(np.abs(np.diff(trace.f_values, 2)))))
+        assert float(np.nanmax(energy_residuals(trace)[1:-1])) <= allowed
+    return trace
+
+
+@PROPERTY_SETTINGS
+@given(quadratic_instances())
+def test_quadratic_flow_matches_closed_form(instance):
+    p, x0 = instance
+    trace = _flow_with_energy_check(p, x0)
+    a, b = p.g_hess(x0), p.h_hess(x0)
+    exact = np.array([closed_form_linear_flow(a, b, x0, t) for t in trace.times])
+    assert float(np.max(np.abs(trace.x_states - exact))) <= 1e-6 * max(1.0, float(np.max(np.abs(x0))))
+
+
+@PROPERTY_SETTINGS
+@given(double_well_instances())
+def test_double_well_flow_energy_identity(instance):
+    p, x0 = instance
+    _flow_with_energy_check(p, x0)
 
 
 @st.composite

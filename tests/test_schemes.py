@@ -205,7 +205,8 @@ def test_divergence_guard_flags_broken_oracle():
 
 def test_divergence_guard_ignores_roundoff_of_large_parts(dw_unit):
     # The same objective from parts near 1e11: f keeps its value, but each
-    # evaluation of g - h now rounds at about 1e-5, above any absolute slack.
+    # evaluation of g - h, and each Bregman step, now rounds at about 1e-5,
+    # above any absolute slack.
     offset = 1e11
     big = dataclasses.replace(
         dw_unit,
@@ -215,7 +216,10 @@ def test_divergence_guard_ignores_roundoff_of_large_parts(dw_unit):
     for eta in (0.5, 1.0):
         cfg = SchemeConfig(eta=eta)
         x0 = np.array([1.6, -0.4])
-        assert run_scheme(big, x0, cfg).termination is run_scheme(dw_unit, x0, cfg).termination
+        trace = run_scheme(big, x0, cfg)
+        assert trace.termination is run_scheme(dw_unit, x0, cfg).termination
+        relaxed, strong = descent_margins(big, trace)
+        assert relaxed >= 0.0 and strong >= 0.0
 
 
 def test_scheme_config_validation():
