@@ -19,6 +19,8 @@ import numpy as np
 from .core import (
     ROUNDOFF,
     Box,
+    BoxConstants,
+    ConvergenceError,
     DcError,
     DcProblem,
     central_diff_jacobian,
@@ -106,9 +108,8 @@ def _halton(n: int, dim: int) -> np.ndarray:
 def _probe_points(box: Box, n_samples: int) -> np.ndarray:
     """The center and ``n_samples`` Halton points of the box.
 
-    Samples cross-check a problem's closed-form box constants, and stand in
-    for them, uncertified, on problems without any: they can show a
-    constant wrong but never certify one.
+    Samples cross-check a problem's closed-form box constants: they can
+    show a constant wrong but never certify one.
     """
     u = _halton(int(n_samples), box.dim)
     return np.vstack([box.center()[None, :], box.lower + u * (box.upper - box.lower)])
@@ -150,7 +151,7 @@ class RateReport:
 class FlowRateCheck:
     """Envelope check of the value gap along a flow trace."""
 
-    passed: Optional[bool]
+    passed: bool
     worst_margin: float
     measured_decay_rate: Optional[float]
 
@@ -189,7 +190,6 @@ class LocalExpCertificate:
     c1: float  # overshoot sqrt(L_f / m_f)
     hess_f_lower: float
     hess_f_upper: float
-    certified: bool  # False when the Hessian ranges are sampled estimates
 
 
 @dataclass(frozen=True)
@@ -290,16 +290,13 @@ def flow_rate_check(
     c: float,
     theta: float,
     f_star: float,
-    certified: bool = True,
 ) -> FlowRateCheck:
     """Check the value gap against its certified decay envelope.
 
     For exponent one half the envelope is exponential,
     ``V(0) exp(-c^2 t)``; for larger exponents it is the polynomial curve
     ``(V(0)^{1-2 theta} + c^2 (2 theta - 1) t)^{-1/(2 theta - 1)}``.  A
-    multiplicative slack of ``1e-6`` absorbs integrator error.  With
-    ``certified=False`` the margins are reported without a verdict
-    (``passed`` is ``None``).
+    multiplicative slack of ``1e-6`` absorbs integrator error.
     """
     if not 0.5 <= theta < 1.0:
         raise ValueError("theta must lie in [1/2, 1)")
@@ -312,11 +309,7 @@ def flow_rate_check(
     floor = 1e-13 * (1.0 + abs(f_star))
     if v0 <= floor:
         # Started at the optimum: every envelope contains the zero curve.
-        return FlowRateCheck(
-            passed=True if certified else None,
-            worst_margin=0.0,
-            measured_decay_rate=None,
-        )
+        return FlowRateCheck(passed=True, worst_margin=0.0, measured_decay_rate=None)
 
     c_sq = c * c
     if theta == 0.5:
@@ -327,7 +320,6 @@ def flow_rate_check(
 
     margins = envelope * (1.0 + 1e-6) - v
     worst = float(np.min(margins))
-    passed = (worst >= 0.0) if certified else None
 
     fit_mask = v > max(floor, 1e-14 * v0)
     measured = None
@@ -336,7 +328,7 @@ def flow_rate_check(
         measured = float(-slope)
 
     return FlowRateCheck(
-        passed=passed,
+        passed=worst >= 0.0,
         worst_margin=worst,
         measured_decay_rate=measured,
     )
@@ -418,6 +410,8 @@ def measure_local_contraction(
     returns the geometric mean of consecutive distance ratios over the tail
     half.  The inversion tolerance is tightened well below ``radius`` times the
     final contraction so the measurement is not limited by the inner solver.
+    A failed inversion raises :class:`~dcflow.core.ConvergenceError` naming
+    the step, ``eta`` and ``radius``.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -430,8 +424,13 @@ def measure_local_contraction(
     x = x_star + radius * lin.slow_direction
     dists = [radius]
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
-    for _ in range(n_steps):
-        x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_TOL)
+    for step in range(n_steps):
+        try:
+            x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_TOL)
+        except ConvergenceError as exc:
+            raise exc.with_phase(
+                f"in local contraction step {step} (eta={eta:g}, radius={radius:g})"
+            ) from exc
         d = float(np.linalg.norm(x - x_star))
         if d > 10.0 * radius:
             raise LocalityError(
@@ -454,24 +453,33 @@ def measure_local_contraction(
 
 
 # ---------------------------------------------------------------------------
-# box constants: closed form when the problem has it, sampled otherwise
+# box constants: closed form, cross-checked on probe points
+
+
+def _box_constants(p: DcProblem, box: Box) -> BoxConstants:
+    """The problem's closed-form constants on the box; ``ValueError`` for a
+    box of another dimension or a problem without them, as samples alone
+    certify nothing."""
+    if box.dim != p.dim:
+        raise ValueError("box dimension does not match the problem")
+    if p.box_constants is None:
+        raise ValueError(f"problem {p.label!r} has no closed-form box constants")
+    return p.box_constants(box)
 
 
 def _hess_ranges(
     p: DcProblem, box: Box, n_samples: int, objective: bool = False
-) -> tuple[list[tuple[float, float]], bool]:
-    """Eigenvalue ranges of the metric, and with ``objective`` of the
-    symmetrized objective Hessian, over the box; and whether they are certified.
+) -> list[tuple[float, float]]:
+    """Closed-form eigenvalue ranges of the metric, and with ``objective`` of
+    the symmetrized objective Hessian, over the box.
 
-    With ``p.box_constants`` the closed-form ranges are returned, certified,
-    once every probe point's eigenvalues lie inside them up to roundoff;
-    a point outside means the oracles and the closed form disagree, and the
-    call raises.  Without, the sampled ranges are returned, uncertified.
-    A sampled metric eigenvalue that is not positive raises either way.
-    Every probe point costs one ``g_hess`` call.
+    The ranges are the problem's box constants, returned once every probe
+    point's eigenvalues lie inside them up to roundoff; a point outside
+    means the oracles and the closed form disagree, and the call raises.
+    So does a sampled metric eigenvalue that is not positive.  Every probe
+    point costs one ``g_hess`` call.
     """
-    if box.dim != p.dim:
-        raise ValueError("box dimension does not match the problem")
+    bc = _box_constants(p, box)
     pts = _probe_points(box, n_samples)
     cols = 2 if objective else 1
     lows = np.empty((pts.shape[0], cols))
@@ -494,9 +502,6 @@ def _hess_ranges(
             "metric lower bound is not positive; the strong-convexity "
             "constant of g looks violated on this box"
         )
-    if p.box_constants is None:
-        return sampled, False
-    bc = p.box_constants(box)
     exact = [bc.metric, bc.objective][:cols]
     tol = ROUNDOFF * p.dim * scales
     names = ("metric", "objective Hessian")
@@ -508,16 +513,13 @@ def _hess_ranges(
                 f"[{lo:.17g}, {hi:.17g}] on the box; oracles and box constants "
                 "are inconsistent"
             )
-    return exact, True
+    return exact
 
 
 def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
-    """Eigenvalue range of the metric over the box.
-
-    Closed form, cross-checked on ``n_samples`` probe points, when the
-    problem has box constants; otherwise the sampled range, an estimate.
-    """
-    [(lo, hi)], _ = _hess_ranges(p, box, n_samples)
+    """Closed-form eigenvalue range of the metric over the box,
+    cross-checked on ``n_samples`` probe points."""
+    [(lo, hi)] = _hess_ranges(p, box, n_samples)
     return MetricBounds(lower=lo, upper=hi)
 
 
@@ -530,18 +532,14 @@ def estimate_metric_pl_constant(
     """Metric PL constant on the box: a lower bound on
     ``|grad f|^2_{metric^{-1}} / (2 (f - f_star))`` over it.
 
-    When the problem has box constants this is their closed-form ``sigma``,
+    This is the closed-form ``sigma`` of the problem's box constants,
     returned once the ratio at every probe point is at least ``sigma`` up
     to the roundoff of that point's ``f - f_star``; a point below means the
     oracles and the closed form disagree, and the call raises
-    :class:`~dcflow.core.DcError`.  Otherwise it is the sampled infimum, an
-    estimate that can only overestimate the true one; reports built on it
-    must label it empirical.
+    :class:`~dcflow.core.DcError`.  A problem without box constants raises
+    ``ValueError``.
     """
-    if box.dim != p.dim:
-        raise ValueError("box dimension does not match the problem")
-    sigma = None if p.box_constants is None else p.box_constants(box).sigma
-    best = math.inf
+    sigma = _box_constants(p, box).sigma
     for x in _probe_points(box, n_samples):
         f, noise = p.f_value_and_roundoff(x)
         gap = f - f_star
@@ -550,18 +548,13 @@ def estimate_metric_pl_constant(
             continue
         _, _, msq = flow_velocity(p, x)
         ratio = msq / (2.0 * gap)
-        if sigma is not None and ratio < sigma * (1.0 - noise / gap - ROUNDOFF * p.dim):
+        if ratio < sigma * (1.0 - noise / gap - ROUNDOFF * p.dim):
             raise DcError(
                 f"sampled metric PL ratio {ratio:.17g} at {x.tolist()} is below "
                 f"the closed-form constant {sigma:.17g}; oracles and box "
                 "constants are inconsistent"
             )
-        best = min(best, ratio)
-    if sigma is not None:
-        return sigma
-    if not math.isfinite(best):
-        raise InsufficientDataError("no box sample had a positive value gap")
-    return best
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +606,8 @@ def local_exp_certificate(
     the metric.  Trajectories started in the box then obey
     ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.  The ranges
     are the problem's closed-form box constants, cross-checked on
-    ``n_samples`` probe points; without them they are sampled and the
-    certificate is marked uncertified.
+    ``n_samples`` probe points; a problem without them raises
+    ``ValueError``.
     """
     x_star = p.check_point(x_star)
     if not box.contains(x_star, atol=1e-12):
@@ -623,9 +616,7 @@ def local_exp_certificate(
     if gnorm > 1e-8:
         raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
 
-    ((_, metric_hi), (m_f, l_f)), certified = _hess_ranges(
-        p, box, n_samples, objective=True
-    )
+    (_, metric_hi), (m_f, l_f) = _hess_ranges(p, box, n_samples, objective=True)
     if m_f <= 0.0:
         raise BoxTooLargeError(
             "objective Hessian is indefinite somewhere on the box; shrink it"
@@ -635,7 +626,6 @@ def local_exp_certificate(
         c1=math.sqrt(l_f / m_f),
         hess_f_lower=m_f,
         hess_f_upper=l_f,
-        certified=certified,
     )
 
 

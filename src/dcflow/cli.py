@@ -135,8 +135,7 @@ def _start_point(cfg: dict, p: DcProblem, rng: np.random.Generator) -> np.ndarra
             return p.check_point(np.asarray(cfg["x0"], dtype=float))
         except ValueError as exc:
             raise ConfigError(f"invalid x0: {exc}") from exc
-    region = p.region if p.region is not None else Box.cube(1.0, p.dim)
-    return region.sample(rng, 1)[0]
+    return p.region.sample(rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def _flow_checks(
     interior = residuals[1:-1]
     if interior.size:
         stride = float(np.median(np.diff(trace.times)))
-        d2f = np.abs(np.diff(f, 2)) / stride**2 if f.size > 2 else np.array([0.0])
+        d2f = np.abs(np.diff(f, 2)) / stride**2
         allowed = max(1e-5, 10.0 * stride**2 * float(np.max(d2f)))
         worst = float(np.nanmax(interior))
         energy_ok = worst <= allowed
@@ -252,8 +251,6 @@ def _flow_checks(
 
 
 def _region_check(p: DcProblem, trace: FlowTrace, invariance: str) -> Check:
-    if p.region is None:
-        return Check("trajectory_in_region", None, {"note": "no region declared"})
     inside = all(p.region.contains(x, atol=1e-9) for x in trace.x_states)
     passed: Optional[bool] = inside if invariance == "fail" else (True if inside else None)
     details: dict = {"stayed_inside": inside}
@@ -262,36 +259,20 @@ def _region_check(p: DcProblem, trace: FlowTrace, invariance: str) -> Check:
     return Check("trajectory_in_region", passed, details)
 
 
-def _local_box(p: DcProblem, cfg: dict) -> tuple[float, Box]:
-    """Radius ``local_box_radius`` (default 0.1) and the cube it spans
-    around the known minimizer, where the local exponential certificate
-    holds."""
-    radius = float(cfg.get("local_box_radius", 0.1))
-    return radius, Box(p.minimizer - radius, p.minimizer + radius)
-
-
-_SAMPLED_SIGMA = "sigma is a sampled estimate on the box, not a certified bound"
-_SAMPLED_HESSIANS = "Hessian ranges are sampled estimates, not certified bounds"
-
-
 def _resolve_sigma(
     p: DcProblem, x0: np.ndarray, ends: list[np.ndarray]
-) -> tuple[float, Optional[str], Optional[Box]]:
-    """Metric PL constant for the rate checks of runs from ``x0`` that end
-    at ``ends``.
+) -> tuple[float, Optional[Box]]:
+    """Certified metric PL constant for the rate checks of runs from ``x0``
+    that end at ``ends``.
 
-    Returns ``(sigma, reason, box)``; ``reason`` is ``None`` when ``sigma``
-    is certified and otherwise says why checks on it get no verdict.  An
-    analytic global ``p.sigma`` holds everywhere, so ``box`` is ``None``.
-    Otherwise ``sigma`` holds on ``box``, spanned per coordinate by ``x0``
-    and the ends, and a trace judged against it must stay inside: it is the
-    closed form of ``p.box_constants`` there, cross-checked on samples, or,
-    for problems without box constants, a sampled estimate.
+    Returns ``(sigma, box)``.  An analytic global ``p.sigma`` holds
+    everywhere, so ``box`` is ``None``.  Otherwise ``sigma`` is the closed
+    form of ``p.box_constants`` on ``box``, spanned per coordinate by ``x0``
+    and the ends and cross-checked on samples, and a trace judged against
+    it must stay inside.
     """
     if p.sigma is not None:
-        return p.sigma, None, None
-    if p.f_star is None:
-        raise ConfigError("metric PL estimation needs a problem with f_star")
+        return p.sigma, None
     box = Box(np.minimum.reduce([x0, *ends]), np.maximum.reduce([x0, *ends]))
     sigma = analysis.estimate_metric_pl_constant(p, box, p.f_star)
     if sigma <= 0.0:
@@ -299,20 +280,22 @@ def _resolve_sigma(
             "metric PL constant is zero on the box the runs span; "
             "the rate hypotheses do not hold there"
         )
-    return sigma, (None if p.box_constants is not None else _SAMPLED_SIGMA), box
+    return sigma, box
 
 
-def _escape_reason(box: Optional[Box], what: str, points: np.ndarray) -> Optional[str]:
-    """Why a constant certified on ``box`` does not cover a trace: its first
-    point outside the box, or ``None`` when every point is inside."""
+def _escape_reason(
+    box: Optional[Box], paths: list[tuple[str, np.ndarray]]
+) -> Optional[str]:
+    """Why a constant certified on ``box`` does not cover the ``(what,
+    points)`` paths: the first point outside the box, path by path, or
+    ``None`` when every point is inside."""
     if box is None:
         return None
-    outside = np.flatnonzero(
-        np.any((points < box.lower) | (points > box.upper), axis=1)
-    )
-    if outside.size == 0:
-        return None
-    return f"{what} {int(outside[0])} leaves the box sigma is certified on"
+    for what, points in paths:
+        outside = np.any((points < box.lower) | (points > box.upper), axis=1)
+        if outside.any():
+            return f"{what} {int(np.argmax(outside))} leaves the box sigma is certified on"
+    return None
 
 
 def _box_fields(box: Optional[Box]) -> dict:
@@ -377,56 +360,40 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
         raise ConfigError("EtaSweep requires a nonempty etas list")
     scheme_cfg = _section_config(cfg, "scheme")
     x0 = _start_point(cfg, p, rng)
-    if p.f_star is None or p.lg is None:
-        raise ConfigError("EtaSweep needs a problem with certified f_star and lg")
 
     traces = []
     for eta in etas:
         trace = run_scheme(p, x0, dataclasses.replace(scheme_cfg, eta=eta))
         write_iterate_csv(out_dir / f"eta_{eta:.3f}_trace.csv", trace)
         traces.append(trace)
-    sigma, reason, box = _resolve_sigma(p, x0, [t.points[-1] for t in traces])
-    reports = []
-    for eta, trace in zip(etas, traces):
-        if 0.0 < eta < 1.0:
-            reports.append(analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star))
-            reason = reason or _escape_reason(box, f"eta={eta:g} iterate", trace.points)
-        else:
-            reports.append(None)
+    sigma, box = _resolve_sigma(p, x0, [t.points[-1] for t in traces])
+    damped = [(eta, t) for eta, t in zip(etas, traces) if 0.0 < eta < 1.0]
+    reports = {
+        eta: analysis.damped_pl_report(p, t, sigma, p.lg, p.f_star) for eta, t in damped
+    }
+    reason = _escape_reason(box, [(f"eta={eta:g} iterate", t.points) for eta, t in damped])
 
-    lin = None
-    measured_factors = None
-    if p.minimizer is not None:
-        lin = analysis.linearize_at(p, p.minimizer)
-        measured_factors = [
-            analysis.measure_local_contraction(p, lin, eta) for eta in etas
-        ]
+    lin = analysis.linearize_at(p, p.minimizer)
+    measured_factors = [analysis.measure_local_contraction(p, lin, eta) for eta in etas]
 
     rows = []
-    bounds = []
-    any_violation = False
-    for eta, rep in zip(etas, reports):
-        row = {"eta": eta}
-        if rep is not None:
-            row["contraction_bound"] = rep.contraction_bound
-            row["measured_ratio_geomean"] = (
-                None if math.isnan(rep.measured_ratio_geomean) else rep.measured_ratio_geomean
-            )
-            bounds.append(rep.contraction_bound)
-            any_violation = any_violation or rep.violation
-        else:
-            bounds.append(1.0)
-        if lin is not None:
-            row["predicted_local_factor"] = lin.local_factor(eta)
+    for eta, mf in zip(etas, measured_factors):
+        row = {
+            "eta": eta,
+            "predicted_local_factor": lin.local_factor(eta),
+            "measured_local_factor": mf,
+        }
+        if eta in reports:
+            ratio = reports[eta].measured_ratio_geomean
+            row["contraction_bound"] = reports[eta].contraction_bound
+            row["measured_ratio_geomean"] = None if math.isnan(ratio) else ratio
         rows.append(row)
-    if measured_factors is not None:
-        for row, mf in zip(rows, measured_factors):
-            row["measured_local_factor"] = mf
+    bounds = [row.get("contraction_bound", 1.0) for row in rows]
 
     checks = [
         _judged(
             "contraction_bound",
-            not any_violation,
+            not any(rep.violation for rep in reports.values()),
             reason,
             {"certified": reason is None, "sigma": sigma},
         )
@@ -440,7 +407,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
                 {"argmin_eta": argmin_eta},
             )
         )
-    if measured_factors is not None and len(measured_factors) > 1:
+    if len(etas) > 1:
         argmin_idx = int(np.argmin(measured_factors))
         checks.append(
             Check(
@@ -449,9 +416,12 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
                 {"argmin_eta": etas[argmin_idx]},
             )
         )
-    results = {"x0": x0.tolist(), "table": rows, **_box_fields(box)}
-    if lin is not None:
-        results["lambda_min"] = lin.lambda_min
+    results = {
+        "x0": x0.tolist(),
+        "table": rows,
+        "lambda_min": lin.lambda_min,
+        **_box_fields(box),
+    }
     return checks, results
 
 
@@ -483,12 +453,7 @@ def _refinement_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check
 
 
 def _linearize_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
-    if "x_star" in cfg:
-        x_star = np.asarray(cfg["x_star"], dtype=float)
-    elif p.minimizer is not None:
-        x_star = p.minimizer
-    else:
-        raise ConfigError("Linearize requires x_star or a problem with a minimizer")
+    x_star = np.asarray(cfg["x_star"], dtype=float) if "x_star" in cfg else p.minimizer
     fd_step = float(cfg.get("fd_step", 1e-4))
     rep = analysis.linearize_at(p, x_star, fd_step)
     spectrum_ok = bool(
@@ -514,27 +479,25 @@ def _linearize_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check]
 
 
 def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Check], dict]:
-    if p.f_star is None or p.lg is None:
-        raise ConfigError("RateCertify needs a problem with certified f_star and lg")
     scheme_cfg = _section_config(cfg, "scheme")
     flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
 
     trace = run_scheme(p, x0, scheme_cfg)
     write_iterate_csv(out_dir / "scheme_trace.csv", trace)
-    sigma, reason, box = _resolve_sigma(p, x0, [trace.points[-1]])
+    sigma, box = _resolve_sigma(p, x0, [trace.points[-1]])
 
     checks: list[Check] = []
     results: dict[str, Any] = {
         "x0": x0.tolist(),
         "sigma": sigma,
-        "sigma_source": "analytic" if reason is None else "empirical",
+        "sigma_source": "analytic",
         **_box_fields(box),
     }
 
     if 0.0 < scheme_cfg.eta < 1.0:
         rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
-        scheme_reason = reason or _escape_reason(box, "scheme iterate", trace.points)
+        scheme_reason = _escape_reason(box, [("scheme iterate", trace.points)])
         checks.append(
             _judged(
                 "contraction_bound",
@@ -553,19 +516,14 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     write_flow_csv(
         out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
     )
-    flow_reason = reason or _escape_reason(box, "flow sample", ftrace.x_states)
     rate = analysis.flow_rate_check(
-        ftrace,
-        c=math.sqrt(2.0 * sigma),
-        theta=0.5,
-        f_star=p.f_star,
-        certified=flow_reason is None,
+        ftrace, c=math.sqrt(2.0 * sigma), theta=0.5, f_star=p.f_star
     )
     checks.append(
         _judged(
             "metric_pl_envelope",
             rate.passed,
-            flow_reason,
+            _escape_reason(box, [("flow sample", ftrace.x_states)]),
             {
                 "worst_margin": rate.worst_margin,
                 "measured_decay_rate": rate.measured_decay_rate,
@@ -582,22 +540,22 @@ def _rate_certify_experiment(p, cfg, out_dir, rng, invariance) -> tuple[list[Che
     except analysis.InsufficientDataError:
         results["kl_theta_hat"] = None
 
-    if p.minimizer is not None:
-        radius, local_box = _local_box(p, cfg)
-        cert = analysis.local_exp_certificate(p, p.minimizer, local_box)
-        ltrace = integrate_flow(
-            p, p.minimizer + radius * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
+    # The local exponential certificate holds on a cube around the minimizer.
+    radius = float(cfg.get("local_box_radius", 0.1))
+    local_box = Box(p.minimizer - radius, p.minimizer + radius)
+    cert = analysis.local_exp_certificate(p, p.minimizer, local_box)
+    ltrace = integrate_flow(
+        p, p.minimizer + radius * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
+    )
+    margin = analysis.local_exp_bound_margin(ltrace, p.minimizer, cert)
+    checks.append(
+        Check(
+            "local_exp_bound",
+            margin >= 0.0,
+            {"lambda": cert.lam, "c1": cert.c1, "worst_margin": margin},
         )
-        margin = analysis.local_exp_bound_margin(ltrace, p.minimizer, cert)
-        checks.append(
-            _judged(
-                "local_exp_bound",
-                margin >= 0.0,
-                None if cert.certified else _SAMPLED_HESSIANS,
-                {"lambda": cert.lam, "c1": cert.c1, "worst_margin": margin},
-            )
-        )
-        results["local_exp"] = {"lambda": cert.lam, "c1": cert.c1}
+    )
+    results["local_exp"] = {"lambda": cert.lam, "c1": cert.c1}
     return checks, results
 
 
@@ -618,8 +576,7 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple
     x0 = _start_point(cfg, p, rng)
 
     n_pts = int(cfg.get("n_invariance_points", 100))
-    region = p.region or Box.cube(1.0, p.dim)
-    pts = region.sample(rng, n_pts)
+    pts = p.region.sample(rng, n_pts)
     f_base = [p.f_value(x) for x in pts]
     worst_gap = max(abs(f - p_alt.f_value(x)) for f, x in zip(f_base, pts))
     scale = max(1.0, max(abs(f) for f in f_base))
@@ -654,14 +611,13 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng, invariance) -> tuple
         "initial_velocity_alt": flow_velocity(p_alt, x0)[1].tolist(),
         "sup_norm_gap": sup_diff,
     }
-    if p.minimizer is not None:
-        try:
-            lam1 = analysis.linearize_at(p, p.minimizer).lambda_min
-            lam2 = analysis.linearize_at(p_alt, p.minimizer).lambda_min
-            results["lambda_min_base"] = lam1
-            results["lambda_min_alt"] = lam2
-        except DcError:
-            pass
+    try:
+        lam1 = analysis.linearize_at(p, p.minimizer).lambda_min
+        lam2 = analysis.linearize_at(p_alt, p.minimizer).lambda_min
+        results["lambda_min_base"] = lam1
+        results["lambda_min_alt"] = lam2
+    except DcError:
+        pass
     return checks, results
 
 

@@ -166,8 +166,8 @@ class DcProblem:
         Human-readable identifier for reports.
     box_constants : callable, optional
         Maps a :class:`Box` to the :class:`BoxConstants` that hold on it, in
-        closed form.  Without it, box constants can only be sampled, and
-        checks resting on them are reported without a verdict.
+        closed form.  The analysis box routines only cross-check it on
+        samples; without it they raise ``ValueError``.
     """
 
     dim: int

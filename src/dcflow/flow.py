@@ -145,13 +145,16 @@ class FlowTrace:
 
 
 def _record_targets(t_end: float, stride: float) -> np.ndarray:
-    """Multiples of the stride on (0, t_end], always ending exactly at t_end."""
+    """Multiples of the stride on (0, t_end], always ending exactly at t_end.
+
+    The floor's slack admits a last multiple just past ``t_end``; it, or one
+    within roundoff below, is replaced by ``t_end`` itself.
+    """
     n_full = int(math.floor(t_end / stride + 1e-9))
     targets = [stride * m for m in range(1, n_full + 1)]
-    if targets and abs(targets[-1] - t_end) <= 1e-12 * max(1.0, t_end):
-        targets[-1] = t_end
-    else:
-        targets.append(t_end)
+    if targets and targets[-1] >= t_end - 1e-12 * max(1.0, t_end):
+        targets.pop()
+    targets.append(t_end)
     return np.asarray(targets)
 
 
@@ -299,7 +302,9 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
 
     Runs the dual Euler iteration with step ``eta`` far enough to cover the
     requested times, interpolates affinely between dual iterates, and pulls
-    each interpolated dual state back to the primal space.
+    each interpolated dual state back to the primal space.  A failed
+    inversion raises :class:`~dcflow.core.ConvergenceError` naming the Euler
+    node and ``eta``, or the pullback's sample time.
     """
     x0 = p.check_point(x0)
     times = np.asarray(times, dtype=float)
@@ -312,19 +317,27 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     y_nodes = np.empty((n_steps + 1, p.dim))
     y_nodes[0] = np.asarray(p.g_grad(x0), dtype=float)
     warm = np.array(x0)
-    for k in range(n_steps):
-        warm, grad_h = dual_map(p, y_nodes[k], warm)
-        y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
+    try:
+        for k in range(n_steps):
+            warm, grad_h = dual_map(p, y_nodes[k], warm)
+            y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
+    except ConvergenceError as exc:
+        raise exc.with_phase(f"at dual Euler node {k} (eta={eta:g})") from exc
 
     out = np.empty((times.size, p.dim))
     warm = np.array(x0)
-    for i, t in enumerate(times):
-        k = min(int(t / eta), n_steps - 1)
-        theta = (t - k * eta) / eta
-        y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
-        x_t = invert_grad_g(p, y_t, warm)
-        warm = x_t
-        out[i] = x_t
+    try:
+        for i, t in enumerate(times):
+            k = min(int(t / eta), n_steps - 1)
+            theta = (t - k * eta) / eta
+            y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
+            x_t = invert_grad_g(p, y_t, warm)
+            warm = x_t
+            out[i] = x_t
+    except ConvergenceError as exc:
+        raise exc.with_phase(
+            f"in the interpolant pullback at t={t:g} (eta={eta:g})"
+        ) from exc
     return out
 
 

@@ -31,7 +31,8 @@ from dcflow.analysis import (
     measure_local_contraction,
     metric_bounds_on_box,
 )
-from dcflow.core import DcError, DcProblem, flow_velocity
+from dcflow import core
+from dcflow.core import ConvergenceError, DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
 
 RNG = np.random.default_rng(20240505)
@@ -198,13 +199,6 @@ def test_flow_envelope_detects_violation(quad_canonical):
     assert chk.worst_margin < 0.0
 
 
-def test_flow_rate_check_refuses_uncertified(quad_canonical):
-    # Uncertified constants get margins but no verdict.
-    trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.1))
-    chk = flow_rate_check(trace, c=1.0, theta=0.5, f_star=0.0, certified=False)
-    assert chk.passed is None
-
-
 def test_flow_rate_check_validates_inputs(quad_canonical):
     trace = integrate_flow(quad_canonical, np.array([1.0, 0.0]), flow_cfg(1.0, 0.1))
     with pytest.raises(ValueError):
@@ -326,6 +320,15 @@ def test_contraction_locality_error_on_expanding_map():
         measure_local_contraction(p, linearize_at(p, np.zeros(1)), 1.0)
 
 
+def test_contraction_inversion_failure_names_its_step(dw_unit, monkeypatch):
+    lin = linearize_at(dw_unit, np.ones(2))
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    with pytest.raises(ConvergenceError) as info:
+        measure_local_contraction(dw_unit, lin, 0.5, radius=1e-3)
+    assert "(residual " in str(info.value)
+    assert str(info.value).endswith("in local contraction step 0 (eta=0.5, radius=0.001)")
+
+
 # ---------------------------------------------------------------------------
 # metric bounds
 
@@ -346,6 +349,18 @@ def test_metric_bounds_double_well_unit_box(dw_unit):
 def test_metric_bounds_rejects_mismatched_box(dw_unit):
     with pytest.raises(ValueError):
         metric_bounds_on_box(dw_unit, Box.cube(1.0, 3))
+
+
+def test_box_routines_refuse_problems_without_box_constants(dw_unit):
+    # Samples alone certify nothing, so there is no sampled fallback.
+    p = dataclasses.replace(dw_unit, box_constants=None)
+    box = Box(np.full(2, 0.9), np.full(2, 1.1))
+    with pytest.raises(ValueError, match="no closed-form box constants"):
+        metric_bounds_on_box(p, box)
+    with pytest.raises(ValueError, match="no closed-form box constants"):
+        estimate_metric_pl_constant(p, box, p.f_star)
+    with pytest.raises(ValueError, match="no closed-form box constants"):
+        local_exp_certificate(p, np.ones(2), box)
 
 
 def test_box_sweeps_past_twelve_dimensions():

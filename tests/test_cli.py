@@ -279,20 +279,26 @@ def test_rate_certify_double_well_certifies_sigma_on_trajectory_box(tmp_path):
         assert "reason" not in by_name[name]
 
 
-def test_rate_certify_hand_built_problem_falls_back_to_sampling(tmp_path, monkeypatch):
-    # Without closed-form box constants the built problem looks hand-built.
+@pytest.mark.parametrize("spec", [QUAD, DW])
+@pytest.mark.parametrize("shift", [None, [0.5, 2.0]])
+def test_built_problems_carry_every_constant(spec, shift):
+    # The experiments rely on these without checking for them.
+    p = cli.build_problem(spec if shift is None else {**spec, "shift": shift})
+    for name in ("region", "lg", "f_star", "minimizer", "box_constants"):
+        assert getattr(p, name) is not None, name
+
+
+def test_rate_certify_without_box_constants_exits_2(tmp_path, capsys, monkeypatch):
+    # A problem without closed-form box constants gets no sampled stand-in.
     build = cli.build_problem
     monkeypatch.setattr(
         cli, "build_problem",
         lambda spec: dataclasses.replace(build(spec), box_constants=None),
     )
-    code, report = run_experiment(dw_rate_certify(), tmp_path / "out")
-    assert code == EXIT_OK
-    assert report["results"]["sigma_source"] == "empirical"
-    by_name = {c["name"]: c for c in report["checks"]}
-    for name in ("contraction_bound", "metric_pl_envelope", "local_exp_bound"):
-        assert by_name[name]["passed"] is None, name
-        assert by_name[name]["reason"]
+    path = write_config(tmp_path, dw_rate_certify())
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "no closed-form box constants" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_rate_certify_flow_past_the_box_is_not_judged(tmp_path):

@@ -150,6 +150,16 @@ def test_flow_records_requested_grid(quad_canonical):
     np.testing.assert_allclose(trace.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
 
+def test_flow_horizon_just_below_a_stride_multiple(quad_canonical):
+    # t_end / stride is 3 within the grid's slack, but the third multiple
+    # lies past t_end: it must not become a record time after t_end.
+    t_end = 2.9999999995
+    trace = integrate_flow(
+        quad_canonical, np.array([1.0, 1.0]), FlowConfig(t_end=t_end, record_stride=1.0)
+    )
+    np.testing.assert_array_equal(trace.times, [0.0, 1.0, 2.0, t_end])
+
+
 # ---------------------------------------------------------------------------
 # dense output
 
@@ -298,3 +308,20 @@ def test_interpolant_hits_iterates_at_nodes(quad_canonical):
     factor = 1.0 - eta / 2.0
     for k, x in enumerate(xs):
         np.testing.assert_allclose(x, factor**k * np.array([1.0, -1.0]), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "times, phase",
+    [
+        # Pulling back node 1 is the first inversion not warm-started at its answer.
+        ([0.3], "at dual Euler node 1 (eta=0.1)"),
+        # One Euler step covers t <= eta; node 0 is pulled back exactly.
+        ([0.0, 0.05], "in the interpolant pullback at t=0.05 (eta=0.1)"),
+    ],
+)
+def test_interpolant_inversion_failure_names_its_phase(dw_unit, monkeypatch, times, phase):
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    with pytest.raises(core.ConvergenceError) as info:
+        dual_euler_interpolant(dw_unit, np.array([0.5, 0.5]), 0.1, times)
+    assert "(residual " in str(info.value)
+    assert str(info.value).endswith(phase)
