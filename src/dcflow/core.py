@@ -149,17 +149,16 @@ class DcProblem:
     mu : float
         Global strong-convexity constant of ``g``.
     region : Box, optional
-        Box on which Lipschitz/eigenvalue constants are certified and on
-        which sampled checks draw their points.
+        The declared domain: ``lg`` and ``f_star`` are certified on it,
+        random start points and sampled invariance points are drawn from
+        it, and flow checks report whether a trajectory stays in it.  Rate
+        constants that depend on where a trajectory goes come from
+        ``box_constants`` on the box the trajectory spans instead.
     lg : float, optional
         Lipschitz constant of the gradient of ``g`` on ``region``.
     f_star : float, optional
         Certified infimum of ``f`` on ``region`` (analytic for the built-in
         families).
-    sigma : float, optional
-        Certified metric PL constant that holds everywhere, when available
-        analytically; constants that hold on a box come from
-        ``box_constants``.
     minimizer : ndarray, optional
         A known minimizer, used by linearization experiments.
     label : str
@@ -181,7 +180,6 @@ class DcProblem:
     region: Optional[Box] = None
     lg: Optional[float] = None
     f_star: Optional[float] = None
-    sigma: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
     label: str = ""
     box_constants: Optional[Callable[[Box], BoxConstants]] = None

@@ -62,17 +62,17 @@ def check_quadratic_split(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, a_eigs
 
 
-def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float | None:
+def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float:
     """Smallest positive generalized eigenvalue of the pencil (c, a).
 
     This is the sharp metric PL constant of ``f(x) = x'cx/2`` under the
     metric ``a``: reduce to the symmetric form ``c^{1/2} a^{-1} c^{1/2}``
-    restricted to the range of ``c``.
+    restricted to the range of ``c``.  Zero when ``c`` vanishes.
     """
     w, u = np.linalg.eigh(c)
     keep = w > 1e-12 * max(float(w[-1]), 1e-300)
     if not np.any(keep):
-        return None
+        return 0.0
     basis = u[:, keep] * np.sqrt(w[keep])
     reduced = basis.T @ np.linalg.solve(a, basis)
     reduced = 0.5 * (reduced + reduced.T)
@@ -83,19 +83,18 @@ class _QuadraticConstants:
     """Box constants of ``g(x) = x'ax/2`` and ``f(x) = x'cx/2``.
 
     Both Hessians are constant, so every box gets the eigenvalue ranges of
-    ``a`` and ``c`` and the global metric PL constant ``sigma`` (``None``
-    when ``c`` vanishes).
+    ``a`` and ``c`` and the global metric PL constant ``sigma`` (zero when
+    ``c`` vanishes).
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, a_eigs: np.ndarray, c_eigs: np.ndarray):
         self.a = a
         self.c = c
         self.c_eigs = c_eigs
-        self.sigma = _quadratic_sigma(a, c)
         self._constants = BoxConstants(
             metric=(float(a_eigs[0]), float(a_eigs[-1])),
             objective=(float(c_eigs[0]), float(c_eigs[-1])),
-            sigma=0.0 if self.sigma is None else self.sigma,
+            sigma=_quadratic_sigma(a, c),
         )
 
     def __call__(self, box: Box) -> BoxConstants:
@@ -150,8 +149,8 @@ def make_quadratic(a, b) -> DcProblem:
     semidefinite and ``a - b`` positive semidefinite, so the objective
     ``f(x) = x'(a-b)x/2`` is convex with minimum 0 at the origin.  All
     rate constants are exact: ``mu`` and ``lg`` are the eigenvalue
-    extremes of ``a`` and ``sigma`` comes from the generalized
-    eigenproblem of ``a - b`` against ``a``.
+    extremes of ``a``, and the box constants' ``sigma``, the same on every
+    box, comes from the generalized eigenproblem of ``a - b`` against ``a``.
     """
     a, b, a_eigs = check_quadratic_split(a, b)
     n = a.shape[0]
@@ -173,7 +172,6 @@ def make_quadratic(a, b) -> DcProblem:
         region=Box.cube(_REGION_HALF_WIDTH, n),
         lg=float(a_eigs[-1]),
         f_star=0.0,
-        sigma=constants.sigma,
         minimizer=np.zeros(n),
         label=f"quadratic(n={n})",
         box_constants=constants,
@@ -221,11 +219,11 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
 
     The objective is unchanged pointwise (the added terms cancel), but the
     metric gains ``diag(d)``, so the dynamics and every rate constant tied
-    to the metric change.  A built-in family's closed-form constants carry
-    over with the shift absorbed into its parameters (metric weights
-    ``q + d`` for the double well, ``a + diag(d)`` for the quadratic, whose
-    ``sigma`` stays global); other problems lose ``sigma`` and their box
-    constants, which belong to the original metric.
+    to the metric change.  A built-in family's closed-form box constants
+    carry over with the shift absorbed into its parameters (metric weights
+    ``q + d`` for the double well, ``a + diag(d)`` for the quadratic);
+    other problems lose their box constants, which belong to the original
+    metric.
     """
     d = np.atleast_1d(np.asarray(phi_hess_diag, dtype=float))
     if d.ndim != 1 or d.size != p.dim:
@@ -255,7 +253,6 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         region=p.region,
         lg=None if p.lg is None else float(p.lg + d.max()),
         f_star=p.f_star,
-        sigma=constants.sigma if isinstance(constants, _QuadraticConstants) else None,
         minimizer=p.minimizer,
         label=p.label + f"+shift(d={d.tolist()})",
         box_constants=constants,

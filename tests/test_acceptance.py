@@ -159,8 +159,9 @@ def test_criterion_06_damped_pl_rate():
     etas = [round(0.1 * k, 1) for k in range(1, 10)]
     bounds = []
     worst_excess = -np.inf
+    sigma = QUAD.box_constants(QUAD.region).sigma
     for eta in etas:
-        bound = max(0.0, 1.0 - (QUAD.mu * QUAD.sigma / QUAD.lg) * eta * (1.0 - eta))
+        bound = max(0.0, 1.0 - (QUAD.mu * sigma / QUAD.lg) * eta * (1.0 - eta))
         bounds.append(bound)
         trace = run_scheme(
             QUAD, np.array([1.5, -0.8]), SchemeConfig(eta=eta, max_iter=600)

@@ -121,6 +121,60 @@ def test_argument_check_in_experiment_exits_2(tmp_path, capsys, overrides, messa
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(problem={**DW, "shfit": [1.0, 1.0]}), "unknown problem keys ['shfit']"),
+        (
+            dict(problem={"name": "double_well", "params": {"q": [1, 1], "a": [1]}}),
+            "unknown double_well params keys ['a']",
+        ),
+        (
+            dict(
+                experiment="DecompositionCompare",
+                x0=[0.5, 0.5],
+                alt={"q": [5, 5]},
+                flow={"t_end": 0.3, "record_stride": 0.05},
+            ),
+            "unknown alt keys ['q']",
+        ),
+        (
+            dict(
+                experiment="DecompositionCompare",
+                problem=DW,
+                x0=[0.5, 0.5],
+                alt={"shift": [1.0, 1.0], "q": [2, 2]},
+                flow={"t_end": 0.3, "record_stride": 0.05},
+            ),
+            "either shift or",
+        ),
+    ],
+    ids=["problem_key", "params_key", "alt_key_of_another_family", "alt_shift_and_params"],
+)
+def test_problem_keys_a_family_does_not_take_exit_2(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_eta_sweep_refuses_etas_that_share_a_trace_file(tmp_path, capsys):
+    # Both etas print as 0.500 in the trace file name.
+    cfg = base_config(experiment="EtaSweep", problem=DW, x0=[0.6, 0.8], etas=[0.5, 0.5004])
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "eta_0.500_trace.csv" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_linearize_reports_fd_error(tmp_path):
+    cfg = base_config(experiment="Linearize", problem=DW)
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    assert [c["name"] for c in report["checks"]] == ["spectrum_containment"]
+    assert 0.0 <= report["results"]["fd_error"] <= 100.0 * 1e-4**2
+
+
 def test_run_experiment_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError, match="'RunFlw'"):
         run_experiment(base_config(experiment="RunFlw"), tmp_path / "out")
@@ -301,21 +355,45 @@ def test_rate_certify_without_box_constants_exits_2(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_rate_certify_flow_past_the_box_is_not_judged(tmp_path):
-    # Three scheme steps leave the box far from the minimizer; the flow runs
-    # on past its upper face, where sigma was never certified.
+def read_points(path, prefix):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    cols = [k for k in rows[0] if k.startswith(prefix)]
+    return np.array([[float(row[k]) for k in cols] for row in rows])
+
+
+def test_rate_certify_box_spans_the_flow_past_the_scheme(tmp_path):
+    # Three scheme steps stop far from the minimizer; the flow runs on past
+    # them, and sigma's box grows to hold every flow sample.
     cfg = dw_rate_certify(
         scheme={"eta": 0.5, "max_iter": 3},
         flow={"t_end": 8.0, "record_stride": 0.5},
     )
-    code, report = run_experiment(cfg, tmp_path / "out")
+    out = tmp_path / "out"
+    code, report = run_experiment(cfg, out)
     assert code == EXIT_OK
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["contraction_bound"]["passed"] is True
-    envelope = by_name["metric_pl_envelope"]
-    assert envelope["passed"] is None
-    assert "flow sample" in envelope["reason"]
-    assert report["results"]["sigma_box"]["upper"][0] < 1.0
+    assert by_name["metric_pl_envelope"]["passed"] is True
+    flow = read_points(out / "flow_trace.csv", "x_")
+    scheme = read_points(out / "scheme_trace.csv", "x_")
+    box = report["results"]["sigma_box"]
+    assert box["upper"] == flow.max(axis=0).tolist()
+    assert box["upper"][0] > scheme[:, 0].max()
+    assert box["lower"] == np.vstack([scheme, flow]).min(axis=0).tolist()
+
+
+def test_rate_certify_start_outside_the_region_warns(tmp_path):
+    # The region is the cube of half-width 2; sigma's box follows the traces.
+    code, report = run_experiment(dw_rate_certify(x0=[2.5, 0.8]), tmp_path / "out")
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    region = by_name["trajectory_in_region"]
+    assert region["passed"] is None
+    assert region["stayed_inside"] is False
+    assert "left the declared region" in region["warning"]
+    assert report["results"]["sigma_box"]["upper"][0] == 2.5
+    assert by_name["metric_pl_envelope"]["passed"] is True
 
 
 def test_rate_certify_twenty_dimensions_has_no_corner_sweep(tmp_path, monkeypatch):
@@ -500,7 +578,12 @@ def test_main_flag_combinations(tmp_path):
         flow={"t_end": 0.3, "record_stride": 0.05},
     )
     path = write_config(tmp_path, cfg)
-    args = ["run", str(path), "--out", str(tmp_path / "o1"), "--invariance", "fail"]
+    args = ["run", str(path), "--out", str(tmp_path / "o1")]
     assert main(args) == EXIT_CHECK_FAILED
     args = ["run", str(path), "--out", str(tmp_path / "o2"), "--report-only"]
     assert main(args) == EXIT_OK
+    # The region check only warns; there is no flag to change that.
+    args = ["run", str(path), "--out", str(tmp_path / "o3"), "--invariance", "fail"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_CONFIG

@@ -64,7 +64,7 @@ def test_quadratic_rate_report_nondiagonal():
     p = random_quadratic(4, seed=77)
     rng = np.random.default_rng(300)
     trace = run_scheme(p, rng.standard_normal(4), SchemeConfig(eta=0.5, max_iter=400))
-    rep = damped_pl_report(p, trace, p.sigma, p.lg, p.f_star)
+    rep = damped_pl_report(p, trace, p.box_constants(p.region).sigma, p.lg, p.f_star)
     assert not rep.violation
     assert rep.measured_ratio_geomean <= rep.contraction_bound + 1e-9
 
@@ -76,9 +76,10 @@ def test_quadratic_flow_envelope_nondiagonal():
     rng = np.random.default_rng(301)
     cfg = FlowConfig(t_end=4.0, record_stride=0.1, rel_tol=1e-9, abs_tol=1e-12)
     trace = integrate_flow(p, rng.standard_normal(4), cfg)
-    chk = flow_rate_check(trace, c=np.sqrt(2.0 * p.sigma), theta=0.5, f_star=0.0)
+    sigma = p.box_constants(p.region).sigma
+    chk = flow_rate_check(trace, c=np.sqrt(2.0 * sigma), theta=0.5, f_star=0.0)
     assert chk.passed
-    assert chk.measured_decay_rate == pytest.approx(2.0 * p.sigma, rel=1e-3)
+    assert chk.measured_decay_rate == pytest.approx(2.0 * sigma, rel=1e-3)
 
 
 def test_double_well_five_dimensional():

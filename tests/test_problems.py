@@ -22,7 +22,7 @@ def test_quadratic_canonical_constants(quad_canonical):
     assert p.mu == pytest.approx(2.0)
     assert p.lg == pytest.approx(2.0)
     assert p.f_star == 0.0
-    assert p.sigma == pytest.approx(0.5, abs=1e-12)
+    assert p.box_constants(p.region).sigma == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(p.minimizer, [0.0, 0.0])
     # f = |x|^2 / 2
     assert p.f_value([1.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
@@ -44,7 +44,7 @@ def test_quadratic_diagonal_contraction():
 def test_quadratic_degenerate_split_has_no_pl_constant():
     # b == a collapses the objective to zero; there is no usable constant.
     p = make_quadratic(2.0 * np.eye(2), 2.0 * np.eye(2))
-    assert p.sigma is None
+    assert p.box_constants(p.region).sigma == 0.0
     assert p.f_value([0.3, -0.9]) == pytest.approx(0.0, abs=1e-15)
 
 
