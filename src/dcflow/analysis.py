@@ -141,10 +141,9 @@ class RateReport:
     """Per-step contraction bound for the damped scheme next to its measurement."""
 
     eta: float
-    contraction_bound: float  # max{0, 1 - (mu*sigma/lg) * eta * (1-eta)}
-    measured_ratio_geomean: float
+    contraction_bound: float  # max{0, 1 - (mu*sigma/L) * eta * (1-eta)}
+    measured_ratio_geomean: float  # NaN when no step has both gaps above the floor
     violation: bool
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -236,49 +235,40 @@ def energy_residuals(trace: FlowTrace) -> np.ndarray:
 
 
 def damped_pl_report(
-    p: DcProblem,
     trace: IterateTrace,
-    sigma: float,
-    lg: float,
+    constants: BoxConstants,
     f_star: float,
 ) -> RateReport:
-    """Contraction bound ``1 - (mu*sigma/lg) eta (1-eta)`` versus measured ratios.
+    """Contraction bound ``1 - (mu*sigma/L) eta (1-eta)`` versus measured ratios.
+
+    ``mu, L = constants.metric`` and ``sigma = constants.sigma`` must hold
+    on a box that holds every iterate, such as the box the iterates span.
+    That suffices: the built-in families have a diagonal or constant
+    ``Hess g``, so per coordinate ``D_g(x+, x) >= |grad g(x+) - grad g(x)|^2
+    / (2L)`` holds with ``L`` bounding ``Hess g`` on the segment ``[x, x+]``
+    alone, and that segment lies in the box.
 
     The geometric mean is taken over the tail half of the usable steps
     (both gaps above the floating floor).  ``violation`` flags any single
-    step whose ratio exceeds the bound beyond slack; it only carries
-    weight when the caller's metric PL constant is certified.
+    step whose ratio exceeds the bound beyond slack.
     """
     eta = trace.eta
     if not 0.0 < eta < 1.0:
         raise ValueError("rate report requires a damped trace with eta in (0, 1)")
-    if sigma <= 0.0 or lg <= 0.0:
-        raise ValueError("sigma and lg must be positive")
+    if constants.sigma <= 0.0:
+        raise ValueError("sigma must be positive")
 
-    bound = max(0.0, 1.0 - (p.mu * sigma / lg) * eta * (1.0 - eta))
+    mu, lg = constants.metric
+    bound = max(0.0, 1.0 - (mu * constants.sigma / lg) * eta * (1.0 - eta))
     floor = 1e-12 * (1.0 + abs(f_star))
     gaps = trace.f_values - f_star
-
-    def report(ratio_geomean: float, violation: bool, degenerate: bool) -> RateReport:
-        return RateReport(
-            eta=eta,
-            contraction_bound=bound,
-            measured_ratio_geomean=ratio_geomean,
-            violation=violation,
-            degenerate=degenerate,
-        )
-
-    if gaps[0] <= floor:
-        return report(math.nan, violation=False, degenerate=True)
-
     usable = np.flatnonzero((gaps[:-1] > floor) & (gaps[1:] > floor))
-    if usable.size == 0:
-        return report(math.nan, violation=False, degenerate=True)
+    if gaps[0] <= floor or usable.size == 0:
+        return RateReport(eta, bound, math.nan, violation=False)
     ratios = gaps[usable + 1] / gaps[usable]
-    violation = bool(np.any(ratios > bound + 1e-9))
     tail = ratios[ratios.size // 2 :]
     geomean = float(np.exp(np.mean(np.log(np.maximum(tail, 1e-300)))))
-    return report(geomean, violation=violation, degenerate=False)
+    return RateReport(eta, bound, geomean, violation=bool(np.any(ratios > bound + 1e-9)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import analysis
-from .core import INVERSION_TOL, Box, DcError, DcProblem, NumericError, flow_velocity
+from .core import INVERSION_TOL, Box, BoxConstants, DcError, DcProblem, NumericError, flow_velocity
 from .flow import FlowConfig, FlowTrace, euler_refinement_study, integrate_flow
 from .problems import make_double_well, make_quadratic, make_shifted_decomposition
 from .schemes import (
@@ -67,16 +67,23 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK_FAILED = 4
 
+# Half-width of RateCertify's local-certificate cube around the minimizer;
+# DecompositionCompare's required flow gap and objective-invariance samples.
+_LOCAL_BOX_RADIUS = 0.1
+_MIN_DYNAMICS_GAP = 1e-2
+_N_INVARIANCE_POINTS = 100
+
+
 class ConfigError(Exception):
     """The experiment config failed to parse or validate."""
 
 
 @dataclass
 class Check:
-    """One named pass/fail flag; ``passed=None`` means reported, not judged."""
+    """One named pass/fail flag."""
 
     name: str
-    passed: Optional[bool]
+    passed: bool
     details: dict
 
 
@@ -153,6 +160,13 @@ def _start_point(cfg: dict, p: DcProblem, rng: np.random.Generator) -> np.ndarra
         except ValueError as exc:
             raise ConfigError(f"invalid x0: {exc}") from exc
     return p.region.sample(rng, 1)[0]
+
+
+def _etas(cfg: dict, default: list[float]) -> list[float]:
+    etas = cfg.get("etas", default)
+    if not (isinstance(etas, list) and etas and all(type(e) in (int, float) for e in etas)):
+        raise ConfigError(f"etas must be a nonempty list of numbers, got {etas!r}")
+    return [float(e) for e in etas]
 
 
 # ---------------------------------------------------------------------------
@@ -267,33 +281,22 @@ def _flow_checks(
     ]
 
 
-def _region_check(p: DcProblem, trace: FlowTrace) -> Check:
-    """Whether the flow stayed in the declared region, where ``lg`` and
-    ``f_star`` are certified; leaving it is reported, not failed."""
-    if all(p.region.contains(x, atol=1e-9) for x in trace.x_states):
-        return Check("trajectory_in_region", True, {"stayed_inside": True})
-    warning = "trajectory left the declared region; rate hypotheses unverified"
-    return Check("trajectory_in_region", None, {"stayed_inside": False, "warning": warning})
-
-
-def _sigma_on_span(p: DcProblem, paths: list[np.ndarray]) -> tuple[float, dict]:
-    """Metric PL constant for the rate checks that rest on the points of
-    ``paths`` (arrays of shape ``(k, dim)``).
-
-    Returns ``(sigma, fields)``: ``sigma`` is the closed form of
-    ``p.box_constants``, cross-checked on samples, on the box spanned per
-    coordinate by every point, so each point a check uses lies in the box
-    its constant holds on; ``fields`` reports that box as ``sigma_box``.
+def _constants_on_span(p: DcProblem, paths: list[np.ndarray]) -> tuple[BoxConstants, dict]:
+    """``p.box_constants`` for the rate checks that rest on the points of
+    ``paths`` (arrays of shape ``(k, dim)``), and that box as the report
+    field ``sigma_box``: the box each coordinate of the points spans, so
+    every point a check uses lies in the box its constants hold on.
+    ``sigma`` is cross-checked on samples; a zero ``sigma`` is refused.
     """
     points = np.vstack(paths)
     box = Box(points.min(axis=0), points.max(axis=0))
-    sigma = analysis.estimate_metric_pl_constant(p, box, p.f_star)
-    if sigma <= 0.0:
+    if analysis.estimate_metric_pl_constant(p, box, p.f_star) <= 0.0:
         raise ConfigError(
             "metric PL constant is zero on the box the runs span; "
             "the rate hypotheses do not hold there"
         )
-    return sigma, {"sigma_box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()}}
+    fields = {"sigma_box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()}}
+    return p.box_constants(box), fields
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,7 @@ def _sigma_on_span(p: DcProblem, paths: list[np.ndarray]) -> tuple[float, dict]:
 
 def _run_scheme_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     scheme_cfg = _section_config(cfg, "scheme")
-    mode = Mode.DUAL if cfg.get("mode", "primal") == "dual" else Mode.PRIMAL
+    mode = Mode(cfg.get("mode", "primal"))
     x0 = _start_point(cfg, p, rng)
     trace = run_scheme(p, x0, scheme_cfg, mode)
     write_iterate_csv(out_dir / "scheme_trace.csv", trace)
@@ -339,9 +342,7 @@ def _run_flow_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
 
 
 def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
-    etas = [float(e) for e in cfg.get("etas", [0.1 * k for k in range(1, 10)])]
-    if not etas:
-        raise ConfigError("EtaSweep requires a nonempty etas list")
+    etas = _etas(cfg, [0.1 * k for k in range(1, 10)])
     names = [f"eta_{eta:.3f}_trace.csv" for eta in etas]
     if len(set(names)) < len(names):
         raise ConfigError(f"etas {etas} share trace file names: {names}")
@@ -353,9 +354,9 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
         trace = run_scheme(p, x0, dataclasses.replace(scheme_cfg, eta=eta))
         write_iterate_csv(out_dir / name, trace)
         traces.append(trace)
-    sigma, box_fields = _sigma_on_span(p, [t.points for t in traces])
+    constants, box_fields = _constants_on_span(p, [t.points for t in traces])
     reports = {
-        eta: analysis.damped_pl_report(p, t, sigma, p.lg, p.f_star)
+        eta: analysis.damped_pl_report(t, constants, p.f_star)
         for eta, t in zip(etas, traces)
         if 0.0 < eta < 1.0
     }
@@ -381,7 +382,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
         Check(
             "contraction_bound",
             not any(rep.violation for rep in reports.values()),
-            {"certified": True, "sigma": sigma},
+            {"certified": True, "sigma": constants.sigma},
         )
     ]
     if any(abs(e - 0.5) < 1e-12 for e in etas):
@@ -412,7 +413,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
 
 
 def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
-    etas = [float(e) for e in cfg.get("etas", [0.2, 0.1, 0.05])]
+    etas = _etas(cfg, [0.2, 0.1, 0.05])
     flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
     rows = euler_refinement_study(p, x0, etas, flow_cfg)
@@ -440,8 +441,7 @@ def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
 
 def _linearize_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     x_star = np.asarray(cfg["x_star"], dtype=float) if "x_star" in cfg else p.minimizer
-    fd_step = float(cfg.get("fd_step", 1e-4))
-    rep = analysis.linearize_at(p, x_star, fd_step)
+    rep = analysis.linearize_at(p, x_star)
     spectrum_ok = bool(
         np.all(rep.spectrum > 0.0) and np.all(rep.spectrum <= 1.0 + 1e-9)
     )
@@ -469,18 +469,18 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     write_flow_csv(
         out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
     )
-    sigma, box_fields = _sigma_on_span(p, [trace.points, ftrace.x_states])
+    constants, box_fields = _constants_on_span(p, [trace.points, ftrace.x_states])
 
     checks: list[Check] = []
     results: dict[str, Any] = {
         "x0": x0.tolist(),
-        "sigma": sigma,
+        "sigma": constants.sigma,
         "sigma_source": "analytic",
         **box_fields,
     }
 
     if 0.0 < scheme_cfg.eta < 1.0:
-        rep = analysis.damped_pl_report(p, trace, sigma, p.lg, p.f_star)
+        rep = analysis.damped_pl_report(trace, constants, p.f_star)
         checks.append(
             Check(
                 "contraction_bound",
@@ -495,7 +495,7 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
         )
 
     rate = analysis.flow_rate_check(
-        ftrace, c=math.sqrt(2.0 * sigma), theta=0.5, f_star=p.f_star
+        ftrace, c=math.sqrt(2.0 * constants.sigma), theta=0.5, f_star=p.f_star
     )
     checks.append(
         Check(
@@ -504,11 +504,10 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
             {
                 "worst_margin": rate.worst_margin,
                 "measured_decay_rate": rate.measured_decay_rate,
-                "decay_rate_bound": 2.0 * sigma,
+                "decay_rate_bound": 2.0 * constants.sigma,
             },
         )
     )
-    checks.append(_region_check(p, ftrace))
 
     try:
         kl = analysis.kl_exponent_diagnostic(ftrace, p.f_star)
@@ -517,12 +516,10 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     except analysis.InsufficientDataError:
         results["kl_theta_hat"] = None
 
-    # The local exponential certificate holds on a cube around the minimizer.
-    radius = float(cfg.get("local_box_radius", 0.1))
-    local_box = Box(p.minimizer - radius, p.minimizer + radius)
+    local_box = Box(p.minimizer - _LOCAL_BOX_RADIUS, p.minimizer + _LOCAL_BOX_RADIUS)
     cert = analysis.local_exp_certificate(p, p.minimizer, local_box)
     ltrace = integrate_flow(
-        p, p.minimizer + radius * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
+        p, p.minimizer + _LOCAL_BOX_RADIUS * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
     )
     margin = analysis.local_exp_bound_margin(ltrace, p.minimizer, cert)
     checks.append(
@@ -556,8 +553,7 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
     flow_cfg = _section_config(cfg, "flow")
     x0 = _start_point(cfg, p, rng)
 
-    n_pts = int(cfg.get("n_invariance_points", 100))
-    pts = p.region.sample(rng, n_pts)
+    pts = p.region.sample(rng, _N_INVARIANCE_POINTS)
     f_base = [p.f_value(x) for x in pts]
     worst_gap = max(abs(f - p_alt.f_value(x)) for f, x in zip(f_base, pts))
     scale = max(1.0, max(abs(f) for f in f_base))
@@ -571,7 +567,6 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
         out_dir / "flow_trace_alt.csv", t2, analysis.energy_residuals(t2)
     )
 
-    min_gap = float(cfg.get("min_dynamics_gap", 1e-2))
     checks = [
         Check(
             "objective_invariance",
@@ -580,8 +575,8 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
         ),
         Check(
             "dynamics_differ",
-            sup_diff >= min_gap,
-            {"sup_norm_gap": sup_diff, "required": min_gap},
+            sup_diff >= _MIN_DYNAMICS_GAP,
+            {"sup_norm_gap": sup_diff, "required": _MIN_DYNAMICS_GAP},
         ),
     ]
     results = {
@@ -647,7 +642,7 @@ def run_experiment(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    failed = [c.name for c in checks if c.passed is False]
+    failed = [c.name for c in checks if not c.passed]
     report = {
         "schema_version": 1,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -671,12 +666,7 @@ def run_experiment(
 def _print_summary(report: dict) -> None:
     print(f"experiment: {report['experiment']}  problem: {report['problem']['label']}")
     for check in report["checks"]:
-        if check["passed"] is True:
-            tag = "PASS"
-        elif check["passed"] is False:
-            tag = "FAIL"
-        else:
-            tag = "INFO"
+        tag = "PASS" if check["passed"] else "FAIL"
         extras = {
             k: v for k, v in check.items() if k not in ("name", "passed")
         }

@@ -149,16 +149,11 @@ class DcProblem:
     mu : float
         Global strong-convexity constant of ``g``.
     region : Box, optional
-        The declared domain: ``lg`` and ``f_star`` are certified on it,
-        random start points and sampled invariance points are drawn from
-        it, and flow checks report whether a trajectory stays in it.  Rate
-        constants that depend on where a trajectory goes come from
-        ``box_constants`` on the box the trajectory spans instead.
-    lg : float, optional
-        Lipschitz constant of the gradient of ``g`` on ``region``.
+        The domain that random start points and sampled invariance points
+        are drawn from, and nothing more: rate constants come from
+        ``box_constants`` on the box the checked points span.
     f_star : float, optional
-        Certified infimum of ``f`` on ``region`` (analytic for the built-in
-        families).
+        Global infimum of ``f`` (analytic for the built-in families).
     minimizer : ndarray, optional
         A known minimizer, used by linearization experiments.
     label : str
@@ -178,7 +173,6 @@ class DcProblem:
     h_hess: Callable[[np.ndarray], np.ndarray]
     mu: float
     region: Optional[Box] = None
-    lg: Optional[float] = None
     f_star: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
     label: str = ""
@@ -189,8 +183,6 @@ class DcProblem:
             raise ValueError("dim must be a positive integer")
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
-        if self.lg is not None and self.lg <= 0.0:
-            raise ValueError("lg must be positive when given")
         if self.region is not None and self.region.dim != self.dim:
             raise ValueError("region dimension does not match problem dimension")
 

@@ -148,9 +148,9 @@ def make_quadratic(a, b) -> DcProblem:
     Requires ``a`` symmetric positive definite, ``b`` symmetric positive
     semidefinite and ``a - b`` positive semidefinite, so the objective
     ``f(x) = x'(a-b)x/2`` is convex with minimum 0 at the origin.  All
-    rate constants are exact: ``mu`` and ``lg`` are the eigenvalue
-    extremes of ``a``, and the box constants' ``sigma``, the same on every
-    box, comes from the generalized eigenproblem of ``a - b`` against ``a``.
+    rate constants are exact and the same on every box: the metric range
+    is the eigenvalue extremes of ``a``, and ``sigma`` comes from the
+    generalized eigenproblem of ``a - b`` against ``a``.
     """
     a, b, a_eigs = check_quadratic_split(a, b)
     n = a.shape[0]
@@ -170,7 +170,6 @@ def make_quadratic(a, b) -> DcProblem:
         h_hess=lambda x: b_loc.copy(),
         mu=float(a_eigs[0]),
         region=Box.cube(_REGION_HALF_WIDTH, n),
-        lg=float(a_eigs[-1]),
         f_star=0.0,
         minimizer=np.zeros(n),
         label=f"quadratic(n={n})",
@@ -194,7 +193,6 @@ def make_double_well(q) -> DcProblem:
     if np.any(q <= 0.0):
         raise ValueError("all entries of q must be positive")
     n = q.size
-    w = _REGION_HALF_WIDTH
 
     return DcProblem(
         dim=n,
@@ -205,8 +203,7 @@ def make_double_well(q) -> DcProblem:
         g_hess=lambda x: np.diag(3.0 * x**2 + q),
         h_hess=lambda x: np.diag(q + 1.0),
         mu=float(q.min()),
-        region=Box.cube(w, n),
-        lg=float(3.0 * w * w + q.max()),
+        region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=-0.25 * n,
         minimizer=np.ones(n),
         label=f"double_well(q={q.tolist()})",
@@ -251,7 +248,6 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         h_hess=lambda x: np.asarray(h_hess(x), dtype=float) + d_mat,
         mu=float(p.mu + d.min()),
         region=p.region,
-        lg=None if p.lg is None else float(p.lg + d.max()),
         f_star=p.f_star,
         minimizer=p.minimizer,
         label=p.label + f"+shift(d={d.tolist()})",

@@ -155,13 +155,14 @@ def test_criterion_05_energy_identity():
 
 
 def test_criterion_06_damped_pl_rate():
-    # sigma = 1/2, mu = 2, lg = 2 are analytic on this instance.
+    # sigma = 1/2 and the metric range (2, 2) are analytic on this instance.
     etas = [round(0.1 * k, 1) for k in range(1, 10)]
     bounds = []
     worst_excess = -np.inf
-    sigma = QUAD.box_constants(QUAD.region).sigma
+    constants = QUAD.box_constants(QUAD.region)
+    mu, lg = constants.metric
     for eta in etas:
-        bound = max(0.0, 1.0 - (QUAD.mu * sigma / QUAD.lg) * eta * (1.0 - eta))
+        bound = max(0.0, 1.0 - (mu * constants.sigma / lg) * eta * (1.0 - eta))
         bounds.append(bound)
         trace = run_scheme(
             QUAD, np.array([1.5, -0.8]), SchemeConfig(eta=eta, max_iter=600)

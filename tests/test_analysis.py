@@ -123,48 +123,48 @@ def test_rate_report_canonical_bound(quad_canonical):
     trace = run_scheme(
         quad_canonical, np.array([1.5, -0.8]), SchemeConfig(eta=0.5, max_iter=400)
     )
-    sigma = quad_canonical.box_constants(quad_canonical.region).sigma
-    rep = damped_pl_report(quad_canonical, trace, sigma, 2.0, 0.0)
+    constants = quad_canonical.box_constants(quad_canonical.region)
+    rep = damped_pl_report(trace, constants, 0.0)
     assert rep.contraction_bound == pytest.approx(0.875, abs=1e-12)
     assert rep.measured_ratio_geomean == pytest.approx(0.5625, rel=1e-8)
     assert not rep.violation
 
 
 def test_rate_report_bound_holds_across_etas(quad_canonical):
-    sigma = quad_canonical.box_constants(quad_canonical.region).sigma
+    constants = quad_canonical.box_constants(quad_canonical.region)
     for eta in np.arange(0.1, 0.95, 0.1):
         trace = run_scheme(
             quad_canonical,
             np.array([1.5, -0.8]),
             SchemeConfig(eta=float(eta), max_iter=600),
         )
-        rep = damped_pl_report(quad_canonical, trace, sigma, 2.0, 0.0)
+        rep = damped_pl_report(trace, constants, 0.0)
         assert not rep.violation
         assert rep.measured_ratio_geomean <= rep.contraction_bound + 1e-9
 
 
 def test_rate_bound_minimized_at_half():
     p = make_quadratic(2.0 * np.eye(2), np.eye(2))
-    sigma = p.box_constants(p.region).sigma
+    constants = p.box_constants(p.region)
+    mu, lg = constants.metric
     etas = [0.1 * k for k in range(1, 10)]
     bounds = [
-        max(0.0, 1.0 - (p.mu * sigma / p.lg) * e * (1.0 - e)) for e in etas
+        max(0.0, 1.0 - (mu * constants.sigma / lg) * e * (1.0 - e)) for e in etas
     ]
     assert etas[int(np.argmin(bounds))] == pytest.approx(0.5)
 
 
 def test_rate_report_degenerate_at_minimizer(quad_canonical):
     trace = run_scheme(quad_canonical, np.zeros(2), SchemeConfig(eta=0.5))
-    sigma = quad_canonical.box_constants(quad_canonical.region).sigma
-    rep = damped_pl_report(quad_canonical, trace, sigma, 2.0, 0.0)
-    assert rep.degenerate
+    rep = damped_pl_report(trace, quad_canonical.box_constants(quad_canonical.region), 0.0)
     assert math.isnan(rep.measured_ratio_geomean)
+    assert not rep.violation
 
 
 def test_rate_report_rejects_full_step(quad_canonical):
     trace = run_scheme(quad_canonical, np.array([1.0, 1.0]), SchemeConfig(eta=1.0))
     with pytest.raises(ValueError):
-        damped_pl_report(quad_canonical, trace, 0.5, 2.0, 0.0)
+        damped_pl_report(trace, quad_canonical.box_constants(quad_canonical.region), 0.0)
 
 
 # ---------------------------------------------------------------------------

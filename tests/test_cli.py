@@ -111,8 +111,31 @@ def test_bad_numeric_range_exits_2(tmp_path, overrides):
             ),
             "strictly decreasing",
         ),
+        # Neither "primal" nor "dual": the primal scheme must not run.
+        (dict(x0=[1.0, 1.0], mode="Dual"), "'Dual' is not a valid Mode"),
+        (
+            dict(experiment="EtaSweep", problem=DW, x0=[0.6, 0.8], etas=0.5),
+            "etas must be a nonempty list of numbers, got 0.5",
+        ),
+        (
+            dict(
+                experiment="RefinementStudy",
+                problem=DW,
+                x0=[0.6, 0.8],
+                etas=0.5,
+                flow={"t_end": 0.2, "record_stride": 0.05},
+            ),
+            "etas must be a nonempty list of numbers, got 0.5",
+        ),
     ],
-    ids=["linearize_noncritical", "eta_sweep_eta_above_one", "refinement_increasing_etas"],
+    ids=[
+        "linearize_noncritical",
+        "eta_sweep_eta_above_one",
+        "refinement_increasing_etas",
+        "run_scheme_unknown_mode",
+        "eta_sweep_scalar_etas",
+        "refinement_scalar_etas",
+    ],
 )
 def test_argument_check_in_experiment_exits_2(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, base_config(**overrides))
@@ -338,7 +361,7 @@ def test_rate_certify_double_well_certifies_sigma_on_trajectory_box(tmp_path):
 def test_built_problems_carry_every_constant(spec, shift):
     # The experiments rely on these without checking for them.
     p = cli.build_problem(spec if shift is None else {**spec, "shift": shift})
-    for name in ("region", "lg", "f_star", "minimizer", "box_constants"):
+    for name in ("region", "f_star", "minimizer", "box_constants"):
         assert getattr(p, name) is not None, name
 
 
@@ -383,17 +406,23 @@ def test_rate_certify_box_spans_the_flow_past_the_scheme(tmp_path):
     assert box["lower"] == np.vstack([scheme, flow]).min(axis=0).tolist()
 
 
-def test_rate_certify_start_outside_the_region_warns(tmp_path):
-    # The region is the cube of half-width 2; sigma's box follows the traces.
+def test_rate_certify_bound_takes_every_constant_from_the_span_box(tmp_path):
+    # x0 lies outside the region, the cube of half-width 2, and Hess g reaches
+    # 3 * 2.5**2 + 1 = 19.75 there: a bound with L = 13, the largest value on
+    # the region, would not be certified.
     code, report = run_experiment(dw_rate_certify(x0=[2.5, 0.8]), tmp_path / "out")
     assert code == EXIT_OK
+    box = report["results"]["sigma_box"]
+    assert box["upper"][0] == 2.5
+    constants = cli.build_problem(DW).box_constants(core.Box(box["lower"], box["upper"]))
+    m, lg = constants.metric
+    assert lg == 19.75
     by_name = {c["name"]: c for c in report["checks"]}
-    region = by_name["trajectory_in_region"]
-    assert region["passed"] is None
-    assert region["stayed_inside"] is False
-    assert "left the declared region" in region["warning"]
-    assert report["results"]["sigma_box"]["upper"][0] == 2.5
-    assert by_name["metric_pl_envelope"]["passed"] is True
+    assert by_name["contraction_bound"]["bound"] == 1.0 - (m * constants.sigma / lg) * 0.25
+    assert report["results"]["sigma"] == constants.sigma
+    assert "trajectory_in_region" not in by_name
+    assert all(c["passed"] is True for c in report["checks"])
+
 
 
 def test_rate_certify_twenty_dimensions_has_no_corner_sweep(tmp_path, monkeypatch):

@@ -63,8 +63,12 @@ def test_quadratic_primal_dual_and_descent(n):
 def test_quadratic_rate_report_nondiagonal():
     p = random_quadratic(4, seed=77)
     rng = np.random.default_rng(300)
-    trace = run_scheme(p, rng.standard_normal(4), SchemeConfig(eta=0.5, max_iter=400))
-    rep = damped_pl_report(p, trace, p.box_constants(p.region).sigma, p.lg, p.f_star)
+    x0 = rng.standard_normal(4)
+    trace = run_scheme(p, x0, SchemeConfig(eta=0.5, max_iter=400))
+    constants = p.box_constants(p.region)
+    # The metric is constant, so every box gets the extreme eigenvalues of a.
+    assert constants.metric == (p.mu, float(np.linalg.eigvalsh(p.g_hess(x0))[-1]))
+    rep = damped_pl_report(trace, constants, p.f_star)
     assert not rep.violation
     assert rep.measured_ratio_geomean <= rep.contraction_bound + 1e-9
 

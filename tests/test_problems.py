@@ -20,7 +20,7 @@ RNG = np.random.default_rng(20240502)
 def test_quadratic_canonical_constants(quad_canonical):
     p = quad_canonical
     assert p.mu == pytest.approx(2.0)
-    assert p.lg == pytest.approx(2.0)
+    assert p.box_constants(p.region).metric == (p.mu, 2.0)
     assert p.f_star == 0.0
     assert p.box_constants(p.region).sigma == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(p.minimizer, [0.0, 0.0])

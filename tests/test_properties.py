@@ -1,6 +1,6 @@
 """Property tests over random instances: primal/dual equivalence, descent,
-the gradient and energy identities, the closed-form quadratic flow, and the
-closed-form box constants.
+the gradient and energy identities, the closed-form quadratic flow, the
+closed-form box constants, and the damped scheme's rate bound.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -36,6 +36,7 @@ from dcflow import (
     run_scheme,
 )
 from dcflow.analysis import (
+    damped_pl_report,
     energy_residuals,
     estimate_metric_pl_constant,
     local_exp_certificate,
@@ -206,3 +207,30 @@ def test_box_constants_bound_every_sample(instance):
         assert min(ratios) == pytest.approx(bc.sigma, rel=1e-12)
         cert = local_exp_certificate(p, p.minimizer, box)
         assert cert.hess_f_lower == bc.objective[0]
+
+
+@st.composite
+def damped_double_well_runs(draw):
+    """A double well, maybe shifted, a start with ``|x_i|`` in [0.05, 3]
+    (past the region; no coordinate at the local maximum 0, where no
+    positive sigma holds) and a relaxation parameter in (0, 1)."""
+    p, _ = draw(double_well_instances())
+    n = p.dim
+    if draw(st.booleans()):
+        p = make_shifted_decomposition(p, draw(arrays(float, n, elements=st.floats(0.0, 3.0))))
+    magnitude = st.floats(min_value=0.05, max_value=3.0)
+    x0 = draw(arrays(float, n, elements=st.one_of(magnitude, magnitude.map(lambda v: -v))))
+    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    return p, x0, eta
+
+
+@PROPERTY_SETTINGS
+@given(damped_double_well_runs())
+def test_damped_rate_bound_holds_with_span_box_constants(run):
+    # mu, L and sigma all come from the box the iterates span, as the CLI
+    # takes them.  Iterates keep each coordinate's sign, so sigma is positive.
+    p, x0, eta = run
+    trace = run_scheme(p, x0, SchemeConfig(eta=eta, max_iter=60))
+    constants = p.box_constants(Box(trace.points.min(axis=0), trace.points.max(axis=0)))
+    assert constants.sigma > 0.0
+    assert not damped_pl_report(trace, constants, p.f_star).violation
