@@ -1,11 +1,15 @@
 """Certified constants and measured behavior, checked against each other.
 
 Every routine here either computes a theoretical constant from problem
-oracles (rate bounds, linearization spectra, metric eigenvalue bounds,
-local exponential certificates) or measures the corresponding quantity on
-a logged trace (energy residuals, per-step value ratios, contraction
-factors, decay slopes).  The pairing is deliberate: each report carries
-both sides so a single comparison decides pass or fail.
+oracles (rate bounds, linearization spectra, local exponential
+certificates) or measures the corresponding quantity on a logged trace
+(energy residuals, per-step value ratios, contraction factors, decay
+slopes).  The pairing is deliberate: each report carries both sides so a
+single comparison decides pass or fail.
+
+Box constants (metric and objective-Hessian eigenvalue ranges, metric PL
+constant ``sigma``) are closed forms, never estimates: one probe sweep in
+:func:`checked_box_constants` cross-checks all of them.
 """
 
 from __future__ import annotations
@@ -39,18 +43,16 @@ __all__ = [
     "LinearizationReport",
     "LocalExpCertificate",
     "LocalityError",
-    "MetricBounds",
     "RateReport",
+    "checked_box_constants",
     "damped_pl_report",
     "energy_residuals",
-    "estimate_metric_pl_constant",
     "flow_rate_check",
     "kl_exponent_diagnostic",
     "linearize_at",
     "local_exp_bound_margin",
     "local_exp_certificate",
     "measure_local_contraction",
-    "metric_bounds_on_box",
 ]
 
 
@@ -93,15 +95,17 @@ def _primes(count: int) -> list[int]:
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
+    """The first ``n`` Halton points in ``[0, 1)^dim``, all indices at once;
+    an index whose digits ran out adds exact zeros, so each point equals
+    its own digit loop bit for bit."""
     out = np.empty((n, dim))
     for j, base in enumerate(_primes(dim)):
-        for i in range(n):
-            f, r, k = 1.0, 0.0, i + 1
-            while k > 0:
-                f /= base
-                r += f * (k % base)
-                k //= base
-            out[i, j] = r
+        k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
+        while k.any():
+            f /= base
+            r += f * (k % base)
+            k //= base
+        out[:, j] = r
     return out
 
 
@@ -171,14 +175,6 @@ class LinearizationReport:
     def local_factor(self, eta: float) -> float:
         """Linearized per-step contraction factor of the damped scheme."""
         return 1.0 - float(eta) * self.lambda_min
-
-
-@dataclass(frozen=True)
-class MetricBounds:
-    """Eigenvalue range of the metric over a box."""
-
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -446,105 +442,93 @@ def measure_local_contraction(
 # box constants: closed form, cross-checked on probe points
 
 
-def _box_constants(p: DcProblem, box: Box) -> BoxConstants:
-    """The problem's closed-form constants on the box; ``ValueError`` for a
-    box of another dimension or a problem without them, as samples alone
-    certify nothing."""
+def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxConstants:
+    """``p.box_constants(box)``, once every probe point agrees with it.
+
+    The probe points are the box center and ``n_samples`` Halton points.
+    At each one the metric eigenvalues must lie in ``metric``, those of the
+    symmetrized objective Hessian ``Hess g - Hess h`` in ``objective``, and
+    the metric PL ratio ``|grad f|^2_{(Hess g)^{-1}} / (2 (f - f_star))`` must
+    be at least ``sigma``, each up to that point's roundoff; points whose
+    gap ``f - f_star`` lies within the roundoff of ``f`` judge no ratio.
+    Samples can show a constant wrong but never certify one.
+
+    Each point costs one ``g_hess``, ``h_hess``, ``f_grad`` and
+    ``f_value_and_roundoff`` call; the eigenvalues and the metric solve run
+    batched over all points.
+
+    A box of another dimension or a problem without closed-form box
+    constants raises ``ValueError``, as samples alone certify nothing.  A
+    sampled metric eigenvalue that is not positive, or a point that
+    disagrees with a constant, raises :class:`~dcflow.core.DcError` naming
+    the constant, the worst probe point and the box.
+    """
     if box.dim != p.dim:
         raise ValueError("box dimension does not match the problem")
     if p.box_constants is None:
         raise ValueError(f"problem {p.label!r} has no closed-form box constants")
-    return p.box_constants(box)
-
-
-def _hess_ranges(
-    p: DcProblem, box: Box, n_samples: int, objective: bool = False
-) -> list[tuple[float, float]]:
-    """Closed-form eigenvalue ranges of the metric, and with ``objective`` of
-    the symmetrized objective Hessian, over the box.
-
-    The ranges are the problem's box constants, returned once every probe
-    point's eigenvalues lie inside them up to roundoff; a point outside
-    means the oracles and the closed form disagree, and the call raises.
-    So does a sampled metric eigenvalue that is not positive.  Every probe
-    point costs one ``g_hess`` call.
-    """
-    bc = _box_constants(p, box)
+    bc = p.box_constants(box)
     pts = _probe_points(box, n_samples)
-    cols = 2 if objective else 1
-    lows = np.empty((pts.shape[0], cols))
-    highs = np.empty_like(lows)
-    scales = np.empty_like(lows)
+    where = f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
+    # One (points, dim, dim) stack, filled in place, holds Hess g and then
+    # Hess f, so the sweep never keeps two such stacks alive at once.
+    hess = np.empty((len(pts), p.dim, p.dim))
+    grads = np.empty((len(pts), p.dim))
+    f, noise = np.empty(len(pts)), np.empty(len(pts))
     for i, x in enumerate(pts):
-        metric = np.asarray(p.g_hess(x), dtype=float)
-        w = np.linalg.eigvalsh(metric)
-        lows[i, 0], highs[i, 0] = w[0], w[-1]
-        scales[i, 0] = max(abs(w[0]), abs(w[-1]))
-        if objective:
-            hf = metric - np.asarray(p.h_hess(x), dtype=float)
-            v = np.linalg.eigvalsh(0.5 * (hf + hf.T))
-            lows[i, 1], highs[i, 1] = v[0], v[-1]
-            # The difference errs on the scale of both Hessians it subtracts.
-            scales[i, 1] = scales[i, 0] + max(abs(v[0]), abs(v[-1]))
-    sampled = [(float(lo.min()), float(hi.max())) for lo, hi in zip(lows.T, highs.T)]
-    if sampled[0][0] <= 0.0:
-        raise DcError(
-            "metric lower bound is not positive; the strong-convexity "
-            "constant of g looks violated on this box"
-        )
-    exact = [bc.metric, bc.objective][:cols]
-    tol = ROUNDOFF * p.dim * scales
-    names = ("metric", "objective Hessian")
-    for j, (lo, hi) in enumerate(exact):
-        if np.any(lows[:, j] < lo - tol[:, j]) or np.any(highs[:, j] > hi + tol[:, j]):
+        hess[i], grads[i] = p.g_hess(x), p.f_grad(x)
+        f[i], noise[i] = p.f_value_and_roundoff(x)
+
+    def check_range(name, eigs, scales, bounds):
+        lo, hi = bounds
+        tol = ROUNDOFF * p.dim * scales
+        excess = np.maximum((lo - tol) - eigs[:, 0], eigs[:, -1] - (hi + tol))
+        i = int(np.argmax(excess))
+        if excess[i] > 0.0:
             raise DcError(
-                f"sampled {names[j]} eigenvalues [{sampled[j][0]:.17g}, "
-                f"{sampled[j][1]:.17g}] leave the closed-form range "
-                f"[{lo:.17g}, {hi:.17g}] on the box; oracles and box constants "
+                f"sampled {name} eigenvalues [{eigs[i, 0]:.17g}, {eigs[i, -1]:.17g}] "
+                f"at probe point {pts[i].tolist()} leave the closed-form range "
+                f"[{lo:.17g}, {hi:.17g}] {where}; oracles and box constants "
                 "are inconsistent"
             )
-    return exact
+
+    w = np.linalg.eigvalsh(hess)
+    i = int(np.argmin(w[:, 0]))
+    if w[i, 0] <= 0.0:
+        raise DcError(
+            f"sampled metric eigenvalue {w[i, 0]:.17g} at probe point "
+            f"{pts[i].tolist()} is not positive {where}; g is not strongly "
+            "convex there"
+        )
+    w_scale = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    check_range("metric", w, w_scale, bc.metric)
+    msq = np.einsum("ij,ij->i", grads, np.linalg.solve(hess, grads[..., None])[..., 0])
+
+    for i, x in enumerate(pts):
+        hf = hess[i] - p.h_hess(x)
+        hess[i] = 0.5 * (hf + hf.T)
+    v = np.linalg.eigvalsh(hess)
+    # The difference errs on the scale of both Hessians it subtracts.
+    v_scale = w_scale + np.maximum(np.abs(v[:, 0]), np.abs(v[:, -1]))
+    check_range("objective Hessian", v, v_scale, bc.objective)
+
+    gap = f - p.f_star
+    noise += ROUNDOFF * abs(p.f_star)
+    judged = np.flatnonzero(gap > noise)
+    ratio = msq[judged] / (2.0 * gap[judged])
+    excess = bc.sigma * (1.0 - noise[judged] / gap[judged] - ROUNDOFF * p.dim) - ratio
+    if judged.size and excess.max() > 0.0:
+        k = int(np.argmax(excess))
+        raise DcError(
+            f"sampled metric PL ratio {ratio[k]:.17g} at probe point "
+            f"{pts[judged[k]].tolist()} is below the closed-form sigma "
+            f"{bc.sigma:.17g} {where}; oracles and box constants are inconsistent"
+        )
+    return bc
 
 
-def metric_bounds_on_box(p: DcProblem, box: Box, n_samples: int = 200) -> MetricBounds:
-    """Closed-form eigenvalue range of the metric over the box,
-    cross-checked on ``n_samples`` probe points."""
-    [(lo, hi)] = _hess_ranges(p, box, n_samples)
-    return MetricBounds(lower=lo, upper=hi)
-
-
-def estimate_metric_pl_constant(
-    p: DcProblem,
-    box: Box,
-    f_star: float,
-    n_samples: int = 400,
-) -> float:
-    """Metric PL constant on the box: a lower bound on
-    ``|grad f|^2_{metric^{-1}} / (2 (f - f_star))`` over it.
-
-    This is the closed-form ``sigma`` of the problem's box constants,
-    returned once the ratio at every probe point is at least ``sigma`` up
-    to the roundoff of that point's ``f - f_star``; a point below means the
-    oracles and the closed form disagree, and the call raises
-    :class:`~dcflow.core.DcError`.  A problem without box constants raises
-    ``ValueError``.
-    """
-    sigma = _box_constants(p, box).sigma
-    for x in _probe_points(box, n_samples):
-        f, noise = p.f_value_and_roundoff(x)
-        gap = f - f_star
-        noise += ROUNDOFF * abs(f_star)
-        if gap <= noise:
-            continue
-        _, _, msq = flow_velocity(p, x)
-        ratio = msq / (2.0 * gap)
-        if ratio < sigma * (1.0 - noise / gap - ROUNDOFF * p.dim):
-            raise DcError(
-                f"sampled metric PL ratio {ratio:.17g} at {x.tolist()} is below "
-                f"the closed-form constant {sigma:.17g}; oracles and box "
-                "constants are inconsistent"
-            )
-    return sigma
+# Kept only because bench/tracing.py's probe site still wraps these two names.
+metric_bounds_on_box = estimate_metric_pl_constant = checked_box_constants
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +579,8 @@ def local_exp_certificate(
     and ``L_f`` bound the objective Hessian over the box and ``M`` bounds
     the metric.  Trajectories started in the box then obey
     ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.  The ranges
-    are the problem's closed-form box constants, cross-checked on
-    ``n_samples`` probe points; a problem without them raises
-    ``ValueError``.
+    come from :func:`checked_box_constants` on ``n_samples`` probe points;
+    a problem without box constants raises ``ValueError``.
     """
     x_star = p.check_point(x_star)
     if not box.contains(x_star, atol=1e-12):
@@ -606,13 +589,14 @@ def local_exp_certificate(
     if gnorm > 1e-8:
         raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
 
-    (_, metric_hi), (m_f, l_f) = _hess_ranges(p, box, n_samples, objective=True)
+    bc = checked_box_constants(p, box, n_samples)
+    m_f, l_f = bc.objective
     if m_f <= 0.0:
         raise BoxTooLargeError(
             "objective Hessian is indefinite somewhere on the box; shrink it"
         )
     return LocalExpCertificate(
-        lam=m_f / metric_hi,
+        lam=m_f / bc.metric[1],
         c1=math.sqrt(l_f / m_f),
         hess_f_lower=m_f,
         hess_f_upper=l_f,

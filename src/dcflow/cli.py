@@ -234,6 +234,8 @@ def write_flow_csv(path: Path, trace: FlowTrace, residuals: np.ndarray) -> None:
 
 
 def _scheme_checks(p: DcProblem, trace: IterateTrace) -> list[Check]:
+    # strong_descent takes mu from the box constants of the iterates' span.
+    analysis.checked_box_constants(p, Box.spanning(trace.points))
     relaxed, strong = descent_margins(p, trace)
     grad_dev = gradient_identity_margin(p, trace)
     allowed = 10.0 * INVERSION_TOL
@@ -286,17 +288,17 @@ def _constants_on_span(p: DcProblem, paths: list[np.ndarray]) -> tuple[BoxConsta
     ``paths`` (arrays of shape ``(k, dim)``), and that box as the report
     field ``sigma_box``: the box each coordinate of the points spans, so
     every point a check uses lies in the box its constants hold on.
-    ``sigma`` is cross-checked on samples; a zero ``sigma`` is refused.
+    Every constant is cross-checked on samples; a zero ``sigma`` is refused.
     """
-    points = np.vstack(paths)
-    box = Box(points.min(axis=0), points.max(axis=0))
-    if analysis.estimate_metric_pl_constant(p, box, p.f_star) <= 0.0:
+    box = Box.spanning(np.vstack(paths))
+    constants = analysis.checked_box_constants(p, box)
+    if constants.sigma <= 0.0:
         raise ConfigError(
             "metric PL constant is zero on the box the runs span; "
             "the rate hypotheses do not hold there"
         )
     fields = {"sigma_box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()}}
-    return p.box_constants(box), fields
+    return constants, fields
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ class Box:
         w = float(half_width) * np.ones(int(dim))
         return cls(-w, w)
 
+    @classmethod
+    def spanning(cls, points) -> "Box":
+        """The smallest box holding every row of ``points``, shape ``(k, dim)``."""
+        points = np.asarray(points, dtype=float)
+        return cls(points.min(axis=0), points.max(axis=0))
+
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
@@ -146,8 +152,6 @@ class DcProblem:
         Map a point to the component gradient.
     g_hess, h_hess : callable
         Map a point to the symmetric component Hessian.
-    mu : float
-        Global strong-convexity constant of ``g``.
     region : Box, optional
         The domain that random start points and sampled invariance points
         are drawn from, and nothing more: rate constants come from
@@ -160,8 +164,10 @@ class DcProblem:
         Human-readable identifier for reports.
     box_constants : callable, optional
         Maps a :class:`Box` to the :class:`BoxConstants` that hold on it, in
-        closed form.  The analysis box routines only cross-check it on
-        samples; without it they raise ``ValueError``.
+        closed form.  It is the one source of every constant: the strong
+        convexity ``mu`` of ``g`` (``metric[0]``), ``L`` and ``sigma`` all
+        hold on a box, never globally.  Samples only cross-check it; without
+        it the rate checks and the descent margins raise ``ValueError``.
     """
 
     dim: int
@@ -171,7 +177,6 @@ class DcProblem:
     h_grad: Callable[[np.ndarray], np.ndarray]
     g_hess: Callable[[np.ndarray], np.ndarray]
     h_hess: Callable[[np.ndarray], np.ndarray]
-    mu: float
     region: Optional[Box] = None
     f_star: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
@@ -181,8 +186,6 @@ class DcProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
         if self.region is not None and self.region.dim != self.dim:
             raise ValueError("region dimension does not match problem dimension")
 
@@ -227,8 +230,10 @@ class DcProblem:
     def bregman_g(self, z, x) -> float:
         """Bregman divergence of the convex part, ``g(z) - g(x) - <grad g(x), z - x>``.
 
-        Nonnegative, bounded below by ``mu/2 * ||z - x||**2``, and zero only
-        at ``z == x``.
+        Nonnegative, bounded below by ``mu/2 * ||z - x||**2`` where ``mu``
+        bounds the eigenvalues of ``Hess g`` on the segment ``[x, z]`` from
+        below (``metric[0]`` of the box constants of any box holding both
+        points), and zero only at ``z == x``.
         """
         z = self.check_point(z)
         x = self.check_point(x)

@@ -168,7 +168,6 @@ def make_quadratic(a, b) -> DcProblem:
         h_grad=lambda x: b_loc @ x,
         g_hess=lambda x: a_loc.copy(),
         h_hess=lambda x: b_loc.copy(),
-        mu=float(a_eigs[0]),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=0.0,
         minimizer=np.zeros(n),
@@ -202,7 +201,6 @@ def make_double_well(q) -> DcProblem:
         h_grad=lambda x: (q + 1.0) * x,
         g_hess=lambda x: np.diag(3.0 * x**2 + q),
         h_hess=lambda x: np.diag(q + 1.0),
-        mu=float(q.min()),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=-0.25 * n,
         minimizer=np.ones(n),
@@ -246,7 +244,6 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         h_grad=lambda x: np.asarray(h_grad(x), dtype=float) + d * x,
         g_hess=lambda x: np.asarray(g_hess(x), dtype=float) + d_mat,
         h_hess=lambda x: np.asarray(h_hess(x), dtype=float) + d_mat,
-        mu=float(p.mu + d.min()),
         region=p.region,
         f_star=p.f_star,
         minimizer=p.minimizer,

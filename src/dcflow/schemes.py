@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConvergenceError, DcProblem, dual_euler, invert_grad_g
+from .core import Box, ConvergenceError, DcProblem, dual_euler, invert_grad_g
 
 __all__ = [
     "IterateTrace",
@@ -194,10 +194,19 @@ def descent_margins(p: DcProblem, trace: IterateTrace):
     one the roundoff of both objective values, and for the relaxed
     inequality that of the Bregman step, a difference of the same ``g``
     values.
+
+    The strong inequality's ``mu`` is ``metric[0]`` of ``p.box_constants`` on
+    the box the iterates span.  That suffices: ``D_g(x+, x) >= (mu_seg/2)
+    |x+ - x|^2`` with ``mu_seg`` bounding ``Hess g`` from below on the
+    segment ``[x, x+]`` alone, and every such segment lies in the box.  A
+    problem without box constants raises ``ValueError``.
     """
+    if p.box_constants is None:
+        raise ValueError(f"problem {p.label!r} has no closed-form box constants")
+    mu = p.box_constants(Box.spanning(trace.points)).metric[0]
     eta = trace.eta
     coef_relaxed = (1.0 - eta) / eta
-    coef_strong = (1.0 - eta) * p.mu / (2.0 * eta)
+    coef_strong = (1.0 - eta) * mu / (2.0 * eta)
     f_errs = [p.f_value_and_roundoff(x)[1] for x in trace.points]
     worst_relaxed = np.inf
     worst_strong = np.inf

@@ -20,18 +20,17 @@ from dcflow.analysis import (
     DegenerateMinimumError,
     InsufficientDataError,
     LocalityError,
+    checked_box_constants,
     damped_pl_report,
     energy_residuals,
-    estimate_metric_pl_constant,
     flow_rate_check,
     kl_exponent_diagnostic,
     linearize_at,
     local_exp_bound_margin,
     local_exp_certificate,
     measure_local_contraction,
-    metric_bounds_on_box,
 )
-from dcflow import core
+from dcflow import analysis, core
 from dcflow.core import ConvergenceError, DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
 
@@ -107,12 +106,12 @@ def test_dissipation_sandwich_along_flow(dw_unit):
     # Finite-difference df/dt must sit between the bounds set by the metric
     # eigenvalue range on the box the trajectory lives in.
     trace = integrate_flow(dw_unit, np.array([0.5, 0.7]), flow_cfg(2.0, 1e-3))
-    mb = metric_bounds_on_box(dw_unit, Box.cube(1.5, 2))
+    lo, hi = checked_box_constants(dw_unit, Box.cube(1.5, 2)).metric
     t, f = trace.times, trace.f_values
     for i in range(1, trace.n_samples - 1, 50):
         dfdt = (f[i + 1] - f[i - 1]) / (t[i + 1] - t[i - 1])
         gsq = float(np.linalg.norm(dw_unit.f_grad(trace.x_states[i])) ** 2)
-        assert -(1.0 / mb.lower) * gsq - 1e-5 <= dfdt <= -(1.0 / mb.upper) * gsq + 1e-5
+        assert -(1.0 / lo) * gsq - 1e-5 <= dfdt <= -(1.0 / hi) * gsq + 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,6 @@ def test_contraction_locality_error_on_expanding_map():
         h_grad=lambda x: -2.0 * x,
         g_hess=lambda x: np.eye(1),
         h_hess=lambda x: -2.0 * np.eye(1),
-        mu=1.0,
     )
     with pytest.raises(LocalityError):
         measure_local_contraction(p, linearize_at(p, np.zeros(1)), 1.0)
@@ -334,25 +332,43 @@ def test_contraction_inversion_failure_names_its_step(dw_unit, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# metric bounds
+# box constants
+
+
+def _halton_digit_loop(n, dim):
+    """Point by point, digit by digit: the reference for the vectorized form."""
+    out = np.empty((n, dim))
+    for j, base in enumerate(analysis._primes(dim)):
+        for i in range(n):
+            f, r, k = 1.0, 0.0, i + 1
+            while k > 0:
+                f /= base
+                r += f * (k % base)
+                k //= base
+            out[i, j] = r
+    return out
+
+
+def test_halton_points_equal_the_digit_loop():
+    np.testing.assert_array_equal(analysis._halton(400, 13), _halton_digit_loop(400, 13))
 
 
 def test_metric_bounds_constant_hessian(quad_canonical):
-    mb = metric_bounds_on_box(quad_canonical, Box.cube(1.0, 2))
-    assert mb.lower == pytest.approx(2.0, abs=1e-12)
-    assert mb.upper == pytest.approx(2.0, abs=1e-12)
+    lo, hi = checked_box_constants(quad_canonical, Box.cube(1.0, 2)).metric
+    assert lo == pytest.approx(2.0, abs=1e-12)
+    assert hi == pytest.approx(2.0, abs=1e-12)
 
 
 def test_metric_bounds_double_well_unit_box(dw_unit):
-    mb = metric_bounds_on_box(dw_unit, Box.cube(1.0, 2))
-    assert mb.lower == pytest.approx(1.0, abs=0.05)
-    assert mb.upper == pytest.approx(4.0, abs=0.05)
-    assert 0.0 < mb.lower <= mb.upper
+    lo, hi = checked_box_constants(dw_unit, Box.cube(1.0, 2)).metric
+    assert lo == pytest.approx(1.0, abs=0.05)
+    assert hi == pytest.approx(4.0, abs=0.05)
+    assert 0.0 < lo <= hi
 
 
 def test_metric_bounds_rejects_mismatched_box(dw_unit):
     with pytest.raises(ValueError):
-        metric_bounds_on_box(dw_unit, Box.cube(1.0, 3))
+        checked_box_constants(dw_unit, Box.cube(1.0, 3))
 
 
 def test_box_routines_refuse_problems_without_box_constants(dw_unit):
@@ -360,9 +376,7 @@ def test_box_routines_refuse_problems_without_box_constants(dw_unit):
     p = dataclasses.replace(dw_unit, box_constants=None)
     box = Box(np.full(2, 0.9), np.full(2, 1.1))
     with pytest.raises(ValueError, match="no closed-form box constants"):
-        metric_bounds_on_box(p, box)
-    with pytest.raises(ValueError, match="no closed-form box constants"):
-        estimate_metric_pl_constant(p, box, p.f_star)
+        checked_box_constants(p, box)
     with pytest.raises(ValueError, match="no closed-form box constants"):
         local_exp_certificate(p, np.ones(2), box)
 
@@ -370,32 +384,58 @@ def test_box_routines_refuse_problems_without_box_constants(dw_unit):
 def test_box_sweeps_past_twelve_dimensions():
     # 13-D needs a 13th Halton base.
     p = make_double_well(np.ones(13))
-    mb = metric_bounds_on_box(p, Box.cube(1.0, 13), n_samples=20)
-    assert mb.lower == pytest.approx(1.0, abs=0.05)
-    assert mb.upper == pytest.approx(4.0, abs=0.05)
+    lo, hi = checked_box_constants(p, Box.cube(1.0, 13), n_samples=20).metric
+    assert lo == pytest.approx(1.0, abs=0.05)
+    assert hi == pytest.approx(4.0, abs=0.05)
     box = Box(p.minimizer - 0.1, p.minimizer + 0.1)
-    est = estimate_metric_pl_constant(p, box, p.f_star, n_samples=20)
+    est = checked_box_constants(p, box, n_samples=20).sigma
     assert 0.0 < est <= 1.0
+
+
+def test_checked_box_constants_reads_each_oracle_once_per_point(dw_aniso):
+    calls = {name: 0 for name in ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess")}
+
+    def counted(name):
+        fn = getattr(dw_aniso, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    p = dataclasses.replace(dw_aniso, **{name: counted(name) for name in calls})
+    checked_box_constants(p, Box(np.full(2, 0.5), np.full(2, 1.5)), n_samples=30)
+    assert calls == dict.fromkeys(calls, 31)
 
 
 def test_box_constants_cross_check_catches_inconsistent_oracles(dw_unit):
     # Closed forms that claim 5% more than the oracles deliver are caught on
-    # Halton samples alone, and the run stops rather than certify them.
+    # Halton samples alone, and the run stops rather than certify them.  The
+    # message names the constant, the worst probe point and the box.
     box = Box(np.full(2, 0.9), np.full(2, 1.1))
     honest = dw_unit.box_constants(box)
-    assert estimate_metric_pl_constant(dw_unit, box, dw_unit.f_star) == honest.sigma
+    assert checked_box_constants(dw_unit, box) == honest
 
     def claiming(**fields):
         wrong = dataclasses.replace(honest, **fields)
         return dataclasses.replace(dw_unit, box_constants=lambda b: wrong)
 
-    with pytest.raises(DcError, match="PL ratio"):
-        estimate_metric_pl_constant(claiming(sigma=1.05 * honest.sigma), box, dw_unit.f_star)
-    with pytest.raises(DcError, match="metric eigenvalues"):
-        metric_bounds_on_box(claiming(metric=(honest.metric[0], 0.95 * honest.metric[1])), box)
+    on_box = r"on the box \[\[0\.9, 0\.9\], \[1\.1, 1\.1\]\]"
+    mu, lg = honest.metric
     lo, hi = honest.objective
+    with pytest.raises(DcError, match=r"PL ratio .* at probe point \[.*\] .* sigma .* " + on_box):
+        checked_box_constants(claiming(sigma=1.05 * honest.sigma), box)
+    with pytest.raises(DcError, match=r"metric eigenvalues .* at probe point .* " + on_box):
+        checked_box_constants(claiming(metric=(mu, 0.95 * lg)), box)
+    with pytest.raises(DcError, match=r"metric eigenvalues .* at probe point .* " + on_box):
+        checked_box_constants(claiming(metric=(1.05 * mu, lg)), box)
+    with pytest.raises(DcError, match=r"objective Hessian eigenvalues .* " + on_box):
+        checked_box_constants(claiming(objective=(1.05 * lo, hi)), box)
     with pytest.raises(DcError, match="objective Hessian eigenvalues"):
         local_exp_certificate(claiming(objective=(1.05 * lo, hi)), np.ones(2), box)
+    with pytest.raises(DcError, match=r"metric eigenvalue -1 at probe point .* not positive " + on_box):
+        checked_box_constants(dataclasses.replace(dw_unit, g_hess=lambda x: -np.eye(2)), box)
 
 
 def test_metric_pl_identity_on_canonical_instance(quad_canonical):
@@ -408,9 +448,7 @@ def test_metric_pl_identity_on_canonical_instance(quad_canonical):
 
 
 def test_estimated_sigma_close_to_analytic(quad_canonical):
-    est = estimate_metric_pl_constant(
-        quad_canonical, Box.cube(1.5, 2), f_star=0.0
-    )
+    est = checked_box_constants(quad_canonical, Box.cube(1.5, 2)).sigma
     assert est == pytest.approx(0.5, rel=1e-6)
 
 

@@ -425,6 +425,49 @@ def test_rate_certify_bound_takes_every_constant_from_the_span_box(tmp_path):
 
 
 
+DW_14 = {"name": "double_well", "params": {"q": [1, 4]}}
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, scale",
+    [
+        ("EtaSweep", dict(etas=[0.25, 0.5, 1.0]), (1.0, 0.5)),
+        ("RateCertify", dict(flow={"t_end": 4.0, "record_stride": 0.05}), (1.0, 0.5)),
+        ("RunScheme", dict(), (2.0, 1.0)),
+    ],
+    ids=["eta_sweep_half_L", "rate_certify_half_L", "run_scheme_double_mu"],
+)
+def test_lying_metric_range_exits_3(tmp_path, capsys, monkeypatch, experiment, overrides, scale):
+    # Box constants that misstate the metric range on every box: the span
+    # box's cross-check stops the run before any bound rests on them.
+    build = cli.build_problem
+
+    def lying(spec):
+        p = build(spec)
+
+        def constants(box):
+            bc = p.box_constants(box)
+            lo, hi = bc.metric
+            return dataclasses.replace(bc, metric=(scale[0] * lo, scale[1] * hi))
+
+        return dataclasses.replace(p, box_constants=constants)
+
+    monkeypatch.setattr(cli, "build_problem", lying)
+    cfg = base_config(
+        experiment=experiment,
+        problem=DW_14,
+        x0=[1.5, -1.2],
+        scheme={"eta": 0.5, "max_iter": 300, "stop_grad_tol": 1e-9},
+        **overrides,
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime error: sampled metric eigenvalues" in err
+    assert "leave the closed-form range" in err and "on the box" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_rate_certify_twenty_dimensions_has_no_corner_sweep(tmp_path, monkeypatch):
     # A corner sweep would evaluate 2**20 Hessians per box.
     calls = []

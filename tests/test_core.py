@@ -100,8 +100,9 @@ def test_gradients_match_finite_differences(family, quad_canonical, dw_unit):
 @pytest.mark.parametrize("family", ["quad", "dw"])
 def test_strong_convexity_witness(family, quad_canonical, dw_unit):
     p = quad_canonical if family == "quad" else dw_unit
+    mu = p.box_constants(p.region).metric[0]
     for x in p.region.sample(RNG, 100):
-        assert np.linalg.eigvalsh(p.g_hess(x))[0] >= p.mu - 1e-8
+        assert np.linalg.eigvalsh(p.g_hess(x))[0] >= mu - 1e-8
 
 
 @pytest.mark.parametrize("family", ["quad", "dw"])
@@ -134,10 +135,11 @@ def test_bregman_double_well_from_origin(dw_unit):
 @pytest.mark.parametrize("family", ["quad", "dw"])
 def test_bregman_strong_convexity_lower_bound(family, quad_canonical, dw_unit):
     p = quad_canonical if family == "quad" else dw_unit
+    mu = p.box_constants(p.region).metric[0]
     pts = p.region.sample(RNG, 40)
     for z, x in zip(pts[:20], pts[20:]):
         d = p.bregman_g(z, x)
-        assert d >= 0.5 * p.mu * np.linalg.norm(z - x) ** 2 - 1e-10
+        assert d >= 0.5 * mu * np.linalg.norm(z - x) ** 2 - 1e-10
 
 
 @pytest.mark.parametrize("family", ["quad", "dw"])
@@ -172,10 +174,11 @@ def test_invert_diagonal_solve():
 @pytest.mark.parametrize("family", ["quad", "dw"])
 def test_invert_round_trip(family, quad_canonical, dw_unit):
     p = quad_canonical if family == "quad" else dw_unit
+    mu = p.box_constants(p.region).metric[0]
     for x0 in p.region.sample(RNG, 20):
         y = np.asarray(p.g_grad(x0), dtype=float)
         x = invert_grad_g(p, y, np.zeros(p.dim))
-        assert np.linalg.norm(x - x0) <= 10.0 * INVERSION_TOL / p.mu
+        assert np.linalg.norm(x - x0) <= 10.0 * INVERSION_TOL / mu
 
 
 def test_invert_scalar_cubic():
@@ -209,7 +212,6 @@ def _tilted_quartic(c: float) -> DcProblem:
         h_grad=lambda x: np.zeros(1),
         g_hess=lambda x: np.array([[3.0 * x[0] ** 2 + 1.0]]),
         h_hess=lambda x: np.zeros((1, 1)),
-        mu=1.0,
     )
 
 
@@ -265,7 +267,6 @@ def test_invert_raises_numeric_error_on_nan():
         h_grad=lambda x: np.zeros(1),
         g_hess=lambda x: np.eye(1),
         h_hess=lambda x: np.zeros((1, 1)),
-        mu=1.0,
     )
     with pytest.raises(NumericError):
         invert_grad_g(p, np.array([1.0]), np.array([0.0]))

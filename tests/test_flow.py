@@ -231,7 +231,6 @@ def test_stiffness_error_on_blowup_field():
         h_grad=lambda x: x + 1.0 + x**2,
         g_hess=lambda x: np.eye(1),
         h_hess=lambda x: np.zeros((1, 1)),
-        mu=1.0,
     )
     cfg = FlowConfig(t_end=2.0, record_stride=0.1)
     with pytest.raises(StiffnessError):

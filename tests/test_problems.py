@@ -19,8 +19,9 @@ RNG = np.random.default_rng(20240502)
 
 def test_quadratic_canonical_constants(quad_canonical):
     p = quad_canonical
-    assert p.mu == pytest.approx(2.0)
-    assert p.box_constants(p.region).metric == (p.mu, 2.0)
+    mu, lg = p.box_constants(p.region).metric
+    assert mu == pytest.approx(2.0)
+    assert lg == 2.0
     assert p.f_star == 0.0
     assert p.box_constants(p.region).sigma == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(p.minimizer, [0.0, 0.0])
@@ -61,7 +62,7 @@ def test_quadratic_input_validation():
 
 def test_double_well_constants(dw_unit):
     assert dw_unit.f_star == pytest.approx(-0.5)
-    assert dw_unit.mu == pytest.approx(1.0)
+    assert dw_unit.box_constants(dw_unit.region).metric[0] == pytest.approx(1.0)
     for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
         x = np.asarray(signs, dtype=float)
         assert dw_unit.f_value(x) == pytest.approx(-0.5, abs=1e-14)

@@ -36,11 +36,10 @@ from dcflow import (
     run_scheme,
 )
 from dcflow.analysis import (
+    checked_box_constants,
     damped_pl_report,
     energy_residuals,
-    estimate_metric_pl_constant,
     local_exp_certificate,
-    metric_bounds_on_box,
 )
 from dcflow.core import INVERSION_TOL, flow_velocity
 from dcflow.schemes import gradient_identity_margin
@@ -199,9 +198,8 @@ def test_box_constants_bound_every_sample(instance):
             ratio = flow_velocity(p, x)[2] / (2.0 * gap)
             assert ratio >= bc.sigma * (1.0 - noise / gap - 1e-12)
             ratios.append(ratio)
-    # The library's own cross-checks agree on the same instances.
-    assert metric_bounds_on_box(p, box, n_samples=20).upper == bc.metric[1]
-    assert estimate_metric_pl_constant(p, box, p.f_star, n_samples=20) == bc.sigma
+    # The library's own cross-check agrees on the same instances.
+    assert checked_box_constants(p, box, n_samples=20) == bc
     if expected_sigma is not None:
         assert bc.sigma == pytest.approx(expected_sigma, abs=5e-5)
         assert min(ratios) == pytest.approx(bc.sigma, rel=1e-12)
@@ -231,6 +229,6 @@ def test_damped_rate_bound_holds_with_span_box_constants(run):
     # takes them.  Iterates keep each coordinate's sign, so sigma is positive.
     p, x0, eta = run
     trace = run_scheme(p, x0, SchemeConfig(eta=eta, max_iter=60))
-    constants = p.box_constants(Box(trace.points.min(axis=0), trace.points.max(axis=0)))
+    constants = p.box_constants(Box.spanning(trace.points))
     assert constants.sigma > 0.0
     assert not damped_pl_report(trace, constants, p.f_star).violation

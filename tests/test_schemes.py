@@ -148,6 +148,31 @@ def test_descent_certificates_hold(dw_unit, eta):
     assert strong >= 0.0
 
 
+def test_strong_descent_takes_mu_from_the_span_box(dw_unit):
+    # From (1.8, -1.6) every |x_i| stays at least 1, so Hess g >= 3 + 1 on
+    # the box the iterates span, four times q = 1, the bound on the region.
+    trace = run_scheme(dw_unit, np.array([1.8, -1.6]), SchemeConfig(eta=0.5))
+    boxes = []
+
+    def scaled(factor):
+        def constants(box):
+            boxes.append(box)
+            bc = dw_unit.box_constants(box)
+            return dataclasses.replace(bc, metric=(factor * bc.metric[0], bc.metric[1]))
+
+        return dataclasses.replace(dw_unit, box_constants=constants)
+
+    assert descent_margins(scaled(1.0), trace) == descent_margins(dw_unit, trace)
+    np.testing.assert_array_equal(boxes[0].lower, trace.points.min(axis=0))
+    np.testing.assert_array_equal(boxes[0].upper, trace.points.max(axis=0))
+    assert dw_unit.box_constants(boxes[0]).metric[0] == pytest.approx(4.0, abs=1e-6)
+    # mu is read from the box constants: four times too large breaks the
+    # strong inequality.
+    assert descent_margins(scaled(4.0), trace)[1] < 0.0
+    with pytest.raises(ValueError, match="no closed-form box constants"):
+        descent_margins(dataclasses.replace(dw_unit, box_constants=None), trace)
+
+
 def test_descent_at_eta_one_is_plain_monotonicity(dw_unit):
     trace = run_scheme(dw_unit, np.array([1.8, -1.6]), SchemeConfig(eta=1.0))
     relaxed, strong = descent_margins(dw_unit, trace)
@@ -196,7 +221,6 @@ def test_divergence_guard_flags_broken_oracle():
         h_grad=lambda x: -2.0 * x,
         g_hess=lambda x: np.eye(1),
         h_hess=lambda x: -2.0 * np.eye(1),
-        mu=1.0,
     )
     trace = run_scheme(p, np.array([1.0]), SchemeConfig(eta=1.0, max_iter=50))
     assert trace.termination is Termination.NUMERIC_ERROR
