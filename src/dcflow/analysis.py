@@ -453,9 +453,9 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     gap ``f - f_star`` lies within the roundoff of ``f`` judge no ratio.
     Samples can show a constant wrong but never certify one.
 
-    Each point costs one ``g_hess``, ``h_hess``, ``f_grad`` and
-    ``f_value_and_roundoff`` call; the eigenvalues and the metric solve run
-    batched over all points.
+    The sweep makes one stacked ``g_hess``, ``h_hess``, ``f_grad`` and
+    ``f_value_and_roundoff`` call over all points, and batches the
+    eigenvalues and the metric solve the same way.
 
     A box of another dimension or a problem without closed-form box
     constants raises ``ValueError``, as samples alone certify nothing.  A
@@ -470,14 +470,11 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     bc = p.box_constants(box)
     pts = _probe_points(box, n_samples)
     where = f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
-    # One (points, dim, dim) stack, filled in place, holds Hess g and then
-    # Hess f, so the sweep never keeps two such stacks alive at once.
-    hess = np.empty((len(pts), p.dim, p.dim))
-    grads = np.empty((len(pts), p.dim))
-    f, noise = np.empty(len(pts)), np.empty(len(pts))
-    for i, x in enumerate(pts):
-        hess[i], grads[i] = p.g_hess(x), p.f_grad(x)
-        f[i], noise[i] = p.f_value_and_roundoff(x)
+    # One (points, dim, dim) stack holds Hess g and then, updated in place,
+    # Hess f, so the sweep keeps no second Hessian stack of its own.
+    hess = np.require(p.g_hess(pts), dtype=float, requirements="W")
+    grads = p.f_grad(pts)
+    f, noise = p.f_value_and_roundoff(pts)
 
     def check_range(name, eigs, scales, bounds):
         lo, hi = bounds
@@ -504,9 +501,13 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     check_range("metric", w, w_scale, bc.metric)
     msq = np.einsum("ij,ij->i", grads, np.linalg.solve(hess, grads[..., None])[..., 0])
 
-    for i, x in enumerate(pts):
-        hf = hess[i] - p.h_hess(x)
-        hess[i] = 0.5 * (hf + hf.T)
+    hess -= p.h_hess(pts)
+    # eigvalsh reads the lower triangle: symmetrize it in place, a column at
+    # a time, so no temporary spans the stack.
+    for j in range(p.dim - 1):
+        col = hess[:, j + 1 :, j]
+        col += hess[:, j, j + 1 :]
+        col *= 0.5
     v = np.linalg.eigvalsh(hess)
     # The difference errs on the scale of both Hessians it subtracts.
     v_scale = w_scale + np.maximum(np.abs(v[:, 0]), np.abs(v[:, -1]))

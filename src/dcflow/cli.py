@@ -556,9 +556,9 @@ def _decomposition_compare_experiment(p, cfg, out_dir, rng) -> tuple[list[Check]
     x0 = _start_point(cfg, p, rng)
 
     pts = p.region.sample(rng, _N_INVARIANCE_POINTS)
-    f_base = [p.f_value(x) for x in pts]
-    worst_gap = max(abs(f - p_alt.f_value(x)) for f, x in zip(f_base, pts))
-    scale = max(1.0, max(abs(f) for f in f_base))
+    f_base = p.f_value(pts)
+    worst_gap = float(np.max(np.abs(f_base - p_alt.f_value(pts))))
+    scale = max(1.0, float(np.max(np.abs(f_base))))
 
     t1 = integrate_flow(p, x0, flow_cfg)
     t2 = integrate_flow(p_alt, x0, flow_cfg)

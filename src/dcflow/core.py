@@ -45,16 +45,22 @@ class ConvergenceError(DcError):
         Smallest gradient residual norm reached before giving up.
     iterations : int
         Number of Newton iterations performed.
+    row : int
+        Index of the failing target in a stack, the one with the largest
+        residual when several fail; 0 for a single target.
     """
 
-    def __init__(self, message: str, best_residual: float, iterations: int):
+    def __init__(self, message: str, best_residual: float, iterations: int, row: int = 0):
         super().__init__(message)
         self.best_residual = best_residual
         self.iterations = iterations
+        self.row = row
 
     def with_phase(self, phase: str) -> "ConvergenceError":
         """The same failure, its message extended by where it happened."""
-        return ConvergenceError(f"{self} {phase}", self.best_residual, self.iterations)
+        return ConvergenceError(
+            f"{self} {phase}", self.best_residual, self.iterations, self.row
+        )
 
 
 class NumericError(DcError):
@@ -142,6 +148,13 @@ class BoxConstants:
 class DcProblem:
     """Oracles for one decomposition ``f = g - h``.
 
+    Every oracle takes one point ``(dim,)`` or a stack of points
+    ``(m, dim)`` and answers row by row: a stack gets values ``(m,)``,
+    gradients ``(m, dim)`` and Hessians ``(m, dim, dim)``, each row equal to
+    the call on that row alone.  Stacks let the flow integrator pull back
+    every record time of an accepted step in one batched Newton solve, and
+    let the probe sweeps read each oracle once per box.
+
     Parameters
     ----------
     dim : int
@@ -151,7 +164,8 @@ class DcProblem:
     g_grad, h_grad : callable
         Map a point to the component gradient.
     g_hess, h_hess : callable
-        Map a point to the symmetric component Hessian.
+        Map a point to the symmetric component Hessian; a constant one may
+        come back as a read-only view.
     region : Box, optional
         The domain that random start points and sampled invariance points
         are drawn from, and nothing more: rate constants come from
@@ -189,40 +203,57 @@ class DcProblem:
         if self.region is not None and self.region.dim != self.dim:
             raise ValueError("region dimension does not match problem dimension")
 
-    def check_point(self, x) -> np.ndarray:
-        """Validate and return ``x`` as a finite float vector of length ``dim``."""
+    def check_points(self, x) -> np.ndarray:
+        """Validate and return ``x`` as finite floats of shape ``(dim,)`` or ``(m, dim)``."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != self.dim:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(
-                f"expected a vector of length {self.dim}, got shape {x.shape}"
+                f"expected a vector of length {self.dim} or a stack of them, "
+                f"got shape {x.shape}"
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite entries")
         return x
 
-    def f_value(self, x) -> float:
-        x = self.check_point(x)
-        return float(self.g_value(x) - self.h_value(x))
+    def check_point(self, x) -> np.ndarray:
+        """Validate and return ``x`` as a finite float vector of length ``dim``.
 
-    def f_value_and_roundoff(self, x) -> tuple[float, float]:
+        Entry points that take one start point, from a config included, use
+        this form, so a stack there stays an error.
+        """
+        x = self.check_points(x)
+        if x.ndim != 1:
+            raise ValueError(
+                f"expected a vector of length {self.dim}, got shape {x.shape}"
+            )
+        return x
+
+    def f_value(self, x):
+        """``g - h`` at a point (a float) or at each row of a stack (``(m,)``)."""
+        return self.f_value_and_roundoff(x)[0]
+
+    def f_value_and_roundoff(self, x):
         """:meth:`f_value` and a bound on the roundoff of computing it as ``g - h``.
 
         The bound scales with ``|g| + |h|``, not with ``|f|``: constants
         that cancel in the difference still cost their digits.
         """
-        x = self.check_point(x)
-        g = self.g_value(x)
-        h = self.h_value(x)
-        return float(g - h), ROUNDOFF * self.dim * (abs(float(g)) + abs(float(h)))
+        x = self.check_points(x)
+        g = np.asarray(self.g_value(x), dtype=float)
+        h = np.asarray(self.h_value(x), dtype=float)
+        f, noise = g - h, ROUNDOFF * self.dim * (np.abs(g) + np.abs(h))
+        if x.ndim == 1:
+            return float(f), float(noise)
+        return f, noise
 
     def f_grad(self, x) -> np.ndarray:
-        x = self.check_point(x)
+        x = self.check_points(x)
         return np.asarray(self.g_grad(x), dtype=float) - np.asarray(
             self.h_grad(x), dtype=float
         )
 
     def f_hess(self, x) -> np.ndarray:
-        x = self.check_point(x)
+        x = self.check_points(x)
         return np.asarray(self.g_hess(x), dtype=float) - np.asarray(
             self.h_hess(x), dtype=float
         )
@@ -242,7 +273,7 @@ class DcProblem:
 
 
 def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np.ndarray:
-    """Solve ``grad g(x) = y`` for ``x``.
+    """Solve ``grad g(x) = y`` for ``x``, for one target or a stack of them.
 
     Runs Newton's method on the residual ``r(x) = grad g(x) - y`` and
     backtracks on its norm, the merit of Newton on equations: a step
@@ -256,22 +287,40 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
     from ``Hess g(x)`` and ``x``.  The rule is relative to the target, never
     looser than ``tol``, and still met at ``y = 0`` with a nonzero preimage.
 
+    ``y`` and ``warm_start`` have shape ``(dim,)``, or ``(m, dim)`` for
+    ``m`` targets with one warm start each.  A stack of two or more rows
+    runs one batched loop: every oracle call and solve covers the rows
+    still iterating, and each row keeps its own stopping rule and line
+    search, so it ends bit for bit where the call on that row alone ends.
+    A single target, or a one-row stack, runs the plain loop, which is
+    cheaper per call.
+
     Raises
     ------
     ConvergenceError
         If the residual is still above the stopping rule after
         ``_MAX_NEWTON_ITER`` Newton steps, or earlier once the line search
         can no longer decrease it (a ``tol`` below roundoff).  Carries the
-        final residual, the smallest one reached.
+        final residual, the smallest one reached, and for a stack the
+        failing row with the largest residual.
     NumericError
         If the residual at the warm start is not finite, a trial residual
         is NaN, or the Hessian is singular.  An infinite trial residual
         only shortens the step.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != p.dim:
-        raise ValueError(f"expected a target vector of length {p.dim}")
-    x = np.array(p.check_point(warm_start), dtype=float)
+    x = np.array(p.check_points(warm_start), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(
+            f"target of shape {y.shape} does not match the warm start's {x.shape}"
+        )
+    if y.ndim == 2 and len(y) > 1:
+        return _invert_rows(p, y, x, tol)
+    return _invert_point(p, y.reshape(-1), x.reshape(-1), tol).reshape(y.shape)
+
+
+def _invert_point(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`invert_grad_g` for one target ``y``, from the warm start ``x``."""
     goal = tol * min(1.0, float(np.linalg.norm(y)))
 
     residual = np.asarray(p.g_grad(x), dtype=float) - y
@@ -315,6 +364,76 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
     )
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # vecdot rounds each row as np.linalg.norm rounds a vector; norm(axis=1) does not.
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`invert_grad_g` for a stack of targets, one row per target.
+
+    The steps of :func:`_invert_point`, row by row: each Newton step covers
+    the rows still iterating (``live``), and its line search shares one
+    trial ``t`` among the rows that have not yet accepted theirs.  A row
+    leaves once it meets its stopping rule, or fails once its line search
+    runs out; the rest go on, and the failure is raised when all are done.
+    """
+    goal = tol * np.minimum(1.0, _row_norms(y))
+    residual = np.asarray(p.g_grad(x), dtype=float) - y
+    rnorm = _row_norms(residual)
+    if not np.all(np.isfinite(rnorm)):
+        raise NumericError("non-finite gradient residual at the warm start")
+
+    live = np.ones(len(y), dtype=bool)
+    failed_at = np.full(len(y), -1)  # Newton step at which a row failed
+    for iterations in range(_MAX_NEWTON_ITER + 1):
+        live &= ~(rnorm <= goal)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        hess = np.asarray(p.g_hess(x[rows]), dtype=float)
+        floor = ROUNDOFF * p.dim * (
+            np.abs(hess).max(axis=(1, 2)) * np.abs(x[rows]).max(axis=1)
+        )
+        done = rnorm[rows] <= np.minimum(tol, floor)
+        live[rows[done]] = False
+        if iterations == _MAX_NEWTON_ITER:
+            break
+        rows, hess = rows[~done], hess[~done]
+        try:
+            step = np.linalg.solve(hess, -residual[rows][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"singular Hessian during inversion: {exc}") from exc
+        t = 1.0
+        while rows.size and t >= 1e-18:
+            x_new = x[rows] + t * step
+            r_new = np.asarray(p.g_grad(x_new), dtype=float) - y[rows]
+            rnorm_new = _row_norms(r_new)
+            if np.any(np.isnan(rnorm_new)):
+                raise NumericError("NaN in line search during inversion")
+            old = rnorm[rows]
+            ok = old - rnorm_new >= _ARMIJO_C * t * old
+            took = rows[ok]
+            x[took], residual[took], rnorm[took] = x_new[ok], r_new[ok], rnorm_new[ok]
+            rows, step = rows[~ok], step[~ok]
+            t *= _ARMIJO_SHRINK
+        live[rows] = False
+        failed_at[rows] = iterations
+
+    failed_at[live] = iterations
+    failed = np.flatnonzero(failed_at >= 0)
+    if failed.size == 0:
+        return x
+    i = int(failed[np.argmax(rnorm[failed])])
+    raise ConvergenceError(
+        f"gradient inversion of row {i} of {len(y)} did not reach tol {tol:g} "
+        f"in {failed_at[i]} iterations (residual {rnorm[i]:g})",
+        best_residual=float(rnorm[i]),
+        iterations=int(failed_at[i]),
+        row=i,
+    )
+
+
 def dual_map(p: DcProblem, y, warm_start) -> tuple[np.ndarray, np.ndarray]:
     """Pull a dual state back and take its image under one full exact step.
 
@@ -338,11 +457,14 @@ def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
     The metric gradient flow ``Hess g(x) x' = -grad f(x)`` moves with
     velocity ``v = -(Hess g)^{-1} grad f``, whose squared length in the
     Hessian metric is ``grad f' (Hess g)^{-1} grad f``.  Both come from one
-    symmetric positive-definite solve.  Returns ``(grad f, v, speed_sq)``.
+    symmetric positive-definite solve.  Returns ``(grad f, v, speed_sq)``;
+    at a stack of points ``(m, dim)`` each entry is a stack too, with
+    ``speed_sq`` of shape ``(m,)``.
     """
     grad = p.f_grad(x)
-    sol = np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad)
-    return grad, -sol, float(grad @ sol)
+    sol = np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad[..., None])[..., 0]
+    speed_sq = np.vecdot(grad, sol)
+    return grad, -sol, float(speed_sq) if grad.ndim == 1 else speed_sq
 
 
 def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:

@@ -7,9 +7,10 @@ warm-started gradient inversion, and consecutive evaluations are close, so
 the inner Newton solve typically finishes in one or two steps.  Step sizes
 follow the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
-accepted step, and each interpolated dual state is pulled back through the
-inverse gradient map to give the primal trajectory of the metric gradient
-flow ``Hess g(x) x' = -grad f(x)``.
+accepted step.  The interpolated dual states of one accepted step are pulled
+back through the inverse gradient map in one batched inversion, which gives
+the primal trajectory of the metric gradient flow
+``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
 """
 
 from __future__ import annotations
@@ -165,11 +166,13 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     so that it ends exactly at ``t_end``.  States are recorded at multiples
     of ``record_stride`` (and at ``t_end``): ``y_states`` holds the
     continuous extension of the step that covers each record time, and
-    ``x_states`` its pullback, warm-started from the previous sample
-    advanced along its flow velocity.  The stride therefore chooses output
-    times only and never limits the step size.  Integration halts early
-    once the primal gradient norm at a sample drops to
-    :data:`EQUILIBRIUM_GRAD_TOL`.
+    ``x_states`` its pullback.  The record times of one accepted step are
+    pulled back in one batched inversion, warm-started on the chord between
+    the pullbacks at the step's two ends, which the stages already made;
+    their velocities and values come from one stacked call each.  The
+    stride therefore chooses output times only and never limits the step
+    size.  Integration halts at the first sample whose primal gradient norm
+    is at most :data:`EQUILIBRIUM_GRAD_TOL`.
 
     Raises
     ------
@@ -186,29 +189,25 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         warm[0], grad_h = dual_map(p, yv, warm[0])
         return grad_h - yv
 
-    times = [0.0]
-    y = np.asarray(p.g_grad(x0), dtype=float)
-    ys = [y.copy()]
-    xs = [x0.copy()]
+    samples = ([], [], [], [], [])  # times, y, x, f, metric speed^2, in chunks
 
-    def sample_stats(x: np.ndarray):
-        grad, v, msq = flow_velocity(p, x)
-        return p.f_value(x), msq, float(np.linalg.norm(grad)), v
-
-    f0, msq0, gnorm, v_prev = sample_stats(x0)
-    fs = [f0]
-    msqs = [msq0]
+    def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray) -> bool:
+        """Append samples up to the first at equilibrium; True if one is."""
+        grad, _, msq = flow_velocity(p, x_s)
+        at_rest = np.flatnonzero(np.sqrt(np.vecdot(grad, grad)) <= EQUILIBRIUM_GRAD_TOL)
+        keep = at_rest[0] + 1 if at_rest.size else len(t_s)
+        for out, new in zip(samples, (t_s, y_s, x_s, p.f_value(x_s), msq)):
+            out.append(new[:keep])
+        return bool(at_rest.size)
 
     def build() -> FlowTrace:
+        times, ys, xs, fs, msqs = (np.concatenate(chunks) for chunks in samples)
         return FlowTrace(
-            times=np.asarray(times),
-            y_states=np.asarray(ys),
-            x_states=np.asarray(xs),
-            f_values=np.asarray(fs),
-            metric_speed_sq=np.asarray(msqs),
+            times=times, y_states=ys, x_states=xs, f_values=fs, metric_speed_sq=msqs
         )
 
-    if gnorm <= EQUILIBRIUM_GRAD_TOL:
+    y = np.asarray(p.g_grad(x0), dtype=float)
+    if record(np.zeros(1), y[None], x0[None]):
         return build()
 
     targets = _record_targets(cfg.t_end, cfg.record_stride)
@@ -220,6 +219,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     n = y.size
     try:
         k1 = fieldfun(y)
+        x_start = warm[0]
         while target_idx < targets.size:
             last = h >= t_end - t - 1e-14 * max(1.0, t_end)
             h_try = t_end - t if last else h
@@ -246,25 +246,22 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 continue
 
             t_new = t_end if last else t + h_try
-            dense = h_try * (k.T @ _P)
-            while target_idx < targets.size and targets[target_idx] <= t_new:
-                t_s = float(targets[target_idx])
-                theta = (t_s - t) / h_try
-                y_s = y + dense @ (theta ** np.arange(1, 5))
-                x = invert_grad_g(p, y_s, xs[-1] + (t_s - times[-1]) * v_prev)
-                f_val, msq, gnorm, v_prev = sample_stats(x)
-                times.append(t_s)
-                ys.append(y_s)
-                xs.append(x)
-                fs.append(f_val)
-                msqs.append(msq)
-                target_idx += 1
-                if gnorm <= EQUILIBRIUM_GRAD_TOL:
+            stop = int(np.searchsorted(targets, t_new, side="right"))
+            if stop > target_idx:
+                t_s = targets[target_idx:stop]
+                theta = ((t_s - t) / h_try)[:, None]
+                # The seventh stage sits at the accepted state, so warm[0]
+                # is the pullback at the step's end.
+                y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
+                x_s = invert_grad_g(p, y_s, x_start + theta * (warm[0] - x_start))
+                target_idx = stop
+                if record(t_s, y_s, x_s):
                     return build()
 
             t = t_new
             y = y_new
             k1 = k[6]
+            x_start = warm[0]
             err = max(err, 1e-10)
             factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
             err_prev = err
@@ -302,7 +299,8 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
 
     Runs the dual Euler iteration with step ``eta`` far enough to cover the
     requested times, interpolates affinely between dual iterates, and pulls
-    each interpolated dual state back to the primal space.  A failed
+    the interpolated dual states back to the primal space in one batched
+    inversion, warm-started on the chord between node pullbacks.  A failed
     inversion raises :class:`~dcflow.core.ConvergenceError` naming the Euler
     node and ``eta``, or the pullback's sample time.
     """
@@ -315,30 +313,29 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
 
     n_steps = max(1, int(math.ceil(float(times.max()) / eta - 1e-12)))
     y_nodes = np.empty((n_steps + 1, p.dim))
+    x_nodes = np.empty((n_steps, p.dim))
     y_nodes[0] = np.asarray(p.g_grad(x0), dtype=float)
     warm = np.array(x0)
     try:
         for k in range(n_steps):
             warm, grad_h = dual_map(p, y_nodes[k], warm)
+            x_nodes[k] = warm
             y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
     except ConvergenceError as exc:
         raise exc.with_phase(f"at dual Euler node {k} (eta={eta:g})") from exc
 
-    out = np.empty((times.size, p.dim))
-    warm = np.array(x0)
+    k = np.minimum((times / eta).astype(int), n_steps - 1)
+    theta = ((times - k * eta) / eta)[:, None]
+    y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
+    # Warm starts on the chord between node pullbacks; the last node is
+    # never pulled back, so its chord end is extrapolated from the two before.
+    ends = np.vstack([x_nodes[1:], 2.0 * x_nodes[-1] - x_nodes[max(n_steps - 2, 0)]])
     try:
-        for i, t in enumerate(times):
-            k = min(int(t / eta), n_steps - 1)
-            theta = (t - k * eta) / eta
-            y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
-            x_t = invert_grad_g(p, y_t, warm)
-            warm = x_t
-            out[i] = x_t
+        return invert_grad_g(p, y_t, x_nodes[k] + theta * (ends[k] - x_nodes[k]))
     except ConvergenceError as exc:
         raise exc.with_phase(
-            f"in the interpolant pullback at t={t:g} (eta={eta:g})"
+            f"in the interpolant pullback at t={times[exc.row]:g} (eta={eta:g})"
         ) from exc
-    return out
 
 
 def euler_refinement_study(

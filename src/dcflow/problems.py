@@ -6,6 +6,11 @@ double-well objective whose splittings share the objective but induce
 different metrics.  A third constructor shifts an existing decomposition
 by a convex quadratic, changing the geometry while leaving the objective
 untouched.
+
+Every oracle takes a point or a stack of points.  Products are written
+with ``np.matvec`` and ``np.vecdot``: at one point they round exactly as
+``a @ x`` and ``x @ y`` do, and each row of a stack rounds as that row
+alone, so stacking changes no digit.  ``x @ a`` or ``np.sum(x * y)`` would.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
 # Half-width of the cube every built-in instance declares as its region.
 _REGION_HALF_WIDTH = 2.0
+
+
+def _per_point(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The constant matrix ``m`` at each point of ``x`` as a read-only view:
+    ``(n, n)`` at a point, ``(k, n, n)`` at a stack of ``k`` points."""
+    return np.broadcast_to(m, x.shape[:-1] + m.shape)
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -162,12 +173,12 @@ def make_quadratic(a, b) -> DcProblem:
 
     return DcProblem(
         dim=n,
-        g_value=lambda x: 0.5 * float(x @ (a_loc @ x)),
-        h_value=lambda x: 0.5 * float(x @ (b_loc @ x)),
-        g_grad=lambda x: a_loc @ x,
-        h_grad=lambda x: b_loc @ x,
-        g_hess=lambda x: a_loc.copy(),
-        h_hess=lambda x: b_loc.copy(),
+        g_value=lambda x: 0.5 * np.vecdot(x, np.matvec(a_loc, x)),
+        h_value=lambda x: 0.5 * np.vecdot(x, np.matvec(b_loc, x)),
+        g_grad=lambda x: np.matvec(a_loc, x),
+        h_grad=lambda x: np.matvec(b_loc, x),
+        g_hess=lambda x: _per_point(a_loc, x),
+        h_hess=lambda x: _per_point(b_loc, x),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=0.0,
         minimizer=np.zeros(n),
@@ -192,15 +203,17 @@ def make_double_well(q) -> DcProblem:
     if np.any(q <= 0.0):
         raise ValueError("all entries of q must be positive")
     n = q.size
+    eye = np.eye(n)
+    hess_h = np.diag(q + 1.0)
 
     return DcProblem(
         dim=n,
-        g_value=lambda x: float(0.25 * np.sum(x**4) + 0.5 * (x @ (q * x))),
-        h_value=lambda x: float(0.5 * (x @ ((q + 1.0) * x))),
+        g_value=lambda x: 0.25 * np.sum(x**4, axis=-1) + 0.5 * np.vecdot(x, q * x),
+        h_value=lambda x: 0.5 * np.vecdot(x, (q + 1.0) * x),
         g_grad=lambda x: x**3 + q * x,
         h_grad=lambda x: (q + 1.0) * x,
-        g_hess=lambda x: np.diag(3.0 * x**2 + q),
-        h_hess=lambda x: np.diag(q + 1.0),
+        g_hess=lambda x: (3.0 * x**2 + q)[..., None] * eye,
+        h_hess=lambda x: _per_point(hess_h, x),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=-0.25 * n,
         minimizer=np.ones(n),
@@ -238,8 +251,8 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
 
     return DcProblem(
         dim=p.dim,
-        g_value=lambda x: float(g_value(x) + 0.5 * (x @ (d * x))),
-        h_value=lambda x: float(h_value(x) + 0.5 * (x @ (d * x))),
+        g_value=lambda x: g_value(x) + 0.5 * np.vecdot(x, d * x),
+        h_value=lambda x: h_value(x) + 0.5 * np.vecdot(x, d * x),
         g_grad=lambda x: np.asarray(g_grad(x), dtype=float) + d * x,
         h_grad=lambda x: np.asarray(h_grad(x), dtype=float) + d * x,
         g_hess=lambda x: np.asarray(g_hess(x), dtype=float) + d_mat,

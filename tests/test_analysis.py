@@ -392,21 +392,22 @@ def test_box_sweeps_past_twelve_dimensions():
     assert 0.0 < est <= 1.0
 
 
-def test_checked_box_constants_reads_each_oracle_once_per_point(dw_aniso):
-    calls = {name: 0 for name in ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess")}
+def test_checked_box_constants_reads_each_oracle_once_per_sweep(dw_aniso):
+    # One stacked call per oracle covers the center and the 30 samples.
+    calls = {name: [] for name in ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess")}
 
     def counted(name):
         fn = getattr(dw_aniso, name)
 
         def wrapper(x):
-            calls[name] += 1
+            calls[name].append(np.shape(x))
             return fn(x)
 
         return wrapper
 
     p = dataclasses.replace(dw_aniso, **{name: counted(name) for name in calls})
     checked_box_constants(p, Box(np.full(2, 0.5), np.full(2, 1.5)), n_samples=30)
-    assert calls == dict.fromkeys(calls, 31)
+    assert calls == dict.fromkeys(calls, [(31, 2)])
 
 
 def test_box_constants_cross_check_catches_inconsistent_oracles(dw_unit):
@@ -435,7 +436,10 @@ def test_box_constants_cross_check_catches_inconsistent_oracles(dw_unit):
     with pytest.raises(DcError, match="objective Hessian eigenvalues"):
         local_exp_certificate(claiming(objective=(1.05 * lo, hi)), np.ones(2), box)
     with pytest.raises(DcError, match=r"metric eigenvalue -1 at probe point .* not positive " + on_box):
-        checked_box_constants(dataclasses.replace(dw_unit, g_hess=lambda x: -np.eye(2)), box)
+        checked_box_constants(
+            dataclasses.replace(dw_unit, g_hess=lambda x: -np.eye(2) * np.ones(x.shape[:-1] + (1, 1))),
+            box,
+        )
 
 
 def test_metric_pl_identity_on_canonical_instance(quad_canonical):

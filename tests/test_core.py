@@ -75,6 +75,10 @@ def test_dimension_mismatch_rejected(dw_unit):
         dw_unit.f_grad([1.0])
     with pytest.raises(ValueError):
         dw_unit.f_value([np.nan, 0.0])
+    # Oracles take stacks; a start point stays one vector.
+    assert dw_unit.f_value(np.zeros((3, 2))).shape == (3,)
+    with pytest.raises(ValueError):
+        dw_unit.check_point(np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +203,28 @@ def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
         invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15)
     assert err.value.best_residual > 0.0
     assert err.value.iterations == 1
+
+
+def test_stacked_invert_failure_names_its_worst_row(dw_unit, monkeypatch):
+    # With no Newton step allowed only a row warm-started at its answer
+    # converges; the error names the failing row with the largest residual.
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    x = np.array([[0.5, 0.5], [1.0, 1.0], [1.5, -1.0], [0.2, 0.1]])
+    warm = x + np.array([[0.0, 0.0], [0.01, 0.0], [0.3, 0.0], [0.02, 0.0]])
+    y = dw_unit.g_grad(x)
+    with pytest.raises(ConvergenceError) as err:
+        invert_grad_g(dw_unit, y, warm)
+    assert err.value.row == 2
+    assert err.value.iterations == 0
+    assert err.value.best_residual == np.linalg.norm(dw_unit.g_grad(warm[2]) - y[2])
+    assert str(err.value).startswith("gradient inversion of row 2 of 4 did not reach tol")
+
+
+def test_stacked_invert_unattainable_tol_is_a_convergence_error(dw_unit):
+    y = np.array([[5.0, -3.0], [0.5, 0.2]])
+    with pytest.raises(ConvergenceError) as err:
+        invert_grad_g(dw_unit, y, np.zeros((2, 2)), tol=1e-17)
+    assert 0.0 < err.value.best_residual <= 1e-14
 
 
 def _tilted_quartic(c: float) -> DcProblem:

@@ -173,8 +173,9 @@ def test_continuous_extension_ends_at_accepted_state():
 @pytest.fixture(scope="module")
 def dw_fine_run():
     """Double well q = [1, 4] from (0.5, 0.5) to t = 10 at stride 1e-3, with
-    every gradient inversion and every field evaluation counted."""
-    counts = {"invert": 0, "field": 0}
+    every field evaluation and its pullback counted, and every pullback of
+    record times counted with the number of times it covers."""
+    counts = {"invert": 0, "field": 0, "pullback": 0, "pullback_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -183,10 +184,13 @@ def dw_fine_run():
 
         return wrapper
 
-    invert = counted("invert", core.invert_grad_g)
+    def pullback(p, y, warm_start):
+        counts["pullback_rows"] += len(np.atleast_2d(y))
+        return core.invert_grad_g(p, y, warm_start)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "invert_grad_g", invert)
-        mp.setattr(flow, "invert_grad_g", invert)
+        mp.setattr(core, "invert_grad_g", counted("invert", core.invert_grad_g))
+        mp.setattr(flow, "invert_grad_g", counted("pullback", pullback))
         mp.setattr(flow, "dual_map", counted("field", flow.dual_map))
         trace = integrate_flow(
             make_double_well([1.0, 4.0]),
@@ -203,8 +207,13 @@ def test_dense_output_inversion_count(dw_fine_run):
     # rejected, adds six (the seventh stage is reused by the next step).
     assert (counts["field"] - 1) % 6 == 0
     n_steps = (counts["field"] - 1) // 6
+    assert counts["invert"] == counts["field"] + counts["pullback"]
     assert counts["invert"] <= trace.n_samples + 7 * n_steps
     assert counts["invert"] < 15000
+    # One batched pullback per accepted step covers every record time in it;
+    # n_steps, which counts rejected steps too, bounds the accepted ones.
+    assert counts["pullback"] <= n_steps
+    assert counts["pullback_rows"] == trace.n_samples - 1
 
 
 def test_dense_output_independent_of_stride(dw_fine_run):
@@ -225,16 +234,27 @@ def test_stiffness_error_on_blowup_field():
     # time; resolving the approach forces the step below the floor.
     p = DcProblem(
         dim=1,
-        g_value=lambda x: float(0.5 * x[0] ** 2),
-        h_value=lambda x: 0.0,
+        g_value=lambda x: 0.5 * np.vecdot(x, x),
+        h_value=lambda x: np.zeros(x.shape[:-1]),
         g_grad=lambda x: x.copy(),
         h_grad=lambda x: x + 1.0 + x**2,
-        g_hess=lambda x: np.eye(1),
-        h_hess=lambda x: np.zeros((1, 1)),
+        g_hess=lambda x: np.ones(x.shape[:-1] + (1, 1)),
+        h_hess=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
     )
     cfg = FlowConfig(t_end=2.0, record_stride=0.1)
     with pytest.raises(StiffnessError):
         integrate_flow(p, np.array([1.0]), cfg)
+
+
+def test_sample_pullback_failure_names_its_step(dw_unit, monkeypatch):
+    # A tol of 1e-300 leaves the batched pullback of the first step's record
+    # times stuck at roundoff; the error names the row and then the step.
+    real = core.invert_grad_g
+    monkeypatch.setattr(flow, "invert_grad_g", lambda p, y, warm: real(p, y, warm, tol=1e-300))
+    with pytest.raises(core.ConvergenceError) as info:
+        integrate_flow(dw_unit, np.array([0.5, 0.7]), FlowConfig(t_end=1.0, record_stride=1e-3))
+    assert f"gradient inversion of row {info.value.row} of " in str(info.value)
+    assert str(info.value).endswith("in the flow step from t=0 of size 0.01")
 
 
 def test_flow_config_validation():

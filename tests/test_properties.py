@@ -1,10 +1,12 @@
 """Property tests over random instances: primal/dual equivalence, descent,
 the gradient and energy identities, the closed-form quadratic flow, the
-closed-form box constants, and the damped scheme's rate bound.
+closed-form box constants, the damped scheme's rate bound, and stacked
+oracles and inversions against single-point calls.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
-parameter in (0, 1], or with a shift and a box for the box constants.  Every
+parameter in (0, 1], or with a shift and a box for the box constants; the
+stack tests draw them, maybe shifted, in one to twelve dimensions.  Every
 run is derandomized, so the suite stays deterministic.
 
 Double-well starts may sit arbitrarily close to 0, the coordinate of the
@@ -41,7 +43,7 @@ from dcflow.analysis import (
     energy_residuals,
     local_exp_certificate,
 )
-from dcflow.core import INVERSION_TOL, flow_velocity
+from dcflow.core import INVERSION_TOL, flow_velocity, invert_grad_g
 from dcflow.schemes import gradient_identity_margin
 from helpers import primal_dual_sup_gap
 
@@ -57,7 +59,7 @@ def _rotation(m: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def quadratic_splits(draw, n):
+def quadratic_pairs(draw, n):
     """``a`` SPD with eigenvalues in [0.5, 4] and ``b = a^(1/2) C a^(1/2)``,
     ``C`` with eigenvalues in [0, 0.9], so ``b`` and ``a - b`` are PSD."""
     unit = st.floats(min_value=-1.0, max_value=1.0)
@@ -68,7 +70,11 @@ def quadratic_splits(draw, n):
     a = (u * lam) @ u.T
     sqrt_a = (u * np.sqrt(lam)) @ u.T
     b = sqrt_a @ ((v * c) @ v.T) @ sqrt_a
-    return make_quadratic(0.5 * (a + a.T), 0.5 * (b + b.T))
+    return 0.5 * (a + a.T), 0.5 * (b + b.T)
+
+
+def quadratic_splits(n):
+    return quadratic_pairs(n).map(lambda ab: make_quadratic(*ab))
 
 
 @st.composite
@@ -232,3 +238,102 @@ def test_damped_rate_bound_holds_with_span_box_constants(run):
     constants = p.box_constants(Box.spanning(trace.points))
     assert constants.sigma > 0.0
     assert not damped_pl_report(trace, constants, p.f_star).violation
+
+
+# ---------------------------------------------------------------------------
+# stacked oracles and the batched inversion
+
+
+def _dw_reference(q):
+    """The double well's single-point oracles as written with ``@``."""
+    return {
+        "g_value": lambda x: float(0.25 * np.sum(x**4) + 0.5 * (x @ (q * x))),
+        "h_value": lambda x: float(0.5 * (x @ ((q + 1.0) * x))),
+        "g_grad": lambda x: x**3 + q * x,
+        "h_grad": lambda x: (q + 1.0) * x,
+        "g_hess": lambda x: np.diag(3.0 * x**2 + q),
+        "h_hess": lambda x: np.diag(q + 1.0),
+    }
+
+
+def _quadratic_reference(a, b):
+    """The quadratic split's single-point oracles as written with ``@``."""
+    return {
+        "g_value": lambda x: 0.5 * float(x @ (a @ x)),
+        "h_value": lambda x: 0.5 * float(x @ (b @ x)),
+        "g_grad": lambda x: a @ x,
+        "h_grad": lambda x: b @ x,
+        "g_hess": lambda x: a.copy(),
+        "h_hess": lambda x: b.copy(),
+    }
+
+
+def _shifted_reference(ref, d):
+    """``ref`` shifted by ``x'diag(d)x/2`` in both parts, written with ``@``."""
+
+    def quad(x):
+        return 0.5 * (x @ (d * x))
+
+    return {
+        "g_value": lambda x: float(ref["g_value"](x) + quad(x)),
+        "h_value": lambda x: float(ref["h_value"](x) + quad(x)),
+        "g_grad": lambda x: ref["g_grad"](x) + d * x,
+        "h_grad": lambda x: ref["h_grad"](x) + d * x,
+        "g_hess": lambda x: ref["g_hess"](x) + np.diag(d),
+        "h_hess": lambda x: ref["h_hess"](x) + np.diag(d),
+    }
+
+
+@st.composite
+def stacked_points(draw):
+    """A double well or an SPD quadratic split in 1 to 12 dimensions, maybe
+    shifted, its single-point oracles written with ``@``, and a stack of 2 to
+    8 points with a warm start near each."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        q = draw(arrays(float, n, elements=st.floats(0.25, 4.0)))
+        p, ref = make_double_well(q), _dw_reference(q)
+    else:
+        a, b = draw(quadratic_pairs(n))
+        p, ref = make_quadratic(a, b), _quadratic_reference(a, b)
+    if draw(st.booleans()):
+        d = draw(arrays(float, n, elements=st.floats(0.0, 3.0)))
+        p, ref = make_shifted_decomposition(p, d), _shifted_reference(ref, d)
+    m = draw(st.integers(min_value=2, max_value=8))
+    x = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
+    warm = x + draw(arrays(float, (m, n), elements=st.floats(-0.5, 0.5)))
+    return p, ref, x, warm
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, shape and all (a float and a 0-d array compare)."""
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(stacked_points())
+def test_stacked_oracle_rows_equal_point_calls(instance):
+    p, ref, x, _ = instance
+    for name, reference in ref.items():
+        oracle = getattr(p, name)
+        stacked = oracle(x)
+        for i, xi in enumerate(x):
+            assert _same(oracle(xi), reference(xi)), name
+            assert _same(stacked[i], oracle(xi)), name
+    f, noise = p.f_value_and_roundoff(x)
+    grad, v, msq = flow_velocity(p, x)
+    for i, xi in enumerate(x):
+        assert (f[i], noise[i]) == p.f_value_and_roundoff(xi)
+        g_i, v_i, msq_i = flow_velocity(p, xi)
+        assert _same(grad[i], g_i) and _same(v[i], v_i) and msq[i] == msq_i
+
+
+@PROPERTY_SETTINGS
+@given(stacked_points())
+def test_stacked_inversion_rows_equal_point_calls(instance):
+    p, _, x, warm = instance
+    y = p.g_grad(x)
+    stacked = invert_grad_g(p, y, warm)
+    for i in range(len(x)):
+        assert _same(stacked[i], invert_grad_g(p, y[i], warm[i]))
+    assert _same(invert_grad_g(p, y[:1], warm[:1]), invert_grad_g(p, y[0], warm[0])[None])
