@@ -173,20 +173,13 @@ def _etas(cfg: dict, default: list[float]) -> list[float]:
 # CSV output, 17 significant digits for exact double round-trips
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
+    """Write the rows of ``table`` under ``header``, the first ``int_cols``
+    columns as integers (``%d``), every other one with ``%.17g``."""
+    row = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % tuple(r) for r in np.asarray(table, dtype=float).tolist())
 
 
 def write_iterate_csv(path: Path, trace: IterateTrace) -> None:
@@ -196,14 +189,18 @@ def write_iterate_csv(path: Path, trace: IterateTrace) -> None:
         + [f"x_{j}" for j in range(n)]
         + ["f", "grad_norm", "step_norm", "bregman_step"]
     )
-    rows = []
-    for k in range(trace.n_points):
-        step = trace.step_norms[k - 1] if k >= 1 else math.nan
-        breg = trace.bregman_steps[k - 1] if k >= 1 else math.nan
-        rows.append(
-            [k, *trace.points[k], trace.f_values[k], trace.grad_norms[k], step, breg]
-        )
-    _write_csv(path, header, rows)
+    # Step k describes the move into iterate k; iterate 0 has none.
+    table = np.column_stack(
+        [
+            np.arange(trace.n_points),
+            trace.points,
+            trace.f_values,
+            trace.grad_norms,
+            np.concatenate([[math.nan], trace.step_norms]),
+            np.concatenate([[math.nan], trace.bregman_steps]),
+        ]
+    )
+    _write_csv(path, header, table, int_cols=1)
 
 
 def write_flow_csv(path: Path, trace: FlowTrace, residuals: np.ndarray) -> None:
@@ -214,19 +211,17 @@ def write_flow_csv(path: Path, trace: FlowTrace, residuals: np.ndarray) -> None:
         + [f"x_{j}" for j in range(n)]
         + ["f", "metric_speed_sq", "energy_residual"]
     )
-    rows = []
-    for i in range(trace.n_samples):
-        rows.append(
-            [
-                trace.times[i],
-                *trace.y_states[i],
-                *trace.x_states[i],
-                trace.f_values[i],
-                trace.metric_speed_sq[i],
-                residuals[i],
-            ]
-        )
-    _write_csv(path, header, rows)
+    table = np.column_stack(
+        [
+            trace.times,
+            trace.y_states,
+            trace.x_states,
+            trace.f_values,
+            trace.metric_speed_sq,
+            residuals,
+        ]
+    )
+    _write_csv(path, header, table)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,7 @@ def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     _write_csv(
         out_dir / "refinement.csv",
         ["eta", "sup_deviation"],
-        [[eta, dev] for eta, dev in rows],
+        rows,
     )
     results = {"x0": x0.tolist(), "rows": [{"eta": e, "deviation": d} for e, d in rows]}
     checks = []

@@ -4,8 +4,10 @@ A :class:`DcProblem` packages value, gradient and Hessian callables for a
 decomposition ``f = g - h`` (both parts convex, ``g`` strongly convex)
 together with the constants the analysis routines consume.  The module also
 implements the Bregman divergence of the convex part and the inversion of
-its gradient map; that inversion is the single nonlinear kernel shared by
-every discrete scheme and by the continuous flow integrator.
+its gradient map, the pullback ``(grad g)^{-1} = grad g*`` that every
+discrete scheme and the continuous flow integrator go through.  Newton's
+method on ``grad g(x) = y`` is the one kernel that verifies a pullback; a
+problem with a closed-form ``grad g*`` supplies its starting point.
 """
 
 from __future__ import annotations
@@ -182,6 +184,12 @@ class DcProblem:
         convexity ``mu`` of ``g`` (``metric[0]``), ``L`` and ``sigma`` all
         hold on a box, never globally.  Samples only cross-check it; without
         it the rate checks and the descent margins raise ``ValueError``.
+    g_conj_grad : callable, optional
+        Maps a target ``y`` (a point or a stack) to ``(grad g)^{-1}(y)``, the
+        gradient of the convex conjugate ``g*``, in closed form.
+        :func:`invert_grad_g` starts Newton's method there in place of the
+        warm start, so the stopping rule still verifies every row: a wrong
+        closed form costs Newton steps, never an unverified preimage.
     """
 
     dim: int
@@ -196,6 +204,7 @@ class DcProblem:
     minimizer: Optional[np.ndarray] = None
     label: str = ""
     box_constants: Optional[Callable[[Box], BoxConstants]] = None
+    g_conj_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -280,7 +289,10 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
     ``t d`` is taken once ``||r(x + t d)|| <= (1 - c t) ||r(x)||``, and the
     trial residual becomes the next iterate's.  The Jacobian ``Hess g`` is
     positive definite, so the Newton direction always decreases the merit;
-    warm starts near the solution finish in one or two steps.
+    warm starts near the solution finish in one or two steps.  When the
+    problem has a closed-form ``g_conj_grad``, its value at ``y`` replaces
+    ``warm_start`` and usually meets the stopping rule with no Newton step:
+    one ``g_grad`` call and no ``g_hess`` call.
 
     The iteration stops once ``||r|| <= min(tol, max(tol ||y||, floor))``,
     where ``floor`` is the roundoff of evaluating ``r`` at ``x``, scaled
@@ -304,16 +316,17 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
         final residual, the smallest one reached, and for a stack the
         failing row with the largest residual.
     NumericError
-        If the residual at the warm start is not finite, a trial residual
-        is NaN, or the Hessian is singular.  An infinite trial residual
-        only shortens the step.
+        If the residual at the start (the warm start or the closed form's
+        value) is not finite, a trial residual is NaN, or the Hessian is
+        singular.  An infinite trial residual only shortens the step.
     """
     y = np.asarray(y, dtype=float)
-    x = np.array(p.check_points(warm_start), dtype=float)
+    x = p.check_points(warm_start)
     if y.shape != x.shape:
         raise ValueError(
             f"target of shape {y.shape} does not match the warm start's {x.shape}"
         )
+    x = np.array(x if p.g_conj_grad is None else p.g_conj_grad(y), dtype=float)
     if y.ndim == 2 and len(y) > 1:
         return _invert_rows(p, y, x, tol)
     return _invert_point(p, y.reshape(-1), x.reshape(-1), tol).reshape(y.shape)

@@ -3,8 +3,11 @@
 The autonomous field ``y' = grad h(pullback(y)) - y`` is integrated with an
 embedded Dormand-Prince 4(5) pair under PI step control.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
-warm-started gradient inversion, and consecutive evaluations are close, so
-the inner Newton solve typically finishes in one or two steps.  Step sizes
+pullback through the inverse gradient map.  For the built-in families that
+is a closed form that Newton's stopping rule verifies, usually without a
+step; other problems run Newton warm-started at the previous evaluation's
+pullback, and consecutive evaluations are close, so it typically finishes in
+one or two steps.  Step sizes
 follow the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
 accepted step.  The interpolated dual states of one accepted step are pulled

@@ -7,6 +7,10 @@ different metrics.  A third constructor shifts an existing decomposition
 by a convex quadratic, changing the geometry while leaving the objective
 untouched.
 
+Both families also supply ``grad g*``, the inverse of ``grad g``, in closed
+form; Newton's method in :func:`~dcflow.core.invert_grad_g` starts there and
+verifies it.
+
 Every oracle takes a point or a stack of points.  Products are written
 with ``np.matvec`` and ``np.vecdot``: at one point they round exactly as
 ``a @ x`` and ``x @ y`` do, and each row of a stack rounds as that row
@@ -153,6 +157,40 @@ class _DoubleWellConstants:
         return _DoubleWellConstants(self.q + d)
 
 
+class _QuadraticPullback:
+    """``(grad g)^{-1}(y) = a^{-1} y`` for ``g(x) = x'ax/2``, from an inverse
+    of ``a`` computed once."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self._a_inv = np.linalg.inv(a)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return np.matvec(self._a_inv, y)
+
+    def shifted(self, d: np.ndarray) -> "_QuadraticPullback":
+        """The pullback of the metric ``a + diag(d)``."""
+        return _QuadraticPullback(self.a + np.diag(d))
+
+
+class _DoubleWellPullback:
+    """``(grad g)^{-1}`` of the double well: coordinatewise the one real root
+    of ``x^3 + q x = y``, ``x = 2 sqrt(q/3) sinh(asinh(3 sqrt(3) y / (2 q^{3/2})) / 3)``.
+    """
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+        self._scale = 2.0 * np.sqrt(q / 3.0)
+        self._gain = 3.0 * np.sqrt(3.0) / (2.0 * q**1.5)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        return self._scale * np.sinh(np.arcsinh(self._gain * y) / 3.0)
+
+    def shifted(self, d: np.ndarray) -> "_DoubleWellPullback":
+        """The pullback with ``diag(d)`` added to the metric."""
+        return _DoubleWellPullback(self.q + d)
+
+
 def make_quadratic(a, b) -> DcProblem:
     """Problem with ``g(x) = x'ax/2`` and ``h(x) = x'bx/2``.
 
@@ -184,6 +222,7 @@ def make_quadratic(a, b) -> DcProblem:
         minimizer=np.zeros(n),
         label=f"quadratic(n={n})",
         box_constants=constants,
+        g_conj_grad=_QuadraticPullback(a_loc),
     )
 
 
@@ -219,6 +258,7 @@ def make_double_well(q) -> DcProblem:
         minimizer=np.ones(n),
         label=f"double_well(q={q.tolist()})",
         box_constants=_DoubleWellConstants(q),
+        g_conj_grad=_DoubleWellPullback(q),
     )
 
 
@@ -228,10 +268,10 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
     The objective is unchanged pointwise (the added terms cancel), but the
     metric gains ``diag(d)``, so the dynamics and every rate constant tied
     to the metric change.  A built-in family's closed-form box constants
-    carry over with the shift absorbed into its parameters (metric weights
-    ``q + d`` for the double well, ``a + diag(d)`` for the quadratic);
-    other problems lose their box constants, which belong to the original
-    metric.
+    and pullback ``grad g*`` carry over with the shift absorbed into its
+    parameters (metric weights ``q + d`` for the double well, ``a + diag(d)``
+    for the quadratic); other problems lose them, since they belong to the
+    original metric.
     """
     d = np.atleast_1d(np.asarray(phi_hess_diag, dtype=float))
     if d.ndim != 1 or d.size != p.dim:
@@ -248,6 +288,11 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         constants = family.shifted(d)
     else:
         constants = None
+    pullback = p.g_conj_grad
+    if isinstance(pullback, (_QuadraticPullback, _DoubleWellPullback)):
+        pullback = pullback.shifted(d)
+    else:
+        pullback = None
 
     return DcProblem(
         dim=p.dim,
@@ -262,4 +307,5 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         minimizer=p.minimizer,
         label=p.label + f"+shift(d={d.tolist()})",
         box_constants=constants,
+        g_conj_grad=pullback,
     )

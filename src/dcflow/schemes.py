@@ -207,18 +207,15 @@ def descent_margins(p: DcProblem, trace: IterateTrace):
     eta = trace.eta
     coef_relaxed = (1.0 - eta) / eta
     coef_strong = (1.0 - eta) * mu / (2.0 * eta)
-    f_errs = [p.f_value_and_roundoff(x)[1] for x in trace.points]
-    worst_relaxed = np.inf
-    worst_strong = np.inf
-    for k in range(trace.bregman_steps.size):
-        fk = trace.f_values[k]
-        fk1 = trace.f_values[k + 1]
-        f_err = f_errs[k] + f_errs[k + 1]
-        slack = _DESCENT_SLACK * (1.0 + abs(fk)) + f_err
-        relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps[k] - fk
-        strong_violation = coef_strong * trace.step_norms[k] ** 2 - (fk - fk1)
-        worst_relaxed = min(worst_relaxed, slack + coef_relaxed * f_err - relaxed_violation)
-        worst_strong = min(worst_strong, slack - strong_violation)
+    f_errs = p.f_value_and_roundoff(trace.points)[1]
+    steps = trace.bregman_steps.size
+    fk, fk1 = trace.f_values[:steps], trace.f_values[1 : steps + 1]
+    f_err = f_errs[:steps] + f_errs[1 : steps + 1]
+    slack = _DESCENT_SLACK * (1.0 + np.abs(fk)) + f_err
+    relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps - fk
+    strong_violation = coef_strong * trace.step_norms**2 - (fk - fk1)
+    worst_relaxed = np.min(slack + coef_relaxed * f_err - relaxed_violation, initial=np.inf)
+    worst_strong = np.min(slack - strong_violation, initial=np.inf)
     return float(worst_relaxed), float(worst_strong)
 
 
@@ -229,17 +226,11 @@ def gradient_identity_margin(p: DcProblem, trace: IterateTrace) -> float:
     small multiple of :data:`~dcflow.core.INVERSION_TOL` indicate a broken
     run.
     """
-    worst = 0.0
-    for k in range(trace.points.shape[0] - 1):
-        xk = trace.points[k]
-        xk1 = trace.points[k + 1]
-        lhs = float(
-            np.linalg.norm(
-                np.asarray(p.g_grad(xk1), dtype=float)
-                - np.asarray(p.g_grad(xk), dtype=float)
-            )
-        )
-        rhs = trace.eta * float(np.linalg.norm(p.f_grad(xk)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    points = trace.points
+    dual = np.diff(np.asarray(p.g_grad(points), dtype=float), axis=0)
+    grad = p.f_grad(points[:-1])
+    # vecdot rounds each row as np.linalg.norm rounds that row alone.
+    lhs = np.sqrt(np.vecdot(dual, dual))
+    rhs = trace.eta * np.sqrt(np.vecdot(grad, grad))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 

@@ -13,6 +13,12 @@ def central_diff_grad(fun, x, step: float) -> np.ndarray:
     return central_diff_jacobian(lambda z: [fun(z)], x, step)[0]
 
 
+def newton_only(p):
+    """``p`` without its closed-form pullback: every inversion runs Newton
+    from the caller's warm start, as for a hand-built problem."""
+    return dataclasses.replace(p, g_conj_grad=None)
+
+
 def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:
     """Sup-norm disagreement between primal and dual runs of ``n_iter`` steps."""
     fixed = dataclasses.replace(cfg, max_iter=n_iter, stop_grad_tol=1e-300)

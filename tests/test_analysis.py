@@ -33,6 +33,7 @@ from dcflow.analysis import (
 from dcflow import analysis, core
 from dcflow.core import ConvergenceError, DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
+from helpers import newton_only
 
 RNG = np.random.default_rng(20240505)
 
@@ -323,10 +324,11 @@ def test_contraction_locality_error_on_expanding_map():
 
 
 def test_contraction_inversion_failure_names_its_step(dw_unit, monkeypatch):
-    lin = linearize_at(dw_unit, np.ones(2))
+    p = newton_only(dw_unit)
+    lin = linearize_at(p, np.ones(2))
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
     with pytest.raises(ConvergenceError) as info:
-        measure_local_contraction(dw_unit, lin, 0.5, radius=1e-3)
+        measure_local_contraction(p, lin, 0.5, radius=1e-3)
     assert "(residual " in str(info.value)
     assert str(info.value).endswith("in local contraction step 0 (eta=0.5, radius=0.001)")
 

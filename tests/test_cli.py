@@ -3,11 +3,12 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dcflow import analysis, cli, core
+from dcflow import analysis, cli, core, problems
 from dcflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -241,6 +242,34 @@ def test_trace_csv_schema(tmp_path):
     assert rows[1][5] == "nan"  # no step into the first iterate
     # 17 significant digits round-trip exactly
     assert float(rows[2][1]) == 1.5 * 0.75
+
+
+def _fmt_reference(v) -> str:
+    """The CSV cell as formatted one value at a time before the table writer."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    v = float(v)
+    if math.isnan(v):
+        return "nan"
+    return format(v, ".17g")
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(7)
+    # nan, infinities, signed zeros, subnormals, the extremes and inexact decimals.
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-310]
+    special += [2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 0.1, 1.0 / 3.0]
+    values = np.concatenate(
+        [special, rng.standard_normal(600) * 10.0 ** rng.integers(-320, 300, 600)]
+    )
+    table = np.column_stack([np.arange(100), rng.permutation(np.resize(values, (100, 7)))])
+    header = ["k"] + [f"c_{j}" for j in range(7)]
+    cli._write_csv(tmp_path / "table.csv", header, table, int_cols=1)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join([_fmt_reference(int(row[0]))] + [_fmt_reference(v) for v in row[1:]]) + "\n"
+        for row in table
+    )
+    assert (tmp_path / "table.csv").read_bytes() == expected.encode()
 
 
 def test_eta_sweep_report(tmp_path):
@@ -528,9 +557,18 @@ def test_eta_sweep_double_well_certifies_contraction_bound(tmp_path):
     assert box["upper"] == pytest.approx([1.0, -0.8], abs=1e-8)
 
 
+def _lying_pullback(monkeypatch):
+    """Make the double well's closed-form pullback return its target, a wrong
+    preimage, so inversions run Newton from there."""
+    monkeypatch.setattr(
+        problems._DoubleWellPullback, "__call__", lambda self, y: np.array(y, dtype=float)
+    )
+
+
 def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     # The message names where the inversion failed, beside its residual.
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
+    _lying_pullback(monkeypatch)
     for experiment, phase in [
         ("RunScheme", "in scheme iteration 0 (eta=0.5)"),
         ("RunFlow", "in the flow step from t=0 of size 0.01"),
@@ -559,6 +597,7 @@ def test_eta_sweep_member_failure_ends_run_without_report(tmp_path, capsys, monk
             return real_run_scheme(p, x0, cfg, *args)
         with monkeypatch.context() as m:
             m.setattr(core, "_MAX_NEWTON_ITER", 1)
+            _lying_pullback(m)
             return real_run_scheme(p, x0, cfg, *args)
 
     monkeypatch.setattr(cli, "run_scheme", run_scheme)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcflow
-from dcflow import Box, make_double_well, make_quadratic
+from dcflow import Box, make_double_well, make_quadratic, make_shifted_decomposition
 from dcflow import core
 from dcflow.core import (
     INVERSION_TOL,
@@ -17,7 +17,7 @@ from dcflow.core import (
     dual_map,
     invert_grad_g,
 )
-from helpers import central_diff_grad
+from helpers import central_diff_grad, newton_only
 
 RNG = np.random.default_rng(20240501)
 
@@ -200,7 +200,9 @@ def test_invert_rejects_wrong_length_target(dw_unit):
 def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15)
+        invert_grad_g(
+            newton_only(dw_unit), np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15
+        )
     assert err.value.best_residual > 0.0
     assert err.value.iterations == 1
 
@@ -213,7 +215,7 @@ def test_stacked_invert_failure_names_its_worst_row(dw_unit, monkeypatch):
     warm = x + np.array([[0.0, 0.0], [0.01, 0.0], [0.3, 0.0], [0.02, 0.0]])
     y = dw_unit.g_grad(x)
     with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(dw_unit, y, warm)
+        invert_grad_g(newton_only(dw_unit), y, warm)
     assert err.value.row == 2
     assert err.value.iterations == 0
     assert err.value.best_residual == np.linalg.norm(dw_unit.g_grad(warm[2]) - y[2])
@@ -278,10 +280,78 @@ def test_invert_makes_no_value_calls(dw_aniso):
         return wrapper
 
     p = dataclasses.replace(dw_aniso, **{name: counted(name) for name in calls})
-    invert_grad_g(p, np.array([4.0, -7.5]), np.array([0.3, 0.2]))
+    invert_grad_g(newton_only(p), np.array([4.0, -7.5]), np.array([0.3, 0.2]))
     assert calls["g_value"] == 0
     # One gradient per trial point plus the warm start, one Hessian per step.
     assert calls["g_grad"] >= calls["g_hess"] + 1 >= 2
+    # The closed form meets the stopping rule itself: the residual there is
+    # the one gradient, and no Newton step needs a Hessian.
+    for name in calls:
+        calls[name] = 0
+    invert_grad_g(p, np.array([4.0, -7.5]), np.array([0.3, 0.2]))
+    assert calls == {"g_value": 0, "g_grad": 1, "g_hess": 0}
+
+
+# ---------------------------------------------------------------------------
+# closed-form pullback
+
+
+def test_invert_without_closed_form_is_bit_identical_to_plain_newton(dw_aniso):
+    # Newton's iterates from the warm start, pinned from the loop as it ran
+    # before problems had a closed-form pullback.
+    p = newton_only(dw_aniso)
+    x = invert_grad_g(p, np.array([4.0, -7.5]), np.array([0.3, 0.2]))
+    assert [v.hex() for v in x] == ["0x1.60f8d20ee39ebp+0", "-0x1.4fb16cdd5920fp+0"]
+    y = np.array([[4.0, -7.5], [0.3, 0.02], [-2.5, 9.0]])
+    warm = np.array([[0.3, 0.2], [0.0, 0.0], [-1.0, 1.0]])
+    assert [[v.hex() for v in row] for row in invert_grad_g(p, y, warm)] == [
+        ["0x1.60f8d20ee39ebp+0", "-0x1.4fb16cdd5920fp+0"],
+        ["0x1.1d199b0c33703p-2", "0x1.47ad8e43c92e3p-8"],
+        ["-0x1.1d60110b7dcdfp+0", "0x1.76efbe6eb32d6p+0"],
+    ]
+    quad = newton_only(make_quadratic([[2.0, 0.5], [0.5, 1.0]], [[0.5, 0.0], [0.0, 0.25]]))
+    x = invert_grad_g(quad, np.array([1.0, -3.0]), np.array([0.1, 0.1]))
+    assert [v.hex() for v in x] == ["0x1.6db6db6db6db7p+0", "-0x1.db6db6db6db6dp+1"]
+
+
+_PREIMAGES = np.array([[1.2, -0.7], [0.3, 0.05], [-1.9, 1.4]])
+
+
+def test_lying_closed_form_still_yields_verified_preimages(dw_aniso, monkeypatch):
+    # A closed form that returns its target is wrong everywhere here; Newton
+    # starts from it and its stopping rule still holds on every row.
+    p = dataclasses.replace(dw_aniso, g_conj_grad=lambda y: np.array(y, dtype=float))
+    y = dw_aniso.g_grad(_PREIMAGES)
+    for target, expected in ((y, _PREIMAGES), (y[1], _PREIMAGES[1])):
+        x = invert_grad_g(p, target, np.zeros_like(target))
+        residual = np.atleast_2d(dw_aniso.g_grad(x) - target)
+        goal = INVERSION_TOL * np.minimum(1.0, np.linalg.norm(np.atleast_2d(target), axis=1))
+        assert np.all(np.linalg.norm(residual, axis=1) <= goal)
+        np.testing.assert_allclose(x, expected, atol=1e-9)
+    # With no Newton step allowed the lie cannot pass as a preimage.
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    for target in (y, y[1]):
+        with pytest.raises(ConvergenceError):
+            invert_grad_g(p, target, np.zeros_like(target))
+
+
+def test_nan_closed_form_is_a_numeric_error(dw_aniso):
+    p = dataclasses.replace(dw_aniso, g_conj_grad=lambda y: np.full(np.shape(y), np.nan))
+    y = dw_aniso.g_grad(_PREIMAGES)
+    for target in (y, y[0]):
+        with pytest.raises(NumericError):
+            invert_grad_g(p, target, np.zeros_like(target))
+
+
+def test_shift_keeps_only_a_built_in_closed_form(dw_aniso):
+    d = np.array([0.5, 2.0])
+    x = np.array([[1.2, -0.7], [0.0, 3.0]])
+    for p in (dw_aniso, make_quadratic([[2.0, 0.5], [0.5, 1.0]], np.eye(2) / 4)):
+        shifted = make_shifted_decomposition(p, d)
+        np.testing.assert_allclose(shifted.g_conj_grad(shifted.g_grad(x)), x, atol=1e-14)
+        assert make_shifted_decomposition(newton_only(p), d).g_conj_grad is None
+        hand_built = dataclasses.replace(p, g_conj_grad=lambda y: np.array(y, dtype=float))
+        assert make_shifted_decomposition(hand_built, d).g_conj_grad is None
 
 
 def test_invert_raises_numeric_error_on_nan():

@@ -1,7 +1,8 @@
 """Property tests over random instances: primal/dual equivalence, descent,
 the gradient and energy identities, the closed-form quadratic flow, the
-closed-form box constants, the damped scheme's rate bound, and stacked
-oracles and inversions against single-point calls.
+closed-form box constants, the damped scheme's rate bound, stacked
+oracles and inversions against single-point calls, and the closed-form
+pullback against the inversion's stopping rule.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -43,9 +44,9 @@ from dcflow.analysis import (
     energy_residuals,
     local_exp_certificate,
 )
-from dcflow.core import INVERSION_TOL, flow_velocity, invert_grad_g
+from dcflow.core import INVERSION_TOL, ROUNDOFF, flow_velocity, invert_grad_g
 from dcflow.schemes import gradient_identity_margin
-from helpers import primal_dual_sup_gap
+from helpers import newton_only, primal_dual_sup_gap
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -285,10 +286,9 @@ def _shifted_reference(ref, d):
 
 
 @st.composite
-def stacked_points(draw):
+def built_in_problems(draw):
     """A double well or an SPD quadratic split in 1 to 12 dimensions, maybe
-    shifted, its single-point oracles written with ``@``, and a stack of 2 to
-    8 points with a warm start near each."""
+    shifted, and its single-point oracles written with ``@``."""
     n = draw(st.integers(min_value=1, max_value=12))
     if draw(st.booleans()):
         q = draw(arrays(float, n, elements=st.floats(0.25, 4.0)))
@@ -299,6 +299,15 @@ def stacked_points(draw):
     if draw(st.booleans()):
         d = draw(arrays(float, n, elements=st.floats(0.0, 3.0)))
         p, ref = make_shifted_decomposition(p, d), _shifted_reference(ref, d)
+    return p, ref
+
+
+@st.composite
+def stacked_points(draw):
+    """A built-in problem, its ``@`` reference oracles, and a stack of 2 to 8
+    points with a warm start near each."""
+    p, ref = draw(built_in_problems())
+    n = p.dim
     m = draw(st.integers(min_value=2, max_value=8))
     x = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
     warm = x + draw(arrays(float, (m, n), elements=st.floats(-0.5, 0.5)))
@@ -331,9 +340,48 @@ def test_stacked_oracle_rows_equal_point_calls(instance):
 @PROPERTY_SETTINGS
 @given(stacked_points())
 def test_stacked_inversion_rows_equal_point_calls(instance):
-    p, _, x, warm = instance
-    y = p.g_grad(x)
-    stacked = invert_grad_g(p, y, warm)
-    for i in range(len(x)):
-        assert _same(stacked[i], invert_grad_g(p, y[i], warm[i]))
-    assert _same(invert_grad_g(p, y[:1], warm[:1]), invert_grad_g(p, y[0], warm[0])[None])
+    built_in, _, x, warm = instance
+    y = built_in.g_grad(x)
+    # From the closed form, and by Newton alone from the warm starts.
+    for p in (built_in, newton_only(built_in)):
+        stacked = invert_grad_g(p, y, warm)
+        for i in range(len(x)):
+            assert _same(stacked[i], invert_grad_g(p, y[i], warm[i]))
+        assert _same(invert_grad_g(p, y[:1], warm[:1]), invert_grad_g(p, y[0], warm[0])[None])
+
+
+# Up to this target norm the inversion's absolute tolerance (for |y| > 1)
+# lies well above the roundoff of evaluating grad g at the preimage; by
+# |y| = 1e6 the two meet, and no start meets the rule on every row.
+_ATTAINABLE_TARGET = 1e4
+
+
+@st.composite
+def pullback_targets(draw):
+    """A built-in problem and a stack of 1 to 8 targets whose norms are
+    log-uniform on [1e-12, 1e6]."""
+    p, _ = draw(built_in_problems())
+    m = draw(st.integers(min_value=1, max_value=8))
+    u = draw(arrays(float, (m, p.dim), elements=st.floats(-1.0, 1.0)))
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.where(norms > 0.0, u / np.where(norms > 0.0, norms, 1.0), 1.0 / np.sqrt(p.dim))
+    scale = 10.0 ** draw(arrays(float, (m, 1), elements=st.floats(-12.0, 6.0)))
+    return p, u * scale
+
+
+@PROPERTY_SETTINGS
+@given(pullback_targets())
+def test_closed_form_pullback_meets_the_stopping_rule(instance):
+    p, y = instance
+    x = p.g_conj_grad(y)
+    y_norm = np.linalg.norm(y, axis=1)
+    for i in range(len(y)):
+        assert _same(x[i], p.g_conj_grad(y[i]))
+        # Newton takes no step from a start that meets its stopping rule.
+        if y_norm[i] <= _ATTAINABLE_TARGET:
+            assert _same(invert_grad_g(p, y[i], np.zeros(p.dim)), x[i])
+    # At every scale the closed form is exact up to the inversion's own
+    # roundoff floor, scaled from Hess g and x.
+    residual = np.linalg.norm(p.g_grad(x) - y, axis=1)
+    floor = ROUNDOFF * p.dim * np.abs(p.g_hess(x)).max(axis=(1, 2)) * np.abs(x).max(axis=1)
+    assert np.all(residual <= np.maximum(INVERSION_TOL * np.minimum(1.0, y_norm), floor))

@@ -5,9 +5,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcflow import Mode, SchemeConfig, descent_margins, make_double_well, run_scheme
+from dcflow import (
+    Box,
+    Mode,
+    SchemeConfig,
+    descent_margins,
+    make_double_well,
+    make_shifted_decomposition,
+    run_scheme,
+)
 from dcflow.core import INVERSION_TOL, DcProblem, dual_euler, dual_map, invert_grad_g
-from dcflow.schemes import Termination, damped_dca_step, gradient_identity_margin
+from dcflow.schemes import (
+    _DESCENT_SLACK,
+    Termination,
+    damped_dca_step,
+    gradient_identity_margin,
+)
 from helpers import primal_dual_sup_gap
 
 RNG = np.random.default_rng(20240503)
@@ -186,6 +199,51 @@ def test_gradient_difference_identity(dw_unit, eta):
     cfg = SchemeConfig(eta=eta)
     trace = run_scheme(dw_unit, np.array([0.3, 1.7]), cfg)
     assert gradient_identity_margin(dw_unit, trace) <= 10.0 * INVERSION_TOL
+
+
+def _descent_margins_loop(p, trace):
+    """Per-iterate reference for :func:`descent_margins`."""
+    mu = p.box_constants(Box.spanning(trace.points)).metric[0]
+    eta = trace.eta
+    coef_relaxed = (1.0 - eta) / eta
+    coef_strong = (1.0 - eta) * mu / (2.0 * eta)
+    f_errs = [p.f_value_and_roundoff(x)[1] for x in trace.points]
+    worst_relaxed = worst_strong = np.inf
+    for k in range(trace.bregman_steps.size):
+        fk, fk1 = trace.f_values[k], trace.f_values[k + 1]
+        f_err = f_errs[k] + f_errs[k + 1]
+        slack = _DESCENT_SLACK * (1.0 + abs(fk)) + f_err
+        relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps[k] - fk
+        strong_violation = coef_strong * trace.step_norms[k] ** 2 - (fk - fk1)
+        worst_relaxed = min(worst_relaxed, slack + coef_relaxed * f_err - relaxed_violation)
+        worst_strong = min(worst_strong, slack - strong_violation)
+    return float(worst_relaxed), float(worst_strong)
+
+
+def _gradient_identity_margin_loop(p, trace):
+    """Per-iterate reference for :func:`gradient_identity_margin`."""
+    worst = 0.0
+    for k in range(trace.points.shape[0] - 1):
+        xk, xk1 = trace.points[k], trace.points[k + 1]
+        lhs = float(np.linalg.norm(p.g_grad(xk1) - p.g_grad(xk)))
+        rhs = trace.eta * float(np.linalg.norm(p.f_grad(xk)))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_stacked_scheme_checks_equal_per_iterate_loops(eta, mode, quad_canonical):
+    shifted = make_shifted_decomposition(make_double_well([0.5, 2.0, 1.0]), [0.3, 0.0, 1.5])
+    for p, x0 in ((shifted, [1.7, -0.4, 0.9]), (quad_canonical, [1.5, -0.8])):
+        cfg = SchemeConfig(eta=eta, max_iter=60)
+        trace = run_scheme(p, np.array(x0), cfg, mode)
+        # A run started at a minimizer has one point and no step.
+        at_rest = run_scheme(p, p.minimizer, cfg, mode)
+        assert trace.n_points > 2 and at_rest.n_points == 1
+        for t in (trace, at_rest):
+            assert descent_margins(p, t) == _descent_margins_loop(p, t)
+            assert gradient_identity_margin(p, t) == _gradient_identity_margin_loop(p, t)
 
 
 def test_step_norms_vanish_along_converging_run(dw_unit):
