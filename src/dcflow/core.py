@@ -309,6 +309,9 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
 
     Raises
     ------
+    ValueError
+        If ``y`` and ``warm_start`` differ in shape, or the closed form
+        returns a point of another shape than ``y``.
     ConvergenceError
         If the residual is still above the stopping rule after
         ``_MAX_NEWTON_ITER`` Newton steps, or earlier once the line search
@@ -326,20 +329,26 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
         raise ValueError(
             f"target of shape {y.shape} does not match the warm start's {x.shape}"
         )
-    x = np.array(x if p.g_conj_grad is None else p.g_conj_grad(y), dtype=float)
+    if p.g_conj_grad is not None:
+        x = np.array(p.g_conj_grad(y), dtype=float)
+        if x.shape != y.shape:
+            raise ValueError(
+                f"closed-form pullback of shape {x.shape} does not match "
+                f"the target's {y.shape}"
+            )
     if y.ndim == 2 and len(y) > 1:
         return _invert_rows(p, y, x, tol)
     return _invert_point(p, y.reshape(-1), x.reshape(-1), tol).reshape(y.shape)
 
 
 def _invert_point(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`invert_grad_g` for one target ``y``, from the warm start ``x``."""
+    """:func:`invert_grad_g` for one target ``y``, from the start point ``x``."""
     goal = tol * min(1.0, float(np.linalg.norm(y)))
 
     residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm = float(np.linalg.norm(residual))
     if not np.isfinite(rnorm):
-        raise NumericError("non-finite gradient residual at the warm start")
+        raise NumericError("non-finite gradient residual at the start point")
 
     for iterations in range(_MAX_NEWTON_ITER + 1):
         if rnorm <= goal:
@@ -395,7 +404,7 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
     residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm = _row_norms(residual)
     if not np.all(np.isfinite(rnorm)):
-        raise NumericError("non-finite gradient residual at the warm start")
+        raise NumericError("non-finite gradient residual at the start point")
 
     live = np.ones(len(y), dtype=bool)
     failed_at = np.full(len(y), -1)  # Newton step at which a row failed

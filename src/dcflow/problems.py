@@ -95,11 +95,12 @@ def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float:
 
 
 class _QuadraticConstants:
-    """Box constants of ``g(x) = x'ax/2`` and ``f(x) = x'cx/2``.
+    """Box constants of ``g(x) = x'ax/2`` and ``f(x) = x'cx/2``, and the
+    pullback ``(grad g)^{-1}(y) = a^{-1} y``.
 
     Both Hessians are constant, so every box gets the eigenvalue ranges of
     ``a`` and ``c`` and the global metric PL constant ``sigma`` (zero when
-    ``c`` vanishes).
+    ``c`` vanishes).  The pullback uses an inverse of ``a`` computed once.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, a_eigs: np.ndarray, c_eigs: np.ndarray):
@@ -111,9 +112,13 @@ class _QuadraticConstants:
             objective=(float(c_eigs[0]), float(c_eigs[-1])),
             sigma=_quadratic_sigma(a, c),
         )
+        self._a_inv = np.linalg.inv(a)
 
     def __call__(self, box: Box) -> BoxConstants:
         return self._constants
+
+    def pullback(self, y: np.ndarray) -> np.ndarray:
+        return np.matvec(self._a_inv, y)
 
     def shifted(self, d: np.ndarray) -> "_QuadraticConstants":
         """The same split with ``diag(d)`` added to the metric."""
@@ -131,10 +136,15 @@ class _DoubleWellConstants:
     ``2 x_i^2 / (3 x_i^2 + q_i)`` with weights ``(x_i^2 - 1)^2``, so it is at
     least their smallest value at ``m_i``; the bound is tight when the box
     holds a minimizer.
+
+    The pullback ``(grad g)^{-1}`` is coordinatewise the one real root of
+    ``x^3 + q x = y``, ``x = 2 sqrt(q/3) sinh(asinh(3 sqrt(3) y / (2 q^{3/2})) / 3)``.
     """
 
     def __init__(self, q: np.ndarray):
         self.q = q
+        self._scale = 2.0 * np.sqrt(q / 3.0)
+        self._gain = 3.0 * np.sqrt(3.0) / (2.0 * q**1.5)
 
     def __call__(self, box: Box) -> BoxConstants:
         lo, up = box.lower, box.upper
@@ -152,43 +162,12 @@ class _DoubleWellConstants:
             sigma=float(np.min(2.0 * small**2 / metric_lo)),
         )
 
+    def pullback(self, y: np.ndarray) -> np.ndarray:
+        return self._scale * np.sinh(np.arcsinh(self._gain * y) / 3.0)
+
     def shifted(self, d: np.ndarray) -> "_DoubleWellConstants":
         """The same objective with ``diag(d)`` added to the metric."""
         return _DoubleWellConstants(self.q + d)
-
-
-class _QuadraticPullback:
-    """``(grad g)^{-1}(y) = a^{-1} y`` for ``g(x) = x'ax/2``, from an inverse
-    of ``a`` computed once."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self._a_inv = np.linalg.inv(a)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.matvec(self._a_inv, y)
-
-    def shifted(self, d: np.ndarray) -> "_QuadraticPullback":
-        """The pullback of the metric ``a + diag(d)``."""
-        return _QuadraticPullback(self.a + np.diag(d))
-
-
-class _DoubleWellPullback:
-    """``(grad g)^{-1}`` of the double well: coordinatewise the one real root
-    of ``x^3 + q x = y``, ``x = 2 sqrt(q/3) sinh(asinh(3 sqrt(3) y / (2 q^{3/2})) / 3)``.
-    """
-
-    def __init__(self, q: np.ndarray):
-        self.q = q
-        self._scale = 2.0 * np.sqrt(q / 3.0)
-        self._gain = 3.0 * np.sqrt(3.0) / (2.0 * q**1.5)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self._scale * np.sinh(np.arcsinh(self._gain * y) / 3.0)
-
-    def shifted(self, d: np.ndarray) -> "_DoubleWellPullback":
-        """The pullback with ``diag(d)`` added to the metric."""
-        return _DoubleWellPullback(self.q + d)
 
 
 def make_quadratic(a, b) -> DcProblem:
@@ -222,7 +201,7 @@ def make_quadratic(a, b) -> DcProblem:
         minimizer=np.zeros(n),
         label=f"quadratic(n={n})",
         box_constants=constants,
-        g_conj_grad=_QuadraticPullback(a_loc),
+        g_conj_grad=constants.pullback,
     )
 
 
@@ -244,6 +223,7 @@ def make_double_well(q) -> DcProblem:
     n = q.size
     eye = np.eye(n)
     hess_h = np.diag(q + 1.0)
+    constants = _DoubleWellConstants(q)
 
     return DcProblem(
         dim=n,
@@ -257,8 +237,8 @@ def make_double_well(q) -> DcProblem:
         f_star=-0.25 * n,
         minimizer=np.ones(n),
         label=f"double_well(q={q.tolist()})",
-        box_constants=_DoubleWellConstants(q),
-        g_conj_grad=_DoubleWellPullback(q),
+        box_constants=constants,
+        g_conj_grad=constants.pullback,
     )
 
 
@@ -284,15 +264,11 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
     g_hess, h_hess = p.g_hess, p.h_hess
     d_mat = np.diag(d)
     family = p.box_constants
+    constants = pullback = None
     if isinstance(family, (_QuadraticConstants, _DoubleWellConstants)):
         constants = family.shifted(d)
-    else:
-        constants = None
-    pullback = p.g_conj_grad
-    if isinstance(pullback, (_QuadraticPullback, _DoubleWellPullback)):
-        pullback = pullback.shifted(d)
-    else:
-        pullback = None
+        if p.g_conj_grad == family.pullback:
+            pullback = constants.pullback
 
     return DcProblem(
         dim=p.dim,

@@ -557,11 +557,16 @@ def test_eta_sweep_double_well_certifies_contraction_bound(tmp_path):
     assert box["upper"] == pytest.approx([1.0, -0.8], abs=1e-8)
 
 
+def _wrong_preimage(y):
+    """A closed-form pullback that returns its target, a wrong preimage, so
+    inversions run Newton from there."""
+    return np.array(y, dtype=float)
+
+
 def _lying_pullback(monkeypatch):
-    """Make the double well's closed-form pullback return its target, a wrong
-    preimage, so inversions run Newton from there."""
+    """Make every double well built from here on use :func:`_wrong_preimage`."""
     monkeypatch.setattr(
-        problems._DoubleWellPullback, "__call__", lambda self, y: np.array(y, dtype=float)
+        problems._DoubleWellConstants, "pullback", lambda self, y: _wrong_preimage(y)
     )
 
 
@@ -597,7 +602,7 @@ def test_eta_sweep_member_failure_ends_run_without_report(tmp_path, capsys, monk
             return real_run_scheme(p, x0, cfg, *args)
         with monkeypatch.context() as m:
             m.setattr(core, "_MAX_NEWTON_ITER", 1)
-            _lying_pullback(m)
+            p = dataclasses.replace(p, g_conj_grad=_wrong_preimage)
             return real_run_scheme(p, x0, cfg, *args)
 
     monkeypatch.setattr(cli, "run_scheme", run_scheme)

@@ -169,10 +169,16 @@ def test_bregman_second_order_expansion(family, quad_canonical, dw_unit):
 # gradient inversion
 
 
+def _both_starts(p):
+    """``p`` from its closed-form start, and by Newton alone from the given
+    warm start, as for a hand-built problem."""
+    return p, newton_only(p)
+
+
 def test_invert_diagonal_solve():
-    p = make_quadratic(2.0 * np.eye(2), np.eye(2))
-    x = invert_grad_g(p, np.array([2.0, 4.0]), np.zeros(2))
-    np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-12)
+    for p in _both_starts(make_quadratic(2.0 * np.eye(2), np.eye(2))):
+        x = invert_grad_g(p, np.array([2.0, 4.0]), np.zeros(2))
+        np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["quad", "dw"])
@@ -181,15 +187,16 @@ def test_invert_round_trip(family, quad_canonical, dw_unit):
     mu = p.box_constants(p.region).metric[0]
     for x0 in p.region.sample(RNG, 20):
         y = np.asarray(p.g_grad(x0), dtype=float)
-        x = invert_grad_g(p, y, np.zeros(p.dim))
-        assert np.linalg.norm(x - x0) <= 10.0 * INVERSION_TOL / mu
+        for start in _both_starts(p):
+            x = invert_grad_g(start, y, np.zeros(p.dim))
+            assert np.linalg.norm(x - x0) <= 10.0 * INVERSION_TOL / mu
 
 
 def test_invert_scalar_cubic():
     # grad g is x^3 + x for q = 1; 1^3 + 1 = 2 puts the preimage of 2 at 1.
-    p = make_double_well([1.0])
-    x = invert_grad_g(p, np.array([2.0]), np.array([0.0]))
-    assert x[0] == pytest.approx(1.0, abs=1e-10)
+    for p in _both_starts(make_double_well([1.0])):
+        x = invert_grad_g(p, np.array([2.0]), np.array([0.0]))
+        assert x[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_invert_rejects_wrong_length_target(dw_unit):
@@ -261,10 +268,12 @@ def test_invert_unattainable_tol_is_a_convergence_error(dw_unit):
 
 
 def test_invert_stops_relative_to_small_targets(dw_unit):
-    # An absolute 1e-10 stops one step early here, at 8.5e-5 relative.
+    # On the Newton path an absolute 1e-10 stops one step early here, at
+    # 8.5e-5 relative.
     y = np.array([3e-7, -2e-7])
-    x = invert_grad_g(dw_unit, y, np.array([0.05, 0.03]))
-    assert np.linalg.norm(dw_unit.g_grad(x) - y) <= INVERSION_TOL * np.linalg.norm(y)
+    for p in _both_starts(dw_unit):
+        x = invert_grad_g(p, y, np.array([0.05, 0.03]))
+        assert np.linalg.norm(dw_unit.g_grad(x) - y) <= INVERSION_TOL * np.linalg.norm(y)
 
 
 def test_invert_makes_no_value_calls(dw_aniso):
@@ -339,8 +348,19 @@ def test_nan_closed_form_is_a_numeric_error(dw_aniso):
     p = dataclasses.replace(dw_aniso, g_conj_grad=lambda y: np.full(np.shape(y), np.nan))
     y = dw_aniso.g_grad(_PREIMAGES)
     for target in (y, y[0]):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="at the start point"):
             invert_grad_g(p, target, np.zeros_like(target))
+
+
+def test_closed_form_of_the_wrong_shape_is_a_value_error(dw_aniso):
+    # Broadcast into g_grad(x) - y, a (1, dim) or scalar answer would pass
+    # as a point; it is refused before any residual is formed.
+    y = dw_aniso.g_grad(_PREIMAGES)
+    for wrong in (lambda y: np.atleast_2d(y)[:1], lambda y: np.zeros(1)):
+        p = dataclasses.replace(dw_aniso, g_conj_grad=wrong)
+        for target in (y, y[0]):
+            with pytest.raises(ValueError, match="closed-form pullback of shape"):
+                invert_grad_g(p, target, np.zeros_like(target))
 
 
 def test_shift_keeps_only_a_built_in_closed_form(dw_aniso):
