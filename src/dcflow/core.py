@@ -155,7 +155,9 @@ class DcProblem:
     gradients ``(m, dim)`` and Hessians ``(m, dim, dim)``, each row equal to
     the call on that row alone.  Stacks let the flow integrator pull back
     every record time of an accepted step in one batched Newton solve, and
-    let the probe sweeps read each oracle once per box.
+    let the probe sweeps read each oracle once per box.  Newton's steps in
+    :func:`invert_grad_g` always call ``g_grad`` and ``g_hess`` on a stack,
+    a single target included.
 
     Parameters
     ----------
@@ -300,12 +302,14 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
     looser than ``tol``, and still met at ``y = 0`` with a nonzero preimage.
 
     ``y`` and ``warm_start`` have shape ``(dim,)``, or ``(m, dim)`` for
-    ``m`` targets with one warm start each.  A stack of two or more rows
-    runs one batched loop: every oracle call and solve covers the rows
-    still iterating, and each row keeps its own stopping rule and line
-    search, so it ends bit for bit where the call on that row alone ends.
-    A single target, or a one-row stack, runs the plain loop, which is
-    cheaper per call.
+    ``m`` targets with one warm start each.  Every shape runs the same
+    loop.  It tests the residual at the start first and returns the start
+    as it is when every row meets ``||r|| <= tol min(1, ||y||)``, which
+    needs no Hessian.  Otherwise it iterates on a copy of the start as a
+    stack: every oracle call and solve covers the rows still iterating, and
+    each row keeps its own stopping rule and line search, so it ends bit for
+    bit where the call on that row alone ends.  The caller's ``warm_start``
+    is never written.
 
     Raises
     ------
@@ -336,54 +340,7 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
                 f"closed-form pullback of shape {x.shape} does not match "
                 f"the target's {y.shape}"
             )
-    if y.ndim == 2 and len(y) > 1:
-        return _invert_rows(p, y, x, tol)
-    return _invert_point(p, y.reshape(-1), x.reshape(-1), tol).reshape(y.shape)
-
-
-def _invert_point(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`invert_grad_g` for one target ``y``, from the start point ``x``."""
-    goal = tol * min(1.0, float(np.linalg.norm(y)))
-
-    residual = np.asarray(p.g_grad(x), dtype=float) - y
-    rnorm = float(np.linalg.norm(residual))
-    if not np.isfinite(rnorm):
-        raise NumericError("non-finite gradient residual at the start point")
-
-    for iterations in range(_MAX_NEWTON_ITER + 1):
-        if rnorm <= goal:
-            return x
-        hess = np.asarray(p.g_hess(x), dtype=float)
-        floor = ROUNDOFF * p.dim * float(np.max(np.abs(hess)) * np.max(np.abs(x)))
-        if rnorm <= min(tol, floor):
-            return x
-        if iterations == _MAX_NEWTON_ITER:
-            break
-        try:
-            step = np.linalg.solve(hess, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular Hessian during inversion: {exc}") from exc
-        t = 1.0
-        while t >= 1e-18:
-            x_new = x + t * step
-            r_new = np.asarray(p.g_grad(x_new), dtype=float) - y
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isnan(rnorm_new):
-                raise NumericError("NaN in line search during inversion")
-            # Written as a difference so that a trial equal to x is rejected.
-            if rnorm - rnorm_new >= _ARMIJO_C * t * rnorm:
-                break
-            t *= _ARMIJO_SHRINK
-        else:
-            break  # no step decreases the residual: it sits at its roundoff
-        x, residual, rnorm = x_new, r_new, rnorm_new
-
-    raise ConvergenceError(
-        f"gradient inversion did not reach tol {tol:g} in {iterations} "
-        f"iterations (residual {rnorm:g})",
-        best_residual=rnorm,
-        iterations=iterations,
-    )
+    return _invert_rows(p, y, x, tol)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -392,20 +349,29 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`invert_grad_g` for a stack of targets, one row per target.
+    """:func:`invert_grad_g` for a target ``y`` from the start ``x``, row by row.
 
-    The steps of :func:`_invert_point`, row by row: each Newton step covers
-    the rows still iterating (``live``), and its line search shares one
-    trial ``t`` among the rows that have not yet accepted theirs.  A row
-    leaves once it meets its stopping rule, or fails once its line search
-    runs out; the rest go on, and the failure is raised when all are done.
+    The start residual is tested before any row state is built, so a start
+    that meets the goal ``tol min(1, ||y||)`` costs one ``g_grad`` call and,
+    for a single target, arithmetic on numpy scalars.  Otherwise the targets become a
+    stack ``(m, dim)``: each Newton step covers the rows still iterating
+    (``live``), and its line search shares one trial ``t`` among the rows
+    that have not yet accepted theirs.  A row leaves once it meets its
+    stopping rule, or fails once its line search runs out; the rest go on,
+    and the failure is raised when all are done.
     """
-    goal = tol * np.minimum(1.0, _row_norms(y))
     residual = np.asarray(p.g_grad(x), dtype=float) - y
-    rnorm = _row_norms(residual)
-    if not np.all(np.isfinite(rnorm)):
+    rnorm, ynorm = _row_norms(residual), _row_norms(y)
+    # The goal tol * min(1, |y|) of the loop below, bit for bit.
+    if ((rnorm <= tol) & (rnorm <= tol * ynorm)).all():
+        return x
+    if not np.isfinite(rnorm).all():
         raise NumericError("non-finite gradient residual at the start point")
 
+    shape = y.shape
+    y, x = y.reshape(-1, p.dim), x.reshape(-1, p.dim).copy()
+    residual, rnorm = residual.reshape(y.shape), rnorm.reshape(-1)
+    goal = tol * np.minimum(1.0, ynorm.reshape(-1))
     live = np.ones(len(y), dtype=bool)
     failed_at = np.full(len(y), -1)  # Newton step at which a row failed
     for iterations in range(_MAX_NEWTON_ITER + 1):
@@ -434,21 +400,24 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
             if np.any(np.isnan(rnorm_new)):
                 raise NumericError("NaN in line search during inversion")
             old = rnorm[rows]
+            # Written as a difference so that a trial equal to x is rejected.
             ok = old - rnorm_new >= _ARMIJO_C * t * old
             took = rows[ok]
             x[took], residual[took], rnorm[took] = x_new[ok], r_new[ok], rnorm_new[ok]
             rows, step = rows[~ok], step[~ok]
             t *= _ARMIJO_SHRINK
+        # No step decreases these rows' residuals: they sit at their roundoff.
         live[rows] = False
         failed_at[rows] = iterations
 
     failed_at[live] = iterations
     failed = np.flatnonzero(failed_at >= 0)
     if failed.size == 0:
-        return x
+        return x.reshape(shape)
     i = int(failed[np.argmax(rnorm[failed])])
+    where = f" of row {i} of {len(y)}" if len(shape) == 2 else ""
     raise ConvergenceError(
-        f"gradient inversion of row {i} of {len(y)} did not reach tol {tol:g} "
+        f"gradient inversion{where} did not reach tol {tol:g} "
         f"in {failed_at[i]} iterations (residual {rnorm[i]:g})",
         best_residual=float(rnorm[i]),
         iterations=int(failed_at[i]),

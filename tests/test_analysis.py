@@ -316,8 +316,8 @@ def test_contraction_locality_error_on_expanding_map():
         h_value=lambda x: float(-(x[0] ** 2)),
         g_grad=lambda x: x.copy(),
         h_grad=lambda x: -2.0 * x,
-        g_hess=lambda x: np.eye(1),
-        h_hess=lambda x: -2.0 * np.eye(1),
+        g_hess=lambda x: np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
+        h_hess=lambda x: np.broadcast_to(-2.0 * np.eye(1), x.shape[:-1] + (1, 1)),
     )
     with pytest.raises(LocalityError):
         measure_local_contraction(p, linearize_at(p, np.zeros(1)), 1.0)

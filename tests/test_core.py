@@ -205,13 +205,23 @@ def test_invert_rejects_wrong_length_target(dw_unit):
 
 
 def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
+    # A point and its one-row stack run the same loop and fail alike; only
+    # the stack's message names the row.
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
-    with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(
-            newton_only(dw_unit), np.array([5.0, -3.0]), np.array([1.9, 1.9]), tol=1e-15
-        )
-    assert err.value.best_residual > 0.0
-    assert err.value.iterations == 1
+    y, warm = np.array([5.0, -3.0]), np.array([1.9, 1.9])
+    errors = []
+    for target, start in ((y, warm), (y[None], warm[None])):
+        with pytest.raises(ConvergenceError) as err:
+            invert_grad_g(newton_only(dw_unit), target, start, tol=1e-15)
+        assert err.value.best_residual > 0.0
+        assert err.value.iterations == 1
+        assert err.value.row == 0
+        errors.append(err.value)
+    point, stack = errors
+    assert stack.best_residual == point.best_residual
+    assert stack.iterations == point.iterations
+    assert str(point).startswith("gradient inversion did not reach tol")
+    assert str(stack).startswith("gradient inversion of row 0 of 1 did not reach tol")
 
 
 def test_stacked_invert_failure_names_its_worst_row(dw_unit, monkeypatch):
@@ -238,15 +248,16 @@ def test_stacked_invert_unattainable_tol_is_a_convergence_error(dw_unit):
 
 def _tilted_quartic(c: float) -> DcProblem:
     """g = x^4/4 + x^2/2 - c x in one dimension, h = 0: grad g(0) = -c, so
-    the preimage of y = 0 is the real root of x^3 + x = c."""
+    the preimage of y = 0 is the real root of x^3 + x = c.  Each oracle takes
+    a point or a stack."""
     return DcProblem(
         dim=1,
-        g_value=lambda x: float(x[0] ** 4 / 4 + x[0] ** 2 / 2 - c * x[0]),
-        h_value=lambda x: 0.0,
-        g_grad=lambda x: np.array([x[0] ** 3 + x[0] - c]),
-        h_grad=lambda x: np.zeros(1),
-        g_hess=lambda x: np.array([[3.0 * x[0] ** 2 + 1.0]]),
-        h_hess=lambda x: np.zeros((1, 1)),
+        g_value=lambda x: (x**4 / 4 + x**2 / 2 - c * x)[..., 0],
+        h_value=lambda x: np.zeros(x.shape[:-1]),
+        g_grad=lambda x: x**3 + x - c,
+        h_grad=lambda x: np.zeros_like(x),
+        g_hess=lambda x: (3.0 * x**2 + 1.0)[..., None],
+        h_hess=lambda x: np.zeros(x.shape + (1,)),
     )
 
 
@@ -321,6 +332,19 @@ def test_invert_without_closed_form_is_bit_identical_to_plain_newton(dw_aniso):
     quad = newton_only(make_quadratic([[2.0, 0.5], [0.5, 1.0]], [[0.5, 0.0], [0.0, 0.25]]))
     x = invert_grad_g(quad, np.array([1.0, -3.0]), np.array([0.1, 0.1]))
     assert [v.hex() for v in x] == ["0x1.6db6db6db6db7p+0", "-0x1.db6db6db6db6dp+1"]
+
+
+def test_newton_leaves_the_warm_start_unchanged(dw_aniso):
+    # Newton iterates on a copy of its start: the caller's warm start keeps
+    # its values, and a result that took a step shares no memory with it.
+    p = newton_only(dw_aniso)
+    y = dw_aniso.g_grad(np.array([[1.2, -0.8], [0.3, 1.5]]))
+    for target in (y, y[0]):
+        warm = np.full_like(target, 0.7)
+        out = invert_grad_g(p, target, warm)
+        np.testing.assert_array_equal(warm, 0.7)
+        assert not np.shares_memory(out, warm)
+        np.testing.assert_allclose(dw_aniso.g_grad(out), target, atol=1e-9)
 
 
 _PREIMAGES = np.array([[1.2, -0.7], [0.3, 0.05], [-1.9, 1.4]])

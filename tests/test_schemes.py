@@ -277,8 +277,8 @@ def test_divergence_guard_flags_broken_oracle():
         h_value=lambda x: float(-(x[0] ** 2)),
         g_grad=lambda x: x.copy(),
         h_grad=lambda x: -2.0 * x,
-        g_hess=lambda x: np.eye(1),
-        h_hess=lambda x: -2.0 * np.eye(1),
+        g_hess=lambda x: np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
+        h_hess=lambda x: np.broadcast_to(-2.0 * np.eye(1), x.shape[:-1] + (1, 1)),
     )
     trace = run_scheme(p, np.array([1.0]), SchemeConfig(eta=1.0, max_iter=50))
     assert trace.termination is Termination.NUMERIC_ERROR
