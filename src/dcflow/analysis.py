@@ -412,7 +412,9 @@ def measure_local_contraction(
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
     for step in range(n_steps):
         try:
-            x = invert_grad_g(p, damped_target(p, x, eta), x, _CONTRACTION_TOL)
+            grad_g = np.asarray(p.g_grad(x), dtype=float)
+            grad_h = np.asarray(p.h_grad(x), dtype=float)
+            x = invert_grad_g(p, damped_target(grad_g, grad_h, eta), x, _CONTRACTION_TOL)
         except ConvergenceError as exc:
             raise exc.with_phase(
                 f"in local contraction step {step} (eta={eta:g}, radius={radius:g})"

@@ -71,8 +71,9 @@ class NumericError(DcError):
 
 # Stopping rule of the gradient inversion: residual norm at most
 # INVERSION_TOL relative to the target (absolute once the target is larger
-# than 1), orders of magnitude below any tolerance asserted elsewhere in the
-# package, within _MAX_NEWTON_ITER Newton steps.
+# than 1, unless that lies below the roundoff of evaluating the residual),
+# orders of magnitude below any tolerance asserted elsewhere in the package,
+# within _MAX_NEWTON_ITER Newton steps.
 INVERSION_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
 # Sufficient-decrease coefficient and backtracking factor of the gradient
@@ -222,7 +223,7 @@ class DcProblem:
                 f"expected a vector of length {self.dim} or a stack of them, "
                 f"got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("point has non-finite entries")
         return x
 
@@ -269,18 +270,24 @@ class DcProblem:
             self.h_hess(x), dtype=float
         )
 
-    def bregman_g(self, z, x) -> float:
+    def bregman_g(self, z, x):
         """Bregman divergence of the convex part, ``g(z) - g(x) - <grad g(x), z - x>``.
 
         Nonnegative, bounded below by ``mu/2 * ||z - x||**2`` where ``mu``
         bounds the eigenvalues of ``Hess g`` on the segment ``[x, z]`` from
         below (``metric[0]`` of the box constants of any box holding both
-        points), and zero only at ``z == x``.
+        points), and zero only at ``z == x``.  A float for two points; for
+        two stacks ``(m, dim)`` the ``(m,)`` divergences of their rows, each
+        equal to the call on that pair alone.
         """
-        z = self.check_point(z)
-        x = self.check_point(x)
+        z = self.check_points(z)
+        x = self.check_points(x)
+        if z.shape != x.shape:
+            raise ValueError(f"points of shapes {z.shape} and {x.shape} do not pair up")
         gx = np.asarray(self.g_grad(x), dtype=float)
-        return float(self.g_value(z) - self.g_value(x) - gx @ (z - x))
+        # vecdot rounds a single pair as gx @ (z - x) does.
+        d = self.g_value(z) - self.g_value(x) - np.vecdot(gx, z - x)
+        return float(d) if x.ndim == 1 else np.asarray(d, dtype=float)
 
 
 def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np.ndarray:
@@ -296,10 +303,15 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
     ``warm_start`` and usually meets the stopping rule with no Newton step:
     one ``g_grad`` call and no ``g_hess`` call.
 
-    The iteration stops once ``||r|| <= min(tol, max(tol ||y||, floor))``,
+    The iteration stops once
+    ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``,
     where ``floor`` is the roundoff of evaluating ``r`` at ``x``, scaled
-    from ``Hess g(x)`` and ``x``.  The rule is relative to the target, never
-    looser than ``tol``, and still met at ``y = 0`` with a nonzero preimage.
+    from ``Hess g(x)`` and ``x``.  The rule asks for ``tol`` relative to a
+    target of norm up to 1 and ``tol`` absolute beyond, unless ``floor``
+    lies above that: then the floor is enough, though never more than
+    ``tol`` relative to the target.  So it is still met at ``y = 0`` with a
+    nonzero preimage, and at targets so large that ``tol`` is below one ulp
+    of them.
 
     ``y`` and ``warm_start`` have shape ``(dim,)``, or ``(m, dim)`` for
     ``m`` targets with one warm start each.  Every shape runs the same
@@ -371,7 +383,8 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
     shape = y.shape
     y, x = y.reshape(-1, p.dim), x.reshape(-1, p.dim).copy()
     residual, rnorm = residual.reshape(y.shape), rnorm.reshape(-1)
-    goal = tol * np.minimum(1.0, ynorm.reshape(-1))
+    ynorm = ynorm.reshape(-1)
+    goal = tol * np.minimum(1.0, ynorm)
     live = np.ones(len(y), dtype=bool)
     failed_at = np.full(len(y), -1)  # Newton step at which a row failed
     for iterations in range(_MAX_NEWTON_ITER + 1):
@@ -383,7 +396,8 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
         floor = ROUNDOFF * p.dim * (
             np.abs(hess).max(axis=(1, 2)) * np.abs(x[rows]).max(axis=1)
         )
-        done = rnorm[rows] <= np.minimum(tol, floor)
+        # The roundoff exit never asks for less than tol relative to a large target.
+        done = rnorm[rows] <= np.minimum(tol * np.maximum(1.0, ynorm[rows]), floor)
         live[rows[done]] = False
         if iterations == _MAX_NEWTON_ITER:
             break
@@ -459,12 +473,14 @@ def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:
-    """Central-difference Jacobian of a vector field, columns are coordinate sweeps."""
+    """Central-difference Jacobian of a vector field, columns are coordinate sweeps.
+
+    ``fun`` answers row by row: it maps the ``(2n, n)`` stack of the points
+    ``x + step e_j`` followed by ``x - step e_j`` to their ``(2n, m)`` values,
+    and is called once.
+    """
     x = np.asarray(x, dtype=float)
-    h = float(step)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h
-        cols.append((np.asarray(fun(x + e), dtype=float) - np.asarray(fun(x - e), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
+    n, h = x.size, float(step)
+    e = h * np.eye(n)
+    values = np.asarray(fun(np.concatenate((x + e, x - e))), dtype=float)
+    return (values[:n] - values[n:]).T / (2.0 * h)

@@ -227,7 +227,7 @@ def make_double_well(q) -> DcProblem:
 
     return DcProblem(
         dim=n,
-        g_value=lambda x: 0.25 * np.sum(x**4, axis=-1) + 0.5 * np.vecdot(x, q * x),
+        g_value=lambda x: 0.25 * (x**4).sum(axis=-1) + 0.5 * np.vecdot(x, q * x),
         h_value=lambda x: 0.5 * np.vecdot(x, (q + 1.0) * x),
         g_grad=lambda x: x**3 + q * x,
         h_grad=lambda x: (q + 1.0) * x,

@@ -98,17 +98,19 @@ class IterateTrace:
         return float(np.sum(self.step_norms))
 
 
-def damped_target(p: DcProblem, x, eta: float) -> np.ndarray:
+def damped_target(grad_g: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
     """Right-hand side ``(1-eta) grad g(x) + eta grad h(x)`` of the damped step."""
-    return (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * np.asarray(
-        p.h_grad(x), dtype=float
-    )
+    return (1.0 - eta) * grad_g + eta * grad_h
+
+
+def _grads(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(p.g_grad(x), dtype=float), np.asarray(p.h_grad(x), dtype=float)
 
 
 def damped_dca_step(p: DcProblem, x_k, cfg: SchemeConfig) -> np.ndarray:
     """One relaxed step; ``eta = 1`` (the default) is the classical step."""
     x_k = p.check_point(x_k)
-    return invert_grad_g(p, damped_target(p, x_k, cfg.eta), x_k)
+    return invert_grad_g(p, damped_target(*_grads(p, x_k), cfg.eta), x_k)
 
 
 def run_scheme(
@@ -119,13 +121,23 @@ def run_scheme(
 ) -> IterateTrace:
     """Iterate until the gradient stopping tolerance or the iteration cap.
 
+    Each iterate costs one ``g_grad`` and one ``h_grad`` call, which give
+    both its gradient norm and the next step's target, one inversion and
+    one objective value for the divergence guard.  The Bregman steps and
+    step norms of the log are computed after the loop, in stacked calls on
+    all iterates.
+
     In dual mode the state is ``y_k``; each iteration pulls back
     ``x_k = (grad g)^{-1}(y_k)`` once and reuses that point both for
     logging and for the dual update, so the cost per iteration matches the
     primal form.  A NaN objective or an objective increase beyond the
     divergence guard stops the run with ``Termination.NUMERIC_ERROR``.  A
     ``ConvergenceError`` of the inversion propagates, its message naming the
-    iteration and ``eta``.
+    iteration and ``eta``.  Each inversion stops at the rule of
+    :func:`~dcflow.core.invert_grad_g`,
+    ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``:
+    relative to small targets, absolute beyond norm 1, and at the roundoff
+    ``floor`` of targets too large for an absolute ``tol``.
     """
     if cfg is None:
         cfg = SchemeConfig()
@@ -133,13 +145,12 @@ def run_scheme(
     eta = cfg.eta
 
     f, f_err = p.f_value_and_roundoff(x)
+    grad_g, grad_h = _grads(p, x)
     points = [x]
     f_values = [f]
-    grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
-    bregman_steps: list[float] = []
-    step_norms: list[float] = []
+    grad_norms = [float(np.linalg.norm(grad_g - grad_h))]
 
-    y = np.asarray(p.g_grad(x), dtype=float) if mode is Mode.DUAL else None
+    y = grad_g if mode is Mode.DUAL else None
     termination = Termination.MAX_ITER
 
     for k in range(cfg.max_iter):
@@ -148,9 +159,9 @@ def run_scheme(
             break
         try:
             if mode is Mode.PRIMAL:
-                x_next = damped_dca_step(p, x, cfg)
+                x_next = invert_grad_g(p, damped_target(grad_g, grad_h, eta), x)
             else:
-                y = dual_euler(y, np.asarray(p.h_grad(x), dtype=float), eta)
+                y = dual_euler(y, grad_h, eta)
                 x_next = invert_grad_g(p, y, x)
         except ConvergenceError as exc:
             raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
@@ -163,22 +174,24 @@ def run_scheme(
             termination = Termination.NUMERIC_ERROR
             break
         f_err = err_next
-        bregman_steps.append(p.bregman_g(x_next, x))
-        step_norms.append(float(np.linalg.norm(x_next - x)))
         x = x_next
+        grad_g, grad_h = _grads(p, x)
         points.append(x)
         f_values.append(f_next)
-        grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
+        grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
     else:
         if grad_norms[-1] <= cfg.stop_grad_tol:
             termination = Termination.GRAD_TOL
 
+    points = np.asarray(points)
+    steps = np.diff(points, axis=0)
     return IterateTrace(
-        points=np.asarray(points),
+        points=points,
         f_values=np.asarray(f_values),
         grad_norms=np.asarray(grad_norms),
-        bregman_steps=np.asarray(bregman_steps),
-        step_norms=np.asarray(step_norms),
+        bregman_steps=p.bregman_g(points[1:], points[:-1]),
+        # vecdot rounds each row as np.linalg.norm rounds that row alone.
+        step_norms=np.sqrt(np.vecdot(steps, steps)),
         eta=eta,
         termination=termination,
     )

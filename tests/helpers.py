@@ -9,8 +9,11 @@ from dcflow.schemes import Mode, SchemeConfig, run_scheme
 
 
 def central_diff_grad(fun, x, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, O(step^2) accurate."""
-    return central_diff_jacobian(lambda z: [fun(z)], x, step)[0]
+    """Central-difference gradient of a scalar function, O(step^2) accurate.
+
+    ``fun`` takes one point; it is called on each row of the stack that
+    :func:`central_diff_jacobian` sweeps."""
+    return central_diff_jacobian(lambda zs: [[fun(z)] for z in zs], x, step)[0]
 
 
 def newton_only(p):

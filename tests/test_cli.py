@@ -328,6 +328,15 @@ def test_run_flow_double_well_leaves_diagonal(tmp_path):
     assert abs(float(first["x_0"]) - float(first["x_1"])) > 0.0
 
 
+def test_run_flow_from_a_far_start_exits_0(tmp_path):
+    # Targets of norm ~ 1e6, where an absolute inversion residual of 1e-10
+    # lies below one ulp of grad g; the stopping rule meets their roundoff.
+    cfg = base_config(experiment="RunFlow", problem=DW, x0=[100.0, -80.0], flow={"t_end": 1.0})
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    assert all(c["passed"] for c in report["checks"])
+
+
 def test_rate_certify_quadratic(tmp_path):
     cfg = base_config(
         experiment="RateCertify",

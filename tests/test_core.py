@@ -165,6 +165,46 @@ def test_bregman_second_order_expansion(family, quad_canonical, dw_unit):
             assert abs(ratio - 1.0) <= 2.0 * coeff * t + 1e-7
 
 
+@pytest.mark.parametrize("family", ["quad", "dw", "shifted"])
+def test_stacked_bregman_equals_per_row_calls(family, quad_canonical, dw_unit):
+    p = {
+        "quad": quad_canonical,
+        "dw": dw_unit,
+        "shifted": make_shifted_decomposition(dw_unit, [0.7, 0.0]),
+    }[family]
+    z, x = p.region.sample(RNG, 7), p.region.sample(RNG, 7)
+    stacked = p.bregman_g(z, x)
+    rows = np.array([p.bregman_g(zi, xi) for zi, xi in zip(z, x)])
+    # A pair rounds as the formula written with @ does.
+    by_matmul = np.array(
+        [float(p.g_value(zi) - p.g_value(xi) - p.g_grad(xi) @ (zi - xi)) for zi, xi in zip(z, x)]
+    )
+    assert stacked.shape == (7,) and stacked.dtype == float
+    assert stacked.tobytes() == rows.tobytes() == by_matmul.tobytes()
+    assert p.bregman_g(z[:0], x[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        p.bregman_g(z, x[:3])
+
+
+def test_central_diff_jacobian_calls_fun_once_and_equals_column_loop(dw_aniso):
+    shapes = []
+
+    def field(xs):
+        shapes.append(xs.shape)
+        return core.flow_velocity(dw_aniso, xs)[1]
+
+    x, h = np.array([0.7, -1.3]), 1e-4
+    jac = central_diff_jacobian(field, x, h)
+    assert shapes == [(4, 2)]
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((field(x + e) - field(x - e)) / (2.0 * h))
+    reference = np.column_stack(cols)
+    assert jac.shape == reference.shape and jac.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradient inversion
 
@@ -285,6 +325,23 @@ def test_invert_stops_relative_to_small_targets(dw_unit):
     for p in _both_starts(dw_unit):
         x = invert_grad_g(p, y, np.array([0.05, 0.03]))
         assert np.linalg.norm(dw_unit.g_grad(x) - y) <= INVERSION_TOL * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("dim", [2, 12])
+def test_invert_large_targets_stop_at_their_roundoff(dim):
+    # Beyond |y| ~ 1e5 an absolute residual of INVERSION_TOL lies below the
+    # roundoff of grad g itself, so the rule stops at that roundoff, never
+    # looser than INVERSION_TOL relative to the target.
+    rng = np.random.default_rng(20240517 + dim)
+    p = make_double_well(rng.uniform(0.1, 5.0, dim))
+    for scale in (1e5, 1e6, 1e7, 1e8, 1e9):
+        for _ in range(8):
+            d = rng.standard_normal(dim)
+            y = scale * d / np.linalg.norm(d)
+            closed = p.g_conj_grad(y)
+            for start, warm in ((p, np.zeros(dim)), (newton_only(p), 1.001 * closed)):
+                x = invert_grad_g(start, y, warm)
+                assert np.linalg.norm(p.g_grad(x) - y) <= 1e-14 * scale
 
 
 def test_invert_makes_no_value_calls(dw_aniso):

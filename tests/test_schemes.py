@@ -1,5 +1,6 @@
 """Discrete iteration steps, full runs, and the per-step descent certificates."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -17,6 +18,8 @@ from dcflow import (
 from dcflow.core import INVERSION_TOL, DcProblem, dual_euler, dual_map, invert_grad_g
 from dcflow.schemes import (
     _DESCENT_SLACK,
+    _DIVERGENCE_SLACK,
+    IterateTrace,
     Termination,
     damped_dca_step,
     gradient_identity_margin,
@@ -246,6 +249,134 @@ def test_stacked_scheme_checks_equal_per_iterate_loops(eta, mode, quad_canonical
             assert gradient_identity_margin(p, t) == _gradient_identity_margin_loop(p, t)
 
 
+def _run_scheme_loop(p, x0, cfg, mode):
+    """Per-iterate reference for :func:`run_scheme`: every oracle is read
+    where a formula needs it, and each step is logged inside the loop."""
+    x = p.check_point(x0)
+    eta = cfg.eta
+    f, f_err = p.f_value_and_roundoff(x)
+    points, f_values = [x], [f]
+    grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
+    bregman_steps, step_norms = [], []
+    y = np.asarray(p.g_grad(x), dtype=float) if mode is Mode.DUAL else None
+    termination = Termination.MAX_ITER
+    for _ in range(cfg.max_iter):
+        if grad_norms[-1] <= cfg.stop_grad_tol:
+            termination = Termination.GRAD_TOL
+            break
+        grad_h = np.asarray(p.h_grad(x), dtype=float)
+        if mode is Mode.PRIMAL:
+            target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * grad_h
+            x_next = invert_grad_g(p, target, x)
+        else:
+            y = dual_euler(y, grad_h, eta)
+            x_next = invert_grad_g(p, y, x)
+        f_next, err_next = p.f_value_and_roundoff(x_next)
+        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
+        if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
+            termination = Termination.NUMERIC_ERROR
+            break
+        f_err = err_next
+        gx = np.asarray(p.g_grad(x), dtype=float)
+        bregman_steps.append(float(p.g_value(x_next) - p.g_value(x) - gx @ (x_next - x)))
+        step_norms.append(float(np.linalg.norm(x_next - x)))
+        x = x_next
+        points.append(x)
+        f_values.append(f_next)
+        grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
+    else:
+        if grad_norms[-1] <= cfg.stop_grad_tol:
+            termination = Termination.GRAD_TOL
+    return IterateTrace(
+        points=np.asarray(points),
+        f_values=np.asarray(f_values),
+        grad_norms=np.asarray(grad_norms),
+        bregman_steps=np.asarray(bregman_steps),
+        step_norms=np.asarray(step_norms),
+        eta=eta,
+        termination=termination,
+    )
+
+
+_TRACE_ARRAYS = ("points", "f_values", "grad_norms", "bregman_steps", "step_norms")
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonical, dw_aniso):
+    shifted = make_shifted_decomposition(make_double_well([0.5, 2.0, 1.0]), [0.3, 0.0, 1.5])
+    # h drops by 1 once x_0 < 1.3, so f jumps up there: the guard trips
+    # after a few steps from x_0 = 1.9.
+    jump = dataclasses.replace(
+        dw_aniso, h_value=lambda x: dw_aniso.h_value(x) - np.where(x[..., 0] < 1.3, 1.0, 0.0)
+    )
+    cases = [
+        (dw_aniso, [0.5, -0.7], SchemeConfig(eta=eta, max_iter=400)),
+        (quad_canonical, [1.5, -0.8], SchemeConfig(eta=eta, max_iter=400)),
+        (shifted, [1.7, -0.4, 0.9], SchemeConfig(eta=eta, max_iter=400)),
+        # Stopped by the cap, by the divergence guard, and at rest.
+        (dw_aniso, [1.9, 0.2], SchemeConfig(eta=eta, max_iter=5)),
+        (jump, [1.9, 0.2], SchemeConfig(eta=eta)),
+        # At eta = 1 the first step of this split ascends.
+        (_concave_h_problem(), [1.0], SchemeConfig(eta=1.0, max_iter=50)),
+        (shifted, shifted.minimizer, SchemeConfig(eta=eta)),
+    ]
+    terminations = set()
+    for p, x0, cfg in cases:
+        trace = run_scheme(p, np.array(x0), cfg, mode)
+        reference = _run_scheme_loop(p, np.array(x0), cfg, mode)
+        for name in _TRACE_ARRAYS:
+            got, want = getattr(trace, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert trace.termination is reference.termination
+        assert trace.eta == reference.eta
+        terminations.add((trace.termination, trace.n_points == 1))
+    assert terminations == {
+        (Termination.GRAD_TOL, False),
+        (Termination.MAX_ITER, False),
+        (Termination.NUMERIC_ERROR, False),
+        (Termination.NUMERIC_ERROR, True),
+        (Termination.GRAD_TOL, True),
+    }
+
+
+_ORACLES = ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess", "g_conj_grad")
+# Calls at one point allowed per accepted iteration; g_grad serves both the
+# iterate's gradient and the check of its pullback.
+_PER_ITERATION = {"g_value": 1, "h_value": 1, "g_grad": 2, "h_grad": 1, "g_conj_grad": 1}
+
+
+def _counted(p):
+    """``p`` with every oracle counting its calls, by name and shape."""
+    calls = collections.Counter()
+
+    def wrap(name, fn):
+        def counted(x):
+            calls[name, np.ndim(x)] += 1
+            return fn(x)
+
+        return counted
+
+    return dataclasses.replace(p, **{n: wrap(n, getattr(p, n)) for n in _ORACLES}), calls
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso):
+    shifted = make_shifted_decomposition(dw_aniso, [0.5, 1.0])
+    for p in (dw_aniso, shifted):
+        counted, calls = _counted(p)
+        trace = run_scheme(counted, np.array([1.8, -0.3]), SchemeConfig(eta=0.5), mode)
+        steps = trace.n_points - 1
+        assert trace.termination is Termination.GRAD_TOL and steps > 20
+        for name in _ORACLES:
+            # One more at the start point.
+            assert calls[name, 1] <= _PER_ITERATION.get(name, 0) * steps + 1, name
+        # The log: two g_value and one g_grad call on the stacked iterates.
+        stacked = {key: n for key, n in calls.items() if key[1] == 2}
+        assert stacked == {("g_value", 2): 2, ("g_grad", 2): 1}
+
+
 def test_step_norms_vanish_along_converging_run(dw_unit):
     trace = run_scheme(dw_unit, np.array([0.6, 0.4]), SchemeConfig(eta=0.5))
     assert trace.step_norms[-1] <= 1e-7
@@ -269,17 +400,22 @@ def test_dual_mode_trace_matches_primal(dw_unit):
     np.testing.assert_allclose(tp.points, td.points, atol=1e-8)
 
 
-def test_divergence_guard_flags_broken_oracle():
-    # h here is concave, so the ascent it triggers must be flagged, not logged.
-    p = DcProblem(
+def _concave_h_problem() -> DcProblem:
+    """A broken split: ``h`` is concave, so the scheme ascends."""
+    return DcProblem(
         dim=1,
-        g_value=lambda x: float(0.5 * x[0] ** 2),
-        h_value=lambda x: float(-(x[0] ** 2)),
+        g_value=lambda x: 0.5 * x[..., 0] ** 2,
+        h_value=lambda x: -(x[..., 0] ** 2),
         g_grad=lambda x: x.copy(),
         h_grad=lambda x: -2.0 * x,
         g_hess=lambda x: np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
         h_hess=lambda x: np.broadcast_to(-2.0 * np.eye(1), x.shape[:-1] + (1, 1)),
     )
+
+
+def test_divergence_guard_flags_broken_oracle():
+    # h here is concave, so the ascent it triggers must be flagged, not logged.
+    p = _concave_h_problem()
     trace = run_scheme(p, np.array([1.0]), SchemeConfig(eta=1.0, max_iter=50))
     assert trace.termination is Termination.NUMERIC_ERROR
     assert np.all(np.diff(trace.f_values) <= 1e-6)
