@@ -28,11 +28,12 @@ from .core import (
     DcError,
     DcProblem,
     central_diff_jacobian,
+    damped_target,
     flow_velocity,
     invert_grad_g,
 )
 from .flow import FlowTrace
-from .schemes import IterateTrace, damped_target
+from .schemes import IterateTrace
 
 __all__ = [
     "BoxTooLargeError",

@@ -232,6 +232,7 @@ def _scheme_checks(p: DcProblem, trace: IterateTrace) -> list[Check]:
     # strong_descent takes mu from the box constants of the iterates' span.
     analysis.checked_box_constants(p, Box.spanning(trace.points))
     relaxed, strong = descent_margins(p, trace)
+    # Each step's deviation is scaled by max(1, |grad g|), as the inversion's residuals are.
     grad_dev = gradient_identity_margin(p, trace)
     allowed = 10.0 * INVERSION_TOL
     return [

@@ -7,7 +7,10 @@ implements the Bregman divergence of the convex part and the inversion of
 its gradient map, the pullback ``(grad g)^{-1} = grad g*`` that every
 discrete scheme and the continuous flow integrator go through.  Newton's
 method on ``grad g(x) = y`` is the one kernel that verifies a pullback; a
-problem with a closed-form ``grad g*`` supplies its starting point.
+problem with a closed-form ``grad g*`` supplies its starting point.  The
+damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
+discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
+explicit Euler step of the dual system from a carried dual state ``y``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ __all__ = [
     "NumericError",
     "ROUNDOFF",
     "central_diff_jacobian",
-    "dual_euler",
-    "dual_map",
+    "damped_target",
     "flow_velocity",
     "invert_grad_g",
 ]
@@ -439,21 +441,16 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
     )
 
 
-def dual_map(p: DcProblem, y, warm_start) -> tuple[np.ndarray, np.ndarray]:
-    """Pull a dual state back and take its image under one full exact step.
+def damped_target(y: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
+    """The damped step's target ``(1-eta) y + eta grad h(x)`` from the dual state ``y``.
 
-    Returns ``(x, grad h(x))`` with ``x = (grad g)^{-1}(y)``; ``x`` is the
-    natural warm start for the next pullback.  The dual field at ``y`` is
-    ``grad h(x) - y``, so fixed points of the map correspond exactly to
-    critical points of ``f``.
+    One map serves every discrete scheme.  With ``y = grad g(x)`` it is the
+    right-hand side of the damped DCA step ``grad g(x+) = (1-eta) grad g(x) +
+    eta grad h(x)``; for a carried dual state it is the explicit Euler step
+    of size ``eta`` along the dual field ``grad h(x) - y``.  At ``eta = 1``
+    it is exactly ``grad h(x)``, the classical DCA step.
     """
-    x = invert_grad_g(p, y, warm_start)
-    return x, np.asarray(p.h_grad(x), dtype=float)
-
-
-def dual_euler(y: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
-    """Explicit Euler step of size ``eta`` along the dual field ``grad_h - y``."""
-    return y + eta * (grad_h - y)
+    return (1.0 - eta) * y + eta * grad_h
 
 
 def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,19 +1,19 @@
 """Continuous dynamics: dual-coordinate ODE integration and analytic oracles.
 
 The autonomous field ``y' = grad h(pullback(y)) - y`` is integrated with an
-embedded Dormand-Prince 4(5) pair under PI step control.  Integrating in the
+embedded Dormand-Prince 4(5) pair under PI step control;
+:func:`integrate_flow` is the one place that forms it.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
-pullback through the inverse gradient map.  For the built-in families that
-is a closed form that Newton's stopping rule verifies, usually without a
-step; other problems run Newton warm-started at the previous evaluation's
-pullback, and consecutive evaluations are close, so it typically finishes in
-one or two steps.  Step sizes
-follow the error control alone; record times are read off the pair's
-fourth-order continuous extension, which reuses the seven stages of each
-accepted step.  The interpolated dual states of one accepted step are pulled
-back through the inverse gradient map in one batched inversion, which gives
-the primal trajectory of the metric gradient flow
-``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
+pullback through the inverse gradient map and one ``h_grad`` call.  For the
+built-in families the pullback is a closed form that Newton's stopping rule
+verifies, usually without a step; other problems run Newton warm-started at
+the previous evaluation's pullback, and consecutive evaluations are close,
+so it typically finishes in one or two steps.  Step sizes follow the error control alone; record times
+are read off the pair's fourth-order continuous extension, which reuses the
+seven stages of each accepted step.  The interpolated dual states of one
+accepted step are pulled back through the inverse gradient map in one
+batched inversion, which gives the primal trajectory of the metric gradient
+flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .core import (
     ConvergenceError,
     DcError,
     DcProblem,
-    dual_euler,
-    dual_map,
+    _row_norms,
+    damped_target,
     flow_velocity,
     invert_grad_g,
 )
@@ -189,15 +189,16 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     warm = [np.array(x0)]
 
     def fieldfun(yv: np.ndarray) -> np.ndarray:
-        warm[0], grad_h = dual_map(p, yv, warm[0])
-        return grad_h - yv
+        """The dual field ``grad h(x) - y`` at the pullback ``x`` of ``y``."""
+        warm[0] = invert_grad_g(p, yv, warm[0])
+        return np.asarray(p.h_grad(warm[0]), dtype=float) - yv
 
     samples = ([], [], [], [], [])  # times, y, x, f, metric speed^2, in chunks
 
     def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray) -> bool:
         """Append samples up to the first at equilibrium; True if one is."""
         grad, _, msq = flow_velocity(p, x_s)
-        at_rest = np.flatnonzero(np.sqrt(np.vecdot(grad, grad)) <= EQUILIBRIUM_GRAD_TOL)
+        at_rest = np.flatnonzero(_row_norms(grad) <= EQUILIBRIUM_GRAD_TOL)
         keep = at_rest[0] + 1 if at_rest.size else len(t_s)
         for out, new in zip(samples, (t_s, y_s, x_s, p.f_value(x_s), msq)):
             out.append(new[:keep])
@@ -300,10 +301,12 @@ def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:
 def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     """Primal states of the piecewise-affine dual interpolant at ``times``.
 
-    Runs the dual Euler iteration with step ``eta`` far enough to cover the
-    requested times, interpolates affinely between dual iterates, and pulls
-    the interpolated dual states back to the primal space in one batched
-    inversion, warm-started on the chord between node pullbacks.  A failed
+    Runs the dual Euler iteration with step ``eta``, the damped target
+    :func:`~dcflow.core.damped_target` of each node's dual state, far enough
+    to cover the requested times, interpolates affinely between dual
+    iterates, and pulls the interpolated dual states back to the primal
+    space in one batched inversion, warm-started on the chord between node
+    pullbacks.  A failed
     inversion raises :class:`~dcflow.core.ConvergenceError` naming the Euler
     node and ``eta``, or the pullback's sample time.
     """
@@ -321,9 +324,9 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     warm = np.array(x0)
     try:
         for k in range(n_steps):
-            warm, grad_h = dual_map(p, y_nodes[k], warm)
-            x_nodes[k] = warm
-            y_nodes[k + 1] = dual_euler(y_nodes[k], grad_h, eta)
+            x_nodes[k] = warm = invert_grad_g(p, y_nodes[k], warm)
+            grad_h = np.asarray(p.h_grad(warm), dtype=float)
+            y_nodes[k + 1] = damped_target(y_nodes[k], grad_h, eta)
     except ConvergenceError as exc:
         raise exc.with_phase(f"at dual Euler node {k} (eta={eta:g})") from exc
 

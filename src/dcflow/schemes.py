@@ -1,10 +1,11 @@
 """Discrete iterations: classical DCA, its damped relaxation, and the dual Euler step.
 
-Every update reduces to one gradient inversion per iteration.  The primal
-damped step solves ``grad g(x+) = (1-eta) grad g(x) + eta grad h(x)``, which
-at ``eta = 1`` is the classical step; the equivalent move in the dual
-coordinate ``y = grad g(x)`` is the explicit Euler step
-``y+ = y + eta (grad h(pullback(y)) - y)``.  ``run_scheme`` executes either
+All three are one update: the damped target
+``y+ = (1-eta) y + eta grad h(x)`` (:func:`~dcflow.core.damped_target`)
+followed by one gradient inversion ``x+ = (grad g)^{-1}(y+)``.  The primal
+damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the classical
+step; the dual Euler step of size ``eta`` along ``grad h(pullback(y)) - y``
+carries ``y`` from step to step instead.  ``run_scheme`` executes either
 form with full per-iterate logging.
 """
 
@@ -16,15 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Box, ConvergenceError, DcProblem, dual_euler, invert_grad_g
+from .core import Box, ConvergenceError, DcProblem, _row_norms, damped_target, invert_grad_g
 
 __all__ = [
     "IterateTrace",
     "Mode",
     "SchemeConfig",
     "Termination",
-    "damped_dca_step",
-    "damped_target",
     "descent_margins",
     "gradient_identity_margin",
     "run_scheme",
@@ -98,21 +97,6 @@ class IterateTrace:
         return float(np.sum(self.step_norms))
 
 
-def damped_target(grad_g: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
-    """Right-hand side ``(1-eta) grad g(x) + eta grad h(x)`` of the damped step."""
-    return (1.0 - eta) * grad_g + eta * grad_h
-
-
-def _grads(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(p.g_grad(x), dtype=float), np.asarray(p.h_grad(x), dtype=float)
-
-
-def damped_dca_step(p: DcProblem, x_k, cfg: SchemeConfig) -> np.ndarray:
-    """One relaxed step; ``eta = 1`` (the default) is the classical step."""
-    x_k = p.check_point(x_k)
-    return invert_grad_g(p, damped_target(*_grads(p, x_k), cfg.eta), x_k)
-
-
 def run_scheme(
     p: DcProblem,
     x0,
@@ -127,14 +111,14 @@ def run_scheme(
     step norms of the log are computed after the loop, in stacked calls on
     all iterates.
 
-    In dual mode the state is ``y_k``; each iteration pulls back
-    ``x_k = (grad g)^{-1}(y_k)`` once and reuses that point both for
-    logging and for the dual update, so the cost per iteration matches the
-    primal form.  A NaN objective or an objective increase beyond the
-    divergence guard stops the run with ``Termination.NUMERIC_ERROR``.  A
-    ``ConvergenceError`` of the inversion propagates, its message naming the
-    iteration and ``eta``.  Each inversion stops at the rule of
-    :func:`~dcflow.core.invert_grad_g`,
+    Both modes step with :func:`~dcflow.core.damped_target` and differ
+    only in the dual state they step from: primal mode from
+    ``grad g(x_k)``, dual mode from the state ``y_k`` it carries, whose
+    pullback ``x_k`` serves both the log and the next step.  A NaN
+    objective or an objective increase beyond the divergence guard stops
+    the run with ``Termination.NUMERIC_ERROR``.  A ``ConvergenceError`` of
+    the inversion propagates, its message naming the iteration and ``eta``.
+    Each inversion stops at the rule of :func:`~dcflow.core.invert_grad_g`,
     ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``:
     relative to small targets, absolute beyond norm 1, and at the roundoff
     ``floor`` of targets too large for an absolute ``tol``.
@@ -145,53 +129,40 @@ def run_scheme(
     eta = cfg.eta
 
     f, f_err = p.f_value_and_roundoff(x)
-    grad_g, grad_h = _grads(p, x)
-    points = [x]
-    f_values = [f]
-    grad_norms = [float(np.linalg.norm(grad_g - grad_h))]
-
-    y = grad_g if mode is Mode.DUAL else None
+    points, f_values, grad_norms = [x], [f], []
     termination = Termination.MAX_ITER
 
-    for k in range(cfg.max_iter):
+    for k in range(cfg.max_iter + 1):
+        grad_g = np.asarray(p.g_grad(x), dtype=float)
+        grad_h = np.asarray(p.h_grad(x), dtype=float)
+        grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
         if grad_norms[-1] <= cfg.stop_grad_tol:
             termination = Termination.GRAD_TOL
             break
+        if k == cfg.max_iter:
+            break
+        y = damped_target(grad_g if mode is Mode.PRIMAL or k == 0 else y, grad_h, eta)
         try:
-            if mode is Mode.PRIMAL:
-                x_next = invert_grad_g(p, damped_target(grad_g, grad_h, eta), x)
-            else:
-                y = dual_euler(y, grad_h, eta)
-                x_next = invert_grad_g(p, y, x)
+            x_next = invert_grad_g(p, y, x)
         except ConvergenceError as exc:
             raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
         f_next, err_next = p.f_value_and_roundoff(x_next)
-        if not np.isfinite(f_next):
-            termination = Termination.NUMERIC_ERROR
-            break
         slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
-        if f_next > f_values[-1] + slack:
+        if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
             termination = Termination.NUMERIC_ERROR
             break
         f_err = err_next
         x = x_next
-        grad_g, grad_h = _grads(p, x)
         points.append(x)
         f_values.append(f_next)
-        grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
-    else:
-        if grad_norms[-1] <= cfg.stop_grad_tol:
-            termination = Termination.GRAD_TOL
 
     points = np.asarray(points)
-    steps = np.diff(points, axis=0)
     return IterateTrace(
         points=points,
         f_values=np.asarray(f_values),
         grad_norms=np.asarray(grad_norms),
         bregman_steps=p.bregman_g(points[1:], points[:-1]),
-        # vecdot rounds each row as np.linalg.norm rounds that row alone.
-        step_norms=np.sqrt(np.vecdot(steps, steps)),
+        step_norms=_row_norms(np.diff(points, axis=0)),
         eta=eta,
         termination=termination,
     )
@@ -233,17 +204,23 @@ def descent_margins(p: DcProblem, trace: IterateTrace):
 
 
 def gradient_identity_margin(p: DcProblem, trace: IterateTrace) -> float:
-    """Largest deviation from ``||grad g(x_{k+1}) - grad g(x_k)|| = eta ||grad f(x_k)||``.
+    """Largest scaled deviation of a trace from the gradient-difference identity.
 
-    The identity is exact up to the inversion residual, so values above a
-    small multiple of :data:`~dcflow.core.INVERSION_TOL` indicate a broken
-    run.
+    The identity is ``||grad g(x_{k+1}) - grad g(x_k)|| = eta ||grad f(x_k)||``;
+    each step's deviation is divided by
+    ``max(1, ||grad g(x_k)||, ||grad g(x_{k+1})||)``.  The identity is exact
+    up to the inversion residuals ``r_k``: the deviation is at most
+    ``||r_{k+1}|| + (1-eta) ||r_k||`` (the second term only in dual mode),
+    and each residual is at most ``INVERSION_TOL max(1, ||y||)`` for its
+    target ``y``.  So scaled values above a small multiple of
+    :data:`~dcflow.core.INVERSION_TOL` indicate a broken run, at any
+    distance from the origin.
     """
     points = trace.points
-    dual = np.diff(np.asarray(p.g_grad(points), dtype=float), axis=0)
-    grad = p.f_grad(points[:-1])
-    # vecdot rounds each row as np.linalg.norm rounds that row alone.
-    lhs = np.sqrt(np.vecdot(dual, dual))
-    rhs = trace.eta * np.sqrt(np.vecdot(grad, grad))
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    grad_g = np.asarray(p.g_grad(points), dtype=float)
+    lhs = _row_norms(np.diff(grad_g, axis=0))
+    rhs = trace.eta * _row_norms(p.f_grad(points[:-1]))
+    gnorm = _row_norms(grad_g)
+    scale = np.maximum(1.0, np.maximum(gnorm[:-1], gnorm[1:]))
+    return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
 

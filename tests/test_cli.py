@@ -337,6 +337,18 @@ def test_run_flow_from_a_far_start_exits_0(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_run_scheme_from_a_far_start_exits_0(tmp_path, mode):
+    # |grad g(x0)| = 3.8e6: each inversion residual is tol relative to its
+    # target, so the gradient identity's deviation is scaled by |grad g|.
+    cfg = base_config(problem=DW, x0=[150.0, 120.0], mode=mode, scheme={"eta": 0.5})
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    identity = {c["name"]: c for c in report["checks"]}["gradient_difference_identity"]
+    assert identity["passed"]
+    assert identity["allowed"] == 10.0 * core.INVERSION_TOL
+
+
 def test_rate_certify_quadratic(tmp_path):
     cfg = base_config(
         experiment="RateCertify",

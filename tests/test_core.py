@@ -14,7 +14,7 @@ from dcflow.core import (
     DcProblem,
     NumericError,
     central_diff_jacobian,
-    dual_map,
+    damped_target,
     invert_grad_g,
 )
 from helpers import central_diff_grad, newton_only
@@ -470,23 +470,34 @@ def test_invert_raises_numeric_error_on_nan():
 
 
 # ---------------------------------------------------------------------------
-# dual map
+# the full dual step y -> grad h(pullback(y)), the damped target at eta = 1
 
 
-def test_dual_map_linear_case():
+def test_full_dual_step_linear_case():
     p = make_quadratic(2.0 * np.eye(2), np.eye(2))
     # T(y) = B A^{-1} y = y/2
-    x, grad_h = dual_map(p, np.array([2.0, 2.0]), np.zeros(2))
+    x = invert_grad_g(p, np.array([2.0, 2.0]), np.zeros(2))
+    grad_h = p.h_grad(x)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-10)
     np.testing.assert_allclose(grad_h, [1.0, 1.0], atol=1e-10)
 
 
-def test_dual_map_fixed_point_at_critical_point(dw_unit):
+def test_full_dual_step_fixed_point_at_critical_point(dw_unit):
     y_star = np.asarray(dw_unit.g_grad(np.array([1.0, 1.0])))
     np.testing.assert_allclose(y_star, [2.0, 2.0], atol=1e-14)
-    x, grad_h = dual_map(dw_unit, y_star, np.array([0.9, 0.9]))
+    x = invert_grad_g(dw_unit, y_star, np.array([0.9, 0.9]))
+    grad_h = dw_unit.h_grad(x)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(grad_h, y_star, atol=1e-9)
+
+
+def test_damped_target_is_grad_h_at_eta_one_and_answers_row_by_row():
+    y, grad_h = np.random.default_rng(3).standard_normal((2, 5, 3))
+    assert damped_target(y, grad_h, 1.0).tobytes() == grad_h.tobytes()
+    for eta in (0.1, 0.5, 0.9):
+        out = damped_target(y, grad_h, eta)
+        for i in range(len(y)):
+            assert damped_target(y[i], grad_h[i], eta).tobytes() == out[i].tobytes()
 
 
 def test_box_validation():

@@ -12,7 +12,7 @@ from dcflow import (
     make_double_well,
     make_quadratic,
 )
-from dcflow.core import DcProblem, dual_map, invert_grad_g
+from dcflow.core import DcProblem, invert_grad_g
 from dcflow.flow import _B5, _P, StiffnessError, euler_refinement_study
 from helpers import newton_only
 
@@ -28,24 +28,23 @@ B1 = np.eye(2)
 
 def test_field_vanishes_at_fixed_point(dw_unit):
     y_star = np.asarray(dw_unit.g_grad(np.array([1.0, 1.0])))
-    _, grad_h = dual_map(dw_unit, y_star, np.array([1.0, 1.0]))
-    field = grad_h - y_star
+    x = invert_grad_g(dw_unit, y_star, np.array([1.0, 1.0]))
+    field = dw_unit.h_grad(x) - y_star
     assert np.linalg.norm(field) <= 1e-9
 
 
 def test_field_linear_case(quad_canonical):
     y = np.array([2.0, 0.0])
-    _, grad_h = dual_map(quad_canonical, y, np.zeros(2))
-    field = grad_h - y
+    x = invert_grad_g(quad_canonical, y, np.zeros(2))
+    field = quad_canonical.h_grad(x) - y
     np.testing.assert_allclose(field, [-1.0, 0.0], atol=1e-10)
 
 
 def test_field_equals_negative_gradient_at_pullback(dw_unit):
     for _ in range(10):
         y = RNG.standard_normal(2) * 2.0
-        x, grad_h = dual_map(dw_unit, y, np.zeros(2))
-        np.testing.assert_array_equal(x, invert_grad_g(dw_unit, y, np.zeros(2)))
-        field = grad_h - y
+        x = invert_grad_g(dw_unit, y, np.zeros(2))
+        field = dw_unit.h_grad(x) - y
         assert np.linalg.norm(field + dw_unit.f_grad(x)) <= 10.0 * 1e-10
 
 
@@ -174,25 +173,29 @@ def test_continuous_extension_ends_at_accepted_state():
 @pytest.fixture(scope="module")
 def dw_fine_run():
     """Double well q = [1, 4] from (0.5, 0.5) to t = 10 at stride 1e-3, with
-    every field evaluation and its pullback counted, and every pullback of
-    record times counted with the number of times it covers."""
+    every inversion counted, and the flow's own split into field evaluations
+    (the one pullback of a single dual state, a 1-D target) and pullbacks of
+    record times (a stack), each counted with the number of times it covers."""
     counts = {"invert": 0, "field": 0, "pullback": 0, "pullback_rows": 0}
 
-    def counted(name, fn):
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts["invert"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     def pullback(p, y, warm_start):
-        counts["pullback_rows"] += len(np.atleast_2d(y))
+        if np.ndim(y) == 1:
+            counts["field"] += 1
+        else:
+            counts["pullback"] += 1
+            counts["pullback_rows"] += len(y)
         return core.invert_grad_g(p, y, warm_start)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "invert_grad_g", counted("invert", core.invert_grad_g))
-        mp.setattr(flow, "invert_grad_g", counted("pullback", pullback))
-        mp.setattr(flow, "dual_map", counted("field", flow.dual_map))
+        mp.setattr(core, "invert_grad_g", counted(core.invert_grad_g))
+        mp.setattr(flow, "invert_grad_g", pullback)
         trace = integrate_flow(
             make_double_well([1.0, 4.0]),
             np.array([0.5, 0.5]),
@@ -250,8 +253,14 @@ def test_stiffness_error_on_blowup_field():
 def test_sample_pullback_failure_names_its_step(dw_unit, monkeypatch):
     # A tol of 1e-300 leaves the batched pullback of the first step's record
     # times stuck at roundoff; the error names the row and then the step.
+    # Field evaluations pull back one dual state, a 1-D target, and keep
+    # the default tol.
     real = core.invert_grad_g
-    monkeypatch.setattr(flow, "invert_grad_g", lambda p, y, warm: real(p, y, warm, tol=1e-300))
+
+    def pullback(p, y, warm):
+        return real(p, y, warm, tol=1e-300) if np.ndim(y) == 2 else real(p, y, warm)
+
+    monkeypatch.setattr(flow, "invert_grad_g", pullback)
     with pytest.raises(core.ConvergenceError) as info:
         integrate_flow(dw_unit, np.array([0.5, 0.7]), FlowConfig(t_end=1.0, record_stride=1e-3))
     assert f"gradient inversion of row {info.value.row} of " in str(info.value)

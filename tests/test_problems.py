@@ -10,9 +10,9 @@ from dcflow import (
     make_double_well,
     make_quadratic,
     make_shifted_decomposition,
+    run_scheme,
 )
 from dcflow.analysis import linearize_at
-from dcflow.schemes import damped_dca_step
 
 RNG = np.random.default_rng(20240502)
 
@@ -31,14 +31,14 @@ def test_quadratic_canonical_constants(quad_canonical):
 
 def test_quadratic_b_zero_converges_in_one_step():
     p = make_quadratic(2.0 * np.eye(2), np.zeros((2, 2)))
-    x1 = damped_dca_step(p, np.array([1.7, -0.3]), SchemeConfig())
+    x1 = run_scheme(p, np.array([1.7, -0.3]), SchemeConfig(max_iter=1)).points[1]
     np.testing.assert_allclose(x1, [0.0, 0.0], atol=1e-10)
 
 
 def test_quadratic_diagonal_contraction():
     p = make_quadratic(np.diag([1.0, 4.0]), np.diag([0.5, 2.0]))
     # A^{-1} B = diag(0.5, 0.5)
-    x1 = damped_dca_step(p, np.array([2.0, 2.0]), SchemeConfig())
+    x1 = run_scheme(p, np.array([2.0, 2.0]), SchemeConfig(max_iter=1)).points[1]
     np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-10)
 
 

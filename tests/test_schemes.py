@@ -15,13 +15,12 @@ from dcflow import (
     make_shifted_decomposition,
     run_scheme,
 )
-from dcflow.core import INVERSION_TOL, DcProblem, dual_euler, dual_map, invert_grad_g
+from dcflow.core import INVERSION_TOL, DcProblem, damped_target, invert_grad_g
 from dcflow.schemes import (
     _DESCENT_SLACK,
     _DIVERGENCE_SLACK,
     IterateTrace,
     Termination,
-    damped_dca_step,
     gradient_identity_margin,
 )
 from helpers import primal_dual_sup_gap
@@ -48,72 +47,91 @@ def bisect_root(fun, lo, hi, tol=1e-13):
 # single steps
 
 
+def first_step(p, x0, eta=1.0, mode=Mode.PRIMAL):
+    """``x_1`` of a run from ``x0``; ``eta = 1`` is the classical step."""
+    cfg = SchemeConfig(eta=eta, max_iter=1)
+    return run_scheme(p, np.asarray(x0, dtype=float), cfg, mode).points[1]
+
+
+def assert_step_fixes(p, x_star, eta):
+    """A run from the critical point ``x_star`` stops there at once, and the
+    damped step it would take maps ``x_star`` to itself."""
+    trace = run_scheme(p, x_star, SchemeConfig(eta=eta, max_iter=1))
+    assert trace.termination is Termination.GRAD_TOL and trace.n_points == 1
+    target = damped_target(np.asarray(p.g_grad(x_star)), np.asarray(p.h_grad(x_star)), eta)
+    np.testing.assert_allclose(invert_grad_g(p, target, x_star), x_star, atol=1e-9)
+
+
 def test_dca_step_linear_map(quad_canonical):
     # x+ = A^{-1} B x = x/2
-    x1 = damped_dca_step(quad_canonical, np.array([2.0, 2.0]), SchemeConfig())
+    x1 = first_step(quad_canonical, [2.0, 2.0])
     np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-10)
 
 
 def test_dca_step_fixed_at_critical_point(dw_unit):
-    x_star = np.array([1.0, 1.0])
-    np.testing.assert_allclose(
-        damped_dca_step(dw_unit, x_star, SchemeConfig()), x_star, atol=1e-9
-    )
+    assert_step_fixes(dw_unit, np.array([1.0, 1.0]), 1.0)
 
 
 def test_dca_step_scalar_against_bisection():
     # One step from 2 solves x^3 + x = (q+1)*2 = 4.
     p = make_double_well([1.0])
     root = bisect_root(lambda c: c**3 + c - 4.0, 1.0, 2.0)
-    x1 = damped_dca_step(p, np.array([2.0]), SchemeConfig())
+    x1 = first_step(p, [2.0])
     assert x1[0] == pytest.approx(root, abs=1e-9)
     assert root == pytest.approx(1.3788, abs=1e-4)
 
 
 def test_damped_step_reduces_to_classical_at_eta_one(dw_unit):
-    cfg = SchemeConfig(eta=1.0)
     for x in dw_unit.region.sample(RNG, 10):
         classical = invert_grad_g(dw_unit, dw_unit.h_grad(x), x)
-        np.testing.assert_allclose(damped_dca_step(dw_unit, x, cfg), classical, atol=1e-9)
+        # At eta = 1 the damped target is grad h(x) itself.
+        np.testing.assert_array_equal(first_step(dw_unit, x, 1.0), classical)
 
 
 def test_damped_step_linear_case(quad_canonical):
-    cfg = SchemeConfig(eta=0.5)
     # Target y = 0.5*(4,4) + 0.5*(2,2) = (3,3); solve 2x = y.
-    x1 = damped_dca_step(quad_canonical, np.array([2.0, 2.0]), cfg)
+    x1 = first_step(quad_canonical, [2.0, 2.0], 0.5)
     np.testing.assert_allclose(x1, [1.5, 1.5], atol=1e-10)
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
 def test_damped_step_fixed_at_critical_point(dw_unit, eta):
-    cfg = SchemeConfig(eta=eta)
-    x_star = np.array([-1.0, 1.0])
-    np.testing.assert_allclose(damped_dca_step(dw_unit, x_star, cfg), x_star, atol=1e-9)
+    assert_step_fixes(dw_unit, np.array([-1.0, 1.0]), eta)
 
 
 def test_dual_euler_fixed_point_unchanged(dw_unit):
     y_star = np.asarray(dw_unit.g_grad(np.array([1.0, 1.0])))
-    _, grad_h = dual_map(dw_unit, y_star, np.array([1.0, 1.0]))
-    out = dual_euler(y_star, grad_h, 0.5)
+    x = invert_grad_g(dw_unit, y_star, np.array([1.0, 1.0]))
+    out = damped_target(y_star, dw_unit.h_grad(x), 0.5)
     np.testing.assert_allclose(out, y_star, atol=1e-9)
 
 
 def test_dual_euler_linear_decay(quad_canonical):
     # y+ = (1 - eta/2) y
     y = np.array([2.0, 2.0])
-    _, grad_h = dual_map(quad_canonical, y, np.array([1.0, 1.0]))
-    out = dual_euler(y, grad_h, 1.0)
+    x = invert_grad_g(quad_canonical, y, np.array([1.0, 1.0]))
+    out = damped_target(y, quad_canonical.h_grad(x), 1.0)
     np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-10)
 
 
 def test_dual_euler_consistent_with_primal_step(dw_unit):
-    cfg = SchemeConfig(eta=0.3)
+    eta = 0.3
     for x in dw_unit.region.sample(RNG, 10):
-        lhs = np.asarray(dw_unit.g_grad(damped_dca_step(dw_unit, x, cfg)))
+        lhs = np.asarray(dw_unit.g_grad(first_step(dw_unit, x, eta)))
         y = np.asarray(dw_unit.g_grad(x))
-        _, grad_h = dual_map(dw_unit, y, x)
-        rhs = dual_euler(y, grad_h, cfg.eta)
+        rhs = damped_target(y, dw_unit.h_grad(invert_grad_g(dw_unit, y, x)), eta)
         assert np.linalg.norm(lhs - rhs) <= 10.0 * INVERSION_TOL
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.7])
+def test_primal_and_dual_first_steps_are_bit_identical(eta, quad_canonical, dw_aniso):
+    # Both modes step from y_0 = grad g(x_0) with the same damped target.
+    rng = np.random.default_rng(20240516)
+    for p in (quad_canonical, dw_aniso):
+        for x0 in p.region.sample(rng, 25):
+            primal = first_step(p, x0, eta, Mode.PRIMAL)
+            dual = first_step(p, x0, eta, Mode.DUAL)
+            assert primal.tobytes() == dual.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +222,20 @@ def test_gradient_difference_identity(dw_unit, eta):
     assert gradient_identity_margin(dw_unit, trace) <= 10.0 * INVERSION_TOL
 
 
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+@pytest.mark.parametrize("x0", [[0.3, 1.7], [150.0, 120.0]])
+def test_gradient_identity_flags_a_perturbed_iterate(dw_unit, x0, mode):
+    # The scale max(1, |grad g|) leaves a relative error of 1e-6 in one
+    # iterate far above the allowance, near the origin and far from it.
+    trace = run_scheme(dw_unit, np.array(x0), SchemeConfig(eta=0.5), mode)
+    assert gradient_identity_margin(dw_unit, trace) <= 10.0 * INVERSION_TOL
+    for k in (1, trace.n_points // 2, trace.n_points - 1):
+        points = trace.points.copy()
+        points[k] *= 1.0 + 1e-6
+        broken = dataclasses.replace(trace, points=points)
+        assert gradient_identity_margin(dw_unit, broken) > 10.0 * INVERSION_TOL
+
+
 def _descent_margins_loop(p, trace):
     """Per-iterate reference for :func:`descent_margins`."""
     mu = p.box_constants(Box.spanning(trace.points)).metric[0]
@@ -227,10 +259,11 @@ def _gradient_identity_margin_loop(p, trace):
     """Per-iterate reference for :func:`gradient_identity_margin`."""
     worst = 0.0
     for k in range(trace.points.shape[0] - 1):
-        xk, xk1 = trace.points[k], trace.points[k + 1]
-        lhs = float(np.linalg.norm(p.g_grad(xk1) - p.g_grad(xk)))
-        rhs = trace.eta * float(np.linalg.norm(p.f_grad(xk)))
-        worst = max(worst, abs(lhs - rhs))
+        gk, gk1 = p.g_grad(trace.points[k]), p.g_grad(trace.points[k + 1])
+        lhs = float(np.linalg.norm(gk1 - gk))
+        rhs = trace.eta * float(np.linalg.norm(p.f_grad(trace.points[k])))
+        scale = max(1.0, float(np.linalg.norm(gk)), float(np.linalg.norm(gk1)))
+        worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
 
@@ -269,7 +302,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
             target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * grad_h
             x_next = invert_grad_g(p, target, x)
         else:
-            y = dual_euler(y, grad_h, eta)
+            y = (1.0 - eta) * y + eta * grad_h
             x_next = invert_grad_g(p, y, x)
         f_next, err_next = p.f_value_and_roundoff(x_next)
         slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
