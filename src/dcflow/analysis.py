@@ -27,13 +27,13 @@ from .core import (
     ConvergenceError,
     DcError,
     DcProblem,
+    _row_norms,
     central_diff_jacobian,
-    damped_target,
     flow_velocity,
-    invert_grad_g,
+    invert_grad_g,  # noqa: F401  (uncalled here; bench/tracing.py wraps this name)
 )
 from .flow import FlowTrace
-from .schemes import IterateTrace
+from .schemes import IterateTrace, SchemeConfig, Termination, run_scheme
 
 __all__ = [
     "BoxTooLargeError",
@@ -73,9 +73,12 @@ class BoxTooLargeError(DcError):
     """The objective Hessian fails to stay positive definite over the box."""
 
 
-# Inversion tolerance of the local contraction measurement: tight enough that
-# the inversion residual stays far below the distances it measures.
-_CONTRACTION_TOL = 1e-13
+# linearize_at's difference step; measure_local_contraction's start distance
+# and iterate count; local_exp_certificate's probe points.
+_FD_STEP = 1e-4
+_CONTRACTION_RADIUS = 1e-3
+_CONTRACTION_STEPS = 20
+_LOCAL_PROBES = 200
 # Relative slack of the local exponential envelope, for integrator error.
 _LOCAL_EXP_SLACK = 1e-3
 
@@ -265,6 +268,7 @@ def damped_pl_report(
     ratios = gaps[usable + 1] / gaps[usable]
     tail = ratios[ratios.size // 2 :]
     geomean = float(np.exp(np.mean(np.log(np.maximum(tail, 1e-300)))))
+    # Absolute slack: the ratios and the bound are dimensionless.
     return RateReport(eta, bound, geomean, violation=bool(np.any(ratios > bound + 1e-9)))
 
 
@@ -325,23 +329,28 @@ def flow_rate_check(
 # linearization at a nondegenerate minimum
 
 
-def linearize_at(p: DcProblem, x_star, fd_step: float = 1e-4) -> LinearizationReport:
+def _critical_point(p: DcProblem, x_star) -> np.ndarray:
+    """``x_star`` as a checked point, once ``|grad f| <= 1e-8`` holds there."""
+    x_star = p.check_point(x_star)
+    gnorm = float(np.linalg.norm(p.f_grad(x_star)))
+    # Absolute: it is SchemeConfig's default stop_grad_tol in the same norm,
+    # so any point where a default run stops qualifies.
+    if gnorm > 1e-8:
+        raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
+    return x_star
+
+
+def linearize_at(p: DcProblem, x_star) -> LinearizationReport:
     """Spectrum of the linearized flow and a finite-difference cross-check.
 
     The field ``F(x) = -(Hess g)^{-1} grad f`` linearizes at a critical
     point to minus ``metric^{-1} hess_f``; its eigenvalues are computed on
     the symmetrized form so they are real in floating point.  The
-    central-difference Jacobian of ``F`` must agree with the analytic
-    linearization to ``100 * fd_step**2`` in Frobenius norm, otherwise the
-    oracles are inconsistent and the call raises.
+    central-difference Jacobian of ``F``, of step ``h = 1e-4``, must agree
+    with the analytic linearization to ``100 h**2`` in Frobenius norm,
+    otherwise the oracles are inconsistent and the call raises.
     """
-    x_star = p.check_point(x_star)
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    gnorm = float(np.linalg.norm(p.f_grad(x_star)))
-    if gnorm > 1e-8:
-        raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
-
+    x_star = _critical_point(p, x_star)
     hess_f = p.f_hess(x_star)
     hess_f = 0.5 * (hess_f + hess_f.T)
     if np.linalg.eigvalsh(hess_f)[0] <= 0.0:
@@ -359,15 +368,15 @@ def linearize_at(p: DcProblem, x_star, fd_step: float = 1e-4) -> LinearizationRe
     slow /= float(np.linalg.norm(slow))
 
     fd_jacobian = central_diff_jacobian(
-        lambda x: flow_velocity(p, x)[1], x_star, fd_step
+        lambda x: flow_velocity(p, x)[1], x_star, _FD_STEP
     )
 
     analytic = np.linalg.solve(metric, hess_f)
     fd_error = float(np.linalg.norm(fd_jacobian + analytic, "fro"))
-    if fd_error > 100.0 * fd_step * fd_step:
+    if fd_error > 100.0 * _FD_STEP * _FD_STEP:
         raise DcError(
             f"finite-difference Jacobian disagrees with the analytic "
-            f"linearization ({fd_error:g} > {100.0 * fd_step**2:g}); "
+            f"linearization ({fd_error:g} > {100.0 * _FD_STEP**2:g}); "
             "oracles are inconsistent"
         )
 
@@ -383,61 +392,46 @@ def linearize_at(p: DcProblem, x_star, fd_step: float = 1e-4) -> LinearizationRe
     )
 
 
-def measure_local_contraction(
-    p: DcProblem,
-    lin: LinearizationReport,
-    eta: float,
-    radius: float = 1e-3,
-    n_steps: int = 20,
-) -> float:
+def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float) -> float:
     """Empirical per-step distance contraction of the damped scheme near a minimum.
 
-    Starts on the slowest eigendirection of ``lin``, a :func:`linearize_at`
-    report, at distance ``radius`` from ``lin.x_star``, iterates, and
-    returns the geometric mean of consecutive distance ratios over the tail
-    half.  The inversion tolerance is tightened well below ``radius`` times the
-    final contraction so the measurement is not limited by the inner solver.
-    A failed inversion raises :class:`~dcflow.core.ConvergenceError` naming
-    the step, ``eta`` and ``radius``.
+    Runs :func:`~dcflow.schemes.run_scheme` for 20 iterations from the
+    point at distance ``1e-3`` from ``lin.x_star`` on the slowest
+    eigendirection of ``lin``, a :func:`linearize_at` report, and returns
+    the geometric mean of consecutive distance ratios over the tail half.
+    The distances end at the first one below the roundoff floor.  A
+    distance beyond ten times the start radius, or a run that stops
+    descending (``Termination.NUMERIC_ERROR``), raises
+    :class:`LocalityError`.  A failed inversion raises
+    :class:`~dcflow.core.ConvergenceError` naming the iteration, ``eta``
+    and the radius; an ``eta`` outside ``(0, 1]`` raises ``ValueError``.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be at least 2")
-    x_star = lin.x_star
+    radius, x_star = _CONTRACTION_RADIUS, lin.x_star
+    # Only an exactly critical iterate stops the run early.
+    cfg = SchemeConfig(eta=eta, max_iter=_CONTRACTION_STEPS, stop_grad_tol=np.finfo(float).tiny)
+    try:
+        trace = run_scheme(p, x_star + radius * lin.slow_direction, cfg)
+    except ConvergenceError as exc:
+        raise exc.with_phase(f"of the local contraction at radius {radius:g}") from exc
 
-    x = x_star + radius * lin.slow_direction
-    dists = [radius]
+    dists = _row_norms(trace.points - x_star)
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
-    for step in range(n_steps):
-        try:
-            grad_g = np.asarray(p.g_grad(x), dtype=float)
-            grad_h = np.asarray(p.h_grad(x), dtype=float)
-            x = invert_grad_g(p, damped_target(grad_g, grad_h, eta), x, _CONTRACTION_TOL)
-        except ConvergenceError as exc:
-            raise exc.with_phase(
-                f"in local contraction step {step} (eta={eta:g}, radius={radius:g})"
-            ) from exc
-        d = float(np.linalg.norm(x - x_star))
-        if d > 10.0 * radius:
-            raise LocalityError(
-                f"iterates left the 10*radius ball (distance {d:g}); "
-                "the linearized regime does not apply"
-            )
-        dists.append(d)
-        if d < dist_floor:
-            break
+    below = np.flatnonzero(dists < dist_floor)
+    if below.size:
+        dists = dists[: below[0] + 1]
+    if dists.max() > 10.0 * radius or trace.termination is Termination.NUMERIC_ERROR:
+        raise LocalityError(
+            f"iterates left the 10*radius ball or stopped descending (distance "
+            f"{dists.max():g}, {trace.n_points} iterates); the linearized regime does not apply"
+        )
 
-    ratios = [
-        dists[k + 1] / dists[k]
-        for k in range(len(dists) - 1)
-        if dists[k] > dist_floor and dists[k + 1] > 0.0
-    ]
-    if not ratios:
+    # No distance but the last lies below the floor, so only a last
+    # distance of zero leaves a ratio without a log.
+    ratios = dists[1:] / dists[:-1]
+    ratios = ratios[ratios > 0.0]
+    if ratios.size == 0:
         raise InsufficientDataError("no usable distance ratios above the noise floor")
-    tail = ratios[len(ratios) // 2 :]
+    tail = ratios[ratios.size // 2 :]
     return float(np.exp(np.mean(np.log(tail))))
 
 
@@ -571,29 +565,21 @@ def kl_exponent_diagnostic(
 # local exponential certificate
 
 
-def local_exp_certificate(
-    p: DcProblem,
-    x_star,
-    box: Box,
-    n_samples: int = 200,
-) -> LocalExpCertificate:
+def local_exp_certificate(p: DcProblem, x_star, box: Box) -> LocalExpCertificate:
     """Decay rate and overshoot from the Hessian ranges over the box.
 
     Returns ``lam = m_f / M`` and ``c1 = sqrt(L_f / m_f)`` where ``m_f``
     and ``L_f`` bound the objective Hessian over the box and ``M`` bounds
     the metric.  Trajectories started in the box then obey
     ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.  The ranges
-    come from :func:`checked_box_constants` on ``n_samples`` probe points;
-    a problem without box constants raises ``ValueError``.
+    come from :func:`checked_box_constants` on 200 probe points; a problem
+    without box constants raises ``ValueError``.
     """
-    x_star = p.check_point(x_star)
+    x_star = _critical_point(p, x_star)
     if not box.contains(x_star, atol=1e-12):
         raise ValueError("box must contain x_star")
-    gnorm = float(np.linalg.norm(p.f_grad(x_star)))
-    if gnorm > 1e-8:
-        raise ValueError(f"x_star is not critical: gradient norm {gnorm:g}")
 
-    bc = checked_box_constants(p, box, n_samples)
+    bc = checked_box_constants(p, box, _LOCAL_PROBES)
     m_f, l_f = bc.objective
     if m_f <= 0.0:
         raise BoxTooLargeError(

@@ -68,7 +68,8 @@ EXIT_RUNTIME = 3
 EXIT_CHECK_FAILED = 4
 
 # Half-width of RateCertify's local-certificate cube around the minimizer;
-# DecompositionCompare's required flow gap and objective-invariance samples.
+# DecompositionCompare's required flow gap (an absolute sup-norm distance)
+# and objective-invariance samples.
 _LOCAL_BOX_RADIUS = 0.1
 _MIN_DYNAMICS_GAP = 1e-2
 _N_INVARIANCE_POINTS = 100
@@ -104,7 +105,18 @@ def load_config(path) -> dict:
     _experiment(cfg.get("experiment"))
     if not isinstance(cfg.get("problem"), dict):
         raise ConfigError("config must carry a problem object")
+    if "seed" in cfg:
+        _check_seed(cfg["seed"])
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     return cfg
+
+
+def _check_seed(seed) -> int:
+    # A JSON true is a bool, which Python counts as an int.
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 # problem name -> (constructor, its parameters in call order)
@@ -440,6 +452,7 @@ def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
 def _linearize_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     x_star = np.asarray(cfg["x_star"], dtype=float) if "x_star" in cfg else p.minimizer
     rep = analysis.linearize_at(p, x_star)
+    # Absolute slack: the eigenvalues of (Hess g)^{-1} Hess f are dimensionless.
     spectrum_ok = bool(
         np.all(rep.spectrum > 0.0) and np.all(rep.spectrum <= 1.0 + 1e-9)
     )
@@ -624,11 +637,14 @@ def run_experiment(
     certify: bool = True,
     seed: Optional[int] = None,
 ) -> tuple[int, dict]:
-    """Execute one experiment config; returns ``(exit_code, report)``."""
+    """Execute one experiment config; returns ``(exit_code, report)``.
+
+    ``seed``, or the config's ``seed`` when it is ``None``, must be a
+    non-negative integer; any other value raises :class:`ConfigError`.
+    """
+    seed = _check_seed(cfg.get("seed", 0) if seed is None else seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     experiment = cfg["experiment"]
     run = _experiment(experiment)

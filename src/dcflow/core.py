@@ -292,7 +292,7 @@ class DcProblem:
         return float(d) if x.ndim == 1 else np.asarray(d, dtype=float)
 
 
-def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np.ndarray:
+def invert_grad_g(p: DcProblem, y, warm_start) -> np.ndarray:
     """Solve ``grad g(x) = y`` for ``x``, for one target or a stack of them.
 
     Runs Newton's method on the residual ``r(x) = grad g(x) - y`` and
@@ -307,13 +307,13 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
 
     The iteration stops once
     ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``,
-    where ``floor`` is the roundoff of evaluating ``r`` at ``x``, scaled
-    from ``Hess g(x)`` and ``x``.  The rule asks for ``tol`` relative to a
-    target of norm up to 1 and ``tol`` absolute beyond, unless ``floor``
-    lies above that: then the floor is enough, though never more than
-    ``tol`` relative to the target.  So it is still met at ``y = 0`` with a
-    nonzero preimage, and at targets so large that ``tol`` is below one ulp
-    of them.
+    where ``tol`` is :data:`INVERSION_TOL`, read at each call, and ``floor``
+    is the roundoff of evaluating ``r`` at ``x``, scaled from ``Hess g(x)``
+    and ``x``.  The rule asks for ``tol`` relative to a target of norm up to
+    1 and ``tol`` absolute beyond, unless ``floor`` lies above that: then
+    the floor is enough, though never more than ``tol`` relative to the
+    target.  So it is still met at ``y = 0`` with a nonzero preimage, and at
+    targets so large that ``tol`` is below one ulp of them.
 
     ``y`` and ``warm_start`` have shape ``(dim,)``, or ``(m, dim)`` for
     ``m`` targets with one warm start each.  Every shape runs the same
@@ -354,7 +354,7 @@ def invert_grad_g(p: DcProblem, y, warm_start, tol: float = INVERSION_TOL) -> np
                 f"closed-form pullback of shape {x.shape} does not match "
                 f"the target's {y.shape}"
             )
-    return _invert_rows(p, y, x, tol)
+    return _invert_rows(p, y, x)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -362,7 +362,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`invert_grad_g` for a target ``y`` from the start ``x``, row by row.
 
     The start residual is tested before any row state is built, so a start
@@ -374,6 +374,7 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray, tol: float) -> np.n
     stopping rule, or fails once its line search runs out; the rest go on,
     and the failure is raised when all are done.
     """
+    tol = INVERSION_TOL
     residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm, ynorm = _row_norms(residual), _row_norms(y)
     # The goal tol * min(1, |y|) of the loop below, bit for bit.

@@ -13,6 +13,7 @@ from dcflow import (
     integrate_flow,
     make_double_well,
     make_quadratic,
+    make_shifted_decomposition,
     run_scheme,
 )
 from dcflow.analysis import (
@@ -237,9 +238,8 @@ def test_linearize_unit_double_well(dw_unit):
 
 
 def test_linearize_fd_jacobian_consistency(dw_aniso):
-    fd_step = 1e-4
-    rep = linearize_at(dw_aniso, np.array([1.0, 1.0]), fd_step)
-    assert rep.fd_error <= 100.0 * fd_step**2
+    rep = linearize_at(dw_aniso, np.array([1.0, 1.0]))
+    assert rep.fd_error <= 100.0 * analysis._FD_STEP**2
     target = -np.diag([0.5, 2.0 / 7.0])
     assert np.linalg.norm(rep.fd_jacobian - target, "fro") <= 1e-5
 
@@ -297,12 +297,34 @@ def test_contraction_matches_linearization(dw_unit, eta):
     assert factor == pytest.approx(1.0 - eta * 0.5, rel=0.05)
 
 
-def test_contraction_radius_refinement(dw_unit):
+@pytest.mark.parametrize("eta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "p",
+    [
+        make_double_well([1.0, 4.0]),
+        make_double_well([1.0, 2.0, 0.5, 4.0, 1.5]),
+        make_shifted_decomposition(make_double_well([1.0, 1.0]), [0.5, 2.0]),
+        make_quadratic(np.array([[3.0, 1.0], [1.0, 2.0]]), np.eye(2)),
+    ],
+    ids=["dw2", "dw5", "dw-shifted", "quadratic"],
+)
+def test_contraction_without_closed_form_pullback_matches_it(p, eta):
+    # Newton stops at INVERSION_TOL, which sits far below the distances
+    # measured: dropping the closed form moves the factor by less than 1e-6.
+    lin = linearize_at(p, p.minimizer)
+    closed_form = measure_local_contraction(p, lin, eta)
+    assert measure_local_contraction(newton_only(p), lin, eta) == pytest.approx(
+        closed_form, rel=1e-6
+    )
+
+
+def test_contraction_radius_refinement(dw_unit, monkeypatch):
     # Shrinking the radius moves the measurement toward the linearized value.
     lin = linearize_at(dw_unit, np.ones(2))
     errs = []
     for radius in (1e-2, 1e-4):
-        factor = measure_local_contraction(dw_unit, lin, 1.0, radius=radius)
+        monkeypatch.setattr(analysis, "_CONTRACTION_RADIUS", radius)
+        factor = measure_local_contraction(dw_unit, lin, 1.0)
         errs.append(abs(factor - 0.5))
     assert errs[1] < errs[0]
 
@@ -312,8 +334,8 @@ def test_contraction_locality_error_on_expanding_map():
     # rejected once they leave the trust ball.
     p = DcProblem(
         dim=1,
-        g_value=lambda x: float(0.5 * x[0] ** 2),
-        h_value=lambda x: float(-(x[0] ** 2)),
+        g_value=lambda x: 0.5 * x[..., 0] ** 2,
+        h_value=lambda x: -(x[..., 0] ** 2),
         g_grad=lambda x: x.copy(),
         h_grad=lambda x: -2.0 * x,
         g_hess=lambda x: np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
@@ -328,9 +350,11 @@ def test_contraction_inversion_failure_names_its_step(dw_unit, monkeypatch):
     lin = linearize_at(p, np.ones(2))
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
     with pytest.raises(ConvergenceError) as info:
-        measure_local_contraction(p, lin, 0.5, radius=1e-3)
+        measure_local_contraction(p, lin, 0.5)
     assert "(residual " in str(info.value)
-    assert str(info.value).endswith("in local contraction step 0 (eta=0.5, radius=0.001)")
+    assert str(info.value).endswith(
+        "in scheme iteration 0 (eta=0.5) of the local contraction at radius 0.001"
+    )
 
 
 # ---------------------------------------------------------------------------

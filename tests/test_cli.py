@@ -191,6 +191,34 @@ def test_eta_sweep_refuses_etas_that_share_a_trace_file(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "overrides, extra",
+    [
+        (dict(seed="abc"), []),
+        (dict(seed=-1), []),
+        (dict(seed=[1]), []),
+        (dict(seed=None), []),
+        (dict(seed=1.5), []),
+        (dict(seed=True), []),
+        ({}, ["--seed", "-3"]),
+        (dict(output_dir=5), []),
+        (dict(output_dir=None), []),
+        (dict(output_dir=["a"]), []),
+    ],
+    ids=[
+        "seed-str", "seed-negative", "seed-list", "seed-null", "seed-float", "seed-bool",
+        "seed-flag-negative", "output_dir-int", "output_dir-null", "output_dir-list",
+    ],
+)
+def test_malformed_seed_or_output_dir_exits_2(tmp_path, capsys, monkeypatch, overrides, extra):
+    # A seed is a non-negative integer and no bool; an output_dir is a string.
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config(**overrides))
+    assert main(["run", "config.json", *extra]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_linearize_reports_fd_error(tmp_path):
     cfg = base_config(experiment="Linearize", problem=DW)
     code, report = run_experiment(cfg, tmp_path / "out")

@@ -248,11 +248,12 @@ def test_invert_reports_best_residual_on_failure(dw_unit, monkeypatch):
     # A point and its one-row stack run the same loop and fail alike; only
     # the stack's message names the row.
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
+    monkeypatch.setattr(core, "INVERSION_TOL", 1e-15)
     y, warm = np.array([5.0, -3.0]), np.array([1.9, 1.9])
     errors = []
     for target, start in ((y, warm), (y[None], warm[None])):
         with pytest.raises(ConvergenceError) as err:
-            invert_grad_g(newton_only(dw_unit), target, start, tol=1e-15)
+            invert_grad_g(newton_only(dw_unit), target, start)
         assert err.value.best_residual > 0.0
         assert err.value.iterations == 1
         assert err.value.row == 0
@@ -279,10 +280,11 @@ def test_stacked_invert_failure_names_its_worst_row(dw_unit, monkeypatch):
     assert str(err.value).startswith("gradient inversion of row 2 of 4 did not reach tol")
 
 
-def test_stacked_invert_unattainable_tol_is_a_convergence_error(dw_unit):
+def test_stacked_invert_unattainable_tol_is_a_convergence_error(dw_unit, monkeypatch):
+    monkeypatch.setattr(core, "INVERSION_TOL", 1e-17)
     y = np.array([[5.0, -3.0], [0.5, 0.2]])
     with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(dw_unit, y, np.zeros((2, 2)), tol=1e-17)
+        invert_grad_g(dw_unit, y, np.zeros((2, 2)))
     assert 0.0 < err.value.best_residual <= 1e-14
 
 
@@ -310,11 +312,12 @@ def test_invert_zero_target_with_nonzero_preimage():
     assert abs(p.g_grad(x)[0]) <= 1e-13
 
 
-def test_invert_unattainable_tol_is_a_convergence_error(dw_unit):
+def test_invert_unattainable_tol_is_a_convergence_error(dw_unit, monkeypatch):
     # 1e-17 lies below the roundoff of grad g near |y| = 5: the residual
     # stops decreasing, which is a convergence failure, not a numeric one.
+    monkeypatch.setattr(core, "INVERSION_TOL", 1e-17)
     with pytest.raises(ConvergenceError) as err:
-        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.zeros(2), tol=1e-17)
+        invert_grad_g(dw_unit, np.array([5.0, -3.0]), np.zeros(2))
     assert 0.0 < err.value.best_residual <= 1e-14
 
 
