@@ -399,10 +399,12 @@ def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float
     point at distance ``1e-3`` from ``lin.x_star`` on the slowest
     eigendirection of ``lin``, a :func:`linearize_at` report, and returns
     the geometric mean of consecutive distance ratios over the tail half.
-    The distances end at the first one below the roundoff floor.  A
-    distance beyond ten times the start radius, or a run that stops
-    descending (``Termination.NUMERIC_ERROR``), raises
-    :class:`LocalityError`.  A failed inversion raises
+    The distances end at the first one below the roundoff floor, or at the
+    first iterate the run does not move from: there the warm start already
+    meets the inversion's stopping rule, which the steps after it measure.
+    A distance beyond ten times the start radius, or a run that stops
+    descending (``Termination.NUMERIC_ERROR``) before its distances end,
+    raises :class:`LocalityError`.  A failed inversion raises
     :class:`~dcflow.core.ConvergenceError` naming the iteration, ``eta``
     and the radius; an ``eta`` outside ``(0, 1]`` raises ``ValueError``.
     """
@@ -416,10 +418,13 @@ def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float
 
     dists = _row_norms(trace.points - x_star)
     dist_floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(x_star)))
-    below = np.flatnonzero(dists < dist_floor)
-    if below.size:
-        dists = dists[: below[0] + 1]
-    if dists.max() > 10.0 * radius or trace.termination is Termination.NUMERIC_ERROR:
+    ends = dists < dist_floor
+    ends[:-1] |= trace.step_norms == 0.0
+    ends = np.flatnonzero(ends)
+    if ends.size:
+        dists = dists[: ends[0] + 1]
+    stopped = not ends.size and trace.termination is Termination.NUMERIC_ERROR
+    if dists.max() > 10.0 * radius or stopped:
         raise LocalityError(
             f"iterates left the 10*radius ball or stopped descending (distance "
             f"{dists.max():g}, {trace.n_points} iterates); the linearized regime does not apply"
