@@ -19,7 +19,7 @@ flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,12 +28,13 @@ from .core import (
     ConvergenceError,
     DcError,
     DcProblem,
+    NumericError,
     _row_norms,
-    damped_target,
     flow_velocity,
     invert_grad_g,
 )
 from .problems import check_quadratic_split
+from .schemes import Mode, SchemeConfig, Termination, run_scheme
 
 __all__ = [
     "EQUILIBRIUM_GRAD_TOL",
@@ -301,43 +302,33 @@ def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:
 def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     """Primal states of the piecewise-affine dual interpolant at ``times``.
 
-    Runs the dual Euler iteration with step ``eta``, the damped target
-    :func:`~dcflow.core.damped_target` of each node's dual state, far enough
-    to cover the requested times, interpolates affinely between dual
-    iterates, and pulls the interpolated dual states back to the primal
-    space in one batched inversion, warm-started on the chord between node
-    pullbacks.  A failed
-    inversion raises :class:`~dcflow.core.ConvergenceError` naming the Euler
-    node and ``eta``, or the pullback's sample time.
+    Interpolates affinely between the dual states ``y_states`` of a
+    dual-mode :func:`~dcflow.schemes.run_scheme` run with step ``eta``, long
+    enough to cover ``times`` (a run stopped at an exact rest point stays
+    there), and pulls them back in one batched inversion, warm-started on
+    the chord between iterates.  An ``eta`` outside ``(0, 1]`` raises
+    ``ValueError``.  At such steps the scheme descends, so a run that ends
+    ``Termination.NUMERIC_ERROR`` raises :class:`~dcflow.core.NumericError`.
+    A failed inversion raises :class:`~dcflow.core.ConvergenceError` naming
+    the scheme iteration and ``eta``, or the pullback's sample time.
     """
     x0 = p.check_point(x0)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-        raise ValueError("times must be a nonempty vector of nonnegative reals")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-
-    n_steps = max(1, int(math.ceil(float(times.max()) / eta - 1e-12)))
-    y_nodes = np.empty((n_steps + 1, p.dim))
-    x_nodes = np.empty((n_steps, p.dim))
-    y_nodes[0] = np.asarray(p.g_grad(x0), dtype=float)
-    warm = np.array(x0)
-    try:
-        for k in range(n_steps):
-            x_nodes[k] = warm = invert_grad_g(p, y_nodes[k], warm)
-            grad_h = np.asarray(p.h_grad(warm), dtype=float)
-            y_nodes[k + 1] = damped_target(y_nodes[k], grad_h, eta)
-    except ConvergenceError as exc:
-        raise exc.with_phase(f"at dual Euler node {k} (eta={eta:g})") from exc
-
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError("times must be a nonempty vector of finite nonnegative reals")
+    # Built before the step count divides by eta, so that a bad eta gets its error.
+    cfg = SchemeConfig(eta=eta, stop_grad_tol=np.finfo(float).tiny)
+    n_steps = max(1, math.ceil(float(times.max()) / eta - 1e-12))
+    trace = run_scheme(p, x0, replace(cfg, max_iter=n_steps), Mode.DUAL)
+    if trace.termination is Termination.NUMERIC_ERROR:
+        raise NumericError(f"dual Euler objective rose or turned non-finite (eta={eta:g})")
+    rest = ((0, n_steps + 1 - trace.n_points), (0, 0))
+    ys, xs = (np.pad(a, rest, mode="edge") for a in (trace.y_states, trace.points))
     k = np.minimum((times / eta).astype(int), n_steps - 1)
     theta = ((times - k * eta) / eta)[:, None]
-    y_t = (1.0 - theta) * y_nodes[k] + theta * y_nodes[k + 1]
-    # Warm starts on the chord between node pullbacks; the last node is
-    # never pulled back, so its chord end is extrapolated from the two before.
-    ends = np.vstack([x_nodes[1:], 2.0 * x_nodes[-1] - x_nodes[max(n_steps - 2, 0)]])
+    y_t = (1.0 - theta) * ys[k] + theta * ys[k + 1]
     try:
-        return invert_grad_g(p, y_t, x_nodes[k] + theta * (ends[k] - x_nodes[k]))
+        return invert_grad_g(p, y_t, xs[k] + theta * (xs[k + 1] - xs[k]))
     except ConvergenceError as exc:
         raise exc.with_phase(
             f"in the interpolant pullback at t={times[exc.row]:g} (eta={eta:g})"
@@ -353,14 +344,15 @@ def euler_refinement_study(
     """Deviation of each Euler interpolant from the integrated flow.
 
     Returns rows ``(eta, sup-norm deviation)`` measured at the sample
-    times of the flow integrated under ``cfg``, on ``[0, cfg.t_end]``.  For a first-order scheme the
-    deviations shrink linearly with ``eta``.
+    times of the flow integrated under ``cfg``, on ``[0, cfg.t_end]``, for
+    strictly decreasing ``etas`` in ``(0, 1]``, checked before the flow runs.
+    For a first-order scheme the deviations shrink linearly with ``eta``.
     """
     etas = [float(e) for e in etas]
     if not etas:
         raise ValueError("etas must be nonempty")
-    if any(e <= 0.0 for e in etas):
-        raise ValueError("etas must be positive")
+    if not all(0.0 < e <= 1.0 for e in etas):
+        raise ValueError("eta must lie in (0, 1]")
     for a, b in zip(etas, etas[1:]):
         if b >= a:
             raise ValueError("etas must be strictly decreasing")

@@ -5,8 +5,8 @@ All three are one update: the damped target
 followed by one gradient inversion ``x+ = (grad g)^{-1}(y+)``.  The primal
 damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the classical
 step; the dual Euler step of size ``eta`` along ``grad h(pullback(y)) - y``
-carries ``y`` from step to step instead.  ``run_scheme`` executes either
-form with full per-iterate logging.
+carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
+either form, logs every iterate, its dual state included.
 """
 
 from __future__ import annotations
@@ -72,9 +72,12 @@ class IterateTrace:
 
     ``bregman_steps[k]`` and ``step_norms[k]`` describe the move from
     iterate ``k`` to ``k+1``, so both have one entry fewer than ``points``.
+    ``y_states[k]`` is the dual state pulled back to ``points[k]``: the
+    damped target in either mode, and ``grad g(x_0)`` at ``k = 0``.
     """
 
     points: np.ndarray  # (k+1, n)
+    y_states: np.ndarray  # (k+1, n)
     f_values: np.ndarray  # (k+1,)
     grad_norms: np.ndarray  # (k+1,)
     bregman_steps: np.ndarray  # (k,)
@@ -129,19 +132,21 @@ def run_scheme(
     eta = cfg.eta
 
     f, f_err = p.f_value_and_roundoff(x)
-    points, f_values, grad_norms = [x], [f], []
+    points, y_states, f_values, grad_norms = [x], [], [f], []
     termination = Termination.MAX_ITER
 
     for k in range(cfg.max_iter + 1):
         grad_g = np.asarray(p.g_grad(x), dtype=float)
         grad_h = np.asarray(p.h_grad(x), dtype=float)
+        if k == 0:
+            y_states.append(grad_g)
         grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
         if grad_norms[-1] <= cfg.stop_grad_tol:
             termination = Termination.GRAD_TOL
             break
         if k == cfg.max_iter:
             break
-        y = damped_target(grad_g if mode is Mode.PRIMAL or k == 0 else y, grad_h, eta)
+        y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
         try:
             x_next = invert_grad_g(p, y, x)
         except ConvergenceError as exc:
@@ -154,11 +159,13 @@ def run_scheme(
         f_err = err_next
         x = x_next
         points.append(x)
+        y_states.append(y)
         f_values.append(f_next)
 
     points = np.asarray(points)
     return IterateTrace(
         points=points,
+        y_states=np.asarray(y_states),
         f_values=np.asarray(f_values),
         grad_norms=np.asarray(grad_norms),
         bregman_steps=p.bregman_g(points[1:], points[:-1]),

@@ -128,6 +128,20 @@ def test_bad_numeric_range_exits_2(tmp_path, overrides):
             ),
             "etas must be a nonempty list of numbers, got 0.5",
         ),
+        # json writes and reads NaN and Infinity; each is refused before the flow runs.
+        *(
+            (
+                dict(
+                    experiment="RefinementStudy",
+                    problem=DW,
+                    x0=[0.6, 0.8],
+                    etas=etas,
+                    flow={"t_end": 0.2, "record_stride": 0.05},
+                ),
+                "eta must lie in (0, 1]",
+            )
+            for etas in ([1.5, 0.1], [math.inf, 0.1], [math.nan])
+        ),
     ],
     ids=[
         "linearize_noncritical",
@@ -136,6 +150,9 @@ def test_bad_numeric_range_exits_2(tmp_path, overrides):
         "run_scheme_unknown_mode",
         "eta_sweep_scalar_etas",
         "refinement_scalar_etas",
+        "refinement_eta_above_one",
+        "refinement_infinite_eta",
+        "refinement_nan_eta",
     ],
 )
 def test_argument_check_in_experiment_exits_2(tmp_path, capsys, overrides, message):

@@ -1,9 +1,11 @@
 """Integrator accuracy, the linear-flow oracle, and Euler refinement behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dcflow import core, flow
+from dcflow import core, flow, schemes
 from dcflow import (
     FlowConfig,
     closed_form_linear_flow,
@@ -11,9 +13,11 @@ from dcflow import (
     integrate_flow,
     make_double_well,
     make_quadratic,
+    make_shifted_decomposition,
 )
 from dcflow.core import DcProblem, invert_grad_g
 from dcflow.flow import _B5, _P, StiffnessError, euler_refinement_study
+from dcflow.schemes import Mode, SchemeConfig, Termination, run_scheme
 from helpers import newton_only
 
 RNG = np.random.default_rng(20240504)
@@ -331,6 +335,8 @@ def test_refinement_rejects_bad_eta_lists(quad_canonical):
         euler_refinement_study(quad_canonical, np.zeros(2), [0.1, 0.2], _flow_cfg(1.0))
     with pytest.raises(ValueError):
         euler_refinement_study(quad_canonical, np.zeros(2), [0.1, -0.05], _flow_cfg(1.0))
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+        euler_refinement_study(quad_canonical, np.zeros(2), [1.5, 0.1], _flow_cfg(1.0))
 
 
 def test_interpolant_hits_iterates_at_nodes(quad_canonical):
@@ -343,17 +349,75 @@ def test_interpolant_hits_iterates_at_nodes(quad_canonical):
         np.testing.assert_allclose(x, factor**k * np.array([1.0, -1.0]), atol=1e-9)
 
 
+@pytest.mark.parametrize("eta", [0.25, 1.0])
+def test_interpolant_at_multiples_of_eta_is_the_dual_scheme_iterate(eta, dw_aniso):
+    # run_scheme is the one dual Euler loop; node 0 is the pullback of
+    # grad g(x0), x0 only up to roundoff.
+    cases = [
+        (dw_aniso, [0.5, -0.7]),
+        (make_quadratic([[3.0, 1.0], [1.0, 2.0]], np.eye(2)), [1.5, -0.8]),
+        (make_shifted_decomposition(make_double_well([0.5, 2.0]), [0.3, 1.5]), [1.7, -0.4]),
+    ]
+    n_steps = 12
+    times = eta * np.arange(n_steps + 1)
+    for p, x0 in cases:
+        xs = dual_euler_interpolant(p, np.array(x0), eta, times)
+        cfg = SchemeConfig(eta=eta, max_iter=n_steps, stop_grad_tol=np.finfo(float).tiny)
+        trace = run_scheme(p, np.array(x0), cfg, Mode.DUAL)
+        assert trace.n_points == n_steps + 1
+        assert xs[1:].tobytes() == trace.points[1:].tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.25, 1.0])
+def test_interpolant_from_a_critical_point_stays_there(eta, dw_unit):
+    times = np.linspace(0.0, 2.0, 9)
+    for p, x0 in ((dw_unit, np.array([1.0, 1.0])), (make_quadratic(A2, B1), np.zeros(2))):
+        # The run stops at once, so its single state covers every time.
+        cfg = SchemeConfig(eta=eta, stop_grad_tol=np.finfo(float).tiny)
+        trace = run_scheme(p, x0, cfg, Mode.DUAL)
+        assert trace.termination is Termination.GRAD_TOL and trace.n_points == 1
+        xs = dual_euler_interpolant(p, x0, eta, times)
+        np.testing.assert_allclose(xs, np.tile(x0, (times.size, 1)), rtol=0.0, atol=1e-15)
+
+
+def test_interpolant_objective_turning_nan_is_a_numeric_error(dw_aniso):
+    nan_below = dataclasses.replace(
+        dw_aniso, h_value=lambda x: np.where(x[..., 0] < 1.3, np.nan, dw_aniso.h_value(x))
+    )
+    with pytest.raises(core.NumericError, match=r"\(eta=0\.5\)$"):
+        dual_euler_interpolant(nan_below, np.array([1.9, 0.2]), 0.5, [0.0, 3.0])
+
+
+@pytest.mark.parametrize("times", [[np.inf], [np.nan], [0.1, np.inf], [-0.1], [], [[0.1]]])
+def test_interpolant_rejects_bad_times(times, quad_canonical):
+    with pytest.raises(ValueError, match="times must be"):
+        dual_euler_interpolant(quad_canonical, np.array([1.0, -1.0]), 0.1, times)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1, 1.5, np.inf, np.nan])
+def test_interpolant_rejects_eta_outside_unit_interval(eta, quad_canonical):
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+        dual_euler_interpolant(quad_canonical, np.array([1.0, -1.0]), eta, [0.5])
+
+
 @pytest.mark.parametrize(
-    "times, phase",
+    "module, times, phase",
     [
-        # Pulling back node 1 is the first inversion not warm-started at its answer.
-        ([0.3], "at dual Euler node 1 (eta=0.1)"),
-        # One Euler step covers t <= eta; node 0 is pulled back exactly.
-        ([0.0, 0.05], "in the interpolant pullback at t=0.05 (eta=0.1)"),
+        # run_scheme's first inversion, node 1, is not warm-started at its answer.
+        (schemes, [0.3], "in scheme iteration 0 (eta=0.1)"),
+        # One Euler step covers t <= eta; row 0 is node 0 at its own pullback.
+        (flow, [0.0, 0.05], "in the interpolant pullback at t=0.05 (eta=0.1)"),
     ],
+    ids=["node", "pullback"],
 )
-def test_interpolant_inversion_failure_names_its_phase(dw_unit, monkeypatch, times, phase):
-    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+def test_interpolant_inversion_failure_names_its_phase(dw_unit, monkeypatch, module, times, phase):
+    def starved(*args):
+        """The inversion, allowed no Newton step, for the calls ``module`` makes."""
+        with monkeypatch.context() as m:
+            m.setattr(core, "_MAX_NEWTON_ITER", 0)
+            return core.invert_grad_g(*args)
+
+    monkeypatch.setattr(module, "invert_grad_g", starved)
     with pytest.raises(core.ConvergenceError) as info:
         dual_euler_interpolant(newton_only(dw_unit), np.array([0.5, 0.5]), 0.1, times)
     assert "(residual " in str(info.value)

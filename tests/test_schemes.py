@@ -291,7 +291,8 @@ def _run_scheme_loop(p, x0, cfg, mode):
     points, f_values = [x], [f]
     grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
     bregman_steps, step_norms = [], []
-    y = np.asarray(p.g_grad(x), dtype=float) if mode is Mode.DUAL else None
+    y = np.asarray(p.g_grad(x), dtype=float)
+    y_states = [y]
     termination = Termination.MAX_ITER
     for _ in range(cfg.max_iter):
         if grad_norms[-1] <= cfg.stop_grad_tol:
@@ -300,10 +301,9 @@ def _run_scheme_loop(p, x0, cfg, mode):
         grad_h = np.asarray(p.h_grad(x), dtype=float)
         if mode is Mode.PRIMAL:
             target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * grad_h
-            x_next = invert_grad_g(p, target, x)
         else:
-            y = (1.0 - eta) * y + eta * grad_h
-            x_next = invert_grad_g(p, y, x)
+            target = (1.0 - eta) * y + eta * grad_h
+        x_next = invert_grad_g(p, target, x)
         f_next, err_next = p.f_value_and_roundoff(x_next)
         slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
         if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
@@ -313,8 +313,9 @@ def _run_scheme_loop(p, x0, cfg, mode):
         gx = np.asarray(p.g_grad(x), dtype=float)
         bregman_steps.append(float(p.g_value(x_next) - p.g_value(x) - gx @ (x_next - x)))
         step_norms.append(float(np.linalg.norm(x_next - x)))
-        x = x_next
+        x, y = x_next, target
         points.append(x)
+        y_states.append(y)
         f_values.append(f_next)
         grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
     else:
@@ -322,6 +323,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
             termination = Termination.GRAD_TOL
     return IterateTrace(
         points=np.asarray(points),
+        y_states=np.asarray(y_states),
         f_values=np.asarray(f_values),
         grad_norms=np.asarray(grad_norms),
         bregman_steps=np.asarray(bregman_steps),
@@ -331,7 +333,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
     )
 
 
-_TRACE_ARRAYS = ("points", "f_values", "grad_norms", "bregman_steps", "step_norms")
+_TRACE_ARRAYS = ("points", "y_states", "f_values", "grad_norms", "bregman_steps", "step_norms")
 
 
 @pytest.mark.parametrize("eta", [0.3, 1.0])
