@@ -185,13 +185,22 @@ def _etas(cfg: dict, default: list[float]) -> list[float]:
 # CSV output, 17 significant digits for exact double round-trips
 
 
+# Values formatted by one ``%`` and written by one call; larger tables take
+# several blocks of rows, so the text held at once stays bounded.
+_WRITE_BLOCK_VALUES = 2**16
+
+
 def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
     """Write the rows of ``table`` under ``header``, the first ``int_cols``
     columns as integers (``%d``), every other one with ``%.17g``."""
     row = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
+    values = np.asarray(table, dtype=float).ravel().tolist()
+    block = len(header) * max(1, _WRITE_BLOCK_VALUES // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in np.asarray(table, dtype=float).tolist())
+        for start in range(0, len(values), block):
+            chunk = values[start : start + block]
+            fh.write(row * (len(chunk) // len(header)) % tuple(chunk))
 
 
 def write_iterate_csv(path: Path, trace: IterateTrace) -> None:
@@ -670,8 +679,7 @@ def run_experiment(
         "results": results,
     }
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     exit_code = EXIT_CHECK_FAILED if (certify and failed) else EXIT_OK
     return exit_code, report

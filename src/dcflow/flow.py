@@ -14,6 +14,9 @@ seven stages of each accepted step.  The interpolated dual states of one
 accepted step are pulled back through the inverse gradient map in one
 batched inversion, which gives the primal trajectory of the metric gradient
 flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
+The loop keeps only those states and tests each for equilibrium on its
+gradient norm; the samples' metric speeds and values are read after it, in
+stacked oracle calls over the whole trace.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ EQUILIBRIUM_GRAD_TOL = 1e-10
 _MIN_STEP = 1e-14
 # First trial step; error control resizes it from the first step on.
 _STEP_INIT = 1e-2
+# Bytes of the Hessian stack that one velocity call after the loop builds:
+# longer traces are answered in row blocks of at most this size, so memory
+# stays bounded, and oracles answer row by row, so the blocks change no bit.
+_RECORD_BLOCK_BYTES = 8 * 2**20
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
 # accepted point and reused as the first stage of the next step.
@@ -172,11 +179,14 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     continuous extension of the step that covers each record time, and
     ``x_states`` its pullback.  The record times of one accepted step are
     pulled back in one batched inversion, warm-started on the chord between
-    the pullbacks at the step's two ends, which the stages already made;
-    their velocities and values come from one stacked call each.  The
-    stride therefore chooses output times only and never limits the step
-    size.  Integration halts at the first sample whose primal gradient norm
-    is at most :data:`EQUILIBRIUM_GRAD_TOL`.
+    the pullbacks at the step's two ends, which the stages already made.
+    The stride therefore chooses output times only and never limits the
+    step size.  Integration halts at the first sample whose primal gradient
+    norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that
+    norm.  The metric speeds and values of all kept samples come after the
+    loop from one stacked :func:`~dcflow.core.flow_velocity` and one
+    ``f_value`` call, in row blocks whose Hessian stack stays within
+    ``_RECORD_BLOCK_BYTES``.
 
     Raises
     ------
@@ -185,6 +195,9 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     ConvergenceError
         If a gradient inversion fails; the message names the step's start
         time and size.
+    numpy.linalg.LinAlgError
+        If ``Hess g`` is singular at a kept sample, once the loop has ended;
+        a strongly convex ``g`` rules it out.
     """
     x0 = p.check_point(x0)
     warm = [np.array(x0)]
@@ -194,19 +207,24 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         warm[0] = invert_grad_g(p, yv, warm[0])
         return np.asarray(p.h_grad(warm[0]), dtype=float) - yv
 
-    samples = ([], [], [], [], [])  # times, y, x, f, metric speed^2, in chunks
+    samples = ([], [], [])  # times, y, x, in chunks
 
     def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray) -> bool:
         """Append samples up to the first at equilibrium; True if one is."""
-        grad, _, msq = flow_velocity(p, x_s)
-        at_rest = np.flatnonzero(_row_norms(grad) <= EQUILIBRIUM_GRAD_TOL)
+        at_rest = np.flatnonzero(_row_norms(p.f_grad(x_s)) <= EQUILIBRIUM_GRAD_TOL)
         keep = at_rest[0] + 1 if at_rest.size else len(t_s)
-        for out, new in zip(samples, (t_s, y_s, x_s, p.f_value(x_s), msq)):
+        for out, new in zip(samples, (t_s, y_s, x_s)):
             out.append(new[:keep])
         return bool(at_rest.size)
 
     def build() -> FlowTrace:
-        times, ys, xs, fs, msqs = (np.concatenate(chunks) for chunks in samples)
+        times, ys, xs = (np.concatenate(chunks) for chunks in samples)
+        fs, msqs = np.empty(len(times)), np.empty(len(times))
+        rows = max(1, _RECORD_BLOCK_BYTES // (8 * x0.size**2))
+        for start in range(0, len(times), rows):
+            block = slice(start, start + rows)
+            msqs[block] = flow_velocity(p, xs[block])[2]
+            fs[block] = p.f_value(xs[block])
         return FlowTrace(
             times=times, y_states=ys, x_states=xs, f_values=fs, metric_speed_sq=msqs
         )

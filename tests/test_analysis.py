@@ -399,6 +399,18 @@ def test_halton_points_equal_the_digit_loop():
     np.testing.assert_array_equal(analysis._halton(400, 13), _halton_digit_loop(400, 13))
 
 
+def test_halton_points_are_cached_read_only():
+    # Both sample counts the sweeps use, in eight dimensions, all stay cached.
+    keys = [(n, dim) for dim in range(1, 9) for n in (400, analysis._LOCAL_PROBES)]
+    first = [analysis._halton(*key) for key in keys]
+    assert all(analysis._halton(*key) is points for key, points in zip(keys, first))
+    points = first[-2]
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.5
+    np.testing.assert_array_equal(points, _halton_digit_loop(400, 8))
+
+
 def test_metric_bounds_constant_hessian(quad_canonical):
     lo, hi = checked_box_constants(quad_canonical, Box.cube(1.0, 2)).metric
     assert lo == pytest.approx(2.0, abs=1e-12)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -299,7 +300,7 @@ def _fmt_reference(v) -> str:
     return format(v, ".17g")
 
 
-def test_csv_writer_matches_per_value_formatting(tmp_path):
+def _assert_csv_writer_matches_per_value_formatting(tmp_path, n_rows):
     rng = np.random.default_rng(7)
     # nan, infinities, signed zeros, subnormals, the extremes and inexact decimals.
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-310]
@@ -307,7 +308,8 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
     values = np.concatenate(
         [special, rng.standard_normal(600) * 10.0 ** rng.integers(-320, 300, 600)]
     )
-    table = np.column_stack([np.arange(100), rng.permutation(np.resize(values, (100, 7)))])
+    cells = rng.permutation(np.resize(values, (100, 7)))[:n_rows]
+    table = np.column_stack([np.arange(n_rows), cells])
     header = ["k"] + [f"c_{j}" for j in range(7)]
     cli._write_csv(tmp_path / "table.csv", header, table, int_cols=1)
     expected = ",".join(header) + "\n" + "".join(
@@ -315,6 +317,22 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         for row in table
     )
     assert (tmp_path / "table.csv").read_bytes() == expected.encode()
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    _assert_csv_writer_matches_per_value_formatting(tmp_path, 100)
+
+
+# (rows, values per write block): no row and one row in one block, and 100
+# rows in blocks of three rows, of two rows (a budget that is no multiple of
+# the row width) and of one row (a budget below it).
+@pytest.mark.parametrize(
+    "n_rows, block_values", [(0, None), (1, None), (100, 24), (100, 20), (100, 1)]
+)
+def test_csv_writer_formats_any_row_count_and_block(tmp_path, monkeypatch, n_rows, block_values):
+    if block_values is not None:
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_VALUES", block_values)
+    _assert_csv_writer_matches_per_value_formatting(tmp_path, n_rows)
 
 
 def test_eta_sweep_report(tmp_path):
@@ -712,6 +730,23 @@ def test_repeated_runs_byte_identical(tmp_path):
         rep.pop("generated_at")
         reports.append(rep)
     assert reports[0] == reports[1]
+
+
+def test_report_json_is_one_sorted_indented_dump(tmp_path, monkeypatch):
+    details = {"worst": math.nan, "allowed": math.inf, "lower": -math.inf}
+    results = {"z": [[1.5, [math.nan, -0.0]], []], "a": {"nested": [math.inf, "s", None]}}
+
+    def experiment(p, cfg, out_dir, rng):
+        return [cli.Check("special_values", False, details)], results
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "RunScheme", experiment)
+    code, report = run_experiment(base_config(), tmp_path / "out", certify=False)
+    assert code == EXIT_OK
+    streamed = io.StringIO()
+    json.dump(report, streamed, indent=2, sort_keys=True)
+    expected = (streamed.getvalue() + "\n").encode()
+    assert (tmp_path / "out" / "report.json").read_bytes() == expected
+    assert b"NaN" in expected and b"-Infinity" in expected
 
 
 def test_seed_changes_random_start(tmp_path):

@@ -237,6 +237,90 @@ def test_dense_output_independent_of_stride(dw_fine_run):
     np.testing.assert_allclose(fine.x_states[::10], coarse.x_states, rtol=0.0, atol=1e-8)
 
 
+# ---------------------------------------------------------------------------
+# metric speeds and values, read after the loop
+
+
+def _deferred_pass_cases():
+    return [
+        (make_double_well([1.0, 4.0]), [1.8, -0.4]),
+        (make_quadratic([[3.0, 1.0], [1.0, 2.0]], np.eye(2)), [1.0, -0.6]),
+        (make_shifted_decomposition(make_double_well([0.5, 2.0, 1.0]), [0.3, 0.0, 1.5]),
+         [1.7, -0.4, 0.9]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_deferred_speeds_and_values_equal_per_row_calls(case):
+    p, x0 = _deferred_pass_cases()[case]
+    trace = integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
+    assert trace.n_samples == 201
+    for x, msq, f in zip(trace.x_states, trace.metric_speed_sq, trace.f_values):
+        assert msq == core.flow_velocity(p, x)[2]
+        assert f == p.f_value(x)
+
+
+def _pullback_rows(monkeypatch):
+    """Count the rows of each stacked pullback of record times."""
+    rows = []
+
+    def pullback(p, y, warm_start):
+        if np.ndim(y) == 2:
+            rows.append(len(y))
+        return core.invert_grad_g(p, y, warm_start)
+
+    monkeypatch.setattr(flow, "invert_grad_g", pullback)
+    return rows
+
+
+def test_flow_stops_at_first_sample_at_rest_within_a_step(quad_canonical, monkeypatch):
+    # The gradient decays like exp(-t/2): it passes EQUILIBRIUM_GRAD_TOL near
+    # t = 46, inside a step that covers many record times.
+    rows = _pullback_rows(monkeypatch)
+    trace = integrate_flow(
+        quad_canonical, np.array([1.0, 0.0]), FlowConfig(t_end=100.0, record_stride=1e-2)
+    )
+    grad_norms = np.linalg.norm(quad_canonical.f_grad(trace.x_states), axis=1)
+    assert grad_norms[-1] <= flow.EQUILIBRIUM_GRAD_TOL
+    assert np.all(grad_norms[:-1] > flow.EQUILIBRIUM_GRAD_TOL)
+    # The last pullback covered record times past the one at rest.
+    assert 1 + sum(rows[:-1]) < trace.n_samples < 1 + sum(rows)
+    assert trace.times[-1] < 50.0
+    for field in ("times", "x_states", "f_values", "metric_speed_sq"):
+        assert len(getattr(trace, field)) == trace.n_samples
+
+
+def _counted_hessian(p):
+    calls = []
+
+    def g_hess(x):
+        calls.append(np.shape(x))
+        return p.g_hess(x)
+
+    return dataclasses.replace(p, g_hess=g_hess), calls
+
+
+@pytest.mark.parametrize("block_rows", [None, 64, 7, 1])
+def test_record_pass_reads_the_hessian_once_per_block(dw_aniso, monkeypatch, block_rows):
+    # The closed-form pullback meets Newton's stopping rule with no step, so
+    # every g_hess call comes from the velocity pass after the loop.
+    x0, cfg = np.array([1.8, -0.4]), FlowConfig(t_end=3.0, record_stride=1e-2)
+    reference = integrate_flow(dw_aniso, x0, cfg)
+    if block_rows is not None:
+        monkeypatch.setattr(flow, "_RECORD_BLOCK_BYTES", 8 * 2 * 2 * block_rows)
+    rows = _pullback_rows(monkeypatch)
+    p, calls = _counted_hessian(dw_aniso)
+    trace = integrate_flow(p, x0, cfg)
+    m = trace.n_samples
+    assert m == 301 and len(rows) > 10
+    sizes = [m] if block_rows is None else [block_rows] * (m // block_rows)
+    if m % (block_rows or m):
+        sizes.append(m % block_rows)
+    assert calls == [(k, 2) for k in sizes]
+    for field in ("times", "y_states", "x_states", "f_values", "metric_speed_sq"):
+        assert getattr(trace, field).tobytes() == getattr(reference, field).tobytes()
+
+
 def test_stiffness_error_on_blowup_field():
     # With this oracle the dual field is 1 + y^2, which blows up in finite
     # time; resolving the approach forces the step below the floor.
