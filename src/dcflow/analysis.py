@@ -255,9 +255,11 @@ def damped_pl_report(
     / (2L)`` holds with ``L`` bounding ``Hess g`` on the segment ``[x, x+]``
     alone, and that segment lies in the box.
 
-    The geometric mean is taken over the tail half of the usable steps
-    (both gaps above the floating floor).  ``violation`` flags any single
-    step whose ratio exceeds the bound beyond slack.
+    The geometric mean is taken over the tail half of the usable steps:
+    those whose two gaps each exceed the roundoff of their own objective
+    value (``trace.f_roundoff``), below which a gap carries no digit.
+    ``violation`` flags any single step whose ratio exceeds the bound
+    beyond slack.
     """
     eta = trace.eta
     if not 0.0 < eta < 1.0:
@@ -267,10 +269,10 @@ def damped_pl_report(
 
     mu, lg = constants.metric
     bound = max(0.0, 1.0 - (mu * constants.sigma / lg) * eta * (1.0 - eta))
-    floor = 1e-12 * (1.0 + abs(f_star))
     gaps = trace.f_values - f_star
-    usable = np.flatnonzero((gaps[:-1] > floor) & (gaps[1:] > floor))
-    if gaps[0] <= floor or usable.size == 0:
+    above = gaps > trace.f_roundoff
+    usable = np.flatnonzero(above[:-1] & above[1:])
+    if not above[0] or usable.size == 0:
         return RateReport(eta, bound, math.nan, violation=False)
     ratios = gaps[usable + 1] / gaps[usable]
     tail = ratios[ratios.size // 2 :]
@@ -551,19 +553,19 @@ def kl_exponent_diagnostic(
     """Fit the power-law exponent relating gradient size to the value gap.
 
     Regresses log gradient norm against log value gap over the tail half
-    of the usable samples.  For discrete traces the Euclidean gradient
-    norms are logged already; flow traces store the metric speed, whose
-    square root serves the same purpose since the two norms differ by
-    bounded factors that only shift the intercept.
+    of the usable samples: those with a nonzero gradient and a gap above
+    the roundoff of their own objective value (``trace.f_roundoff``).
+    For discrete traces the Euclidean gradient norms are logged already;
+    flow traces store the metric speed, whose square root serves the same
+    purpose since the two norms differ by bounded factors that only shift
+    the intercept.
     """
     if isinstance(trace, IterateTrace):
         grads = trace.grad_norms
     else:
         grads = np.sqrt(np.maximum(trace.metric_speed_sq, 0.0))
     gaps = trace.f_values - f_star
-
-    floor = 1e-12 * (1.0 + abs(f_star))
-    usable = np.flatnonzero((gaps > floor) & (grads > 0.0))
+    usable = np.flatnonzero((gaps > trace.f_roundoff) & (grads > 0.0))
     tail = usable[usable.size // 2 :]
     if tail.size < 10:
         raise InsufficientDataError(

@@ -133,12 +133,15 @@ class FlowTrace:
 
     ``metric_speed_sq[i]`` is the squared trajectory speed in the Hessian
     metric, evaluated as ``grad f' (Hess g)^{-1} grad f`` at the sample.
+    ``f_roundoff[i]`` bounds the roundoff of ``f_values[i]``, as
+    :meth:`~dcflow.core.DcProblem.f_value_and_roundoff` returns it.
     """
 
     times: np.ndarray  # (m,)
     y_states: np.ndarray  # (m, n)
     x_states: np.ndarray  # (m, n)
     f_values: np.ndarray  # (m,)
+    f_roundoff: np.ndarray  # (m,)
     metric_speed_sq: np.ndarray  # (m,)
 
     @property
@@ -185,8 +188,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that
     norm.  The metric speeds and values of all kept samples come after the
     loop from one stacked :func:`~dcflow.core.flow_velocity` and one
-    ``f_value`` call, in row blocks whose Hessian stack stays within
-    ``_RECORD_BLOCK_BYTES``.
+    ``f_value_and_roundoff`` call, in row blocks whose Hessian stack stays
+    within ``_RECORD_BLOCK_BYTES``.
 
     Raises
     ------
@@ -219,14 +222,19 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
 
     def build() -> FlowTrace:
         times, ys, xs = (np.concatenate(chunks) for chunks in samples)
-        fs, msqs = np.empty(len(times)), np.empty(len(times))
+        fs, errs, msqs = (np.empty(len(times)) for _ in range(3))
         rows = max(1, _RECORD_BLOCK_BYTES // (8 * x0.size**2))
         for start in range(0, len(times), rows):
             block = slice(start, start + rows)
             msqs[block] = flow_velocity(p, xs[block])[2]
-            fs[block] = p.f_value(xs[block])
+            fs[block], errs[block] = p.f_value_and_roundoff(xs[block])
         return FlowTrace(
-            times=times, y_states=ys, x_states=xs, f_values=fs, metric_speed_sq=msqs
+            times=times,
+            y_states=ys,
+            x_states=xs,
+            f_values=fs,
+            f_roundoff=errs,
+            metric_speed_sq=msqs,
         )
 
     y = np.asarray(p.g_grad(x0), dtype=float)

@@ -74,11 +74,14 @@ class IterateTrace:
     iterate ``k`` to ``k+1``, so both have one entry fewer than ``points``.
     ``y_states[k]`` is the dual state pulled back to ``points[k]``: the
     damped target in either mode, and ``grad g(x_0)`` at ``k = 0``.
+    ``f_roundoff[k]`` bounds the roundoff of ``f_values[k]``, as
+    :meth:`~dcflow.core.DcProblem.f_value_and_roundoff` returns it.
     """
 
     points: np.ndarray  # (k+1, n)
     y_states: np.ndarray  # (k+1, n)
     f_values: np.ndarray  # (k+1,)
+    f_roundoff: np.ndarray  # (k+1,)
     grad_norms: np.ndarray  # (k+1,)
     bregman_steps: np.ndarray  # (k,)
     step_norms: np.ndarray  # (k,)
@@ -132,7 +135,7 @@ def run_scheme(
     eta = cfg.eta
 
     f, f_err = p.f_value_and_roundoff(x)
-    points, y_states, f_values, grad_norms = [x], [], [f], []
+    points, y_states, f_values, f_errs, grad_norms = [x], [], [f], [f_err], []
     termination = Termination.MAX_ITER
 
     for k in range(cfg.max_iter + 1):
@@ -152,21 +155,22 @@ def run_scheme(
         except ConvergenceError as exc:
             raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
         f_next, err_next = p.f_value_and_roundoff(x_next)
-        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
+        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
         if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
             termination = Termination.NUMERIC_ERROR
             break
-        f_err = err_next
         x = x_next
         points.append(x)
         y_states.append(y)
         f_values.append(f_next)
+        f_errs.append(err_next)
 
     points = np.asarray(points)
     return IterateTrace(
         points=points,
         y_states=np.asarray(y_states),
         f_values=np.asarray(f_values),
+        f_roundoff=np.asarray(f_errs),
         grad_norms=np.asarray(grad_norms),
         bregman_steps=p.bregman_g(points[1:], points[:-1]),
         step_norms=_row_norms(np.diff(points, axis=0)),
@@ -198,10 +202,9 @@ def descent_margins(p: DcProblem, trace: IterateTrace):
     eta = trace.eta
     coef_relaxed = (1.0 - eta) / eta
     coef_strong = (1.0 - eta) * mu / (2.0 * eta)
-    f_errs = p.f_value_and_roundoff(trace.points)[1]
     steps = trace.bregman_steps.size
     fk, fk1 = trace.f_values[:steps], trace.f_values[1 : steps + 1]
-    f_err = f_errs[:steps] + f_errs[1 : steps + 1]
+    f_err = trace.f_roundoff[:steps] + trace.f_roundoff[1 : steps + 1]
     slack = _DESCENT_SLACK * (1.0 + np.abs(fk)) + f_err
     relaxed_violation = fk1 + coef_relaxed * trace.bregman_steps - fk
     strong_violation = coef_strong * trace.step_norms**2 - (fk - fk1)

@@ -32,8 +32,9 @@ from dcflow.analysis import (
     measure_local_contraction,
 )
 from dcflow import analysis, core
-from dcflow.core import ConvergenceError, DcError, DcProblem, flow_velocity
+from dcflow.core import BoxConstants, ConvergenceError, DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
+from dcflow.schemes import IterateTrace, Termination
 from helpers import newton_only
 
 RNG = np.random.default_rng(20240505)
@@ -54,6 +55,7 @@ def test_energy_residual_zero_on_constant_trace(dw_unit):
         y_states=np.tile(dw_unit.g_grad(x_star), (3, 1)),
         x_states=np.tile(x_star, (3, 1)),
         f_values=np.full(3, dw_unit.f_value(x_star)),
+        f_roundoff=np.full(3, dw_unit.f_value_and_roundoff(x_star)[1]),
         metric_speed_sq=np.zeros(3),
     )
     assert energy_residuals(trace)[1] <= 1e-14
@@ -166,6 +168,57 @@ def test_rate_report_rejects_full_step(quad_canonical):
     trace = run_scheme(quad_canonical, np.array([1.0, 1.0]), SchemeConfig(eta=1.0))
     with pytest.raises(ValueError):
         damped_pl_report(trace, quad_canonical.box_constants(quad_canonical.region), 0.0)
+
+
+# Each value's roundoff; the old absolute floor was 1e-12 (1 + |f*|).
+_TRACE_ROUNDOFF = 1e-9
+
+
+def _gaps_with_noise_below_roundoff():
+    """Gaps 2^-k over f* = 0 and their gradient norms sqrt(2 gap), a KL
+    exponent of 1/2; each gap within ``_TRACE_ROUNDOFF`` is replaced by
+    noise there, alternately 0.3 and 0.9 of it, so above the old floor."""
+    gaps = 0.5 ** np.arange(50.0)
+    grads = np.sqrt(2.0 * gaps)
+    noise = np.flatnonzero(gaps <= _TRACE_ROUNDOFF)
+    gaps[noise] = _TRACE_ROUNDOFF * np.where(noise % 2, 0.9, 0.3)
+    assert noise.size >= 15 and np.all(gaps[noise] > 1e-12)
+    return gaps, grads
+
+
+def _trace_with_noisy_tail(kind: str):
+    gaps, grads = _gaps_with_noise_below_roundoff()
+    m = gaps.size
+    if kind == "scheme":
+        points = np.zeros((m, 1))
+        return IterateTrace(
+            points=points,
+            y_states=points,
+            f_values=gaps,
+            f_roundoff=np.full(m, _TRACE_ROUNDOFF),
+            grad_norms=grads,
+            bregman_steps=np.zeros(m - 1),
+            step_norms=np.zeros(m - 1),
+            eta=0.5,
+            termination=Termination.MAX_ITER,
+        )
+    return FlowTrace(
+        times=np.arange(float(m)),
+        y_states=np.zeros((m, 1)),
+        x_states=np.zeros((m, 1)),
+        f_values=gaps,
+        f_roundoff=np.full(m, _TRACE_ROUNDOFF),
+        metric_speed_sq=grads**2,
+    )
+
+
+def test_rate_report_judges_only_gaps_above_their_roundoff():
+    # With the old floor the noisy tail gave ratios 3 and 1/3: a violation.
+    constants = BoxConstants(metric=(1.0, 1.0), objective=(1.0, 1.0), sigma=1.0)
+    rep = damped_pl_report(_trace_with_noisy_tail("scheme"), constants, 0.0)
+    assert rep.contraction_bound == 0.75
+    assert rep.measured_ratio_geomean == 0.5
+    assert not rep.violation
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +595,14 @@ def test_kl_works_on_flow_traces(dw_unit):
     trace = integrate_flow(dw_unit, np.array([0.5, 0.7]), flow_cfg(8.0, 0.1))
     diag = kl_exponent_diagnostic(trace, -0.5)
     assert diag.theta_hat == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("kind", ["scheme", "flow"])
+def test_kl_fits_only_gaps_above_their_roundoff(kind):
+    diag = kl_exponent_diagnostic(_trace_with_noisy_tail(kind), 0.0)
+    assert diag.n_points == 15
+    assert diag.theta_hat == pytest.approx(0.5, abs=1e-12)
+    assert diag.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kl_insufficient_data_at_optimum(quad_canonical):

@@ -286,7 +286,7 @@ def test_flow_stops_at_first_sample_at_rest_within_a_step(quad_canonical, monkey
     # The last pullback covered record times past the one at rest.
     assert 1 + sum(rows[:-1]) < trace.n_samples < 1 + sum(rows)
     assert trace.times[-1] < 50.0
-    for field in ("times", "x_states", "f_values", "metric_speed_sq"):
+    for field in ("times", "x_states", "f_values", "f_roundoff", "metric_speed_sq"):
         assert len(getattr(trace, field)) == trace.n_samples
 
 
@@ -313,11 +313,9 @@ def test_record_pass_reads_the_hessian_once_per_block(dw_aniso, monkeypatch, blo
     trace = integrate_flow(p, x0, cfg)
     m = trace.n_samples
     assert m == 301 and len(rows) > 10
-    sizes = [m] if block_rows is None else [block_rows] * (m // block_rows)
-    if m % (block_rows or m):
-        sizes.append(m % block_rows)
-    assert calls == [(k, 2) for k in sizes]
-    for field in ("times", "y_states", "x_states", "f_values", "metric_speed_sq"):
+    per_call = block_rows or m
+    assert calls == [(min(per_call, m - start), 2) for start in range(0, m, per_call)]
+    for field in ("times", "y_states", "x_states", "f_values", "f_roundoff", "metric_speed_sq"):
         assert getattr(trace, field).tobytes() == getattr(reference, field).tobytes()
 
 

@@ -288,7 +288,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
     x = p.check_point(x0)
     eta = cfg.eta
     f, f_err = p.f_value_and_roundoff(x)
-    points, f_values = [x], [f]
+    points, f_values, f_errs = [x], [f], [f_err]
     grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
     bregman_steps, step_norms = [], []
     y = np.asarray(p.g_grad(x), dtype=float)
@@ -317,6 +317,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
         points.append(x)
         y_states.append(y)
         f_values.append(f_next)
+        f_errs.append(err_next)
         grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
     else:
         if grad_norms[-1] <= cfg.stop_grad_tol:
@@ -325,6 +326,7 @@ def _run_scheme_loop(p, x0, cfg, mode):
         points=np.asarray(points),
         y_states=np.asarray(y_states),
         f_values=np.asarray(f_values),
+        f_roundoff=np.asarray(f_errs),
         grad_norms=np.asarray(grad_norms),
         bregman_steps=np.asarray(bregman_steps),
         step_norms=np.asarray(step_norms),
@@ -333,7 +335,9 @@ def _run_scheme_loop(p, x0, cfg, mode):
     )
 
 
-_TRACE_ARRAYS = ("points", "y_states", "f_values", "grad_norms", "bregman_steps", "step_norms")
+_TRACE_ARRAYS = (
+    "points", "y_states", "f_values", "f_roundoff", "grad_norms", "bregman_steps", "step_norms"
+)
 
 
 @pytest.mark.parametrize("eta", [0.3, 1.0])
