@@ -14,7 +14,6 @@ constant ``sigma``) are closed forms, never estimates: one probe sweep in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -99,15 +98,10 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-# Two sample counts (checked_box_constants' default and _LOCAL_PROBES) in
-# up to eight dimensions: a least-recently-used cache smaller than the keys
-# a process cycles through never hits.
-@functools.lru_cache(maxsize=16)
 def _halton(n: int, dim: int) -> np.ndarray:
     """The first ``n`` Halton points in ``[0, 1)^dim``, all indices at once;
     an index whose digits ran out adds exact zeros, so each point equals
-    its own digit loop bit for bit.  Cached and read-only: a later sweep
-    of the same sample count and dimension reuses the points."""
+    its own digit loop bit for bit."""
     out = np.empty((n, dim))
     for j, base in enumerate(_primes(dim)):
         k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
@@ -116,7 +110,6 @@ def _halton(n: int, dim: int) -> np.ndarray:
             r += f * (k % base)
             k //= base
         out[:, j] = r
-    out.flags.writeable = False
     return out
 
 

@@ -185,22 +185,16 @@ def _etas(cfg: dict, default: list[float]) -> list[float]:
 # CSV output, 17 significant digits for exact double round-trips
 
 
-# Values formatted by one ``%`` and written by one call; larger tables take
-# several blocks of rows, so the text held at once stays bounded.
-_WRITE_BLOCK_VALUES = 2**16
-
-
 def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
     """Write the rows of ``table`` under ``header``, the first ``int_cols``
-    columns as integers (``%d``), every other one with ``%.17g``."""
+    columns as integers (``%d``), every other one with ``%.17g``; all rows
+    are formatted by one ``%`` and written by one call."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"table of shape {table.shape} does not match {len(header)} columns")
     row = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
-    values = np.asarray(table, dtype=float).ravel().tolist()
-    block = len(header) * max(1, _WRITE_BLOCK_VALUES // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(values), block):
-            chunk = values[start : start + block]
-            fh.write(row * (len(chunk) // len(header)) % tuple(chunk))
+        fh.write(",".join(header) + "\n" + row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def write_iterate_csv(path: Path, trace: IterateTrace) -> None:

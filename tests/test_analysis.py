@@ -170,14 +170,15 @@ def test_rate_report_rejects_full_step(quad_canonical):
         damped_pl_report(trace, quad_canonical.box_constants(quad_canonical.region), 0.0)
 
 
-# Each value's roundoff; the old absolute floor was 1e-12 (1 + |f*|).
+# The roundoff bound of every value in the hand-built traces below.
 _TRACE_ROUNDOFF = 1e-9
 
 
 def _gaps_with_noise_below_roundoff():
     """Gaps 2^-k over f* = 0 and their gradient norms sqrt(2 gap), a KL
     exponent of 1/2; each gap within ``_TRACE_ROUNDOFF`` is replaced by
-    noise there, alternately 0.3 and 0.9 of it, so above the old floor."""
+    noise there, alternately 0.3 and 0.9 of it, and above an absolute
+    floor of 1e-12 (1 + |f*|)."""
     gaps = 0.5 ** np.arange(50.0)
     grads = np.sqrt(2.0 * gaps)
     noise = np.flatnonzero(gaps <= _TRACE_ROUNDOFF)
@@ -213,7 +214,6 @@ def _trace_with_noisy_tail(kind: str):
 
 
 def test_rate_report_judges_only_gaps_above_their_roundoff():
-    # With the old floor the noisy tail gave ratios 3 and 1/3: a violation.
     constants = BoxConstants(metric=(1.0, 1.0), objective=(1.0, 1.0), sigma=1.0)
     rep = damped_pl_report(_trace_with_noisy_tail("scheme"), constants, 0.0)
     assert rep.contraction_bound == 0.75
@@ -450,18 +450,6 @@ def _halton_digit_loop(n, dim):
 
 def test_halton_points_equal_the_digit_loop():
     np.testing.assert_array_equal(analysis._halton(400, 13), _halton_digit_loop(400, 13))
-
-
-def test_halton_points_are_cached_read_only():
-    # Both sample counts the sweeps use, in eight dimensions, all stay cached.
-    keys = [(n, dim) for dim in range(1, 9) for n in (400, analysis._LOCAL_PROBES)]
-    first = [analysis._halton(*key) for key in keys]
-    assert all(analysis._halton(*key) is points for key, points in zip(keys, first))
-    points = first[-2]
-    assert not points.flags.writeable
-    with pytest.raises(ValueError):
-        points[0, 0] = 0.5
-    np.testing.assert_array_equal(points, _halton_digit_loop(400, 8))
 
 
 def test_metric_bounds_constant_hessian(quad_canonical):

@@ -323,16 +323,16 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
     _assert_csv_writer_matches_per_value_formatting(tmp_path, 100)
 
 
-# (rows, values per write block): no row and one row in one block, and 100
-# rows in blocks of three rows, of two rows (a budget that is no multiple of
-# the row width) and of one row (a budget below it).
-@pytest.mark.parametrize(
-    "n_rows, block_values", [(0, None), (1, None), (100, 24), (100, 20), (100, 1)]
-)
-def test_csv_writer_formats_any_row_count_and_block(tmp_path, monkeypatch, n_rows, block_values):
-    if block_values is not None:
-        monkeypatch.setattr(cli, "_WRITE_BLOCK_VALUES", block_values)
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_csv_writer_formats_no_row_and_one_row(tmp_path, n_rows):
     _assert_csv_writer_matches_per_value_formatting(tmp_path, n_rows)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 6), (6,)])
+def test_csv_writer_rejects_a_table_of_another_width(tmp_path, shape):
+    # Each table holds six values, as many as two rows of the three columns.
+    with pytest.raises(ValueError, match="does not match 3 columns"):
+        cli._write_csv(tmp_path / "table.csv", ["a", "b", "c"], np.zeros(shape))
 
 
 def test_eta_sweep_report(tmp_path):
