@@ -27,7 +27,10 @@ from .core import (
     ConvergenceError,
     DcError,
     DcProblem,
+    _eigvalsh,
+    _row_blocks,
     _row_norms,
+    _solve_metric,
     central_diff_jacobian,
     flow_velocity,
     invert_grad_g,  # noqa: F401  (uncalled here; bench/tracing.py wraps this name)
@@ -457,9 +460,12 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     gap ``f - f_star`` lies within the roundoff of ``f`` judge no ratio.
     Samples can show a constant wrong but never certify one.
 
-    The sweep makes one stacked ``g_hess``, ``h_hess``, ``f_grad`` and
-    ``f_value_and_roundoff`` call over all points, and batches the
-    eigenvalues and the metric solve the same way.
+    The sweep makes one stacked ``f_grad`` and ``f_value_and_roundoff``
+    call over all points.  It reads ``g_hess`` and ``h_hess`` once per row
+    block of at most ``core._HESS_BLOCK_BYTES`` of Hessians, takes their
+    eigenvalues and the metric solve there, and keeps only each point's
+    extreme eigenvalues and metric speed, so memory stays bounded in the
+    dimension.  Blocks change no bit and no verdict.
 
     A box of another dimension or a problem without closed-form box
     constants raises ``ValueError``, as samples alone certify nothing.  A
@@ -474,48 +480,50 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     bc = p.box_constants(box)
     pts = _probe_points(box, n_samples)
     where = f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
-    # One (points, dim, dim) stack holds Hess g and then, updated in place,
-    # Hess f, so the sweep keeps no second Hessian stack of its own.
-    hess = np.require(p.g_hess(pts), dtype=float, requirements="W")
     grads = p.f_grad(pts)
     f, noise = p.f_value_and_roundoff(pts)
+    # Per point: the extreme eigenvalues of Hess g (w) and of the
+    # symmetrized Hess f (v), and the squared metric speed.
+    w_lo, w_hi, v_lo, v_hi = (np.empty(len(pts)) for _ in range(4))
+    msq = np.full(len(pts), np.nan)
+    for block in _row_blocks(len(pts), p.dim):
+        metric = np.asarray(p.g_hess(pts[block]), dtype=float)
+        w = _eigvalsh(metric)
+        w_lo[block], w_hi[block] = w[:, 0], w[:, -1]
+        # A block with a metric eigenvalue <= 0 fails the positivity check
+        # below; it skips the solve, which could raise first.
+        if not (w[:, 0] <= 0.0).any():
+            sol = _solve_metric(metric, grads[block])
+            msq[block] = np.einsum("ij,ij->i", grads[block], sol)
+        hess = metric - np.asarray(p.h_hess(pts[block]), dtype=float)
+        v = _eigvalsh(0.5 * (hess + np.swapaxes(hess, 1, 2)))
+        v_lo[block], v_hi[block] = v[:, 0], v[:, -1]
 
-    def check_range(name, eigs, scales, bounds):
+    def check_range(name, lo_eigs, hi_eigs, scales, bounds):
         lo, hi = bounds
         tol = ROUNDOFF * p.dim * scales
-        excess = np.maximum((lo - tol) - eigs[:, 0], eigs[:, -1] - (hi + tol))
+        excess = np.maximum((lo - tol) - lo_eigs, hi_eigs - (hi + tol))
         i = int(np.argmax(excess))
         if excess[i] > 0.0:
             raise DcError(
-                f"sampled {name} eigenvalues [{eigs[i, 0]:.17g}, {eigs[i, -1]:.17g}] "
+                f"sampled {name} eigenvalues [{lo_eigs[i]:.17g}, {hi_eigs[i]:.17g}] "
                 f"at probe point {pts[i].tolist()} leave the closed-form range "
                 f"[{lo:.17g}, {hi:.17g}] {where}; oracles and box constants "
                 "are inconsistent"
             )
 
-    w = np.linalg.eigvalsh(hess)
-    i = int(np.argmin(w[:, 0]))
-    if w[i, 0] <= 0.0:
+    i = int(np.argmin(w_lo))
+    if w_lo[i] <= 0.0:
         raise DcError(
-            f"sampled metric eigenvalue {w[i, 0]:.17g} at probe point "
+            f"sampled metric eigenvalue {w_lo[i]:.17g} at probe point "
             f"{pts[i].tolist()} is not positive {where}; g is not strongly "
             "convex there"
         )
-    w_scale = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-    check_range("metric", w, w_scale, bc.metric)
-    msq = np.einsum("ij,ij->i", grads, np.linalg.solve(hess, grads[..., None])[..., 0])
-
-    hess -= p.h_hess(pts)
-    # eigvalsh reads the lower triangle: symmetrize it in place, a column at
-    # a time, so no temporary spans the stack.
-    for j in range(p.dim - 1):
-        col = hess[:, j + 1 :, j]
-        col += hess[:, j, j + 1 :]
-        col *= 0.5
-    v = np.linalg.eigvalsh(hess)
+    w_scale = np.maximum(np.abs(w_lo), np.abs(w_hi))
+    check_range("metric", w_lo, w_hi, w_scale, bc.metric)
     # The difference errs on the scale of both Hessians it subtracts.
-    v_scale = w_scale + np.maximum(np.abs(v[:, 0]), np.abs(v[:, -1]))
-    check_range("objective Hessian", v, v_scale, bc.objective)
+    v_scale = w_scale + np.maximum(np.abs(v_lo), np.abs(v_hi))
+    check_range("objective Hessian", v_lo, v_hi, v_scale, bc.objective)
 
     gap = f - p.f_star
     noise += ROUNDOFF * abs(p.f_star)

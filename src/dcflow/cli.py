@@ -31,6 +31,13 @@ ends the whole run with exit 3 and writes no ``report.json``.  In an
 and only the CSV traces of the members that finished before it remain.  A
 scheme run whose objective turns non-finite or rises is not a failure of
 this kind; it stops with termination ``numeric_error`` in its results.
+
+A ``report.json`` that an earlier run left in the output directory is
+removed before anything else is checked, so a run that fails there leaves
+none, whether it exits 3 or 2; only a config file that does not load
+touches no directory.  Every file a run writes replaces the one of the same
+name; CSVs of other names, such as an earlier experiment's traces, are not
+removed.
 """
 
 from __future__ import annotations
@@ -185,6 +192,18 @@ def _etas(cfg: dict, default: list[float]) -> list[float]:
 # CSV output, 17 significant digits for exact double round-trips
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` to a fresh file at ``path`` in one call.
+
+    An old file there is unlinked first, not truncated in place: closing a
+    file truncated to zero makes some file systems (ext4's ``auto_da_alloc``)
+    start writing it back at once, which a new file does not.
+    """
+    Path(path).unlink(missing_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
     """Write the rows of ``table`` under ``header``, the first ``int_cols``
     columns as integers (``%d``), every other one with ``%.17g``; all rows
@@ -193,8 +212,7 @@ def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"table of shape {table.shape} does not match {len(header)} columns")
     row = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + row * table.shape[0] % tuple(table.ravel().tolist()))
+    _write_file(path, ",".join(header) + "\n" + row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def write_iterate_csv(path: Path, trace: IterateTrace) -> None:
@@ -643,10 +661,13 @@ def run_experiment(
     """Execute one experiment config; returns ``(exit_code, report)``.
 
     ``seed``, or the config's ``seed`` when it is ``None``, must be a
-    non-negative integer; any other value raises :class:`ConfigError`.
+    non-negative integer; any other value raises :class:`ConfigError`
+    before ``out_dir`` is made.  A ``report.json`` that an earlier run left
+    in ``out_dir`` is removed first, so a run that raises leaves none.
     """
-    seed = _check_seed(cfg.get("seed", 0) if seed is None else seed)
     out_dir = Path(out_dir)
+    (out_dir / "report.json").unlink(missing_ok=True)
+    seed = _check_seed(cfg.get("seed", 0) if seed is None else seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     experiment = cfg["experiment"]
@@ -672,8 +693,7 @@ def run_experiment(
         ],
         "results": results,
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_file(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     exit_code = EXIT_CHECK_FAILED if (certify and failed) else EXIT_OK
     return exit_code, report

@@ -85,6 +85,16 @@ _ARMIJO_SHRINK = 0.5
 # Relative roundoff allowed per dimension when a computed value is compared
 # with an exact bound: summing n terms errs by about n eps times their size.
 ROUNDOFF = 32.0 * np.finfo(float).eps
+# Bytes of the (rows, dim, dim) Hessian stack that one stacked consumer
+# (flow_velocity, the probe sweep of analysis.checked_box_constants) holds at
+# a time: longer stacks are read in row blocks of at most this size, so
+# memory stays bounded, and oracles and the kernels below answer row by row,
+# so the blocks change no bit.
+_HESS_BLOCK_BYTES = 8 * 2**20
+# The largest |entry| of a symmetric matrix within which LAPACK's eigenvalue
+# driver (dsyevd) does not rescale it, with a margin: it rescales beyond
+# about 1e-146 and 1e146.
+_UNSCALED_RANGE = (1e-140, 1e140)
 
 
 @dataclass(frozen=True)
@@ -406,7 +416,7 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
             break
         rows, hess = rows[~done], hess[~done]
         try:
-            step = np.linalg.solve(hess, -residual[rows][..., None])[..., 0]
+            step = _solve_metric(hess, -residual[rows])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular Hessian during inversion: {exc}") from exc
         t = 1.0
@@ -454,6 +464,73 @@ def damped_target(y: np.ndarray, grad_h: np.ndarray, eta: float) -> np.ndarray:
     return (1.0 - eta) * y + eta * grad_h
 
 
+def _row_blocks(m: int, dim: int) -> list[slice]:
+    """Slices that cut ``m`` rows into blocks whose ``(dim, dim)`` Hessians
+    take at most :data:`_HESS_BLOCK_BYTES`, or one row each when a single
+    Hessian is larger."""
+    rows = max(1, _HESS_BLOCK_BYTES // (8 * dim * dim))
+    return [slice(start, start + rows) for start in range(0, m, rows)]
+
+
+def _diagonal(stack: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonals of a stack of matrices with no nonzero off-diagonal
+    entry, as a view; None for any other stack.  Counting nonzeros copies
+    nothing, so a read-only broadcast view costs no stack of its own."""
+    d = np.diagonal(stack, axis1=-2, axis2=-1)
+    return d if np.count_nonzero(stack) == np.count_nonzero(d) else None
+
+
+def _has_negative_zero(a: np.ndarray) -> bool:
+    return bool(np.signbit(a[a == 0.0]).any())
+
+
+def _solve_metric(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(hess, rhs[..., None])[..., 0]``, bit for bit.
+
+    ``hess`` is one matrix ``(dim, dim)`` or a stack ``(m, dim, dim)``, and
+    ``rhs`` the matching ``(dim,)`` or ``(m, dim)``.  A diagonal stack whose
+    diagonal ``d`` is finite without a zero is solved as ``rhs / d`` in
+    O(dim) per row: LU with partial pivoting keeps each diagonal entry as
+    its pivot, its multipliers and updates are signed zeros, and the
+    substitutions end in one division per entry.  So the answers agree as
+    long as ``rhs`` is finite (``0 * inf`` would be NaN in LAPACK's updates)
+    and holds no negative zero, which those updates may turn positive.
+    Every other stack goes to LAPACK, so a singular one raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    d = _diagonal(hess)
+    if (
+        d is not None
+        and np.isfinite(d).all()
+        and d.all()
+        and np.isfinite(rhs).all()
+        and not _has_negative_zero(rhs)
+    ):
+        return rhs / d
+    return np.linalg.solve(hess, rhs[..., None])[..., 0]
+
+
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(stack)``, ascending eigenvalues, bit for bit.
+
+    A diagonal stack gets its sorted diagonal in O(dim log dim) per matrix:
+    LAPACK's tridiagonal reduction leaves a diagonal matrix as it is, and
+    its QL iteration splits it into 1x1 blocks that it only sorts.  That
+    holds while each matrix's largest ``|entry|`` lies in
+    :data:`_UNSCALED_RANGE`, where LAPACK does not rescale it (a NaN fails
+    that test), and while no diagonal entry is a negative zero, which sorts
+    beside a positive one in no fixed order.  Every other stack goes to
+    LAPACK.
+    """
+    d = _diagonal(stack)
+    if d is not None and not _has_negative_zero(d):
+        peak = np.abs(d).max(axis=-1)
+        lo, hi = _UNSCALED_RANGE
+        if ((peak >= lo) & (peak <= hi)).all():
+            return np.sort(d, axis=-1)
+    return np.linalg.eigvalsh(stack)
+
+
 def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
     """Objective gradient, flow velocity and squared metric speed at ``x``.
 
@@ -462,12 +539,19 @@ def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
     Hessian metric is ``grad f' (Hess g)^{-1} grad f``.  Both come from one
     symmetric positive-definite solve.  Returns ``(grad f, v, speed_sq)``;
     at a stack of points ``(m, dim)`` each entry is a stack too, with
-    ``speed_sq`` of shape ``(m,)``.
+    ``speed_sq`` of shape ``(m,)``.  A stack reads ``f_grad`` once and
+    ``g_hess`` once per row block of at most :data:`_HESS_BLOCK_BYTES` of
+    Hessians; a singular ``Hess g`` raises ``numpy.linalg.LinAlgError``.
     """
+    x = p.check_points(x)
     grad = p.f_grad(x)
-    sol = np.linalg.solve(np.asarray(p.g_hess(x), dtype=float), grad[..., None])[..., 0]
-    speed_sq = np.vecdot(grad, sol)
-    return grad, -sol, float(speed_sq) if grad.ndim == 1 else speed_sq
+    if x.ndim == 1:
+        sol = _solve_metric(np.asarray(p.g_hess(x), dtype=float), grad)
+        return grad, -sol, float(np.vecdot(grad, sol))
+    sol = np.empty_like(grad)
+    for block in _row_blocks(len(x), p.dim):
+        sol[block] = _solve_metric(np.asarray(p.g_hess(x[block]), dtype=float), grad[block])
+    return grad, -sol, np.vecdot(grad, sol)
 
 
 def central_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, step: float) -> np.ndarray:

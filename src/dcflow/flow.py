@@ -57,10 +57,6 @@ EQUILIBRIUM_GRAD_TOL = 1e-10
 _MIN_STEP = 1e-14
 # First trial step; error control resizes it from the first step on.
 _STEP_INIT = 1e-2
-# Bytes of the Hessian stack that one velocity call after the loop builds:
-# longer traces are answered in row blocks of at most this size, so memory
-# stays bounded, and oracles answer row by row, so the blocks change no bit.
-_RECORD_BLOCK_BYTES = 8 * 2**20
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
 # accepted point and reused as the first stage of the next step.
@@ -188,8 +184,9 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that
     norm.  The metric speeds and values of all kept samples come after the
     loop from one stacked :func:`~dcflow.core.flow_velocity` and one
-    ``f_value_and_roundoff`` call, in row blocks whose Hessian stack stays
-    within ``_RECORD_BLOCK_BYTES``.
+    ``f_value_and_roundoff`` call; the velocity call reads ``g_hess`` in row
+    blocks of at most ``core._HESS_BLOCK_BYTES`` of Hessians, so a long
+    high-dimensional trace keeps bounded memory.
 
     Raises
     ------
@@ -222,12 +219,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
 
     def build() -> FlowTrace:
         times, ys, xs = (np.concatenate(chunks) for chunks in samples)
-        fs, errs, msqs = (np.empty(len(times)) for _ in range(3))
-        rows = max(1, _RECORD_BLOCK_BYTES // (8 * x0.size**2))
-        for start in range(0, len(times), rows):
-            block = slice(start, start + rows)
-            msqs[block] = flow_velocity(p, xs[block])[2]
-            fs[block], errs[block] = p.f_value_and_roundoff(xs[block])
+        msqs = flow_velocity(p, xs)[2]
+        fs, errs = p.f_value_and_roundoff(xs)
         return FlowTrace(
             times=times,
             y_states=ys,

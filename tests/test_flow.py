@@ -307,7 +307,7 @@ def test_record_pass_reads_the_hessian_once_per_block(dw_aniso, monkeypatch, blo
     x0, cfg = np.array([1.8, -0.4]), FlowConfig(t_end=3.0, record_stride=1e-2)
     reference = integrate_flow(dw_aniso, x0, cfg)
     if block_rows is not None:
-        monkeypatch.setattr(flow, "_RECORD_BLOCK_BYTES", 8 * 2 * 2 * block_rows)
+        monkeypatch.setattr(core, "_HESS_BLOCK_BYTES", 8 * 2 * 2 * block_rows)
     rows = _pullback_rows(monkeypatch)
     p, calls = _counted_hessian(dw_aniso)
     trace = integrate_flow(p, x0, cfg)
