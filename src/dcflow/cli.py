@@ -36,8 +36,8 @@ A ``report.json`` that an earlier run left in the output directory is
 removed before anything else is checked, so a run that fails there leaves
 none, whether it exits 3 or 2; only a config file that does not load
 touches no directory.  Every file a run writes replaces the one of the same
-name; CSVs of other names, such as an earlier experiment's traces, are not
-removed.
+name, but CSVs that it does not write, such as the traces of an earlier run
+of another experiment or of one that failed before writing them, stay.
 """
 
 from __future__ import annotations

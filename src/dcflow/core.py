@@ -472,40 +472,32 @@ def _row_blocks(m: int, dim: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
-def _diagonal(stack: np.ndarray) -> Optional[np.ndarray]:
-    """The diagonals of a stack of matrices with no nonzero off-diagonal
-    entry, as a view; None for any other stack.  Counting nonzeros copies
-    nothing, so a read-only broadcast view costs no stack of its own."""
+def _regular_diagonal(stack: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonals of a stack of diagonal matrices whose diagonal entries
+    are finite and nonzero, as a view; None for any other stack.  Counting
+    nonzeros copies nothing, so a read-only broadcast view costs no stack
+    of its own."""
     d = np.diagonal(stack, axis1=-2, axis2=-1)
-    return d if np.count_nonzero(stack) == np.count_nonzero(d) else None
-
-
-def _has_negative_zero(a: np.ndarray) -> bool:
-    return bool(np.signbit(a[a == 0.0]).any())
+    if d.all() and np.count_nonzero(stack) == d.size and np.isfinite(d).all():
+        return d
+    return None
 
 
 def _solve_metric(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(hess, rhs[..., None])[..., 0]``, bit for bit.
 
     ``hess`` is one matrix ``(dim, dim)`` or a stack ``(m, dim, dim)``, and
-    ``rhs`` the matching ``(dim,)`` or ``(m, dim)``.  A diagonal stack whose
-    diagonal ``d`` is finite without a zero is solved as ``rhs / d`` in
-    O(dim) per row: LU with partial pivoting keeps each diagonal entry as
-    its pivot, its multipliers and updates are signed zeros, and the
-    substitutions end in one division per entry.  So the answers agree as
-    long as ``rhs`` is finite (``0 * inf`` would be NaN in LAPACK's updates)
-    and holds no negative zero, which those updates may turn positive.
-    Every other stack goes to LAPACK, so a singular one raises
-    ``numpy.linalg.LinAlgError``.
+    ``rhs`` the matching ``(dim,)`` or ``(m, dim)``.  A stack with a
+    :func:`_regular_diagonal` ``d`` is solved as ``rhs / d`` in O(dim) per
+    row: LU with partial pivoting keeps each diagonal entry as its pivot,
+    its multipliers and updates are signed zeros, and the substitutions end
+    in one division per entry.  So the answers agree as long as ``rhs`` is
+    finite (``0 * inf`` is NaN in LAPACK's updates) and holds no negative
+    zero, which those updates may turn positive.  Every other stack goes to
+    LAPACK, so a singular one raises ``numpy.linalg.LinAlgError``.
     """
-    d = _diagonal(hess)
-    if (
-        d is not None
-        and np.isfinite(d).all()
-        and d.all()
-        and np.isfinite(rhs).all()
-        and not _has_negative_zero(rhs)
-    ):
+    d = _regular_diagonal(hess)
+    if d is not None and np.isfinite(rhs).all() and not np.signbit(rhs[rhs == 0.0]).any():
         return rhs / d
     return np.linalg.solve(hess, rhs[..., None])[..., 0]
 
@@ -513,17 +505,15 @@ def _solve_metric(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(stack)``, ascending eigenvalues, bit for bit.
 
-    A diagonal stack gets its sorted diagonal in O(dim log dim) per matrix:
-    LAPACK's tridiagonal reduction leaves a diagonal matrix as it is, and
-    its QL iteration splits it into 1x1 blocks that it only sorts.  That
-    holds while each matrix's largest ``|entry|`` lies in
-    :data:`_UNSCALED_RANGE`, where LAPACK does not rescale it (a NaN fails
-    that test), and while no diagonal entry is a negative zero, which sorts
-    beside a positive one in no fixed order.  Every other stack goes to
-    LAPACK.
+    A stack with a :func:`_regular_diagonal` gets it sorted, in
+    O(dim log dim) per matrix: LAPACK's tridiagonal reduction leaves a
+    diagonal matrix as it is, and its QL iteration splits it into 1x1
+    blocks that it only sorts.  That holds while each matrix's largest
+    ``|entry|`` lies in :data:`_UNSCALED_RANGE`, where LAPACK does not
+    rescale it.  Every other stack goes to LAPACK.
     """
-    d = _diagonal(stack)
-    if d is not None and not _has_negative_zero(d):
+    d = _regular_diagonal(stack)
+    if d is not None:
         peak = np.abs(d).max(axis=-1)
         lo, hi = _UNSCALED_RANGE
         if ((peak >= lo) & (peak <= hi)).all():
