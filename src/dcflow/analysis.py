@@ -28,6 +28,7 @@ from .core import (
     DcError,
     DcProblem,
     _eigvalsh,
+    _regular_diagonal,
     _row_blocks,
     _row_norms,
     _solve_metric,
@@ -487,16 +488,26 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     w_lo, w_hi, v_lo, v_hi = (np.empty(len(pts)) for _ in range(4))
     msq = np.full(len(pts), np.nan)
     for block in _row_blocks(len(pts), p.dim):
-        metric = np.asarray(p.g_hess(pts[block]), dtype=float)
-        w = _eigvalsh(metric)
+        # One block holds Hess g and then, updated in place, Hess f, so the
+        # sweep keeps no second Hessian block of its own.
+        hess = np.require(p.g_hess(pts[block]), dtype=float, requirements="W")
+        w = _eigvalsh(hess)
         w_lo[block], w_hi[block] = w[:, 0], w[:, -1]
         # A block with a metric eigenvalue <= 0 fails the positivity check
         # below; it skips the solve, which could raise first.
         if not (w[:, 0] <= 0.0).any():
-            sol = _solve_metric(metric, grads[block])
+            sol = _solve_metric(hess, grads[block])
             msq[block] = np.einsum("ij,ij->i", grads[block], sol)
-        hess = metric - np.asarray(p.h_hess(pts[block]), dtype=float)
-        v = _eigvalsh(0.5 * (hess + np.swapaxes(hess, 1, 2)))
+        hess -= p.h_hess(pts[block])
+        # eigvalsh reads the lower triangle: symmetrize it in place, a column
+        # at a time, so no temporary spans the block.  A diagonal block is
+        # symmetric already.
+        if _regular_diagonal(hess) is None:
+            for j in range(p.dim - 1):
+                col = hess[:, j + 1 :, j]
+                col += hess[:, j, j + 1 :]
+                col *= 0.5
+        v = _eigvalsh(hess)
         v_lo[block], v_hi[block] = v[:, 0], v[:, -1]
 
     def check_range(name, lo_eigs, hi_eigs, scales, bounds):

@@ -212,7 +212,8 @@ def _write_csv(path: Path, header: list[str], table, int_cols: int = 0) -> None:
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"table of shape {table.shape} does not match {len(header)} columns")
     row = ",".join(["%d"] * int_cols + ["%.17g"] * (len(header) - int_cols)) + "\n"
-    _write_file(path, ",".join(header) + "\n" + row * table.shape[0] % tuple(table.ravel().tolist()))
+    rows = row * table.shape[0] % tuple(table.ravel().tolist())
+    _write_file(path, ",".join(header) + "\n" + rows)
 
 
 def write_iterate_csv(path: Path, trace: IterateTrace) -> None:

@@ -11,6 +11,10 @@ problem with a closed-form ``grad g*`` supplies its starting point.  The
 damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
+Two private kernels, ``_solve_metric`` and ``_eigvalsh``, solve and
+diagonalize every stack of Hessians: a diagonal one in O(dim) per row, bit
+for bit as LAPACK does, any other through LAPACK.  Their callers read the
+Hessians in row blocks of at most ``_HESS_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -168,9 +172,13 @@ class DcProblem:
     gradients ``(m, dim)`` and Hessians ``(m, dim, dim)``, each row equal to
     the call on that row alone.  Stacks let the flow integrator pull back
     every record time of an accepted step in one batched Newton solve, and
-    let the probe sweeps read each oracle once per box.  Newton's steps in
+    let the probe sweeps read each oracle once per box, the Hessians once
+    per row block of at most :data:`_HESS_BLOCK_BYTES`, so the rows of a
+    stack may come in several calls.  Newton's steps in
     :func:`invert_grad_g` always call ``g_grad`` and ``g_hess`` on a stack,
-    a single target included.
+    a single target included.  Hessian stacks with no nonzero off-diagonal
+    entry are solved and diagonalized in O(dim) per row, bit for bit as
+    LAPACK would, so a diagonal metric needs no oracle of its own.
 
     Parameters
     ----------

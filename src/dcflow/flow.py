@@ -16,7 +16,8 @@ batched inversion, which gives the primal trajectory of the metric gradient
 flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
 The loop keeps only those states and tests each for equilibrium on its
 gradient norm; the samples' metric speeds and values are read after it, in
-stacked oracle calls over the whole trace.
+stacked oracle calls over the whole trace, the metric Hessians in row blocks
+of bounded size.
 """
 
 from __future__ import annotations

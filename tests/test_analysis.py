@@ -509,6 +509,50 @@ def test_checked_box_constants_reads_each_oracle_once_per_sweep(dw_aniso):
     assert calls == dict.fromkeys(calls, [(31, 2)])
 
 
+def _cross_check_failures(p, box, n_samples):
+    """The messages of the cross-check on ``box`` when the box constants
+    claim 5% more than the oracles deliver, one constant at a time."""
+    honest = p.box_constants(box)
+    (mu, lg), (lo, hi) = honest.metric, honest.objective
+    messages = []
+    for fields in (
+        dict(sigma=1.05 * honest.sigma),
+        dict(metric=(mu, 0.95 * lg)),
+        dict(objective=(1.05 * lo, hi)),
+    ):
+        wrong = dataclasses.replace(honest, **fields)
+        lying = dataclasses.replace(p, box_constants=lambda b: wrong)
+        with pytest.raises(DcError) as info:
+            checked_box_constants(lying, box, n_samples)
+        messages.append(str(info.value))
+    return messages
+
+
+@pytest.mark.parametrize("block_rows", [64, 7, 1])
+def test_checked_box_constants_reads_the_hessians_once_per_block(dw_aniso, monkeypatch, block_rows):
+    # Blocks change neither the constants nor the worst point that a failed
+    # cross-check names.
+    box = Box(np.array([0.9, -1.1]), np.array([1.1, -0.9]))
+    one_block = _cross_check_failures(dw_aniso, box, 100)
+    monkeypatch.setattr(core, "_HESS_BLOCK_BYTES", 8 * 2 * 2 * block_rows)
+    calls = {"g_hess": [], "h_hess": []}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name].append(np.shape(x))
+            return fn(x)
+
+        return wrapper
+
+    p = dataclasses.replace(
+        dw_aniso, **{name: counted(name, getattr(dw_aniso, name)) for name in calls}
+    )
+    assert checked_box_constants(p, box, n_samples=100) == dw_aniso.box_constants(box)
+    blocks = [(min(block_rows, 101 - start), 2) for start in range(0, 101, block_rows)]
+    assert calls == {"g_hess": blocks, "h_hess": blocks}
+    assert _cross_check_failures(p, box, 100) == one_block
+
+
 def test_box_constants_cross_check_catches_inconsistent_oracles(dw_unit):
     # Closed forms that claim 5% more than the oracles deliver are caught on
     # Halton samples alone, and the run stops rather than certify them.  The

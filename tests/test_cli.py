@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -333,6 +334,39 @@ def test_csv_writer_rejects_a_table_of_another_width(tmp_path, shape):
     # Each table holds six values, as many as two rows of the three columns.
     with pytest.raises(ValueError, match="does not match 3 columns"):
         cli._write_csv(tmp_path / "table.csv", ["a", "b", "c"], np.zeros(shape))
+
+
+def test_writers_replace_a_file_rather_than_truncate_it(tmp_path):
+    # A second name for each old file keeps its bytes: the writers unlink
+    # the old file and create a new one.
+    out = tmp_path / "out"
+    cfg = base_config(experiment="RunFlow", problem=DW, x0=[1.5, -1.2], flow={"t_end": 0.2})
+    assert run_experiment(cfg, out)[0] == EXIT_OK
+    names = ("report.json", "flow_trace.csv")
+    for name in names:
+        os.link(out / name, tmp_path / name)
+    flow = {"t_end": 0.3, "record_stride": 0.1}
+    assert run_experiment(dict(cfg, flow=flow), out)[0] == EXIT_OK
+    for name in names:
+        assert (out / name).stat().st_ino != (tmp_path / name).stat().st_ino
+        assert (out / name).read_bytes() != (tmp_path / name).read_bytes()
+        assert (tmp_path / name).stat().st_nlink == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_failed_rerun_leaves_no_report(tmp_path, capsys):
+    # The failed run exits before writing anything, so the first run's trace
+    # stays, but no report of it suggests the second run passed.
+    out = str(tmp_path / "out")
+    cfg = base_config(experiment="RunFlow", problem=dict(DW, params={"q": [1, 4]}))
+    ok = write_config(tmp_path, dict(cfg, x0=[1.5, -1.2], flow={"t_end": 0.5}), "ok.json")
+    bad = write_config(tmp_path, dict(cfg, x0=[1e200, -1.2], flow={"t_end": 0.5}), "bad.json")
+    assert main(["run", str(ok), "--out", out]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["flow_trace.csv", "report.json"]
+    capsys.readouterr()
+    assert main(["run", str(bad), "--out", out]) == EXIT_RUNTIME
+    assert "non-finite gradient residual at the start point" in capsys.readouterr().err
+    assert os.listdir(out) == ["flow_trace.csv"]
 
 
 def test_eta_sweep_report(tmp_path):

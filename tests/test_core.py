@@ -509,3 +509,104 @@ def test_box_validation():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     assert box.contains([0.0, 1.0])
     assert not box.contains([0.0, 3.0])
+
+
+
+# ---------------------------------------------------------------------------
+# stacked Hessian kernels: an exact diagonal path, LAPACK for everything else
+
+
+def _count_lapack(monkeypatch) -> list[str]:
+    """Names of the ``np.linalg.solve`` and ``np.linalg.eigvalsh`` calls made
+    from now on, in order."""
+    calls = []
+    for name in ("solve", "eigvalsh"):
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _diagonal_stack(m=3, n=4):
+    d = RNG.choice([-1.0, 1.0], (m, n)) * RNG.uniform(0.1, 40.0, (m, n))
+    return d[..., None] * np.eye(n), RNG.uniform(-5.0, 5.0, (m, n))
+
+
+def test_kernels_answer_a_diagonal_stack_without_lapack(monkeypatch):
+    hess, rhs = _diagonal_stack()
+    solved, eigs = np.linalg.solve(hess, rhs[..., None])[..., 0], np.linalg.eigvalsh(hess)
+    calls = _count_lapack(monkeypatch)
+    assert core._solve_metric(hess, rhs).tobytes() == solved.tobytes()
+    assert core._eigvalsh(hess).tobytes() == eigs.tobytes()
+    # One matrix and its right-hand side take the same path.
+    assert core._solve_metric(hess[1], rhs[1]).tobytes() == solved[1].tobytes()
+    # A read-only broadcast view, as the quadratic family's Hessians are.
+    view = np.broadcast_to(hess[0], hess.shape)
+    assert core._solve_metric(view, rhs).tobytes() == (rhs / np.diag(hess[0])).tobytes()
+    assert calls == []
+
+
+# Edits that take a diagonal stack off the kernels' exact path, and whether
+# LAPACK's solve still answers (a zero pivot raises LinAlgError).
+_IRREGULAR = {
+    "off-diagonal": (lambda h, b: h.__setitem__((1, 2, 0), 1e-300), True),
+    "zero-diagonal": (lambda h, b: h.__setitem__((2, 3, 3), 0.0), False),
+    "negative-zero-diagonal": (lambda h, b: h.__setitem__((2, 3, 3), -0.0), False),
+    "inf-diagonal": (lambda h, b: h.__setitem__((0, 1, 1), np.inf), True),
+    "nan-diagonal": (lambda h, b: h.__setitem__((0, 1, 1), np.nan), True),
+    "negative-zero-rhs": (lambda h, b: b.__setitem__((0, 1), -0.0), True),
+    "inf-rhs": (lambda h, b: b.__setitem__((1, 2), np.inf), True),
+    "nan-rhs": (lambda h, b: b.__setitem__((1, 2), np.nan), True),
+}
+
+
+@pytest.mark.parametrize("edit", _IRREGULAR)
+def test_solve_goes_to_lapack_off_the_exact_path(monkeypatch, edit):
+    hess, rhs = _diagonal_stack()
+    change, solvable = _IRREGULAR[edit]
+    change(hess, rhs)
+    expected = np.linalg.solve(hess, rhs[..., None])[..., 0] if solvable else None
+    calls = _count_lapack(monkeypatch)
+    if solvable:
+        assert core._solve_metric(hess, rhs).tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            core._solve_metric(hess, rhs)
+    assert calls == ["solve"]
+
+
+@pytest.mark.parametrize(
+    "edit", ["off-diagonal", "zero-diagonal", "inf-diagonal", "nan-diagonal", "1e141", "1e-141"]
+)
+def test_eigvalsh_goes_to_lapack_off_the_exact_path(monkeypatch, edit):
+    hess, _ = _diagonal_stack()
+    if edit in _IRREGULAR:
+        _IRREGULAR[edit][0](hess, None)
+    else:
+        # Beyond the range where LAPACK leaves a matrix unscaled: a matrix
+        # whose largest entry is huge, or whose entries are all tiny.
+        hess[1] *= float(edit) / np.abs(hess[1]).max()
+    # LAPACK refuses a non-finite matrix.
+    raises = edit in ("inf-diagonal", "nan-diagonal")
+    expected = None if raises else np.linalg.eigvalsh(hess)
+    calls = _count_lapack(monkeypatch)
+    if raises:
+        with pytest.raises(np.linalg.LinAlgError):
+            core._eigvalsh(hess)
+    else:
+        assert core._eigvalsh(hess).tobytes() == expected.tobytes()
+    assert calls == ["eigvalsh"]
+
+
+def test_zero_metric_diagonal_still_raises():
+    # The exact path refuses a zero diagonal, so LAPACK raises as before.
+    p = dataclasses.replace(
+        make_double_well([1.0, 4.0]), g_hess=lambda x: np.zeros(np.shape(x) + (x.shape[-1],))
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        core.flow_velocity(p, np.array([[1.5, -1.2], [0.3, 0.4]]))
+    with pytest.raises(NumericError, match="singular Hessian"):
+        invert_grad_g(newton_only(p), np.array([3.0, -1.0]), np.array([1.5, -1.2]))

@@ -1,9 +1,14 @@
-"""Nothing in the pipeline may assume dimension two or diagonal matrices."""
+"""Nothing in the pipeline may assume dimension two or diagonal matrices,
+and no stacked Hessian consumer may hold more than a few row blocks of
+Hessians at once."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcflow import (
+    Box,
     FlowConfig,
     SchemeConfig,
     closed_form_linear_flow,
@@ -13,7 +18,9 @@ from dcflow import (
     make_quadratic,
     run_scheme,
 )
+from dcflow import core
 from dcflow.analysis import (
+    checked_box_constants,
     damped_pl_report,
     flow_rate_check,
     linearize_at,
@@ -108,3 +115,31 @@ def test_scalar_problem_end_to_end():
     flow = integrate_flow(p, np.array([0.3]), cfg)
     assert flow.f_values[-1] == pytest.approx(-0.25, abs=1e-6)
     assert abs(flow.x_states[-1, 0] - 1.0) <= 1e-3
+
+
+def _peak_bytes(fun, *args) -> int:
+    """Peak of the memory that numpy and Python allocate during ``fun(*args)``,
+    beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fun(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_box_sweep_memory_is_bounded_in_the_dimension():
+    # 401 probe points of 400-D Hessians would take 513 MB as one stack.
+    n = 400
+    p = make_double_well(np.linspace(1.0, 4.0, n))
+    box = Box(np.full(n, 0.8), np.full(n, 1.3))
+    assert _peak_bytes(checked_box_constants, p, box) < 4 * core._HESS_BLOCK_BYTES
+
+
+def test_stacked_velocity_memory_is_bounded_in_the_dimension():
+    # 800 Hessians of 400-D points would take 1.02 GB as one stack.
+    n = 400
+    p = make_double_well(np.linspace(1.0, 4.0, n))
+    x = RNG.uniform(-2.0, 2.0, (800, n))
+    assert _peak_bytes(core.flow_velocity, p, x) < 4 * core._HESS_BLOCK_BYTES

@@ -1,8 +1,9 @@
 """Property tests over random instances: primal/dual equivalence, descent,
 the gradient and energy identities, the closed-form quadratic flow, the
 closed-form box constants, the damped scheme's rate bound, stacked
-oracles and inversions against single-point calls, and the closed-form
-pullback against the inversion's stopping rule.
+oracles and inversions against single-point calls, the closed-form
+pullback against the inversion's stopping rule, and the exact diagonal path
+of the stacked Hessian kernels against LAPACK.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -44,7 +45,9 @@ from dcflow.analysis import (
     energy_residuals,
     local_exp_certificate,
 )
+from dcflow import core
 from dcflow.core import INVERSION_TOL, ROUNDOFF, flow_velocity, invert_grad_g
+from dcflow.problems import _per_point
 from dcflow.schemes import gradient_identity_margin
 from helpers import newton_only, primal_dual_sup_gap
 
@@ -385,3 +388,37 @@ def test_closed_form_pullback_meets_the_stopping_rule(instance):
     residual = np.linalg.norm(p.g_grad(x) - y, axis=1)
     floor = ROUNDOFF * p.dim * np.abs(p.g_hess(x)).max(axis=(1, 2)) * np.abs(x).max(axis=1)
     assert np.all(residual <= np.maximum(INVERSION_TOL * np.minimum(1.0, y_norm), floor))
+
+
+@st.composite
+def diagonal_systems(draw):
+    """A stack of 1 to 6 diagonal matrices of size 1 to 64, entries
+    ``+-[0.1, 40] x 10^[-8, 8]``, and right-hand sides ``+-10^[-6, 6]``, some
+    of them zero; or one such matrix at every row as a read-only broadcast
+    view, as the quadratic family's Hessians come."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    m = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = 1 if draw(st.booleans()) else m
+
+    def signed(low, high, exp_low, exp_high, shape):
+        size = rng.uniform(low, high, shape) * 10.0 ** rng.uniform(exp_low, exp_high, shape)
+        return rng.choice([-1.0, 1.0], shape) * size
+
+    d = signed(0.1, 40.0, -8.0, 8.0, (rows, n))
+    rhs = signed(1.0, 1.0, -6.0, 6.0, (m, n))
+    rhs[rng.random((m, n)) < 0.1] = 0.0
+    hess = d[..., None] * np.eye(n)
+    if rows == 1:
+        hess = _per_point(hess[0], rhs)
+    return hess, rhs
+
+
+@PROPERTY_SETTINGS
+@given(diagonal_systems())
+def test_diagonal_kernels_equal_lapack_bit_for_bit(system):
+    hess, rhs = system
+    assert core._regular_diagonal(hess) is not None
+    solved = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    assert core._solve_metric(hess, rhs).tobytes() == solved.tobytes()
+    assert core._eigvalsh(hess).tobytes() == np.linalg.eigvalsh(hess).tobytes()
