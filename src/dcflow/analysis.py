@@ -28,6 +28,7 @@ from .core import (
     DcError,
     DcProblem,
     _eigvalsh,
+    _pencil_eigh,
     _regular_diagonal,
     _row_blocks,
     _row_norms,
@@ -135,13 +136,6 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def _sym_isqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    if w[0] <= 0.0:
-        raise DegenerateMinimumError("matrix is not positive definite")
-    return v @ ((1.0 / np.sqrt(w))[:, None] * v.T)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +344,10 @@ def linearize_at(p: DcProblem, x_star) -> LinearizationReport:
     """Spectrum of the linearized flow and a finite-difference cross-check.
 
     The field ``F(x) = -(Hess g)^{-1} grad f`` linearizes at a critical
-    point to minus ``metric^{-1} hess_f``; its eigenvalues are computed on
-    the symmetrized form so they are real in floating point.  The
+    point to minus ``metric^{-1} hess_f``, whose eigenpairs are those of the
+    symmetric-definite pencil ``(hess_f, metric)``, real in floating point.
+    A metric that is not positive definite raises :class:`DcError`, and a
+    ``hess_f`` that is not raises :class:`DegenerateMinimumError`.  The
     central-difference Jacobian of ``F``, of step ``h = 1e-4``, must agree
     with the analytic linearization to ``100 h**2`` in Frobenius norm,
     otherwise the oracles are inconsistent and the call raises.
@@ -359,26 +355,25 @@ def linearize_at(p: DcProblem, x_star) -> LinearizationReport:
     x_star = _critical_point(p, x_star)
     hess_f = p.f_hess(x_star)
     hess_f = 0.5 * (hess_f + hess_f.T)
-    if np.linalg.eigvalsh(hess_f)[0] <= 0.0:
-        raise DegenerateMinimumError(
-            "objective Hessian is not positive definite at x_star"
-        )
     metric = np.asarray(p.g_hess(x_star), dtype=float)
     metric = 0.5 * (metric + metric.T)
 
-    isqrt = _sym_isqrt(metric)
-    sym = isqrt @ hess_f @ isqrt
-    sym = 0.5 * (sym + sym.T)
-    spectrum, vecs = np.linalg.eigh(sym)
-    slow = isqrt @ vecs[:, 0]
-    slow /= float(np.linalg.norm(slow))
+    spectrum, vecs = _pencil_eigh(hess_f, metric)
+    # The pencil's eigenvalues have the signs of hess_f's (Sylvester).
+    if spectrum[0] <= 0.0:
+        raise DegenerateMinimumError(
+            "objective Hessian is not positive definite at x_star"
+        )
+    slow = vecs[:, 0] / float(np.linalg.norm(vecs[:, 0]))
 
     fd_jacobian = central_diff_jacobian(
         lambda x: flow_velocity(p, x)[1], x_star, _FD_STEP
     )
 
-    analytic = np.linalg.solve(metric, hess_f)
-    fd_error = float(np.linalg.norm(fd_jacobian + analytic, "fro"))
+    # A plain sum, not norm(..., "fro"): numpy takes that as one BLAS dot,
+    # whose threads split long sums in an order that changes the last bits.
+    diff = fd_jacobian + np.linalg.solve(metric, hess_f)
+    fd_error = float(np.sqrt(np.sum(diff * diff)))
     if fd_error > 100.0 * _FD_STEP * _FD_STEP:
         raise DcError(
             f"finite-difference Jacobian disagrees with the analytic "

@@ -34,8 +34,9 @@ this kind; it stops with termination ``numeric_error`` in its results.
 
 A ``report.json`` that an earlier run left in the output directory is
 removed before anything else is checked, so a run that fails there leaves
-none, whether it exits 3 or 2; only a config file that does not load
-touches no directory.  Every file a run writes replaces the one of the same
+none, whether it exits 3 or 2.  With ``--out`` that holds for a config file
+that does not load too; without it such a file names no directory, and
+none is touched.  Every file a run writes replaces the one of the same
 name, but CSVs that it does not write, such as the traces of an earlier run
 of another experiment or of one that failed before writing them, stay.
 """
@@ -735,6 +736,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
+    if args.out is not None:
+        (Path(args.out) / "report.json").unlink(missing_ok=True)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

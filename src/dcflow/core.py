@@ -14,7 +14,10 @@ explicit Euler step of the dual system from a carried dual state ``y``.
 Two private kernels, ``_solve_metric`` and ``_eigvalsh``, solve and
 diagonalize every stack of Hessians: a diagonal one in O(dim) per row, bit
 for bit as LAPACK does, any other through LAPACK.  Their callers read the
-Hessians in row blocks of at most ``_HESS_BLOCK_BYTES``.
+Hessians in row blocks of at most ``_HESS_BLOCK_BYTES``.  A third,
+``_pencil_eigh``, solves the symmetric-definite pencil ``h v = lam m v``
+of one pair of matrices: the linearization at a minimum, the closed-form
+flow of a quadratic split and its metric PL constant all read it.
 """
 
 from __future__ import annotations
@@ -527,6 +530,26 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
         if ((peak >= lo) & (peak <= hi)).all():
             return np.sort(d, axis=-1)
     return np.linalg.eigvalsh(stack)
+
+
+def _pencil_eigh(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric-definite pencil ``h v = lam m v``.
+
+    ``h`` is a symmetric ``(dim, dim)`` matrix and ``m`` a symmetric
+    positive-definite one.  Returns the ascending eigenvalues ``lam`` and
+    the ``m``-orthonormal eigenvectors ``V`` as columns (``V' m V = I``).
+    The pencil is reduced through ``m^{-1/2}``: ``lam`` are the eigenvalues
+    of ``m^{-1/2} h m^{-1/2}``, symmetrized in floating point, so by
+    Sylvester's law of inertia they have the signs of ``h``'s eigenvalues.
+    An ``m`` that is not positive definite raises :class:`DcError`.
+    """
+    w, u = np.linalg.eigh(m)
+    if not w[0] > 0.0:
+        raise DcError("metric of the pencil is not positive definite")
+    isqrt = u @ ((1.0 / np.sqrt(w))[:, None] * u.T)
+    s = isqrt @ h @ isqrt
+    lam, q = np.linalg.eigh(0.5 * (s + s.T))
+    return lam, isqrt @ q
 
 
 def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:

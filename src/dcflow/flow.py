@@ -33,6 +33,7 @@ from .core import (
     DcError,
     DcProblem,
     NumericError,
+    _pencil_eigh,
     _row_norms,
     flow_velocity,
     invert_grad_g,
@@ -300,23 +301,18 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
 def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:
     """Exact flow state at time ``t`` when both split components are quadratic.
 
-    For ``g = x'ax/2`` and ``h = x'bx/2`` the dual ODE is linear with
-    generator ``b a^{-1} - I``; conjugating by ``a^{1/2}`` symmetrizes it,
-    so the propagator is computed exactly from one eigendecomposition:
-    ``x(t) = a^{-1/2} exp(t(a^{-1/2} b a^{-1/2} - I)) a^{1/2} x0``.
+    For ``g = x'ax/2`` and ``h = x'bx/2`` the flow is linear,
+    ``x' = (a^{-1} b - I) x``.  With the eigenpairs ``(lam, V)`` of the
+    pencil ``b v = lam a v`` (``V' a V = I``), ``a^{-1} b = V diag(lam) V' a``,
+    so the propagator is computed exactly from one pencil decomposition:
+    ``x(t) = V exp(t (lam - 1)) V' a x0``.
     """
     a, b, _ = check_quadratic_split(a, b)
-    wa, va = np.linalg.eigh(a)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size != a.shape[0]:
         raise ValueError("x0 has the wrong length")
-
-    sqrt_a = va @ (np.sqrt(wa)[:, None] * va.T)
-    isqrt_a = va @ ((1.0 / np.sqrt(wa))[:, None] * va.T)
-    gen = isqrt_a @ b @ isqrt_a - np.eye(a.shape[0])
-    gen = 0.5 * (gen + gen.T)
-    wg, vg = np.linalg.eigh(gen)
-    return isqrt_a @ (vg @ (np.exp(float(t) * wg) * (vg.T @ (sqrt_a @ x0))))
+    lam, v = _pencil_eigh(b, a)
+    return v @ (np.exp(float(t) * (lam - 1.0)) * (v.T @ (a @ x0)))
 
 
 def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Box, BoxConstants, DcProblem
+from .core import Box, BoxConstants, DcProblem, _pencil_eigh
 
 __all__ = [
     "make_double_well",
@@ -77,21 +77,20 @@ def check_quadratic_split(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, a_eigs
 
 
-def _quadratic_sigma(a: np.ndarray, c: np.ndarray) -> float:
-    """Smallest positive generalized eigenvalue of the pencil (c, a).
+def _quadratic_sigma(a: np.ndarray, c: np.ndarray, c_eigs: np.ndarray) -> float:
+    """Smallest positive eigenvalue of the pencil ``c v = lam a v``.
 
     This is the sharp metric PL constant of ``f(x) = x'cx/2`` under the
-    metric ``a``: reduce to the symmetric form ``c^{1/2} a^{-1} c^{1/2}``
-    restricted to the range of ``c``.  Zero when ``c`` vanishes.
+    metric ``a``.  ``c`` is positive semidefinite with ascending eigenvalues
+    ``c_eigs``; by Sylvester's law of inertia the pencil has as many zero
+    eigenvalues as ``c``, counted as those of ``c_eigs`` at or below
+    ``1e-12`` of the largest, so the answer is the next one up.  Zero when
+    ``c`` vanishes.
     """
-    w, u = np.linalg.eigh(c)
-    keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-    if not np.any(keep):
+    k = int(np.count_nonzero(c_eigs <= 1e-12 * max(float(c_eigs[-1]), 1e-300)))
+    if k == c_eigs.size:
         return 0.0
-    basis = u[:, keep] * np.sqrt(w[keep])
-    reduced = basis.T @ np.linalg.solve(a, basis)
-    reduced = 0.5 * (reduced + reduced.T)
-    return float(np.linalg.eigvalsh(reduced)[0])
+    return float(_pencil_eigh(c, a)[0][k])
 
 
 class _QuadraticConstants:
@@ -110,7 +109,7 @@ class _QuadraticConstants:
         self._constants = BoxConstants(
             metric=(float(a_eigs[0]), float(a_eigs[-1])),
             objective=(float(c_eigs[0]), float(c_eigs[-1])),
-            sigma=_quadratic_sigma(a, c),
+            sigma=_quadratic_sigma(a, c, c_eigs),
         )
         self._a_inv = np.linalg.inv(a)
 

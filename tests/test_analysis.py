@@ -34,6 +34,7 @@ from dcflow.analysis import (
 from dcflow import analysis, core
 from dcflow.core import BoxConstants, ConvergenceError, DcError, DcProblem, flow_velocity
 from dcflow.flow import FlowTrace
+from dcflow.problems import _per_point
 from dcflow.schemes import IterateTrace, Termination
 from helpers import newton_only
 
@@ -323,6 +324,19 @@ def test_linearize_rejects_degenerate_point(dw_unit):
     # The origin is a local maximum: hess f = -I there.
     with pytest.raises(DegenerateMinimumError):
         linearize_at(dw_unit, np.zeros(2))
+
+
+def test_linearize_rejects_an_indefinite_metric(quad_canonical):
+    # hess f = I stays positive definite; only the metric diag(-1, 2) fails.
+    metric = np.diag([-1.0, 2.0])
+    p = dataclasses.replace(
+        quad_canonical,
+        g_hess=lambda x: _per_point(metric, np.asarray(x)),
+        h_hess=lambda x: _per_point(metric - np.eye(2), np.asarray(x)),
+    )
+    with pytest.raises(DcError, match="not positive definite") as exc:
+        linearize_at(p, np.zeros(2))
+    assert not isinstance(exc.value, DegenerateMinimumError)
 
 
 def test_spectrum_contained_in_unit_interval(quad_canonical, dw_unit, dw_aniso):

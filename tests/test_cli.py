@@ -369,6 +369,24 @@ def test_failed_rerun_leaves_no_report(tmp_path, capsys):
     assert os.listdir(out) == ["flow_trace.csv"]
 
 
+def test_config_that_does_not_load_removes_the_report_under_out(tmp_path, monkeypatch):
+    # Without --out a config that does not load names no directory, so none
+    # is touched; with --out the earlier report goes before the config is read.
+    out = tmp_path / "out"
+    ok = write_config(tmp_path, base_config(x0=[1.0, 1.0]), "ok.json")
+    assert main(["run", str(ok), "--out", str(out)]) == EXIT_OK
+    written = sorted(os.listdir(out))
+    assert "report.json" in written
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(bad)]) == EXIT_CONFIG
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "ok.json", "out"]
+    assert sorted(os.listdir(out)) == written
+    assert main(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert sorted(os.listdir(out)) == [n for n in written if n != "report.json"]
+
+
 def test_eta_sweep_report(tmp_path):
     cfg = base_config(
         experiment="EtaSweep",
@@ -818,6 +836,40 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "[PASS]" in proc.stdout
+
+
+def test_wide_linearize_report_does_not_depend_on_blas_threads(tmp_path):
+    """A 200-D diagonal metric is linearized to the same bytes with one
+    OpenBLAS thread and with two.  Its Frobenius gap once went through one
+    long BLAS dot, which threads split in another summation order.  On a
+    one-core host both runs get one thread, so this test cannot fail there.
+    """
+    import hashlib
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dcflow
+
+    src = str(Path(dcflow.__file__).resolve().parents[1])
+    problem = {"name": "double_well", "params": {"q": np.linspace(1.0, 4.0, 200).tolist()}}
+    path = write_config(tmp_path, base_config(experiment="Linearize", problem=problem))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcflow", "run", str(path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = (out / "report.json").read_text().splitlines(keepends=True)
+        kept = "".join(line for line in lines if '"generated_at"' not in line)
+        digests.append(hashlib.sha256(kept.encode()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_main_flag_combinations(tmp_path):

@@ -1,6 +1,8 @@
 """Oracle values, derivative consistency and the gradient inversion kernel."""
 
 import dataclasses
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,3 +612,13 @@ def test_zero_metric_diagonal_still_raises():
         core.flow_velocity(p, np.array([[1.5, -1.2], [0.3, 0.4]]))
     with pytest.raises(NumericError, match="singular Hessian"):
         invert_grad_g(newton_only(p), np.array([3.0, -1.0]), np.array([1.5, -1.2]))
+
+
+def test_only_the_pencil_kernel_calls_eigh():
+    # Every pencil is reduced in core._pencil_eigh; a module with its own
+    # eigh call would bring back a second reduction.
+    src = Path(core.__file__).parent
+    callers = sorted(f.name for f in src.glob("*.py") if "np.linalg.eigh(" in f.read_text())
+    assert callers == ["core.py"]
+    in_kernel = inspect.getsource(core._pencil_eigh).count("np.linalg.eigh(")
+    assert Path(core.__file__).read_text().count("np.linalg.eigh(") == in_kernel > 0

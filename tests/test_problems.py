@@ -49,6 +49,13 @@ def test_quadratic_degenerate_split_has_no_pl_constant():
     assert p.f_value([0.3, -0.9]) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_quadratic_partly_singular_split_skips_the_null_space():
+    # c = a - b = diag(0, 2, 5): the pencil (c, a) has eigenvalues 0, 2/3
+    # and 1, and sigma is the smallest positive one.
+    p = make_quadratic(np.diag([2.0, 3.0, 5.0]), np.diag([2.0, 1.0, 0.0]))
+    assert p.box_constants(p.region).sigma == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+
 def test_quadratic_input_validation():
     with pytest.raises(ValueError):
         make_quadratic(np.zeros((2, 2)), np.zeros((2, 2)))  # not PD

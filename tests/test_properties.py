@@ -2,8 +2,9 @@
 the gradient and energy identities, the closed-form quadratic flow, the
 closed-form box constants, the damped scheme's rate bound, stacked
 oracles and inversions against single-point calls, the closed-form
-pullback against the inversion's stopping rule, and the exact diagonal path
-of the stacked Hessian kernels against LAPACK.
+pullback against the inversion's stopping rule, the exact diagonal path
+of the stacked Hessian kernels against LAPACK, and the symmetric-definite
+pencil kernel on indefinite and singular ``h``.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -422,3 +423,44 @@ def test_diagonal_kernels_equal_lapack_bit_for_bit(system):
     solved = np.linalg.solve(hess, rhs[..., None])[..., 0]
     assert core._solve_metric(hess, rhs).tobytes() == solved.tobytes()
     assert core._eigvalsh(hess).tobytes() == np.linalg.eigvalsh(hess).tobytes()
+
+
+@st.composite
+def pencils(draw):
+    """A symmetric ``h`` of size 1 to 8 whose eigenvalues are each negative,
+    zero or positive, of size ``[0.1, 10]`` when nonzero, and an SPD ``m``
+    of condition at most 1e3, both scaled by ``10^[-3, 3]``."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    u = _rotation(draw(arrays(float, (n, n), elements=unit)))
+    v = _rotation(draw(arrays(float, (n, n), elements=unit)))
+    sign = draw(arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    size = draw(arrays(float, n, elements=st.floats(min_value=0.1, max_value=10.0)))
+    cond = draw(arrays(float, n, elements=st.floats(min_value=0.0, max_value=3.0)))
+    h = (u * (sign * size)) @ u.T * 10.0 ** draw(st.floats(-3.0, 3.0))
+    m = (v * 10.0**cond) @ v.T * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return 0.5 * (h + h.T), 0.5 * (m + m.T)
+
+
+def _inertia(w: np.ndarray) -> tuple[int, int, int]:
+    """Counts of negative, zero and positive entries, zero meaning at most
+    1e-9 of the largest magnitude."""
+    tol = 1e-9 * np.abs(w).max()
+    return int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol)), int(np.sum(w > tol))
+
+
+@PROPERTY_SETTINGS
+@given(pencils())
+def test_pencil_eigh_is_m_orthonormal_and_keeps_the_inertia_of_h(pencil):
+    h, m = pencil
+    lam, v = core._pencil_eigh(h, m)
+    np.testing.assert_allclose(v.T @ m @ v, np.eye(len(h)), rtol=0.0, atol=1e-9)
+    scale = (np.abs(h).max() + np.abs(m).max() * np.abs(lam).max()) * np.abs(v).max()
+    np.testing.assert_allclose(h @ v, m @ v * lam, rtol=0.0, atol=1e-9 * scale)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert _inertia(lam) == _inertia(np.linalg.eigvalsh(h))
+    # Flipping one eigenvalue of m, or all, leaves no positive-definite metric.
+    w, u = np.linalg.eigh(m)
+    for flip in (np.r_[-1.0, np.ones(len(w) - 1)], -np.ones(len(w))):
+        with pytest.raises(core.DcError, match="not positive definite"):
+            core._pencil_eigh(h, (u * (flip * w)) @ u.T)
