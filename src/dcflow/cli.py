@@ -36,7 +36,8 @@ A ``report.json`` that an earlier run left in the output directory is
 removed before anything else is checked, so a run that fails there leaves
 none, whether it exits 3 or 2.  With ``--out`` that holds for a config file
 that does not load too; without it such a file names no directory, and
-none is touched.  Every file a run writes replaces the one of the same
+none is touched.  An output path that is a file, or lies under one, is a
+config error.  Every file a run writes replaces the one of the same
 name, but CSVs that it does not write, such as the traces of an earlier run
 of another experiment or of one that failed before writing them, stay.
 """
@@ -654,6 +655,14 @@ def _experiment(name):
 # driver
 
 
+def _remove_report(out_dir: Path) -> None:
+    """Remove the ``report.json`` an earlier run left in ``out_dir``, if any."""
+    try:
+        (out_dir / "report.json").unlink(missing_ok=True)
+    except NotADirectoryError as exc:
+        raise ConfigError(f"output directory {str(out_dir)!r} is not a directory") from exc
+
+
 def run_experiment(
     cfg: dict,
     out_dir,
@@ -665,10 +674,12 @@ def run_experiment(
     ``seed``, or the config's ``seed`` when it is ``None``, must be a
     non-negative integer; any other value raises :class:`ConfigError`
     before ``out_dir`` is made.  A ``report.json`` that an earlier run left
-    in ``out_dir`` is removed first, so a run that raises leaves none.
+    in ``out_dir`` is removed first, so a run that raises leaves none.  An
+    ``out_dir`` that is a file, or lies under one, raises
+    :class:`ConfigError`.
     """
     out_dir = Path(out_dir)
-    (out_dir / "report.json").unlink(missing_ok=True)
+    _remove_report(out_dir)
     seed = _check_seed(cfg.get("seed", 0) if seed is None else seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -736,9 +747,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
-    if args.out is not None:
-        (Path(args.out) / "report.json").unlink(missing_ok=True)
     try:
+        if args.out is not None:
+            _remove_report(Path(args.out))
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,8 +6,12 @@ together with the constants the analysis routines consume.  The module also
 implements the Bregman divergence of the convex part and the inversion of
 its gradient map, the pullback ``(grad g)^{-1} = grad g*`` that every
 discrete scheme and the continuous flow integrator go through.  Newton's
-method on ``grad g(x) = y`` is the one kernel that verifies a pullback; a
-problem with a closed-form ``grad g*`` supplies its starting point.  The
+method on ``grad g(x) = y`` is the one inversion kernel; a problem with a
+closed-form ``grad g*`` supplies its starting point.  The closed-form call
+(``_closed_form``) and the stopping rule's test at Newton's start
+(``_meets_start_goal``) each have one home here: the flow step and the
+schemes use both to check closed-form pullbacks where they already hold
+``grad g`` at them, and invert only where the check fails.  The
 damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -215,7 +219,10 @@ class DcProblem:
         gradient of the convex conjugate ``g*``, in closed form.
         :func:`invert_grad_g` starts Newton's method there in place of the
         warm start, so the stopping rule still verifies every row: a wrong
-        closed form costs Newton steps, never an unverified preimage.
+        closed form costs Newton steps, never an unverified preimage.  The
+        flow step and the schemes call it directly and check its answers
+        against the same rule, a flow step's six stages in one stacked
+        ``g_grad`` call.
     """
 
     dim: int
@@ -369,18 +376,43 @@ def invert_grad_g(p: DcProblem, y, warm_start) -> np.ndarray:
             f"target of shape {y.shape} does not match the warm start's {x.shape}"
         )
     if p.g_conj_grad is not None:
-        x = np.array(p.g_conj_grad(y), dtype=float)
-        if x.shape != y.shape:
-            raise ValueError(
-                f"closed-form pullback of shape {x.shape} does not match "
-                f"the target's {y.shape}"
-            )
+        x = _closed_form(p, y)
     return _invert_rows(p, y, x)
+
+
+def _closed_form(p: DcProblem, y: np.ndarray) -> np.ndarray:
+    """The closed-form pullback ``g_conj_grad(y)`` as a new float array.
+
+    It is not checked against the stopping rule: callers test it with
+    :func:`_meets_start_goal` on ``g_grad`` at the answer.  An answer of
+    another shape than ``y`` raises ``ValueError``.
+    """
+    x = np.array(p.g_conj_grad(y), dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(
+            f"closed-form pullback of shape {x.shape} does not match "
+            f"the target's {y.shape}"
+        )
+    return x
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     # vecdot rounds each row as np.linalg.norm rounds a vector; norm(axis=1) does not.
     return np.sqrt(np.vecdot(v, v))
+
+
+def _meets_start_goal(rnorm: np.ndarray, ynorm: np.ndarray) -> bool:
+    """Whether every residual norm ``rnorm`` meets ``tol min(1, ynorm)``.
+
+    This is the goal of :func:`_invert_rows`'s Newton loop, bit for bit,
+    written as ``(rnorm <= tol) & (rnorm <= tol ynorm)`` so that no goal
+    array is formed; ``tol`` is :data:`INVERSION_TOL`, read at each call.
+    A NaN norm fails it.  A point that meets it is a
+    verified pullback, so callers that hold ``g_grad`` at a closed-form
+    answer test it here and skip :func:`invert_grad_g`.
+    """
+    tol = INVERSION_TOL
+    return bool(((rnorm <= tol) & (rnorm <= tol * ynorm)).all())
 
 
 def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -398,8 +430,7 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     tol = INVERSION_TOL
     residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm, ynorm = _row_norms(residual), _row_norms(y)
-    # The goal tol * min(1, |y|) of the loop below, bit for bit.
-    if ((rnorm <= tol) & (rnorm <= tol * ynorm)).all():
+    if _meets_start_goal(rnorm, ynorm):
         return x
     if not np.isfinite(rnorm).all():
         raise NumericError("non-finite gradient residual at the start point")

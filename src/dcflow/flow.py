@@ -5,12 +5,16 @@ embedded Dormand-Prince 4(5) pair under PI step control;
 :func:`integrate_flow` is the one place that forms it.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
 pullback through the inverse gradient map and one ``h_grad`` call.  For the
-built-in families the pullback is a closed form that Newton's stopping rule
-verifies, usually without a step; other problems run Newton warm-started at
-the previous evaluation's pullback, and consecutive evaluations are close,
-so it typically finishes in one or two steps.  Step sizes follow the error control alone; record times
-are read off the pair's fourth-order continuous extension, which reuses the
-seven stages of each accepted step.  The interpolated dual states of one
+built-in families the pullback is a closed form, checked per step: a step's
+six new stages pull back through it alone, and one stacked ``g_grad`` call
+tests all six against the stopping rule's start test, so the checked stages
+are those Newton would return without a step.  A step that fails the check
+is redone stage by stage through the inversion.  Other problems run Newton
+warm-started at the previous evaluation's pullback, and consecutive
+evaluations are close, so it typically finishes in one or two steps.  Step
+sizes follow the error control alone; record times are read off the pair's
+fourth-order continuous extension, which reuses the seven stages of each
+accepted step.  The interpolated dual states of one
 accepted step are pulled back through the inverse gradient map in one
 batched inversion, which gives the primal trajectory of the metric gradient
 flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
@@ -33,6 +37,8 @@ from .core import (
     DcError,
     DcProblem,
     NumericError,
+    _closed_form,
+    _meets_start_goal,
     _pencil_eigh,
     _row_norms,
     flow_velocity,
@@ -182,10 +188,17 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     pulled back in one batched inversion, warm-started on the chord between
     the pullbacks at the step's two ends, which the stages already made.
     The stride therefore chooses output times only and never limits the
-    step size.  Integration halts at the first sample whose primal gradient
-    norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that
-    norm.  The metric speeds and values of all kept samples come after the
-    loop from one stacked :func:`~dcflow.core.flow_velocity` and one
+    step size.  With a closed-form ``g_conj_grad`` a step's six new stages
+    pull back through it alone, and one ``g_grad`` call on their ``(6, n)``
+    stack checks them with :func:`~dcflow.core._meets_start_goal`, the test
+    at Newton's start.  A stage pullback that is not finite or fails it has
+    the step redone stage by stage through
+    :func:`~dcflow.core.invert_grad_g`, so the stages, Newton's steps and
+    every error are those of inverting each stage.  Integration halts at
+    the first sample whose primal gradient norm is at most
+    :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that norm.  The metric
+    speeds and values of all kept samples come after the loop from one
+    stacked :func:`~dcflow.core.flow_velocity` and one
     ``f_value_and_roundoff`` call; the velocity call reads ``g_hess`` in row
     blocks of at most ``core._HESS_BLOCK_BYTES`` of Hessians, so a long
     high-dimensional trace keeps bounded memory.
@@ -208,6 +221,36 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         """The dual field ``grad h(x) - y`` at the pullback ``x`` of ``y``."""
         warm[0] = invert_grad_g(p, yv, warm[0])
         return np.asarray(p.h_grad(warm[0]), dtype=float) - yv
+
+    def slopes(field, y: np.ndarray, k1: np.ndarray, h: float) -> np.ndarray:
+        """The seven stage slopes of the step of size ``h`` from ``y``."""
+        k = np.empty((7, n))
+        k[0] = k1
+        for i, row in enumerate(_A):
+            k[i + 1] = field(y + h * (row @ k[: i + 1]))
+        return k
+
+    def closed_slopes(y: np.ndarray, k1: np.ndarray, h: float) -> Optional[np.ndarray]:
+        """:func:`slopes` at the closed-form pullbacks, or None unless all six
+        are finite and meet the stopping rule; then ``warm[0]`` is the last,
+        as :func:`fieldfun` leaves it."""
+        ys, xs = [], []
+
+        def field(yv: np.ndarray) -> np.ndarray:
+            ys.append(yv)
+            xs.append(_closed_form(p, yv))
+            return np.asarray(p.h_grad(xs[-1]), dtype=float) - yv
+
+        k = slopes(field, y, k1, h)
+        stage_y, stage_x = np.array(ys), np.array(xs)
+        residual = np.asarray(p.g_grad(stage_x), dtype=float) - stage_y
+        if not (
+            np.isfinite(stage_x).all()
+            and _meets_start_goal(_row_norms(residual), _row_norms(stage_y))
+        ):
+            return None
+        warm[0] = xs[-1]
+        return k
 
     samples = ([], [], [])  # times, y, x, in chunks
 
@@ -254,14 +297,16 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                     f"step size underflow at t={t:g} (needed step {h_try:g})"
                 )
 
-            k = np.empty((7, n))
-            k[0] = k1
-            for i, row in enumerate(_A):
-                k[i + 1] = fieldfun(y + h_try * (row @ k[: i + 1]))
+            k = closed_slopes(y, k1, h_try) if p.g_conj_grad is not None else None
+            if k is None:
+                # Stage by stage through the inversion, so Newton and every
+                # error run as they do without the stacked check.
+                k = slopes(fieldfun, y, k1, h_try)
             y_new = y + h_try * (_B5 @ k)
             err_vec = h_try * (_ERR @ k)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # The root mean square of np.mean: one pairwise sum, one division.
+            err = math.sqrt(float(np.add.reduce((err_vec / scale) ** 2)) / n)
 
             if err > 1.0:
                 h = h_try * max(0.2, 0.9 * err**-0.2)

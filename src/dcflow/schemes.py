@@ -2,10 +2,12 @@
 
 All three are one update: the damped target
 ``y+ = (1-eta) y + eta grad h(x)`` (:func:`~dcflow.core.damped_target`)
-followed by one gradient inversion ``x+ = (grad g)^{-1}(y+)``.  The primal
-damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the classical
-step; the dual Euler step of size ``eta`` along ``grad h(pullback(y)) - y``
-carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
+followed by one pullback ``x+ = (grad g)^{-1}(y+)``: the closed form
+``grad g*(y+)`` checked against the inversion's stopping rule where the
+problem has one, a gradient inversion otherwise or where the check fails.
+The primal damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the
+classical step; the dual Euler step of size ``eta`` along
+``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
 either form, logs every iterate, its dual state included.
 """
 
@@ -17,7 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Box, ConvergenceError, DcProblem, _row_norms, damped_target, invert_grad_g
+from .core import (
+    Box,
+    ConvergenceError,
+    DcProblem,
+    _closed_form,
+    _meets_start_goal,
+    _row_norms,
+    damped_target,
+    invert_grad_g,
+)
 
 __all__ = [
     "IterateTrace",
@@ -112,10 +123,15 @@ def run_scheme(
     """Iterate until the gradient stopping tolerance or the iteration cap.
 
     Each iterate costs one ``g_grad`` and one ``h_grad`` call, which give
-    both its gradient norm and the next step's target, one inversion and
-    one objective value for the divergence guard.  The Bregman steps and
-    step norms of the log are computed after the loop, in stacked calls on
-    all iterates.
+    both its gradient norm and the next step's target, one pullback and
+    one objective value for the divergence guard.  With a closed-form
+    ``g_conj_grad`` the pullback is its value, checked once per iterate by
+    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start, on
+    one ``g_grad`` call that is then the next iterate's gradient; where the
+    check fails, and without a closed form, it is
+    :func:`~dcflow.core.invert_grad_g` from the current iterate.  The
+    Bregman steps and step norms of the log are computed after the loop, in
+    stacked calls on all iterates.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
@@ -124,7 +140,7 @@ def run_scheme(
     objective or an objective increase beyond the divergence guard stops
     the run with ``Termination.NUMERIC_ERROR``.  A ``ConvergenceError`` of
     the inversion propagates, its message naming the iteration and ``eta``.
-    Each inversion stops at the rule of :func:`~dcflow.core.invert_grad_g`,
+    Each pullback meets the rule of :func:`~dcflow.core.invert_grad_g`,
     ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``:
     relative to small targets, absolute beyond norm 1, and at the roundoff
     ``floor`` of targets too large for an absolute ``tol``.
@@ -138,8 +154,10 @@ def run_scheme(
     points, y_states, f_values, f_errs, grad_norms = [x], [], [f], [f_err], []
     termination = Termination.MAX_ITER
 
+    grad_g = None  # g_grad at x, when the closed form's check has read it
     for k in range(cfg.max_iter + 1):
-        grad_g = np.asarray(p.g_grad(x), dtype=float)
+        if grad_g is None:
+            grad_g = np.asarray(p.g_grad(x), dtype=float)
         grad_h = np.asarray(p.h_grad(x), dtype=float)
         if k == 0:
             y_states.append(grad_g)
@@ -150,16 +168,23 @@ def run_scheme(
         if k == cfg.max_iter:
             break
         y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
-        try:
-            x_next = invert_grad_g(p, y, x)
-        except ConvergenceError as exc:
-            raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
+        grad_next = None  # g_grad at x_next once the closed form passes its check
+        if p.g_conj_grad is not None:
+            x_next = _closed_form(p, y)
+            grad_next = np.asarray(p.g_grad(x_next), dtype=float)
+            if not _meets_start_goal(_row_norms(grad_next - y), _row_norms(y)):
+                grad_next = None
+        if grad_next is None:
+            try:
+                x_next = invert_grad_g(p, y, x)
+            except ConvergenceError as exc:
+                raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
         f_next, err_next = p.f_value_and_roundoff(x_next)
         slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
         if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
             termination = Termination.NUMERIC_ERROR
             break
-        x = x_next
+        x, grad_g = x_next, grad_next
         points.append(x)
         y_states.append(y)
         f_values.append(f_next)

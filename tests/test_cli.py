@@ -238,6 +238,28 @@ def test_malformed_seed_or_output_dir_exits_2(tmp_path, capsys, monkeypatch, ove
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_a_file"])
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = str(afile / under) if under else str(afile)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", str(path), "--out", out]) == EXIT_CONFIG
+    assert "config error: output directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+
+
+def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept")
+    write_config(tmp_path, base_config(output_dir="afile"))
+    assert main(["run", "config.json"]) == EXIT_CONFIG
+    assert "config error: output directory 'afile' is not a directory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="is not a directory"):
+        run_experiment(base_config(), tmp_path / "afile")
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
 def test_linearize_reports_fd_error(tmp_path):
     cfg = base_config(experiment="Linearize", problem=DW)
     code, report = run_experiment(cfg, tmp_path / "out")

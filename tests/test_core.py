@@ -1,5 +1,6 @@
 """Oracle values, derivative consistency and the gradient inversion kernel."""
 
+import ast
 import dataclasses
 import inspect
 from pathlib import Path
@@ -622,3 +623,35 @@ def test_only_the_pencil_kernel_calls_eigh():
     assert callers == ["core.py"]
     in_kernel = inspect.getsource(core._pencil_eigh).count("np.linalg.eigh(")
     assert Path(core.__file__).read_text().count("np.linalg.eigh(") == in_kernel > 0
+
+
+def _stopping_rule_homes(path: Path) -> set[tuple[str, str, str]]:
+    """``(file, top-level name, kind)`` of every ``g_conj_grad`` call
+    (kind "call") and every ``<=`` comparison against ``tol``,
+    ``INVERSION_TOL`` or a product that starts with one (kind "test")."""
+
+    def named(node, names):
+        node = node.left if isinstance(node, ast.BinOp) else node
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in names
+
+    homes = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and named(node.func, {"g_conj_grad"}):
+                homes.add((path.name, getattr(top, "name", "<module>"), "call"))
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, ast.LtE) and named(right, {"tol", "INVERSION_TOL"})
+                for op, right in zip(node.ops, node.comparators)
+            ):
+                homes.add((path.name, getattr(top, "name", "<module>"), "test"))
+    return homes
+
+
+def test_only_core_calls_the_closed_form_and_writes_the_start_test():
+    # The closed form is called in core._closed_form and the stopping rule's
+    # start test is written in core._meets_start_goal; the flow step and the
+    # scheme go through both, so the rule has one home.
+    src = Path(core.__file__).parent
+    homes = set().union(*(_stopping_rule_homes(f) for f in src.glob("*.py")))
+    assert homes == {("core.py", "_closed_form", "call"), ("core.py", "_meets_start_goal", "test")}

@@ -1,6 +1,7 @@
 """Integrator accuracy, the linear-flow oracle, and Euler refinement behavior."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from dcflow import (
 from dcflow.core import DcProblem, invert_grad_g
 from dcflow.flow import _B5, _P, StiffnessError, euler_refinement_study
 from dcflow.schemes import Mode, SchemeConfig, Termination, run_scheme
-from helpers import newton_only
+from helpers import (
+    count_point_inversions,
+    newton_only,
+    off_closed_form,
+    outcome,
+    reject_closed_forms,
+)
 
 RNG = np.random.default_rng(20240504)
 
@@ -176,18 +183,16 @@ def test_continuous_extension_ends_at_accepted_state():
 
 @pytest.fixture(scope="module")
 def dw_fine_run():
-    """Double well q = [1, 4] from (0.5, 0.5) to t = 10 at stride 1e-3, with
-    every inversion counted, and the flow's own split into field evaluations
-    (the one pullback of a single dual state, a 1-D target) and pullbacks of
-    record times (a stack), each counted with the number of times it covers."""
-    counts = {"invert": 0, "field": 0, "pullback": 0, "pullback_rows": 0}
+    """Double well q = [1, 4] from (0.5, 0.5) to t = 10 at stride 1e-3.
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts["invert"] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
+    ``counts`` splits the flow's inversions into field evaluations (the one
+    pullback of a single dual state, a 1-D target) and pullbacks of record
+    times (a stack), the latter with the number of rows they cover.
+    ``calls`` lists the pullback and gradient oracle calls made outside those
+    inversions, in order, as ``(name, shape)``."""
+    counts = {"field": 0, "pullback": 0, "pullback_rows": 0}
+    calls = []
+    inverting = [False]
 
     def pullback(p, y, warm_start):
         if np.ndim(y) == 1:
@@ -195,37 +200,58 @@ def dw_fine_run():
         else:
             counts["pullback"] += 1
             counts["pullback_rows"] += len(y)
-        return core.invert_grad_g(p, y, warm_start)
+        inverting[0] = True
+        try:
+            return core.invert_grad_g(p, y, warm_start)
+        finally:
+            inverting[0] = False
 
+    def logged(name, fn):
+        def wrapper(x):
+            if not inverting[0]:
+                calls.append((name, np.shape(x)))
+            return fn(x)
+
+        return wrapper
+
+    p = make_double_well([1.0, 4.0])
+    p = dataclasses.replace(
+        p, **{n: logged(n, getattr(p, n)) for n in ("g_grad", "h_grad", "g_conj_grad")}
+    )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "invert_grad_g", counted(core.invert_grad_g))
         mp.setattr(flow, "invert_grad_g", pullback)
         trace = integrate_flow(
-            make_double_well([1.0, 4.0]),
-            np.array([0.5, 0.5]),
-            FlowConfig(t_end=10.0, record_stride=1e-3),
+            p, np.array([0.5, 0.5]), FlowConfig(t_end=10.0, record_stride=1e-3)
         )
-    return trace, counts
+    return trace, counts, calls
 
 
 def test_dense_output_inversion_count(dw_fine_run):
-    trace, counts = dw_fine_run
+    trace, counts, calls = dw_fine_run
     assert trace.n_samples == 10001
-    # One field evaluation starts the integration; each step, accepted or
-    # rejected, adds six (the seventh stage is reused by the next step).
-    assert (counts["field"] - 1) % 6 == 0
-    n_steps = (counts["field"] - 1) // 6
-    assert counts["invert"] == counts["field"] + counts["pullback"]
-    assert counts["invert"] <= trace.n_samples + 7 * n_steps
-    assert counts["invert"] < 15000
+    # Only the field evaluation before the first step is an inversion.  Each
+    # step, accepted or rejected, pulls its six new stages back through one
+    # point call of the closed form each (the seventh stage is reused by the
+    # next step), and checks all six in one stacked g_grad call right after
+    # the sixth stage's h_grad; no step is replayed through inversions.
+    assert counts["field"] == 1
+    conj = [i for i, (name, _) in enumerate(calls) if name == "g_conj_grad"]
+    assert {calls[i][1] for i in conj} == {(2,)}
+    assert len(conj) % 6 == 0
+    n_steps = len(conj) // 6
+    for last in conj[5::6]:
+        assert calls[last + 1 : last + 3] == [("h_grad", (2,)), ("g_grad", (6, 2))]
+    pullbacks = 6 * n_steps + counts["field"] + counts["pullback"]
+    assert pullbacks <= trace.n_samples + 7 * n_steps
+    assert pullbacks < 15000
     # One batched pullback per accepted step covers every record time in it;
     # n_steps, which counts rejected steps too, bounds the accepted ones.
-    assert counts["pullback"] <= n_steps
+    assert 0 < counts["pullback"] <= n_steps
     assert counts["pullback_rows"] == trace.n_samples - 1
 
 
 def test_dense_output_independent_of_stride(dw_fine_run):
-    fine, _ = dw_fine_run
+    fine = dw_fine_run[0]
     coarse = integrate_flow(
         make_double_well([1.0, 4.0]),
         np.array([0.5, 0.5]),
@@ -258,6 +284,51 @@ def test_deferred_speeds_and_values_equal_per_row_calls(case):
     for x, msq, f in zip(trace.x_states, trace.metric_speed_sq, trace.f_values):
         assert msq == core.flow_velocity(p, x)[2]
         assert f == p.f_value(x)
+
+
+# ---------------------------------------------------------------------------
+# closed-form stages, checked once per step
+
+_FLOW_FIELDS = ("times", "y_states", "x_states", "f_values", "f_roundoff", "metric_speed_sq")
+
+
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_replayed_steps_equal_checked_ones(case, monkeypatch):
+    # With every stacked check failing, each step is replayed stage by stage
+    # through invert_grad_g, and ends bit for bit where the checked one did.
+    p, x0 = _deferred_pass_cases()[case]
+    run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
+    inversions = count_point_inversions(monkeypatch, flow)
+    checked = outcome(run, _FLOW_FIELDS)
+    assert inversions[0] == 1
+    inversions[0] = 0
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+    assert inversions[0] > 1 and (inversions[0] - 1) % 6 == 0
+
+
+@pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
+@pytest.mark.parametrize("defect", [np.nan, 1e-6], ids=["nan", "off"])
+def test_a_wrong_closed_form_fails_as_without_the_check(defect, newton_steps, monkeypatch):
+    # Wrong only at targets with y[0] > 1, which the flow reaches near t = 1:
+    # the step whose check catches it is replayed, so Newton and every
+    # error run as they do with every check failing.
+    p = off_closed_form(make_double_well([1.0, 4.0]), defect, threshold=1.0)
+    if newton_steps is not None:
+        monkeypatch.setattr(core, "_MAX_NEWTON_ITER", newton_steps)
+    run = lambda: integrate_flow(p, np.array([0.5, 0.5]), FlowConfig(t_end=5.0))
+    inversions = count_point_inversions(monkeypatch, flow)
+    checked = outcome(run, _FLOW_FIELDS)
+    assert inversions[0] > 1
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+    if np.isnan(defect):
+        assert checked == (core.NumericError, "non-finite gradient residual at the start point")
+    elif newton_steps == 0:
+        assert checked[0] is core.ConvergenceError
+        assert re.search(r"\(residual \S+\) in the flow step from t=\S+ of size \S+$", checked[1])
+    else:
+        assert len(checked) == len(_FLOW_FIELDS)
 
 
 def _pullback_rows(monkeypatch):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from dcflow import (
     SchemeConfig,
     descent_margins,
     make_double_well,
+    make_quadratic,
     make_shifted_decomposition,
     run_scheme,
 )
+from dcflow import core, schemes
 from dcflow.core import INVERSION_TOL, DcProblem, damped_target, invert_grad_g
 from dcflow.schemes import (
     _DESCENT_SLACK,
@@ -23,7 +26,13 @@ from dcflow.schemes import (
     Termination,
     gradient_identity_margin,
 )
-from helpers import primal_dual_sup_gap
+from helpers import (
+    count_point_inversions,
+    off_closed_form,
+    outcome,
+    primal_dual_sup_gap,
+    reject_closed_forms,
+)
 
 RNG = np.random.default_rng(20240503)
 
@@ -381,9 +390,10 @@ def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonic
 
 
 _ORACLES = ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess", "g_conj_grad")
-# Calls at one point allowed per accepted iteration; g_grad serves both the
-# iterate's gradient and the check of its pullback.
-_PER_ITERATION = {"g_value": 1, "h_value": 1, "g_grad": 2, "h_grad": 1, "g_conj_grad": 1}
+# Calls at one point allowed per accepted iteration of a problem with a
+# closed-form pullback; one g_grad call checks the pullback and is the next
+# iterate's gradient.
+_PER_ITERATION = {"g_value": 1, "h_value": 1, "g_grad": 1, "h_grad": 1, "g_conj_grad": 1}
 
 
 def _counted(p):
@@ -414,6 +424,62 @@ def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso):
         # The log: two g_value and one g_grad call on the stacked iterates.
         stacked = {key: n for key, n in calls.items() if key[1] == 2}
         assert stacked == {("g_value", 2): 2, ("g_grad", 2): 1}
+
+
+_SCHEME_FIELDS = (
+    "points", "y_states", "f_values", "f_roundoff", "grad_norms", "bregman_steps",
+    "step_norms", "termination",
+)
+
+
+def _scheme_cases():
+    return [
+        (make_double_well([1.0, 4.0]), [1.8, -0.3]),
+        (make_quadratic([[3.0, 1.0], [1.0, 2.0]], np.eye(2)), [1.0, -0.6]),
+        (make_shifted_decomposition(make_double_well([0.5, 2.0, 1.0]), [0.3, 0.0, 1.5]),
+         [1.7, -0.4, 0.9]),
+    ]
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_inverted_iterates_equal_checked_ones(case, mode, monkeypatch):
+    # With every check of a closed-form pullback failing, each iterate goes
+    # through invert_grad_g and ends bit for bit where the checked one did.
+    p, x0 = _scheme_cases()[case]
+    run = lambda: run_scheme(p, np.array(x0), SchemeConfig(eta=0.5, max_iter=60), mode)
+    steps = run().n_points - 1
+    inversions = count_point_inversions(monkeypatch, schemes)
+    checked = outcome(run, _SCHEME_FIELDS)
+    assert inversions[0] == 0
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _SCHEME_FIELDS) == checked
+    assert inversions[0] == steps > 5
+
+
+@pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
+@pytest.mark.parametrize("defect", [np.nan, 1e-6], ids=["nan", "off"])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_a_wrong_closed_form_fails_as_without_the_check(mode, defect, newton_steps, monkeypatch):
+    # Wrong only at targets with y[0] > 1, which the run reaches from x0:
+    # the iterate whose check catches it goes through invert_grad_g, so
+    # Newton and every error run as they do with every check failing.
+    p = off_closed_form(make_double_well([1.0, 4.0]), defect, threshold=1.0)
+    if newton_steps is not None:
+        monkeypatch.setattr(core, "_MAX_NEWTON_ITER", newton_steps)
+    run = lambda: run_scheme(p, np.array([0.5, 0.5]), SchemeConfig(eta=0.5), mode)
+    inversions = count_point_inversions(monkeypatch, schemes)
+    checked = outcome(run, _SCHEME_FIELDS)
+    assert inversions[0] > 0
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _SCHEME_FIELDS) == checked
+    if np.isnan(defect):
+        assert checked == (core.NumericError, "non-finite gradient residual at the start point")
+    elif newton_steps == 0:
+        assert checked[0] is core.ConvergenceError
+        assert re.search(r"\(residual \S+\) in scheme iteration [1-9]\d* \(eta=0\.5\)$", checked[1])
+    else:
+        assert len(checked) == len(_SCHEME_FIELDS)
 
 
 def test_step_norms_vanish_along_converging_run(dw_unit):
