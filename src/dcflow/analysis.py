@@ -24,7 +24,6 @@ from .core import (
     ROUNDOFF,
     Box,
     BoxConstants,
-    ConvergenceError,
     DcError,
     DcProblem,
     _eigvalsh,
@@ -405,16 +404,17 @@ def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float
     meets the inversion's stopping rule, which the steps after it measure.
     A distance beyond ten times the start radius, or a run that stops
     descending (``Termination.NUMERIC_ERROR``) before its distances end,
-    raises :class:`LocalityError`.  A failed inversion raises
-    :class:`~dcflow.core.ConvergenceError` naming the iteration, ``eta``
-    and the radius; an ``eta`` outside ``(0, 1]`` raises ``ValueError``.
+    raises :class:`LocalityError`.  A :class:`~dcflow.core.DcError` of the
+    run, a failed inversion's ``ConvergenceError`` included, names the
+    iteration, ``eta`` and the radius; an ``eta`` outside ``(0, 1]`` raises
+    ``ValueError``.
     """
     radius, x_star = _CONTRACTION_RADIUS, lin.x_star
     # Only an exactly critical iterate stops the run early.
     cfg = SchemeConfig(eta=eta, max_iter=_CONTRACTION_STEPS, stop_grad_tol=np.finfo(float).tiny)
     try:
         trace = run_scheme(p, x_star + radius * lin.slow_direction, cfg)
-    except ConvergenceError as exc:
+    except DcError as exc:
         raise exc.with_phase(f"of the local contraction at radius {radius:g}") from exc
 
     dists = _row_norms(trace.points - x_star)

@@ -9,12 +9,13 @@ discrete scheme and the continuous flow integrator go through.  Newton's
 method on ``grad g(x) = y`` is the one inversion kernel; a problem with a
 closed-form ``grad g*`` supplies its starting point.  The closed-form call
 (``_closed_form``) and the stopping rule's test at Newton's start
-(``_meets_start_goal``) each have one home here: the flow step and the
-schemes use both to check closed-form pullbacks where they already hold
-``grad g`` at them, and invert only where the check fails.  The
-damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
-discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
-explicit Euler step of the dual system from a carried dual state ``y``.
+(``_meets_start_goal``) each have one home here: the flow step (its
+stages and its record times) and the schemes use both to check
+closed-form pullbacks where they already hold ``grad g`` at them, and
+invert only where the check fails.  The damped target
+``(1-eta) y + eta grad h(x)`` is the one step map of the discrete schemes:
+the damped DCA step with ``y = grad g(x)``, and the explicit Euler step of
+the dual system from a carried dual state ``y``.
 Two private kernels, ``_solve_metric`` and ``_eigvalsh``, solve and
 diagonalize every stack of Hessians: a diagonal one in O(dim) per row, bit
 for bit as LAPACK does, any other through LAPACK.  Their callers read the
@@ -50,6 +51,10 @@ __all__ = [
 class DcError(Exception):
     """Base class for numerical failures raised by this package."""
 
+    def with_phase(self, phase: str) -> "DcError":
+        """The same failure, its message extended by where it happened."""
+        return type(self)(f"{self} {phase}")
+
 
 class ConvergenceError(DcError):
     """Gradient inversion stopped short of its stopping rule.
@@ -72,7 +77,7 @@ class ConvergenceError(DcError):
         self.row = row
 
     def with_phase(self, phase: str) -> "ConvergenceError":
-        """The same failure, its message extended by where it happened."""
+        """:meth:`DcError.with_phase`, keeping the residual, iterations and row."""
         return ConvergenceError(
             f"{self} {phase}", self.best_residual, self.iterations, self.row
         )
@@ -178,7 +183,8 @@ class DcProblem:
     ``(m, dim)`` and answers row by row: a stack gets values ``(m,)``,
     gradients ``(m, dim)`` and Hessians ``(m, dim, dim)``, each row equal to
     the call on that row alone.  Stacks let the flow integrator pull back
-    every record time of an accepted step in one batched Newton solve, and
+    every record time of an accepted step in one call, let the scheme's
+    divergence guard read the values of a block of iterates at once, and
     let the probe sweeps read each oracle once per box, the Hessians once
     per row block of at most :data:`_HESS_BLOCK_BYTES`, so the rows of a
     stack may come in several calls.  Newton's steps in
@@ -222,7 +228,7 @@ class DcProblem:
         closed form costs Newton steps, never an unverified preimage.  The
         flow step and the schemes call it directly and check its answers
         against the same rule, a flow step's six stages in one stacked
-        ``g_grad`` call.
+        ``g_grad`` call and its record times in another.
     """
 
     dim: int

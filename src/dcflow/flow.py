@@ -14,14 +14,16 @@ warm-started at the previous evaluation's pullback, and consecutive
 evaluations are close, so it typically finishes in one or two steps.  Step
 sizes follow the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
-accepted step.  The interpolated dual states of one
-accepted step are pulled back through the inverse gradient map in one
-batched inversion, which gives the primal trajectory of the metric gradient
-flow ``Hess g(x) x' = -grad f(x)`` at every record time the step covers.
-The loop keeps only those states and tests each for equilibrium on its
-gradient norm; the samples' metric speeds and values are read after it, in
-stacked oracle calls over the whole trace, the metric Hessians in row blocks
-of bounded size.
+accepted step.  The interpolated dual states of one accepted step are
+pulled back together, which gives the primal trajectory of the metric
+gradient flow ``Hess g(x) x' = -grad f(x)`` at every record time the step
+covers: through the closed form where the problem has one, checked like
+the stages on one stacked ``g_grad`` call, and otherwise, or where the
+check fails, in one batched inversion.  The loop keeps only those states
+and tests each for equilibrium on its gradient norm, for checked
+pullbacks the checking ``g_grad`` call less ``h_grad``; the samples'
+metric speeds and values are read after it, in stacked oracle calls over
+the whole trace, the metric Hessians in row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -177,6 +179,15 @@ def _record_targets(t_end: float, stride: float) -> np.ndarray:
     return np.asarray(targets)
 
 
+def _checked(y: np.ndarray, x: np.ndarray, grad_g: np.ndarray) -> bool:
+    """Whether the closed-form pullbacks ``x`` of the targets ``y`` are finite
+    and meet :func:`~dcflow.core._meets_start_goal` on ``grad_g``, the
+    ``g_grad`` call at them: then they are what the inversion returns."""
+    return bool(np.isfinite(x).all()) and _meets_start_goal(
+        _row_norms(grad_g - y), _row_norms(y)
+    )
+
+
 def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     """Integrate the dual ODE from ``y0 = grad g(x0)`` and pull back samples.
 
@@ -184,19 +195,23 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     so that it ends exactly at ``t_end``.  States are recorded at multiples
     of ``record_stride`` (and at ``t_end``): ``y_states`` holds the
     continuous extension of the step that covers each record time, and
-    ``x_states`` its pullback.  The record times of one accepted step are
-    pulled back in one batched inversion, warm-started on the chord between
-    the pullbacks at the step's two ends, which the stages already made.
-    The stride therefore chooses output times only and never limits the
-    step size.  With a closed-form ``g_conj_grad`` a step's six new stages
-    pull back through it alone, and one ``g_grad`` call on their ``(6, n)``
-    stack checks them with :func:`~dcflow.core._meets_start_goal`, the test
-    at Newton's start.  A stage pullback that is not finite or fails it has
-    the step redone stage by stage through
-    :func:`~dcflow.core.invert_grad_g`, so the stages, Newton's steps and
-    every error are those of inverting each stage.  Integration halts at
-    the first sample whose primal gradient norm is at most
-    :data:`EQUILIBRIUM_GRAD_TOL`; the loop reads only that norm.  The metric
+    ``x_states`` its pullback.  The stride chooses output times only and
+    never limits the step size.  With a closed-form ``g_conj_grad`` a
+    step's six new stages pull back through it alone, and one ``g_grad``
+    call on their ``(6, n)`` stack checks them with
+    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start.  A
+    stage pullback that is not finite or fails it has the step redone stage
+    by stage through :func:`~dcflow.core.invert_grad_g`, so the stages,
+    Newton's steps and every error are those of inverting each stage.  The
+    record times of one accepted step are pulled back the same way, in one
+    stack: the closed form, checked on one ``g_grad`` call, or where it
+    fails the check, and without a closed form, one batched inversion
+    warm-started on the chord between the pullbacks at the step's two ends,
+    which the stages already made.  Integration halts at the first sample
+    whose primal gradient norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the
+    loop reads only that norm, for checked records as the checking
+    ``g_grad`` call less one ``h_grad`` call, the bits ``p.f_grad`` gives,
+    and for inverted ones through ``p.f_grad``.  The metric
     speeds and values of all kept samples come after the loop from one
     stacked :func:`~dcflow.core.flow_velocity` and one
     ``f_value_and_roundoff`` call; the velocity call reads ``g_hess`` in row
@@ -209,7 +224,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         If error control pushes the step below ``1e-14``.
     ConvergenceError
         If a gradient inversion fails; the message names the step's start
-        time and size.
+        time and size, as it does for every
+        :class:`~dcflow.core.DcError` raised in a step.
     numpy.linalg.LinAlgError
         If ``Hess g`` is singular at a kept sample, once the loop has ended;
         a strongly convex ``g`` rules it out.
@@ -243,20 +259,32 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
 
         k = slopes(field, y, k1, h)
         stage_y, stage_x = np.array(ys), np.array(xs)
-        residual = np.asarray(p.g_grad(stage_x), dtype=float) - stage_y
-        if not (
-            np.isfinite(stage_x).all()
-            and _meets_start_goal(_row_norms(residual), _row_norms(stage_y))
-        ):
+        if not _checked(stage_y, stage_x, np.asarray(p.g_grad(stage_x), dtype=float)):
             return None
         warm[0] = xs[-1]
         return k
 
+    def pull_back(y_s: np.ndarray, warm_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pullbacks of the record states ``y_s`` and ``grad f`` there.
+
+        The closed form's answers, if they pass :func:`_checked` on one
+        stacked ``g_grad`` call; that call less ``h_grad`` is ``grad f``, the
+        bits :meth:`~dcflow.core.DcProblem.f_grad` returns.  Otherwise one
+        batched inversion from ``warm_s`` and ``p.f_grad``."""
+        if p.g_conj_grad is not None:
+            x_s = _closed_form(p, y_s)
+            grad_g = np.asarray(p.g_grad(x_s), dtype=float)
+            if _checked(y_s, x_s, grad_g):
+                return x_s, grad_g - np.asarray(p.h_grad(x_s), dtype=float)
+        x_s = invert_grad_g(p, y_s, warm_s)
+        return x_s, p.f_grad(x_s)
+
     samples = ([], [], [])  # times, y, x, in chunks
 
-    def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray) -> bool:
-        """Append samples up to the first at equilibrium; True if one is."""
-        at_rest = np.flatnonzero(_row_norms(p.f_grad(x_s)) <= EQUILIBRIUM_GRAD_TOL)
+    def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray, grad_f: np.ndarray) -> bool:
+        """Append samples up to the first at equilibrium, judged on its
+        ``grad f`` row; True if one is."""
+        at_rest = np.flatnonzero(_row_norms(grad_f) <= EQUILIBRIUM_GRAD_TOL)
         keep = at_rest[0] + 1 if at_rest.size else len(t_s)
         for out, new in zip(samples, (t_s, y_s, x_s)):
             out.append(new[:keep])
@@ -276,7 +304,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         )
 
     y = np.asarray(p.g_grad(x0), dtype=float)
-    if record(np.zeros(1), y[None], x0[None]):
+    if record(np.zeros(1), y[None], x0[None], p.f_grad(x0[None])):
         return build()
 
     targets = _record_targets(cfg.t_end, cfg.record_stride)
@@ -293,9 +321,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             last = h >= t_end - t - 1e-14 * max(1.0, t_end)
             h_try = t_end - t if last else h
             if h_try < _MIN_STEP:
-                raise StiffnessError(
-                    f"step size underflow at t={t:g} (needed step {h_try:g})"
-                )
+                # The phase added below names t and the step needed.
+                raise StiffnessError("step size underflow")
 
             k = closed_slopes(y, k1, h_try) if p.g_conj_grad is not None else None
             if k is None:
@@ -311,9 +338,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             if err > 1.0:
                 h = h_try * max(0.2, 0.9 * err**-0.2)
                 if h < _MIN_STEP:
-                    raise StiffnessError(
-                        f"step size underflow at t={t:g} after rejection"
-                    )
+                    raise StiffnessError("step size underflow after rejection")
                 continue
 
             t_new = t_end if last else t + h_try
@@ -324,9 +349,9 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 # The seventh stage sits at the accepted state, so warm[0]
                 # is the pullback at the step's end.
                 y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
-                x_s = invert_grad_g(p, y_s, x_start + theta * (warm[0] - x_start))
+                x_s, grad_f = pull_back(y_s, x_start + theta * (warm[0] - x_start))
                 target_idx = stop
-                if record(t_s, y_s, x_s):
+                if record(t_s, y_s, x_s, grad_f):
                     return build()
 
             t = t_new
@@ -337,7 +362,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
             err_prev = err
             h = max(h_try * factor, _MIN_STEP)
-    except ConvergenceError as exc:
+    except DcError as exc:
         raise exc.with_phase(f"in the flow step from t={t:g} of size {h_try:g}") from exc
 
     return build()
@@ -371,7 +396,9 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
     ``ValueError``.  At such steps the scheme descends, so a run that ends
     ``Termination.NUMERIC_ERROR`` raises :class:`~dcflow.core.NumericError`.
     A failed inversion raises :class:`~dcflow.core.ConvergenceError` naming
-    the scheme iteration and ``eta``, or the pullback's sample time.
+    the scheme iteration and ``eta``, or the pullback's sample time; any
+    other :class:`~dcflow.core.DcError` names the scheme iteration, or the
+    pullback, and ``eta``.
     """
     x0 = p.check_point(x0)
     times = np.asarray(times, dtype=float)
@@ -394,6 +421,8 @@ def dual_euler_interpolant(p: DcProblem, x0, eta: float, times) -> np.ndarray:
         raise exc.with_phase(
             f"in the interpolant pullback at t={times[exc.row]:g} (eta={eta:g})"
         ) from exc
+    except DcError as exc:
+        raise exc.with_phase(f"in the interpolant pullback (eta={eta:g})") from exc
 
 
 def euler_refinement_study(

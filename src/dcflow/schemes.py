@@ -8,7 +8,11 @@ problem has one, a gradient inversion otherwise or where the check fails.
 The primal damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the
 classical step; the dual Euler step of size ``eta`` along
 ``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
-either form, logs every iterate, its dual state included.
+either form, logs every iterate, its dual state included.  The loop
+reads only what the next iterate needs; the objective values that the
+divergence guard judges, read in stacked calls over blocks of logged
+iterates, and the Bregman steps and step norms of the log are computed
+outside it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .core import (
     Box,
-    ConvergenceError,
+    DcError,
     DcProblem,
     _closed_form,
     _meets_start_goal,
@@ -44,6 +48,10 @@ __all__ = [
 # the roundoff of both values, signal a broken oracle or a failed
 # inversion, never a property of the method.
 _DIVERGENCE_SLACK = 1e-6
+# Logged iterates that the divergence guard judges in one stacked objective
+# call.  No iterate depends on its verdict, so up to this many minus one
+# iterations may run past the one that trips it, and are dropped.
+_GUARD_BLOCK = 32
 # Slack of the per-step descent inequalities, relative to 1 + |f| and on top
 # of the roundoff of the values they compare.
 _DESCENT_SLACK = 1e-9
@@ -123,24 +131,32 @@ def run_scheme(
     """Iterate until the gradient stopping tolerance or the iteration cap.
 
     Each iterate costs one ``g_grad`` and one ``h_grad`` call, which give
-    both its gradient norm and the next step's target, one pullback and
-    one objective value for the divergence guard.  With a closed-form
-    ``g_conj_grad`` the pullback is its value, checked once per iterate by
-    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start, on
-    one ``g_grad`` call that is then the next iterate's gradient; where the
-    check fails, and without a closed form, it is
+    both its gradient norm and the next step's target, and one pullback.
+    With a closed-form ``g_conj_grad`` the pullback is its value, checked
+    once per iterate by :func:`~dcflow.core._meets_start_goal`, the test at
+    Newton's start, on one ``g_grad`` call that is then the next iterate's
+    gradient; where the check fails, and without a closed form, it is
     :func:`~dcflow.core.invert_grad_g` from the current iterate.  The
-    Bregman steps and step norms of the log are computed after the loop, in
-    stacked calls on all iterates.
+    objective values, the Bregman steps and the step norms of the log are
+    computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
     ``grad g(x_k)``, dual mode from the state ``y_k`` it carries, whose
     pullback ``x_k`` serves both the log and the next step.  A NaN
-    objective or an objective increase beyond the divergence guard stops
-    the run with ``Termination.NUMERIC_ERROR``.  A ``ConvergenceError`` of
-    the inversion propagates, its message naming the iteration and ``eta``.
-    Each pullback meets the rule of :func:`~dcflow.core.invert_grad_g`,
+    objective or an objective increase beyond the divergence guard ends
+    the run with ``Termination.NUMERIC_ERROR``, its log cut before the
+    first iterate that fails.  No later iterate depends on the guard's
+    verdict, so it judges the logged iterates in stacks of
+    ``_GUARD_BLOCK``, and once more when the loop ends: at most
+    ``_GUARD_BLOCK - 1`` iterations run past the iterate that trips it, and
+    the trace is the one a per-iterate guard would have returned.  An
+    exception raised in the loop first has the guard judge what is logged:
+    if it trips, the run ends there as it would have before the exception;
+    otherwise the exception propagates, a :class:`~dcflow.core.DcError`
+    (a ``ConvergenceError`` of the inversion included) with its message
+    naming the iteration and ``eta``.  Each pullback meets the rule of
+    :func:`~dcflow.core.invert_grad_g`,
     ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``:
     relative to small targets, absolute beyond norm 1, and at the roundoff
     ``floor`` of targets too large for an absolute ``tol``.
@@ -150,45 +166,63 @@ def run_scheme(
     x = p.check_point(x0)
     eta = cfg.eta
 
-    f, f_err = p.f_value_and_roundoff(x)
-    points, y_states, f_values, f_errs, grad_norms = [x], [], [f], [f_err], []
+    points, y_states, grad_norms = [x], [], []
+    f_values, f_errs = [], []  # of the judged points, points[: len(f_values)]
     termination = Termination.MAX_ITER
 
+    def tripped() -> bool:
+        """Judge the unjudged points in one stacked objective call, in order;
+        at the first that fails, cut the log before it and end the run."""
+        nonlocal termination
+        start = len(f_values)
+        if start == len(points):
+            return False
+        fs, errs = p.f_value_and_roundoff(np.asarray(points[start:]))
+        for j, (f_next, err_next) in enumerate(zip(fs.tolist(), errs.tolist()), start):
+            if j > 0:
+                slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
+                if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
+                    del points[j:], y_states[j:], grad_norms[j:]
+                    termination = Termination.NUMERIC_ERROR
+                    return True
+            f_values.append(f_next)
+            f_errs.append(err_next)
+        return False
+
     grad_g = None  # g_grad at x, when the closed form's check has read it
-    for k in range(cfg.max_iter + 1):
-        if grad_g is None:
-            grad_g = np.asarray(p.g_grad(x), dtype=float)
-        grad_h = np.asarray(p.h_grad(x), dtype=float)
-        if k == 0:
-            y_states.append(grad_g)
-        grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
-        if grad_norms[-1] <= cfg.stop_grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        if k == cfg.max_iter:
-            break
-        y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
-        grad_next = None  # g_grad at x_next once the closed form passes its check
-        if p.g_conj_grad is not None:
-            x_next = _closed_form(p, y)
-            grad_next = np.asarray(p.g_grad(x_next), dtype=float)
-            if not _meets_start_goal(_row_norms(grad_next - y), _row_norms(y)):
-                grad_next = None
-        if grad_next is None:
-            try:
+    try:
+        for k in range(cfg.max_iter + 1):
+            if grad_g is None:
+                grad_g = np.asarray(p.g_grad(x), dtype=float)
+            grad_h = np.asarray(p.h_grad(x), dtype=float)
+            if k == 0:
+                y_states.append(grad_g)
+            grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
+            if grad_norms[-1] <= cfg.stop_grad_tol:
+                termination = Termination.GRAD_TOL
+                break
+            if k == cfg.max_iter:
+                break
+            y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
+            grad_next = None  # g_grad at x_next once the closed form passes its check
+            if p.g_conj_grad is not None:
+                x_next = _closed_form(p, y)
+                grad_next = np.asarray(p.g_grad(x_next), dtype=float)
+                if not _meets_start_goal(_row_norms(grad_next - y), _row_norms(y)):
+                    grad_next = None
+            if grad_next is None:
                 x_next = invert_grad_g(p, y, x)
-            except ConvergenceError as exc:
+            x, grad_g = x_next, grad_next
+            points.append(x)
+            y_states.append(y)
+            if len(points) - len(f_values) >= _GUARD_BLOCK and tripped():
+                break
+    except Exception as exc:
+        if not tripped():
+            if isinstance(exc, DcError):
                 raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
-        f_next, err_next = p.f_value_and_roundoff(x_next)
-        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
-        if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
-            termination = Termination.NUMERIC_ERROR
-            break
-        x, grad_g = x_next, grad_next
-        points.append(x)
-        y_states.append(y)
-        f_values.append(f_next)
-        f_errs.append(err_next)
+            raise
+    tripped()
 
     points = np.asarray(points)
     return IterateTrace(

@@ -5,8 +5,15 @@ import dataclasses
 import numpy as np
 
 from dcflow import core, flow, schemes
-from dcflow.core import DcError, central_diff_jacobian
-from dcflow.schemes import Mode, SchemeConfig, run_scheme
+from dcflow.core import DcError, central_diff_jacobian, invert_grad_g
+from dcflow.schemes import (
+    _DIVERGENCE_SLACK,
+    IterateTrace,
+    Mode,
+    SchemeConfig,
+    Termination,
+    run_scheme,
+)
 
 
 def central_diff_grad(fun, x, step: float) -> np.ndarray:
@@ -74,3 +81,71 @@ def outcome(run, fields):
         return type(exc), str(exc)
     values = (getattr(result, name) for name in fields)
     return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+
+def run_scheme_loop(p, x0, cfg, mode):
+    """Per-iterate reference for :func:`run_scheme`: every oracle is read
+    where a formula needs it, and each step is logged inside the loop."""
+    x = p.check_point(x0)
+    eta = cfg.eta
+    f, f_err = p.f_value_and_roundoff(x)
+    points, f_values, f_errs = [x], [f], [f_err]
+    grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
+    bregman_steps, step_norms = [], []
+    y = np.asarray(p.g_grad(x), dtype=float)
+    y_states = [y]
+    termination = Termination.MAX_ITER
+    for _ in range(cfg.max_iter):
+        if grad_norms[-1] <= cfg.stop_grad_tol:
+            termination = Termination.GRAD_TOL
+            break
+        grad_h = np.asarray(p.h_grad(x), dtype=float)
+        if mode is Mode.PRIMAL:
+            target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * grad_h
+        else:
+            target = (1.0 - eta) * y + eta * grad_h
+        x_next = invert_grad_g(p, target, x)
+        f_next, err_next = p.f_value_and_roundoff(x_next)
+        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
+        if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
+            termination = Termination.NUMERIC_ERROR
+            break
+        f_err = err_next
+        gx = np.asarray(p.g_grad(x), dtype=float)
+        bregman_steps.append(float(p.g_value(x_next) - p.g_value(x) - gx @ (x_next - x)))
+        step_norms.append(float(np.linalg.norm(x_next - x)))
+        x, y = x_next, target
+        points.append(x)
+        y_states.append(y)
+        f_values.append(f_next)
+        f_errs.append(err_next)
+        grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
+    else:
+        if grad_norms[-1] <= cfg.stop_grad_tol:
+            termination = Termination.GRAD_TOL
+    return IterateTrace(
+        points=np.asarray(points),
+        y_states=np.asarray(y_states),
+        f_values=np.asarray(f_values),
+        f_roundoff=np.asarray(f_errs),
+        grad_norms=np.asarray(grad_norms),
+        bregman_steps=np.asarray(bregman_steps),
+        step_norms=np.asarray(step_norms),
+        eta=eta,
+        termination=termination,
+    )
+
+
+TRACE_ARRAYS = (
+    "points", "y_states", "f_values", "f_roundoff", "grad_norms", "bregman_steps", "step_norms"
+)
+
+
+def assert_same_trace(trace, reference):
+    """Every array of two scheme traces equal bit for bit, and the rest equal."""
+    for name in TRACE_ARRAYS:
+        got, want = getattr(trace, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert trace.termination is reference.termination
+    assert trace.eta == reference.eta

@@ -32,11 +32,18 @@ from dcflow.analysis import (
     measure_local_contraction,
 )
 from dcflow import analysis, core
-from dcflow.core import BoxConstants, ConvergenceError, DcError, DcProblem, flow_velocity
+from dcflow.core import (
+    BoxConstants,
+    ConvergenceError,
+    DcError,
+    DcProblem,
+    NumericError,
+    flow_velocity,
+)
 from dcflow.flow import FlowTrace
 from dcflow.problems import _per_point
 from dcflow.schemes import IterateTrace, Termination
-from helpers import newton_only
+from helpers import newton_only, off_closed_form
 
 RNG = np.random.default_rng(20240505)
 
@@ -441,6 +448,17 @@ def test_contraction_inversion_failure_names_its_step(dw_unit, monkeypatch):
     assert "(residual " in str(info.value)
     assert str(info.value).endswith(
         "in scheme iteration 0 (eta=0.5) of the local contraction at radius 0.001"
+    )
+
+
+def test_contraction_numeric_error_names_its_step(dw_unit):
+    lin = linearize_at(dw_unit, np.ones(2))
+    p = off_closed_form(dw_unit, np.nan, threshold=-np.inf)
+    with pytest.raises(NumericError) as info:
+        measure_local_contraction(p, lin, 0.5)
+    assert str(info.value) == (
+        "non-finite gradient residual at the start point in scheme iteration 0 (eta=0.5) "
+        "of the local contraction at radius 0.001"
     )
 
 

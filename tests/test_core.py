@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import dcflow
 from dcflow import Box, make_double_well, make_quadratic, make_shifted_decomposition
-from dcflow import core
+from dcflow import core, flow, schemes
 from dcflow.core import (
     INVERSION_TOL,
     ConvergenceError,
@@ -655,3 +656,30 @@ def test_only_core_calls_the_closed_form_and_writes_the_start_test():
     src = Path(core.__file__).parent
     homes = set().union(*(_stopping_rule_homes(f) for f in src.glob("*.py")))
     assert homes == {("core.py", "_closed_form", "call"), ("core.py", "_meets_start_goal", "test")}
+
+
+def _methods_called_in_loops(func, loop) -> set[str]:
+    """Attribute names called anywhere in a ``loop`` statement (``ast.For``
+    or ``ast.While``) of ``func``'s source, its nested functions included."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {
+        node.func.attr
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, loop)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
+def test_scheme_and_flow_loops_read_no_objective():
+    # The scheme's divergence guard reads the objective in stacked calls
+    # outside its loop, and the flow's equilibrium test reads grad f off the
+    # g_grad call that checks the record times: neither loop calls an
+    # objective value, and the flow's step loop never calls p.f_grad.
+    objective = {"f_value_and_roundoff", "f_value", "g_value", "h_value"}
+    in_scheme = _methods_called_in_loops(schemes.run_scheme, ast.For)
+    assert {"g_grad", "h_grad"} <= in_scheme
+    assert not in_scheme & objective
+    in_flow = _methods_called_in_loops(flow.integrate_flow, ast.While)
+    assert "searchsorted" in in_flow
+    assert not in_flow & (objective | {"f_grad"})

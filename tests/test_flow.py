@@ -187,8 +187,9 @@ def dw_fine_run():
 
     ``counts`` splits the flow's inversions into field evaluations (the one
     pullback of a single dual state, a 1-D target) and pullbacks of record
-    times (a stack), the latter with the number of rows they cover.
-    ``calls`` lists the pullback and gradient oracle calls made outside those
+    times (a stack), the latter with the number of rows they cover; record
+    times invert only where the closed form fails its check.  ``calls``
+    lists the pullback and gradient oracle calls made outside those
     inversions, in order, as ``(name, shape)``."""
     counts = {"field": 0, "pullback": 0, "pullback_rows": 0}
     calls = []
@@ -236,18 +237,27 @@ def test_dense_output_inversion_count(dw_fine_run):
     # the sixth stage's h_grad; no step is replayed through inversions.
     assert counts["field"] == 1
     conj = [i for i, (name, _) in enumerate(calls) if name == "g_conj_grad"]
-    assert {calls[i][1] for i in conj} == {(2,)}
-    assert len(conj) % 6 == 0
-    n_steps = len(conj) // 6
-    for last in conj[5::6]:
+    stages = [i for i in conj if calls[i][1] == (2,)]
+    assert len(stages) % 6 == 0
+    n_steps = len(stages) // 6
+    for last in stages[5::6]:
         assert calls[last + 1 : last + 3] == [("h_grad", (2,)), ("g_grad", (6, 2))]
-    pullbacks = 6 * n_steps + counts["field"] + counts["pullback"]
+    # One stacked closed-form call per accepted step covers every record
+    # time in it; one g_grad call on the stack checks it, and with one
+    # h_grad call gives grad f for the equilibrium test.  No record time is
+    # inverted.  n_steps, which counts rejected steps too, bounds the
+    # accepted ones.
+    records = [i for i in conj if i not in stages]
+    for i in records:
+        m = calls[i][1][0]
+        assert calls[i][1] == (m, 2)
+        assert calls[i + 1 : i + 3] == [("g_grad", (m, 2)), ("h_grad", (m, 2))]
+    assert 0 < len(records) <= n_steps
+    assert sum(calls[i][1][0] for i in records) == trace.n_samples - 1
+    assert counts["pullback"] == counts["pullback_rows"] == 0
+    pullbacks = 6 * n_steps + counts["field"] + len(records)
     assert pullbacks <= trace.n_samples + 7 * n_steps
     assert pullbacks < 15000
-    # One batched pullback per accepted step covers every record time in it;
-    # n_steps, which counts rejected steps too, bounds the accepted ones.
-    assert 0 < counts["pullback"] <= n_steps
-    assert counts["pullback_rows"] == trace.n_samples - 1
 
 
 def test_dense_output_independent_of_stride(dw_fine_run):
@@ -307,6 +317,45 @@ def test_replayed_steps_equal_checked_ones(case, monkeypatch):
     assert inversions[0] > 1 and (inversions[0] - 1) % 6 == 0
 
 
+@pytest.mark.parametrize("defect", [np.nan, 1e-3], ids=["nan", "off"])
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
+    # A closed form wrong at every stack of record times, and right at each
+    # stage: every record check fails, and each accepted step's record times
+    # go through one batched inversion and p.f_grad, as without the check.
+    p, x0 = _deferred_pass_cases()[case]
+    run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
+    f_grads = []
+    f_grad = core.DcProblem.f_grad
+    monkeypatch.setattr(
+        core.DcProblem, "f_grad", lambda self, x: f_grads.append(np.shape(x)) or f_grad(self, x)
+    )
+    stacks = _pullback_rows(monkeypatch)
+    checked = outcome(run, _FLOW_FIELDS)
+    # Checked, p.f_grad serves only the start's equilibrium test and the
+    # velocity pass over all samples after the loop.
+    n = np.frombuffer(checked[0]).size
+    assert f_grads == [(1, p.dim), (n, p.dim)]
+    f_grads.clear()
+    monkeypatch.setattr(
+        flow,
+        "_closed_form",
+        lambda p, y: core._closed_form(p, y) + (defect if np.ndim(y) == 2 else 0.0),
+    )
+    rows = []
+
+    def pullback(p, y, warm_start):
+        rows.append(np.shape(y))
+        return core.invert_grad_g(p, y, warm_start)
+
+    monkeypatch.setattr(flow, "invert_grad_g", pullback)
+    assert outcome(run, _FLOW_FIELDS) == checked
+    # The first field evaluation, then one inversion per checked stack.
+    assert rows[0] == (p.dim,)
+    assert rows[1:] == [(m, p.dim) for m in stacks] and len(stacks) > 10
+    assert f_grads == [(1, p.dim)] + rows[1:] + [(n, p.dim)]
+
+
 @pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
 @pytest.mark.parametrize("defect", [np.nan, 1e-6], ids=["nan", "off"])
 def test_a_wrong_closed_form_fails_as_without_the_check(defect, newton_steps, monkeypatch):
@@ -323,7 +372,12 @@ def test_a_wrong_closed_form_fails_as_without_the_check(defect, newton_steps, mo
     reject_closed_forms(monkeypatch)
     assert outcome(run, _FLOW_FIELDS) == checked
     if np.isnan(defect):
-        assert checked == (core.NumericError, "non-finite gradient residual at the start point")
+        assert checked[0] is core.NumericError
+        assert re.fullmatch(
+            r"non-finite gradient residual at the start point in the flow step from t=\S+ "
+            r"of size \S+",
+            checked[1],
+        )
     elif newton_steps == 0:
         assert checked[0] is core.ConvergenceError
         assert re.search(r"\(residual \S+\) in the flow step from t=\S+ of size \S+$", checked[1])
@@ -332,15 +386,15 @@ def test_a_wrong_closed_form_fails_as_without_the_check(defect, newton_steps, mo
 
 
 def _pullback_rows(monkeypatch):
-    """Count the rows of each stacked pullback of record times."""
+    """Count the rows of each stacked closed-form pullback of record times."""
     rows = []
 
-    def pullback(p, y, warm_start):
+    def closed_form(p, y):
         if np.ndim(y) == 2:
             rows.append(len(y))
-        return core.invert_grad_g(p, y, warm_start)
+        return core._closed_form(p, y)
 
-    monkeypatch.setattr(flow, "invert_grad_g", pullback)
+    monkeypatch.setattr(flow, "_closed_form", closed_form)
     return rows
 
 
@@ -373,7 +427,7 @@ def _counted_hessian(p):
 
 @pytest.mark.parametrize("block_rows", [None, 64, 7, 1])
 def test_record_pass_reads_the_hessian_once_per_block(dw_aniso, monkeypatch, block_rows):
-    # The closed-form pullback meets Newton's stopping rule with no step, so
+    # The closed-form pullbacks pass their check, so no inversion runs and
     # every g_hess call comes from the velocity pass after the loop.
     x0, cfg = np.array([1.8, -0.4]), FlowConfig(t_end=3.0, record_stride=1e-2)
     reference = integrate_flow(dw_aniso, x0, cfg)
@@ -403,15 +457,21 @@ def test_stiffness_error_on_blowup_field():
         h_hess=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
     )
     cfg = FlowConfig(t_end=2.0, record_stride=0.1)
-    with pytest.raises(StiffnessError):
+    with pytest.raises(StiffnessError) as info:
         integrate_flow(p, np.array([1.0]), cfg)
+    assert re.fullmatch(
+        r"step size underflow( after rejection)? in the flow step from t=\S+ of size \S+",
+        str(info.value),
+    )
 
 
 def test_sample_pullback_failure_names_its_step(dw_unit, monkeypatch):
-    # A tol of 1e-300 leaves the batched pullback of the first step's record
-    # times stuck at roundoff; the error names the row and then the step.
-    # Field evaluations pull back one dual state, a 1-D target, and keep
-    # the default tol.
+    # With every closed-form check failing, record times are pulled back
+    # through invert_grad_g.  A tol of 1e-300 leaves the batched pullback of
+    # the first step's record times stuck at roundoff; the error names the
+    # row and then the step.  Field evaluations pull back one dual state, a
+    # 1-D target, and keep the default tol.
+    reject_closed_forms(monkeypatch)
     real = core.invert_grad_g
 
     def pullback(p, y, warm):
@@ -575,3 +635,16 @@ def test_interpolant_inversion_failure_names_its_phase(dw_unit, monkeypatch, mod
         dual_euler_interpolant(newton_only(dw_unit), np.array([0.5, 0.5]), 0.1, times)
     assert "(residual " in str(info.value)
     assert str(info.value).endswith(phase)
+
+
+def test_interpolant_numeric_error_names_its_phase(dw_unit):
+    # A closed form that is NaN on stacks fails the batched pullback at its
+    # start, with no row to name: the error names the pullback and eta.
+    nan_stacks = dataclasses.replace(
+        dw_unit, g_conj_grad=lambda y: dw_unit.g_conj_grad(y) + (np.nan if np.ndim(y) == 2 else 0.0)
+    )
+    with pytest.raises(core.NumericError) as info:
+        dual_euler_interpolant(nan_stacks, np.array([0.5, 0.5]), 0.1, [0.0, 0.05])
+    assert str(info.value) == (
+        "non-finite gradient residual at the start point in the interpolant pullback (eta=0.1)"
+    )

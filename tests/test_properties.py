@@ -4,7 +4,8 @@ closed-form box constants, the damped scheme's rate bound, stacked
 oracles and inversions against single-point calls, the closed-form
 pullback against the inversion's stopping rule, the exact diagonal path
 of the stacked Hessian kernels against LAPACK, and the symmetric-definite
-pencil kernel on indefinite and singular ``h``.
+pencil kernel on indefinite and singular ``h``, and the scheme's guard
+blocks against the per-iterate guard.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -20,6 +21,7 @@ to the target; the pinned example below broke criterion 01 (a gap of
 1.7e-8) while the inversion stopped on an absolute residual.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -46,11 +48,11 @@ from dcflow.analysis import (
     energy_residuals,
     local_exp_certificate,
 )
-from dcflow import core
+from dcflow import core, schemes
 from dcflow.core import INVERSION_TOL, ROUNDOFF, flow_velocity, invert_grad_g
 from dcflow.problems import _per_point
-from dcflow.schemes import gradient_identity_margin
-from helpers import newton_only, primal_dual_sup_gap
+from dcflow.schemes import Mode, gradient_identity_margin
+from helpers import assert_same_trace, newton_only, primal_dual_sup_gap, run_scheme_loop
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -151,6 +153,36 @@ def test_quadratic_flow_matches_closed_form(instance):
 def test_double_well_flow_energy_identity(instance):
     p, x0 = instance
     _flow_with_energy_check(p, x0)
+
+
+@st.composite
+def guarded_runs(draw):
+    """A double well or an SPD quadratic split with a start, its ``h`` maybe
+    lowered by 1 or made NaN farther than ``r`` from the start, so the guard
+    may trip at any iterate, with a run's mode, relaxation, cap and guard
+    block."""
+    p, x0 = draw(st.one_of(double_well_instances(), quadratic_instances()))
+    jump = draw(st.sampled_from([0.0, 1.0, np.nan]))
+    if jump != 0.0:
+        r = draw(st.floats(min_value=0.0, max_value=1.0))
+        h_value = p.h_value
+        p = dataclasses.replace(
+            p,
+            h_value=lambda x: h_value(x) - np.where(np.vecdot(x - x0, x - x0) > r * r, jump, 0.0),
+        )
+    cfg = SchemeConfig(eta=draw(etas), max_iter=draw(st.integers(min_value=1, max_value=80)))
+    mode = draw(st.sampled_from([Mode.PRIMAL, Mode.DUAL]))
+    return p, x0, cfg, mode, draw(st.sampled_from([1, 2, 3, 5, 32]))
+
+
+@PROPERTY_SETTINGS
+@given(guarded_runs())
+def test_guard_blocks_equal_the_per_iterate_guard(run):
+    p, x0, cfg, mode, block = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "_GUARD_BLOCK", block)
+        trace = run_scheme(p, x0, cfg, mode)
+    assert_same_trace(trace, run_scheme_loop(p, x0, cfg, mode))
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -19,19 +20,15 @@ from dcflow import (
 )
 from dcflow import core, schemes
 from dcflow.core import INVERSION_TOL, DcProblem, damped_target, invert_grad_g
-from dcflow.schemes import (
-    _DESCENT_SLACK,
-    _DIVERGENCE_SLACK,
-    IterateTrace,
-    Termination,
-    gradient_identity_margin,
-)
+from dcflow.schemes import _DESCENT_SLACK, Termination, gradient_identity_margin
 from helpers import (
+    assert_same_trace,
     count_point_inversions,
     off_closed_form,
     outcome,
     primal_dual_sup_gap,
     reject_closed_forms,
+    run_scheme_loop,
 )
 
 RNG = np.random.default_rng(20240503)
@@ -291,74 +288,14 @@ def test_stacked_scheme_checks_equal_per_iterate_loops(eta, mode, quad_canonical
             assert gradient_identity_margin(p, t) == _gradient_identity_margin_loop(p, t)
 
 
-def _run_scheme_loop(p, x0, cfg, mode):
-    """Per-iterate reference for :func:`run_scheme`: every oracle is read
-    where a formula needs it, and each step is logged inside the loop."""
-    x = p.check_point(x0)
-    eta = cfg.eta
-    f, f_err = p.f_value_and_roundoff(x)
-    points, f_values, f_errs = [x], [f], [f_err]
-    grad_norms = [float(np.linalg.norm(p.f_grad(x)))]
-    bregman_steps, step_norms = [], []
-    y = np.asarray(p.g_grad(x), dtype=float)
-    y_states = [y]
-    termination = Termination.MAX_ITER
-    for _ in range(cfg.max_iter):
-        if grad_norms[-1] <= cfg.stop_grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        grad_h = np.asarray(p.h_grad(x), dtype=float)
-        if mode is Mode.PRIMAL:
-            target = (1.0 - eta) * np.asarray(p.g_grad(x), dtype=float) + eta * grad_h
-        else:
-            target = (1.0 - eta) * y + eta * grad_h
-        x_next = invert_grad_g(p, target, x)
-        f_next, err_next = p.f_value_and_roundoff(x_next)
-        slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_err + err_next
-        if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
-            termination = Termination.NUMERIC_ERROR
-            break
-        f_err = err_next
-        gx = np.asarray(p.g_grad(x), dtype=float)
-        bregman_steps.append(float(p.g_value(x_next) - p.g_value(x) - gx @ (x_next - x)))
-        step_norms.append(float(np.linalg.norm(x_next - x)))
-        x, y = x_next, target
-        points.append(x)
-        y_states.append(y)
-        f_values.append(f_next)
-        f_errs.append(err_next)
-        grad_norms.append(float(np.linalg.norm(p.f_grad(x))))
-    else:
-        if grad_norms[-1] <= cfg.stop_grad_tol:
-            termination = Termination.GRAD_TOL
-    return IterateTrace(
-        points=np.asarray(points),
-        y_states=np.asarray(y_states),
-        f_values=np.asarray(f_values),
-        f_roundoff=np.asarray(f_errs),
-        grad_norms=np.asarray(grad_norms),
-        bregman_steps=np.asarray(bregman_steps),
-        step_norms=np.asarray(step_norms),
-        eta=eta,
-        termination=termination,
-    )
-
-
-_TRACE_ARRAYS = (
-    "points", "y_states", "f_values", "f_roundoff", "grad_norms", "bregman_steps", "step_norms"
-)
-
-
-@pytest.mark.parametrize("eta", [0.3, 1.0])
-@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
-def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonical, dw_aniso):
+def _bit_identity_cases(eta, quad_canonical, dw_aniso):
     shifted = make_shifted_decomposition(make_double_well([0.5, 2.0, 1.0]), [0.3, 0.0, 1.5])
     # h drops by 1 once x_0 < 1.3, so f jumps up there: the guard trips
     # after a few steps from x_0 = 1.9.
     jump = dataclasses.replace(
         dw_aniso, h_value=lambda x: dw_aniso.h_value(x) - np.where(x[..., 0] < 1.3, 1.0, 0.0)
     )
-    cases = [
+    return [
         (dw_aniso, [0.5, -0.7], SchemeConfig(eta=eta, max_iter=400)),
         (quad_canonical, [1.5, -0.8], SchemeConfig(eta=eta, max_iter=400)),
         (shifted, [1.7, -0.4, 0.9], SchemeConfig(eta=eta, max_iter=400)),
@@ -369,16 +306,15 @@ def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonic
         (_concave_h_problem(), [1.0], SchemeConfig(eta=1.0, max_iter=50)),
         (shifted, shifted.minimizer, SchemeConfig(eta=eta)),
     ]
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonical, dw_aniso):
     terminations = set()
-    for p, x0, cfg in cases:
+    for p, x0, cfg in _bit_identity_cases(eta, quad_canonical, dw_aniso):
         trace = run_scheme(p, np.array(x0), cfg, mode)
-        reference = _run_scheme_loop(p, np.array(x0), cfg, mode)
-        for name in _TRACE_ARRAYS:
-            got, want = getattr(trace, name), getattr(reference, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
-        assert trace.termination is reference.termination
-        assert trace.eta == reference.eta
+        assert_same_trace(trace, run_scheme_loop(p, np.array(x0), cfg, mode))
         terminations.add((trace.termination, trace.n_points == 1))
     assert terminations == {
         (Termination.GRAD_TOL, False),
@@ -389,11 +325,138 @@ def test_run_scheme_is_bit_identical_to_per_iterate_loop(eta, mode, quad_canonic
     }
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_guard_blocks_are_bit_identical_to_per_iterate_loop(
+    block, mode, quad_canonical, dw_aniso, monkeypatch
+):
+    # A block of 1 judges each iterate as it is logged, as the reference
+    # does; the test above runs the default block on the same cases.
+    monkeypatch.setattr(schemes, "_GUARD_BLOCK", block)
+    for p, x0, cfg in _bit_identity_cases(0.3, quad_canonical, dw_aniso):
+        trace = run_scheme(p, np.array(x0), cfg, mode)
+        assert_same_trace(trace, run_scheme_loop(p, np.array(x0), cfg, mode))
+
+
+# From here x_0 falls at every one of the first 100 iterates (eta = 0.5),
+# toward the minimizer's 1.
+_TRIP_START = np.array([1.9, 0.2])
+_TRIP_CFG = SchemeConfig(eta=0.5)
+
+
+def _cut_before(p, mode, j, field="points"):
+    """A first coordinate between rows ``j - 1`` and ``j`` of the ``field``
+    of ``p``'s run from ``_TRIP_START``, along which it falls strictly."""
+    trace = run_scheme(p, _TRIP_START, dataclasses.replace(_TRIP_CFG, max_iter=j), mode)
+    v = getattr(trace, field)[:, 0]
+    assert v.size == j + 1 and np.all(np.diff(v) < 0.0)
+    return 0.5 * (v[j - 1] + v[j])
+
+
+def _jump_below(p, cut):
+    """``p`` with ``h`` lowered by 1 where ``x_0 < cut``: ``f`` jumps up
+    there, while the gradients, and so the iterates, stay those of ``p``."""
+    return dataclasses.replace(
+        p, h_value=lambda x: p.h_value(x) - np.where(x[..., 0] < cut, 1.0, 0.0)
+    )
+
+
+def _nan_grad_h_below(p, cut):
+    """``p`` with a NaN ``h_grad`` where ``x_0 < cut``."""
+    return dataclasses.replace(
+        p, h_grad=lambda x: np.where(x[..., :1] < cut, np.nan, p.h_grad(x))
+    )
+
+
+def _wrong_closed_form_below(p, cut):
+    """``p`` with a closed form off by 1e-6 at targets where ``y_0 < cut``."""
+
+    def g_conj_grad(y):
+        x = np.array(p.g_conj_grad(y), dtype=float)
+        x[np.asarray(y)[..., 0] < cut] += 1e-6
+        return x
+
+    return dataclasses.replace(p, g_conj_grad=g_conj_grad)
+
+
+def _counted_pullbacks(p):
+    """``p`` with its closed form counting its calls, the list's one entry."""
+    count = [0]
+
+    def g_conj_grad(y):
+        count[0] += 1
+        return p.g_conj_grad(y)
+
+    return dataclasses.replace(p, g_conj_grad=g_conj_grad), count
+
+
+@pytest.mark.parametrize("block", [3, None], ids=["3", "default"])
+@pytest.mark.parametrize("trip", ["B-1", "B", "B+1", "2B+1"])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_guard_trips_around_block_ends(trip, block, mode, dw_aniso, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(schemes, "_GUARD_BLOCK", block)
+    b = schemes._GUARD_BLOCK
+    j = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[trip]
+    p = _jump_below(dw_aniso, _cut_before(dw_aniso, mode, j))
+    counted, pullbacks = _counted_pullbacks(p)
+    trace = run_scheme(counted, _TRIP_START, _TRIP_CFG, mode)
+    assert_same_trace(trace, run_scheme_loop(p, _TRIP_START, _TRIP_CFG, mode))
+    assert trace.termination is Termination.NUMERIC_ERROR and trace.n_points == j
+    # Each iteration pulls back once, and the per-iterate guard stops after
+    # x_j, its j-th.  The blocks are x_0..x_{B-1}, x_B..x_{2B-1}, ..., each
+    # judged once it is full, so the one holding x_j ends the run.
+    assert pullbacks[0] == b * math.ceil((j + 1) / b) - 1
+    assert j <= pullbacks[0] <= j + b - 1
+
+
+def _failing_at(failure, p, mode, k):
+    """``p`` broken so that iteration ``k`` of its run raises: a NaN ``h_grad``
+    at ``x_k`` ends in the inversion's NumericError, and a wrong closed form
+    at the target of ``x_{k+1}``, with no Newton step allowed, in a
+    ConvergenceError."""
+    if failure == "nan_grad_h":
+        return _nan_grad_h_below(p, _cut_before(p, mode, k))
+    return _wrong_closed_form_below(p, _cut_before(p, mode, k + 1, "y_states"))
+
+
+@pytest.mark.parametrize("failure", ["nan_grad_h", "convergence"])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_an_error_past_a_trip_ends_the_run_at_the_trip(failure, mode, dw_aniso, monkeypatch):
+    # The guard trips at iterate 5, and iteration 6, in the same block,
+    # raises.  The per-iterate guard stops before it, so the run ends at the
+    # trip.
+    j = 5
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    broken = _failing_at(failure, dw_aniso, mode, j + 1)
+    with pytest.raises((core.NumericError, core.ConvergenceError)):
+        run_scheme(broken, _TRIP_START, _TRIP_CFG, mode)
+    p = _jump_below(broken, _cut_before(dw_aniso, mode, j))
+    trace = run_scheme(p, _TRIP_START, _TRIP_CFG, mode)
+    assert_same_trace(trace, run_scheme_loop(p, _TRIP_START, _TRIP_CFG, mode))
+    assert trace.termination is Termination.NUMERIC_ERROR and trace.n_points == j
+
+
+@pytest.mark.parametrize("failure", ["nan_grad_h", "convergence"])
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_an_error_with_no_trip_names_its_iteration(failure, mode, dw_aniso, monkeypatch):
+    # With no trip before it, the error of iteration 6 propagates as the
+    # per-iterate loop raises it, its message naming the iteration and eta.
+    k = 6
+    monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 0)
+    p = _failing_at(failure, dw_aniso, mode, k)
+    got = outcome(lambda: run_scheme(p, _TRIP_START, _TRIP_CFG, mode), ())
+    want = outcome(lambda: run_scheme_loop(p, _TRIP_START, _TRIP_CFG, mode), ())
+    expected = core.NumericError if failure == "nan_grad_h" else core.ConvergenceError
+    assert got[0] is want[0] is expected
+    assert got[1] == f"{want[1]} in scheme iteration {k} (eta=0.5)"
+
+
 _ORACLES = ("g_value", "h_value", "g_grad", "h_grad", "g_hess", "h_hess", "g_conj_grad")
 # Calls at one point allowed per accepted iteration of a problem with a
 # closed-form pullback; one g_grad call checks the pullback and is the next
-# iterate's gradient.
-_PER_ITERATION = {"g_value": 1, "h_value": 1, "g_grad": 1, "h_grad": 1, "g_conj_grad": 1}
+# iterate's gradient.  The objective is read only in stacked calls.
+_PER_ITERATION = {"g_grad": 1, "h_grad": 1, "g_conj_grad": 1}
 
 
 def _counted(p):
@@ -421,9 +484,13 @@ def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso):
         for name in _ORACLES:
             # One more at the start point.
             assert calls[name, 1] <= _PER_ITERATION.get(name, 0) * steps + 1, name
+        assert calls["g_value", 1] == calls["h_value", 1] == 0
+        # The guard: one g_value and one h_value call per block of iterates.
         # The log: two g_value and one g_grad call on the stacked iterates.
+        blocks = math.ceil(trace.n_points / schemes._GUARD_BLOCK)
+        assert blocks > 1
         stacked = {key: n for key, n in calls.items() if key[1] == 2}
-        assert stacked == {("g_value", 2): 2, ("g_grad", 2): 1}
+        assert stacked == {("g_value", 2): blocks + 2, ("h_value", 2): blocks, ("g_grad", 2): 1}
 
 
 _SCHEME_FIELDS = (
@@ -474,7 +541,12 @@ def test_a_wrong_closed_form_fails_as_without_the_check(mode, defect, newton_ste
     reject_closed_forms(monkeypatch)
     assert outcome(run, _SCHEME_FIELDS) == checked
     if np.isnan(defect):
-        assert checked == (core.NumericError, "non-finite gradient residual at the start point")
+        assert checked[0] is core.NumericError
+        assert re.fullmatch(
+            r"non-finite gradient residual at the start point in scheme iteration [1-9]\d* "
+            r"\(eta=0\.5\)",
+            checked[1],
+        )
     elif newton_steps == 0:
         assert checked[0] is core.ConvergenceError
         assert re.search(r"\(residual \S+\) in scheme iteration [1-9]\d* \(eta=0\.5\)$", checked[1])
