@@ -12,10 +12,10 @@ closed-form ``grad g*`` supplies its starting point.  The closed-form call
 (``_meets_start_goal``) each have one home here: the flow step (its
 stages and its record times) and the schemes use both to check
 closed-form pullbacks where they already hold ``grad g`` at them, and
-invert only where the check fails.  The damped target
-``(1-eta) y + eta grad h(x)`` is the one step map of the discrete schemes:
-the damped DCA step with ``y = grad g(x)``, and the explicit Euler step of
-the dual system from a carried dual state ``y``.
+invert only where the check fails, the schemes from the checked start.
+The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
+discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
+explicit Euler step of the dual system from a carried dual state ``y``.
 Two private kernels, ``_solve_metric`` and ``_eigvalsh``, solve and
 diagonalize every stack of Hessians: a diagonal one in O(dim) per row, bit
 for bit as LAPACK does, any other through LAPACK.  Their callers read the
@@ -183,11 +183,11 @@ class DcProblem:
     ``(m, dim)`` and answers row by row: a stack gets values ``(m,)``,
     gradients ``(m, dim)`` and Hessians ``(m, dim, dim)``, each row equal to
     the call on that row alone.  Stacks let the flow integrator pull back
-    every record time of an accepted step in one call, let the scheme's
-    divergence guard read the values of a block of iterates at once, and
-    let the probe sweeps read each oracle once per box, the Hessians once
-    per row block of at most :data:`_HESS_BLOCK_BYTES`, so the rows of a
-    stack may come in several calls.  Newton's steps in
+    every record time of a block of accepted steps in one call, let the
+    scheme's divergence guard read the values of a block of iterates at
+    once, and let the probe sweeps read each oracle once per box, the
+    Hessians once per row block of at most :data:`_HESS_BLOCK_BYTES`, so
+    the rows of a stack may come in several calls.  Newton's steps in
     :func:`invert_grad_g` always call ``g_grad`` and ``g_hess`` on a stack,
     a single target included.  Hessian stacks with no nonzero off-diagonal
     entry are solved and diagonalized in O(dim) per row, bit for bit as
@@ -228,7 +228,7 @@ class DcProblem:
         closed form costs Newton steps, never an unverified preimage.  The
         flow step and the schemes call it directly and check its answers
         against the same rule, a flow step's six stages in one stacked
-        ``g_grad`` call and its record times in another.
+        ``g_grad`` call and the record times of a block of steps in another.
     """
 
     dim: int
@@ -421,9 +421,13 @@ def _meets_start_goal(rnorm: np.ndarray, ynorm: np.ndarray) -> bool:
     return bool(((rnorm <= tol) & (rnorm <= tol * ynorm)).all())
 
 
-def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _invert_rows(
+    p: DcProblem, y: np.ndarray, x: np.ndarray, grad_g: Optional[np.ndarray] = None
+) -> np.ndarray:
     """:func:`invert_grad_g` for a target ``y`` from the start ``x``, row by row.
 
+    ``grad_g``, if given, is ``g_grad`` at ``x``, as a caller that has
+    checked a closed-form start already holds it; otherwise it is read here.
     The start residual is tested before any row state is built, so a start
     that meets the goal ``tol min(1, ||y||)`` costs one ``g_grad`` call and,
     for a single target, arithmetic on numpy scalars.  Otherwise the targets become a
@@ -434,7 +438,9 @@ def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     and the failure is raised when all are done.
     """
     tol = INVERSION_TOL
-    residual = np.asarray(p.g_grad(x), dtype=float) - y
+    if grad_g is None:
+        grad_g = np.asarray(p.g_grad(x), dtype=float)
+    residual = grad_g - y
     rnorm, ynorm = _row_norms(residual), _row_norms(y)
     if _meets_start_goal(rnorm, ynorm):
         return x

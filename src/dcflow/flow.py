@@ -14,16 +14,19 @@ warm-started at the previous evaluation's pullback, and consecutive
 evaluations are close, so it typically finishes in one or two steps.  Step
 sizes follow the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
-accepted step.  The interpolated dual states of one accepted step are
-pulled back together, which gives the primal trajectory of the metric
-gradient flow ``Hess g(x) x' = -grad f(x)`` at every record time the step
-covers: through the closed form where the problem has one, checked like
-the stages on one stacked ``g_grad`` call, and otherwise, or where the
-check fails, in one batched inversion.  The loop keeps only those states
-and tests each for equilibrium on its gradient norm, for checked
-pullbacks the checking ``g_grad`` call less ``h_grad``; the samples'
-metric speeds and values are read after it, in stacked oracle calls over
-the whole trace, the metric Hessians in row blocks of bounded size.
+accepted step.  No later step reads the pullbacks of those interpolated
+dual states, so they wait and are pulled back together, a block of
+record-bearing steps at a time, which gives the primal trajectory of the
+metric gradient flow ``Hess g(x) x' = -grad f(x)`` at every record time
+the block covers: through the closed form where the problem has one,
+checked like the stages on one stacked ``g_grad`` call, and otherwise, or
+where the check fails, in one batched inversion per step.  The loop keeps
+only those states and tests each for equilibrium on its gradient norm, for
+checked pullbacks the checking ``g_grad`` call less ``h_grad``, and cuts
+the trace at the first at rest; the steps of its block that ran past it
+are dropped.  The samples' metric speeds and values are read after the
+loop, in stacked oracle calls over the whole trace, the metric Hessians in
+row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ EQUILIBRIUM_GRAD_TOL = 1e-10
 _MIN_STEP = 1e-14
 # First trial step; error control resizes it from the first step on.
 _STEP_INIT = 1e-2
+# Record-bearing steps whose record states are pulled back and judged in one
+# pass, as the scheme's guard judges its iterates (schemes._GUARD_BLOCK).  No
+# step depends on them, so up to this many minus one such steps may run past
+# the first sample at rest, and are dropped.
+_RECORD_BLOCK = 32
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
 # accepted point and reused as the first stage of the next step.
@@ -202,16 +210,24 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     :func:`~dcflow.core._meets_start_goal`, the test at Newton's start.  A
     stage pullback that is not finite or fails it has the step redone stage
     by stage through :func:`~dcflow.core.invert_grad_g`, so the stages,
-    Newton's steps and every error are those of inverting each stage.  The
-    record times of one accepted step are pulled back the same way, in one
-    stack: the closed form, checked on one ``g_grad`` call, or where it
-    fails the check, and without a closed form, one batched inversion
-    warm-started on the chord between the pullbacks at the step's two ends,
-    which the stages already made.  Integration halts at the first sample
-    whose primal gradient norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the
-    loop reads only that norm, for checked records as the checking
-    ``g_grad`` call less one ``h_grad`` call, the bits ``p.f_grad`` gives,
-    and for inverted ones through ``p.f_grad``.  The metric
+    Newton's steps and every error are those of inverting each stage.  An
+    accepted step only keeps its record times and their dense-output
+    states; no later step reads their pullbacks.  Those of a block of
+    ``_RECORD_BLOCK`` record-bearing steps are pulled back in one pass, as
+    is a last, shorter block when the loop ends or before an error of a
+    later step propagates: the closed form on one stack, checked on one
+    ``g_grad`` call, or where it fails the check, and without a closed
+    form, one batched inversion per step, warm-started on the chord between
+    the pullbacks at the step's two ends, which the stages already made,
+    and naming that step in any error.  Inversion and the closed form act
+    row by row, so the block changes no bit.  Integration halts at the
+    first sample whose primal gradient norm is at most
+    :data:`EQUILIBRIUM_GRAD_TOL`; the pass reads only that norm, for
+    checked records as the checking ``g_grad`` call less one ``h_grad``
+    call, the bits ``p.f_grad`` gives, and for inverted ones through
+    ``p.f_grad``.  At most ``_RECORD_BLOCK - 1`` record-bearing steps run
+    past that sample; they are dropped, and an error raised in one of them
+    ends the flow at that sample, as if they had not run.  The metric
     speeds and values of all kept samples come after the loop from one
     stacked :func:`~dcflow.core.flow_velocity` and one
     ``f_value_and_roundoff`` call; the velocity call reads ``g_hess`` in row
@@ -243,43 +259,31 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         k = np.empty((7, n))
         k[0] = k1
         for i, row in enumerate(_A):
-            k[i + 1] = field(y + h * (row @ k[: i + 1]))
+            k[i + 1] = field(i, y + h * (row @ k[: i + 1]))
         return k
 
     def closed_slopes(y: np.ndarray, k1: np.ndarray, h: float) -> Optional[np.ndarray]:
         """:func:`slopes` at the closed-form pullbacks, or None unless all six
         are finite and meet the stopping rule; then ``warm[0]`` is the last,
         as :func:`fieldfun` leaves it."""
-        ys, xs = [], []
+        stage_y, stage_x = np.empty((6, n)), np.empty((6, n))
 
-        def field(yv: np.ndarray) -> np.ndarray:
-            ys.append(yv)
-            xs.append(_closed_form(p, yv))
-            return np.asarray(p.h_grad(xs[-1]), dtype=float) - yv
+        def field(i: int, yv: np.ndarray) -> np.ndarray:
+            stage_y[i] = yv
+            stage_x[i] = _closed_form(p, yv)
+            return np.asarray(p.h_grad(stage_x[i]), dtype=float) - yv
 
         k = slopes(field, y, k1, h)
-        stage_y, stage_x = np.array(ys), np.array(xs)
         if not _checked(stage_y, stage_x, np.asarray(p.g_grad(stage_x), dtype=float)):
             return None
-        warm[0] = xs[-1]
+        warm[0] = stage_x[5]
         return k
 
-    def pull_back(y_s: np.ndarray, warm_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pullbacks of the record states ``y_s`` and ``grad f`` there.
-
-        The closed form's answers, if they pass :func:`_checked` on one
-        stacked ``g_grad`` call; that call less ``h_grad`` is ``grad f``, the
-        bits :meth:`~dcflow.core.DcProblem.f_grad` returns.  Otherwise one
-        batched inversion from ``warm_s`` and ``p.f_grad``."""
-        if p.g_conj_grad is not None:
-            x_s = _closed_form(p, y_s)
-            grad_g = np.asarray(p.g_grad(x_s), dtype=float)
-            if _checked(y_s, x_s, grad_g):
-                return x_s, grad_g - np.asarray(p.h_grad(x_s), dtype=float)
-        x_s = invert_grad_g(p, y_s, warm_s)
-        return x_s, p.f_grad(x_s)
-
     samples = ([], [], [])  # times, y, x, in chunks
+    # (t_s, y_s, t, h, x_start, x_end) of each accepted step whose record
+    # states are not yet pulled back: its record times and dense-output
+    # states, and its start time, size and end pullbacks.
+    pending = []
 
     def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray, grad_f: np.ndarray) -> bool:
         """Append samples up to the first at equilibrium, judged on its
@@ -289,6 +293,37 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         for out, new in zip(samples, (t_s, y_s, x_s)):
             out.append(new[:keep])
         return bool(at_rest.size)
+
+    def flush() -> bool:
+        """Pull back and record the pending steps' states; True at rest.
+
+        The closed form's answers for the whole block if they pass
+        :func:`_checked` on one stacked ``g_grad`` call, with ``grad f`` as
+        that call less one ``h_grad`` call, the bits
+        :meth:`~dcflow.core.DcProblem.f_grad` returns.  Otherwise each step
+        in turn: one batched inversion warm-started on the chord between
+        its end pullbacks, ``p.f_grad``, and its own phase on an error."""
+        if not pending:
+            return False
+        block = pending.copy()
+        pending.clear()
+        if p.g_conj_grad is not None:
+            y_block = np.concatenate([step[1] for step in block])
+            x_block = _closed_form(p, y_block)
+            grad_g = np.asarray(p.g_grad(x_block), dtype=float)
+            if _checked(y_block, x_block, grad_g):
+                grad_f = grad_g - np.asarray(p.h_grad(x_block), dtype=float)
+                t_block = np.concatenate([step[0] for step in block])
+                return record(t_block, y_block, x_block, grad_f)
+        for t_s, y_s, t0, h0, x0_step, x1_step in block:
+            theta = ((t_s - t0) / h0)[:, None]
+            try:
+                x_s = invert_grad_g(p, y_s, x0_step + theta * (x1_step - x0_step))
+            except DcError as exc:
+                raise exc.with_phase(_step_phase(t0, h0)) from exc
+            if record(t_s, y_s, x_s, p.f_grad(x_s)):
+                return True
+        return False
 
     def build() -> FlowTrace:
         times, ys, xs = (np.concatenate(chunks) for chunks in samples)
@@ -316,8 +351,11 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     n = y.size
     try:
         k1 = fieldfun(y)
-        x_start = warm[0]
-        while target_idx < targets.size:
+    except DcError as exc:
+        raise exc.with_phase(_step_phase(t, h_try)) from exc
+    x_start = warm[0]
+    while target_idx < targets.size:
+        try:
             last = h >= t_end - t - 1e-14 * max(1.0, t_end)
             h_try = t_end - t if last else h
             if h_try < _MIN_STEP:
@@ -328,7 +366,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             if k is None:
                 # Stage by stage through the inversion, so Newton and every
                 # error run as they do without the stacked check.
-                k = slopes(fieldfun, y, k1, h_try)
+                k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
             y_new = y + h_try * (_B5 @ k)
             err_vec = h_try * (_ERR @ k)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -346,13 +384,11 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             if stop > target_idx:
                 t_s = targets[target_idx:stop]
                 theta = ((t_s - t) / h_try)[:, None]
+                y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
                 # The seventh stage sits at the accepted state, so warm[0]
                 # is the pullback at the step's end.
-                y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
-                x_s, grad_f = pull_back(y_s, x_start + theta * (warm[0] - x_start))
+                pending.append((t_s, y_s, t, h_try, x_start, warm[0]))
                 target_idx = stop
-                if record(t_s, y_s, x_s, grad_f):
-                    return build()
 
             t = t_new
             y = y_new
@@ -362,10 +398,24 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
             err_prev = err
             h = max(h_try * factor, _MIN_STEP)
-    except DcError as exc:
-        raise exc.with_phase(f"in the flow step from t={t:g} of size {h_try:g}") from exc
+        except Exception as exc:
+            # The pending records come first in time: at rest, the trace
+            # ends there, before this step.
+            if flush():
+                return build()
+            if isinstance(exc, DcError):
+                raise exc.with_phase(_step_phase(t, h_try)) from exc
+            raise
+        if len(pending) == _RECORD_BLOCK and flush():
+            return build()
 
+    flush()
     return build()
+
+
+def _step_phase(t: float, h: float) -> str:
+    """Where a flow step failed, for :meth:`~dcflow.core.DcError.with_phase`."""
+    return f"in the flow step from t={t:g} of size {h:g}"
 
 
 def closed_form_linear_flow(a, b, x0, t: float) -> np.ndarray:

@@ -162,7 +162,13 @@ class _DoubleWellConstants:
         )
 
     def pullback(self, y: np.ndarray) -> np.ndarray:
-        return self._scale * np.sinh(np.arcsinh(self._gain * y) / 3.0)
+        # scale * sinh(asinh(gain * y) / 3), in place on one new array.
+        x = self._gain * y
+        np.arcsinh(x, out=x)
+        x /= 3.0
+        np.sinh(x, out=x)
+        x *= self._scale
+        return x
 
     def shifted(self, d: np.ndarray) -> "_DoubleWellConstants":
         """The same objective with ``diag(d)`` added to the metric."""
@@ -221,15 +227,16 @@ def make_double_well(q) -> DcProblem:
         raise ValueError("all entries of q must be positive")
     n = q.size
     eye = np.eye(n)
-    hess_h = np.diag(q + 1.0)
+    q1 = q + 1.0
+    hess_h = np.diag(q1)
     constants = _DoubleWellConstants(q)
 
     return DcProblem(
         dim=n,
         g_value=lambda x: 0.25 * (x**4).sum(axis=-1) + 0.5 * np.vecdot(x, q * x),
-        h_value=lambda x: 0.5 * np.vecdot(x, (q + 1.0) * x),
+        h_value=lambda x: 0.5 * np.vecdot(x, q1 * x),
         g_grad=lambda x: x**3 + q * x,
-        h_grad=lambda x: (q + 1.0) * x,
+        h_grad=lambda x: q1 * x,
         g_hess=lambda x: (3.0 * x**2 + q)[..., None] * eye,
         h_hess=lambda x: _per_point(hess_h, x),
         region=Box.cube(_REGION_HALF_WIDTH, n),

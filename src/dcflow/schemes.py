@@ -17,6 +17,7 @@ outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -28,6 +29,7 @@ from .core import (
     DcError,
     DcProblem,
     _closed_form,
+    _invert_rows,
     _meets_start_goal,
     _row_norms,
     damped_target,
@@ -135,10 +137,12 @@ def run_scheme(
     With a closed-form ``g_conj_grad`` the pullback is its value, checked
     once per iterate by :func:`~dcflow.core._meets_start_goal`, the test at
     Newton's start, on one ``g_grad`` call that is then the next iterate's
-    gradient; where the check fails, and without a closed form, it is
-    :func:`~dcflow.core.invert_grad_g` from the current iterate.  The
-    objective values, the Bregman steps and the step norms of the log are
-    computed outside the loop, in stacked calls.
+    gradient; where the check fails, Newton's loop of
+    :func:`~dcflow.core.invert_grad_g` runs from the checked start and that
+    call, so the closed form is not computed twice, and without a closed
+    form :func:`~dcflow.core.invert_grad_g` runs from the current iterate.
+    The objective values, the Bregman steps and the step norms of the log
+    are computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
@@ -197,7 +201,9 @@ def run_scheme(
             grad_h = np.asarray(p.h_grad(x), dtype=float)
             if k == 0:
                 y_states.append(grad_g)
-            grad_norms.append(float(np.linalg.norm(grad_g - grad_h)))
+            d = grad_g - grad_h
+            # The bits of np.linalg.norm(d), which computes sqrt(d.dot(d)).
+            grad_norms.append(math.sqrt(d.dot(d)))
             if grad_norms[-1] <= cfg.stop_grad_tol:
                 termination = Termination.GRAD_TOL
                 break
@@ -209,8 +215,9 @@ def run_scheme(
                 x_next = _closed_form(p, y)
                 grad_next = np.asarray(p.g_grad(x_next), dtype=float)
                 if not _meets_start_goal(_row_norms(grad_next - y), _row_norms(y)):
-                    grad_next = None
-            if grad_next is None:
+                    # Newton from the checked start, as invert_grad_g runs it.
+                    x_next, grad_next = _invert_rows(p, y, x_next, grad_next), None
+            else:
                 x_next = invert_grad_g(p, y, x)
             x, grad_g = x_next, grad_next
             points.append(x)

@@ -48,15 +48,22 @@ def reject_closed_forms(monkeypatch):
 
 
 def count_point_inversions(monkeypatch, module):
-    """Count the single targets that ``module`` pulls back through
-    ``invert_grad_g``; the count is the list's one entry."""
+    """Count the single targets that ``module`` pulls back through an
+    inversion: ``invert_grad_g``, or ``core._invert_rows`` from a checked
+    closed-form start where ``module`` calls it; the count is the list's
+    one entry."""
     count = [0]
 
-    def pullback(p, y, warm_start):
-        count[0] += np.ndim(y) == 1
-        return core.invert_grad_g(p, y, warm_start)
+    def counted(inversion):
+        def pullback(p, y, *start):
+            count[0] += np.ndim(y) == 1
+            return inversion(p, y, *start)
 
-    monkeypatch.setattr(module, "invert_grad_g", pullback)
+        return pullback
+
+    for name in ("invert_grad_g", "_invert_rows"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(getattr(core, name)))
     return count
 
 

@@ -321,8 +321,9 @@ def test_replayed_steps_equal_checked_ones(case, monkeypatch):
 @pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
 def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
     # A closed form wrong at every stack of record times, and right at each
-    # stage: every record check fails, and each accepted step's record times
-    # go through one batched inversion and p.f_grad, as without the check.
+    # stage: every block's record check fails, and each accepted step's
+    # record times go through one batched inversion and p.f_grad, as
+    # without the check.
     p, x0 = _deferred_pass_cases()[case]
     run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
     f_grads = []
@@ -350,9 +351,13 @@ def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
 
     monkeypatch.setattr(flow, "invert_grad_g", pullback)
     assert outcome(run, _FLOW_FIELDS) == checked
-    # The first field evaluation, then one inversion per checked stack.
+    # The first field evaluation, then one inversion per record-bearing step;
+    # each checked stack covered the steps of one block.
+    block = flow._RECORD_BLOCK
     assert rows[0] == (p.dim,)
-    assert rows[1:] == [(m, p.dim) for m in stacks] and len(stacks) > 10
+    steps = [m for m, _ in rows[1:]]
+    assert [sum(steps[i : i + block]) for i in range(0, len(steps), block)] == stacks
+    assert len(steps) > 10 and all(dim == p.dim for _, dim in rows[1:])
     assert f_grads == [(1, p.dim)] + rows[1:] + [(n, p.dim)]
 
 
@@ -437,11 +442,127 @@ def test_record_pass_reads_the_hessian_once_per_block(dw_aniso, monkeypatch, blo
     p, calls = _counted_hessian(dw_aniso)
     trace = integrate_flow(p, x0, cfg)
     m = trace.n_samples
-    assert m == 301 and len(rows) > 10
+    # One stacked pullback covers every record time: the flow has fewer
+    # record-bearing steps than flow._RECORD_BLOCK.
+    assert m == 301 and rows == [m - 1]
     per_call = block_rows or m
     assert calls == [(min(per_call, m - start), 2) for start in range(0, m, per_call)]
     for field in ("times", "y_states", "x_states", "f_values", "f_roundoff", "metric_speed_sq"):
         assert getattr(trace, field).tobytes() == getattr(reference, field).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# record states pulled back per block of record-bearing steps
+
+_BLOCKS = (1, 2, 3, flow._RECORD_BLOCK)
+
+
+def _block_cases():
+    cases = _deferred_pass_cases()
+    return cases + [(newton_only(cases[0][0]), cases[0][1])]
+
+
+def _outcomes_by_block(monkeypatch, run, fields=_FLOW_FIELDS):
+    """``outcome(run, fields)`` with ``flow._RECORD_BLOCK`` at each of ``_BLOCKS``."""
+    results = []
+    for block in _BLOCKS:
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "_RECORD_BLOCK", block)
+            results.append(outcome(run, fields))
+    return results
+
+
+@pytest.mark.parametrize("stride", [1e-2, 0.3])
+@pytest.mark.parametrize(
+    "case", range(4), ids=["double_well", "quadratic", "shifted", "no_closed_form"]
+)
+def test_record_blocks_change_no_bit(case, stride, monkeypatch):
+    # A block of 1 pulls back each step's record states as it is accepted;
+    # longer blocks pull back the same rows, row by row, in fewer calls.  At
+    # stride 0.3 some steps cover no record time.
+    p, x0 = _block_cases()[case]
+    run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=stride))
+    per_step, *blocked = _outcomes_by_block(monkeypatch, run)
+    assert len(per_step) == len(_FLOW_FIELDS)
+    assert all(b == per_step for b in blocked)
+
+
+def test_rest_mid_block_keeps_the_per_step_trace(quad_canonical, monkeypatch):
+    # The gradient passes EQUILIBRIUM_GRAD_TOL near t = 46; steps of the
+    # default block run past that sample, and are dropped.
+    run = lambda: integrate_flow(
+        quad_canonical, np.array([1.0, 0.0]), FlowConfig(t_end=100.0, record_stride=1e-2)
+    )
+    results = _outcomes_by_block(monkeypatch, run)
+    assert all(r == results[0] for r in results[1:])
+    rows = _pullback_rows(monkeypatch)
+    trace = run()
+    assert np.linalg.norm(quad_canonical.f_grad(trace.x_states[-1])) <= flow.EQUILIBRIUM_GRAD_TOL
+    # Record times past the one at rest were pulled back, then cut.
+    assert sum(rows) > trace.n_samples - 1
+
+
+@pytest.mark.parametrize("error", [core.NumericError, ValueError])
+def test_an_error_past_rest_returns_the_cut_trace(error, quad_canonical, monkeypatch):
+    # Point calls of h_grad come from the stages alone.  With a block of 1
+    # the flow stops at the sample at rest after `stages` of them; with the
+    # default block the next one, in a step past rest, raises.  The pending
+    # block holds the sample at rest, so the flow ends there all the same.
+    x0, cfg = np.array([1.0, 0.0]), FlowConfig(t_end=100.0, record_stride=1e-2)
+    stages, limit = [0], None
+
+    def h_grad(x):
+        if np.ndim(x) == 1:
+            stages[0] += 1
+            if stages[0] == limit:
+                raise error("h_grad failed")
+        return quad_canonical.h_grad(x)
+
+    p = dataclasses.replace(quad_canonical, h_grad=h_grad)
+    monkeypatch.setattr(flow, "_RECORD_BLOCK", 1)
+    per_step = outcome(lambda: integrate_flow(p, x0, cfg), _FLOW_FIELDS)
+    limit, stages[0] = stages[0] + 1, 0
+    monkeypatch.undo()
+    assert outcome(lambda: integrate_flow(p, x0, cfg), _FLOW_FIELDS) == per_step
+    assert stages[0] == limit
+    # Without the sample at rest pending, the error propagates.
+    limit, stages[0] = 10, 0
+    with pytest.raises(error, match="h_grad failed"):
+        integrate_flow(p, x0, cfg)
+
+
+@pytest.mark.parametrize("failing", [1, 3])
+def test_record_pullback_failure_in_a_block_names_its_step(failing, dw_unit, monkeypatch):
+    # With every closed-form check failing, each pending step's record
+    # states are pulled back through invert_grad_g in turn.  A tol of 1e-300
+    # leaves the pullback of the `failing`-th record-bearing step stuck at
+    # roundoff; the error names that step's start and size, whichever block
+    # it sits in.
+    reject_closed_forms(monkeypatch)
+    real = core.invert_grad_g
+    stacks = [0]
+
+    def pullback(p, y, warm):
+        if np.ndim(y) == 1:
+            return real(p, y, warm)
+        stacks[0] += 1
+        with monkeypatch.context() as mp:
+            if stacks[0] == failing:
+                mp.setattr(core, "INVERSION_TOL", 1e-300)
+            return real(p, y, warm)
+
+    monkeypatch.setattr(flow, "invert_grad_g", pullback)
+
+    def run():
+        stacks[0] = 0
+        cfg = FlowConfig(t_end=1.0, record_stride=1e-3)
+        return integrate_flow(dw_unit, np.array([0.5, 0.7]), cfg)
+
+    per_step, *blocked = _outcomes_by_block(monkeypatch, run)
+    assert per_step[0] is core.ConvergenceError
+    step = re.search(r"in the flow step from t=(\S+) of size (\S+)$", per_step[1])
+    assert (step[1] == "0") == (failing == 1)
+    assert all(b == per_step for b in blocked)
 
 
 def test_stiffness_error_on_blowup_field():

@@ -4,8 +4,9 @@ closed-form box constants, the damped scheme's rate bound, stacked
 oracles and inversions against single-point calls, the closed-form
 pullback against the inversion's stopping rule, the exact diagonal path
 of the stacked Hessian kernels against LAPACK, and the symmetric-definite
-pencil kernel on indefinite and singular ``h``, and the scheme's guard
-blocks against the per-iterate guard.
+pencil kernel on indefinite and singular ``h``, the scheme's guard
+blocks against the per-iterate guard, and the scheme's gradient norm
+against ``np.linalg.norm``.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -23,6 +24,7 @@ to the target; the pinned example below broke criterion 01 (a gap of
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -496,3 +498,15 @@ def test_pencil_eigh_is_m_orthonormal_and_keeps_the_inertia_of_h(pencil):
     for flip in (np.r_[-1.0, np.ones(len(w) - 1)], -np.ones(len(w))):
         with pytest.raises(core.DcError, match="not positive definite"):
             core._pencil_eigh(h, (u * (flip * w)) @ u.T)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=1, max_value=1000).flatmap(
+        lambda n: arrays(float, n, elements=st.floats(min_value=-1e150, max_value=1e150))
+    )
+)
+def test_scheme_gradient_norm_is_numpy_norm_bit_for_bit(d):
+    # run_scheme logs each iterate's |grad g - grad h| as sqrt(d.d), the
+    # product and root np.linalg.norm takes for a vector.
+    assert np.float64(math.sqrt(d.dot(d))).tobytes() == np.linalg.norm(d).tobytes()

@@ -524,6 +524,33 @@ def test_inverted_iterates_equal_checked_ones(case, mode, monkeypatch):
     assert inversions[0] == steps > 5
 
 
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_a_failed_check_calls_the_closed_form_once(case, mode, monkeypatch):
+    # Newton starts from the checked closed form and its g_grad call, so an
+    # iterate whose check fails calls g_conj_grad and g_grad once each to
+    # pull back, and once more g_grad for the next iterate's gradient.
+    p, x0 = _scheme_cases()[case]
+    calls = []
+
+    def g_conj_grad(y):
+        calls.append("g_conj_grad")
+        return p.g_conj_grad(y)
+
+    def g_grad(x):
+        if np.ndim(x) == 1:
+            calls.append("g_grad")
+        return p.g_grad(x)
+
+    counted = dataclasses.replace(p, g_conj_grad=g_conj_grad, g_grad=g_grad)
+    reject_closed_forms(monkeypatch)
+    trace = run_scheme(counted, np.array(x0), SchemeConfig(eta=0.5, max_iter=60), mode)
+    # Newton takes no step: the closed form meets the real stopping rule.
+    steps = trace.n_points - 1
+    assert steps > 5
+    assert calls == ["g_grad"] + ["g_conj_grad", "g_grad", "g_grad"] * steps
+
+
 @pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
 @pytest.mark.parametrize("defect", [np.nan, 1e-6], ids=["nan", "off"])
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
