@@ -103,16 +103,20 @@ def _primes(count: int) -> list[int]:
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
-    """The first ``n`` Halton points in ``[0, 1)^dim``, all indices at once;
+    """The first ``n`` Halton points in ``[0, 1)^dim``, all indices at once,
+    one digit of every index per pass, as many passes as ``n`` has digits;
     an index whose digits ran out adds exact zeros, so each point equals
     its own digit loop bit for bit."""
     out = np.empty((n, dim))
     for j, base in enumerate(_primes(dim)):
+        digits, top = 0, n  # base-``base`` digits of the largest index
+        while top:
+            digits, top = digits + 1, top // base
         k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
-        while k.any():
+        for _ in range(digits):
             f /= base
-            r += f * (k % base)
-            k //= base
+            k, digit = np.divmod(k, base)
+            r += f * digit
         out[:, j] = r
     return out
 

@@ -10,9 +10,10 @@ method on ``grad g(x) = y`` is the one inversion kernel; a problem with a
 closed-form ``grad g*`` supplies its starting point.  The closed-form call
 (``_closed_form``) and the stopping rule's test at Newton's start
 (``_meets_start_goal``) each have one home here: the flow step (its
-stages and its record times) and the schemes use both to check
-closed-form pullbacks where they already hold ``grad g`` at them, and
-invert only where the check fails, the schemes from the checked start.
+stages and its record times) and the schemes take closed-form pullbacks
+unchecked in their loops and test them with both a block at a time, on
+stacked ``grad g`` calls, and invert only from the first that fails, the
+schemes from the checked start.
 The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -227,8 +228,10 @@ class DcProblem:
         warm start, so the stopping rule still verifies every row: a wrong
         closed form costs Newton steps, never an unverified preimage.  The
         flow step and the schemes call it directly and check its answers
-        against the same rule, a flow step's six stages in one stacked
-        ``g_grad`` call and the record times of a block of steps in another.
+        against the same rule a block at a time: the stages of a block of
+        flow steps in one stacked ``g_grad`` call, the record times of a
+        block of steps in another, and a block of scheme iterates on the
+        ``g_grad`` calls that are their next gradients.
     """
 
     dim: int

@@ -5,13 +5,19 @@ embedded Dormand-Prince 4(5) pair under PI step control;
 :func:`integrate_flow` is the one place that forms it.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
 pullback through the inverse gradient map and one ``h_grad`` call.  For the
-built-in families the pullback is a closed form, checked per step: a step's
-six new stages pull back through it alone, and one stacked ``g_grad`` call
-tests all six against the stopping rule's start test, so the checked stages
-are those Newton would return without a step.  A step that fails the check
-is redone stage by stage through the inversion.  Other problems run Newton
-warm-started at the previous evaluation's pullback, and consecutive
-evaluations are close, so it typically finishes in one or two steps.  Step
+built-in families the pullback is a closed form: a step's six new stages
+pull back through it alone, unchecked, since no step reads a verdict that
+passes.  The stages wait, and one stacked ``g_grad`` call tests those of
+a block of steps against the stopping rule's start test, so the checked
+stages are those Newton would return without a step: the first step's
+alone, then up to ``_RECORD_BLOCK`` steps' at a time, and always before
+the record pass, the loop's end or an error reads what they led to.  At
+the first step that fails the check the loop goes back to that step's
+start, redoes it stage by stage through the inversion, and checks each
+step on its own from then on, as a check per step would.  Other problems
+run Newton warm-started at the previous evaluation's pullback, and
+consecutive evaluations are close, so it typically finishes in one or two
+steps.  Step
 sizes follow the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
 accepted step.  No later step reads the pullbacks of those interpolated
@@ -180,11 +186,14 @@ def _record_targets(t_end: float, stride: float) -> np.ndarray:
     within roundoff below, is replaced by ``t_end`` itself.
     """
     n_full = int(math.floor(t_end / stride + 1e-9))
-    targets = [stride * m for m in range(1, n_full + 1)]
-    if targets and targets[-1] >= t_end - 1e-12 * max(1.0, t_end):
-        targets.pop()
-    targets.append(t_end)
-    return np.asarray(targets)
+    # One slot past the multiples holds t_end; the products round as
+    # stride * m does in Python.
+    targets = np.arange(1, n_full + 2, dtype=float)
+    targets *= stride
+    if n_full and targets[n_full - 1] >= t_end - 1e-12 * max(1.0, t_end):
+        n_full -= 1
+    targets[n_full] = t_end
+    return targets[: n_full + 1]
 
 
 def _checked(y: np.ndarray, x: np.ndarray, grad_g: np.ndarray) -> bool:
@@ -205,13 +214,19 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     continuous extension of the step that covers each record time, and
     ``x_states`` its pullback.  The stride chooses output times only and
     never limits the step size.  With a closed-form ``g_conj_grad`` a
-    step's six new stages pull back through it alone, and one ``g_grad``
-    call on their ``(6, n)`` stack checks them with
-    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start.  A
-    stage pullback that is not finite or fails it has the step redone stage
-    by stage through :func:`~dcflow.core.invert_grad_g`, so the stages,
-    Newton's steps and every error are those of inverting each stage.  An
-    accepted step only keeps its record times and their dense-output
+    step, accepted or rejected, pulls its six new stages back through it
+    alone and queues them unchecked, with the loop state it started from.
+    One ``g_grad`` call on the queue's stacked stages checks them with
+    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start: for
+    the first step alone, then once ``_RECORD_BLOCK`` steps are queued,
+    before the record pass below, when the loop ends, and before an error
+    propagates.  At the first step with a stage pullback that is not
+    finite or fails the test, the loop goes back to that step's start and
+    redoes it stage by stage through :func:`~dcflow.core.invert_grad_g`;
+    the steps queued after it, and any error they raised, are dropped, and
+    each later step is checked on its own.  So the stages, Newton's steps
+    and every error are those of a check per step.  An accepted step only
+    keeps its record times and their dense-output
     states; no later step reads their pullbacks.  Those of a block of
     ``_RECORD_BLOCK`` record-bearing steps are pulled back in one pass, as
     is a last, shorter block when the loop ends or before an error of a
@@ -262,11 +277,13 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             k[i + 1] = field(i, y + h * (row @ k[: i + 1]))
         return k
 
-    def closed_slopes(y: np.ndarray, k1: np.ndarray, h: float) -> Optional[np.ndarray]:
-        """:func:`slopes` at the closed-form pullbacks, or None unless all six
-        are finite and meet the stopping rule; then ``warm[0]`` is the last,
+    def closed_slopes(
+        y: np.ndarray, k1: np.ndarray, h: float, stage_y: np.ndarray, stage_x: np.ndarray
+    ) -> np.ndarray:
+        """:func:`slopes` at the closed-form pullbacks, unchecked; the six
+        stage targets and their pullbacks fill the ``(6, n)`` rows
+        ``stage_y`` and ``stage_x``, and ``warm[0]`` is the last pullback,
         as :func:`fieldfun` leaves it."""
-        stage_y, stage_x = np.empty((6, n)), np.empty((6, n))
 
         def field(i: int, yv: np.ndarray) -> np.ndarray:
             stage_y[i] = yv
@@ -274,8 +291,6 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             return np.asarray(p.h_grad(stage_x[i]), dtype=float) - yv
 
         k = slopes(field, y, k1, h)
-        if not _checked(stage_y, stage_x, np.asarray(p.g_grad(stage_x), dtype=float)):
-            return None
         warm[0] = stage_x[5]
         return k
 
@@ -354,7 +369,58 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     except DcError as exc:
         raise exc.with_phase(_step_phase(t, h_try)) from exc
     x_start = warm[0]
-    while target_idx < targets.size:
+
+    # With a closed form the attempts' stages are checked a block at a time:
+    # each queued attempt keeps the loop state it started from, and its
+    # stages fill one (6, n) slot of stage_y and stage_x.  The first attempt
+    # is checked alone, then _RECORD_BLOCK at a time, and one at a time for
+    # the rest of the run once a check has failed.
+    closed = p.g_conj_grad is not None
+    queued = []
+    block, next_block = 1, _RECORD_BLOCK
+    redo = False  # whether the next attempt is one that failed its check
+
+    def resume() -> bool:
+        """Check the queued attempts' stages on one stacked ``g_grad`` call
+        and empty the queue; True if one fails.  The loop state then goes
+        back to the start of the first that fails, to redo it through the
+        inversion (``redo``), as a per-attempt check would.  A ``g_grad``
+        call that raises goes back to the first queued attempt, not redone,
+        so that its check alone raises in that attempt, where a check of one
+        attempt lets the error propagate."""
+        nonlocal t, y, h, err_prev, k1, x_start, target_idx, block, next_block, redo
+        if not queued:
+            return False
+        m, starts = len(queued), queued[:]
+        queued.clear()
+        ys, xs = stage_y[:m].reshape(-1, n), stage_x[:m].reshape(-1, n)
+        try:
+            grad_g = np.asarray(p.g_grad(xs), dtype=float)
+        except Exception:
+            if block == 1:
+                raise
+            failed = 0
+        else:
+            if _checked(ys, xs, grad_g):
+                block = next_block
+                return False
+            # The last fails if none before it does.
+            grads = grad_g.reshape(m, 6, n)
+            failed = next(
+                (j for j in range(m - 1) if not _checked(stage_y[j], stage_x[j], grads[j])),
+                m - 1,
+            )
+            redo = True
+        t, y, h, err_prev, k1, x_start, target_idx, n_pending, warm[0] = starts[failed]
+        del pending[n_pending:]
+        block = next_block = 1
+        return True
+
+    while True:
+        if target_idx == targets.size:
+            if resume():
+                continue
+            break
         try:
             last = h >= t_end - t - 1e-14 * max(1.0, t_end)
             h_try = t_end - t if last else h
@@ -362,11 +428,20 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 # The phase added below names t and the step needed.
                 raise StiffnessError("step size underflow")
 
-            k = closed_slopes(y, k1, h_try) if p.g_conj_grad is not None else None
-            if k is None:
+            if closed and not redo:
+                if not queued:
+                    stage_y, stage_x = np.empty((2, block, 6, n))
+                j = len(queued)
+                start = (t, y, h, err_prev, k1, x_start, target_idx, len(pending), warm[0])
+                k = closed_slopes(y, k1, h_try, stage_y[j], stage_x[j])
+                queued.append(start)
+                if len(queued) == block and resume():
+                    continue
+            else:
                 # Stage by stage through the inversion, so Newton and every
-                # error run as they do without the stacked check.
+                # error run as they do without the closed form's check.
                 k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
+                redo = False
             y_new = y + h_try * (_B5 @ k)
             err_vec = h_try * (_ERR @ k)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -399,6 +474,10 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             err_prev = err
             h = max(h_try * factor, _MIN_STEP)
         except Exception as exc:
+            # An unchecked attempt before this one may have failed, and then
+            # this one would not have run.
+            if resume():
+                continue
             # The pending records come first in time: at rest, the trace
             # ends there, before this step.
             if flush():
@@ -406,8 +485,12 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             if isinstance(exc, DcError):
                 raise exc.with_phase(_step_phase(t, h_try)) from exc
             raise
-        if len(pending) == _RECORD_BLOCK and flush():
-            return build()
+        if len(pending) == _RECORD_BLOCK:
+            # The pending states rest on the queued attempts.
+            if resume():
+                continue
+            if flush():
+                return build()
 
     flush()
     return build()

@@ -3,16 +3,17 @@
 All three are one update: the damped target
 ``y+ = (1-eta) y + eta grad h(x)`` (:func:`~dcflow.core.damped_target`)
 followed by one pullback ``x+ = (grad g)^{-1}(y+)``: the closed form
-``grad g*(y+)`` checked against the inversion's stopping rule where the
-problem has one, a gradient inversion otherwise or where the check fails.
+``grad g*(y+)`` where the problem has one, tested against the inversion's
+stopping rule a block of iterates at a time, and a gradient inversion
+otherwise or from the first that fails the test.
 The primal damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the
 classical step; the dual Euler step of size ``eta`` along
 ``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
 either form, logs every iterate, its dual state included.  The loop
-reads only what the next iterate needs; the objective values that the
-divergence guard judges, read in stacked calls over blocks of logged
-iterates, and the Bregman steps and step norms of the log are computed
-outside it.
+reads only what the next iterate needs; the start tests of closed-form
+pullbacks and the objective values that the divergence guard judges, both
+over blocks of logged iterates, and the Bregman steps and step norms of
+the log are computed in stacked calls outside it.
 """
 
 from __future__ import annotations
@@ -134,15 +135,21 @@ def run_scheme(
 
     Each iterate costs one ``g_grad`` and one ``h_grad`` call, which give
     both its gradient norm and the next step's target, and one pullback.
-    With a closed-form ``g_conj_grad`` the pullback is its value, checked
-    once per iterate by :func:`~dcflow.core._meets_start_goal`, the test at
-    Newton's start, on one ``g_grad`` call that is then the next iterate's
-    gradient; where the check fails, Newton's loop of
-    :func:`~dcflow.core.invert_grad_g` runs from the checked start and that
-    call, so the closed form is not computed twice, and without a closed
-    form :func:`~dcflow.core.invert_grad_g` runs from the current iterate.
-    The objective values, the Bregman steps and the step norms of the log
-    are computed outside the loop, in stacked calls.
+    With a closed-form ``g_conj_grad`` the pullback is its value, and the
+    ``g_grad`` call at it, the next iterate's gradient, waits in a queue.
+    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start,
+    tests the queued pullbacks on those calls in one stacked test: the
+    first iterate's alone, then those of each block the divergence guard
+    judges, before it judges them, when the loop ends and before an error
+    propagates.  At the first that fails, the log is cut back to its
+    target, Newton's loop of :func:`~dcflow.core.invert_grad_g` runs from
+    the tested start and its ``g_grad`` call, so the closed form is not
+    computed twice, and each later pullback is tested on its own; the
+    iterates made past it, and any error they raised, are dropped, so the
+    trace and every error are those of a test per iterate.  Without a
+    closed form :func:`~dcflow.core.invert_grad_g` runs from the current
+    iterate.  The objective values, the Bregman steps and the step norms
+    of the log are computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
@@ -185,7 +192,7 @@ def run_scheme(
         for j, (f_next, err_next) in enumerate(zip(fs.tolist(), errs.tolist()), start):
             if j > 0:
                 slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
-                if not np.isfinite(f_next) or f_next > f_values[-1] + slack:
+                if not math.isfinite(f_next) or f_next > f_values[-1] + slack:
                     del points[j:], y_states[j:], grad_norms[j:]
                     termination = Termination.NUMERIC_ERROR
                     return True
@@ -193,42 +200,92 @@ def run_scheme(
             f_errs.append(err_next)
         return False
 
-    grad_g = None  # g_grad at x, when the closed form's check has read it
-    try:
-        for k in range(cfg.max_iter + 1):
-            if grad_g is None:
-                grad_g = np.asarray(p.g_grad(x), dtype=float)
-            grad_h = np.asarray(p.h_grad(x), dtype=float)
-            if k == 0:
-                y_states.append(grad_g)
-            d = grad_g - grad_h
-            # The bits of np.linalg.norm(d), which computes sqrt(d.dot(d)).
-            grad_norms.append(math.sqrt(d.dot(d)))
-            if grad_norms[-1] <= cfg.stop_grad_tol:
-                termination = Termination.GRAD_TOL
-                break
-            if k == cfg.max_iter:
-                break
-            y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
-            grad_next = None  # g_grad at x_next once the closed form passes its check
-            if p.g_conj_grad is not None:
-                x_next = _closed_form(p, y)
-                grad_next = np.asarray(p.g_grad(x_next), dtype=float)
-                if not _meets_start_goal(_row_norms(grad_next - y), _row_norms(y)):
-                    # Newton from the checked start, as invert_grad_g runs it.
-                    x_next, grad_next = _invert_rows(p, y, x_next, grad_next), None
+    # With a closed form the pullbacks' start tests wait in a queue: the
+    # g_grad call at each, which is also the next iterate's gradient; they
+    # are the last len(queue) points, and their targets the last y_states.
+    # The first is tested alone, the rest in the blocks the guard judges
+    # (never more than _GUARD_BLOCK), and one at a time for the rest of the
+    # run once a test has failed.
+    closed = p.g_conj_grad is not None
+    queue = []
+    block, next_block = 1, _GUARD_BLOCK
+    grad_g = None  # g_grad at x, when the closed form's g_grad call has read it
+    redo = None  # (target, closed form, its g_grad) of an iterate that failed its test
+
+    def resume() -> bool:
+        """Test the queued pullbacks in one stacked start test and empty the
+        queue; True if one fails.  The log is then cut back to that
+        iterate's target, which ``redo`` pulls back through Newton from the
+        tested start, as a per-iterate test would."""
+        nonlocal block, next_block, redo
+        if not queue:
+            return False
+        m, grads, ys = len(queue), queue[:], y_states[-len(queue):]
+        queue.clear()
+        # One pullback is tested as it is, as a per-iterate test would.
+        stacked = (grads[0], ys[0]) if m == 1 else (np.asarray(grads), np.asarray(ys))
+        if _meets_start_goal(_row_norms(stacked[0] - stacked[1]), _row_norms(stacked[1])):
+            block = next_block
+            return False
+        # The last fails if none before it does.
+        j = next(
+            (j for j in range(m - 1)
+             if not _meets_start_goal(_row_norms(grads[j] - ys[j]), _row_norms(ys[j]))),
+            m - 1,
+        )
+        i = len(points) - m + j  # the failing pullback's index
+        redo = y_states[i], points[i], grads[j]
+        del points[i:], y_states[i:], grad_norms[i:]
+        block = next_block = 1
+        return True
+
+    while True:
+        k = len(points) - 1
+        try:
+            if redo is None:
+                if grad_g is None:
+                    grad_g = np.asarray(p.g_grad(x), dtype=float)
+                grad_h = np.asarray(p.h_grad(x), dtype=float)
+                if k == 0:
+                    y_states.append(grad_g)
+                d = grad_g - grad_h
+                # The bits of np.linalg.norm(d), which computes sqrt(d.dot(d)).
+                grad_norms.append(math.sqrt(d.dot(d)))
+                if grad_norms[-1] <= cfg.stop_grad_tol or k == cfg.max_iter:
+                    # The stop rests on the queued pullbacks.
+                    if resume():
+                        continue
+                    if grad_norms[-1] <= cfg.stop_grad_tol:
+                        termination = Termination.GRAD_TOL
+                    break
+                y = damped_target(grad_g if mode is Mode.PRIMAL else y_states[-1], grad_h, eta)
+                if closed:
+                    x = _closed_form(p, y)
+                    grad_g = np.asarray(p.g_grad(x), dtype=float)
+                    queue.append(grad_g)
+                else:
+                    x, grad_g = invert_grad_g(p, y, x), None
             else:
-                x_next = invert_grad_g(p, y, x)
-            x, grad_g = x_next, grad_next
+                # Newton from the tested start, as invert_grad_g runs it.
+                (y, start, grad_start), redo = redo, None
+                x, grad_g = _invert_rows(p, y, start, grad_start), None
             points.append(x)
             y_states.append(y)
-            if len(points) - len(f_values) >= _GUARD_BLOCK and tripped():
+            due = len(points) - len(f_values) >= _GUARD_BLOCK
+            if (len(queue) == block or due) and resume():
+                continue
+            if due and tripped():
                 break
-    except Exception as exc:
-        if not tripped():
-            if isinstance(exc, DcError):
-                raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
-            raise
+        except Exception as exc:
+            # A queued pullback may have failed its test, and then this
+            # iteration would not have run.
+            if resume():
+                continue
+            if not tripped():
+                if isinstance(exc, DcError):
+                    raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
+                raise
+            break
     tripped()
 
     points = np.asarray(points)

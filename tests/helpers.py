@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from dcflow import core, flow, schemes
+from dcflow import analysis, core, flow, schemes
 from dcflow.core import DcError, central_diff_jacobian, invert_grad_g
 from dcflow.schemes import (
     _DIVERGENCE_SLACK,
@@ -22,6 +22,21 @@ def central_diff_grad(fun, x, step: float) -> np.ndarray:
     ``fun`` takes one point; it is called on each row of the stack that
     :func:`central_diff_jacobian` sweeps."""
     return central_diff_jacobian(lambda zs: [[fun(z)] for z in zs], x, step)[0]
+
+
+def halton_while_digits_left(n, dim):
+    """Halton points as ``analysis._halton`` built them while any index had
+    digits left, with ``%`` and ``//=`` per digit: the reference for its
+    digit count taken from ``n``."""
+    out = np.empty((n, dim))
+    for j, base in enumerate(analysis._primes(dim)):
+        k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
+        while k.any():
+            f /= base
+            r += f * (k % base)
+            k //= base
+        out[:, j] = r
+    return out
 
 
 def newton_only(p):
@@ -74,6 +89,19 @@ def off_closed_form(p, defect: float, threshold: float):
     def g_conj_grad(y):
         x = np.array(p.g_conj_grad(y), dtype=float)
         x[np.asarray(y)[..., 0] > threshold] += defect
+        return x
+
+    return dataclasses.replace(p, g_conj_grad=g_conj_grad)
+
+
+def off_at_targets(p, targets, defect: float):
+    """``p`` with a closed form that adds ``defect`` to its answer at every
+    target equal, bit for bit, to a row of ``targets``."""
+    targets = np.asarray(targets, dtype=float)
+
+    def g_conj_grad(y):
+        x = np.array(p.g_conj_grad(y), dtype=float)
+        x[(np.asarray(y)[..., None, :] == targets).all(axis=-1).any(axis=-1)] += defect
         return x
 
     return dataclasses.replace(p, g_conj_grad=g_conj_grad)

@@ -43,7 +43,7 @@ from dcflow.core import (
 from dcflow.flow import FlowTrace
 from dcflow.problems import _per_point
 from dcflow.schemes import IterateTrace, Termination
-from helpers import newton_only, off_closed_form
+from helpers import halton_while_digits_left, newton_only, off_closed_form
 
 RNG = np.random.default_rng(20240505)
 
@@ -482,6 +482,15 @@ def _halton_digit_loop(n, dim):
 
 def test_halton_points_equal_the_digit_loop():
     np.testing.assert_array_equal(analysis._halton(400, 13), _halton_digit_loop(400, 13))
+
+
+def test_halton_digit_count_from_n_changes_no_bit():
+    # Around powers of the bases, where the digit count of n steps up.
+    sizes = [0, 1, 2, 3, 4, 7, 8, 9, 24, 25, 26, 48, 49, 50, 121, 200, 243, 400, 401, 2187]
+    for n in sizes:
+        for dim in (1, 2, 5, 12, 30):
+            got, want = analysis._halton(n, dim), halton_while_digits_left(n, dim)
+            assert got.tobytes() == want.tobytes(), (n, dim)
 
 
 def test_metric_bounds_constant_hessian(quad_canonical):

@@ -677,7 +677,7 @@ def test_scheme_and_flow_loops_read_no_objective():
     # g_grad call that checks the record times: neither loop calls an
     # objective value, and the flow's step loop never calls p.f_grad.
     objective = {"f_value_and_roundoff", "f_value", "g_value", "h_value"}
-    in_scheme = _methods_called_in_loops(schemes.run_scheme, ast.For)
+    in_scheme = _methods_called_in_loops(schemes.run_scheme, ast.While)
     assert {"g_grad", "h_grad"} <= in_scheme
     assert not in_scheme & objective
     in_flow = _methods_called_in_loops(flow.integrate_flow, ast.While)

@@ -1,7 +1,9 @@
 """Integrator accuracy, the linear-flow oracle, and Euler refinement behavior."""
 
 import dataclasses
+import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from dcflow.schemes import Mode, SchemeConfig, Termination, run_scheme
 from helpers import (
     count_point_inversions,
     newton_only,
+    off_at_targets,
     off_closed_form,
     outcome,
     reject_closed_forms,
@@ -171,6 +174,28 @@ def test_flow_horizon_just_below_a_stride_multiple(quad_canonical):
     np.testing.assert_array_equal(trace.times, [0.0, 1.0, 2.0, t_end])
 
 
+def _record_targets_list(t_end, stride):
+    """The record grid built as a list of Python products."""
+    n_full = int(math.floor(t_end / stride + 1e-9))
+    targets = [stride * m for m in range(1, n_full + 1)]
+    if targets and targets[-1] >= t_end - 1e-12 * max(1.0, t_end):
+        targets.pop()
+    targets.append(t_end)
+    return np.asarray(targets)
+
+
+def test_record_grid_equals_the_list_of_products():
+    # Horizons at, just below and just above stride multiples, and strides
+    # that divide them within roundoff or not at all.
+    rng = np.random.default_rng(25)
+    t_ends = np.concatenate([rng.uniform(1e-3, 50.0, 60), [0.3, 0.45, 1.0, 2.9999999995, 1e-6]])
+    sweep = [(float(t), float(t) / d) for t in t_ends for d in (1, 3, 7, 10, 100, 1000, 2.5)]
+    sweep += [(float(t), s) for t in t_ends for s in (1e-3, 1e-2, 0.1, 0.3) if s <= t]
+    for t_end, stride in sweep:
+        got, want = flow._record_targets(t_end, stride), _record_targets_list(t_end, stride)
+        assert got.tobytes() == want.tobytes(), (t_end, stride)
+
+
 # ---------------------------------------------------------------------------
 # dense output
 
@@ -233,20 +258,30 @@ def test_dense_output_inversion_count(dw_fine_run):
     # Only the field evaluation before the first step is an inversion.  Each
     # step, accepted or rejected, pulls its six new stages back through one
     # point call of the closed form each (the seventh stage is reused by the
-    # next step), and checks all six in one stacked g_grad call right after
-    # the sixth stage's h_grad; no step is replayed through inversions.
+    # next step), with no check in between.  One stacked g_grad call checks
+    # the stages of a block of steps: the first step alone, then up to
+    # flow._RECORD_BLOCK steps, a block closed early by a record flush or
+    # the loop's end.  Every stage is checked once; no step is redone
+    # through inversions.
     assert counts["field"] == 1
     conj = [i for i, (name, _) in enumerate(calls) if name == "g_conj_grad"]
     stages = [i for i in conj if calls[i][1] == (2,)]
     assert len(stages) % 6 == 0
     n_steps = len(stages) // 6
-    for last in stages[5::6]:
-        assert calls[last + 1 : last + 3] == [("h_grad", (2,)), ("g_grad", (6, 2))]
-    # One stacked closed-form call per accepted step covers every record
-    # time in it; one g_grad call on the stack checks it, and with one
-    # h_grad call gives grad f for the equilibrium test.  No record time is
-    # inverted.  n_steps, which counts rejected steps too, bounds the
-    # accepted ones.
+    for first in stages[::6]:
+        assert calls[first : first + 12] == [("g_conj_grad", (2,)), ("h_grad", (2,))] * 6
+    checks = [
+        shape[0]
+        for i, (name, shape) in enumerate(calls)
+        if name == "g_grad" and len(shape) == 2 and calls[i - 1] == ("h_grad", (2,))
+    ]
+    assert checks[0] == 6 and sum(checks) == 6 * n_steps
+    assert all(rows % 6 == 0 and rows <= 6 * flow._RECORD_BLOCK for rows in checks)
+    # One stacked closed-form call per block of record-bearing steps covers
+    # every record time in it; one g_grad call on the stack checks it, and
+    # with one h_grad call gives grad f for the equilibrium test.  No record
+    # time is inverted.  n_steps, which counts rejected steps too, bounds
+    # the accepted ones.
     records = [i for i in conj if i not in stages]
     for i in records:
         m = calls[i][1][0]
@@ -254,6 +289,9 @@ def test_dense_output_inversion_count(dw_fine_run):
         assert calls[i + 1 : i + 3] == [("g_grad", (m, 2)), ("h_grad", (m, 2))]
     assert 0 < len(records) <= n_steps
     assert sum(calls[i][1][0] for i in records) == trace.n_samples - 1
+    # Besides the first, a check closes a full block, a block before a
+    # record flush, or the last block.
+    assert 1 < len(checks) <= 2 + n_steps // flow._RECORD_BLOCK + len(records)
     assert counts["pullback"] == counts["pullback_rows"] == 0
     pullbacks = 6 * n_steps + counts["field"] + len(records)
     assert pullbacks <= trace.n_samples + 7 * n_steps
@@ -388,6 +426,205 @@ def test_a_wrong_closed_form_fails_as_without_the_check(defect, newton_steps, mo
         assert re.search(r"\(residual \S+\) in the flow step from t=\S+ of size \S+$", checked[1])
     else:
         assert len(checked) == len(_FLOW_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# closed-form stages, checked a block of steps at a time
+
+
+def _attempts(monkeypatch, p, x0, cfg):
+    """The six stage targets of each Dormand-Prince attempt of a flow,
+    accepted or rejected, in order, and each attempt's error norm (above 1
+    rejects it), as a run whose checks all pass makes them."""
+    targets, errs = [], []
+
+    def g_conj_grad(y):
+        if np.ndim(y) == 1:
+            targets.append(np.array(y))
+        return p.g_conj_grad(y)
+
+    def sqrt(v):
+        errs.append(math.sqrt(v))
+        return errs[-1]
+
+    # The error norm is the loop's one math.sqrt.
+    logged = types.SimpleNamespace(**vars(math))
+    logged.sqrt = sqrt
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "math", logged)
+        integrate_flow(dataclasses.replace(p, g_conj_grad=g_conj_grad), np.array(x0), cfg)
+    # The first point call is the field evaluation before the first step.
+    stages = np.array(targets[1:]).reshape(-1, 6, p.dim)
+    assert len(stages) == len(errs)
+    return stages, errs
+
+
+def _stage_checks(p, x0, cfg):
+    """The rows of each stacked ``g_grad`` call that checks stages."""
+    rows, last = [], [None]
+
+    def g_grad(x):
+        if np.ndim(x) == 2 and last[0] != "g_conj_grad":
+            rows.append(len(x))
+        last[0] = "g_grad"
+        return p.g_grad(x)
+
+    def g_conj_grad(y):
+        # A stack of record times is checked right after its closed form.
+        last[0] = "g_conj_grad" if np.ndim(y) == 2 else None
+        return p.g_conj_grad(y)
+
+    logged = dataclasses.replace(p, g_grad=g_grad, g_conj_grad=g_conj_grad)
+    integrate_flow(logged, np.array(x0), cfg)
+    return rows[1:-1]  # less the start's grad f and the velocity pass
+
+
+_COARSE = (make_double_well([1.0, 4.0]), [1.8, -0.4], FlowConfig(t_end=20.0, record_stride=20.0))
+# Steps 0, 1 and 2 of this flow are rejected.
+_REJECTING = (
+    make_double_well([1e-3, 1e-3]), [0.01, 2.0], FlowConfig(t_end=10.0, record_stride=10.0)
+)
+_FINE = (make_double_well([1.0, 4.0]), [0.5, 0.5], FlowConfig(t_end=10.0, record_stride=1e-3))
+
+
+def test_a_passing_flow_checks_its_stages_once_per_block(monkeypatch):
+    # One record time: no record flush closes a block early, so the first
+    # step is checked alone and the rest in full blocks but the last.
+    p, x0, cfg = _COARSE
+    stages, _ = _attempts(monkeypatch, p, x0, cfg)
+    b = flow._RECORD_BLOCK
+    full, rest = divmod(len(stages) - 1, b)
+    assert full >= 2
+    assert _stage_checks(p, x0, cfg) == [6] + [6 * b] * full + [6 * rest] * (rest > 0)
+    # With records at every step, a block also closes before each record
+    # flush, and every step is checked once.
+    p, x0, cfg = _FINE
+    checks = _stage_checks(p, x0, cfg)
+    assert checks[0] == 6 and sum(checks) == 6 * len(_attempts(monkeypatch, p, x0, cfg)[0])
+    assert 6 * b not in checks
+
+
+@pytest.mark.parametrize(
+    "case, step",
+    [
+        ("coarse", 0),  # checked alone
+        ("coarse", 1),  # first of a block
+        ("coarse", 16),  # mid-block
+        ("coarse", 32),  # last of a full block
+        ("coarse", 40),  # in the last block, closed by the loop's end
+        ("rejecting", 0),
+        ("rejecting", 2),  # a rejected step mid-block
+        ("fine", 20),  # in a block closed by a record flush
+    ],
+)
+def test_a_failed_stage_check_resumes_at_its_step(case, step, monkeypatch):
+    # The closed form is off at one stage of one step.  The run goes back to
+    # that step, redoes it through six inversions and checks each step from
+    # then on, so every field equals the run that inverts every stage.
+    p, x0, cfg = {"coarse": _COARSE, "rejecting": _REJECTING, "fine": _FINE}[case]
+    stages, errs = _attempts(monkeypatch, p, x0, cfg)
+    if case == "rejecting":
+        assert errs[step] > 1.0
+    if case == "fine":
+        checks = np.cumsum(_stage_checks(p, x0, cfg)) // 6
+        block = int(np.searchsorted(checks, step, side="right"))
+        assert checks[block - 1] < step < checks[block] < checks[block - 1] + flow._RECORD_BLOCK
+    off = off_at_targets(p, stages[step, 2:3], 1e-6)
+    run = lambda: integrate_flow(off, np.array(x0), cfg)
+    inversions = count_point_inversions(monkeypatch, flow)
+    checked = outcome(run, _FLOW_FIELDS)
+    # The field evaluation before the first step, and the step redone.
+    assert inversions[0] == 1 + 6
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+    assert len(checked) == len(_FLOW_FIELDS)
+
+
+def test_after_a_failed_check_each_step_is_checked_alone(monkeypatch):
+    # A failure at step 1 sends the run back there; every later step is
+    # then checked on its own, where a passing run checks one block of
+    # steps at a time.
+    p, x0, cfg = _COARSE
+    stages, _ = _attempts(monkeypatch, p, x0, cfg)
+    alone, real = [0], flow._checked
+
+    def checked(y, x, grad_g):
+        alone[0] += len(y) == 6
+        return real(y, x, grad_g)
+
+    monkeypatch.setattr(flow, "_checked", checked)
+    integrate_flow(p, np.array(x0), cfg)
+    assert alone[0] == 1
+    alone[0] = 0
+    integrate_flow(off_at_targets(p, stages[1, 2:3], 1e-6), np.array(x0), cfg)
+    assert alone[0] >= len(stages) - 5
+
+
+def test_a_nan_closed_form_ends_the_flow_within_a_block(monkeypatch):
+    # NaN stages go unchecked until their block closes: at most a block of
+    # steps runs past the first, and the error is the per-step check's.
+    p = off_closed_form(make_double_well([1.0, 4.0]), np.nan, threshold=1.0)
+    nan_steps = [0]
+
+    def g_conj_grad(y):
+        x = p.g_conj_grad(y)
+        nan_steps[0] += np.ndim(y) == 1 and np.isnan(x).any()
+        return x
+
+    counted = dataclasses.replace(p, g_conj_grad=g_conj_grad)
+    run = lambda: integrate_flow(counted, np.array([0.5, 0.5]), FlowConfig(t_end=5.0))
+    checked = outcome(run, _FLOW_FIELDS)
+    assert checked[0] is core.NumericError
+    assert 0 < nan_steps[0] <= 6 * flow._RECORD_BLOCK + 1
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+
+
+def _raising_on_nan_targets(p):
+    """``p`` with a closed form that raises ValueError at a NaN target."""
+
+    def g_conj_grad(y):
+        if np.isnan(y).any():
+            raise ValueError("NaN target")
+        return p.g_conj_grad(y)
+
+    return dataclasses.replace(p, g_conj_grad=g_conj_grad)
+
+
+def test_an_error_past_a_failed_step_is_not_reached(monkeypatch):
+    # The closed form is NaN at the last stage of step 16 alone: that step's
+    # NaN error norm accepts it at a NaN state, and the next step's first
+    # target is NaN, where the closed form raises.  The per-step check stops
+    # at step 16, whose redo raises the inversion's NumericError, so the
+    # later ValueError never happens.
+    p, x0, cfg = _COARSE
+    stages, _ = _attempts(monkeypatch, p, x0, cfg)
+    broken = _raising_on_nan_targets(off_at_targets(p, stages[16, 5:6], np.nan))
+    run = lambda: integrate_flow(broken, np.array(x0), cfg)
+    checked = outcome(run, _FLOW_FIELDS)
+    assert checked[0] is core.NumericError
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+
+
+def test_a_raising_stage_check_raises_in_its_own_step(monkeypatch):
+    # g_grad raises on stacks holding a point past x_0 = 0.9, which the flow
+    # crosses at a stage of a mid-block step.  The run checks each step from
+    # the block's first on, so the step whose own check raises names itself,
+    # as with every block of one step.
+    p = make_double_well([1.0, 4.0])
+
+    def g_grad(x):
+        if np.ndim(x) == 2 and (x[:, 0] > 0.9).any():
+            raise core.NumericError("g_grad failed")
+        return p.g_grad(x)
+
+    broken = dataclasses.replace(p, g_grad=g_grad)
+    run = lambda: integrate_flow(broken, np.array([0.5, 0.5]), FlowConfig(t_end=5.0))
+    per_step, *blocked = _outcomes_by_block(monkeypatch, run)
+    assert per_step[0] is core.NumericError
+    assert re.fullmatch(r"g_grad failed in the flow step from t=\S+ of size \S+", per_step[1])
+    assert all(b == per_step for b in blocked)
 
 
 def _pullback_rows(monkeypatch):

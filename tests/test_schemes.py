@@ -24,6 +24,7 @@ from dcflow.schemes import _DESCENT_SLACK, Termination, gradient_identity_margin
 from helpers import (
     assert_same_trace,
     count_point_inversions,
+    off_at_targets,
     off_closed_form,
     outcome,
     primal_dual_sup_gap,
@@ -473,24 +474,41 @@ def _counted(p):
     return dataclasses.replace(p, **{n: wrap(n, getattr(p, n)) for n in _ORACLES}), calls
 
 
+def _counted_start_tests(monkeypatch):
+    """Count the calls of the scheme's start test, the list's one entry."""
+    count = [0]
+
+    def counted(rnorm, ynorm):
+        count[0] += 1
+        return core._meets_start_goal(rnorm, ynorm)
+
+    monkeypatch.setattr(schemes, "_meets_start_goal", counted)
+    return count
+
+
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
-def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso):
+def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso, monkeypatch):
     shifted = make_shifted_decomposition(dw_aniso, [0.5, 1.0])
     for p in (dw_aniso, shifted):
         counted, calls = _counted(p)
+        tests = _counted_start_tests(monkeypatch)
         trace = run_scheme(counted, np.array([1.8, -0.3]), SchemeConfig(eta=0.5), mode)
         steps = trace.n_points - 1
         assert trace.termination is Termination.GRAD_TOL and steps > 20
         for name in _ORACLES:
-            # One more at the start point.
-            assert calls[name, 1] <= _PER_ITERATION.get(name, 0) * steps + 1, name
-        assert calls["g_value", 1] == calls["h_value", 1] == 0
+            # The gradients once more at the start point; every pullback
+            # passes its test, so none is inverted.
+            at_start = name in ("g_grad", "h_grad")
+            assert calls[name, 1] == _PER_ITERATION.get(name, 0) * steps + at_start, name
         # The guard: one g_value and one h_value call per block of iterates.
         # The log: two g_value and one g_grad call on the stacked iterates.
         blocks = math.ceil(trace.n_points / schemes._GUARD_BLOCK)
         assert blocks > 1
         stacked = {key: n for key, n in calls.items() if key[1] == 2}
         assert stacked == {("g_value", 2): blocks + 2, ("h_value", 2): blocks, ("g_grad", 2): 1}
+        # One start test of the first pullback alone, and one of the
+        # pullbacks of each block the guard judges.
+        assert tests[0] == 1 + blocks
 
 
 _SCHEME_FIELDS = (
@@ -579,6 +597,77 @@ def test_a_wrong_closed_form_fails_as_without_the_check(mode, defect, newton_ste
         assert re.search(r"\(residual \S+\) in scheme iteration [1-9]\d* \(eta=0\.5\)$", checked[1])
     else:
         assert len(checked) == len(_SCHEME_FIELDS)
+
+
+# From here an eta = 0.5 run takes 130 steps: the first pullback is tested
+# alone, then x_2..x_31, x_32..x_63, ... in the blocks the guard judges.
+_LONG_START = np.array([1.8, -0.3])
+
+
+@pytest.mark.parametrize("i", [1, 2, 32, 47, 63, 64], ids=lambda i: f"x{i}")
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_a_failed_start_test_resumes_at_its_iterate(mode, i, dw_aniso, monkeypatch):
+    # The closed form is off at the target of x_i alone.  The run goes back
+    # to that pullback, runs Newton from the tested start and tests each
+    # pullback from then on, so the trace is the per-iterate loop's.
+    cfg = SchemeConfig(eta=0.5)
+    clean = run_scheme(dw_aniso, _LONG_START, cfg, mode)
+    assert clean.n_points > 100
+    p = off_at_targets(dw_aniso, clean.y_states[i : i + 1], 1e-6)
+    inversions = count_point_inversions(monkeypatch, schemes)
+    tests = _counted_start_tests(monkeypatch)
+    trace = run_scheme(p, _LONG_START, cfg, mode)
+    assert inversions[0] == 1
+    assert_same_trace(trace, run_scheme_loop(p, _LONG_START, cfg, mode))
+    assert trace.points[i].tobytes() != clean.points[i].tobytes()
+    # Each pullback after x_i is tested on its own.
+    assert tests[0] >= trace.n_points - 1 - i
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_an_error_past_a_failed_pullback_is_not_reached(mode, dw_aniso, monkeypatch):
+    # The closed form is NaN at the target of x_40 alone, and raises
+    # ValueError at a NaN target, the next one the run makes.  The
+    # per-iterate test stops at x_40, whose Newton start raises the
+    # NumericError, so the later ValueError never happens.
+    cfg = SchemeConfig(eta=0.5)
+    clean = run_scheme(dw_aniso, _LONG_START, cfg, mode)
+    p = off_at_targets(dw_aniso, clean.y_states[40:41], np.nan)
+
+    def g_conj_grad(y):
+        if np.isnan(y).any():
+            raise ValueError("NaN target")
+        return p.g_conj_grad(y)
+
+    broken = dataclasses.replace(p, g_conj_grad=g_conj_grad)
+    run = lambda: run_scheme(broken, _LONG_START, cfg, mode)
+    checked = outcome(run, _SCHEME_FIELDS)
+    assert checked == (core.NumericError, (
+        "non-finite gradient residual at the start point in scheme iteration 39 (eta=0.5)"
+    ))
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _SCHEME_FIELDS) == checked
+
+
+def test_a_nan_closed_form_ends_the_run_within_a_block(dw_aniso, monkeypatch):
+    # NaN pullbacks go untested until the guard's block closes: at most a
+    # block of iterates runs past the first, and the error is the
+    # per-iterate test's.
+    p = off_closed_form(dw_aniso, np.nan, threshold=1.0)
+    nan_pullbacks = [0]
+
+    def g_conj_grad(y):
+        x = p.g_conj_grad(y)
+        nan_pullbacks[0] += bool(np.isnan(x).any())
+        return x
+
+    counted = dataclasses.replace(p, g_conj_grad=g_conj_grad)
+    run = lambda: run_scheme(counted, np.array([0.5, 0.5]), SchemeConfig(eta=0.5))
+    checked = outcome(run, _SCHEME_FIELDS)
+    assert checked[0] is core.NumericError
+    assert 0 < nan_pullbacks[0] <= schemes._GUARD_BLOCK
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _SCHEME_FIELDS) == checked
 
 
 def test_step_norms_vanish_along_converging_run(dw_unit):
