@@ -8,12 +8,15 @@ its gradient map, the pullback ``(grad g)^{-1} = grad g*`` that every
 discrete scheme and the continuous flow integrator go through.  Newton's
 method on ``grad g(x) = y`` is the one inversion kernel; a problem with a
 closed-form ``grad g*`` supplies its starting point.  The closed-form call
-(``_closed_form``) and the stopping rule's test at Newton's start
-(``_meets_start_goal``) each have one home here: the flow step (its
-stages and its record times) and the schemes take closed-form pullbacks
-unchecked in their loops and test them with both a block at a time, on
-stacked ``grad g`` calls, and invert only from the first that fails, the
-schemes from the checked start.
+(``_closed_form``) and Newton's stopping rule (``_stopping_rule``: the
+goal, then for the rows that miss it a roundoff exit read from one
+stacked ``g_hess`` call) each have one home here.  The rule at a start is
+the whole of Newton's iteration 0, so it passes exactly the starts the
+inversion returns unchanged: the flow step (its stages and its record
+times) and the schemes take closed-form pullbacks unchecked in their
+loops and test them with it a block at a time, on stacked ``grad g``
+calls.  Only a wrong closed form fails that test; the loop then runs
+again with every pullback through the inversion (``_CheckFailed``).
 The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -231,7 +234,8 @@ class DcProblem:
         against the same rule a block at a time: the stages of a block of
         flow steps in one stacked ``g_grad`` call, the record times of a
         block of steps in another, and a block of scheme iterates on the
-        ``g_grad`` calls that are their next gradients.
+        ``g_grad`` calls that are their next gradients.  A stage or iterate
+        check that fails runs the loop again through :func:`invert_grad_g`.
     """
 
     dim: int
@@ -393,7 +397,7 @@ def _closed_form(p: DcProblem, y: np.ndarray) -> np.ndarray:
     """The closed-form pullback ``g_conj_grad(y)`` as a new float array.
 
     It is not checked against the stopping rule: callers test it with
-    :func:`_meets_start_goal` on ``g_grad`` at the answer.  An answer of
+    :func:`_stopping_rule` on ``g_grad`` at the answer.  An answer of
     another shape than ``y`` raises ``ValueError``.
     """
     x = np.array(p.g_conj_grad(y), dtype=float)
@@ -410,42 +414,78 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _meets_start_goal(rnorm: np.ndarray, ynorm: np.ndarray) -> bool:
-    """Whether every residual norm ``rnorm`` meets ``tol min(1, ynorm)``.
+def _meets_start_goal(rnorm: np.ndarray, ynorm: np.ndarray) -> np.ndarray:
+    """Per residual norm ``rnorm``, whether it meets ``tol min(1, ynorm)``.
 
     This is the goal of :func:`_invert_rows`'s Newton loop, bit for bit,
     written as ``(rnorm <= tol) & (rnorm <= tol ynorm)`` so that no goal
     array is formed; ``tol`` is :data:`INVERSION_TOL`, read at each call.
-    A NaN norm fails it.  A point that meets it is a
-    verified pullback, so callers that hold ``g_grad`` at a closed-form
-    answer test it here and skip :func:`invert_grad_g`.
+    A NaN norm fails it.  It is the first test of :func:`_stopping_rule`,
+    and the whole test when every row of a start meets it.
     """
     tol = INVERSION_TOL
-    return bool(((rnorm <= tol) & (rnorm <= tol * ynorm)).all())
+    return (rnorm <= tol) & (rnorm <= tol * ynorm)
 
 
-def _invert_rows(
-    p: DcProblem, y: np.ndarray, x: np.ndarray, grad_g: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _stopping_rule(
+    p: DcProblem, x: np.ndarray, rnorm: np.ndarray, ynorm: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per row of the stack ``x`` ``(m, dim)``, whether Newton stops there.
+
+    ``rnorm`` and ``ynorm`` are the ``(m,)`` norms of the residuals
+    ``grad g(x) - y`` and of the targets ``y``; ``x`` may also be a list
+    of its rows, stacked only if a row misses the goal.  A row stops once
+    it meets the goal :func:`_meets_start_goal`; the rows that miss it and
+    have a finite residual read ``g_hess`` in one stacked call, and stop once
+    ``rnorm <= min(tol max(1, ynorm), floor)``, the roundoff exit, with
+    ``floor`` the roundoff of evaluating the residual, scaled from
+    ``Hess g(x)`` and ``x``.  A non-finite residual never stops.
+
+    This is the whole rule of :func:`_invert_rows` at every iteration, so
+    at a start it tells exactly which rows it returns unchanged, with no
+    Newton step: the flow step and the schemes check closed-form pullbacks
+    with it on the ``g_grad`` call at them.  Returns the verdicts and the
+    Hessians of the rows that do not stop (those with a finite residual),
+    which the next Newton step solves with; None when no row reads one.
+    """
+    tol = INVERSION_TOL
+    stops = _meets_start_goal(rnorm, ynorm)
+    if stops.all():
+        return stops, None
+    rows = np.flatnonzero(~stops & np.isfinite(rnorm))
+    if rows.size == 0:
+        return stops, None
+    x = np.asarray(x)[rows]
+    hess = np.asarray(p.g_hess(x), dtype=float)
+    floor = ROUNDOFF * p.dim * (np.abs(hess).max(axis=(1, 2)) * np.abs(x).max(axis=1))
+    # The roundoff exit never asks for less than tol relative to a large target.
+    done = rnorm[rows] <= np.minimum(tol * np.maximum(1.0, ynorm[rows]), floor)
+    stops[rows[done]] = True
+    return stops, hess[~done]
+
+
+class _CheckFailed(Exception):
+    """A stacked check of closed-form pullbacks failed, or raised: the loop
+    that made them reruns with every pullback through :func:`invert_grad_g`."""
+
+
+def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`invert_grad_g` for a target ``y`` from the start ``x``, row by row.
 
-    ``grad_g``, if given, is ``g_grad`` at ``x``, as a caller that has
-    checked a closed-form start already holds it; otherwise it is read here.
     The start residual is tested before any row state is built, so a start
     that meets the goal ``tol min(1, ||y||)`` costs one ``g_grad`` call and,
-    for a single target, arithmetic on numpy scalars.  Otherwise the targets become a
-    stack ``(m, dim)``: each Newton step covers the rows still iterating
-    (``live``), and its line search shares one trial ``t`` among the rows
-    that have not yet accepted theirs.  A row leaves once it meets its
-    stopping rule, or fails once its line search runs out; the rest go on,
-    and the failure is raised when all are done.
+    for a single target, arithmetic on numpy scalars.  Otherwise the
+    targets become a stack ``(m, dim)``, and each iteration applies
+    :func:`_stopping_rule` to the rows still iterating (``live``): a row
+    leaves once it stops.  The Newton step covers the rest, unless none is
+    left, and its line search shares one trial ``t`` among the rows that
+    have not yet accepted theirs.  A row whose line search runs out fails;
+    the rest go on, and the failure is raised when all are done.
     """
     tol = INVERSION_TOL
-    if grad_g is None:
-        grad_g = np.asarray(p.g_grad(x), dtype=float)
-    residual = grad_g - y
+    residual = np.asarray(p.g_grad(x), dtype=float) - y
     rnorm, ynorm = _row_norms(residual), _row_norms(y)
-    if _meets_start_goal(rnorm, ynorm):
+    if _meets_start_goal(rnorm, ynorm).all():
         return x
     if not np.isfinite(rnorm).all():
         raise NumericError("non-finite gradient residual at the start point")
@@ -454,24 +494,15 @@ def _invert_rows(
     y, x = y.reshape(-1, p.dim), x.reshape(-1, p.dim).copy()
     residual, rnorm = residual.reshape(y.shape), rnorm.reshape(-1)
     ynorm = ynorm.reshape(-1)
-    goal = tol * np.minimum(1.0, ynorm)
     live = np.ones(len(y), dtype=bool)
     failed_at = np.full(len(y), -1)  # Newton step at which a row failed
     for iterations in range(_MAX_NEWTON_ITER + 1):
-        live &= ~(rnorm <= goal)
         rows = np.flatnonzero(live)
-        if rows.size == 0:
+        stops, hess = _stopping_rule(p, x[rows], rnorm[rows], ynorm[rows])
+        live[rows[stops]] = False
+        rows = rows[~stops]
+        if iterations == _MAX_NEWTON_ITER or rows.size == 0:
             break
-        hess = np.asarray(p.g_hess(x[rows]), dtype=float)
-        floor = ROUNDOFF * p.dim * (
-            np.abs(hess).max(axis=(1, 2)) * np.abs(x[rows]).max(axis=1)
-        )
-        # The roundoff exit never asks for less than tol relative to a large target.
-        done = rnorm[rows] <= np.minimum(tol * np.maximum(1.0, ynorm[rows]), floor)
-        live[rows[done]] = False
-        if iterations == _MAX_NEWTON_ITER:
-            break
-        rows, hess = rows[~done], hess[~done]
         try:
             step = _solve_metric(hess, -residual[rows])
         except np.linalg.LinAlgError as exc:

@@ -8,17 +8,18 @@ pullback through the inverse gradient map and one ``h_grad`` call.  For the
 built-in families the pullback is a closed form: a step's six new stages
 pull back through it alone, unchecked, since no step reads a verdict that
 passes.  The stages wait, and one stacked ``g_grad`` call tests those of
-a block of steps against the stopping rule's start test, so the checked
-stages are those Newton would return without a step: the first step's
-alone, then up to ``_RECORD_BLOCK`` steps' at a time, and always before
-the record pass, the loop's end or an error reads what they led to.  At
-the first step that fails the check the loop goes back to that step's
-start, redoes it stage by stage through the inversion, and checks each
-step on its own from then on, as a check per step would.  Other problems
-run Newton warm-started at the previous evaluation's pullback, and
-consecutive evaluations are close, so it typically finishes in one or two
-steps.  Step
-sizes follow the error control alone; record times are read off the pair's
+a block of steps with the inversion's own stopping rule
+(``core._stopping_rule``), so the checked stages are exactly those Newton
+would return without a step: the first step's alone, then up to
+``_RECORD_BLOCK`` steps' at a time, and always before the record pass,
+the loop's end or an error reads what they led to.  Only a wrong closed
+form fails that check, so a check that fails, or raises, runs the loop
+again from its first step with every stage through the inversion, which
+returns the closed form wherever it passes: the trace and every error are
+those of an inversion per stage.  Other problems run Newton warm-started
+at the previous evaluation's pullback, and consecutive evaluations are
+close, so it typically finishes in one or two steps.  Step sizes follow
+the error control alone; record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
 accepted step.  No later step reads the pullbacks of those interpolated
 dual states, so they wait and are pulled back together, a block of
@@ -48,10 +49,11 @@ from .core import (
     DcError,
     DcProblem,
     NumericError,
+    _CheckFailed,
     _closed_form,
-    _meets_start_goal,
     _pencil_eigh,
     _row_norms,
+    _stopping_rule,
     flow_velocity,
     invert_grad_g,
 )
@@ -196,13 +198,11 @@ def _record_targets(t_end: float, stride: float) -> np.ndarray:
     return targets[: n_full + 1]
 
 
-def _checked(y: np.ndarray, x: np.ndarray, grad_g: np.ndarray) -> bool:
-    """Whether the closed-form pullbacks ``x`` of the targets ``y`` are finite
-    and meet :func:`~dcflow.core._meets_start_goal` on ``grad_g``, the
-    ``g_grad`` call at them: then they are what the inversion returns."""
-    return bool(np.isfinite(x).all()) and _meets_start_goal(
-        _row_norms(grad_g - y), _row_norms(y)
-    )
+def _checked(p: DcProblem, y: np.ndarray, x: np.ndarray, grad_g: np.ndarray) -> bool:
+    """Whether every closed-form pullback ``x`` of the targets ``y`` stops
+    :func:`~dcflow.core._stopping_rule` on ``grad_g``, the ``g_grad`` call
+    at them: then each is what the inversion returns."""
+    return bool(_stopping_rule(p, x, _row_norms(grad_g - y), _row_norms(y))[0].all())
 
 
 def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
@@ -215,19 +215,19 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     ``x_states`` its pullback.  The stride chooses output times only and
     never limits the step size.  With a closed-form ``g_conj_grad`` a
     step, accepted or rejected, pulls its six new stages back through it
-    alone and queues them unchecked, with the loop state it started from.
-    One ``g_grad`` call on the queue's stacked stages checks them with
-    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start: for
-    the first step alone, then once ``_RECORD_BLOCK`` steps are queued,
-    before the record pass below, when the loop ends, and before an error
-    propagates.  At the first step with a stage pullback that is not
-    finite or fails the test, the loop goes back to that step's start and
-    redoes it stage by stage through :func:`~dcflow.core.invert_grad_g`;
-    the steps queued after it, and any error they raised, are dropped, and
-    each later step is checked on its own.  So the stages, Newton's steps
-    and every error are those of a check per step.  An accepted step only
-    keeps its record times and their dense-output
-    states; no later step reads their pullbacks.  Those of a block of
+    alone and queues them unchecked.  One ``g_grad`` call on the queue's
+    stacked stages checks them with :func:`~dcflow.core._stopping_rule`,
+    the inversion's stopping rule, which passes exactly the pullbacks the
+    inversion returns unchanged: for the first step alone, then once
+    ``_RECORD_BLOCK`` steps are queued, before the record pass below, when
+    the loop ends, and before an error propagates.  If a check fails or
+    raises, which a right closed form never makes it do, the loop runs
+    again from its first step with every stage pulled back through
+    :func:`~dcflow.core.invert_grad_g`, and that run is returned or raises:
+    the inversion returns the closed form wherever it passes, so the
+    stages, Newton's steps and every error are those of a check per
+    stage.  An accepted step only keeps its record times and their
+    dense-output states; no later step reads their pullbacks.  Those of a block of
     ``_RECORD_BLOCK`` record-bearing steps are pulled back in one pass, as
     is a last, shorter block when the loop ends or before an error of a
     later step propagates: the closed form on one stack, checked on one
@@ -309,12 +309,12 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             out.append(new[:keep])
         return bool(at_rest.size)
 
-    def flush() -> bool:
+    def flush(closed: bool) -> bool:
         """Pull back and record the pending steps' states; True at rest.
 
-        The closed form's answers for the whole block if they pass
-        :func:`_checked` on one stacked ``g_grad`` call, with ``grad f`` as
-        that call less one ``h_grad`` call, the bits
+        If ``closed``, the closed form's answers for the whole block if they
+        pass :func:`_checked` on one stacked ``g_grad`` call, with ``grad f``
+        as that call less one ``h_grad`` call, the bits
         :meth:`~dcflow.core.DcProblem.f_grad` returns.  Otherwise each step
         in turn: one batched inversion warm-started on the chord between
         its end pullbacks, ``p.f_grad``, and its own phase on an error."""
@@ -322,11 +322,11 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             return False
         block = pending.copy()
         pending.clear()
-        if p.g_conj_grad is not None:
+        if closed:
             y_block = np.concatenate([step[1] for step in block])
             x_block = _closed_form(p, y_block)
             grad_g = np.asarray(p.g_grad(x_block), dtype=float)
-            if _checked(y_block, x_block, grad_g):
+            if _checked(p, y_block, x_block, grad_g):
                 grad_f = grad_g - np.asarray(p.h_grad(x_block), dtype=float)
                 t_block = np.concatenate([step[0] for step in block])
                 return record(t_block, y_block, x_block, grad_f)
@@ -353,147 +353,126 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
             metric_speed_sq=msqs,
         )
 
-    y = np.asarray(p.g_grad(x0), dtype=float)
-    if record(np.zeros(1), y[None], x0[None], p.f_grad(x0[None])):
+    y0 = np.asarray(p.g_grad(x0), dtype=float)
+    if record(np.zeros(1), y0[None], x0[None], p.f_grad(x0[None])):
         return build()
 
     targets = _record_targets(cfg.t_end, cfg.record_stride)
-    target_idx = 0
     t_end = cfg.t_end
-    t = 0.0
-    h = h_try = _STEP_INIT
-    err_prev = 1e-4
-    n = y.size
+    n = y0.size
     try:
-        k1 = fieldfun(y)
+        k1_start = fieldfun(y0)
     except DcError as exc:
-        raise exc.with_phase(_step_phase(t, h_try)) from exc
-    x_start = warm[0]
+        raise exc.with_phase(_step_phase(0.0, _STEP_INIT)) from exc
+    x_first = warm[0]
 
-    # With a closed form the attempts' stages are checked a block at a time:
-    # each queued attempt keeps the loop state it started from, and its
-    # stages fill one (6, n) slot of stage_y and stage_x.  The first attempt
-    # is checked alone, then _RECORD_BLOCK at a time, and one at a time for
-    # the rest of the run once a check has failed.
-    closed = p.g_conj_grad is not None
-    queued = []
-    block, next_block = 1, _RECORD_BLOCK
-    redo = False  # whether the next attempt is one that failed its check
+    def steps(closed: bool) -> FlowTrace:
+        """The step loop from the first field evaluation on.  If ``closed``
+        the stages pull back through the closed form, checked a block of
+        attempts at a time: a check that fails or raises raises
+        ``_CheckFailed``."""
+        # A run made again starts from the first sample alone.
+        for chunks in samples:
+            del chunks[1:]
+        pending.clear()
+        warm[0] = x_start = x_first
+        t, y, k1, target_idx = 0.0, y0, k1_start, 0
+        h = h_try = _STEP_INIT
+        err_prev = 1e-4
+        # The attempts whose stages fill the first `queued` (6, n) slots of
+        # stage_y and stage_x, not yet checked: the first attempt is checked
+        # alone, then _RECORD_BLOCK at a time.
+        queued, block = 0, 1
 
-    def resume() -> bool:
-        """Check the queued attempts' stages on one stacked ``g_grad`` call
-        and empty the queue; True if one fails.  The loop state then goes
-        back to the start of the first that fails, to redo it through the
-        inversion (``redo``), as a per-attempt check would.  A ``g_grad``
-        call that raises goes back to the first queued attempt, not redone,
-        so that its check alone raises in that attempt, where a check of one
-        attempt lets the error propagate."""
-        nonlocal t, y, h, err_prev, k1, x_start, target_idx, block, next_block, redo
-        if not queued:
-            return False
-        m, starts = len(queued), queued[:]
-        queued.clear()
-        ys, xs = stage_y[:m].reshape(-1, n), stage_x[:m].reshape(-1, n)
-        try:
-            grad_g = np.asarray(p.g_grad(xs), dtype=float)
-        except Exception:
-            if block == 1:
-                raise
-            failed = 0
-        else:
-            if _checked(ys, xs, grad_g):
-                block = next_block
-                return False
-            # The last fails if none before it does.
-            grads = grad_g.reshape(m, 6, n)
-            failed = next(
-                (j for j in range(m - 1) if not _checked(stage_y[j], stage_x[j], grads[j])),
-                m - 1,
-            )
-            redo = True
-        t, y, h, err_prev, k1, x_start, target_idx, n_pending, warm[0] = starts[failed]
-        del pending[n_pending:]
-        block = next_block = 1
-        return True
+        def check() -> None:
+            """Check the queued stages on one stacked ``g_grad`` call and
+            empty the queue."""
+            nonlocal queued, block
+            if not queued:
+                return
+            ys, xs = stage_y[:queued].reshape(-1, n), stage_x[:queued].reshape(-1, n)
+            try:
+                passed = _checked(p, ys, xs, np.asarray(p.g_grad(xs), dtype=float))
+            except Exception as exc:
+                raise _CheckFailed from exc
+            if not passed:
+                raise _CheckFailed
+            queued, block = 0, _RECORD_BLOCK
 
-    while True:
-        if target_idx == targets.size:
-            if resume():
-                continue
-            break
-        try:
-            last = h >= t_end - t - 1e-14 * max(1.0, t_end)
-            h_try = t_end - t if last else h
-            if h_try < _MIN_STEP:
-                # The phase added below names t and the step needed.
-                raise StiffnessError("step size underflow")
+        while target_idx < targets.size:
+            if queued == block:
+                check()
+            try:
+                last = h >= t_end - t - 1e-14 * max(1.0, t_end)
+                h_try = t_end - t if last else h
+                if h_try < _MIN_STEP:
+                    # The phase added below names t and the step needed.
+                    raise StiffnessError("step size underflow")
 
-            if closed and not redo:
-                if not queued:
-                    stage_y, stage_x = np.empty((2, block, 6, n))
-                j = len(queued)
-                start = (t, y, h, err_prev, k1, x_start, target_idx, len(pending), warm[0])
-                k = closed_slopes(y, k1, h_try, stage_y[j], stage_x[j])
-                queued.append(start)
-                if len(queued) == block and resume():
+                if closed:
+                    if not queued:
+                        stage_y, stage_x = np.empty((2, block, 6, n))
+                    k = closed_slopes(y, k1, h_try, stage_y[queued], stage_x[queued])
+                    queued += 1
+                else:
+                    k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
+                y_new = y + h_try * (_B5 @ k)
+                err_vec = h_try * (_ERR @ k)
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                # The root mean square of np.mean: one pairwise sum, one division.
+                err = math.sqrt(float(np.add.reduce((err_vec / scale) ** 2)) / n)
+
+                if err > 1.0:
+                    h = h_try * max(0.2, 0.9 * err**-0.2)
+                    if h < _MIN_STEP:
+                        raise StiffnessError("step size underflow after rejection")
                     continue
-            else:
-                # Stage by stage through the inversion, so Newton and every
-                # error run as they do without the closed form's check.
-                k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
-                redo = False
-            y_new = y + h_try * (_B5 @ k)
-            err_vec = h_try * (_ERR @ k)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            # The root mean square of np.mean: one pairwise sum, one division.
-            err = math.sqrt(float(np.add.reduce((err_vec / scale) ** 2)) / n)
 
-            if err > 1.0:
-                h = h_try * max(0.2, 0.9 * err**-0.2)
-                if h < _MIN_STEP:
-                    raise StiffnessError("step size underflow after rejection")
-                continue
+                t_new = t_end if last else t + h_try
+                stop = int(np.searchsorted(targets, t_new, side="right"))
+                if stop > target_idx:
+                    t_s = targets[target_idx:stop]
+                    theta = ((t_s - t) / h_try)[:, None]
+                    y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
+                    # The seventh stage sits at the accepted state, so warm[0]
+                    # is the pullback at the step's end.
+                    pending.append((t_s, y_s, t, h_try, x_start, warm[0]))
+                    target_idx = stop
 
-            t_new = t_end if last else t + h_try
-            stop = int(np.searchsorted(targets, t_new, side="right"))
-            if stop > target_idx:
-                t_s = targets[target_idx:stop]
-                theta = ((t_s - t) / h_try)[:, None]
-                y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
-                # The seventh stage sits at the accepted state, so warm[0]
-                # is the pullback at the step's end.
-                pending.append((t_s, y_s, t, h_try, x_start, warm[0]))
-                target_idx = stop
+                t = t_new
+                y = y_new
+                k1 = k[6]
+                x_start = warm[0]
+                err = max(err, 1e-10)
+                factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
+                err_prev = err
+                h = max(h_try * factor, _MIN_STEP)
+            except Exception as exc:
+                # A queued stage may fail its check, and then this step
+                # would not have run.
+                check()
+                # The pending records come first in time: at rest, the trace
+                # ends there, before this step.
+                if flush(closed):
+                    return build()
+                if isinstance(exc, DcError):
+                    raise exc.with_phase(_step_phase(t, h_try)) from exc
+                raise
+            if len(pending) == _RECORD_BLOCK:
+                # The pending states rest on the queued stages.
+                check()
+                if flush(closed):
+                    return build()
+        check()
+        flush(closed)
+        return build()
 
-            t = t_new
-            y = y_new
-            k1 = k[6]
-            x_start = warm[0]
-            err = max(err, 1e-10)
-            factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
-            err_prev = err
-            h = max(h_try * factor, _MIN_STEP)
-        except Exception as exc:
-            # An unchecked attempt before this one may have failed, and then
-            # this one would not have run.
-            if resume():
-                continue
-            # The pending records come first in time: at rest, the trace
-            # ends there, before this step.
-            if flush():
-                return build()
-            if isinstance(exc, DcError):
-                raise exc.with_phase(_step_phase(t, h_try)) from exc
-            raise
-        if len(pending) == _RECORD_BLOCK:
-            # The pending states rest on the queued attempts.
-            if resume():
-                continue
-            if flush():
-                return build()
-
-    flush()
-    return build()
+    if p.g_conj_grad is not None:
+        try:
+            return steps(closed=True)
+        except _CheckFailed:
+            pass  # a wrong closed form: run again, inverting every stage
+    return steps(closed=False)
 
 
 def _step_phase(t: float, h: float) -> str:

@@ -3,13 +3,16 @@
 All three are one update: the damped target
 ``y+ = (1-eta) y + eta grad h(x)`` (:func:`~dcflow.core.damped_target`)
 followed by one pullback ``x+ = (grad g)^{-1}(y+)``: the closed form
-``grad g*(y+)`` where the problem has one, tested against the inversion's
-stopping rule a block of iterates at a time, and a gradient inversion
-otherwise or from the first that fails the test.
-The primal damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the
-classical step; the dual Euler step of size ``eta`` along
-``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.  ``run_scheme``, the one loop of
-either form, logs every iterate, its dual state included.  The loop
+``grad g*(y+)`` where the problem has one, tested with the inversion's
+own stopping rule (``core._stopping_rule``) a block of iterates at a
+time, and a gradient inversion otherwise.  Only a wrong closed form fails
+that test, so a test that fails, or raises, runs the scheme again with
+every pullback through the inversion, which returns the closed form
+wherever it passes.  The primal damped step takes ``y = grad g(x)``,
+which at ``eta = 1`` is the classical step; the dual Euler step of size
+``eta`` along ``grad h(pullback(y)) - y`` carries ``y`` from step to step
+instead.  ``run_scheme``, the one loop of either form, logs every
+iterate, its dual state included.  The loop
 reads only what the next iterate needs; the start tests of closed-form
 pullbacks and the objective values that the divergence guard judges, both
 over blocks of logged iterates, and the Bregman steps and step norms of
@@ -29,10 +32,10 @@ from .core import (
     Box,
     DcError,
     DcProblem,
+    _CheckFailed,
     _closed_form,
-    _invert_rows,
-    _meets_start_goal,
     _row_norms,
+    _stopping_rule,
     damped_target,
     invert_grad_g,
 )
@@ -137,19 +140,19 @@ def run_scheme(
     both its gradient norm and the next step's target, and one pullback.
     With a closed-form ``g_conj_grad`` the pullback is its value, and the
     ``g_grad`` call at it, the next iterate's gradient, waits in a queue.
-    :func:`~dcflow.core._meets_start_goal`, the test at Newton's start,
+    :func:`~dcflow.core._stopping_rule`, the inversion's stopping rule,
+    which passes exactly the pullbacks the inversion returns unchanged,
     tests the queued pullbacks on those calls in one stacked test: the
     first iterate's alone, then those of each block the divergence guard
     judges, before it judges them, when the loop ends and before an error
-    propagates.  At the first that fails, the log is cut back to its
-    target, Newton's loop of :func:`~dcflow.core.invert_grad_g` runs from
-    the tested start and its ``g_grad`` call, so the closed form is not
-    computed twice, and each later pullback is tested on its own; the
-    iterates made past it, and any error they raised, are dropped, so the
-    trace and every error are those of a test per iterate.  Without a
-    closed form :func:`~dcflow.core.invert_grad_g` runs from the current
-    iterate.  The objective values, the Bregman steps and the step norms
-    of the log are computed outside the loop, in stacked calls.
+    propagates.  If a test fails or raises, which a right closed form never
+    makes it do, the run is made again with every pullback through
+    :func:`~dcflow.core.invert_grad_g` from the current iterate, and that
+    run is returned or raises: the inversion returns the closed form
+    wherever it passes, so the trace and every error are those of a test
+    per iterate.  Without a closed form that is the only run.  The
+    objective values, the Bregman steps and the step norms of the log are
+    computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
@@ -174,75 +177,63 @@ def run_scheme(
     """
     if cfg is None:
         cfg = SchemeConfig()
-    x = p.check_point(x0)
+    x0 = p.check_point(x0)
     eta = cfg.eta
 
-    points, y_states, grad_norms = [x], [], []
-    f_values, f_errs = [], []  # of the judged points, points[: len(f_values)]
-    termination = Termination.MAX_ITER
+    def iterate(closed: bool) -> IterateTrace:
+        """The run, with closed-form pullbacks tested a block at a time if
+        ``closed``: a test that fails or raises raises ``_CheckFailed``."""
+        x = x0
+        points, y_states, grad_norms = [x], [], []
+        f_values, f_errs = [], []  # of the judged points, points[: len(f_values)]
+        termination = Termination.MAX_ITER
 
-    def tripped() -> bool:
-        """Judge the unjudged points in one stacked objective call, in order;
-        at the first that fails, cut the log before it and end the run."""
-        nonlocal termination
-        start = len(f_values)
-        if start == len(points):
+        def tripped() -> bool:
+            """Judge the unjudged points in one stacked objective call, in order;
+            at the first that fails, cut the log before it and end the run."""
+            nonlocal termination
+            start = len(f_values)
+            if start == len(points):
+                return False
+            fs, errs = p.f_value_and_roundoff(np.asarray(points[start:]))
+            for j, (f_next, err_next) in enumerate(zip(fs.tolist(), errs.tolist()), start):
+                if j > 0:
+                    slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
+                    if not math.isfinite(f_next) or f_next > f_values[-1] + slack:
+                        del points[j:], y_states[j:], grad_norms[j:]
+                        termination = Termination.NUMERIC_ERROR
+                        return True
+                f_values.append(f_next)
+                f_errs.append(err_next)
             return False
-        fs, errs = p.f_value_and_roundoff(np.asarray(points[start:]))
-        for j, (f_next, err_next) in enumerate(zip(fs.tolist(), errs.tolist()), start):
-            if j > 0:
-                slack = _DIVERGENCE_SLACK * (1.0 + abs(f_values[-1])) + f_errs[-1] + err_next
-                if not math.isfinite(f_next) or f_next > f_values[-1] + slack:
-                    del points[j:], y_states[j:], grad_norms[j:]
-                    termination = Termination.NUMERIC_ERROR
-                    return True
-            f_values.append(f_next)
-            f_errs.append(err_next)
-        return False
 
-    # With a closed form the pullbacks' start tests wait in a queue: the
-    # g_grad call at each, which is also the next iterate's gradient; they
-    # are the last len(queue) points, and their targets the last y_states.
-    # The first is tested alone, the rest in the blocks the guard judges
-    # (never more than _GUARD_BLOCK), and one at a time for the rest of the
-    # run once a test has failed.
-    closed = p.g_conj_grad is not None
-    queue = []
-    block, next_block = 1, _GUARD_BLOCK
-    grad_g = None  # g_grad at x, when the closed form's g_grad call has read it
-    redo = None  # (target, closed form, its g_grad) of an iterate that failed its test
+        # The g_grad calls at the closed-form pullbacks not yet tested, which
+        # are also the next iterates' gradients: they are at the last
+        # len(queue) points, whose targets are the last y_states.  The first
+        # is tested alone, the rest in the blocks the guard judges.
+        queue = []
+        block = 1
+        grad_g = None  # g_grad at x, when the closed form's g_grad call has read it
 
-    def resume() -> bool:
-        """Test the queued pullbacks in one stacked start test and empty the
-        queue; True if one fails.  The log is then cut back to that
-        iterate's target, which ``redo`` pulls back through Newton from the
-        tested start, as a per-iterate test would."""
-        nonlocal block, next_block, redo
-        if not queue:
-            return False
-        m, grads, ys = len(queue), queue[:], y_states[-len(queue):]
-        queue.clear()
-        # One pullback is tested as it is, as a per-iterate test would.
-        stacked = (grads[0], ys[0]) if m == 1 else (np.asarray(grads), np.asarray(ys))
-        if _meets_start_goal(_row_norms(stacked[0] - stacked[1]), _row_norms(stacked[1])):
-            block = next_block
-            return False
-        # The last fails if none before it does.
-        j = next(
-            (j for j in range(m - 1)
-             if not _meets_start_goal(_row_norms(grads[j] - ys[j]), _row_norms(ys[j]))),
-            m - 1,
-        )
-        i = len(points) - m + j  # the failing pullback's index
-        redo = y_states[i], points[i], grads[j]
-        del points[i:], y_states[i:], grad_norms[i:]
-        block = next_block = 1
-        return True
+        def check() -> None:
+            """Test the queued pullbacks with one stacked stopping rule and
+            empty the queue; raise ``_CheckFailed`` if one fails or it raises."""
+            nonlocal block
+            if not queue:
+                return
+            ys, xs = np.asarray(y_states[-len(queue):]), points[-len(queue):]
+            try:
+                stops = _stopping_rule(p, xs, _row_norms(np.asarray(queue) - ys), _row_norms(ys))[0]
+            except Exception as exc:
+                raise _CheckFailed from exc
+            if not stops.all():
+                raise _CheckFailed
+            queue.clear()
+            block = _GUARD_BLOCK
 
-    while True:
-        k = len(points) - 1
-        try:
-            if redo is None:
+        while True:
+            k = len(points) - 1
+            try:
                 if grad_g is None:
                     grad_g = np.asarray(p.g_grad(x), dtype=float)
                 grad_h = np.asarray(p.h_grad(x), dtype=float)
@@ -252,9 +243,6 @@ def run_scheme(
                 # The bits of np.linalg.norm(d), which computes sqrt(d.dot(d)).
                 grad_norms.append(math.sqrt(d.dot(d)))
                 if grad_norms[-1] <= cfg.stop_grad_tol or k == cfg.max_iter:
-                    # The stop rests on the queued pullbacks.
-                    if resume():
-                        continue
                     if grad_norms[-1] <= cfg.stop_grad_tol:
                         termination = Termination.GRAD_TOL
                     break
@@ -265,41 +253,45 @@ def run_scheme(
                     queue.append(grad_g)
                 else:
                     x, grad_g = invert_grad_g(p, y, x), None
-            else:
-                # Newton from the tested start, as invert_grad_g runs it.
-                (y, start, grad_start), redo = redo, None
-                x, grad_g = _invert_rows(p, y, start, grad_start), None
-            points.append(x)
-            y_states.append(y)
+                points.append(x)
+                y_states.append(y)
+            except Exception as exc:
+                # A queued pullback may fail its test, and then this
+                # iteration would not have run.
+                check()
+                if not tripped():
+                    if isinstance(exc, DcError):
+                        raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
+                    raise
+                break
             due = len(points) - len(f_values) >= _GUARD_BLOCK
-            if (len(queue) == block or due) and resume():
-                continue
+            if len(queue) == block or due:
+                check()
             if due and tripped():
                 break
-        except Exception as exc:
-            # A queued pullback may have failed its test, and then this
-            # iteration would not have run.
-            if resume():
-                continue
-            if not tripped():
-                if isinstance(exc, DcError):
-                    raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
-                raise
-            break
-    tripped()
+        # The stop and the last judgement rest on the queued pullbacks.
+        check()
+        tripped()
 
-    points = np.asarray(points)
-    return IterateTrace(
-        points=points,
-        y_states=np.asarray(y_states),
-        f_values=np.asarray(f_values),
-        f_roundoff=np.asarray(f_errs),
-        grad_norms=np.asarray(grad_norms),
-        bregman_steps=p.bregman_g(points[1:], points[:-1]),
-        step_norms=_row_norms(np.diff(points, axis=0)),
-        eta=eta,
-        termination=termination,
-    )
+        points = np.asarray(points)
+        return IterateTrace(
+            points=points,
+            y_states=np.asarray(y_states),
+            f_values=np.asarray(f_values),
+            f_roundoff=np.asarray(f_errs),
+            grad_norms=np.asarray(grad_norms),
+            bregman_steps=p.bregman_g(points[1:], points[:-1]),
+            step_norms=_row_norms(np.diff(points, axis=0)),
+            eta=eta,
+            termination=termination,
+        )
+
+    if p.g_conj_grad is not None:
+        try:
+            return iterate(closed=True)
+        except _CheckFailed:
+            pass  # a wrong closed form: run again, inverting every pullback
+    return iterate(closed=False)
 
 
 def descent_margins(p: DcProblem, trace: IterateTrace):

@@ -55,30 +55,26 @@ def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:
 
 
 def reject_closed_forms(monkeypatch):
-    """Make the flow step's and the scheme's check of closed-form pullbacks
-    fail every time, so every stage and iterate is pulled back through
-    ``invert_grad_g``, as it is without that check."""
+    """Make the flow step's and the scheme's check of closed-form pullbacks,
+    ``core._stopping_rule`` as they call it, fail every time, so every
+    stage and iterate is pulled back through ``invert_grad_g``, as it is
+    without that check."""
     for module in (flow, schemes):
-        monkeypatch.setattr(module, "_meets_start_goal", lambda rnorm, ynorm: False)
+        monkeypatch.setattr(
+            module, "_stopping_rule", lambda p, x, rnorm, ynorm: (np.zeros(len(x), bool), None)
+        )
 
 
 def count_point_inversions(monkeypatch, module):
-    """Count the single targets that ``module`` pulls back through an
-    inversion: ``invert_grad_g``, or ``core._invert_rows`` from a checked
-    closed-form start where ``module`` calls it; the count is the list's
-    one entry."""
+    """Count the single targets that ``module`` pulls back through
+    ``invert_grad_g``; the count is the list's one entry."""
     count = [0]
 
-    def counted(inversion):
-        def pullback(p, y, *start):
-            count[0] += np.ndim(y) == 1
-            return inversion(p, y, *start)
+    def pullback(p, y, warm_start):
+        count[0] += np.ndim(y) == 1
+        return core.invert_grad_g(p, y, warm_start)
 
-        return pullback
-
-    for name in ("invert_grad_g", "_invert_rows"):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted(getattr(core, name)))
+    monkeypatch.setattr(module, "invert_grad_g", pullback)
     return count
 
 

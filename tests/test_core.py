@@ -476,6 +476,63 @@ def test_invert_raises_numeric_error_on_nan():
         invert_grad_g(p, np.array([1.0]), np.array([0.0]))
 
 
+def _kept_by_newton(p, y, x) -> bool:
+    """Whether ``core._invert_rows`` returns the start ``x`` of the target
+    ``y`` (one row) with no Newton step: no raise, and no ``g_grad`` call
+    past the one at the start, which every line-search trial would make."""
+    calls = [0]
+
+    def g_grad(z):
+        calls[0] += 1
+        return p.g_grad(z)
+
+    try:
+        out = core._invert_rows(dataclasses.replace(p, g_grad=g_grad), y, x)
+    except core.DcError:
+        return False
+    assert calls[0] > 1 or out.tobytes() == x.tobytes()
+    return calls[0] == 1
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_stopping_rule_passes_exactly_the_starts_newton_keeps(dim, monkeypatch):
+    # Closed-form starts at targets of norm 1e-12 to 1e8, some nudged by a
+    # relative 1e-16 to 1e-6, a zero target and a NaN start: per row the
+    # rule's verdict is whether Newton keeps the start, on a stack as on
+    # the row alone, and no Newton step solves an empty stack.
+    def solve(hess, rhs):
+        assert len(hess) > 0
+        return solve_metric(hess, rhs)
+
+    solve_metric = core._solve_metric
+    monkeypatch.setattr(core, "_solve_metric", solve)
+    rng = np.random.default_rng(20261020 + dim)
+    a = np.diag(rng.uniform(0.5, 4.0, dim)) + 0.1 * np.ones((dim, dim))
+    for p in (make_double_well(rng.uniform(0.1, 5.0, dim)), make_quadratic(a, 0.5 * a)):
+        m = 48
+        u = rng.standard_normal((m, dim))
+        y = u / np.linalg.norm(u, axis=1, keepdims=True) * 10.0 ** rng.uniform(-12, 8, (m, 1))
+        y[0] = 0.0
+        x = p.g_conj_grad(y)
+        x[1::2] *= 1.0 + rng.choice([-1.0, 1.0], (m // 2, 1)) * 10.0 ** rng.uniform(
+            -16, -6, (m // 2, 1)
+        )
+        x[2] = np.nan
+        rnorm, ynorm = core._row_norms(p.g_grad(x) - y), core._row_norms(y)
+        stops = core._stopping_rule(p, x, rnorm, ynorm)[0]
+        assert stops.tolist() == [_kept_by_newton(p, y[i], x[i]) for i in range(m)]
+        # Kept and refused rows, and rows kept only by the roundoff exit.
+        goal = core._meets_start_goal(rnorm, ynorm)
+        assert stops[0] and not stops[2] and not stops.all() and (stops & ~goal).any()
+        for rows in (slice(0, 1), slice(3, 17), slice(5, None)):
+            part = core._stopping_rule(p, x[rows], rnorm[rows], ynorm[rows])[0]
+            assert part.tolist() == stops[rows].tolist()
+        finite = np.isfinite(x).all(axis=1)
+        out = core._invert_rows(p, y[finite], x[finite])
+        kept = stops[finite]
+        assert out[kept].tobytes() == x[finite][kept].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the full dual step y -> grad h(pullback(y)), the damped target at eta = 1
 
@@ -651,11 +708,25 @@ def _stopping_rule_homes(path: Path) -> set[tuple[str, str, str]]:
 
 def test_only_core_calls_the_closed_form_and_writes_the_start_test():
     # The closed form is called in core._closed_form and the stopping rule's
-    # start test is written in core._meets_start_goal; the flow step and the
-    # scheme go through both, so the rule has one home.
+    # goal is written in core._meets_start_goal, which core._stopping_rule
+    # applies; the flow step and the scheme go through both, so the rule has
+    # one home.
     src = Path(core.__file__).parent
     homes = set().union(*(_stopping_rule_homes(f) for f in src.glob("*.py")))
     assert homes == {("core.py", "_closed_form", "call"), ("core.py", "_meets_start_goal", "test")}
+
+
+def test_loops_check_pullbacks_with_the_whole_stopping_rule():
+    # The flow step and the scheme test closed-form pullbacks with the
+    # inversion's stopping rule, never with its goal alone.
+    for module in (flow, schemes):
+        names = {
+            name
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            for name in (getattr(node, key, None) for key in ("id", "attr", "name"))
+            if isinstance(name, str)
+        }
+        assert "_stopping_rule" in names and "_meets_start_goal" not in names
 
 
 def _methods_called_in_loops(func, loop) -> set[str]:

@@ -459,24 +459,27 @@ def _attempts(monkeypatch, p, x0, cfg):
     return stages, errs
 
 
-def _stage_checks(p, x0, cfg):
-    """The rows of each stacked ``g_grad`` call that checks stages."""
-    rows, last = [], [None]
+def _stage_checks(monkeypatch, p, x0, cfg):
+    """The rows of each stacked check of stages that a flow makes, in
+    order; a run made again with every stage inverted checks none."""
+    rows, real, records = [], flow._checked, [False]
 
-    def g_grad(x):
-        if np.ndim(x) == 2 and last[0] != "g_conj_grad":
-            rows.append(len(x))
-        last[0] = "g_grad"
-        return p.g_grad(x)
-
-    def g_conj_grad(y):
+    def closed_form(p, y):
         # A stack of record times is checked right after its closed form.
-        last[0] = "g_conj_grad" if np.ndim(y) == 2 else None
-        return p.g_conj_grad(y)
+        records[0] = np.ndim(y) == 2
+        return core._closed_form(p, y)
 
-    logged = dataclasses.replace(p, g_grad=g_grad, g_conj_grad=g_conj_grad)
-    integrate_flow(logged, np.array(x0), cfg)
-    return rows[1:-1]  # less the start's grad f and the velocity pass
+    def checked(p, y, x, grad_g):
+        if not records[0]:
+            rows.append(len(y))
+        records[0] = False
+        return real(p, y, x, grad_g)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_closed_form", closed_form)
+        mp.setattr(flow, "_checked", checked)
+        integrate_flow(p, np.array(x0), cfg)
+    return rows
 
 
 _COARSE = (make_double_well([1.0, 4.0]), [1.8, -0.4], FlowConfig(t_end=20.0, record_stride=20.0))
@@ -495,11 +498,11 @@ def test_a_passing_flow_checks_its_stages_once_per_block(monkeypatch):
     b = flow._RECORD_BLOCK
     full, rest = divmod(len(stages) - 1, b)
     assert full >= 2
-    assert _stage_checks(p, x0, cfg) == [6] + [6 * b] * full + [6 * rest] * (rest > 0)
+    assert _stage_checks(monkeypatch, p, x0, cfg) == [6] + [6 * b] * full + [6 * rest] * (rest > 0)
     # With records at every step, a block also closes before each record
     # flush, and every step is checked once.
     p, x0, cfg = _FINE
-    checks = _stage_checks(p, x0, cfg)
+    checks = _stage_checks(monkeypatch, p, x0, cfg)
     assert checks[0] == 6 and sum(checks) == 6 * len(_attempts(monkeypatch, p, x0, cfg)[0])
     assert 6 * b not in checks
 
@@ -515,49 +518,48 @@ def test_a_passing_flow_checks_its_stages_once_per_block(monkeypatch):
         ("rejecting", 0),
         ("rejecting", 2),  # a rejected step mid-block
         ("fine", 20),  # in a block closed by a record flush
+        ("fine", 40),  # past a record flush, in the last block
     ],
 )
 def test_a_failed_stage_check_resumes_at_its_step(case, step, monkeypatch):
-    # The closed form is off at one stage of one step.  The run goes back to
-    # that step, redoes it through six inversions and checks each step from
-    # then on, so every field equals the run that inverts every stage.
+    # The closed form is off at one stage of one step.  The check of that
+    # step's block fails, nothing is checked past it, and the flow is
+    # integrated again from its first step with every stage inverted, so
+    # every field equals the run that inverts every stage, as if it had
+    # resumed at that step.
     p, x0, cfg = {"coarse": _COARSE, "rejecting": _REJECTING, "fine": _FINE}[case]
     stages, errs = _attempts(monkeypatch, p, x0, cfg)
     if case == "rejecting":
         assert errs[step] > 1.0
     if case == "fine":
-        checks = np.cumsum(_stage_checks(p, x0, cfg)) // 6
+        checks = np.cumsum(_stage_checks(monkeypatch, p, x0, cfg)) // 6
         block = int(np.searchsorted(checks, step, side="right"))
         assert checks[block - 1] < step < checks[block] < checks[block - 1] + flow._RECORD_BLOCK
     off = off_at_targets(p, stages[step, 2:3], 1e-6)
+    ends = np.cumsum([0] + _stage_checks(monkeypatch, off, x0, cfg)) // 6
+    assert ends[-2] <= step < ends[-1]
     run = lambda: integrate_flow(off, np.array(x0), cfg)
     inversions = count_point_inversions(monkeypatch, flow)
     checked = outcome(run, _FLOW_FIELDS)
-    # The field evaluation before the first step, and the step redone.
-    assert inversions[0] == 1 + 6
+    # The field evaluation before the first step, and six per attempt of
+    # the rerun, as with every check failing.
+    rerun, inversions[0] = inversions[0], 0
     reject_closed_forms(monkeypatch)
     assert outcome(run, _FLOW_FIELDS) == checked
+    assert rerun == inversions[0] and (rerun - 1) % 6 == 0 and rerun > 6 * (step + 1)
     assert len(checked) == len(_FLOW_FIELDS)
 
 
 def test_after_a_failed_check_each_step_is_checked_alone(monkeypatch):
-    # A failure at step 1 sends the run back there; every later step is
-    # then checked on its own, where a passing run checks one block of
-    # steps at a time.
+    # A failure at step 1 fails the check of the first full block; the
+    # rerun that follows checks no step at all, where a passing run checks
+    # one block of steps at a time to the end.
     p, x0, cfg = _COARSE
     stages, _ = _attempts(monkeypatch, p, x0, cfg)
-    alone, real = [0], flow._checked
-
-    def checked(y, x, grad_g):
-        alone[0] += len(y) == 6
-        return real(y, x, grad_g)
-
-    monkeypatch.setattr(flow, "_checked", checked)
-    integrate_flow(p, np.array(x0), cfg)
-    assert alone[0] == 1
-    alone[0] = 0
-    integrate_flow(off_at_targets(p, stages[1, 2:3], 1e-6), np.array(x0), cfg)
-    assert alone[0] >= len(stages) - 5
+    checks = _stage_checks(monkeypatch, p, x0, cfg)
+    assert checks[0] == 6 and sum(checks) == 6 * len(stages) and len(checks) > 2
+    off = off_at_targets(p, stages[1, 2:3], 1e-6)
+    assert _stage_checks(monkeypatch, off, x0, cfg) == [6, 6 * flow._RECORD_BLOCK]
 
 
 def test_a_nan_closed_form_ends_the_flow_within_a_block(monkeypatch):
@@ -594,9 +596,10 @@ def _raising_on_nan_targets(p):
 def test_an_error_past_a_failed_step_is_not_reached(monkeypatch):
     # The closed form is NaN at the last stage of step 16 alone: that step's
     # NaN error norm accepts it at a NaN state, and the next step's first
-    # target is NaN, where the closed form raises.  The per-step check stops
-    # at step 16, whose redo raises the inversion's NumericError, so the
-    # later ValueError never happens.
+    # target is NaN, where the closed form raises.  The check before that
+    # error propagates fails, and the rerun stops at step 16, whose
+    # inversion raises its NumericError, so the later ValueError never
+    # happens.
     p, x0, cfg = _COARSE
     stages, _ = _attempts(monkeypatch, p, x0, cfg)
     broken = _raising_on_nan_targets(off_at_targets(p, stages[16, 5:6], np.nan))
@@ -609,9 +612,11 @@ def test_an_error_past_a_failed_step_is_not_reached(monkeypatch):
 
 def test_a_raising_stage_check_raises_in_its_own_step(monkeypatch):
     # g_grad raises on stacks holding a point past x_0 = 0.9, which the flow
-    # crosses at a stage of a mid-block step.  The run checks each step from
-    # the block's first on, so the step whose own check raises names itself,
-    # as with every block of one step.
+    # crosses at a stage of a mid-block step.  The raising check reruns the
+    # flow with every stage inverted one point at a time, so the error is
+    # raised where that run first stacks such a point, the batched pullback
+    # of a step's record times, and names that step, as with every block of
+    # one step.
     p = make_double_well([1.0, 4.0])
 
     def g_grad(x):

@@ -5,8 +5,9 @@ oracles and inversions against single-point calls, the closed-form
 pullback against the inversion's stopping rule, the exact diagonal path
 of the stacked Hessian kernels against LAPACK, and the symmetric-definite
 pencil kernel on indefinite and singular ``h``, the scheme's guard
-blocks against the per-iterate guard, and the scheme's gradient norm
-against ``np.linalg.norm``.
+blocks against the per-iterate guard, the scheme's gradient norm
+against ``np.linalg.norm``, and far starts, where no check of a
+closed-form pullback fails.
 
 Hypothesis draws SPD quadratic splits and double-well weights in one to six
 dimensions, with a start point in the built-in region and a relaxation
@@ -50,11 +51,18 @@ from dcflow.analysis import (
     energy_residuals,
     local_exp_certificate,
 )
-from dcflow import core, schemes
+from dcflow import core, flow, schemes
 from dcflow.core import INVERSION_TOL, ROUNDOFF, flow_velocity, invert_grad_g
 from dcflow.problems import _per_point
 from dcflow.schemes import Mode, gradient_identity_margin
-from helpers import assert_same_trace, newton_only, primal_dual_sup_gap, run_scheme_loop
+from helpers import (
+    assert_same_trace,
+    newton_only,
+    outcome,
+    primal_dual_sup_gap,
+    reject_closed_forms,
+    run_scheme_loop,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -185,6 +193,57 @@ def test_guard_blocks_equal_the_per_iterate_guard(run):
         mp.setattr(schemes, "_GUARD_BLOCK", block)
         trace = run_scheme(p, x0, cfg, mode)
     assert_same_trace(trace, run_scheme_loop(p, x0, cfg, mode))
+
+
+@st.composite
+def far_starts(draw):
+    """A double well or an SPD quadratic split in one to six dimensions and
+    a start at a distance ``r`` from the origin, log-uniform on [1, 1e4]."""
+    n = draw(dims)
+    if draw(st.booleans()):
+        p = make_double_well(draw(arrays(float, n, elements=st.floats(0.25, 4.0))))
+    else:
+        p = draw(quadratic_splits(n))
+    u = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    norm = np.linalg.norm(u)
+    u = u / norm if norm > 1e-3 else np.ones(n) / np.sqrt(n)
+    return p, 10.0 ** draw(st.floats(0.0, 4.0)) * u
+
+
+_FLOW_FIELDS = ("times", "y_states", "x_states", "f_values", "f_roundoff", "metric_speed_sq")
+_SCHEME_FIELDS = (
+    "points", "y_states", "f_values", "f_roundoff", "grad_norms", "bregman_steps",
+    "step_norms", "termination",
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(far_starts())
+def test_far_starts_fail_no_closed_form_check(instance):
+    # Far out the stopping rule's goal lies below the roundoff of grad g,
+    # and its roundoff exit keeps the closed form: no check fails, so
+    # nothing is inverted but the flow's first field evaluation, and every
+    # field equals the run with every check failing.
+    p, x0 = instance
+    scheme = lambda mode: run_scheme(p, x0, SchemeConfig(eta=0.5, max_iter=100), mode)
+    runs = [(lambda: integrate_flow(p, x0, FlowConfig(t_end=2.0)), _FLOW_FIELDS, 1)] + [
+        (lambda mode=mode: scheme(mode), _SCHEME_FIELDS, 0) for mode in (Mode.PRIMAL, Mode.DUAL)
+    ]
+    for run, fields, field_evaluations in runs:
+        inversions = []
+
+        def counted(p, y, warm_start):
+            inversions.append(y)
+            return invert_grad_g(p, y, warm_start)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (flow, schemes):
+                mp.setattr(module, "invert_grad_g", counted)
+            checked = outcome(run, fields)
+        assert len(inversions) <= field_evaluations and len(checked) == len(fields)
+        with pytest.MonkeyPatch.context() as mp:
+            reject_closed_forms(mp)
+            assert outcome(run, fields) == checked
 
 
 @st.composite

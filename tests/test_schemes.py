@@ -478,11 +478,11 @@ def _counted_start_tests(monkeypatch):
     """Count the calls of the scheme's start test, the list's one entry."""
     count = [0]
 
-    def counted(rnorm, ynorm):
+    def counted(p, x, rnorm, ynorm):
         count[0] += 1
-        return core._meets_start_goal(rnorm, ynorm)
+        return core._stopping_rule(p, x, rnorm, ynorm)
 
-    monkeypatch.setattr(schemes, "_meets_start_goal", counted)
+    monkeypatch.setattr(schemes, "_stopping_rule", counted)
     return count
 
 
@@ -545,8 +545,9 @@ def test_inverted_iterates_equal_checked_ones(case, mode, monkeypatch):
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
 @pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
 def test_a_failed_check_calls_the_closed_form_once(case, mode, monkeypatch):
-    # Newton starts from the checked closed form and its g_grad call, so an
-    # iterate whose check fails calls g_conj_grad and g_grad once each to
+    # The test of the first pullback fails, after one g_conj_grad and one
+    # g_grad call, and the run is made again with every pullback through
+    # invert_grad_g: each iterate calls g_conj_grad and g_grad once each to
     # pull back, and once more g_grad for the next iterate's gradient.
     p, x0 = _scheme_cases()[case]
     calls = []
@@ -566,7 +567,8 @@ def test_a_failed_check_calls_the_closed_form_once(case, mode, monkeypatch):
     # Newton takes no step: the closed form meets the real stopping rule.
     steps = trace.n_points - 1
     assert steps > 5
-    assert calls == ["g_grad"] + ["g_conj_grad", "g_grad", "g_grad"] * steps
+    failed = ["g_grad", "g_conj_grad", "g_grad"]
+    assert calls == failed + ["g_grad"] + ["g_conj_grad", "g_grad", "g_grad"] * steps
 
 
 @pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
@@ -607,9 +609,10 @@ _LONG_START = np.array([1.8, -0.3])
 @pytest.mark.parametrize("i", [1, 2, 32, 47, 63, 64], ids=lambda i: f"x{i}")
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
 def test_a_failed_start_test_resumes_at_its_iterate(mode, i, dw_aniso, monkeypatch):
-    # The closed form is off at the target of x_i alone.  The run goes back
-    # to that pullback, runs Newton from the tested start and tests each
-    # pullback from then on, so the trace is the per-iterate loop's.
+    # The closed form is off at the target of x_i alone.  The test of the
+    # block holding x_i fails, nothing is tested past it, and the run is
+    # made again with every pullback inverted, so the trace is the
+    # per-iterate loop's, as if it had resumed at x_i.
     cfg = SchemeConfig(eta=0.5)
     clean = run_scheme(dw_aniso, _LONG_START, cfg, mode)
     assert clean.n_points > 100
@@ -617,19 +620,20 @@ def test_a_failed_start_test_resumes_at_its_iterate(mode, i, dw_aniso, monkeypat
     inversions = count_point_inversions(monkeypatch, schemes)
     tests = _counted_start_tests(monkeypatch)
     trace = run_scheme(p, _LONG_START, cfg, mode)
-    assert inversions[0] == 1
+    assert inversions[0] == trace.n_points - 1
     assert_same_trace(trace, run_scheme_loop(p, _LONG_START, cfg, mode))
     assert trace.points[i].tobytes() != clean.points[i].tobytes()
-    # Each pullback after x_i is tested on its own.
-    assert tests[0] >= trace.n_points - 1 - i
+    # x_1 alone, then the blocks x_2..x_31, x_32..x_63, ... up to x_i's.
+    assert tests[0] == (1 if i == 1 else 2 + i // schemes._GUARD_BLOCK)
 
 
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
 def test_an_error_past_a_failed_pullback_is_not_reached(mode, dw_aniso, monkeypatch):
     # The closed form is NaN at the target of x_40 alone, and raises
-    # ValueError at a NaN target, the next one the run makes.  The
-    # per-iterate test stops at x_40, whose Newton start raises the
-    # NumericError, so the later ValueError never happens.
+    # ValueError at a NaN target, the next one the run makes.  The test
+    # before that error propagates fails, and the run made again stops at
+    # x_40, whose Newton start raises the NumericError, so the later
+    # ValueError never happens.
     cfg = SchemeConfig(eta=0.5)
     clean = run_scheme(dw_aniso, _LONG_START, cfg, mode)
     p = off_at_targets(dw_aniso, clean.y_states[40:41], np.nan)
