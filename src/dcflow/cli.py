@@ -40,6 +40,14 @@ none is touched.  An output path that is a file, or lies under one, is a
 config error.  Every file a run writes replaces the one of the same
 name, but CSVs that it does not write, such as the traces of an earlier run
 of another experiment or of one that failed before writing them, stay.
+
+Byte identity: CSV floats are written with 17 significant digits, and a
+run repeated with the same config and seed writes the same bytes (in
+``report.json``, all but ``generated_at``) at a fixed BLAS thread count.
+A problem whose Hessians are not diagonal, of dimension about 128 or
+more, can write different bytes at ``OPENBLAS_NUM_THREADS`` 1 and 2:
+above some size OpenBLAS splits products and factorizations across
+threads, which changes the order of their sums.
 """
 
 from __future__ import annotations

@@ -8,15 +8,18 @@ its gradient map, the pullback ``(grad g)^{-1} = grad g*`` that every
 discrete scheme and the continuous flow integrator go through.  Newton's
 method on ``grad g(x) = y`` is the one inversion kernel; a problem with a
 closed-form ``grad g*`` supplies its starting point.  The closed-form call
-(``_closed_form``) and Newton's stopping rule (``_stopping_rule``: the
-goal, then for the rows that miss it a roundoff exit read from one
-stacked ``g_hess`` call) each have one home here.  The rule at a start is
-the whole of Newton's iteration 0, so it passes exactly the starts the
-inversion returns unchanged: the flow step (its stages and its record
-times) and the schemes take closed-form pullbacks unchecked in their
-loops and test them with it a block at a time, on stacked ``grad g``
-calls.  Only a wrong closed form fails that test; the loop then runs
-again with every pullback through the inversion (``_CheckFailed``).
+(``_closed_form``), Newton's stopping rule (``_stopping_rule``: the goal,
+then for the rows that miss it a roundoff exit read from one stacked
+``g_hess`` call) and the loops' block check (``_check_block``) each have
+one home here.  The rule at a start is the whole of Newton's iteration 0,
+so it passes exactly the starts the inversion returns unchanged.  The
+flow step and the schemes take closed-form pullbacks unchecked in their
+loops, and as each block closes (``_RECORD_BLOCK`` step attempts with the
+flow's record times, or ``_GUARD_BLOCK`` iterates) ``_check_block`` tests
+them with the rule on one stacked ``grad g`` call.  Only a wrong closed
+form fails that test, and a failed or raising test has one policy: the
+loop runs again with every pullback through the inversion
+(``_CheckFailed``).
 The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -231,11 +234,11 @@ class DcProblem:
         warm start, so the stopping rule still verifies every row: a wrong
         closed form costs Newton steps, never an unverified preimage.  The
         flow step and the schemes call it directly and check its answers
-        against the same rule a block at a time: the stages of a block of
-        flow steps in one stacked ``g_grad`` call, the record times of a
-        block of steps in another, and a block of scheme iterates on the
-        ``g_grad`` calls that are their next gradients.  A stage or iterate
-        check that fails runs the loop again through :func:`invert_grad_g`.
+        against the same rule a block at a time: the stages and record
+        times of a block of flow step attempts in one stacked ``g_grad``
+        call, and a block of scheme iterates on the ``g_grad`` calls that
+        are their next gradients.  A check that fails or raises runs the
+        loop again through :func:`invert_grad_g`.
     """
 
     dim: int
@@ -397,8 +400,9 @@ def _closed_form(p: DcProblem, y: np.ndarray) -> np.ndarray:
     """The closed-form pullback ``g_conj_grad(y)`` as a new float array.
 
     It is not checked against the stopping rule: callers test it with
-    :func:`_stopping_rule` on ``g_grad`` at the answer.  An answer of
-    another shape than ``y`` raises ``ValueError``.
+    :func:`_stopping_rule` on ``g_grad`` at the answer, the loops through
+    :func:`_check_block`.  An answer of another shape than ``y`` raises
+    ``ValueError``.
     """
     x = np.array(p.g_conj_grad(y), dtype=float)
     if x.shape != y.shape:
@@ -444,9 +448,10 @@ def _stopping_rule(
     This is the whole rule of :func:`_invert_rows` at every iteration, so
     at a start it tells exactly which rows it returns unchanged, with no
     Newton step: the flow step and the schemes check closed-form pullbacks
-    with it on the ``g_grad`` call at them.  Returns the verdicts and the
-    Hessians of the rows that do not stop (those with a finite residual),
-    which the next Newton step solves with; None when no row reads one.
+    with it on the ``g_grad`` call at them, through :func:`_check_block`.
+    Returns the verdicts and the Hessians of the rows that do not stop
+    (those with a finite residual), which the next Newton step solves
+    with; None when no row reads one.
     """
     tol = INVERSION_TOL
     stops = _meets_start_goal(rnorm, ynorm)
@@ -467,6 +472,28 @@ def _stopping_rule(
 class _CheckFailed(Exception):
     """A stacked check of closed-form pullbacks failed, or raised: the loop
     that made them reruns with every pullback through :func:`invert_grad_g`."""
+
+
+def _check_block(
+    p: DcProblem, y: np.ndarray, x: np.ndarray, grad_g: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Check a loop's block of closed-form pullbacks ``x`` ``(m, dim)`` of
+    the targets ``y`` with :func:`_stopping_rule` on ``grad_g``, the
+    ``g_grad`` call at them, made here when None, and return that call.
+
+    Each row passes exactly when :func:`invert_grad_g` would return it
+    unchanged.  A row that fails, or an exception of the call or the rule,
+    raises :class:`_CheckFailed`.
+    """
+    try:
+        if grad_g is None:
+            grad_g = np.asarray(p.g_grad(x), dtype=float)
+        stops = _stopping_rule(p, x, _row_norms(grad_g - y), _row_norms(y))[0]
+    except Exception as exc:
+        raise _CheckFailed from exc
+    if not stops.all():
+        raise _CheckFailed
+    return grad_g
 
 
 def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:

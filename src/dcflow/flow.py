@@ -4,36 +4,34 @@ The autonomous field ``y' = grad h(pullback(y)) - y`` is integrated with an
 embedded Dormand-Prince 4(5) pair under PI step control;
 :func:`integrate_flow` is the one place that forms it.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
-pullback through the inverse gradient map and one ``h_grad`` call.  For the
-built-in families the pullback is a closed form: a step's six new stages
-pull back through it alone, unchecked, since no step reads a verdict that
-passes.  The stages wait, and one stacked ``g_grad`` call tests those of
-a block of steps with the inversion's own stopping rule
-(``core._stopping_rule``), so the checked stages are exactly those Newton
-would return without a step: the first step's alone, then up to
-``_RECORD_BLOCK`` steps' at a time, and always before the record pass,
-the loop's end or an error reads what they led to.  Only a wrong closed
-form fails that check, so a check that fails, or raises, runs the loop
-again from its first step with every stage through the inversion, which
-returns the closed form wherever it passes: the trace and every error are
-those of an inversion per stage.  Other problems run Newton warm-started
-at the previous evaluation's pullback, and consecutive evaluations are
-close, so it typically finishes in one or two steps.  Step sizes follow
-the error control alone; record times are read off the pair's
-fourth-order continuous extension, which reuses the seven stages of each
-accepted step.  No later step reads the pullbacks of those interpolated
-dual states, so they wait and are pulled back together, a block of
-record-bearing steps at a time, which gives the primal trajectory of the
-metric gradient flow ``Hess g(x) x' = -grad f(x)`` at every record time
-the block covers: through the closed form where the problem has one,
-checked like the stages on one stacked ``g_grad`` call, and otherwise, or
-where the check fails, in one batched inversion per step.  The loop keeps
-only those states and tests each for equilibrium on its gradient norm, for
-checked pullbacks the checking ``g_grad`` call less ``h_grad``, and cuts
-the trace at the first at rest; the steps of its block that ran past it
-are dropped.  The samples' metric speeds and values are read after the
-loop, in stacked oracle calls over the whole trace, the metric Hessians in
-row blocks of bounded size.
+pullback through the inverse gradient map and one ``h_grad`` call.  Step
+sizes follow the error control alone; record times are read off the
+pair's fourth-order continuous extension, which reuses the seven stages of
+each accepted step.  No step reads a verdict on its stages that passes, nor
+the pullbacks of its record times, so the loop works in blocks of
+``_RECORD_BLOCK`` attempts, accepted or rejected.  For the built-in
+families the pullback is a closed form: each stage pulls back through it
+alone, unchecked, and when a block closes, the closed form pulls back the
+record times of its steps in one stacked call, and one stacked ``g_grad``
+call checks those pullbacks and its stages together with the inversion's
+own stopping rule (``core._check_block``), so the checked pullbacks are
+exactly those Newton would return without a step.  That call less one
+``h_grad`` call is the records' ``grad f``.  Only a wrong closed form fails
+the check, and there is one failure policy: a check that fails, or
+raises, runs the loop again from its first step with every stage through
+the inversion, which returns the closed form wherever it passes, so the
+trace and every error are those of an inversion per stage.  Other
+problems, and that run, invert each stage with Newton warm-started at the
+previous evaluation's pullback (consecutive evaluations are close, so it
+typically finishes in one or two steps), and each step's record times in
+one batched inversion as its block closes.  This gives the primal
+trajectory of the metric gradient flow ``Hess g(x) x' = -grad f(x)`` at
+every record time.  The loop keeps only those states and tests each for
+equilibrium on its gradient norm, and cuts the trace at the first at rest:
+at most ``_RECORD_BLOCK - 1`` attempts run past it, and are dropped.  The
+samples' metric speeds and values are read after the loop, in stacked
+oracle calls over the whole trace, the metric Hessians in row blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -50,10 +48,10 @@ from .core import (
     DcProblem,
     NumericError,
     _CheckFailed,
+    _check_block,
     _closed_form,
     _pencil_eigh,
     _row_norms,
-    _stopping_rule,
     flow_velocity,
     invert_grad_g,
 )
@@ -78,10 +76,11 @@ EQUILIBRIUM_GRAD_TOL = 1e-10
 _MIN_STEP = 1e-14
 # First trial step; error control resizes it from the first step on.
 _STEP_INIT = 1e-2
-# Record-bearing steps whose record states are pulled back and judged in one
-# pass, as the scheme's guard judges its iterates (schemes._GUARD_BLOCK).  No
-# step depends on them, so up to this many minus one such steps may run past
-# the first sample at rest, and are dropped.
+# Step attempts, accepted or rejected, whose stages are checked and whose
+# record states are pulled back and judged in one pass, as the scheme's guard
+# judges its iterates (schemes._GUARD_BLOCK).  No step depends on them, so up
+# to this many minus one attempts may run past the first sample at rest, and
+# are dropped.
 _RECORD_BLOCK = 32
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
@@ -198,13 +197,6 @@ def _record_targets(t_end: float, stride: float) -> np.ndarray:
     return targets[: n_full + 1]
 
 
-def _checked(p: DcProblem, y: np.ndarray, x: np.ndarray, grad_g: np.ndarray) -> bool:
-    """Whether every closed-form pullback ``x`` of the targets ``y`` stops
-    :func:`~dcflow.core._stopping_rule` on ``grad_g``, the ``g_grad`` call
-    at them: then each is what the inversion returns."""
-    return bool(_stopping_rule(p, x, _row_norms(grad_g - y), _row_norms(y))[0].all())
-
-
 def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     """Integrate the dual ODE from ``y0 = grad g(x0)`` and pull back samples.
 
@@ -213,41 +205,39 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     of ``record_stride`` (and at ``t_end``): ``y_states`` holds the
     continuous extension of the step that covers each record time, and
     ``x_states`` its pullback.  The stride chooses output times only and
-    never limits the step size.  With a closed-form ``g_conj_grad`` a
-    step, accepted or rejected, pulls its six new stages back through it
-    alone and queues them unchecked.  One ``g_grad`` call on the queue's
-    stacked stages checks them with :func:`~dcflow.core._stopping_rule`,
-    the inversion's stopping rule, which passes exactly the pullbacks the
-    inversion returns unchanged: for the first step alone, then once
-    ``_RECORD_BLOCK`` steps are queued, before the record pass below, when
-    the loop ends, and before an error propagates.  If a check fails or
-    raises, which a right closed form never makes it do, the loop runs
-    again from its first step with every stage pulled back through
-    :func:`~dcflow.core.invert_grad_g`, and that run is returned or raises:
-    the inversion returns the closed form wherever it passes, so the
-    stages, Newton's steps and every error are those of a check per
-    stage.  An accepted step only keeps its record times and their
-    dense-output states; no later step reads their pullbacks.  Those of a block of
-    ``_RECORD_BLOCK`` record-bearing steps are pulled back in one pass, as
-    is a last, shorter block when the loop ends or before an error of a
-    later step propagates: the closed form on one stack, checked on one
-    ``g_grad`` call, or where it fails the check, and without a closed
-    form, one batched inversion per step, warm-started on the chord between
-    the pullbacks at the step's two ends, which the stages already made,
-    and naming that step in any error.  Inversion and the closed form act
-    row by row, so the block changes no bit.  Integration halts at the
-    first sample whose primal gradient norm is at most
-    :data:`EQUILIBRIUM_GRAD_TOL`; the pass reads only that norm, for
-    checked records as the checking ``g_grad`` call less one ``h_grad``
-    call, the bits ``p.f_grad`` gives, and for inverted ones through
-    ``p.f_grad``.  At most ``_RECORD_BLOCK - 1`` record-bearing steps run
-    past that sample; they are dropped, and an error raised in one of them
-    ends the flow at that sample, as if they had not run.  The metric
-    speeds and values of all kept samples come after the loop from one
-    stacked :func:`~dcflow.core.flow_velocity` and one
-    ``f_value_and_roundoff`` call; the velocity call reads ``g_hess`` in row
-    blocks of at most ``core._HESS_BLOCK_BYTES`` of Hessians, so a long
-    high-dimensional trace keeps bounded memory.
+    never limits the step size.  An accepted step only keeps its record
+    times and their dense-output states; no later step reads their
+    pullbacks.  The loop runs in blocks of ``_RECORD_BLOCK`` attempts,
+    accepted or rejected, and closes each one once it is full, when the
+    loop ends, and before an error propagates.  With a closed-form
+    ``g_conj_grad`` each attempt pulls its six new stages back through it
+    alone, unchecked; closing the block pulls back the record times of its
+    steps through it on one stack, and one ``g_grad`` call on the stages
+    and those pullbacks checks them together with
+    :func:`~dcflow.core._check_block`, the inversion's stopping rule, which
+    passes exactly the pullbacks the inversion returns unchanged.  If the
+    check fails or raises, which a right closed form never makes it do,
+    the loop runs again from its first step with every stage pulled back
+    through :func:`~dcflow.core.invert_grad_g`, and that run is returned or
+    raises: the inversion returns the closed form wherever it passes, so
+    the stages, Newton's steps and every error are those of a check per
+    stage.  In that run, and without a closed form, closing a block pulls
+    back each of its steps' record times in one batched inversion,
+    warm-started on the chord between the pullbacks at the step's two
+    ends, which the stages already made, and naming that step in any
+    error.  Inversion and the closed form act row by row, so the block
+    changes no bit.  Integration halts at the first sample whose primal
+    gradient norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the block reads
+    only that norm, for checked records as the checking ``g_grad`` call
+    less one ``h_grad`` call, the bits ``p.f_grad`` gives, and for
+    inverted ones through ``p.f_grad``.  At most ``_RECORD_BLOCK - 1``
+    attempts run past the first sample at rest; they are dropped, and an
+    error raised in one of them ends the flow at that sample, as if they
+    had not run.  The metric speeds and values of all kept samples come
+    after the loop from one stacked :func:`~dcflow.core.flow_velocity` and
+    one ``f_value_and_roundoff`` call; the velocity call reads ``g_hess``
+    in row blocks of at most ``core._HESS_BLOCK_BYTES`` of Hessians, so a
+    long high-dimensional trace keeps bounded memory.
 
     Raises
     ------
@@ -295,10 +285,6 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         return k
 
     samples = ([], [], [])  # times, y, x, in chunks
-    # (t_s, y_s, t, h, x_start, x_end) of each accepted step whose record
-    # states are not yet pulled back: its record times and dense-output
-    # states, and its start time, size and end pullbacks.
-    pending = []
 
     def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray, grad_f: np.ndarray) -> bool:
         """Append samples up to the first at equilibrium, judged on its
@@ -308,37 +294,6 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         for out, new in zip(samples, (t_s, y_s, x_s)):
             out.append(new[:keep])
         return bool(at_rest.size)
-
-    def flush(closed: bool) -> bool:
-        """Pull back and record the pending steps' states; True at rest.
-
-        If ``closed``, the closed form's answers for the whole block if they
-        pass :func:`_checked` on one stacked ``g_grad`` call, with ``grad f``
-        as that call less one ``h_grad`` call, the bits
-        :meth:`~dcflow.core.DcProblem.f_grad` returns.  Otherwise each step
-        in turn: one batched inversion warm-started on the chord between
-        its end pullbacks, ``p.f_grad``, and its own phase on an error."""
-        if not pending:
-            return False
-        block = pending.copy()
-        pending.clear()
-        if closed:
-            y_block = np.concatenate([step[1] for step in block])
-            x_block = _closed_form(p, y_block)
-            grad_g = np.asarray(p.g_grad(x_block), dtype=float)
-            if _checked(p, y_block, x_block, grad_g):
-                grad_f = grad_g - np.asarray(p.h_grad(x_block), dtype=float)
-                t_block = np.concatenate([step[0] for step in block])
-                return record(t_block, y_block, x_block, grad_f)
-        for t_s, y_s, t0, h0, x0_step, x1_step in block:
-            theta = ((t_s - t0) / h0)[:, None]
-            try:
-                x_s = invert_grad_g(p, y_s, x0_step + theta * (x1_step - x0_step))
-            except DcError as exc:
-                raise exc.with_phase(_step_phase(t0, h0)) from exc
-            if record(t_s, y_s, x_s, p.f_grad(x_s)):
-                return True
-        return False
 
     def build() -> FlowTrace:
         times, ys, xs = (np.concatenate(chunks) for chunks in samples)
@@ -367,41 +322,64 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     x_first = warm[0]
 
     def steps(closed: bool) -> FlowTrace:
-        """The step loop from the first field evaluation on.  If ``closed``
-        the stages pull back through the closed form, checked a block of
-        attempts at a time: a check that fails or raises raises
-        ``_CheckFailed``."""
+        """The step loop from the first field evaluation on, closed a block
+        of up to ``_RECORD_BLOCK`` attempts at a time.  If ``closed`` the
+        stages pull back through the closed form, and a block's check that
+        fails or raises raises ``_CheckFailed``."""
         # A run made again starts from the first sample alone.
         for chunks in samples:
             del chunks[1:]
-        pending.clear()
+        # (t_s, y_s, t, h, x_start, x_end) of each record-bearing step of the
+        # open block: its record times and dense-output states, and its start
+        # time, size and end pullbacks.
+        pending = []
         warm[0] = x_start = x_first
         t, y, k1, target_idx = 0.0, y0, k1_start, 0
         h = h_try = _STEP_INIT
         err_prev = 1e-4
-        # The attempts whose stages fill the first `queued` (6, n) slots of
-        # stage_y and stage_x, not yet checked: the first attempt is checked
-        # alone, then _RECORD_BLOCK at a time.
-        queued, block = 0, 1
+        # Attempts in the open block; with `closed`, their stages fill the
+        # first (6, n) slots of stage_y and stage_x.
+        attempts = 0
+        stage_y, stage_x = np.empty((2, _RECORD_BLOCK, 6, n))
 
-        def check() -> None:
-            """Check the queued stages on one stacked ``g_grad`` call and
-            empty the queue."""
-            nonlocal queued, block
-            if not queued:
-                return
-            ys, xs = stage_y[:queued].reshape(-1, n), stage_x[:queued].reshape(-1, n)
-            try:
-                passed = _checked(p, ys, xs, np.asarray(p.g_grad(xs), dtype=float))
-            except Exception as exc:
-                raise _CheckFailed from exc
-            if not passed:
-                raise _CheckFailed
-            queued, block = 0, _RECORD_BLOCK
+        def close() -> bool:
+            """Close the open block: pull back and record its pending steps'
+            states; True at rest.
+
+            With ``closed``, the record times' closed-form pullbacks and the
+            block's stages are checked on one stacked ``g_grad`` call, and
+            its record rows less one ``h_grad`` call give ``grad f``, the
+            bits of :meth:`~dcflow.core.DcProblem.f_grad`.  Otherwise each
+            step in turn takes one batched inversion warm-started on the
+            chord between its end pullbacks, ``p.f_grad``, and its own phase
+            on an error."""
+            nonlocal attempts
+            records = pending.copy()
+            pending.clear()
+            m, attempts = 6 * attempts, 0
+            if closed and m:
+                ys, xs = stage_y.reshape(-1, n)[:m], stage_x.reshape(-1, n)[:m]
+                if not records:
+                    _check_block(p, ys, xs)
+                    return False
+                y_rec = np.concatenate([step[1] for step in records])
+                x_rec = _closed_form(p, y_rec)
+                grad_g = _check_block(p, np.concatenate((ys, y_rec)), np.concatenate((xs, x_rec)))
+                grad_f = grad_g[m:] - np.asarray(p.h_grad(x_rec), dtype=float)
+                return record(np.concatenate([step[0] for step in records]), y_rec, x_rec, grad_f)
+            for t_s, y_s, t0, h0, x0_step, x1_step in records:
+                theta = ((t_s - t0) / h0)[:, None]
+                try:
+                    x_s = invert_grad_g(p, y_s, x0_step + theta * (x1_step - x0_step))
+                except DcError as exc:
+                    raise exc.with_phase(_step_phase(t0, h0)) from exc
+                if record(t_s, y_s, x_s, p.f_grad(x_s)):
+                    return True
+            return False
 
         while target_idx < targets.size:
-            if queued == block:
-                check()
+            if attempts == _RECORD_BLOCK and close():
+                return build()
             try:
                 last = h >= t_end - t - 1e-14 * max(1.0, t_end)
                 h_try = t_end - t if last else h
@@ -410,12 +388,10 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                     raise StiffnessError("step size underflow")
 
                 if closed:
-                    if not queued:
-                        stage_y, stage_x = np.empty((2, block, 6, n))
-                    k = closed_slopes(y, k1, h_try, stage_y[queued], stage_x[queued])
-                    queued += 1
+                    k = closed_slopes(y, k1, h_try, stage_y[attempts], stage_x[attempts])
                 else:
                     k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
+                attempts += 1
                 y_new = y + h_try * (_B5 @ k)
                 err_vec = h_try * (_ERR @ k)
                 scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -448,23 +424,15 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 err_prev = err
                 h = max(h_try * factor, _MIN_STEP)
             except Exception as exc:
-                # A queued stage may fail its check, and then this step
-                # would not have run.
-                check()
-                # The pending records come first in time: at rest, the trace
-                # ends there, before this step.
-                if flush(closed):
+                # The block's stages may fail their check, and then this step
+                # would not have run; its records come first in time: at
+                # rest, the trace ends there, before this step.
+                if close():
                     return build()
                 if isinstance(exc, DcError):
                     raise exc.with_phase(_step_phase(t, h_try)) from exc
                 raise
-            if len(pending) == _RECORD_BLOCK:
-                # The pending states rest on the queued stages.
-                check()
-                if flush(closed):
-                    return build()
-        check()
-        flush(closed)
+        close()
         return build()
 
     if p.g_conj_grad is not None:

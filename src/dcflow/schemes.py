@@ -3,20 +3,23 @@
 All three are one update: the damped target
 ``y+ = (1-eta) y + eta grad h(x)`` (:func:`~dcflow.core.damped_target`)
 followed by one pullback ``x+ = (grad g)^{-1}(y+)``: the closed form
-``grad g*(y+)`` where the problem has one, tested with the inversion's
-own stopping rule (``core._stopping_rule``) a block of iterates at a
-time, and a gradient inversion otherwise.  Only a wrong closed form fails
-that test, so a test that fails, or raises, runs the scheme again with
-every pullback through the inversion, which returns the closed form
-wherever it passes.  The primal damped step takes ``y = grad g(x)``,
-which at ``eta = 1`` is the classical step; the dual Euler step of size
-``eta`` along ``grad h(pullback(y)) - y`` carries ``y`` from step to step
-instead.  ``run_scheme``, the one loop of either form, logs every
-iterate, its dual state included.  The loop
-reads only what the next iterate needs; the start tests of closed-form
-pullbacks and the objective values that the divergence guard judges, both
-over blocks of logged iterates, and the Bregman steps and step norms of
-the log are computed in stacked calls outside it.
+``grad g*(y+)`` where the problem has one, and a gradient inversion
+otherwise.  The loop works in the blocks of ``_GUARD_BLOCK`` iterates that
+its divergence guard judges: closing one tests its closed-form pullbacks
+with the inversion's own stopping rule (``core._check_block``) on the
+``g_grad`` calls at them, then has the guard judge it.  Only a wrong closed
+form fails that test, and there is one failure policy: a test that fails,
+or raises, runs the scheme again with every pullback through the
+inversion, which returns the closed form wherever it passes.  The primal
+damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the classical
+step; the dual Euler step of size ``eta`` along
+``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.
+``run_scheme``, the one loop of either form, logs every iterate, its dual
+state included.  The loop reads only what the next iterate needs; the
+tests of closed-form pullbacks and the objective values that the
+divergence guard judges, both over blocks of logged iterates, and the
+Bregman steps and step norms of the log are computed in stacked calls
+outside it.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .core import (
     DcError,
     DcProblem,
     _CheckFailed,
+    _check_block,
     _closed_form,
     _row_norms,
-    _stopping_rule,
     damped_target,
     invert_grad_g,
 )
@@ -140,11 +143,11 @@ def run_scheme(
     both its gradient norm and the next step's target, and one pullback.
     With a closed-form ``g_conj_grad`` the pullback is its value, and the
     ``g_grad`` call at it, the next iterate's gradient, waits in a queue.
-    :func:`~dcflow.core._stopping_rule`, the inversion's stopping rule,
-    which passes exactly the pullbacks the inversion returns unchanged,
-    tests the queued pullbacks on those calls in one stacked test: the
-    first iterate's alone, then those of each block the divergence guard
-    judges, before it judges them, when the loop ends and before an error
+    :func:`~dcflow.core._check_block`, the inversion's stopping rule, which
+    passes exactly the pullbacks the inversion returns unchanged, tests the
+    queued pullbacks on those calls in one stacked test per block of
+    ``_GUARD_BLOCK`` iterates the divergence guard judges, before it judges
+    them: when the block is full, when the loop ends and before an error
     propagates.  If a test fails or raises, which a right closed form never
     makes it do, the run is made again with every pullback through
     :func:`~dcflow.core.invert_grad_g` from the current iterate, and that
@@ -163,12 +166,13 @@ def run_scheme(
     first iterate that fails.  No later iterate depends on the guard's
     verdict, so it judges the logged iterates in stacks of
     ``_GUARD_BLOCK``, and once more when the loop ends: at most
-    ``_GUARD_BLOCK - 1`` iterations run past the iterate that trips it, and
-    the trace is the one a per-iterate guard would have returned.  An
-    exception raised in the loop first has the guard judge what is logged:
-    if it trips, the run ends there as it would have before the exception;
-    otherwise the exception propagates, a :class:`~dcflow.core.DcError`
-    (a ``ConvergenceError`` of the inversion included) with its message
+    ``_GUARD_BLOCK - 1`` iterations run past the iterate that trips it, or
+    past a pullback that fails its test, and the trace is the one a
+    per-iterate guard would have returned.  An exception raised in the
+    loop first has the guard judge what is logged: if it trips, the run
+    ends there as it would have before the exception; otherwise the
+    exception propagates, a :class:`~dcflow.core.DcError` (a
+    ``ConvergenceError`` of the inversion included) with its message
     naming the iteration and ``eta``.  Each pullback meets the rule of
     :func:`~dcflow.core.invert_grad_g`,
     ``||r|| <= min(tol max(1, ||y||), max(tol min(1, ||y||), floor))``:
@@ -181,17 +185,30 @@ def run_scheme(
     eta = cfg.eta
 
     def iterate(closed: bool) -> IterateTrace:
-        """The run, with closed-form pullbacks tested a block at a time if
-        ``closed``: a test that fails or raises raises ``_CheckFailed``."""
+        """The run, with closed-form pullbacks tested as the guard's blocks
+        close if ``closed``: a test that fails or raises raises
+        ``_CheckFailed``."""
         x = x0
         points, y_states, grad_norms = [x], [], []
         f_values, f_errs = [], []  # of the judged points, points[: len(f_values)]
         termination = Termination.MAX_ITER
 
-        def tripped() -> bool:
-            """Judge the unjudged points in one stacked objective call, in order;
-            at the first that fails, cut the log before it and end the run."""
+        # The g_grad calls at the closed-form pullbacks not yet tested, which
+        # are also the next iterates' gradients: they are at the last
+        # len(queue) points, whose targets are the last y_states.
+        queue = []
+        grad_g = None  # g_grad at x, when the closed form's g_grad call has read it
+
+        def close() -> bool:
+            """Close the block of unjudged points: test its queued pullbacks
+            in one stacked test, then judge the points in one stacked
+            objective call, in order; at the first that fails, cut the log
+            before it and end the run.  True if one fails."""
             nonlocal termination
+            if queue:
+                ys = np.asarray(y_states[-len(queue) :])
+                _check_block(p, ys, points[-len(queue) :], np.asarray(queue))
+                queue.clear()
             start = len(f_values)
             if start == len(points):
                 return False
@@ -206,30 +223,6 @@ def run_scheme(
                 f_values.append(f_next)
                 f_errs.append(err_next)
             return False
-
-        # The g_grad calls at the closed-form pullbacks not yet tested, which
-        # are also the next iterates' gradients: they are at the last
-        # len(queue) points, whose targets are the last y_states.  The first
-        # is tested alone, the rest in the blocks the guard judges.
-        queue = []
-        block = 1
-        grad_g = None  # g_grad at x, when the closed form's g_grad call has read it
-
-        def check() -> None:
-            """Test the queued pullbacks with one stacked stopping rule and
-            empty the queue; raise ``_CheckFailed`` if one fails or it raises."""
-            nonlocal block
-            if not queue:
-                return
-            ys, xs = np.asarray(y_states[-len(queue):]), points[-len(queue):]
-            try:
-                stops = _stopping_rule(p, xs, _row_norms(np.asarray(queue) - ys), _row_norms(ys))[0]
-            except Exception as exc:
-                raise _CheckFailed from exc
-            if not stops.all():
-                raise _CheckFailed
-            queue.clear()
-            block = _GUARD_BLOCK
 
         while True:
             k = len(points) - 1
@@ -258,20 +251,14 @@ def run_scheme(
             except Exception as exc:
                 # A queued pullback may fail its test, and then this
                 # iteration would not have run.
-                check()
-                if not tripped():
+                if not close():
                     if isinstance(exc, DcError):
                         raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc
                     raise
                 break
-            due = len(points) - len(f_values) >= _GUARD_BLOCK
-            if len(queue) == block or due:
-                check()
-            if due and tripped():
+            if len(points) - len(f_values) >= _GUARD_BLOCK and close():
                 break
-        # The stop and the last judgement rest on the queued pullbacks.
-        check()
-        tripped()
+        close()
 
         points = np.asarray(points)
         return IterateTrace(

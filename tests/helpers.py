@@ -55,14 +55,17 @@ def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:
 
 
 def reject_closed_forms(monkeypatch):
-    """Make the flow step's and the scheme's check of closed-form pullbacks,
-    ``core._stopping_rule`` as they call it, fail every time, so every
-    stage and iterate is pulled back through ``invert_grad_g``, as it is
-    without that check."""
+    """Make the flow step's and the scheme's block check of closed-form
+    pullbacks, ``core._check_block`` as they call it, fail every time once
+    it has run, so every stage and iterate is pulled back through
+    ``invert_grad_g``, as it is without that check."""
+
+    def reject(*args):
+        core._check_block(*args)
+        raise core._CheckFailed
+
     for module in (flow, schemes):
-        monkeypatch.setattr(
-            module, "_stopping_rule", lambda p, x, rnorm, ynorm: (np.zeros(len(x), bool), None)
-        )
+        monkeypatch.setattr(module, "_check_block", reject)
 
 
 def count_point_inversions(monkeypatch, module):

@@ -717,8 +717,9 @@ def test_only_core_calls_the_closed_form_and_writes_the_start_test():
 
 
 def test_loops_check_pullbacks_with_the_whole_stopping_rule():
-    # The flow step and the scheme test closed-form pullbacks with the
-    # inversion's stopping rule, never with its goal alone.
+    # The flow step and the scheme test closed-form pullbacks through the
+    # one block check, core._check_block, which applies the inversion's
+    # stopping rule, never with the rule or its goal alone.
     for module in (flow, schemes):
         names = {
             name
@@ -726,7 +727,9 @@ def test_loops_check_pullbacks_with_the_whole_stopping_rule():
             for name in (getattr(node, key, None) for key in ("id", "attr", "name"))
             if isinstance(name, str)
         }
-        assert "_stopping_rule" in names and "_meets_start_goal" not in names
+        assert "_check_block" in names
+        assert not names & {"_stopping_rule", "_meets_start_goal"}
+    assert "_stopping_rule(" in inspect.getsource(core._check_block)
 
 
 def _methods_called_in_loops(func, loop) -> set[str]:

@@ -213,7 +213,7 @@ def dw_fine_run():
     ``counts`` splits the flow's inversions into field evaluations (the one
     pullback of a single dual state, a 1-D target) and pullbacks of record
     times (a stack), the latter with the number of rows they cover; record
-    times invert only where the closed form fails its check.  ``calls``
+    times invert only in a run made again after a failed check.  ``calls``
     lists the pullback and gradient oracle calls made outside those
     inversions, in order, as ``(name, shape)``."""
     counts = {"field": 0, "pullback": 0, "pullback_rows": 0}
@@ -258,11 +258,7 @@ def test_dense_output_inversion_count(dw_fine_run):
     # Only the field evaluation before the first step is an inversion.  Each
     # step, accepted or rejected, pulls its six new stages back through one
     # point call of the closed form each (the seventh stage is reused by the
-    # next step), with no check in between.  One stacked g_grad call checks
-    # the stages of a block of steps: the first step alone, then up to
-    # flow._RECORD_BLOCK steps, a block closed early by a record flush or
-    # the loop's end.  Every stage is checked once; no step is redone
-    # through inversions.
+    # next step), with no check in between.
     assert counts["field"] == 1
     conj = [i for i, (name, _) in enumerate(calls) if name == "g_conj_grad"]
     stages = [i for i in conj if calls[i][1] == (2,)]
@@ -270,28 +266,27 @@ def test_dense_output_inversion_count(dw_fine_run):
     n_steps = len(stages) // 6
     for first in stages[::6]:
         assert calls[first : first + 12] == [("g_conj_grad", (2,)), ("h_grad", (2,))] * 6
-    checks = [
-        shape[0]
-        for i, (name, shape) in enumerate(calls)
-        if name == "g_grad" and len(shape) == 2 and calls[i - 1] == ("h_grad", (2,))
-    ]
-    assert checks[0] == 6 and sum(checks) == 6 * n_steps
-    assert all(rows % 6 == 0 and rows <= 6 * flow._RECORD_BLOCK for rows in checks)
-    # One stacked closed-form call per block of record-bearing steps covers
-    # every record time in it; one g_grad call on the stack checks it, and
-    # with one h_grad call gives grad f for the equilibrium test.  No record
-    # time is inverted.  n_steps, which counts rejected steps too, bounds
-    # the accepted ones.
+    # A block closes after flow._RECORD_BLOCK steps and at the loop's end.
+    # One stacked closed-form call pulls back the record times of its steps;
+    # one g_grad call checks them together with its stages, and with one
+    # h_grad call gives grad f for the equilibrium test.  No record time is
+    # inverted.
+    block = flow._RECORD_BLOCK
     records = [i for i in conj if i not in stages]
-    for i in records:
+    ends = [sum(first < i for first in stages[::6]) for i in records]
+    assert ends == [min(block * j, n_steps) for j in range(1, len(records) + 1)]
+    assert len(records) == math.ceil(n_steps / block) > 1
+    checks = []
+    for i, steps in zip(records, np.diff([0] + ends)):
         m = calls[i][1][0]
         assert calls[i][1] == (m, 2)
-        assert calls[i + 1 : i + 3] == [("g_grad", (m, 2)), ("h_grad", (m, 2))]
-    assert 0 < len(records) <= n_steps
+        assert calls[i + 1 : i + 3] == [("g_grad", (6 * steps + m, 2)), ("h_grad", (m, 2))]
+        checks.append(calls[i + 1])
     assert sum(calls[i][1][0] for i in records) == trace.n_samples - 1
-    # Besides the first, a check closes a full block, a block before a
-    # record flush, or the last block.
-    assert 1 < len(checks) <= 2 + n_steps // flow._RECORD_BLOCK + len(records)
+    # Besides the block checks, stacked g_grad calls come only from p.f_grad
+    # at the start and in the velocity pass after the loop.
+    stacked = [c for c in calls if c[0] == "g_grad" and len(c[1]) == 2]
+    assert stacked == [("g_grad", (1, 2))] + checks + [("g_grad", (trace.n_samples, 2))]
     assert counts["pullback"] == counts["pullback_rows"] == 0
     pullbacks = 6 * n_steps + counts["field"] + len(records)
     assert pullbacks <= trace.n_samples + 7 * n_steps
@@ -359,9 +354,10 @@ def test_replayed_steps_equal_checked_ones(case, monkeypatch):
 @pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
 def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
     # A closed form wrong at every stack of record times, and right at each
-    # stage: every block's record check fails, and each accepted step's
-    # record times go through one batched inversion and p.f_grad, as
-    # without the check.
+    # stage: the first block's check fails on its record rows, and the flow
+    # runs again with every stage inverted and each accepted step's record
+    # times through one batched inversion and p.f_grad, as without the
+    # check and as with every check failing.
     p, x0 = _deferred_pass_cases()[case]
     run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
     f_grads = []
@@ -369,18 +365,18 @@ def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
     monkeypatch.setattr(
         core.DcProblem, "f_grad", lambda self, x: f_grads.append(np.shape(x)) or f_grad(self, x)
     )
-    stacks = _pullback_rows(monkeypatch)
     checked = outcome(run, _FLOW_FIELDS)
     # Checked, p.f_grad serves only the start's equilibrium test and the
     # velocity pass over all samples after the loop.
     n = np.frombuffer(checked[0]).size
     assert f_grads == [(1, p.dim), (n, p.dim)]
-    f_grads.clear()
-    monkeypatch.setattr(
-        flow,
-        "_closed_form",
-        lambda p, y: core._closed_form(p, y) + (defect if np.ndim(y) == 2 else 0.0),
-    )
+    wrong = []
+
+    def closed_form(p, y):
+        wrong.append(np.ndim(y) == 2)
+        return core._closed_form(p, y) + (defect if wrong[-1] else 0.0)
+
+    monkeypatch.setattr(flow, "_closed_form", closed_form)
     rows = []
 
     def pullback(p, y, warm_start):
@@ -388,15 +384,26 @@ def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
         return core.invert_grad_g(p, y, warm_start)
 
     monkeypatch.setattr(flow, "invert_grad_g", pullback)
-    assert outcome(run, _FLOW_FIELDS) == checked
-    # The first field evaluation, then one inversion per record-bearing step;
-    # each checked stack covered the steps of one block.
-    block = flow._RECORD_BLOCK
-    assert rows[0] == (p.dim,)
-    steps = [m for m, _ in rows[1:]]
-    assert [sum(steps[i : i + block]) for i in range(0, len(steps), block)] == stacks
-    assert len(steps) > 10 and all(dim == p.dim for _, dim in rows[1:])
-    assert f_grads == [(1, p.dim)] + rows[1:] + [(n, p.dim)]
+    runs = []
+    for reject in (False, True):
+        if reject:
+            reject_closed_forms(monkeypatch)
+        for log in (f_grads, rows, wrong):
+            log.clear()
+        assert outcome(run, _FLOW_FIELDS) == checked
+        runs.append((rows.copy(), f_grads.copy()))
+        # One stack of record times is pulled back through the closed form,
+        # the first block's, and its check fails.
+        assert sum(wrong) == 1
+    assert runs[0] == runs[1]
+    # The first field evaluation, then six stages per attempt, one point at
+    # a time, and one inversion per record-bearing step, which covers its
+    # record times.
+    assert rows[0] == (p.dim,) and (rows.count((p.dim,)) - 1) % 6 == 0
+    steps = [shape for shape in rows if len(shape) == 2]
+    assert sum(m for m, _ in steps) == n - 1
+    assert len(steps) > 10 and all(dim == p.dim for _, dim in steps)
+    assert f_grads == [(1, p.dim)] + steps + [(n, p.dim)]
 
 
 @pytest.mark.parametrize("newton_steps", [None, 0], ids=["newton", "no_newton"])
@@ -459,27 +466,33 @@ def _attempts(monkeypatch, p, x0, cfg):
     return stages, errs
 
 
-def _stage_checks(monkeypatch, p, x0, cfg):
-    """The rows of each stacked check of stages that a flow makes, in
-    order; a run made again with every stage inverted checks none."""
-    rows, real, records = [], flow._checked, [False]
+def _block_checks(monkeypatch, p, x0, cfg):
+    """The stage rows and record rows of each block check that a flow
+    makes, in order; a run made again with every stage inverted checks
+    none."""
+    checks, records = [], [0]
 
     def closed_form(p, y):
         # A stack of record times is checked right after its closed form.
-        records[0] = np.ndim(y) == 2
+        if np.ndim(y) == 2:
+            records[0] = len(y)
         return core._closed_form(p, y)
 
-    def checked(p, y, x, grad_g):
-        if not records[0]:
-            rows.append(len(y))
-        records[0] = False
-        return real(p, y, x, grad_g)
+    def check_block(p, y, x, grad_g=None):
+        checks.append((len(y) - records[0], records[0]))
+        records[0] = 0
+        return core._check_block(p, y, x, grad_g)
 
     with monkeypatch.context() as mp:
         mp.setattr(flow, "_closed_form", closed_form)
-        mp.setattr(flow, "_checked", checked)
+        mp.setattr(flow, "_check_block", check_block)
         integrate_flow(p, np.array(x0), cfg)
-    return rows
+    return checks
+
+
+def _stage_checks(monkeypatch, p, x0, cfg):
+    """The stage rows of each block check that a flow makes, in order."""
+    return [stages for stages, _ in _block_checks(monkeypatch, p, x0, cfg)]
 
 
 _COARSE = (make_double_well([1.0, 4.0]), [1.8, -0.4], FlowConfig(t_end=20.0, record_stride=20.0))
@@ -491,34 +504,34 @@ _FINE = (make_double_well([1.0, 4.0]), [0.5, 0.5], FlowConfig(t_end=10.0, record
 
 
 def test_a_passing_flow_checks_its_stages_once_per_block(monkeypatch):
-    # One record time: no record flush closes a block early, so the first
-    # step is checked alone and the rest in full blocks but the last.
-    p, x0, cfg = _COARSE
-    stages, _ = _attempts(monkeypatch, p, x0, cfg)
+    # Each block of flow._RECORD_BLOCK steps, accepted or rejected, and the
+    # shorter last one is checked once, together with the record times of
+    # its steps: with one record time, the last block alone has a record
+    # row; with records at every step, every block has some.
     b = flow._RECORD_BLOCK
-    full, rest = divmod(len(stages) - 1, b)
-    assert full >= 2
-    assert _stage_checks(monkeypatch, p, x0, cfg) == [6] + [6 * b] * full + [6 * rest] * (rest > 0)
-    # With records at every step, a block also closes before each record
-    # flush, and every step is checked once.
-    p, x0, cfg = _FINE
-    checks = _stage_checks(monkeypatch, p, x0, cfg)
-    assert checks[0] == 6 and sum(checks) == 6 * len(_attempts(monkeypatch, p, x0, cfg)[0])
-    assert 6 * b not in checks
+    for (p, x0, cfg), fine in ((_COARSE, False), (_FINE, True)):
+        stages, _ = _attempts(monkeypatch, p, x0, cfg)
+        full, rest = divmod(len(stages), b)
+        assert full >= 1
+        checks = _block_checks(monkeypatch, p, x0, cfg)
+        assert [rows for rows, _ in checks] == [6 * b] * full + [6 * rest] * (rest > 0)
+        records = [rows for _, rows in checks]
+        assert sum(records) == integrate_flow(p, np.array(x0), cfg).n_samples - 1
+        assert records[-1] > 0 and all(records) == fine
 
 
 @pytest.mark.parametrize(
     "case, step",
     [
-        ("coarse", 0),  # checked alone
-        ("coarse", 1),  # first of a block
+        ("coarse", 0),  # first of a block
+        ("coarse", 1),
         ("coarse", 16),  # mid-block
-        ("coarse", 32),  # last of a full block
+        ("coarse", 32),  # first of the second block
         ("coarse", 40),  # in the last block, closed by the loop's end
         ("rejecting", 0),
         ("rejecting", 2),  # a rejected step mid-block
-        ("fine", 20),  # in a block closed by a record flush
-        ("fine", 40),  # past a record flush, in the last block
+        ("fine", 20),  # in a block that records states
+        ("fine", 40),  # past a block that recorded states, in the last block
     ],
 )
 def test_a_failed_stage_check_resumes_at_its_step(case, step, monkeypatch):
@@ -531,13 +544,10 @@ def test_a_failed_stage_check_resumes_at_its_step(case, step, monkeypatch):
     stages, errs = _attempts(monkeypatch, p, x0, cfg)
     if case == "rejecting":
         assert errs[step] > 1.0
-    if case == "fine":
-        checks = np.cumsum(_stage_checks(monkeypatch, p, x0, cfg)) // 6
-        block = int(np.searchsorted(checks, step, side="right"))
-        assert checks[block - 1] < step < checks[block] < checks[block - 1] + flow._RECORD_BLOCK
     off = off_at_targets(p, stages[step, 2:3], 1e-6)
     ends = np.cumsum([0] + _stage_checks(monkeypatch, off, x0, cfg)) // 6
-    assert ends[-2] <= step < ends[-1]
+    b = flow._RECORD_BLOCK
+    assert ends[-2] % b == 0 and ends[-2] <= step < ends[-1] <= ends[-2] + b
     run = lambda: integrate_flow(off, np.array(x0), cfg)
     inversions = count_point_inversions(monkeypatch, flow)
     checked = outcome(run, _FLOW_FIELDS)
@@ -550,16 +560,16 @@ def test_a_failed_stage_check_resumes_at_its_step(case, step, monkeypatch):
     assert len(checked) == len(_FLOW_FIELDS)
 
 
-def test_after_a_failed_check_each_step_is_checked_alone(monkeypatch):
-    # A failure at step 1 fails the check of the first full block; the
-    # rerun that follows checks no step at all, where a passing run checks
-    # one block of steps at a time to the end.
+def test_after_a_failed_check_no_step_is_checked(monkeypatch):
+    # A failure at step 1 fails the check of the first block; the rerun
+    # that follows checks no step at all, where a passing run checks one
+    # block of steps at a time to the end.
     p, x0, cfg = _COARSE
     stages, _ = _attempts(monkeypatch, p, x0, cfg)
     checks = _stage_checks(monkeypatch, p, x0, cfg)
-    assert checks[0] == 6 and sum(checks) == 6 * len(stages) and len(checks) > 2
+    assert sum(checks) == 6 * len(stages) and len(checks) > 1
     off = off_at_targets(p, stages[1, 2:3], 1e-6)
-    assert _stage_checks(monkeypatch, off, x0, cfg) == [6, 6 * flow._RECORD_BLOCK]
+    assert _block_checks(monkeypatch, off, x0, cfg) == [(6 * flow._RECORD_BLOCK, 0)]
 
 
 def test_a_nan_closed_form_ends_the_flow_within_a_block(monkeypatch):
@@ -612,24 +622,35 @@ def test_an_error_past_a_failed_step_is_not_reached(monkeypatch):
 
 def test_a_raising_stage_check_raises_in_its_own_step(monkeypatch):
     # g_grad raises on stacks holding a point past x_0 = 0.9, which the flow
-    # crosses at a stage of a mid-block step.  The raising check reruns the
-    # flow with every stage inverted one point at a time, so the error is
-    # raised where that run first stacks such a point, the batched pullback
-    # of a step's record times, and names that step, as with every block of
-    # one step.
+    # crosses at a stage of a mid-block step, or on stacks holding the
+    # pullback of a record time before t_end (the one at t_end is also the
+    # last step's last stage), so on no stack of stages alone.  The raising
+    # check reruns the flow with every stage inverted one point at a time,
+    # so the error is raised where that run first stacks such a point, the
+    # batched pullback of a step's record times, and names that step, as
+    # with every block of one step and with every check failing.
     p = make_double_well([1.0, 4.0])
+    x0, cfg = np.array([0.5, 0.5]), FlowConfig(t_end=5.0)
+    records = integrate_flow(p, x0, cfg).x_states[1:-1]
+    for raises in (
+        lambda x: (x[:, 0] > 0.9).any(),
+        lambda x: (x[:, None, :] == records).all(axis=-1).any(),
+    ):
 
-    def g_grad(x):
-        if np.ndim(x) == 2 and (x[:, 0] > 0.9).any():
-            raise core.NumericError("g_grad failed")
-        return p.g_grad(x)
+        def g_grad(x):
+            if np.ndim(x) == 2 and raises(x):
+                raise core.NumericError("g_grad failed")
+            return p.g_grad(x)
 
-    broken = dataclasses.replace(p, g_grad=g_grad)
-    run = lambda: integrate_flow(broken, np.array([0.5, 0.5]), FlowConfig(t_end=5.0))
-    per_step, *blocked = _outcomes_by_block(monkeypatch, run)
-    assert per_step[0] is core.NumericError
-    assert re.fullmatch(r"g_grad failed in the flow step from t=\S+ of size \S+", per_step[1])
-    assert all(b == per_step for b in blocked)
+        broken = dataclasses.replace(p, g_grad=g_grad)
+        run = lambda: integrate_flow(broken, x0, cfg)
+        per_step, *blocked = _outcomes_by_block(monkeypatch, run)
+        assert per_step[0] is core.NumericError
+        assert re.fullmatch(r"g_grad failed in the flow step from t=\S+ of size \S+", per_step[1])
+        assert all(b == per_step for b in blocked)
+        with monkeypatch.context() as mp:
+            reject_closed_forms(mp)
+            assert outcome(run, _FLOW_FIELDS) == per_step
 
 
 def _pullback_rows(monkeypatch):

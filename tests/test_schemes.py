@@ -475,14 +475,15 @@ def _counted(p):
 
 
 def _counted_start_tests(monkeypatch):
-    """Count the calls of the scheme's start test, the list's one entry."""
+    """Count the scheme's block tests of closed-form pullbacks, the list's
+    one entry."""
     count = [0]
 
-    def counted(p, x, rnorm, ynorm):
+    def counted(*args):
         count[0] += 1
-        return core._stopping_rule(p, x, rnorm, ynorm)
+        return core._check_block(*args)
 
-    monkeypatch.setattr(schemes, "_stopping_rule", counted)
+    monkeypatch.setattr(schemes, "_check_block", counted)
     return count
 
 
@@ -506,9 +507,8 @@ def test_run_scheme_reads_each_oracle_once_per_iterate(mode, dw_aniso, monkeypat
         assert blocks > 1
         stacked = {key: n for key, n in calls.items() if key[1] == 2}
         assert stacked == {("g_value", 2): blocks + 2, ("h_value", 2): blocks, ("g_grad", 2): 1}
-        # One start test of the first pullback alone, and one of the
-        # pullbacks of each block the guard judges.
-        assert tests[0] == 1 + blocks
+        # One test of the pullbacks of each block the guard judges.
+        assert tests[0] == blocks
 
 
 _SCHEME_FIELDS = (
@@ -545,10 +545,11 @@ def test_inverted_iterates_equal_checked_ones(case, mode, monkeypatch):
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
 @pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
 def test_a_failed_check_calls_the_closed_form_once(case, mode, monkeypatch):
-    # The test of the first pullback fails, after one g_conj_grad and one
-    # g_grad call, and the run is made again with every pullback through
-    # invert_grad_g: each iterate calls g_conj_grad and g_grad once each to
-    # pull back, and once more g_grad for the next iterate's gradient.
+    # The test of the first block fails, after one g_conj_grad and one
+    # g_grad call per pullback in it, and the run is made again with every
+    # pullback through invert_grad_g: each iterate calls g_conj_grad and
+    # g_grad once each to pull back, and once more g_grad for the next
+    # iterate's gradient.
     p, x0 = _scheme_cases()[case]
     calls = []
 
@@ -567,7 +568,7 @@ def test_a_failed_check_calls_the_closed_form_once(case, mode, monkeypatch):
     # Newton takes no step: the closed form meets the real stopping rule.
     steps = trace.n_points - 1
     assert steps > 5
-    failed = ["g_grad", "g_conj_grad", "g_grad"]
+    failed = ["g_grad"] + ["g_conj_grad", "g_grad"] * min(steps, schemes._GUARD_BLOCK - 1)
     assert calls == failed + ["g_grad"] + ["g_conj_grad", "g_grad", "g_grad"] * steps
 
 
@@ -601,8 +602,8 @@ def test_a_wrong_closed_form_fails_as_without_the_check(mode, defect, newton_ste
         assert len(checked) == len(_SCHEME_FIELDS)
 
 
-# From here an eta = 0.5 run takes 130 steps: the first pullback is tested
-# alone, then x_2..x_31, x_32..x_63, ... in the blocks the guard judges.
+# From here an eta = 0.5 run takes 130 steps: its pullbacks are tested in
+# the blocks the guard judges, x_1..x_31, x_32..x_63, ...
 _LONG_START = np.array([1.8, -0.3])
 
 
@@ -623,8 +624,8 @@ def test_a_failed_start_test_resumes_at_its_iterate(mode, i, dw_aniso, monkeypat
     assert inversions[0] == trace.n_points - 1
     assert_same_trace(trace, run_scheme_loop(p, _LONG_START, cfg, mode))
     assert trace.points[i].tobytes() != clean.points[i].tobytes()
-    # x_1 alone, then the blocks x_2..x_31, x_32..x_63, ... up to x_i's.
-    assert tests[0] == (1 if i == 1 else 2 + i // schemes._GUARD_BLOCK)
+    # The blocks x_1..x_31, x_32..x_63, ... up to x_i's.
+    assert tests[0] == 1 + i // schemes._GUARD_BLOCK
 
 
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
