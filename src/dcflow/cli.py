@@ -43,11 +43,16 @@ of another experiment or of one that failed before writing them, stay.
 
 Byte identity: CSV floats are written with 17 significant digits, and a
 run repeated with the same config and seed writes the same bytes (in
-``report.json``, all but ``generated_at``) at a fixed BLAS thread count.
-A problem whose Hessians are not diagonal, of dimension about 128 or
-more, can write different bytes at ``OPENBLAS_NUM_THREADS`` 1 and 2:
-above some size OpenBLAS splits products and factorizations across
-threads, which changes the order of their sums.
+``report.json``, all but ``generated_at``) at a fixed BLAS thread count
+and a fixed numpy SIMD dispatch.  A problem whose Hessians are not
+diagonal, of dimension about 128 or more, can write different bytes at
+``OPENBLAS_NUM_THREADS`` 1 and 2: above some size OpenBLAS splits
+products and factorizations across threads, which changes the order of
+their sums.  The double-well oracles are products, whose bits do not
+depend on the dispatch; ``arcsinh`` and ``sinh`` in the double well's
+closed-form pullback and ``theta ** np.arange(1, 5)`` in the flow's dense
+output round differently with numpy's AVX-512 kernels on and off
+(``NPY_DISABLE_CPU_FEATURES``).
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ flow step and the schemes take closed-form pullbacks unchecked in their
 loops, and as each block closes (``_RECORD_BLOCK`` step attempts with the
 flow's record times, or ``_GUARD_BLOCK`` iterates) ``_check_block`` tests
 them with the rule on one stacked ``grad g`` call.  Only a wrong closed
-form fails that test, and a failed or raising test has one policy: the
-loop runs again with every pullback through the inversion
-(``_CheckFailed``).
+form fails that test, and a failed or raising test has one policy
+(``_closed_form_first``): the loop runs again with every pullback through
+the inversion, and the numpy floating-point errors of the pass it throws
+away are never reported.
 The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -35,9 +36,11 @@ flow of a quadratic split and its metric PL constant all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 __all__ = [
     "Box",
@@ -494,6 +497,38 @@ def _check_block(
     if not stops.all():
         raise _CheckFailed
     return grad_g
+
+
+def _closed_form_first(p: DcProblem, run: Callable[[bool], _T]) -> _T:
+    """A loop's one failure policy: ``run(True)``, its pass with closed-form
+    pullbacks checked by :func:`_check_block`, if ``p`` has a closed form and
+    no check fails; otherwise ``run(False)``, its pass with every pullback
+    through :func:`invert_grad_g`.
+
+    A wrong closed form makes garbage whose overflows and invalid values
+    numpy would report before the check throws that pass away.  So the
+    closed-form pass records numpy's floating-point errors instead, those
+    of every kind that ``np.geterr()`` does not ignore, and reports none.
+    A pass that records one and is kept, or raises another exception, runs
+    once more under the caller's error state, which reports each error as
+    a single pass does.
+    """
+    if p.g_conj_grad is None:
+        return run(False)
+    seen = []
+    record = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    try:
+        with np.errstate(**record, call=lambda kind, flag: seen.append(kind)):
+            result = run(True)
+    except _CheckFailed:
+        return run(False)
+    except Exception:
+        if not seen:
+            raise
+    else:
+        if not seen:
+            return result
+    return run(True)
 
 
 def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:

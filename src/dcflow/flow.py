@@ -47,9 +47,9 @@ from .core import (
     DcError,
     DcProblem,
     NumericError,
-    _CheckFailed,
     _check_block,
     _closed_form,
+    _closed_form_first,
     _pencil_eigh,
     _row_norms,
     flow_velocity,
@@ -221,11 +221,12 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     through :func:`~dcflow.core.invert_grad_g`, and that run is returned or
     raises: the inversion returns the closed form wherever it passes, so
     the stages, Newton's steps and every error are those of a check per
-    stage.  In that run, and without a closed form, closing a block pulls
-    back each of its steps' record times in one batched inversion,
-    warm-started on the chord between the pullbacks at the step's two
-    ends, which the stages already made, and naming that step in any
-    error.  Inversion and the closed form act row by row, so the block
+    stage; numpy reports no floating-point error of the run thrown away
+    (:func:`~dcflow.core._closed_form_first`).  In that run, and without a
+    closed form, closing a block pulls back each of its steps' record times
+    in one batched inversion, warm-started on the chord between the
+    pullbacks at the step's two ends, which the stages already made, and
+    naming that step in any error.  Inversion and the closed form act row by row, so the block
     changes no bit.  Integration halts at the first sample whose primal
     gradient norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the block reads
     only that norm, for checked records as the checking ``g_grad`` call
@@ -435,12 +436,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         close()
         return build()
 
-    if p.g_conj_grad is not None:
-        try:
-            return steps(closed=True)
-        except _CheckFailed:
-            pass  # a wrong closed form: run again, inverting every stage
-    return steps(closed=False)
+    return _closed_form_first(p, steps)
 
 
 def _step_phase(t: float, h: float) -> str:

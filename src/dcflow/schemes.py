@@ -35,9 +35,9 @@ from .core import (
     Box,
     DcError,
     DcProblem,
-    _CheckFailed,
     _check_block,
     _closed_form,
+    _closed_form_first,
     _row_norms,
     damped_target,
     invert_grad_g,
@@ -153,9 +153,10 @@ def run_scheme(
     :func:`~dcflow.core.invert_grad_g` from the current iterate, and that
     run is returned or raises: the inversion returns the closed form
     wherever it passes, so the trace and every error are those of a test
-    per iterate.  Without a closed form that is the only run.  The
-    objective values, the Bregman steps and the step norms of the log are
-    computed outside the loop, in stacked calls.
+    per iterate; numpy reports no floating-point error of the run thrown
+    away (:func:`~dcflow.core._closed_form_first`).  Without a closed form
+    that is the only run.  The objective values, the Bregman steps and the
+    step norms of the log are computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
     only in the dual state they step from: primal mode from
@@ -273,12 +274,7 @@ def run_scheme(
             termination=termination,
         )
 
-    if p.g_conj_grad is not None:
-        try:
-            return iterate(closed=True)
-        except _CheckFailed:
-            pass  # a wrong closed form: run again, inverting every pullback
-    return iterate(closed=False)
+    return _closed_form_first(p, iterate)
 
 
 def descent_margins(p: DcProblem, trace: IterateTrace):

@@ -1,6 +1,7 @@
 """Shared test helpers built on the library's public entry points."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 
@@ -66,6 +67,44 @@ def reject_closed_forms(monkeypatch):
 
     for module in (flow, schemes):
         monkeypatch.setattr(module, "_check_block", reject)
+
+
+def single_closed_form_pass(monkeypatch):
+    """Make the flow step and the schemes run their closed-form pass once,
+    its numpy floating-point errors reported as they happen, and again
+    through ``invert_grad_g`` when a check fails: the policy of
+    ``core._closed_form_first`` without its recording."""
+
+    def once(p, run):
+        if p.g_conj_grad is None:
+            return run(False)
+        try:
+            return run(True)
+        except core._CheckFailed:
+            return run(False)
+
+    for module in (flow, schemes):
+        monkeypatch.setattr(module, "_closed_form_first", once)
+
+
+def overflowing_h_grad(p):
+    """``p`` whose ``h_grad`` overflows a throwaway product at each call and
+    answers as before."""
+
+    def h_grad(x):
+        np.multiply(1e308, 10.0)
+        return p.h_grad(x)
+
+    return dataclasses.replace(p, h_grad=h_grad)
+
+
+def warnings_of(run):
+    """What ``run()`` returns, and the category, message and line of each
+    warning it issues, repeats included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def count_point_inversions(monkeypatch, module):

@@ -728,6 +728,7 @@ def _lying_pullback(monkeypatch):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     # The message names where the inversion failed, beside its residual.
     monkeypatch.setattr(core, "_MAX_NEWTON_ITER", 1)
@@ -750,6 +751,7 @@ def test_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert "(residual " in err and phase in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eta_sweep_member_failure_ends_run_without_report(tmp_path, capsys, monkeypatch):
     # Failure policy: a ConvergenceError in any sweep member ends the whole
     # run with exit 3 and no report.json; members that finished keep their CSV.

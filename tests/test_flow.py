@@ -27,7 +27,10 @@ from helpers import (
     off_at_targets,
     off_closed_form,
     outcome,
+    overflowing_h_grad,
     reject_closed_forms,
+    single_closed_form_pass,
+    warnings_of,
 )
 
 RNG = np.random.default_rng(20240504)
@@ -590,6 +593,32 @@ def test_a_nan_closed_form_ends_the_flow_within_a_block(monkeypatch):
     assert 0 < nan_steps[0] <= 6 * flow._RECORD_BLOCK + 1
     reject_closed_forms(monkeypatch)
     assert outcome(run, _FLOW_FIELDS) == checked
+
+
+def test_a_thrown_away_pass_reports_no_floating_point_error(monkeypatch):
+    # An infinite closed form makes invalid values in the stages after it,
+    # and the first block's check fails.  The flow integrated again raises
+    # at that stage's Newton start before any arithmetic that reports.
+    p = off_closed_form(make_double_well([1.0, 4.0]), np.inf, threshold=1.0)
+    run = lambda: outcome(
+        lambda: integrate_flow(p, np.array([0.5, 0.5]), FlowConfig(t_end=5.0)), _FLOW_FIELDS
+    )
+    checked, caught = warnings_of(run)
+    assert checked[0] is core.NumericError and caught == []
+    reject_closed_forms(monkeypatch)
+    assert warnings_of(run) == (checked, [])
+
+
+def test_a_kept_pass_reports_its_floating_point_errors_as_one_pass(monkeypatch):
+    # h_grad overflows at every call.  The closed-form pass is kept, and
+    # reports each overflow where a single pass does, once per call.
+    p, x0, cfg = _COARSE
+    p = overflowing_h_grad(p)
+    run = lambda: outcome(lambda: integrate_flow(p, np.array(x0), cfg), _FLOW_FIELDS)
+    checked, caught = warnings_of(run)
+    assert len(caught) > 6 * flow._RECORD_BLOCK
+    single_closed_form_pass(monkeypatch)
+    assert warnings_of(run) == (checked, caught)
 
 
 def _raising_on_nan_targets(p):

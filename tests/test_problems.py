@@ -1,5 +1,11 @@
 """Built-in instance constructors: certified constants and invariance properties."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +89,49 @@ def test_double_well_flow_field_formula(dw_aniso):
     q = np.array([1.0, 4.0])
     expected = (x - x**3) / (3.0 * x**2 + q)
     np.testing.assert_allclose(field, expected, atol=1e-14)
+
+
+# numpy's AVX-512 dispatch targets from numpy 2.2 to 2.4; it ignores names it
+# does not know.
+_NO_AVX512 = "X86_V4 AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
+
+
+def _double_well_oracle_digest() -> str:
+    """SHA-256 of the double well's oracles on a seeded mixed-sign stack."""
+    rng = np.random.default_rng(401)
+    p = make_double_well(rng.uniform(0.5, 4.0, 12))
+    x = rng.uniform(-2.0, 2.0, (401, 12))
+    digest = hashlib.sha256()
+    for name in ("g_grad", "g_value", "g_hess", "h_grad", "h_value"):
+        digest.update(np.ascontiguousarray(getattr(p, name)(x), dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def test_double_well_oracle_bits_do_not_depend_on_simd_dispatch():
+    """The double well's oracles give the same bits in a process with
+    numpy's AVX-512 kernels disabled.  They are products: numpy's ``power``
+    on mixed-sign arrays rounds differently with those kernels and without.
+    On a host without AVX-512 both processes run the same kernels, so this
+    test cannot fail there."""
+    import dcflow
+
+    here = Path(__file__).resolve().parent
+    src = str(Path(dcflow.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(here), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from test_problems import _double_well_oracle_digest; "
+            "print(_double_well_oracle_digest())",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _double_well_oracle_digest()
 
 
 def test_double_well_rejects_nonpositive_q():

@@ -345,9 +345,9 @@ def test_damped_rate_bound_holds_with_span_box_constants(run):
 def _dw_reference(q):
     """The double well's single-point oracles as written with ``@``."""
     return {
-        "g_value": lambda x: float(0.25 * np.sum(x**4) + 0.5 * (x @ (q * x))),
+        "g_value": lambda x: float(0.25 * np.sum(np.square(x * x)) + 0.5 * (x @ (q * x))),
         "h_value": lambda x: float(0.5 * (x @ ((q + 1.0) * x))),
-        "g_grad": lambda x: x**3 + q * x,
+        "g_grad": lambda x: (x * x + q) * x,
         "h_grad": lambda x: (q + 1.0) * x,
         "g_hess": lambda x: np.diag(3.0 * x**2 + q),
         "h_hess": lambda x: np.diag(q + 1.0),

@@ -27,9 +27,12 @@ from helpers import (
     off_at_targets,
     off_closed_form,
     outcome,
+    overflowing_h_grad,
     primal_dual_sup_gap,
     reject_closed_forms,
     run_scheme_loop,
+    single_closed_form_pass,
+    warnings_of,
 )
 
 RNG = np.random.default_rng(20240503)
@@ -626,6 +629,33 @@ def test_a_failed_start_test_resumes_at_its_iterate(mode, i, dw_aniso, monkeypat
     assert trace.points[i].tobytes() != clean.points[i].tobytes()
     # The blocks x_1..x_31, x_32..x_63, ... up to x_i's.
     assert tests[0] == 1 + i // schemes._GUARD_BLOCK
+
+
+def test_a_thrown_away_pass_reports_no_floating_point_error(dw_aniso, monkeypatch):
+    # A closed form that returns its target drives the primal iterates, with
+    # their cubic g_grad, to overflow within the first block, whose test fails.  The run made again inverts
+    # every pullback and overflows nowhere, so nothing is reported.
+    cfg = SchemeConfig(eta=0.5)
+    p = dataclasses.replace(dw_aniso, g_conj_grad=lambda y: np.array(y, dtype=float))
+    run = lambda: outcome(lambda: run_scheme(p, _LONG_START, cfg), _SCHEME_FIELDS)
+    checked, caught = warnings_of(run)
+    assert len(checked) == len(_SCHEME_FIELDS) and caught == []
+    reject_closed_forms(monkeypatch)
+    assert warnings_of(run) == (checked, [])
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_a_kept_pass_reports_its_floating_point_errors_as_one_pass(mode, dw_aniso, monkeypatch):
+    # h_grad overflows at every call.  The closed-form pass is kept, and
+    # reports each overflow where a single pass does, once per call.
+    cfg = SchemeConfig(eta=0.5)
+    p = overflowing_h_grad(dw_aniso)
+    trace, caught = warnings_of(lambda: run_scheme(p, _LONG_START, cfg, mode))
+    assert len(caught) == trace.grad_norms.size > 100
+    single_closed_form_pass(monkeypatch)
+    once, caught_once = warnings_of(lambda: run_scheme(p, _LONG_START, cfg, mode))
+    assert caught == caught_once
+    assert_same_trace(trace, once)
 
 
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
