@@ -5,9 +5,13 @@ embedded Dormand-Prince 4(5) pair under PI step control;
 :func:`integrate_flow` is the one place that forms it.  Integrating in the
 dual coordinate keeps the field evaluations cheap: every evaluation is one
 pullback through the inverse gradient map and one ``h_grad`` call.  Step
-sizes follow the error control alone; record times are read off the
-pair's fourth-order continuous extension, which reuses the seven stages of
-each accepted step.  No step reads a verdict on its stages that passes, nor
+sizes follow the error control alone, at the DOPRI5 gains of Hairer,
+Norsett and Wanner: the error's exponent is 0.2 - 0.75 beta and the
+previous error's is beta = 0.04, that error floored at 1e-4.  Steps so
+grow until their error nears the accept bound, and the first step's tiny
+error does not damp the second.  Record times are read off the pair's
+fourth-order continuous extension, which reuses the seven stages of each
+accepted step.  No step reads a verdict on its stages that passes, nor
 the pullbacks of its record times, so the loop works in blocks of
 ``_RECORD_BLOCK`` attempts, accepted or rejected.  For the built-in
 families the pullback is a closed form: each stage pulls back through it
@@ -76,6 +80,15 @@ EQUILIBRIUM_GRAD_TOL = 1e-10
 _MIN_STEP = 1e-14
 # First trial step; error control resizes it from the first step on.
 _STEP_INIT = 1e-2
+# PI step control with the DOPRI5 defaults (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.4, and their dopri5 code): after an accepted step
+# the size is scaled by 0.9 * err**-(0.2 - 0.75 * beta) * err_prev**beta,
+# clipped to [0.2, 5], with beta = 0.04.  The history err_prev is floored at
+# 1e-4, as dopri5 floors facold, so a tiny first error does not damp the
+# second step.
+_PI_BETA = 0.04
+_PI_ALPHA = 0.2 - 0.75 * _PI_BETA
+_PI_HISTORY_FLOOR = 1e-4
 # Step attempts, accepted or rejected, whose stages are checked and whose
 # record states are pulled back and judged in one pass, as the scheme's guard
 # judges its iterates (schemes._GUARD_BLOCK).  No step depends on them, so up
@@ -337,7 +350,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         warm[0] = x_start = x_first
         t, y, k1, target_idx = 0.0, y0, k1_start, 0
         h = h_try = _STEP_INIT
-        err_prev = 1e-4
+        err_prev = _PI_HISTORY_FLOOR
         # Attempts in the open block; with `closed`, their stages fill the
         # first (6, n) slots of stage_y and stage_x.
         attempts = 0
@@ -421,8 +434,8 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 k1 = k[6]
                 x_start = warm[0]
                 err = max(err, 1e-10)
-                factor = min(5.0, max(0.2, 0.9 * err**-0.14 * err_prev**0.08))
-                err_prev = err
+                factor = min(5.0, max(0.2, 0.9 * err**-_PI_ALPHA * err_prev**_PI_BETA))
+                err_prev = max(err, _PI_HISTORY_FLOOR)
                 h = max(h_try * factor, _MIN_STEP)
             except Exception as exc:
                 # The block's stages may fail their check, and then this step
