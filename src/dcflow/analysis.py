@@ -26,6 +26,7 @@ from .core import (
     BoxConstants,
     DcError,
     DcProblem,
+    Diagonal,
     _eigvalsh,
     _pencil_eigh,
     _regular_diagonal,
@@ -449,6 +450,31 @@ def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float
 # box constants: closed form, cross-checked on probe points
 
 
+def _objective_hessian(metric, curvature):
+    """The symmetrized ``Hess f = Hess g - Hess h`` of a row block, from the
+    block's ``g_hess`` answer ``metric`` and ``h_hess`` answer ``curvature``.
+
+    Two :class:`~dcflow.core.Diagonal` answers whose difference is a regular
+    diagonal give that difference, in O(dim) per row.  Otherwise the
+    metric block, dense and writable, becomes ``Hess f`` in place, and its
+    lower triangle, the one eigvalsh reads, is symmetrized a column at a
+    time, so no temporary spans the block; a regular diagonal block is
+    symmetric already.
+    """
+    if isinstance(metric, Diagonal) and isinstance(curvature, Diagonal):
+        hess = Diagonal(metric.d - curvature.d)
+        if _regular_diagonal(hess) is not None:
+            return hess
+    hess = np.asarray(metric)
+    hess -= curvature
+    if _regular_diagonal(hess) is None:
+        for j in range(hess.shape[-1] - 1):
+            col = hess[:, j + 1 :, j]
+            col += hess[:, j, j + 1 :]
+            col *= 0.5
+    return hess
+
+
 def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxConstants:
     """``p.box_constants(box)``, once every probe point agrees with it.
 
@@ -465,7 +491,10 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     block of at most ``core._HESS_BLOCK_BYTES`` of Hessians, takes their
     eigenvalues and the metric solve there, and keeps only each point's
     extreme eigenvalues and metric speed, so memory stays bounded in the
-    dimension.  Blocks change no bit and no verdict.
+    dimension.  Blocks change no bit and no verdict.  When both answers
+    are :class:`~dcflow.core.Diagonal`, the block stays diagonal: the
+    objective Hessian is the difference of the diagonals, and no dense
+    matrix is built, unless that difference has a zero or non-finite entry.
 
     A box of another dimension or a problem without closed-form box
     constants raises ``ValueError``, as samples alone certify nothing.  A
@@ -487,26 +516,17 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     w_lo, w_hi, v_lo, v_hi = (np.empty(len(pts)) for _ in range(4))
     msq = np.full(len(pts), np.nan)
     for block in _row_blocks(len(pts), p.dim):
-        # One block holds Hess g and then, updated in place, Hess f, so the
-        # sweep keeps no second Hessian block of its own.
-        hess = np.require(p.g_hess(pts[block]), dtype=float, requirements="W")
-        w = _eigvalsh(hess)
+        metric = p.g_hess(pts[block])
+        if not isinstance(metric, Diagonal):
+            metric = np.require(metric, dtype=float, requirements="W")
+        w = _eigvalsh(metric)
         w_lo[block], w_hi[block] = w[:, 0], w[:, -1]
         # A block with a metric eigenvalue <= 0 fails the positivity check
         # below; it skips the solve, which could raise first.
         if not (w[:, 0] <= 0.0).any():
-            sol = _solve_metric(hess, grads[block])
+            sol = _solve_metric(metric, grads[block])
             msq[block] = np.einsum("ij,ij->i", grads[block], sol)
-        hess -= p.h_hess(pts[block])
-        # eigvalsh reads the lower triangle: symmetrize it in place, a column
-        # at a time, so no temporary spans the block.  A diagonal block is
-        # symmetric already.
-        if _regular_diagonal(hess) is None:
-            for j in range(p.dim - 1):
-                col = hess[:, j + 1 :, j]
-                col += hess[:, j, j + 1 :]
-                col *= 0.5
-        v = _eigvalsh(hess)
+        v = _eigvalsh(_objective_hessian(metric, p.h_hess(pts[block])))
         v_lo[block], v_hi[block] = v[:, 0], v[:, -1]
 
     def check_range(name, lo_eigs, hi_eigs, scales, bounds):

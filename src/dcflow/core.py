@@ -26,8 +26,11 @@ discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
 Two private kernels, ``_solve_metric`` and ``_eigvalsh``, solve and
 diagonalize every stack of Hessians: a diagonal one in O(dim) per row, bit
-for bit as LAPACK does, any other through LAPACK.  Their callers read the
-Hessians in row blocks of at most ``_HESS_BLOCK_BYTES``.  A third,
+for bit as LAPACK does, any other through LAPACK.  A Hessian oracle may
+answer a :class:`Diagonal`, the diagonals alone, which the kernels and
+Newton's stopping rule read without building a dense stack; they make it
+dense only to hand it to LAPACK.  Their callers read the Hessians in row
+blocks of at most ``_HESS_BLOCK_BYTES``.  A third,
 ``_pencil_eigh``, solves the symmetric-definite pencil ``h v = lam m v``
 of one pair of matrices: the linearization at a minimum, the closed-form
 flow of a quadratic split and its metric PL constant all read it.
@@ -48,6 +51,7 @@ __all__ = [
     "ConvergenceError",
     "DcError",
     "DcProblem",
+    "Diagonal",
     "INVERSION_TOL",
     "NumericError",
     "ROUNDOFF",
@@ -121,6 +125,37 @@ _HESS_BLOCK_BYTES = 8 * 2**20
 # driver (dsyevd) does not rescale it, with a margin: it rescales beyond
 # about 1e-146 and 1e146.
 _UNSCALED_RANGE = (1e-140, 1e140)
+
+
+class Diagonal:
+    """A Hessian oracle's answer that is a diagonal matrix, or a stack of them.
+
+    ``d`` holds the diagonals, shape ``(dim,)`` at a point or ``(m, dim)``
+    at a stack.  numpy reads it as the dense ``d[..., None] * np.eye(dim)``
+    (``np.asarray`` and every numpy function go through ``__array__``), so
+    a consumer that densifies sees the same bits as an oracle that wrote
+    that product.  The stacked kernels below read ``d`` itself, in O(dim)
+    per row.  ``answer[rows]`` is the ``Diagonal`` of those rows.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        self.d = np.asarray(d, dtype=float)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.d.shape + self.d.shape[-1:]
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, rows) -> "Diagonal":
+        return Diagonal(self.d[rows])
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.d[..., None] * np.eye(self.d.shape[-1])
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +236,11 @@ class DcProblem:
     :func:`invert_grad_g` always call ``g_grad`` and ``g_hess`` on a stack,
     a single target included.  Hessian stacks with no nonzero off-diagonal
     entry are solved and diagonalized in O(dim) per row, bit for bit as
-    LAPACK would, so a diagonal metric needs no oracle of its own.
+    LAPACK would, so a diagonal metric needs no oracle of its own.  A
+    Hessian oracle whose answers are diagonal may return them as a
+    :class:`Diagonal`: every consumer then reads the diagonals in O(dim)
+    per row, with the bits of the dense answer, and no stack of ``dim**2``
+    entries is built or scanned.
 
     Parameters
     ----------
@@ -213,7 +252,8 @@ class DcProblem:
         Map a point to the component gradient.
     g_hess, h_hess : callable
         Map a point to the symmetric component Hessian; a constant one may
-        come back as a read-only view.
+        come back as a read-only view, a diagonal one as a
+        :class:`Diagonal` of its diagonals.
     region : Box, optional
         The domain that random start points and sampled invariance points
         are drawn from, and nothing more: rate constants come from
@@ -464,8 +504,14 @@ def _stopping_rule(
     if rows.size == 0:
         return stops, None
     x = np.asarray(x)[rows]
-    hess = np.asarray(p.g_hess(x), dtype=float)
-    floor = ROUNDOFF * p.dim * (np.abs(hess).max(axis=(1, 2)) * np.abs(x).max(axis=1))
+    hess = p.g_hess(x)
+    if isinstance(hess, Diagonal) and np.isfinite(hess.d).all():
+        # Only zeros lie off a finite diagonal: the dense largest |entry|.
+        peak = np.abs(hess.d).max(axis=1)
+    else:
+        hess = np.asarray(hess, dtype=float)
+        peak = np.abs(hess).max(axis=(1, 2))
+    floor = ROUNDOFF * p.dim * (peak * np.abs(x).max(axis=1))
     # The roundoff exit never asks for less than tol relative to a large target.
     done = rnorm[rows] <= np.minimum(tol * np.maximum(1.0, ynorm[rows]), floor)
     stops[rows[done]] = True
@@ -622,45 +668,58 @@ def _row_blocks(m: int, dim: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
-def _regular_diagonal(stack: np.ndarray) -> Optional[np.ndarray]:
+def _regular_diagonal(stack) -> Optional[np.ndarray]:
     """The diagonals of a stack of diagonal matrices whose diagonal entries
-    are finite and nonzero, as a view; None for any other stack.  Counting
-    nonzeros copies nothing, so a read-only broadcast view costs no stack
-    of its own."""
+    are finite and nonzero; None for any other stack.
+
+    A :class:`Diagonal` is read in O(dim) per matrix: its ``d`` is returned
+    exactly when the scan of its dense form would return it, once ``d`` is
+    finite and nonzero.  An array is scanned, and its diagonals come back
+    as a view; counting nonzeros copies nothing, so a read-only broadcast
+    view costs no stack of its own.
+    """
+    if isinstance(stack, Diagonal):
+        d = stack.d
+        return d if d.all() and np.isfinite(d).all() else None
     d = np.diagonal(stack, axis1=-2, axis2=-1)
     if d.all() and np.count_nonzero(stack) == d.size and np.isfinite(d).all():
         return d
     return None
 
 
-def _solve_metric(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_metric(hess, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(hess, rhs[..., None])[..., 0]``, bit for bit.
 
-    ``hess`` is one matrix ``(dim, dim)`` or a stack ``(m, dim, dim)``, and
-    ``rhs`` the matching ``(dim,)`` or ``(m, dim)``.  A stack with a
-    :func:`_regular_diagonal` ``d`` is solved as ``rhs / d`` in O(dim) per
-    row: LU with partial pivoting keeps each diagonal entry as its pivot,
-    its multipliers and updates are signed zeros, and the substitutions end
-    in one division per entry.  So the answers agree as long as ``rhs`` is
-    finite (``0 * inf`` is NaN in LAPACK's updates) and holds no negative
-    zero, which those updates may turn positive.  Every other stack goes to
-    LAPACK, so a singular one raises ``numpy.linalg.LinAlgError``.
+    ``hess`` is one matrix ``(dim, dim)`` or a stack ``(m, dim, dim)``, as
+    an array or a :class:`Diagonal`, and ``rhs`` the matching ``(dim,)`` or
+    ``(m, dim)``.  A stack with a :func:`_regular_diagonal` ``d`` is solved
+    as ``rhs / d`` in O(dim) per row: LU with partial pivoting keeps each
+    diagonal entry as its pivot, its multipliers and updates are signed
+    zeros, and the substitutions end in one division per entry.  So the
+    answers agree as long as ``rhs`` is finite (``0 * inf`` is NaN in
+    LAPACK's updates) and holds no negative zero, which those updates may
+    turn positive.  Every other stack, a :class:`Diagonal` in its dense
+    form, goes to LAPACK, so a singular one raises
+    ``numpy.linalg.LinAlgError``.
     """
+    if not isinstance(hess, Diagonal):
+        hess = np.asarray(hess, dtype=float)
     d = _regular_diagonal(hess)
     if d is not None and np.isfinite(rhs).all() and not np.signbit(rhs[rhs == 0.0]).any():
         return rhs / d
-    return np.linalg.solve(hess, rhs[..., None])[..., 0]
+    return np.linalg.solve(np.asarray(hess), rhs[..., None])[..., 0]
 
 
-def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+def _eigvalsh(stack) -> np.ndarray:
     """``np.linalg.eigvalsh(stack)``, ascending eigenvalues, bit for bit.
 
-    A stack with a :func:`_regular_diagonal` gets it sorted, in
-    O(dim log dim) per matrix: LAPACK's tridiagonal reduction leaves a
-    diagonal matrix as it is, and its QL iteration splits it into 1x1
-    blocks that it only sorts.  That holds while each matrix's largest
-    ``|entry|`` lies in :data:`_UNSCALED_RANGE`, where LAPACK does not
-    rescale it.  Every other stack goes to LAPACK.
+    ``stack`` is an array or a :class:`Diagonal`.  A stack with a
+    :func:`_regular_diagonal` gets it sorted, in O(dim log dim) per matrix:
+    LAPACK's tridiagonal reduction leaves a diagonal matrix as it is, and
+    its QL iteration splits it into 1x1 blocks that it only sorts.  That
+    holds while each matrix's largest ``|entry|`` lies in
+    :data:`_UNSCALED_RANGE`, where LAPACK does not rescale it.  Every other
+    stack, a :class:`Diagonal` in its dense form, goes to LAPACK.
     """
     d = _regular_diagonal(stack)
     if d is not None:
@@ -668,7 +727,7 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
         lo, hi = _UNSCALED_RANGE
         if ((peak >= lo) & (peak <= hi)).all():
             return np.sort(d, axis=-1)
-    return np.linalg.eigvalsh(stack)
+    return np.linalg.eigvalsh(np.asarray(stack))
 
 
 def _pencil_eigh(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -706,11 +765,11 @@ def flow_velocity(p: DcProblem, x) -> tuple[np.ndarray, np.ndarray, float]:
     x = p.check_points(x)
     grad = p.f_grad(x)
     if x.ndim == 1:
-        sol = _solve_metric(np.asarray(p.g_hess(x), dtype=float), grad)
+        sol = _solve_metric(p.g_hess(x), grad)
         return grad, -sol, float(np.vecdot(grad, sol))
     sol = np.empty_like(grad)
     for block in _row_blocks(len(x), p.dim):
-        sol[block] = _solve_metric(np.asarray(p.g_hess(x[block]), dtype=float), grad[block])
+        sol[block] = _solve_metric(p.g_hess(x[block]), grad[block])
     return grad, -sol, np.vecdot(grad, sol)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Box, BoxConstants, DcProblem, _pencil_eigh
+from .core import Box, BoxConstants, DcProblem, Diagonal, _pencil_eigh
 
 __all__ = [
     "make_double_well",
@@ -225,7 +225,10 @@ def make_double_well(q) -> DcProblem:
     arrays is slow (about 73 ns per element with its AVX-512 kernels on an
     x86-64 host, against 2.8 ns for the whole product form of ``grad g``)
     and rounds differently with those kernels and without them; products
-    round the same under every SIMD dispatch.
+    round the same under every SIMD dispatch.  Both Hessians come back as
+    :class:`~dcflow.core.Diagonal` answers, ``diag(3x^2 + q)`` and
+    ``diag(q + 1)``, which the stacked kernels solve and diagonalize in
+    O(n) per point.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if q.ndim != 1:
@@ -233,9 +236,7 @@ def make_double_well(q) -> DcProblem:
     if np.any(q <= 0.0):
         raise ValueError("all entries of q must be positive")
     n = q.size
-    eye = np.eye(n)
     q1 = q + 1.0
-    hess_h = np.diag(q1)
     constants = _DoubleWellConstants(q)
 
     return DcProblem(
@@ -244,8 +245,8 @@ def make_double_well(q) -> DcProblem:
         h_value=lambda x: 0.5 * np.vecdot(x, q1 * x),
         g_grad=lambda x: (x * x + q) * x,
         h_grad=lambda x: q1 * x,
-        g_hess=lambda x: (3.0 * x**2 + q)[..., None] * eye,
-        h_hess=lambda x: _per_point(hess_h, x),
+        g_hess=lambda x: Diagonal(3.0 * x**2 + q),
+        h_hess=lambda x: Diagonal(np.broadcast_to(q1, x.shape)),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=-0.25 * n,
         minimizer=np.ones(n),
@@ -264,7 +265,8 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
     and pullback ``grad g*`` carry over with the shift absorbed into its
     parameters (metric weights ``q + d`` for the double well, ``a + diag(d)``
     for the quadratic); other problems lose them, since they belong to the
-    original metric.
+    original metric.  A :class:`~dcflow.core.Diagonal` Hessian stays one,
+    its diagonals shifted by ``d``; any other is made dense.
     """
     d = np.atleast_1d(np.asarray(phi_hess_diag, dtype=float))
     if d.ndim != 1 or d.size != p.dim:
@@ -276,6 +278,12 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
     g_grad, h_grad = p.g_grad, p.h_grad
     g_hess, h_hess = p.g_hess, p.h_hess
     d_mat = np.diag(d)
+
+    def shift_hess(hess):
+        if isinstance(hess, Diagonal):
+            return Diagonal(hess.d + d)
+        return np.asarray(hess, dtype=float) + d_mat
+
     family = p.box_constants
     constants = pullback = None
     if isinstance(family, (_QuadraticConstants, _DoubleWellConstants)):
@@ -289,8 +297,8 @@ def make_shifted_decomposition(p: DcProblem, phi_hess_diag) -> DcProblem:
         h_value=lambda x: h_value(x) + 0.5 * np.vecdot(x, d * x),
         g_grad=lambda x: np.asarray(g_grad(x), dtype=float) + d * x,
         h_grad=lambda x: np.asarray(h_grad(x), dtype=float) + d * x,
-        g_hess=lambda x: np.asarray(g_hess(x), dtype=float) + d_mat,
-        h_hess=lambda x: np.asarray(h_hess(x), dtype=float) + d_mat,
+        g_hess=lambda x: shift_hess(g_hess(x)),
+        h_hess=lambda x: shift_hess(h_hess(x)),
         region=p.region,
         f_star=p.f_star,
         minimizer=p.minimizer,

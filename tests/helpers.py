@@ -46,6 +46,15 @@ def newton_only(p):
     return dataclasses.replace(p, g_conj_grad=None)
 
 
+def dense_hessians(p):
+    """``p`` with both Hessian oracles' answers made dense arrays by
+    ``np.asarray``, as an oracle that builds them itself returns them."""
+    g_hess, h_hess = p.g_hess, p.h_hess
+    return dataclasses.replace(
+        p, g_hess=lambda x: np.asarray(g_hess(x)), h_hess=lambda x: np.asarray(h_hess(x))
+    )
+
+
 def primal_dual_sup_gap(p, x0, cfg: SchemeConfig, n_iter: int) -> float:
     """Sup-norm disagreement between primal and dual runs of ``n_iter`` steps."""
     fixed = dataclasses.replace(cfg, max_iter=n_iter, stop_grad_tol=1e-300)

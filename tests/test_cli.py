@@ -682,6 +682,51 @@ def test_rate_certify_twenty_dimensions_has_no_corner_sweep(tmp_path, monkeypatc
     assert len(calls) < 10_000
 
 
+def _double_well_config(experiment, n, **overrides):
+    spec = {"name": "double_well", "params": {"q": np.linspace(1.0, 4.0, n).tolist()}}
+    x0 = (1.5 * np.where(np.arange(n) % 2, -1.0, 1.0)).tolist()
+    flow = {"t_end": 1.0, "record_stride": 0.1}
+    return base_config(experiment=experiment, problem=spec, x0=x0, flow=flow, **overrides)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _double_well_config("RateCertify", 12, scheme={"eta": 0.5}),
+        _double_well_config("RateCertify", 400, scheme={"eta": 0.5}),
+        _double_well_config("RunScheme", 12),
+        _double_well_config("RunFlow", 12),
+        _double_well_config("DecompositionCompare", 12, alt={"shift": [1.0] * 12}),
+    ],
+    ids=["RateCertify-12", "RateCertify-400", "RunScheme", "RunFlow", "DecompositionCompare"],
+)
+def test_double_well_hessian_stacks_are_never_made_dense(tmp_path, monkeypatch, cfg):
+    # The double well answers its Hessians as core.Diagonal.  Every stacked
+    # consumer reads their diagonals; only linearize_at makes single
+    # (n, n) matrices of them.  A dense stack at n = 400 would be 1.3 MB a
+    # point.
+    made_dense, in_linearize = [], [False]
+    dense, linearize = core.Diagonal.__array__, analysis.linearize_at
+
+    def counted(self, *args, **kwargs):
+        made_dense.append((self.shape, in_linearize[0]))
+        return dense(self, *args, **kwargs)
+
+    def flagged(*args):
+        in_linearize[0] = True
+        try:
+            return linearize(*args)
+        finally:
+            in_linearize[0] = False
+
+    monkeypatch.setattr(core.Diagonal, "__array__", counted)
+    monkeypatch.setattr(analysis, "linearize_at", flagged)
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    n = len(cfg["x0"])
+    assert all(shape == (n, n) and inside for shape, inside in made_dense)
+
+
 def test_eta_sweep_double_well(tmp_path):
     cfg = base_config(
         experiment="EtaSweep",

@@ -21,7 +21,7 @@ from dcflow.core import (
     damped_target,
     invert_grad_g,
 )
-from helpers import central_diff_grad, newton_only
+from helpers import central_diff_grad, dense_hessians, newton_only
 
 RNG = np.random.default_rng(20240501)
 
@@ -671,6 +671,70 @@ def test_zero_metric_diagonal_still_raises():
         core.flow_velocity(p, np.array([[1.5, -1.2], [0.3, 0.4]]))
     with pytest.raises(NumericError, match="singular Hessian"):
         invert_grad_g(newton_only(p), np.array([3.0, -1.0]), np.array([1.5, -1.2]))
+
+
+# ---------------------------------------------------------------------------
+# diagonal Hessian answers: core.Diagonal
+
+
+def test_diagonal_answer_reads_as_the_dense_product():
+    d = RNG.choice([-1.0, 1.0], (3, 4)) * RNG.uniform(0.1, 40.0, (3, 4))
+    d[1, 2] = np.inf
+    answer = core.Diagonal(d)
+    with np.errstate(invalid="ignore"):  # inf * 0 off the diagonal
+        dense, product = np.asarray(answer), d[..., None] * np.eye(4)
+        assert np.asarray(answer, dtype=float).tobytes() == dense.tobytes()
+        assert np.asarray(answer[1]).tobytes() == dense[1].tobytes()
+    assert answer.shape == dense.shape == (3, 4, 4) and len(answer) == 3
+    assert dense.tobytes() == product.tobytes()
+    rows = np.array([True, False, True])
+    assert answer[rows].d.tobytes() == d[rows].tobytes()
+
+
+def test_double_well_hessians_are_diagonal_answers():
+    p = make_shifted_decomposition(make_double_well([1.0, 4.0]), [0.5, 2.0])
+    x = np.array([[1.5, -0.0], [0.0, 2.0]])
+    g, h = p.g_hess(x), p.h_hess(x)
+    assert isinstance(g, core.Diagonal) and isinstance(h, core.Diagonal)
+    assert g.d.tobytes() == (3.0 * x**2 + np.array([1.5, 6.0])).tobytes()
+    assert h.d.tobytes() == np.broadcast_to([2.5, 7.0], x.shape).tobytes()
+    # The regular test reads d alone, and only a finite nonzero d passes.
+    assert core._regular_diagonal(g) is g.d
+    for entry in (0.0, -0.0, np.inf, np.nan):
+        bad = core.Diagonal(np.where([[True, False]], entry, g.d))
+        assert core._regular_diagonal(bad) is None
+        with np.errstate(invalid="ignore"):
+            assert core._regular_diagonal(np.asarray(bad)) is None
+
+
+@pytest.mark.parametrize("dim", [2, 12, 200])
+def test_newton_on_diagonal_answers_equals_newton_on_dense_ones(dim):
+    # The stopping rule's roundoff floor reads d, and the Newton step solves
+    # with the Diagonal rows that miss the rule: answers and the rows of
+    # every Hessian call, so every iteration count, are those of dense
+    # Hessians.  Preimages near the wells and far out; warm starts near
+    # them, at the origin and at a mirror image.
+    rng = np.random.default_rng(20261020 + dim)
+    base = make_double_well(rng.uniform(0.1, 5.0, dim))
+    x = np.vstack([rng.uniform(-2.0, 2.0, (3, dim)), 1e3 * rng.standard_normal((2, dim))])
+    warm = np.vstack([x[:3] * rng.uniform(0.7, 1.3, (3, dim)), np.zeros((1, dim)), -x[4:]])
+    y = base.g_grad(x)
+    runs = {}
+    for name, p in (("diagonal", base), ("dense", dense_hessians(base))):
+        rows = []
+
+        def g_hess(z, p=p, rows=rows):
+            rows.append(len(z))
+            return p.g_hess(z)
+
+        counted = newton_only(dataclasses.replace(p, g_hess=g_hess))
+        stacked = invert_grad_g(counted, y, warm).tobytes()
+        stacked_rows = rows.copy()
+        points = [invert_grad_g(counted, y[i], warm[i]).tobytes() for i in range(len(y))]
+        runs[name] = stacked, stacked_rows, points, rows
+    assert runs["diagonal"] == runs["dense"]
+    # Newton stepped: the stack read Hess g at more than its start.
+    assert len(runs["diagonal"][1]) >= 5
 
 
 def test_only_the_pencil_kernel_calls_eigh():

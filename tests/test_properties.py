@@ -57,6 +57,7 @@ from dcflow.problems import _per_point
 from dcflow.schemes import Mode, gradient_identity_margin
 from helpers import (
     assert_same_trace,
+    dense_hessians,
     newton_only,
     outcome,
     primal_dual_sup_gap,
@@ -516,6 +517,104 @@ def test_diagonal_kernels_equal_lapack_bit_for_bit(system):
     solved = np.linalg.solve(hess, rhs[..., None])[..., 0]
     assert core._solve_metric(hess, rhs).tobytes() == solved.tobytes()
     assert core._eigvalsh(hess).tobytes() == np.linalg.eigvalsh(hess).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# diagonal Hessian answers (core.Diagonal) against their dense forms
+
+
+@st.composite
+def diagonal_answer_runs(draw):
+    """A double well in 1 to 12 dimensions, maybe shifted, a stack of 1 to 6
+    points whose coordinates are often 0 or +-2, a relaxation parameter,
+    and an edit that may make the box constants wrong."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    p = make_double_well(draw(arrays(float, n, elements=st.floats(0.25, 4.0))))
+    if draw(st.booleans()):
+        p = make_shifted_decomposition(p, draw(arrays(float, n, elements=st.floats(0.0, 3.0))))
+    coordinate = st.one_of(st.sampled_from([0.0, 2.0, -2.0]), st.floats(-2.0, 2.0))
+    m = draw(st.integers(min_value=1, max_value=6))
+    x = draw(arrays(float, (m, n), elements=coordinate))
+    edit = draw(st.sampled_from(["none", "metric", "objective", "sigma"]))
+    return p, x, draw(etas), edit
+
+
+def _edited_constants(p, edit):
+    """``p`` whose box constants have one range narrowed, or sigma raised."""
+    constants = p.box_constants
+
+    def edited(box):
+        bc = constants(box)
+        lo, hi = bc.metric if edit == "metric" else bc.objective
+        if edit == "metric":
+            return dataclasses.replace(bc, metric=(lo, lo + 0.9 * (hi - lo)))
+        if edit == "objective":
+            return dataclasses.replace(bc, objective=(lo + 0.1 * (hi - lo) + 1e-3, hi))
+        return dataclasses.replace(bc, sigma=2.0 * bc.sigma + 0.1)
+
+    return p if edit == "none" else dataclasses.replace(p, box_constants=edited)
+
+
+@PROPERTY_SETTINGS
+@given(diagonal_answer_runs())
+def test_diagonal_hessian_answers_equal_dense_ones(run):
+    # The same problem with both Hessian oracles answering np.asarray of the
+    # Diagonal, the dense product the double well wrote before.
+    base, x, eta, edit = run
+    answers = {}
+    for name, p in (("diagonal", base), ("dense", dense_hessians(base))):
+        p = _edited_constants(p, edit)
+        velocities = [v.tobytes() for v in flow_velocity(p, x)[:2]] + [
+            np.asarray(v).tobytes() for v in flow_velocity(p, x[0])
+        ]
+        cfg = SchemeConfig(eta=eta, max_iter=40)
+        runs = [
+            outcome(lambda: integrate_flow(p, x[0], FlowConfig(t_end=0.5)), _FLOW_FIELDS),
+            outcome(lambda: run_scheme(p, x[0], cfg), _SCHEME_FIELDS),
+            outcome(lambda: run_scheme(newton_only(p), x[0], cfg), _SCHEME_FIELDS),
+        ]
+        verdict = outcome(
+            lambda: checked_box_constants(p, Box.spanning(x)), ("metric", "objective", "sigma")
+        )
+        answers[name] = velocities, runs, verdict
+    assert answers["diagonal"] == answers["dense"]
+
+
+@st.composite
+def irregular_diagonal_systems(draw):
+    """A stack of 1 to 4 diagonal answers of size 1 to 12 whose entries
+    ``+-[0.1, 40]`` are in part replaced by 0, -0.0, +-inf, NaN or a
+    negative entry, and right-hand sides with some zeros of either sign."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.1, 40.0, (m, n))
+    odd = [0.0, -0.0, np.inf, -np.inf, np.nan, -3.0]
+    mask = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    d[mask] = rng.choice(odd, int(mask.sum()))
+    rhs = rng.uniform(-5.0, 5.0, (m, n))
+    rhs[rng.random((m, n)) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    return core.Diagonal(d), rhs
+
+
+def _lapack_outcome(run):
+    """The bytes ``run()`` returns, or the LinAlgError it raises."""
+    try:
+        return run().tobytes()
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(irregular_diagonal_systems())
+def test_kernels_read_any_diagonal_answer_as_lapack_reads_its_dense_form(system):
+    answer, rhs = system
+    with np.errstate(invalid="ignore"):  # inf * 0 off the diagonal
+        dense = np.asarray(answer)
+        solved = _lapack_outcome(lambda: np.linalg.solve(dense, rhs[..., None])[..., 0])
+        assert _lapack_outcome(lambda: core._solve_metric(answer, rhs)) == solved
+        eigs = _lapack_outcome(lambda: np.linalg.eigvalsh(dense))
+        assert _lapack_outcome(lambda: core._eigvalsh(answer)) == eigs
 
 
 @st.composite
