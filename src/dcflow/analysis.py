@@ -292,6 +292,16 @@ def flow_rate_check(
     ``V(0) exp(-c^2 t)``; for larger exponents it is the polynomial curve
     ``(V(0)^{1-2 theta} + c^2 (2 theta - 1) t)^{-1/(2 theta - 1)}``.  A
     multiplicative slack of ``1e-6`` absorbs integrator error.
+
+    Each sample's gap is also allowed its own roundoff.  The computed gap
+    ``f - f_star`` differs from the true one by at most the roundoff of
+    ``f`` (``trace.f_roundoff``) plus that of ``f_star``, taken as
+    ``core.ROUNDOFF * |f_star|`` as :func:`checked_box_constants` takes it.  A
+    computed gap that exceeds the envelope by no more than that sum is
+    consistent with a true gap on or below it, so it witnesses no
+    violation; the margin is ``envelope (1 + 1e-6) + roundoff - gap``.
+    Without it, an envelope that decays below the roundoff of ``f`` would
+    fail a flow that keeps within it.
     """
     if not 0.5 <= theta < 1.0:
         raise ValueError("theta must lie in [1/2, 1)")
@@ -313,7 +323,8 @@ def flow_rate_check(
         power = 2.0 * theta - 1.0
         envelope = (v0 ** (-power) + c_sq * power * t) ** (-1.0 / power)
 
-    margins = envelope * (1.0 + 1e-6) - v
+    roundoff = trace.f_roundoff + ROUNDOFF * abs(f_star)
+    margins = envelope * (1.0 + 1e-6) + roundoff - v
     worst = float(np.min(margins))
 
     fit_mask = v > max(floor, 1e-14 * v0)
@@ -455,18 +466,17 @@ def _objective_hessian(metric, curvature):
     block's ``g_hess`` answer ``metric`` and ``h_hess`` answer ``curvature``.
 
     Two :class:`~dcflow.core.Diagonal` answers whose difference is a regular
-    diagonal give that difference, in O(dim) per row.  Otherwise the
-    metric block, dense and writable, becomes ``Hess f`` in place, and its
-    lower triangle, the one eigvalsh reads, is symmetrized a column at a
-    time, so no temporary spans the block; a regular diagonal block is
-    symmetric already.
+    diagonal give that difference, in O(dim) per row.  Otherwise ``Hess f``
+    is formed out of place, since an answer may be a view of the oracle's
+    own storage, and its lower triangle, the one eigvalsh reads, is
+    symmetrized a column at a time, so no further temporary spans the
+    block; a regular diagonal block is symmetric already.
     """
     if isinstance(metric, Diagonal) and isinstance(curvature, Diagonal):
         hess = Diagonal(metric.d - curvature.d)
         if _regular_diagonal(hess) is not None:
             return hess
-    hess = np.asarray(metric)
-    hess -= curvature
+    hess = np.subtract(metric, curvature, dtype=float)
     if _regular_diagonal(hess) is None:
         for j in range(hess.shape[-1] - 1):
             col = hess[:, j + 1 :, j]
@@ -517,8 +527,6 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     msq = np.full(len(pts), np.nan)
     for block in _row_blocks(len(pts), p.dim):
         metric = p.g_hess(pts[block])
-        if not isinstance(metric, Diagonal):
-            metric = np.require(metric, dtype=float, requirements="W")
         w = _eigvalsh(metric)
         w_lo[block], w_hi[block] = w[:, 0], w[:, -1]
         # A block with a metric eigenvalue <= 0 fails the positivity check

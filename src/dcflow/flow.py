@@ -11,20 +11,22 @@ previous error's is beta = 0.04, that error floored at 1e-4.  Steps so
 grow until their error nears the accept bound, and the first step's tiny
 error does not damp the second.  Record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
-accepted step.  No step reads a verdict on its stages that passes, nor
-the pullbacks of its record times, so the loop works in blocks of
-``_RECORD_BLOCK`` attempts, accepted or rejected.  For the built-in
-families the pullback is a closed form: each stage pulls back through it
-alone, unchecked, and when a block closes, the closed form pulls back the
-record times of its steps in one stacked call, and one stacked ``g_grad``
-call checks those pullbacks and its stages together with the inversion's
-own stopping rule (``core._check_block``), so the checked pullbacks are
-exactly those Newton would return without a step.  That call less one
-``h_grad`` call is the records' ``grad f``.  Only a wrong closed form fails
-the check, and there is one failure policy: a check that fails, or
-raises, runs the loop again from its first step with every stage through
-the inversion, which returns the closed form wherever it passes, so the
-trace and every error are those of an inversion per stage.  Other
+accepted step.  Each attempt makes its six new stages in one loop, a
+pullback and one ``h_grad`` call per stage, whichever pullback it calls.
+No step reads a verdict on its stages that passes, nor the pullbacks of
+its record times, so the loop works in blocks of ``_RECORD_BLOCK``
+attempts, accepted or rejected.  For the built-in families the pullback
+is a closed form: each stage pulls back through it alone, unchecked, and
+when a block closes, the closed form pulls back the record times of its
+steps in one stacked call, and one stacked ``g_grad`` call checks those
+pullbacks and its stages together with the inversion's own stopping rule
+(``core._check_block``), so the checked pullbacks are exactly those
+Newton would return without a step.  That call less one ``h_grad`` call
+is the records' ``grad f``.  Only a wrong closed form fails the check,
+and there is one failure policy: a check that fails, or raises, runs the
+loop again from its first step with every stage through the inversion,
+which returns the closed form wherever it passes, so the trace and every
+error are those of an inversion per stage.  Other
 problems, and that run, invert each stage with Newton warm-started at the
 previous evaluation's pullback (consecutive evaluations are close, so it
 typically finishes in one or two steps), and each step's record times in
@@ -222,11 +224,13 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     times and their dense-output states; no later step reads their
     pullbacks.  The loop runs in blocks of ``_RECORD_BLOCK`` attempts,
     accepted or rejected, and closes each one once it is full, when the
-    loop ends, and before an error propagates.  With a closed-form
-    ``g_conj_grad`` each attempt pulls its six new stages back through it
-    alone, unchecked; closing the block pulls back the record times of its
-    steps through it on one stack, and one ``g_grad`` call on the stages
-    and those pullbacks checks them together with
+    loop ends, and before an error propagates.  Each attempt makes its six
+    new stages in one loop, each a pullback and one ``h_grad`` call; only
+    the pullback differs between the runs below.  With a closed-form
+    ``g_conj_grad`` each stage pulls back through it alone, unchecked;
+    closing the block pulls back the record times of its steps through it
+    on one stack, and one ``g_grad`` call on the stages and those
+    pullbacks checks them together with
     :func:`~dcflow.core._check_block`, the inversion's stopping rule, which
     passes exactly the pullbacks the inversion returns unchanged.  If the
     check fails or raises, which a right closed form never makes it do,
@@ -239,9 +243,10 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     closed form, closing a block pulls back each of its steps' record times
     in one batched inversion, warm-started on the chord between the
     pullbacks at the step's two ends, which the stages already made, and
-    naming that step in any error.  Inversion and the closed form act row by row, so the block
-    changes no bit.  Integration halts at the first sample whose primal
-    gradient norm is at most :data:`EQUILIBRIUM_GRAD_TOL`; the block reads
+    naming that step in any error.  Inversion and the closed form act row
+    by row, so the block changes no bit.  Integration halts at the first
+    sample whose primal gradient norm is at most
+    :data:`EQUILIBRIUM_GRAD_TOL`; the block reads
     only that norm, for checked records as the checking ``g_grad`` call
     less one ``h_grad`` call, the bits ``p.f_grad`` gives, and for
     inverted ones through ``p.f_grad``.  At most ``_RECORD_BLOCK - 1``
@@ -266,38 +271,6 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         a strongly convex ``g`` rules it out.
     """
     x0 = p.check_point(x0)
-    warm = [np.array(x0)]
-
-    def fieldfun(yv: np.ndarray) -> np.ndarray:
-        """The dual field ``grad h(x) - y`` at the pullback ``x`` of ``y``."""
-        warm[0] = invert_grad_g(p, yv, warm[0])
-        return np.asarray(p.h_grad(warm[0]), dtype=float) - yv
-
-    def slopes(field, y: np.ndarray, k1: np.ndarray, h: float) -> np.ndarray:
-        """The seven stage slopes of the step of size ``h`` from ``y``."""
-        k = np.empty((7, n))
-        k[0] = k1
-        for i, row in enumerate(_A):
-            k[i + 1] = field(i, y + h * (row @ k[: i + 1]))
-        return k
-
-    def closed_slopes(
-        y: np.ndarray, k1: np.ndarray, h: float, stage_y: np.ndarray, stage_x: np.ndarray
-    ) -> np.ndarray:
-        """:func:`slopes` at the closed-form pullbacks, unchecked; the six
-        stage targets and their pullbacks fill the ``(6, n)`` rows
-        ``stage_y`` and ``stage_x``, and ``warm[0]`` is the last pullback,
-        as :func:`fieldfun` leaves it."""
-
-        def field(i: int, yv: np.ndarray) -> np.ndarray:
-            stage_y[i] = yv
-            stage_x[i] = _closed_form(p, yv)
-            return np.asarray(p.h_grad(stage_x[i]), dtype=float) - yv
-
-        k = slopes(field, y, k1, h)
-        warm[0] = stage_x[5]
-        return k
-
     samples = ([], [], [])  # times, y, x, in chunks
 
     def record(t_s: np.ndarray, y_s: np.ndarray, x_s: np.ndarray, grad_f: np.ndarray) -> bool:
@@ -330,10 +303,10 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     t_end = cfg.t_end
     n = y0.size
     try:
-        k1_start = fieldfun(y0)
+        x_first = invert_grad_g(p, y0, x0)
+        k1_start = np.asarray(p.h_grad(x_first), dtype=float) - y0
     except DcError as exc:
         raise exc.with_phase(_step_phase(0.0, _STEP_INIT)) from exc
-    x_first = warm[0]
 
     def steps(closed: bool) -> FlowTrace:
         """The step loop from the first field evaluation on, closed a block
@@ -347,12 +320,13 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         # open block: its record times and dense-output states, and its start
         # time, size and end pullbacks.
         pending = []
-        warm[0] = x_start = x_first
+        # x_last is the latest pullback, the warm start of the next inversion.
+        x_start = x_last = x_first
         t, y, k1, target_idx = 0.0, y0, k1_start, 0
         h = h_try = _STEP_INIT
         err_prev = _PI_HISTORY_FLOOR
-        # Attempts in the open block; with `closed`, their stages fill the
-        # first (6, n) slots of stage_y and stage_x.
+        # Attempts in the open block; their stages fill the first (6, n)
+        # slots of stage_y and stage_x.
         attempts = 0
         stage_y, stage_x = np.empty((2, _RECORD_BLOCK, 6, n))
 
@@ -401,10 +375,16 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                     # The phase added below names t and the step needed.
                     raise StiffnessError("step size underflow")
 
-                if closed:
-                    k = closed_slopes(y, k1, h_try, stage_y[attempts], stage_x[attempts])
-                else:
-                    k = slopes(lambda i, yv: fieldfun(yv), y, k1, h_try)
+                # x_last is bound to the pullback's own array, not to a slot of
+                # stage_x: the next block writes those slots again.
+                k = np.empty((7, n))
+                k[0] = k1
+                for i, row in enumerate(_A):
+                    yv = stage_y[attempts, i] = y + h_try * (row @ k[: i + 1])
+                    x_last = stage_x[attempts, i] = (
+                        _closed_form(p, yv) if closed else invert_grad_g(p, yv, x_last)
+                    )
+                    k[i + 1] = np.asarray(p.h_grad(x_last), dtype=float) - yv
                 attempts += 1
                 y_new = y + h_try * (_B5 @ k)
                 err_vec = h_try * (_ERR @ k)
@@ -424,15 +404,15 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                     t_s = targets[target_idx:stop]
                     theta = ((t_s - t) / h_try)[:, None]
                     y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
-                    # The seventh stage sits at the accepted state, so warm[0]
+                    # The seventh stage sits at the accepted state, so x_last
                     # is the pullback at the step's end.
-                    pending.append((t_s, y_s, t, h_try, x_start, warm[0]))
+                    pending.append((t_s, y_s, t, h_try, x_start, x_last))
                     target_idx = stop
 
                 t = t_new
                 y = y_new
                 k1 = k[6]
-                x_start = warm[0]
+                x_start = x_last
                 err = max(err, 1e-10)
                 factor = min(5.0, max(0.2, 0.9 * err**-_PI_ALPHA * err_prev**_PI_BETA))
                 err_prev = max(err, _PI_HISTORY_FLOOR)

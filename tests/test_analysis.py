@@ -550,6 +550,19 @@ def test_checked_box_constants_reads_each_oracle_once_per_sweep(dw_aniso):
     assert calls == dict.fromkeys(calls, [(31, 2)])
 
 
+def test_checked_box_constants_leaves_the_hessian_answers_unwritten():
+    # An oracle may answer views of its own storage; a sweep that wrote
+    # Hess f into them would fail the next sweep's metric check.
+    a = np.array([[2.0, 0.3], [0.3, 1.0]])
+    p = make_quadratic(a, a / 2)
+    cache = np.tile(a, (401, 1, 1))
+    p = dataclasses.replace(p, g_hess=lambda x: cache[: len(x)] if np.ndim(x) == 2 else cache[0])
+    box = Box(np.full(2, -1.0), np.full(2, 1.0))
+    first = checked_box_constants(p, box)
+    assert checked_box_constants(p, box) == first
+    np.testing.assert_array_equal(cache, np.broadcast_to(a, cache.shape))
+
+
 def _cross_check_failures(p, box, n_samples):
     """The messages of the cross-check on ``box`` when the box constants
     claim 5% more than the oracles deliver, one constant at a time."""

@@ -543,6 +543,31 @@ def test_rate_certify_double_well_certifies_sigma_on_trajectory_box(tmp_path):
         assert "reason" not in by_name[name]
 
 
+def test_rate_certify_envelope_allows_each_gap_its_roundoff(tmp_path, monkeypatch):
+    # By t = 30 the gap f - f* is within the roundoff of f = -0.5, and the
+    # envelope V(0) exp(-2 sigma t) has decayed below it.
+    seen = []
+    check = analysis.flow_rate_check
+
+    def recorded(trace, **kw):
+        seen.append((trace, kw))
+        return check(trace, **kw)
+
+    monkeypatch.setattr(analysis, "flow_rate_check", recorded)
+    cfg = dw_rate_certify(
+        problem={"name": "double_well", "params": {"q": [0.5, 0.5]}},
+        x0=[1.05, 0.96],
+        flow={"t_end": 30.0, "record_stride": 0.05},
+    )
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["metric_pl_envelope"]["passed"] is True
+    # The allowance hides no violation: 5% more sigma still fails.
+    ((trace, kw),) = seen
+    assert not check(trace, **{**kw, "c": kw["c"] * math.sqrt(1.05)}).passed
+
+
 @pytest.mark.parametrize("spec", [QUAD, DW])
 @pytest.mark.parametrize("shift", [None, [0.5, 2.0]])
 def test_built_problems_carry_every_constant(spec, shift):
