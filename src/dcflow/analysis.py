@@ -518,7 +518,6 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
         raise ValueError(f"problem {p.label!r} has no closed-form box constants")
     bc = p.box_constants(box)
     pts = _probe_points(box, n_samples)
-    where = f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
     grads = p.f_grad(pts)
     f, noise = p.f_value_and_roundoff(pts)
     # Per point: the extreme eigenvalues of Hess g (w) and of the
@@ -537,6 +536,10 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
         v = _eigvalsh(_objective_hessian(metric, p.h_hess(pts[block])))
         v_lo[block], v_hi[block] = v[:, 0], v[:, -1]
 
+    def where() -> str:
+        # Formatted only to raise: it lists both bounds.
+        return f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
+
     def check_range(name, lo_eigs, hi_eigs, scales, bounds):
         lo, hi = bounds
         tol = ROUNDOFF * p.dim * scales
@@ -546,7 +549,7 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
             raise DcError(
                 f"sampled {name} eigenvalues [{lo_eigs[i]:.17g}, {hi_eigs[i]:.17g}] "
                 f"at probe point {pts[i].tolist()} leave the closed-form range "
-                f"[{lo:.17g}, {hi:.17g}] {where}; oracles and box constants "
+                f"[{lo:.17g}, {hi:.17g}] {where()}; oracles and box constants "
                 "are inconsistent"
             )
 
@@ -554,7 +557,7 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
     if w_lo[i] <= 0.0:
         raise DcError(
             f"sampled metric eigenvalue {w_lo[i]:.17g} at probe point "
-            f"{pts[i].tolist()} is not positive {where}; g is not strongly "
+            f"{pts[i].tolist()} is not positive {where()}; g is not strongly "
             "convex there"
         )
     w_scale = np.maximum(np.abs(w_lo), np.abs(w_hi))
@@ -573,7 +576,7 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
         raise DcError(
             f"sampled metric PL ratio {ratio[k]:.17g} at probe point "
             f"{pts[judged[k]].tolist()} is below the closed-form sigma "
-            f"{bc.sigma:.17g} {where}; oracles and box constants are inconsistent"
+            f"{bc.sigma:.17g} {where()}; oracles and box constants are inconsistent"
         )
     return bc
 

@@ -13,31 +13,31 @@ error does not damp the second.  Record times are read off the pair's
 fourth-order continuous extension, which reuses the seven stages of each
 accepted step.  Each attempt makes its six new stages in one loop, a
 pullback and one ``h_grad`` call per stage, whichever pullback it calls.
-No step reads a verdict on its stages that passes, nor the pullbacks of
-its record times, so the loop works in blocks of ``_RECORD_BLOCK``
-attempts, accepted or rejected.  For the built-in families the pullback
-is a closed form: each stage pulls back through it alone, unchecked, and
-when a block closes, the closed form pulls back the record times of its
-steps in one stacked call, and one stacked ``g_grad`` call checks those
-pullbacks and its stages together with the inversion's own stopping rule
+For the built-in families the pullback is a closed form: each stage pulls
+back through it alone, unchecked.  No step reads a verdict on its stages
+that passes, nor the pullbacks of its record times, so that pass works in
+blocks of ``_RECORD_BLOCK`` attempts, accepted or rejected: when a block
+closes, the closed form pulls back the record times of its steps in one
+stacked call, and one stacked ``g_grad`` call checks those pullbacks and
+its stages together with the inversion's own stopping rule
 (``core._check_block``), so the checked pullbacks are exactly those
 Newton would return without a step.  That call less one ``h_grad`` call
 is the records' ``grad f``.  Only a wrong closed form fails the check,
 and there is one failure policy: a check that fails, or raises, runs the
 loop again from its first step with every stage through the inversion,
 which returns the closed form wherever it passes, so the trace and every
-error are those of an inversion per stage.  Other
-problems, and that run, invert each stage with Newton warm-started at the
-previous evaluation's pullback (consecutive evaluations are close, so it
-typically finishes in one or two steps), and each step's record times in
-one batched inversion as its block closes.  This gives the primal
+error are those of an inversion per stage.  Other problems, and that
+run, invert each stage with Newton warm-started at the previous
+evaluation's pullback (consecutive evaluations are close, so it typically
+finishes in one or two steps), and each accepted step's record times in
+one batched inversion as it is accepted.  This gives the primal
 trajectory of the metric gradient flow ``Hess g(x) x' = -grad f(x)`` at
 every record time.  The loop keeps only those states and tests each for
-equilibrium on its gradient norm, and cuts the trace at the first at rest:
-at most ``_RECORD_BLOCK - 1`` attempts run past it, and are dropped.  The
-samples' metric speeds and values are read after the loop, in stacked
-oracle calls over the whole trace, the metric Hessians in row blocks of
-bounded size.
+equilibrium on its gradient norm, and cuts the trace at the first at
+rest; in the closed-form pass at most ``_RECORD_BLOCK - 1`` attempts run
+past it, and are dropped.  The samples' metric speeds and values are
+read after the loop, in stacked oracle calls over the whole trace, the
+metric Hessians in row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -91,11 +91,12 @@ _STEP_INIT = 1e-2
 _PI_BETA = 0.04
 _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
 _PI_HISTORY_FLOOR = 1e-4
-# Step attempts, accepted or rejected, whose stages are checked and whose
-# record states are pulled back and judged in one pass, as the scheme's guard
-# judges its iterates (schemes._GUARD_BLOCK).  No step depends on them, so up
-# to this many minus one attempts may run past the first sample at rest, and
-# are dropped.
+# Step attempts, accepted or rejected, whose closed-form stages are checked
+# and whose record states are pulled back and judged in one pass, as the
+# scheme's guard judges its iterates (schemes._GUARD_BLOCK).  No step depends
+# on them, so in that pass up to this many minus one attempts may run past
+# the first sample at rest, and are dropped.  The inverting pass defers
+# nothing.
 _RECORD_BLOCK = 32
 
 # Dormand-Prince 4(5) tableau; the seventh stage is evaluated at the
@@ -220,17 +221,17 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     of ``record_stride`` (and at ``t_end``): ``y_states`` holds the
     continuous extension of the step that covers each record time, and
     ``x_states`` its pullback.  The stride chooses output times only and
-    never limits the step size.  An accepted step only keeps its record
-    times and their dense-output states; no later step reads their
-    pullbacks.  The loop runs in blocks of ``_RECORD_BLOCK`` attempts,
-    accepted or rejected, and closes each one once it is full, when the
-    loop ends, and before an error propagates.  Each attempt makes its six
-    new stages in one loop, each a pullback and one ``h_grad`` call; only
-    the pullback differs between the runs below.  With a closed-form
-    ``g_conj_grad`` each stage pulls back through it alone, unchecked;
-    closing the block pulls back the record times of its steps through it
-    on one stack, and one ``g_grad`` call on the stages and those
-    pullbacks checks them together with
+    never limits the step size.  Each attempt makes its six new stages in
+    one loop, each a pullback and one ``h_grad`` call; only the pullback
+    differs between the runs below.  With a closed-form ``g_conj_grad``
+    each stage pulls back through it alone, unchecked, and an accepted
+    step only keeps its record times and their dense-output states; no
+    later step reads their pullbacks.  That run works in blocks of
+    ``_RECORD_BLOCK`` attempts, accepted or rejected, and closes each one
+    once it is full, when the loop ends, and before an error propagates:
+    closing the block pulls back the record times of its steps through
+    the closed form on one stack, and one ``g_grad`` call on the stages
+    and those pullbacks checks them together with
     :func:`~dcflow.core._check_block`, the inversion's stopping rule, which
     passes exactly the pullbacks the inversion returns unchanged.  If the
     check fails or raises, which a right closed form never makes it do,
@@ -240,23 +241,23 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     the stages, Newton's steps and every error are those of a check per
     stage; numpy reports no floating-point error of the run thrown away
     (:func:`~dcflow.core._closed_form_first`).  In that run, and without a
-    closed form, closing a block pulls back each of its steps' record times
-    in one batched inversion, warm-started on the chord between the
-    pullbacks at the step's two ends, which the stages already made, and
-    naming that step in any error.  Inversion and the closed form act row
-    by row, so the block changes no bit.  Integration halts at the first
-    sample whose primal gradient norm is at most
-    :data:`EQUILIBRIUM_GRAD_TOL`; the block reads
-    only that norm, for checked records as the checking ``g_grad`` call
-    less one ``h_grad`` call, the bits ``p.f_grad`` gives, and for
-    inverted ones through ``p.f_grad``.  At most ``_RECORD_BLOCK - 1``
-    attempts run past the first sample at rest; they are dropped, and an
-    error raised in one of them ends the flow at that sample, as if they
-    had not run.  The metric speeds and values of all kept samples come
-    after the loop from one stacked :func:`~dcflow.core.flow_velocity` and
-    one ``f_value_and_roundoff`` call; the velocity call reads ``g_hess``
-    in row blocks of at most ``core._HESS_BLOCK_BYTES`` of Hessians, so a
-    long high-dimensional trace keeps bounded memory.
+    closed form, each accepted step pulls back its record times as it is
+    accepted, in one batched inversion warm-started on the chord between
+    the pullbacks at the step's two ends, which the stages already made,
+    and an error there names that step.  Inversion and the closed form act
+    row by row, so the block changes no bit.  Integration halts at the
+    first sample whose primal gradient norm is at most
+    :data:`EQUILIBRIUM_GRAD_TOL`, read for checked records as the checking
+    ``g_grad`` call less one ``h_grad`` call, the bits ``p.f_grad`` gives,
+    and for inverted ones through ``p.f_grad``.  In the closed-form run at
+    most ``_RECORD_BLOCK - 1`` attempts run past the first sample at rest;
+    they are dropped, and an error raised in one of them ends the flow at
+    that sample, as if they had not run; the inverting run stops at the
+    step that holds it.  The metric speeds and values of all kept samples
+    come after the loop from one stacked :func:`~dcflow.core.flow_velocity`
+    and one ``f_value_and_roundoff`` call; the velocity call reads
+    ``g_hess`` in row blocks of at most ``core._HESS_BLOCK_BYTES`` of
+    Hessians, so a long high-dimensional trace keeps bounded memory.
 
     Raises
     ------
@@ -309,16 +310,16 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         raise exc.with_phase(_step_phase(0.0, _STEP_INIT)) from exc
 
     def steps(closed: bool) -> FlowTrace:
-        """The step loop from the first field evaluation on, closed a block
-        of up to ``_RECORD_BLOCK`` attempts at a time.  If ``closed`` the
-        stages pull back through the closed form, and a block's check that
-        fails or raises raises ``_CheckFailed``."""
+        """The step loop from the first field evaluation on.  If ``closed``
+        the stages pull back through the closed form, a block of up to
+        ``_RECORD_BLOCK`` attempts is checked at a time, and a check that
+        fails or raises raises ``_CheckFailed``; otherwise each accepted
+        step pulls back its record times as it is accepted."""
         # A run made again starts from the first sample alone.
         for chunks in samples:
             del chunks[1:]
-        # (t_s, y_s, t, h, x_start, x_end) of each record-bearing step of the
-        # open block: its record times and dense-output states, and its start
-        # time, size and end pullbacks.
+        # (t_s, y_s) of each record-bearing step of the open block: its
+        # record times and dense-output states.
         pending = []
         # x_last is the latest pullback, the warm start of the next inversion.
         x_start = x_last = x_first
@@ -331,39 +332,25 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
         stage_y, stage_x = np.empty((2, _RECORD_BLOCK, 6, n))
 
         def close() -> bool:
-            """Close the open block: pull back and record its pending steps'
-            states; True at rest.
-
-            With ``closed``, the record times' closed-form pullbacks and the
-            block's stages are checked on one stacked ``g_grad`` call, and
-            its record rows less one ``h_grad`` call give ``grad f``, the
-            bits of :meth:`~dcflow.core.DcProblem.f_grad`.  Otherwise each
-            step in turn takes one batched inversion warm-started on the
-            chord between its end pullbacks, ``p.f_grad``, and its own phase
-            on an error."""
+            """Close the open block; True at rest.  With ``closed``, the
+            pending record times' closed-form pullbacks and the block's
+            stages are checked on one stacked ``g_grad`` call, whose record
+            rows less one ``h_grad`` call give ``grad f``, the bits of
+            :meth:`~dcflow.core.DcProblem.f_grad`, and are recorded."""
             nonlocal attempts
-            records = pending.copy()
-            pending.clear()
             m, attempts = 6 * attempts, 0
-            if closed and m:
-                ys, xs = stage_y.reshape(-1, n)[:m], stage_x.reshape(-1, n)[:m]
-                if not records:
-                    _check_block(p, ys, xs)
-                    return False
-                y_rec = np.concatenate([step[1] for step in records])
-                x_rec = _closed_form(p, y_rec)
-                grad_g = _check_block(p, np.concatenate((ys, y_rec)), np.concatenate((xs, x_rec)))
-                grad_f = grad_g[m:] - np.asarray(p.h_grad(x_rec), dtype=float)
-                return record(np.concatenate([step[0] for step in records]), y_rec, x_rec, grad_f)
-            for t_s, y_s, t0, h0, x0_step, x1_step in records:
-                theta = ((t_s - t0) / h0)[:, None]
-                try:
-                    x_s = invert_grad_g(p, y_s, x0_step + theta * (x1_step - x0_step))
-                except DcError as exc:
-                    raise exc.with_phase(_step_phase(t0, h0)) from exc
-                if record(t_s, y_s, x_s, p.f_grad(x_s)):
-                    return True
-            return False
+            if not (closed and m):
+                return False
+            ys, xs = stage_y.reshape(-1, n)[:m], stage_x.reshape(-1, n)[:m]
+            if not pending:
+                _check_block(p, ys, xs)
+                return False
+            t_rec, y_rec = (np.concatenate(field) for field in zip(*pending))
+            pending.clear()
+            x_rec = _closed_form(p, y_rec)
+            grad_g = _check_block(p, np.concatenate((ys, y_rec)), np.concatenate((xs, x_rec)))
+            grad_f = grad_g[m:] - np.asarray(p.h_grad(x_rec), dtype=float)
+            return record(t_rec, y_rec, x_rec, grad_f)
 
         while target_idx < targets.size:
             if attempts == _RECORD_BLOCK and close():
@@ -404,10 +391,15 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                     t_s = targets[target_idx:stop]
                     theta = ((t_s - t) / h_try)[:, None]
                     y_s = y + np.matvec(h_try * (k.T @ _P), theta ** np.arange(1, 5))
-                    # The seventh stage sits at the accepted state, so x_last
-                    # is the pullback at the step's end.
-                    pending.append((t_s, y_s, t, h_try, x_start, x_last))
                     target_idx = stop
+                    if closed:
+                        pending.append((t_s, y_s))
+                    else:
+                        # The seventh stage sits at the accepted state, so
+                        # x_last is the pullback at the step's end.
+                        x_s = invert_grad_g(p, y_s, x_start + theta * (x_last - x_start))
+                        if record(t_s, y_s, x_s, p.f_grad(x_s)):
+                            break
 
                 t = t_new
                 y = y_new

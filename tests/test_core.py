@@ -809,15 +809,37 @@ def _methods_called_in_loops(func, loop) -> set[str]:
     }
 
 
-def test_scheme_and_flow_loops_read_no_objective():
+def test_scheme_and_flow_loops_read_no_objective(monkeypatch):
     # The scheme's divergence guard reads the objective in stacked calls
-    # outside its loop, and the flow's equilibrium test reads grad f off the
-    # g_grad call that checks the record times: neither loop calls an
-    # objective value, and the flow's step loop never calls p.f_grad.
+    # outside its loop: neither its loop nor the flow's step loop calls an
+    # objective value.  With a closed form the flow's equilibrium test reads
+    # grad f off the g_grad call that checks the record times, so p.f_grad
+    # runs for the sample at t = 0 and in the velocity pass after the loop
+    # alone, however many blocks the flow runs.
     objective = {"f_value_and_roundoff", "f_value", "g_value", "h_value"}
     in_scheme = _methods_called_in_loops(schemes.run_scheme, ast.While)
     assert {"g_grad", "h_grad"} <= in_scheme
     assert not in_scheme & objective
     in_flow = _methods_called_in_loops(flow.integrate_flow, ast.While)
     assert "searchsorted" in in_flow
-    assert not in_flow & (objective | {"f_grad"})
+    assert not in_flow & objective
+    f_grads, blocks, real_f_grad = [], [], DcProblem.f_grad
+
+    def f_grad(self, x):
+        f_grads.append(np.shape(x))
+        return real_f_grad(self, x)
+
+    def check_block(*args):
+        blocks.append(len(args[1]))
+        return core._check_block(*args)
+
+    monkeypatch.setattr(DcProblem, "f_grad", f_grad)
+    monkeypatch.setattr(flow, "_check_block", check_block)
+    p = make_double_well([1.0, 4.0])
+    for t_end, n_blocks in ((0.2, 1), (5.0, 1), (20.0, 2)):
+        del f_grads[:], blocks[:]
+        cfg = flow.FlowConfig(t_end=t_end, record_stride=1e-3)
+        trace = flow.integrate_flow(p, np.array([0.5, 0.5]), cfg)
+        assert trace.n_samples == round(t_end / 1e-3) + 1
+        assert len(blocks) == n_blocks
+        assert f_grads == [(1, 2), (trace.n_samples, 2)]

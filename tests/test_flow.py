@@ -809,8 +809,9 @@ def _outcomes_by_block(monkeypatch, run, fields=_FLOW_FIELDS):
     "case", range(4), ids=["double_well", "quadratic", "shifted", "no_closed_form"]
 )
 def test_record_blocks_change_no_bit(case, stride, monkeypatch):
-    # A block of 1 pulls back each step's record states as it is accepted;
-    # longer blocks pull back the same rows, row by row, in fewer calls.  At
+    # With a closed form, a block of 1 pulls back each step's record states
+    # as it is accepted; longer blocks pull back the same rows, row by row,
+    # in fewer calls.  Without one each step does so at any block.  At
     # stride 0.3 some steps cover no record time.
     p, x0 = _block_cases()[case]
     run = lambda: integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=stride))
@@ -832,6 +833,39 @@ def test_rest_mid_block_keeps_the_per_step_trace(quad_canonical, monkeypatch):
     assert np.linalg.norm(quad_canonical.f_grad(trace.x_states[-1])) <= flow.EQUILIBRIUM_GRAD_TOL
     # Record times past the one at rest were pulled back, then cut.
     assert sum(rows) > trace.n_samples - 1
+
+
+def test_a_newton_only_flow_ends_with_the_step_at_rest(quad_canonical, monkeypatch):
+    # Without a closed form each accepted step pulls back its record times
+    # as it is accepted, after its six stages: no attempt runs past the step
+    # that holds the sample at rest, near t = 46, and the trace is the one a
+    # block of 1 gives.
+    p = newton_only(quad_canonical)
+    cfg = FlowConfig(t_end=100.0, record_stride=1e-2)
+    run = lambda: integrate_flow(p, np.array([1.0, 0.0]), cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_RECORD_BLOCK", 1)
+        per_step = outcome(run, _FLOW_FIELDS)
+    targets = []
+
+    def pullback(p, y, warm_start):
+        targets.append(np.array(y))
+        return invert_grad_g(p, y, warm_start)
+
+    monkeypatch.setattr(flow, "invert_grad_g", pullback)
+    assert outcome(run, _FLOW_FIELDS) == per_step
+    times = np.frombuffer(per_step[0])
+    y_states, x_states = (np.frombuffer(b).reshape(-1, p.dim) for b in per_step[1:3])
+    assert np.linalg.norm(p.f_grad(x_states[-1])) <= flow.EQUILIBRIUM_GRAD_TOL
+    assert 40.0 < times[-1] < 50.0
+    # One point pullback before the first step, then per step six stage
+    # pullbacks and, if it covers record times, one stacked pullback of them
+    # (an attempt that covers none adds its stages to the next step's); the
+    # last holds the sample at rest.
+    kinds = "".join("s" if y.ndim == 2 else "p" for y in targets)
+    assert kinds[0] == "p" and kinds.endswith("s")
+    assert all(stages and len(stages) % 6 == 0 for stages in kinds[1:-1].split("s"))
+    assert (targets[-1] == y_states[-1]).all(axis=1).any()
 
 
 @pytest.mark.parametrize("error", [core.NumericError, ValueError])
@@ -865,8 +899,8 @@ def test_an_error_past_rest_returns_the_cut_trace(error, quad_canonical, monkeyp
 
 @pytest.mark.parametrize("failing", [1, 3])
 def test_record_pullback_failure_in_a_block_names_its_step(failing, dw_unit, monkeypatch):
-    # With every closed-form check failing, each pending step's record
-    # states are pulled back through invert_grad_g in turn.  A tol of 1e-300
+    # With every closed-form check failing, each step's record states are
+    # pulled back through invert_grad_g as it is accepted.  A tol of 1e-300
     # leaves the pullback of the `failing`-th record-bearing step stuck at
     # roundoff; the error names that step's start and size, whichever block
     # it sits in.
