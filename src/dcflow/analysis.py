@@ -9,7 +9,8 @@ single comparison decides pass or fail.
 
 Box constants (metric and objective-Hessian eigenvalue ranges, metric PL
 constant ``sigma``) are closed forms, never estimates: one probe sweep in
-:func:`checked_box_constants` cross-checks all of them.
+:func:`checked_box_constants` cross-checks all of them, on all the boxes a
+run certifies at once (RateCertify's span and local boxes).
 """
 
 from __future__ import annotations
@@ -79,11 +80,13 @@ class BoxTooLargeError(DcError):
 
 
 # linearize_at's difference step; measure_local_contraction's start distance
-# and iterate count; local_exp_certificate's probe points.
+# and iterate count; local_exp_certificate's probe points; the first primes,
+# the Halton bases of up to 16 dimensions.
 _FD_STEP = 1e-4
 _CONTRACTION_RADIUS = 1e-3
 _CONTRACTION_STEPS = 20
 _LOCAL_PROBES = 200
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # Relative slack of the local exponential envelope, for integrator error.
 _LOCAL_EXP_SLACK = 1e-3
 
@@ -93,9 +96,8 @@ _LOCAL_EXP_SLACK = 1e-3
 
 
 def _primes(count: int) -> list[int]:
-    """The first ``count`` primes, by trial division."""
-    primes: list[int] = []
-    k = 2
+    """The first ``count`` primes: the table's, then by trial division."""
+    primes, k = list(_PRIMES[:count]), _PRIMES[-1] + 1
     while len(primes) < count:
         if all(k % q for q in primes if q * q <= k):
             primes.append(k)
@@ -104,32 +106,19 @@ def _primes(count: int) -> list[int]:
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
-    """The first ``n`` Halton points in ``[0, 1)^dim``, all indices at once,
-    one digit of every index per pass, as many passes as ``n`` has digits;
-    an index whose digits ran out adds exact zeros, so each point equals
-    its own digit loop bit for bit."""
+    """The first ``n`` Halton points in ``[0, 1)^dim``, from a table of radical
+    inverses per base ``b`` that grows a digit per pass: index ``d b^m + j``
+    is entry ``j`` plus ``d b^-(m+1)``.  Digits add up least significant
+    first, with the digit loop's factors, so each point equals it bit for bit."""
     out = np.empty((n, dim))
     for j, base in enumerate(_primes(dim)):
-        digits, top = 0, n  # base-``base`` digits of the largest index
-        while top:
-            digits, top = digits + 1, top // base
-        k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
-        for _ in range(digits):
+        f, digits = 1.0 / base, np.arange(float(base))
+        table = digits[: n + 1] * f
+        while table.size <= n:
             f /= base
-            k, digit = np.divmod(k, base)
-            r += f * digit
-        out[:, j] = r
+            table = np.add.outer(digits[: -(-(n + 1) // table.size)] * f, table).ravel()
+        out[:, j] = table[1 : n + 1]
     return out
-
-
-def _probe_points(box: Box, n_samples: int) -> np.ndarray:
-    """The center and ``n_samples`` Halton points of the box.
-
-    Samples cross-check a problem's closed-form box constants: they can
-    show a constant wrong but never certify one.
-    """
-    u = _halton(int(n_samples), box.dim)
-    return np.vstack([box.center()[None, :], box.lower + u * (box.upper - box.lower)])
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -461,113 +450,65 @@ def measure_local_contraction(p: DcProblem, lin: LinearizationReport, eta: float
 # box constants: closed form, cross-checked on probe points
 
 
-def _objective_hessian(metric, curvature):
-    """The symmetrized ``Hess f = Hess g - Hess h`` of a row block, from the
-    block's ``g_hess`` answer ``metric`` and ``h_hess`` answer ``curvature``.
-
-    Two :class:`~dcflow.core.Diagonal` answers whose difference is a regular
-    diagonal give that difference, in O(dim) per row.  Otherwise ``Hess f``
-    is formed out of place, since an answer may be a view of the oracle's
-    own storage, and its lower triangle, the one eigvalsh reads, is
-    symmetrized a column at a time, so no further temporary spans the
-    block; a regular diagonal block is symmetric already.
-    """
+def _objective_extremes(metric, curvature) -> np.ndarray:
+    """Per row, the extreme eigenvalues of the symmetrized ``Hess f`` of a row
+    block, from its ``g_hess`` answer ``metric`` and ``h_hess`` answer
+    ``curvature``.  Two :class:`~dcflow.core.Diagonal` answers whose difference
+    is a regular diagonal give that difference, in O(dim) per row.  Otherwise
+    ``Hess f`` is formed out of place, as an answer may be a view of the
+    oracle's storage, in row slices of a quarter of the block's bytes beside
+    the two answers; a slice's lower triangle, which eigvalsh reads, is
+    symmetrized a column at a time unless the slice is a regular diagonal."""
     if isinstance(metric, Diagonal) and isinstance(curvature, Diagonal):
         hess = Diagonal(metric.d - curvature.d)
         if _regular_diagonal(hess) is not None:
-            return hess
-    hess = np.subtract(metric, curvature, dtype=float)
-    if _regular_diagonal(hess) is None:
-        for j in range(hess.shape[-1] - 1):
-            col = hess[:, j + 1 :, j]
-            col += hess[:, j, j + 1 :]
-            col *= 0.5
-    return hess
+            return _eigvalsh(hess)[:, [0, -1]]
+    out = np.empty((len(metric), 2))
+    # Blocks at twice the dimension take a quarter of the bytes.
+    for rows in _row_blocks(len(metric), 2 * metric.shape[-1]):
+        hess = np.subtract(metric[rows], curvature[rows], dtype=float)
+        if _regular_diagonal(hess) is None:
+            for j in range(hess.shape[-1] - 1):
+                col = hess[:, j + 1 :, j]
+                col += hess[:, j, j + 1 :]
+                col *= 0.5
+        out[rows] = _eigvalsh(hess)[:, [0, -1]]
+    return out
 
 
-def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxConstants:
-    """``p.box_constants(box)``, once every probe point agrees with it.
-
-    The probe points are the box center and ``n_samples`` Halton points.
-    At each one the metric eigenvalues must lie in ``metric``, those of the
-    symmetrized objective Hessian ``Hess g - Hess h`` in ``objective``, and
-    the metric PL ratio ``|grad f|^2_{(Hess g)^{-1}} / (2 (f - f_star))`` must
-    be at least ``sigma``, each up to that point's roundoff; points whose
-    gap ``f - f_star`` lies within the roundoff of ``f`` judge no ratio.
-    Samples can show a constant wrong but never certify one.
-
-    The sweep makes one stacked ``f_grad`` and ``f_value_and_roundoff``
-    call over all points.  It reads ``g_hess`` and ``h_hess`` once per row
-    block of at most ``core._HESS_BLOCK_BYTES`` of Hessians, takes their
-    eigenvalues and the metric solve there, and keeps only each point's
-    extreme eigenvalues and metric speed, so memory stays bounded in the
-    dimension.  Blocks change no bit and no verdict.  When both answers
-    are :class:`~dcflow.core.Diagonal`, the block stays diagonal: the
-    objective Hessian is the difference of the diagonals, and no dense
-    matrix is built, unless that difference has a zero or non-finite entry.
-
-    A box of another dimension or a problem without closed-form box
-    constants raises ``ValueError``, as samples alone certify nothing.  A
-    sampled metric eigenvalue that is not positive, or a point that
-    disagrees with a constant, raises :class:`~dcflow.core.DcError` naming
-    the constant, the worst probe point and the box.
-    """
-    if box.dim != p.dim:
-        raise ValueError("box dimension does not match the problem")
-    if p.box_constants is None:
-        raise ValueError(f"problem {p.label!r} has no closed-form box constants")
-    bc = p.box_constants(box)
-    pts = _probe_points(box, n_samples)
-    grads = p.f_grad(pts)
-    f, noise = p.f_value_and_roundoff(pts)
-    # Per point: the extreme eigenvalues of Hess g (w) and of the
-    # symmetrized Hess f (v), and the squared metric speed.
-    w_lo, w_hi, v_lo, v_hi = (np.empty(len(pts)) for _ in range(4))
-    msq = np.full(len(pts), np.nan)
-    for block in _row_blocks(len(pts), p.dim):
-        metric = p.g_hess(pts[block])
-        w = _eigvalsh(metric)
-        w_lo[block], w_hi[block] = w[:, 0], w[:, -1]
-        # A block with a metric eigenvalue <= 0 fails the positivity check
-        # below; it skips the solve, which could raise first.
-        if not (w[:, 0] <= 0.0).any():
-            sol = _solve_metric(metric, grads[block])
-            msq[block] = np.einsum("ij,ij->i", grads[block], sol)
-        v = _eigvalsh(_objective_hessian(metric, p.h_hess(pts[block])))
-        v_lo[block], v_hi[block] = v[:, 0], v[:, -1]
+def _judge_box(p: DcProblem, box: Box, bc: BoxConstants, pts, w, v, msq, gap, noise) -> None:
+    """Raise unless the probe points ``pts`` of ``box`` agree with its constants
+    ``bc``, given per point the extreme eigenvalues of Hess g (``w``) and of the
+    symmetrized Hess f (``v``), the squared metric speed ``msq``, the gap
+    ``f - f_star`` and its roundoff ``noise``."""
 
     def where() -> str:
         # Formatted only to raise: it lists both bounds.
         return f"on the box [{box.lower.tolist()}, {box.upper.tolist()}]"
 
-    def check_range(name, lo_eigs, hi_eigs, scales, bounds):
+    def check_range(name, eigs, scales, bounds):
         lo, hi = bounds
         tol = ROUNDOFF * p.dim * scales
-        excess = np.maximum((lo - tol) - lo_eigs, hi_eigs - (hi + tol))
+        excess = np.maximum((lo - tol) - eigs[:, 0], eigs[:, 1] - (hi + tol))
         i = int(np.argmax(excess))
         if excess[i] > 0.0:
             raise DcError(
-                f"sampled {name} eigenvalues [{lo_eigs[i]:.17g}, {hi_eigs[i]:.17g}] "
-                f"at probe point {pts[i].tolist()} leave the closed-form range "
-                f"[{lo:.17g}, {hi:.17g}] {where()}; oracles and box constants "
-                "are inconsistent"
+                f"sampled {name} eigenvalues [{eigs[i, 0]:.17g}, {eigs[i, 1]:.17g}] at probe "
+                f"point {pts[i].tolist()} leave the closed-form range [{lo:.17g}, "
+                f"{hi:.17g}] {where()}; oracles and box constants are inconsistent"
             )
 
-    i = int(np.argmin(w_lo))
-    if w_lo[i] <= 0.0:
+    i = int(np.argmin(w[:, 0]))
+    if w[i, 0] <= 0.0:
         raise DcError(
-            f"sampled metric eigenvalue {w_lo[i]:.17g} at probe point "
-            f"{pts[i].tolist()} is not positive {where()}; g is not strongly "
-            "convex there"
+            f"sampled metric eigenvalue {w[i, 0]:.17g} at probe point {pts[i].tolist()} "
+            f"is not positive {where()}; g is not strongly convex there"
         )
-    w_scale = np.maximum(np.abs(w_lo), np.abs(w_hi))
-    check_range("metric", w_lo, w_hi, w_scale, bc.metric)
+    w_scale = np.abs(w).max(axis=1)
+    check_range("metric", w, w_scale, bc.metric)
     # The difference errs on the scale of both Hessians it subtracts.
-    v_scale = w_scale + np.maximum(np.abs(v_lo), np.abs(v_hi))
-    check_range("objective Hessian", v_lo, v_hi, v_scale, bc.objective)
+    check_range("objective Hessian", v, w_scale + np.abs(v).max(axis=1), bc.objective)
 
-    gap = f - p.f_star
-    noise += ROUNDOFF * abs(p.f_star)
     judged = np.flatnonzero(gap > noise)
     ratio = msq[judged] / (2.0 * gap[judged])
     excess = bc.sigma * (1.0 - noise[judged] / gap[judged] - ROUNDOFF * p.dim) - ratio
@@ -578,10 +519,76 @@ def checked_box_constants(p: DcProblem, box: Box, n_samples: int = 400) -> BoxCo
             f"{pts[judged[k]].tolist()} is below the closed-form sigma "
             f"{bc.sigma:.17g} {where()}; oracles and box constants are inconsistent"
         )
-    return bc
 
 
-# Kept only because bench/tracing.py's probe site still wraps these two names.
+def checked_box_constants(p: DcProblem, box: Union[Box, list[Box]], n_samples=400):
+    """``p.box_constants(box)``, once every probe point agrees with it.
+
+    The probe points are the box center and ``n_samples`` Halton points.
+    At each one the metric eigenvalues must lie in ``metric``, those of the
+    symmetrized objective Hessian ``Hess g - Hess h`` in ``objective``, and
+    the metric PL ratio ``|grad f|^2_{(Hess g)^{-1}} / (2 (f - f_star))`` must
+    be at least ``sigma``, each up to that point's roundoff; points whose
+    gap ``f - f_star`` lies within the roundoff of ``f`` judge no ratio.
+    Samples can show a constant wrong but never certify one.
+
+    ``box`` may be a list of boxes, with one count or one per box in
+    ``n_samples``: one stacked sweep returns their list of constants.  Each
+    box maps its own prefix of one Halton set, each oracle reads all boxes'
+    points at once, and each box is judged on its own points in the order
+    given, so the first that disagrees raises its one-box sweep's error.
+    RateCertify so sweeps the box its runs span with its local box.
+
+    The sweep reads ``g_hess`` and ``h_hess`` once per row block of at most
+    ``core._HESS_BLOCK_BYTES`` of Hessians, takes their eigenvalues and the
+    metric solve there, and keeps only each point's extreme eigenvalues and
+    metric speed, so memory stays bounded in the dimension.  Blocks change
+    no bit and no verdict.  Two :class:`~dcflow.core.Diagonal` answers keep
+    the block diagonal unless their difference has a zero or non-finite entry.
+
+    A box of another dimension or a problem without closed-form box
+    constants raises ``ValueError``, as samples alone certify nothing.  A
+    sampled metric eigenvalue that is not positive, or a point that
+    disagrees with a constant, raises :class:`~dcflow.core.DcError` naming
+    the constant, the worst probe point and the box.
+    """
+    one = isinstance(box, Box)
+    boxes = [box] if one else list(box)
+    counts = [int(k) for k in np.broadcast_to(n_samples, len(boxes))]
+    if any(b.dim != p.dim for b in boxes):
+        raise ValueError("box dimension does not match the problem")
+    if p.box_constants is None:
+        raise ValueError(f"problem {p.label!r} has no closed-form box constants")
+    constants = [p.box_constants(b) for b in boxes]
+    unit = _halton(max(counts), p.dim)
+    pts = np.vstack([
+        part for b, k in zip(boxes, counts)
+        for part in (b.center()[None, :], b.lower + unit[:k] * (b.upper - b.lower))
+    ])
+    del unit
+    grads = p.f_grad(pts)
+    f, noise = p.f_value_and_roundoff(pts)
+    gap, noise = f - p.f_star, noise + ROUNDOFF * abs(p.f_star)
+    w, v, msq = np.empty((len(pts), 2)), np.empty((len(pts), 2)), np.full(len(pts), np.nan)
+    for block in _row_blocks(len(pts), p.dim):
+        metric = p.g_hess(pts[block])
+        eigs = _eigvalsh(metric)
+        w[block] = eigs[:, [0, -1]]
+        # Rows with a metric eigenvalue <= 0 fail their box's positivity
+        # check; they skip the solve, which could raise first.
+        keep = ~(eigs[:, 0] <= 0.0)
+        rows = np.arange(len(pts))[block][keep]
+        sol = _solve_metric(metric if keep.all() else metric[keep], grads[rows])
+        msq[rows] = np.einsum("ij,ij->i", grads[rows], sol)
+        v[block] = _objective_extremes(metric, p.h_hess(pts[block]))
+    ends = np.cumsum([k + 1 for k in counts])
+    for b, bc, r in zip(boxes, constants, map(slice, ends - counts - 1, ends)):
+        _judge_box(p, b, bc, pts[r], w[r], v[r], msq[r], gap[r], noise[r])
+    return constants[0] if one else constants
+
+
+# Kept because bench/tracing.py's probe site wraps these two names; the CLI
+# calls its span sweeps by the first, so that site spans them.
 metric_bounds_on_box = estimate_metric_pl_constant = checked_box_constants
 
 
@@ -621,7 +628,7 @@ def kl_exponent_diagnostic(
 # local exponential certificate
 
 
-def local_exp_certificate(p: DcProblem, x_star, box: Box) -> LocalExpCertificate:
+def local_exp_certificate(p: DcProblem, x_star, box: Box, constants=None) -> LocalExpCertificate:
     """Decay rate and overshoot from the Hessian ranges over the box.
 
     Returns ``lam = m_f / M`` and ``c1 = sqrt(L_f / m_f)`` where ``m_f``
@@ -629,24 +636,17 @@ def local_exp_certificate(p: DcProblem, x_star, box: Box) -> LocalExpCertificate
     the metric.  Trajectories started in the box then obey
     ``|x(t) - x_star| <= c1 * exp(-lam t) * |x(0) - x_star|``.  The ranges
     come from :func:`checked_box_constants` on 200 probe points; a problem
-    without box constants raises ``ValueError``.
+    without box constants raises ``ValueError``.  ``constants``, if given,
+    are the box's, already checked in one sweep with RateCertify's span box.
     """
     x_star = _critical_point(p, x_star)
     if not box.contains(x_star, atol=1e-12):
         raise ValueError("box must contain x_star")
-
-    bc = checked_box_constants(p, box, _LOCAL_PROBES)
+    bc = checked_box_constants(p, box, _LOCAL_PROBES) if constants is None else constants
     m_f, l_f = bc.objective
     if m_f <= 0.0:
-        raise BoxTooLargeError(
-            "objective Hessian is indefinite somewhere on the box; shrink it"
-        )
-    return LocalExpCertificate(
-        lam=m_f / bc.metric[1],
-        c1=math.sqrt(l_f / m_f),
-        hess_f_lower=m_f,
-        hess_f_upper=l_f,
-    )
+        raise BoxTooLargeError("objective Hessian is indefinite somewhere on the box; shrink it")
+    return LocalExpCertificate(m_f / bc.metric[1], math.sqrt(l_f / m_f), m_f, l_f)
 
 
 def local_exp_bound_margin(

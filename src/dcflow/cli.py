@@ -328,16 +328,21 @@ def _flow_checks(
     ]
 
 
-def _constants_on_span(p: DcProblem, paths: list[np.ndarray]) -> tuple[BoxConstants, dict]:
-    """``p.box_constants`` for the rate checks that rest on the points of
-    ``paths`` (arrays of shape ``(k, dim)``), and that box as the report
-    field ``sigma_box``: the box each coordinate of the points spans, so
-    every point a check uses lies in the box its constants hold on.
-    Every constant is cross-checked on samples; a zero ``sigma`` is refused.
+def _constants_on_span(
+    p: DcProblem, paths: list[np.ndarray], *local: Box
+) -> tuple[list[BoxConstants], dict]:
+    """``p.box_constants`` on the box each coordinate of the points of
+    ``paths`` (arrays of shape ``(k, dim)``) spans, so every point a rate
+    check uses lies in the box its constants hold on, then on each ``local``
+    box; and the span box as the report field ``sigma_box``.  One sweep
+    cross-checks every constant on samples, the span box's first; a zero
+    ``sigma`` there is refused.  The sweep runs as
+    ``analysis.metric_bounds_on_box``, which the bench tracer spans.
     """
     box = Box.spanning(np.vstack(paths))
-    constants = analysis.checked_box_constants(p, box)
-    if constants.sigma <= 0.0:
+    counts = [400] + [analysis._LOCAL_PROBES] * len(local)
+    constants = analysis.metric_bounds_on_box(p, [box, *local], counts)
+    if constants[0].sigma <= 0.0:
         raise ConfigError(
             "metric PL constant is zero on the box the runs span; "
             "the rate hypotheses do not hold there"
@@ -401,7 +406,7 @@ def _eta_sweep_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
         trace = run_scheme(p, x0, dataclasses.replace(scheme_cfg, eta=eta))
         write_iterate_csv(out_dir / name, trace)
         traces.append(trace)
-    constants, box_fields = _constants_on_span(p, [t.points for t in traces])
+    (constants,), box_fields = _constants_on_span(p, [t.points for t in traces])
     reports = {
         eta: analysis.damped_pl_report(t, constants, p.f_star)
         for eta, t in zip(etas, traces)
@@ -514,10 +519,11 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     trace = run_scheme(p, x0, scheme_cfg)
     write_iterate_csv(out_dir / "scheme_trace.csv", trace)
     ftrace = integrate_flow(p, x0, flow_cfg)
-    write_flow_csv(
-        out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace)
+    write_flow_csv(out_dir / "flow_trace.csv", ftrace, analysis.energy_residuals(ftrace))
+    local_box = Box(p.minimizer - _LOCAL_BOX_RADIUS, p.minimizer + _LOCAL_BOX_RADIUS)
+    (constants, local_constants), box_fields = _constants_on_span(
+        p, [trace.points, ftrace.x_states], local_box
     )
-    constants, box_fields = _constants_on_span(p, [trace.points, ftrace.x_states])
 
     checks: list[Check] = []
     results: dict[str, Any] = {
@@ -564,19 +570,13 @@ def _rate_certify_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     except analysis.InsufficientDataError:
         results["kl_theta_hat"] = None
 
-    local_box = Box(p.minimizer - _LOCAL_BOX_RADIUS, p.minimizer + _LOCAL_BOX_RADIUS)
-    cert = analysis.local_exp_certificate(p, p.minimizer, local_box)
+    cert = analysis.local_exp_certificate(p, p.minimizer, local_box, local_constants)
     ltrace = integrate_flow(
         p, p.minimizer + _LOCAL_BOX_RADIUS * np.ones(p.dim) / math.sqrt(p.dim), flow_cfg
     )
     margin = analysis.local_exp_bound_margin(ltrace, p.minimizer, cert)
-    checks.append(
-        Check(
-            "local_exp_bound",
-            margin >= 0.0,
-            {"lambda": cert.lam, "c1": cert.c1, "worst_margin": margin},
-        )
-    )
+    details = {"lambda": cert.lam, "c1": cert.c1, "worst_margin": margin}
+    checks.append(Check("local_exp_bound", margin >= 0.0, details))
     results["local_exp"] = {"lambda": cert.lam, "c1": cert.c1}
     return checks, results
 

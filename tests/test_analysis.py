@@ -484,6 +484,12 @@ def test_halton_points_equal_the_digit_loop():
     np.testing.assert_array_equal(analysis._halton(400, 13), _halton_digit_loop(400, 13))
 
 
+def test_primes_continue_past_their_table():
+    # The table holds 16 primes; trial division goes on from there.
+    trial = [k for k in range(2, 114) if all(k % q for q in range(2, k))]
+    assert [analysis._primes(n) for n in (0, 5, 16, 30)] == [trial[:n] for n in (0, 5, 16, 30)]
+
+
 def test_halton_digit_count_from_n_changes_no_bit():
     # Around powers of the bases, where the digit count of n steps up.
     sizes = [0, 1, 2, 3, 4, 7, 8, 9, 24, 25, 26, 48, 49, 50, 121, 200, 243, 400, 401, 2187]
@@ -546,8 +552,41 @@ def test_checked_box_constants_reads_each_oracle_once_per_sweep(dw_aniso):
         return wrapper
 
     p = dataclasses.replace(dw_aniso, **{name: counted(name) for name in calls})
-    checked_box_constants(p, Box(np.full(2, 0.5), np.full(2, 1.5)), n_samples=30)
+    box = Box(np.full(2, 0.5), np.full(2, 1.5))
+    checked_box_constants(p, box, n_samples=30)
     assert calls == dict.fromkeys(calls, [(31, 2)])
+    # A stacked sweep reads each oracle once over all boxes' points.
+    for seen in calls.values():
+        seen.clear()
+    local = Box(np.full(2, 0.9), np.full(2, 1.1))
+    assert checked_box_constants(p, [box, local], [30, 20]) == [
+        dw_aniso.box_constants(box), dw_aniso.box_constants(local)
+    ]
+    assert calls == dict.fromkeys(calls, [(52, 2)])
+
+
+def test_stacked_sweep_raises_the_first_box_that_fails(dw_unit):
+    # Each box is judged on its own points, in order, with the message of
+    # its own one-box sweep.
+    span, local = Box(np.full(2, 0.6), np.full(2, 1.5)), Box(np.full(2, 0.9), np.full(2, 1.1))
+
+    def lying_on(*boxes):
+        def constants(box):
+            bc = dw_unit.box_constants(box)
+            lies = any(box is b for b in boxes)
+            return dataclasses.replace(bc, sigma=1.05 * bc.sigma) if lies else bc
+
+        return dataclasses.replace(dw_unit, box_constants=constants)
+
+    def message(p, *args):
+        with pytest.raises(DcError) as info:
+            checked_box_constants(p, *args)
+        return str(info.value)
+
+    for boxes in [(local,), (span,), (span, local)]:
+        p = lying_on(*boxes)
+        first, count = (span, 400) if boxes[0] is span else (local, 200)
+        assert message(p, [span, local], [400, 200]) == message(p, first, count)
 
 
 def test_checked_box_constants_leaves_the_hessian_answers_unwritten():

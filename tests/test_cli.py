@@ -590,6 +590,81 @@ def test_rate_certify_without_box_constants_exits_2(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_rate_certify_sweeps_its_span_and_local_boxes_in_one_pass(tmp_path, monkeypatch):
+    # At n = 12 one Halton set and one g_hess and h_hess call serve the span
+    # box's 400 probes and the local box's 200, and every constant a check
+    # reads equals that of the box's own one-box sweep.
+    dw12 = {"name": "double_well", "params": {"q": np.linspace(1.0, 4.0, 12).tolist()}}
+    counts = {"_halton": 0, "g_hess": 0, "h_hess": 0}
+    sweeping = []
+
+    def sweep(fn):
+        def wrapper(*args):
+            sweeping.append(True)
+            try:
+                return fn(*args)
+            finally:
+                sweeping.pop()
+
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if name == "_halton" or sweeping:
+                counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("checked_box_constants", "metric_bounds_on_box"):
+        monkeypatch.setattr(analysis, name, sweep(getattr(analysis, name)))
+    monkeypatch.setattr(analysis, "_halton", counted("_halton", analysis._halton))
+    build = cli.build_problem
+
+    def built(spec):
+        p = build(spec)
+        hessians = {k: counted(k, getattr(p, k)) for k in ("g_hess", "h_hess")}
+        return dataclasses.replace(p, **hessians)
+
+    monkeypatch.setattr(cli, "build_problem", built)
+    x0 = np.linspace(0.6, 1.5, 12).tolist()
+    cfg = dw_rate_certify(problem=dw12, x0=x0, flow={"t_end": 1.0, "record_stride": 0.1})
+    code, report = run_experiment(cfg, tmp_path / "out")
+    assert code == EXIT_OK
+    assert counts == {"_halton": 1, "g_hess": 1, "h_hess": 1}
+
+    monkeypatch.undo()
+    p = cli.build_problem(dw12)
+    results, by_name = report["results"], {c["name"]: c for c in report["checks"]}
+    box = core.Box(results["sigma_box"]["lower"], results["sigma_box"]["upper"])
+    paths = [read_points(tmp_path / "out" / f"{run}_trace.csv", "x_") for run in ("scheme", "flow")]
+    spanned = core.Box.spanning(np.vstack(paths))
+    assert box.lower.tolist() == spanned.lower.tolist()
+    assert box.upper.tolist() == spanned.upper.tolist()
+    span = analysis.checked_box_constants(p, box)
+    (mu, lg), eta = span.metric, 0.5
+    assert results["sigma"] == span.sigma
+    bound = max(0.0, 1.0 - (mu * span.sigma / lg) * eta * (1.0 - eta))
+    assert by_name["contraction_bound"]["bound"] == bound
+    assert by_name["metric_pl_envelope"]["decay_rate_bound"] == 2.0 * span.sigma
+    local = core.Box(p.minimizer - cli._LOCAL_BOX_RADIUS, p.minimizer + cli._LOCAL_BOX_RADIUS)
+    cert = analysis.local_exp_certificate(p, p.minimizer, local)
+    assert results["local_exp"] == {"lambda": cert.lam, "c1": cert.c1}
+    local_check = by_name["local_exp_bound"]
+    assert (local_check["lambda"], local_check["c1"]) == (cert.lam, cert.c1)
+    assert all(c["passed"] is True for c in report["checks"])
+
+
+def test_rate_certify_with_zero_sigma_on_the_span_box_exits_2(tmp_path, capsys):
+    # x0 sits on the double well's local maximum in its first coordinate, so
+    # the span box holds 0 there and sigma is zero on it; the local box swept
+    # alongside passes its cross-check, and the run is refused all the same.
+    path = write_config(tmp_path, dw_rate_certify(x0=[0.0, 0.8]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "metric PL constant is zero on the box the runs span" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def read_points(path, prefix):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))

@@ -131,12 +131,17 @@ def _peak_bytes(fun, *args) -> int:
 
 def test_box_sweep_memory_is_bounded_in_the_dimension():
     # 401 probe points of 400-D Hessians would take 513 MB as one stack.
-    # The double well answers Diagonals; its dense form sweeps row blocks.
+    # The double well answers Diagonals; its dense form sweeps row blocks,
+    # and Hess f takes row slices beside the block's two answers, so no third
+    # block is formed.  A stacked sweep adds a local box's 201 points.
     n = 400
     p = make_double_well(np.linspace(1.0, 4.0, n))
     box = Box(np.full(n, 0.8), np.full(n, 1.3))
+    local = Box(np.full(n, 0.9), np.full(n, 1.1))
     for q in (p, dense_hessians(p)):
-        assert _peak_bytes(checked_box_constants, q, box) < 4 * core._HESS_BLOCK_BYTES
+        assert _peak_bytes(checked_box_constants, q, box) < 3 * core._HESS_BLOCK_BYTES
+        stacked = _peak_bytes(checked_box_constants, q, [box, local], [400, 200])
+        assert stacked < 3 * core._HESS_BLOCK_BYTES
 
 
 def test_stacked_velocity_memory_is_bounded_in_the_dimension():

@@ -313,6 +313,61 @@ def test_box_constants_bound_every_sample(instance):
 
 
 @st.composite
+def stacked_box_sweeps(draw):
+    """A :func:`problems_on_boxes` instance with one or two more boxes of
+    the same kind, a probe count of 400, 200 or 20 per box, and constants
+    that claim too much on one or two boxes: 5% more sigma, or a metric or
+    objective range narrowed by 5% of its width at one end."""
+    p, box, _ = draw(problems_on_boxes())
+    boxes = [box]
+    for _ in range(draw(st.integers(1, 2))):
+        lower = draw(arrays(float, p.dim, elements=st.floats(-2.0, 2.0)))
+        boxes.append(Box(lower, lower + draw(arrays(float, p.dim, elements=st.floats(0.0, 1.5)))))
+    counts = [draw(st.sampled_from([400, 200, 20])) for _ in boxes]
+    lying = draw(st.lists(st.integers(0, len(boxes) - 1), min_size=1, max_size=2, unique=True))
+    claims = ["metric_lo", "metric_hi", "objective_lo", "objective_hi", "sigma"]
+    claim = draw(st.sampled_from(claims))
+    return p, boxes, counts, lying, claim
+
+
+def _claiming(p, boxes, lying, claim):
+    """``p`` whose box constants claim ``claim`` on the boxes of ``lying``."""
+
+    def constants(box):
+        bc = p.box_constants(box)
+        if not any(box is boxes[i] for i in lying):
+            return bc
+        if claim == "sigma":
+            return dataclasses.replace(bc, sigma=1.05 * bc.sigma)
+        name, end = claim.split("_")
+        lo, hi = getattr(bc, name)
+        width = 0.05 * (hi - lo)
+        narrowed = (lo + width, hi) if end == "lo" else (lo, hi - width)
+        return dataclasses.replace(bc, **{name: narrowed})
+
+    return dataclasses.replace(p, box_constants=constants)
+
+
+@PROPERTY_SETTINGS
+@given(stacked_box_sweeps())
+def test_stacked_box_sweep_equals_its_one_box_sweeps(instance):
+    # Each box gets the constants, or the error, of its own one-box sweep,
+    # and the first box in order whose constants fail raises.
+    p, boxes, counts, lying, claim = instance
+    p = _claiming(p, boxes, lying, claim)
+    fields = ("metric", "objective", "sigma")
+    alone = [outcome(lambda: checked_box_constants(p, b, k), fields) for b, k in zip(boxes, counts)]
+    failed = [o for o in alone if isinstance(o[0], type)]
+    try:
+        stacked = checked_box_constants(p, boxes, counts)
+    except core.DcError as exc:
+        assert failed and (type(exc), str(exc)) == failed[0]
+    else:
+        assert not failed
+        assert [outcome(lambda: bc, fields) for bc in stacked] == alone
+
+
+@st.composite
 def damped_double_well_runs(draw):
     """A double well, maybe shifted, a start with ``|x_i|`` in [0.05, 3]
     (past the region; no coordinate at the local maximum 0, where no
