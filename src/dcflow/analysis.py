@@ -357,9 +357,9 @@ def linearize_at(p: DcProblem, x_star) -> LinearizationReport:
     otherwise the oracles are inconsistent and the call raises.
     """
     x_star = _critical_point(p, x_star)
-    hess_f = p.f_hess(x_star)
-    hess_f = 0.5 * (hess_f + hess_f.T)
     metric = np.asarray(p.g_hess(x_star), dtype=float)
+    hess_f = metric - np.asarray(p.h_hess(x_star), dtype=float)
+    hess_f = 0.5 * (hess_f + hess_f.T)
     metric = 0.5 * (metric + metric.T)
 
     spectrum, vecs = _pencil_eigh(hess_f, metric)

@@ -477,9 +477,7 @@ def _refinement_experiment(p, cfg, out_dir, rng) -> tuple[list[Check], dict]:
     results = {"x0": x0.tolist(), "rows": [{"eta": e, "deviation": d} for e, d in rows]}
     checks = []
     if len(rows) >= 2 and all(d > 0.0 for _, d in rows):
-        slope = float(
-            np.polyfit(np.log([e for e, _ in rows]), np.log([d for _, d in rows]), 1)[0]
-        )
+        slope = analysis._loglog_fit(*np.array(rows).T)[0]
         checks.append(
             Check(
                 "first_order_euler_convergence",

@@ -16,11 +16,12 @@ so it passes exactly the starts the inversion returns unchanged.  The
 flow step and the schemes take closed-form pullbacks unchecked in their
 loops, and as each block closes (``_RECORD_BLOCK`` step attempts with the
 flow's record times, or ``_GUARD_BLOCK`` iterates) ``_check_block`` tests
-them with the rule on one stacked ``grad g`` call.  Only a wrong closed
-form fails that test, and a failed or raising test has one policy
-(``_closed_form_first``): the loop runs again with every pullback through
-the inversion, and the numpy floating-point errors of the pass it throws
-away are never reported.
+them with the rule on one stacked ``grad g`` call; only a wrong closed
+form fails that test.  One policy (``_closed_form_first``) governs the
+pass: it is kept only if it returns, and if anything raises in it, a failed
+test or any other exception, the loop runs again with every pullback
+through the inversion, whose result or error the caller gets.  The numpy
+floating-point errors of a pass thrown away are never reported.
 The damped target ``(1-eta) y + eta grad h(x)`` is the one step map of the
 discrete schemes: the damped DCA step with ``y = grad g(x)``, and the
 explicit Euler step of the dual system from a carried dual state ``y``.
@@ -280,8 +281,9 @@ class DcProblem:
         against the same rule a block at a time: the stages and record
         times of a block of flow step attempts in one stacked ``g_grad``
         call, and a block of scheme iterates on the ``g_grad`` calls that
-        are their next gradients.  A check that fails or raises runs the
-        loop again through :func:`invert_grad_g`.
+        are their next gradients.  A loop's closed-form pass is kept only
+        if it returns; if a check fails or anything else raises in it, the
+        loop runs again through :func:`invert_grad_g`.
     """
 
     dim: int
@@ -351,12 +353,6 @@ class DcProblem:
         x = self.check_points(x)
         return np.asarray(self.g_grad(x), dtype=float) - np.asarray(
             self.h_grad(x), dtype=float
-        )
-
-    def f_hess(self, x) -> np.ndarray:
-        x = self.check_points(x)
-        return np.asarray(self.g_hess(x), dtype=float) - np.asarray(
-            self.h_hess(x), dtype=float
         )
 
     def bregman_g(self, z, x):
@@ -519,8 +515,8 @@ def _stopping_rule(
 
 
 class _CheckFailed(Exception):
-    """A stacked check of closed-form pullbacks failed, or raised: the loop
-    that made them reruns with every pullback through :func:`invert_grad_g`."""
+    """A stacked check of closed-form pullbacks failed: the loop that made
+    them reruns with every pullback through :func:`invert_grad_g`."""
 
 
 def _check_block(
@@ -531,33 +527,30 @@ def _check_block(
     ``g_grad`` call at them, made here when None, and return that call.
 
     Each row passes exactly when :func:`invert_grad_g` would return it
-    unchanged.  A row that fails, or an exception of the call or the rule,
-    raises :class:`_CheckFailed`.
+    unchanged.  A row that fails raises :class:`_CheckFailed`; an exception
+    of the call or the rule propagates, and reruns the loop all the same
+    (:func:`_closed_form_first`).
     """
-    try:
-        if grad_g is None:
-            grad_g = np.asarray(p.g_grad(x), dtype=float)
-        stops = _stopping_rule(p, x, _row_norms(grad_g - y), _row_norms(y))[0]
-    except Exception as exc:
-        raise _CheckFailed from exc
-    if not stops.all():
+    if grad_g is None:
+        grad_g = np.asarray(p.g_grad(x), dtype=float)
+    if not _stopping_rule(p, x, _row_norms(grad_g - y), _row_norms(y))[0].all():
         raise _CheckFailed
     return grad_g
 
 
 def _closed_form_first(p: DcProblem, run: Callable[[bool], _T]) -> _T:
     """A loop's one failure policy: ``run(True)``, its pass with closed-form
-    pullbacks checked by :func:`_check_block`, if ``p`` has a closed form and
-    no check fails; otherwise ``run(False)``, its pass with every pullback
-    through :func:`invert_grad_g`.
+    pullbacks checked by :func:`_check_block`, is kept if ``p`` has a closed
+    form and the pass returns; if anything raises in it, a failed check or
+    any other exception, ``run(False)``, the pass with every pullback
+    through :func:`invert_grad_g`, gives the result or the error.
 
     A wrong closed form makes garbage whose overflows and invalid values
     numpy would report before the check throws that pass away.  So the
     closed-form pass records numpy's floating-point errors instead, those
     of every kind that ``np.geterr()`` does not ignore, and reports none.
-    A pass that records one and is kept, or raises another exception, runs
-    once more under the caller's error state, which reports each error as
-    a single pass does.
+    A kept pass that recorded one runs once more under the caller's error
+    state, which reports each error as a single pass does.
     """
     if p.g_conj_grad is None:
         return run(False)
@@ -566,15 +559,9 @@ def _closed_form_first(p: DcProblem, run: Callable[[bool], _T]) -> _T:
     try:
         with np.errstate(**record, call=lambda kind, flag: seen.append(kind)):
             result = run(True)
-    except _CheckFailed:
-        return run(False)
     except Exception:
-        if not seen:
-            raise
-    else:
-        if not seen:
-            return result
-    return run(True)
+        return run(False)
+    return run(True) if seen else result
 
 
 def _invert_rows(p: DcProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:

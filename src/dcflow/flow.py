@@ -23,21 +23,22 @@ its stages together with the inversion's own stopping rule
 (``core._check_block``), so the checked pullbacks are exactly those
 Newton would return without a step.  That call less one ``h_grad`` call
 is the records' ``grad f``.  Only a wrong closed form fails the check,
-and there is one failure policy: a check that fails, or raises, runs the
-loop again from its first step with every stage through the inversion,
-which returns the closed form wherever it passes, so the trace and every
-error are those of an inversion per stage.  Other problems, and that
-run, invert each stage with Newton warm-started at the previous
-evaluation's pullback (consecutive evaluations are close, so it typically
-finishes in one or two steps), and each accepted step's record times in
-one batched inversion as it is accepted.  This gives the primal
+and there is one failure policy: the closed-form pass is kept only if it
+returns, and if anything raises in it, a failed check or any other
+exception, the loop runs again from its first step with every stage
+through the inversion, which returns the closed form wherever it passes,
+so the trace and every error are those of an inversion per stage.  Other
+problems, and that run, invert each stage with Newton warm-started at
+the previous evaluation's pullback (consecutive evaluations are close,
+so it typically finishes in one or two steps), and each accepted step's
+record times in one batched inversion as it is accepted.  This gives the primal
 trajectory of the metric gradient flow ``Hess g(x) x' = -grad f(x)`` at
 every record time.  The loop keeps only those states and tests each for
 equilibrium on its gradient norm, and cuts the trace at the first at
 rest; in the closed-form pass at most ``_RECORD_BLOCK - 1`` attempts run
 past it, and are dropped.  The samples' metric speeds and values are
-read after the loop, in stacked oracle calls over the whole trace, the
-metric Hessians in row blocks of bounded size.
+read once, after the kept pass, in stacked oracle calls over the whole
+trace, the metric Hessians in row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -228,36 +229,37 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     step only keeps its record times and their dense-output states; no
     later step reads their pullbacks.  That run works in blocks of
     ``_RECORD_BLOCK`` attempts, accepted or rejected, and closes each one
-    once it is full, when the loop ends, and before an error propagates:
-    closing the block pulls back the record times of its steps through
-    the closed form on one stack, and one ``g_grad`` call on the stages
-    and those pullbacks checks them together with
-    :func:`~dcflow.core._check_block`, the inversion's stopping rule, which
-    passes exactly the pullbacks the inversion returns unchanged.  If the
-    check fails or raises, which a right closed form never makes it do,
-    the loop runs again from its first step with every stage pulled back
-    through :func:`~dcflow.core.invert_grad_g`, and that run is returned or
-    raises: the inversion returns the closed form wherever it passes, so
-    the stages, Newton's steps and every error are those of a check per
-    stage; numpy reports no floating-point error of the run thrown away
-    (:func:`~dcflow.core._closed_form_first`).  In that run, and without a
-    closed form, each accepted step pulls back its record times as it is
-    accepted, in one batched inversion warm-started on the chord between
-    the pullbacks at the step's two ends, which the stages already made,
-    and an error there names that step.  Inversion and the closed form act
-    row by row, so the block changes no bit.  Integration halts at the
-    first sample whose primal gradient norm is at most
-    :data:`EQUILIBRIUM_GRAD_TOL`, read for checked records as the checking
-    ``g_grad`` call less one ``h_grad`` call, the bits ``p.f_grad`` gives,
-    and for inverted ones through ``p.f_grad``.  In the closed-form run at
-    most ``_RECORD_BLOCK - 1`` attempts run past the first sample at rest;
-    they are dropped, and an error raised in one of them ends the flow at
-    that sample, as if they had not run; the inverting run stops at the
-    step that holds it.  The metric speeds and values of all kept samples
-    come after the loop from one stacked :func:`~dcflow.core.flow_velocity`
-    and one ``f_value_and_roundoff`` call; the velocity call reads
-    ``g_hess`` in row blocks of at most ``core._HESS_BLOCK_BYTES`` of
-    Hessians, so a long high-dimensional trace keeps bounded memory.
+    once it is full and when the loop ends: closing the block pulls back
+    the record times of its steps through the closed form on one stack,
+    and one ``g_grad`` call on the stages and those pullbacks checks them
+    together with :func:`~dcflow.core._check_block`, the inversion's
+    stopping rule, which passes exactly the pullbacks the inversion
+    returns unchanged.  That run is kept only if it returns.  If anything
+    raises in it, a failed check (which a right closed form never makes)
+    or any other exception, the loop runs again from its first step with
+    every stage pulled back through :func:`~dcflow.core.invert_grad_g`,
+    and that run is returned or raises: the inversion returns the closed
+    form wherever it passes, so the stages, Newton's steps and every error
+    are those of a check per stage; numpy reports no floating-point error
+    of the run thrown away (:func:`~dcflow.core._closed_form_first`).  In
+    that run, and without a closed form, each accepted step pulls back its
+    record times as it is accepted, in one batched inversion warm-started
+    on the chord between the pullbacks at the step's two ends, which the
+    stages already made, and an error there names that step.  Inversion
+    and the closed form act row by row, so the block changes no bit.
+    Integration halts at the first sample whose primal gradient norm is at
+    most :data:`EQUILIBRIUM_GRAD_TOL`, read for checked records as the
+    checking ``g_grad`` call less one ``h_grad`` call, the bits
+    ``p.f_grad`` gives, and for inverted ones through ``p.f_grad``.  In
+    the closed-form run at most ``_RECORD_BLOCK - 1`` attempts run past
+    the first sample at rest and are dropped; an error raised in one of
+    them sends the flow to the inverting run, which stops at the step that
+    holds that sample.  The metric speeds and values of all kept samples
+    come once, after the kept run, from one stacked
+    :func:`~dcflow.core.flow_velocity` and one ``f_value_and_roundoff``
+    call; the velocity call reads ``g_hess`` in row blocks of at most
+    ``core._HESS_BLOCK_BYTES`` of Hessians, so a long high-dimensional
+    trace keeps bounded memory.
 
     Raises
     ------
@@ -266,7 +268,9 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     ConvergenceError
         If a gradient inversion fails; the message names the step's start
         time and size, as it does for every
-        :class:`~dcflow.core.DcError` raised in a step.
+        :class:`~dcflow.core.DcError` raised in a step.  With a closed
+        form, these are the errors of the inverting run, made again after
+        anything raised in the closed-form run.
     numpy.linalg.LinAlgError
         If ``Hess g`` is singular at a kept sample, once the loop has ended;
         a strongly convex ``g`` rules it out.
@@ -309,12 +313,12 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
     except DcError as exc:
         raise exc.with_phase(_step_phase(0.0, _STEP_INIT)) from exc
 
-    def steps(closed: bool) -> FlowTrace:
-        """The step loop from the first field evaluation on.  If ``closed``
-        the stages pull back through the closed form, a block of up to
-        ``_RECORD_BLOCK`` attempts is checked at a time, and a check that
-        fails or raises raises ``_CheckFailed``; otherwise each accepted
-        step pulls back its record times as it is accepted."""
+    def steps(closed: bool) -> None:
+        """The step loop from the first field evaluation on, which fills
+        ``samples``.  If ``closed`` the stages pull back through the closed
+        form and a block of up to ``_RECORD_BLOCK`` attempts is checked at
+        a time, a failed check raising ``_CheckFailed``; otherwise each
+        accepted step pulls back its record times as it is accepted."""
         # A run made again starts from the first sample alone.
         for chunks in samples:
             del chunks[1:]
@@ -354,7 +358,7 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
 
         while target_idx < targets.size:
             if attempts == _RECORD_BLOCK and close():
-                return build()
+                return
             try:
                 last = h >= t_end - t - 1e-14 * max(1.0, t_end)
                 h_try = t_end - t if last else h
@@ -409,19 +413,12 @@ def integrate_flow(p: DcProblem, x0, cfg: FlowConfig) -> FlowTrace:
                 factor = min(5.0, max(0.2, 0.9 * err**-_PI_ALPHA * err_prev**_PI_BETA))
                 err_prev = max(err, _PI_HISTORY_FLOOR)
                 h = max(h_try * factor, _MIN_STEP)
-            except Exception as exc:
-                # The block's stages may fail their check, and then this step
-                # would not have run; its records come first in time: at
-                # rest, the trace ends there, before this step.
-                if close():
-                    return build()
-                if isinstance(exc, DcError):
-                    raise exc.with_phase(_step_phase(t, h_try)) from exc
-                raise
+            except DcError as exc:
+                raise exc.with_phase(_step_phase(t, h_try)) from exc
         close()
-        return build()
 
-    return _closed_form_first(p, steps)
+    _closed_form_first(p, steps)
+    return build()
 
 
 def _step_phase(t: float, h: float) -> str:

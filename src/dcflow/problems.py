@@ -189,18 +189,14 @@ def make_quadratic(a, b) -> DcProblem:
     n = a.shape[0]
     c = a - b
     constants = _QuadraticConstants(a, c, a_eigs, _check_psd(c, "a - b"))
-
-    a_loc = a.copy()
-    b_loc = b.copy()
-
     return DcProblem(
         dim=n,
-        g_value=lambda x: 0.5 * np.vecdot(x, np.matvec(a_loc, x)),
-        h_value=lambda x: 0.5 * np.vecdot(x, np.matvec(b_loc, x)),
-        g_grad=lambda x: np.matvec(a_loc, x),
-        h_grad=lambda x: np.matvec(b_loc, x),
-        g_hess=lambda x: _per_point(a_loc, x),
-        h_hess=lambda x: _per_point(b_loc, x),
+        g_value=lambda x: 0.5 * np.vecdot(x, np.matvec(a, x)),
+        h_value=lambda x: 0.5 * np.vecdot(x, np.matvec(b, x)),
+        g_grad=lambda x: np.matvec(a, x),
+        h_grad=lambda x: np.matvec(b, x),
+        g_hess=lambda x: _per_point(a, x),
+        h_hess=lambda x: _per_point(b, x),
         region=Box.cube(_REGION_HALF_WIDTH, n),
         f_star=0.0,
         minimizer=np.zeros(n),

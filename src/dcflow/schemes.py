@@ -8,9 +8,11 @@ otherwise.  The loop works in the blocks of ``_GUARD_BLOCK`` iterates that
 its divergence guard judges: closing one tests its closed-form pullbacks
 with the inversion's own stopping rule (``core._check_block``) on the
 ``g_grad`` calls at them, then has the guard judge it.  Only a wrong closed
-form fails that test, and there is one failure policy: a test that fails,
-or raises, runs the scheme again with every pullback through the
-inversion, which returns the closed form wherever it passes.  The primal
+form fails that test, and there is one failure policy: the closed-form
+pass is kept only if it returns, and if anything raises in it, a failed
+test or any other exception, the scheme runs again with every pullback
+through the inversion, which returns the closed form wherever it passes.
+The primal
 damped step takes ``y = grad g(x)``, which at ``eta = 1`` is the classical
 step; the dual Euler step of size ``eta`` along
 ``grad h(pullback(y)) - y`` carries ``y`` from step to step instead.
@@ -147,15 +149,16 @@ def run_scheme(
     passes exactly the pullbacks the inversion returns unchanged, tests the
     queued pullbacks on those calls in one stacked test per block of
     ``_GUARD_BLOCK`` iterates the divergence guard judges, before it judges
-    them: when the block is full, when the loop ends and before an error
-    propagates.  If a test fails or raises, which a right closed form never
-    makes it do, the run is made again with every pullback through
-    :func:`~dcflow.core.invert_grad_g` from the current iterate, and that
-    run is returned or raises: the inversion returns the closed form
-    wherever it passes, so the trace and every error are those of a test
-    per iterate; numpy reports no floating-point error of the run thrown
-    away (:func:`~dcflow.core._closed_form_first`).  Without a closed form
-    that is the only run.  The objective values, the Bregman steps and the
+    them: when the block is full and when the loop ends.  That run is kept
+    only if it returns.  If anything raises in it, a failed test (which a
+    right closed form never makes) or any other exception, the run is made
+    again with every pullback through :func:`~dcflow.core.invert_grad_g`
+    from the current iterate, and that run is returned or raises: the
+    inversion returns the closed form wherever it passes, so the trace and
+    every error are those of a test per iterate; numpy reports no
+    floating-point error of the run thrown away
+    (:func:`~dcflow.core._closed_form_first`).  Without a closed form that
+    is the only run.  The objective values, the Bregman steps and the
     step norms of the log are computed outside the loop, in stacked calls.
 
     Both modes step with :func:`~dcflow.core.damped_target` and differ
@@ -170,9 +173,9 @@ def run_scheme(
     ``_GUARD_BLOCK - 1`` iterations run past the iterate that trips it, or
     past a pullback that fails its test, and the trace is the one a
     per-iterate guard would have returned.  An exception raised in the
-    loop first has the guard judge what is logged: if it trips, the run
-    ends there as it would have before the exception; otherwise the
-    exception propagates, a :class:`~dcflow.core.DcError` (a
+    loop first has the guard judge what is logged, its queued pullbacks
+    tested first: if it trips, the run ends there as it would have before
+    the exception; otherwise the exception propagates, a :class:`~dcflow.core.DcError` (a
     ``ConvergenceError`` of the inversion included) with its message
     naming the iteration and ``eta``.  Each pullback meets the rule of
     :func:`~dcflow.core.invert_grad_g`,
@@ -187,8 +190,7 @@ def run_scheme(
 
     def iterate(closed: bool) -> IterateTrace:
         """The run, with closed-form pullbacks tested as the guard's blocks
-        close if ``closed``: a test that fails or raises raises
-        ``_CheckFailed``."""
+        close if ``closed``: a failed test raises ``_CheckFailed``."""
         x = x0
         points, y_states, grad_norms = [x], [], []
         f_values, f_errs = [], []  # of the judged points, points[: len(f_values)]
@@ -250,8 +252,9 @@ def run_scheme(
                 points.append(x)
                 y_states.append(y)
             except Exception as exc:
-                # A queued pullback may fail its test, and then this
-                # iteration would not have run.
+                # The guard judges the logged iterates first: a run that
+                # trips it ends before this iteration.  A queued pullback
+                # may fail its test there, which reruns the scheme.
                 if not close():
                     if isinstance(exc, DcError):
                         raise exc.with_phase(f"in scheme iteration {k} (eta={eta:g})") from exc

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 
 from dcflow import analysis, core, flow, schemes
-from dcflow.core import DcError, central_diff_jacobian, invert_grad_g
+from dcflow.core import DcError, DcProblem, central_diff_jacobian, invert_grad_g
 from dcflow.schemes import (
     _DIVERGENCE_SLACK,
     IterateTrace,
@@ -81,7 +81,7 @@ def reject_closed_forms(monkeypatch):
 def single_closed_form_pass(monkeypatch):
     """Make the flow step and the schemes run their closed-form pass once,
     its numpy floating-point errors reported as they happen, and again
-    through ``invert_grad_g`` when a check fails: the policy of
+    through ``invert_grad_g`` when anything raises in it: the policy of
     ``core._closed_form_first`` without its recording."""
 
     def once(p, run):
@@ -89,7 +89,7 @@ def single_closed_form_pass(monkeypatch):
             return run(False)
         try:
             return run(True)
-        except core._CheckFailed:
+        except Exception:
             return run(False)
 
     for module in (flow, schemes):
@@ -127,6 +127,42 @@ def count_point_inversions(monkeypatch, module):
 
     monkeypatch.setattr(module, "invert_grad_g", pullback)
     return count
+
+
+def inversion_shapes(monkeypatch, module):
+    """Log the shape of every target, single or stacked, that ``module``
+    pulls back through ``invert_grad_g``."""
+    shapes = []
+
+    def pullback(p, y, warm_start):
+        shapes.append(np.shape(y))
+        return core.invert_grad_g(p, y, warm_start)
+
+    monkeypatch.setattr(module, "invert_grad_g", pullback)
+    return shapes
+
+
+def blowing_up(limit: float):
+    """The 1-D split ``g = x^2/2``, ``h = x^2/2 + x + x^3/3``, whose dual
+    field ``1 + y^2`` blows up in finite time, with its closed form
+    ``grad g* = id`` and an ``h_grad`` that raises
+    :class:`~dcflow.core.NumericError` at any point past ``limit``."""
+
+    def h_grad(x):
+        if (x > limit).any():
+            raise core.NumericError(f"h_grad past {limit:g}")
+        return x + 1.0 + x**2
+
+    return DcProblem(
+        dim=1,
+        g_value=lambda x: 0.5 * np.vecdot(x, x),
+        h_value=lambda x: np.sum(0.5 * x**2 + x + x**3 / 3.0, axis=-1),
+        g_grad=lambda x: x.copy(),
+        h_grad=h_grad,
+        g_hess=lambda x: np.ones(x.shape[:-1] + (1, 1)),
+        h_hess=lambda x: (1.0 + 2.0 * x)[..., None],
+        g_conj_grad=lambda y: np.array(y, dtype=float),
+    )
 
 
 def off_closed_form(p, defect: float, threshold: float):

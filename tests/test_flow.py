@@ -22,7 +22,9 @@ from dcflow.core import DcProblem, invert_grad_g
 from dcflow.flow import _B5, _P, StiffnessError, euler_refinement_study
 from dcflow.schemes import Mode, SchemeConfig, Termination, run_scheme
 from helpers import (
+    blowing_up,
     count_point_inversions,
+    inversion_shapes,
     newton_only,
     off_at_targets,
     off_closed_form,
@@ -371,6 +373,33 @@ def test_replayed_steps_equal_checked_ones(case, monkeypatch):
     assert inversions[0] > 1 and (inversions[0] - 1) % 6 == 0
 
 
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_a_passing_flow_keeps_its_closed_form_pass(case, monkeypatch):
+    # Every check passes, so the closed-form pass is kept and never run
+    # again: the flow's one inversion, single or stacked, is its first field
+    # evaluation.  A rerun would hide a fault in code only that pass runs.
+    p, x0 = _deferred_pass_cases()[case]
+    shapes = inversion_shapes(monkeypatch, flow)
+    integrate_flow(p, np.array(x0), FlowConfig(t_end=2.0, record_stride=1e-2))
+    assert shapes == [(p.dim,)]
+
+
+def test_a_raising_closed_form_pass_ends_as_with_every_check_failing(monkeypatch):
+    # The blow-up field of test_stiffness_error_on_blowup_field, with its
+    # closed form, and an h_grad that raises past x = 10, inside a pass
+    # whose checks all pass.  The flow runs again through the inversion,
+    # whose error it raises, as with every check failing.
+    p = blowing_up(10.0)
+    run = lambda: integrate_flow(p, np.array([1.0]), FlowConfig(t_end=2.0, record_stride=0.1))
+    inversions = count_point_inversions(monkeypatch, flow)
+    checked = outcome(run, _FLOW_FIELDS)
+    assert checked[0] is core.NumericError
+    assert re.fullmatch(r"h_grad past 10 in the flow step from t=\S+ of size \S+", checked[1])
+    assert inversions[0] > 1
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _FLOW_FIELDS) == checked
+
+
 @pytest.mark.parametrize("defect", [np.nan, 1e-3], ids=["nan", "off"])
 @pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
 def test_failed_record_checks_invert_as_before(case, defect, monkeypatch):
@@ -675,10 +704,9 @@ def _raising_on_nan_targets(p):
 def test_an_error_past_a_failed_step_is_not_reached(monkeypatch):
     # The closed form is NaN at the last stage of step 16 alone: that step's
     # NaN error norm accepts it at a NaN state, and the next step's first
-    # target is NaN, where the closed form raises.  The check before that
-    # error propagates fails, and the rerun stops at step 16, whose
-    # inversion raises its NumericError, so the later ValueError never
-    # happens.
+    # target is NaN, where the closed form raises.  That error reruns the
+    # flow through the inversion, which stops at step 16 and raises its
+    # NumericError, so the later ValueError is never raised.
     p, x0, cfg = _COARSE
     stages, _ = _attempts(monkeypatch, p, x0, cfg)
     broken = _raising_on_nan_targets(off_at_targets(p, stages[16, 5:6], np.nan))
@@ -870,31 +898,41 @@ def test_a_newton_only_flow_ends_with_the_step_at_rest(quad_canonical, monkeypat
 
 @pytest.mark.parametrize("error", [core.NumericError, ValueError])
 def test_an_error_past_rest_returns_the_cut_trace(error, quad_canonical, monkeypatch):
-    # Point calls of h_grad come from the stages alone.  With a block of 1
-    # the flow stops at the sample at rest after `stages` of them; with the
-    # default block the next one, in a step past rest, raises.  The pending
-    # block holds the sample at rest, so the flow ends there all the same.
+    # h_grad raises at every stack with a row nearer the origin than `floor`,
+    # a function of the point alone.  With a block of 1 the flow stops at
+    # the sample at rest, and `floor` is set to the least norm it reads
+    # h_grad at.  The default block's closed-form pass runs past rest,
+    # nearer the origin, and raises; the rerun through the inversion stops
+    # at the sample at rest, as the block of 1 does.
     x0, cfg = np.array([1.0, 0.0]), FlowConfig(t_end=100.0, record_stride=1e-2)
-    stages, limit = [0], None
+    floor, norms, raised = [0.0], [], [0]
 
     def h_grad(x):
-        if np.ndim(x) == 1:
-            stages[0] += 1
-            if stages[0] == limit:
-                raise error("h_grad failed")
+        norms.append(np.linalg.norm(np.atleast_2d(x), axis=1).min())
+        if norms[-1] < floor[0]:
+            raised[0] += 1
+            raise error("h_grad failed")
         return quad_canonical.h_grad(x)
 
     p = dataclasses.replace(quad_canonical, h_grad=h_grad)
-    monkeypatch.setattr(flow, "_RECORD_BLOCK", 1)
-    per_step = outcome(lambda: integrate_flow(p, x0, cfg), _FLOW_FIELDS)
-    limit, stages[0] = stages[0] + 1, 0
-    monkeypatch.undo()
-    assert outcome(lambda: integrate_flow(p, x0, cfg), _FLOW_FIELDS) == per_step
-    assert stages[0] == limit
-    # Without the sample at rest pending, the error propagates.
-    limit, stages[0] = 10, 0
-    with pytest.raises(error, match="h_grad failed"):
-        integrate_flow(p, x0, cfg)
+    run = lambda: integrate_flow(p, x0, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_RECORD_BLOCK", 1)
+        per_step = outcome(run, _FLOW_FIELDS)
+    assert len(per_step) == len(_FLOW_FIELDS)
+    assert np.frombuffer(per_step[0])[-1] < cfg.t_end
+    floor[0] = min(norms)
+    assert outcome(run, _FLOW_FIELDS) == per_step
+    assert raised[0] == 1
+    # Without the sample at rest pending, the per-step error propagates.
+    floor[0], messages = 0.5, []
+    for block in (1, flow._RECORD_BLOCK):
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "_RECORD_BLOCK", block)
+            with pytest.raises(error, match="h_grad failed") as info:
+                run()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("failing", [1, 3])

@@ -294,7 +294,8 @@ def test_box_constants_bound_every_sample(instance):
         w = np.linalg.eigvalsh(metric)
         tol = 1e3 * eps * max(1.0, abs(w[-1]))
         assert bc.metric[0] - tol <= w[0] and w[-1] <= bc.metric[1] + tol
-        v = np.linalg.eigvalsh(p.f_hess(x))
+        hess_f = np.asarray(metric, dtype=float) - np.asarray(p.h_hess(x), dtype=float)
+        v = np.linalg.eigvalsh(hess_f)
         assert bc.objective[0] - tol <= v[0] and v[-1] <= bc.objective[1] + tol
         g, h = p.g_value(x), p.h_value(x)
         gap = (g - h) - p.f_star

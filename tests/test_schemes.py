@@ -23,7 +23,9 @@ from dcflow.core import INVERSION_TOL, DcProblem, damped_target, invert_grad_g
 from dcflow.schemes import _DESCENT_SLACK, Termination, gradient_identity_margin
 from helpers import (
     assert_same_trace,
+    blowing_up,
     count_point_inversions,
+    inversion_shapes,
     off_at_targets,
     off_closed_form,
     outcome,
@@ -543,6 +545,34 @@ def test_inverted_iterates_equal_checked_ones(case, mode, monkeypatch):
     reject_closed_forms(monkeypatch)
     assert outcome(run, _SCHEME_FIELDS) == checked
     assert inversions[0] == steps > 5
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+@pytest.mark.parametrize("case", range(3), ids=["double_well", "quadratic", "shifted"])
+def test_a_passing_run_keeps_its_closed_form_pass(case, mode, monkeypatch):
+    # Every test passes, so the closed-form pass is kept and never run
+    # again: no target, single or stacked, goes through the inversion.  A
+    # rerun would hide a fault in code only that pass runs.
+    p, x0 = _scheme_cases()[case]
+    shapes = inversion_shapes(monkeypatch, schemes)
+    trace = run_scheme(p, np.array(x0), SchemeConfig(eta=0.5), mode)
+    assert trace.termination is Termination.GRAD_TOL and trace.n_points > 5
+    assert shapes == []
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
+def test_a_raising_closed_form_pass_ends_as_with_every_check_failing(mode, monkeypatch):
+    # The flow's blow-up split, with its closed form, and an h_grad that
+    # raises past x = 10, inside a pass whose tests all pass and whose
+    # objective falls.  The run is made again through the inversion, whose
+    # error it raises, as with every test failing.
+    run = lambda: run_scheme(blowing_up(10.0), np.array([1.0]), SchemeConfig(eta=0.5), mode)
+    inversions = count_point_inversions(monkeypatch, schemes)
+    checked = outcome(run, _SCHEME_FIELDS)
+    assert checked == (core.NumericError, "h_grad past 10 in scheme iteration 3 (eta=0.5)")
+    assert inversions[0] == 3
+    reject_closed_forms(monkeypatch)
+    assert outcome(run, _SCHEME_FIELDS) == checked
 
 
 @pytest.mark.parametrize("mode", [Mode.PRIMAL, Mode.DUAL])
